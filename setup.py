@@ -1,20 +1,14 @@
 """Build hook for the optional compiled step kernel.
 
-The package is fully functional without the extension; caosim.kernel falls
-back to the pure-Python implementation when the import fails.
+The package is fully functional without the extension: it is marked
+optional, so an install without a C compiler still succeeds, and
+caosim.kernel then falls back to the pure-Python implementation.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("caosim._stepcore", ["src/caosim/_stepcore.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("caosim._stepcore", ["src/caosim/_stepcore.c"], optional=True)
+    ]
+)

@@ -15,40 +15,27 @@ from .model import (
     Form,
     InvalidCaoError,
     Issue,
-    Multinumber,
+    NegativeComponentError,
     Operator,
     Role,
     ValidationReport,
     build_config_matrix,
     check,
     infer_form,
-    multinumber,
-    reconstruct_parameters,
     validate,
 )
 from .engine import (
     DerivedOperators,
-    NegativeComponentError,
     ParameterSchedule,
     ScheduleGapError,
     common_carries,
     derive,
     partial_carries,
     step,
-    step_nonstationary,
     step_via_matrices,
     with_parameters,
 )
-from .operational import (
-    OperatorEffect,
-    ResolvedOperator,
-    apply_D,
-    apply_F,
-    apply_L,
-    apply_M,
-    resolve,
-    step_operational,
-)
+from .operational import resolve, step_operational
 from .simulate import (
     ConservationError,
     ConservationReport,
@@ -89,33 +76,23 @@ __all__ = [
     "Form",
     "InvalidCaoError",
     "Issue",
-    "Multinumber",
+    "NegativeComponentError",
     "Operator",
     "Role",
     "ValidationReport",
     "build_config_matrix",
     "check",
     "infer_form",
-    "multinumber",
-    "reconstruct_parameters",
     "validate",
     "DerivedOperators",
-    "NegativeComponentError",
     "ParameterSchedule",
     "ScheduleGapError",
     "common_carries",
     "derive",
     "partial_carries",
     "step",
-    "step_nonstationary",
     "step_via_matrices",
     "with_parameters",
-    "OperatorEffect",
-    "ResolvedOperator",
-    "apply_D",
-    "apply_F",
-    "apply_L",
-    "apply_M",
     "resolve",
     "step_operational",
     "ConservationError",

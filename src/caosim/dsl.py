@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .engine import ParameterSchedule, with_parameters
-from .model import CaoSpec, Entity, Form, Operator, Role, check, infer_form, validate
+from .model import CaoSpec, Entity, Form, Operator, Role, build_spec, check, infer_form
 from .simulate import CstTrace, TraceStep
 
 _KEYWORD_ROLES = {
@@ -271,22 +271,13 @@ def try_parse(
         name, name_span, entities, operators = parser.parse_cao()
     except DslError as exc:
         return None, exc.diagnostics
-    report = check(
-        name,
-        [e for e, _ in entities],
-        [op for op, _ in operators],
-        allow_cycles=allow_cycles,
-    )
+    ents = [e for e, _ in entities]
+    ops = [op for op, _ in operators]
+    report = check(name, ents, ops, allow_cycles=allow_cycles)
     diags = _semantic_diagnostics(path, name_span, entities, operators, report.issues)
     if not report.ok:
         return None, tuple(diags)
-    spec = validate(
-        name,
-        [e for e, _ in entities],
-        [op for op, _ in operators],
-        allow_cycles=allow_cycles,
-    )
-    return spec, tuple(diags)
+    return build_spec(name, ents, ops), tuple(diags)
 
 
 def parse(text: str, *, path: str = "<dsl>", allow_cycles: bool = False) -> CaoSpec:
@@ -414,7 +405,15 @@ class TraceDocument:
         return len(self.steps) - 1
 
 
+def _trace_vector(values, width: int) -> tuple[int, ...]:
+    vec = tuple(int(v) for v in values)
+    if len(vec) != width:
+        raise ValueError(f"trace vector has {len(vec)} entries, not one per entity ({width})")
+    return vec
+
+
 def parse_trace(text: str) -> TraceDocument:
+    """Read the JSON trace form back; raise ValueError on a malformed document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -423,22 +422,28 @@ def parse_trace(text: str) -> TraceDocument:
         raise ValueError(
             f"unsupported trace document; expected format_version {TRACE_FORMAT_VERSION}"
         )
-    steps = tuple(
-        TraceStep(
-            k=int(s["k"]),
-            state=tuple(int(v) for v in s["state"]),
-            partials=tuple(int(v) for v in s["partial"]),
-            common=tuple(int(v) for v in s["common"]),
+    try:
+        entities = tuple(str(n) for n in doc["entities"])
+        steps = tuple(
+            TraceStep(
+                k=int(s["k"]),
+                state=_trace_vector(s["state"], len(entities)),
+                partials=_trace_vector(s["partial"], len(entities)),
+                common=_trace_vector(s["common"], len(entities)),
+            )
+            for s in doc["steps"]
         )
-        for s in doc["steps"]
-    )
-    return TraceDocument(
-        cao=str(doc["cao"]),
-        entities=tuple(str(n) for n in doc["entities"]),
-        engine=str(doc["engine"]),
-        termination=str(doc["termination"]),
-        steps=steps,
-    )
+        return TraceDocument(
+            cao=str(doc["cao"]),
+            entities=entities,
+            engine=str(doc["engine"]),
+            termination=str(doc["termination"]),
+            steps=steps,
+        )
+    except KeyError as exc:
+        raise ValueError(f"trace document lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed trace document: {exc}") from None
 
 
 # --- Schedules ----------------------------------------------------------------
@@ -493,8 +498,11 @@ def load_schedule(text: str, base: CaoSpec) -> ParameterSchedule:
         default = base
     else:
         default = _paramset(base, raw_default, "default")
+    raw_steps = {} if doc.get("steps") is None else doc["steps"]
+    if not isinstance(raw_steps, dict):
+        raise ValueError("schedule 'steps' must be an object mapping step numbers to parameters")
     steps: dict[int, CaoSpec] = {}
-    for key, raw in (doc.get("steps") or {}).items():
+    for key, raw in raw_steps.items():
         try:
             k = int(key)
         except ValueError:

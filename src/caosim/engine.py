@@ -25,20 +25,9 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from . import kernel
-from .model import (
-    CaoSpec,
-    ConfigMatrix,
-    Operator,
-    build_config_matrix,
-    validate,
-)
+from .model import CaoSpec, Operator, check_state, validate
 
 IntMatrix = tuple[tuple[int, ...], ...]
-StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-class NegativeComponentError(ValueError):
-    """A state fed to the engine has a negative component."""
 
 
 class ScheduleGapError(KeyError):
@@ -78,27 +67,20 @@ class DerivedOperators:
 
 @lru_cache(maxsize=4096)
 def derive(spec: CaoSpec) -> DerivedOperators:
-    """Build N, N⁻, Rᵀ and the carry groups from a validated CAO."""
-    idx = {e.name: i for i, e in enumerate(spec.entities)}
-    m = spec.m
-    n = [0] * m
-    rt = [[0] * m for _ in range(m)]
-    groups = []
-    for op in spec.operators:
-        members = tuple(idx[e] for e, _ in op.inputs)
-        w = len(members)
-        for e, radix in op.inputs:
-            n[idx[e]] = radix
-        if w > 1:
-            groups.append(members)
-        for o, (t, coeff) in enumerate(op.outputs):
-            rt[idx[t]][members[o % w]] = coeff
-    ninv = tuple(Fraction(1, v) if v else Fraction(0) for v in n)
+    """Build N, N⁻, Rᵀ and the carry groups from the spec's step plan.
+
+    N is the plan's radix row and Λ its carry groups; each plan edge
+    (src, dst, coeff) puts ``coeff`` at Rᵀ[dst][src].
+    """
+    plan = kernel.plan_for(spec)
+    rt = [[0] * plan.m for _ in range(plan.m)]
+    for src, dst, coeff in plan.edges:
+        rt[dst][src] = coeff
     return DerivedOperators(
-        n=tuple(n),
-        ninv=ninv,
+        n=plan.n,
+        ninv=tuple(Fraction(1, v) if v else Fraction(0) for v in plan.n),
         rt=tuple(tuple(r) for r in rt),
-        carry_groups=tuple(groups),
+        carry_groups=plan.groups,
     )
 
 
@@ -119,36 +101,24 @@ def common_carries(
     return tuple(pc)
 
 
-def _check_state(spec: CaoSpec, state: Sequence[int]) -> None:
-    if len(state) != spec.m:
-        raise ValueError(
-            f"state has {len(state)} components, CAO {spec.name!r} has {spec.m}"
-        )
-    for ent, value in zip(spec.entities, state):
-        if value < 0:
-            raise NegativeComponentError(
-                f"entity {ent.name!r} has negative cardinal {value}"
-            )
-
-
 def step(
     spec: CaoSpec, state: Sequence[int], *, backend: str | None = None
-) -> StepResult:
+) -> kernel.StepResult:
     """One synchronous update; returns (next, partials, common carries)."""
-    _check_state(spec, state)
+    check_state(spec, state)
     return kernel.step(state, kernel.plan_for(spec), backend=backend)
 
 
 def step_via_matrices(
     spec: CaoSpec, state: Sequence[int], *, fold: bool = True
-) -> StepResult:
+) -> kernel.StepResult:
     """Reference update applying the derived matrices literally.
 
     Computes state + (Rᵀ − N)·pc with exact Fractions and integer matvec.
     ``fold=False`` skips Λ and uses the raw partial carries — only sound for
     CAOs without multi-input operators, where Λ is the identity anyway.
     """
-    _check_state(spec, state)
+    check_state(spec, state)
     d = derive(spec)
     p = partial_carries(state, d)
     pc = common_carries(p, d) if fold else p
@@ -264,14 +234,3 @@ class ParameterSchedule:
 
     def is_constant(self) -> bool:
         return not self.overrides and self.default is not None
-
-
-def step_nonstationary(
-    schedule: ParameterSchedule, state: Sequence[int], k: int, *, backend: str | None = None
-) -> StepResult:
-    """One update using the parameters scheduled for step k."""
-    return step(schedule.spec_at(k), state, backend=backend)
-
-
-def config_matrix_at(schedule: ParameterSchedule, k: int) -> ConfigMatrix:
-    return build_config_matrix(schedule.spec_at(k))

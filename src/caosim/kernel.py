@@ -2,14 +2,16 @@
 
 A :class:`StepPlan` is the flattened, index-only form of one CAO update:
 per-entity radices, carry groups (the input sets of multi-input operators),
-and weighted edges. Both the pure-Python kernel and the compiled extension
-consume the same plan, so their results can be compared entry for entry.
+and weighted edges. It is the one place a spec is flattened for the matrix
+route: the pure kernel, the compiled kernel and :func:`caosim.engine.derive`
+all read it.
 
-Backend selection happens at import time: the compiled kernel is used when
-the extension built and the ``CAOSIM_PURE`` environment variable is unset.
-The compiled path works in 64-bit integers and reports overflow instead of
-wrapping; any step that would overflow is transparently redone by the pure
-kernel, which uses Python's unbounded integers.
+The compiled kernel is ``_stepcore.c``, a hand-written CPython extension
+that ``setup.py`` builds when a C compiler is present. It works in 64-bit
+integers and reports overflow instead of wrapping; any step it cannot
+represent is transparently redone by the pure kernel, which uses Python's
+unbounded integers. The compiled kernel is the default backend when the
+extension imports and the ``CAOSIM_PURE`` environment variable is unset.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .model import CaoSpec, build_config_matrix, entity_index
+from .model import CaoSpec, entity_index
 
 try:
     from . import _stepcore  # type: ignore[attr-defined]
@@ -32,6 +34,9 @@ except ImportError:  # pragma: no cover - depends on build environment
 DEFAULT_BACKEND = (
     "compiled" if COMPILED_AVAILABLE and not os.environ.get("CAOSIM_PURE") else "pure"
 )
+
+# (next state, partial carries, common carries)
+StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -80,33 +85,7 @@ def plan_for(spec: CaoSpec) -> StepPlan:
     return StepPlan(n=tuple(n), groups=tuple(groups), edges=tuple(edges))
 
 
-def plan_from_matrix(spec: CaoSpec, matrix: Sequence[Sequence[int]]) -> StepPlan:
-    """Plan with radices/coefficients taken from a configuration matrix.
-
-    The wiring (which entities each operator touches) still comes from
-    ``spec``; only the numeric parameters are read off ``matrix``. Used for
-    non-stationary runs where the matrix changes between steps.
-    """
-    idx = entity_index(spec)
-    n = [0] * spec.m
-    groups = []
-    edges = []
-    for op in spec.operators:
-        members = tuple(idx[e] for e, _ in op.inputs)
-        w = len(members)
-        for i in members:
-            n[i] = matrix[i][i]
-        if w > 1:
-            groups.append(members)
-        for o, (t, _) in enumerate(op.outputs):
-            src = members[o % w]
-            edges.append((src, idx[t], matrix[src][idx[t]]))
-    return StepPlan(n=tuple(n), groups=tuple(groups), edges=tuple(edges))
-
-
-def pure_step(
-    state: Sequence[int], plan: StepPlan
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def pure_step(state: Sequence[int], plan: StepPlan) -> StepResult:
     """One synchronous update in unbounded integer arithmetic.
 
     Returns ``(next_state, partial_carries, common_carries)``. The update is
@@ -128,22 +107,23 @@ def pure_step(
 
 @lru_cache(maxsize=4096)
 def _compiled_plan(plan: StepPlan):
-    """The plan's C-array twin, built once and reused every step."""
-    return _stepcore.PlanKernel(plan.n, plan.groups, plan.edges)
-
-
-def compiled_step(
-    state: Sequence[int], plan: StepPlan
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
-    """Fast 64-bit update, or None when inputs/results leave int64 range."""
-    if _stepcore is None:
+    """The plan's C-array twin, built once and reused every step; None when
+    a radix or coefficient does not fit in 64 bits."""
+    try:
+        return _stepcore.PlanKernel(plan.n, plan.groups, plan.edges)
+    except OverflowError:
         return None
-    return _compiled_plan(plan).step(state)
+
+
+def compiled_step(state: Sequence[int], plan: StepPlan) -> StepResult | None:
+    """Fast 64-bit update, or None when plan, inputs or results leave int64."""
+    compiled = _compiled_plan(plan) if _stepcore is not None else None
+    return None if compiled is None else compiled.step(state)
 
 
 def step(
     state: Sequence[int], plan: StepPlan, *, backend: str | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+) -> StepResult:
     """Dispatch one update to the selected backend.
 
     ``backend`` may be "pure", "compiled", or None (module default). The

@@ -26,7 +26,7 @@ Structural rules enforced by :func:`validate`:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -320,6 +320,16 @@ def validate(
     report = check(name, entities, operators, allow_cycles=allow_cycles)
     if not report.ok:
         raise InvalidCaoError(report)
+    return build_spec(name, entities, operators)
+
+
+def build_spec(
+    name: str, entities: Sequence[Entity], operators: Sequence[Operator]
+) -> CaoSpec:
+    """The immutable spec of a description that :func:`check` found valid.
+
+    Operators declared without a form get the one their valence implies.
+    """
     resolved = tuple(
         op if op.form is not None else replace(op, form=infer_form(len(op.inputs), len(op.outputs)))
         for op in operators
@@ -347,35 +357,22 @@ def build_config_matrix(spec: CaoSpec) -> ConfigMatrix:
     return tuple(tuple(r) for r in rows)
 
 
-def reconstruct_parameters(spec: CaoSpec, matrix: ConfigMatrix) -> tuple[Operator, ...]:
-    """Read radices and coefficients back off a configuration matrix.
+class NegativeComponentError(ValueError):
+    """A state fed to either engine has a negative component."""
 
-    Given only the wiring of ``spec`` (which entities each operator touches)
-    and the matrix, rebuilds the full operators. Round-trips exactly with
-    :func:`build_config_matrix`.
+
+def check_state(spec: CaoSpec, state: Sequence[int]) -> None:
+    """Reject a state of the wrong length or with a negative component.
+
+    Both update routes call this before stepping. It looks at shape and sign
+    only and does no arithmetic, so the routes still share none.
     """
-    idx = entity_index(spec)
-    rebuilt = []
-    for op in spec.operators:
-        first = idx[op.inputs[0][0]]
-        inputs = tuple((e, matrix[idx[e]][idx[e]]) for e, _ in op.inputs)
-        outputs = tuple((t, matrix[first][idx[t]]) for t, _ in op.outputs)
-        rebuilt.append(replace(op, inputs=inputs, outputs=outputs))
-    return tuple(rebuilt)
-
-
-@dataclass(frozen=True)
-class Multinumber:
-    """A state vector paired with the structure that gives it meaning."""
-
-    spec: CaoSpec
-    state: tuple[int, ...]
-    config: ConfigMatrix = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.state) != self.spec.m:
-            raise ValueError(f"state has {len(self.state)} components, CAO has {self.spec.m}")
-
-
-def multinumber(spec: CaoSpec, state: Sequence[int]) -> Multinumber:
-    return Multinumber(spec=spec, state=tuple(state), config=build_config_matrix(spec))
+    if len(state) != spec.m:
+        raise ValueError(
+            f"state has {len(state)} components, CAO {spec.name!r} has {spec.m}"
+        )
+    for ent, value in zip(spec.entities, state):
+        if value < 0:
+            raise NegativeComponentError(
+                f"entity {ent.name!r} has negative cardinal {value}"
+            )

@@ -10,110 +10,47 @@ matrix engine can be checked against it step for step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .engine import NegativeComponentError
-from .model import CaoSpec, Form, entity_index
+from .model import CaoSpec, check_state, entity_index
 
 StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class ResolvedOperator:
-    """One operator with entity names replaced by state-vector indices."""
-
-    form: Form
-    inputs: tuple[tuple[int, int], ...]  # (entity index, radix)
-    outputs: tuple[tuple[int, int], ...]  # (entity index, coefficient)
+IndexPairs = tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=4096)
-def resolve(spec: CaoSpec) -> tuple[ResolvedOperator, ...]:
+def resolve(spec: CaoSpec) -> tuple[tuple[IndexPairs, IndexPairs], ...]:
+    """Each operator as ``(inputs, outputs)`` with entity names replaced by
+    state-vector indices: (index, radix) and (index, coefficient) pairs."""
     idx = entity_index(spec)
-    out = []
-    for op in spec.operators:
-        assert op.form is not None, "operators of a validated CAO carry their form"
-        out.append(
-            ResolvedOperator(
-                form=op.form,
-                inputs=tuple((idx[e], n) for e, n in op.inputs),
-                outputs=tuple((idx[t], r) for t, r in op.outputs),
-            )
+    return tuple(
+        (
+            tuple((idx[e], n) for e, n in op.inputs),
+            tuple((idx[t], r) for t, r in op.outputs),
         )
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class OperatorEffect:
-    """Everything one operator does in one step, before any state is touched.
-
-    ``partials``  per-input (index, ⌊value/radix⌋)
-    ``common``    the group carry actually enacted (min of the partials)
-    ``removals``  per-input (index, common × radix) to subtract
-    ``additions`` per-output (index, common × coefficient) to add
-    """
-
-    partials: tuple[tuple[int, int], ...]
-    common: int
-    removals: tuple[tuple[int, int], ...]
-    additions: tuple[tuple[int, int], ...]
-
-
-def _apply(op: ResolvedOperator, state: Sequence[int]) -> OperatorEffect:
-    partials = tuple((i, state[i] // n) for i, n in op.inputs)
-    common = min(c for _, c in partials)
-    return OperatorEffect(
-        partials=partials,
-        common=common,
-        removals=tuple((i, common * n) for i, n in op.inputs),
-        additions=tuple((t, common * r) for t, r in op.outputs),
+        for op in spec.operators
     )
-
-
-def _form_checked(form: Form) -> Callable[[ResolvedOperator, Sequence[int]], OperatorEffect]:
-    def apply(op: ResolvedOperator, state: Sequence[int]) -> OperatorEffect:
-        if op.form is not form:
-            raise ValueError(f"expected a {form.value} operator, got {op.form.value}")
-        return _apply(op, state)
-
-    return apply
-
-
-apply_L = _form_checked(Form.L)
-apply_D = _form_checked(Form.D)
-apply_F = _form_checked(Form.F)
-apply_M = _form_checked(Form.M)
-
-_APPLIERS = {Form.L: apply_L, Form.D: apply_D, Form.F: apply_F, Form.M: apply_M}
 
 
 def step_operational(spec: CaoSpec, state: Sequence[int]) -> StepResult:
     """One synchronous update; returns (next, partials, common carries).
 
-    Same contract as the matrix engine's ``step``: every effect is computed
-    from the incoming snapshot, then all removals and additions land at once.
+    Same contract as the matrix engine's ``step``: every carry is read from
+    the incoming snapshot, and all removals and credits land in a separate
+    next state.
     """
-    if len(state) != spec.m:
-        raise ValueError(
-            f"state has {len(state)} components, CAO {spec.name!r} has {spec.m}"
-        )
-    for ent, value in zip(spec.entities, state):
-        if value < 0:
-            raise NegativeComponentError(
-                f"entity {ent.name!r} has negative cardinal {value}"
-            )
+    check_state(spec, state)
     nxt = list(state)
     p = [0] * spec.m
     pc = [0] * spec.m
-    for op in resolve(spec):
-        effect = _APPLIERS[op.form](op, state)
-        for i, carry in effect.partials:
+    for inputs, outputs in resolve(spec):
+        partials = [state[i] // n for i, n in inputs]
+        common = min(partials)
+        for (i, n), carry in zip(inputs, partials):
             p[i] = carry
-            pc[i] = effect.common
-        for i, amount in effect.removals:
-            nxt[i] -= amount
-        for t, amount in effect.additions:
-            nxt[t] += amount
+            pc[i] = common
+            nxt[i] -= common * n
+        for t, coeff in outputs:
+            nxt[t] += common * coeff
     return tuple(nxt), tuple(p), tuple(pc)

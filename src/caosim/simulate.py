@@ -20,10 +20,9 @@ from typing import Mapping, Sequence
 
 from . import rational
 from .engine import ParameterSchedule, derive, step as matrix_step
+from .kernel import StepResult
 from .model import CaoSpec, Entity, Operator, Role, validate
 from .operational import step_operational
-
-StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 ENGINES = ("matrix", "operational", "both")
 
@@ -114,18 +113,49 @@ def _stable_from(schedule: ParameterSchedule) -> int | None:
     return max(k for k, _ in schedule.overrides) + 1
 
 
-def _advance(
-    spec_k: CaoSpec, state: tuple[int, ...], engine: str, k: int, backend: str | None
-) -> StepResult:
-    if engine == "matrix":
-        return matrix_step(spec_k, state, backend=backend)
-    if engine == "operational":
-        return step_operational(spec_k, state)
-    got = matrix_step(spec_k, state, backend=backend)
-    want = step_operational(spec_k, state)
-    if got != want:
-        raise EngineDivergenceError(Divergence(k, state, got, want))
-    return got
+def _drive(
+    spec: CaoSpec,
+    initial: Mapping[str, int] | Sequence[int] | None,
+    max_steps: int,
+    engine: str,
+    schedule: ParameterSchedule | None,
+    backend: str | None,
+) -> tuple[list[TraceStep], str | None, Divergence | None]:
+    """The stepping loop behind :func:`run` and :func:`compare_engines`.
+
+    Returns ``(entries, termination, divergence)``. With engine "both" the
+    loop stops at the first step on which the two routes disagree; that step
+    is not recorded, the termination is None and the divergence says where.
+    Otherwise the divergence is None.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
+    stable_from = _stable_from(sched)
+    state = _initial_state(spec, initial)
+    entries: list[TraceStep] = []
+    k = 0
+    while True:
+        spec_k = sched.spec_at(k)
+        if engine == "operational":
+            nxt, p, pc = step_operational(spec_k, state)
+        else:
+            got = matrix_step(spec_k, state, backend=backend)
+            if engine == "both":
+                want = step_operational(spec_k, state)
+                if got != want:
+                    return entries, None, Divergence(k, state, got, want)
+            nxt, p, pc = got
+        entries.append(TraceStep(k=k, state=state, partials=p, common=pc))
+        settled = stable_from is not None and k >= stable_from
+        if settled and not any(pc):
+            return entries, "fixed-point", None
+        if k == max_steps:
+            return entries, "step-limit", None
+        state = nxt
+        k += 1
 
 
 def run(
@@ -145,28 +175,11 @@ def run(
     A ``schedule`` makes the run non-stationary; fixed points are then only
     declared once the schedule can no longer change the parameters.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
-    stable_from = _stable_from(sched)
-    state = _initial_state(spec, initial)
-    entries: list[TraceStep] = []
-    k = 0
-    while True:
-        spec_k = sched.spec_at(k)
-        nxt, p, pc = _advance(spec_k, state, engine, k, backend)
-        entries.append(TraceStep(k=k, state=state, partials=p, common=pc))
-        settled = stable_from is not None and k >= stable_from
-        if settled and not any(pc):
-            termination = "fixed-point"
-            break
-        if k == max_steps:
-            termination = "step-limit"
-            break
-        state = nxt
-        k += 1
+    entries, termination, divergence = _drive(
+        spec, initial, max_steps, engine, schedule, backend
+    )
+    if divergence is not None:
+        raise EngineDivergenceError(divergence)
     return CstTrace(
         spec=spec,
         engine=engine,
@@ -195,23 +208,11 @@ def compare_engines(
 
     Unlike ``run(engine="both")`` this never raises on divergence; it returns
     what happened. The comparison continues from the matrix engine's states.
+    ``steps_compared`` counts every compared step, the diverging one included.
     """
-    sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
-    stable_from = _stable_from(sched)
-    state = _initial_state(spec, initial)
-    compared = 0
-    for k in range(max_steps + 1):
-        spec_k = sched.spec_at(k)
-        got = matrix_step(spec_k, state, backend=backend)
-        want = step_operational(spec_k, state)
-        compared += 1
-        if got != want:
-            return EngineComparison(False, compared, Divergence(k, state, got, want))
-        pc = got[2]
-        if stable_from is not None and k >= stable_from and not any(pc):
-            break
-        state = got[0]
-    return EngineComparison(True, compared, None)
+    entries, _, divergence = _drive(spec, initial, max_steps, "both", schedule, backend)
+    compared = len(entries) + (divergence is not None)
+    return EngineComparison(divergence is None, compared, divergence)
 
 
 # --- Conserved weights -------------------------------------------------------

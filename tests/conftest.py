@@ -1,12 +1,57 @@
-"""Shared fixtures: the all-forms showcase CAO and a deterministic fuzz corpus."""
+"""Shared fixtures: the all-forms showcase CAO and a deterministic fuzz corpus.
+
+Before ``caosim`` is imported, the compiled step kernel is built in place
+from ``src/caosim/_stepcore.c`` when a C compiler is present, so the tests
+exercise it as well as the pure kernel.
+"""
 
 from __future__ import annotations
 
+import os
 import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
-from caosim import CaoSpec, parse, random_cao, random_state
+
+def _build_kernel() -> None:
+    """Compile the kernel next to its source with Python's own compiler and
+    flags, unless no compiler exists or the built module is up to date."""
+    package = Path(__file__).resolve().parent.parent / "src" / "caosim"
+    source = package / "_stepcore.c"
+    target = package / ("_stepcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not source.is_file() or shutil.which(cc[0]) is None:
+        return
+    if target.is_file() and target.stat().st_mtime >= source.stat().st_mtime:
+        return
+    partial = target.with_name(f"_stepcore.build-{os.getpid()}.so")
+    try:
+        subprocess.run(
+            [
+                *cc,
+                *shlex.split(sysconfig.get_config_var("CCSHARED") or "-fPIC"),
+                *shlex.split(sysconfig.get_config_var("CFLAGS") or "-O2"),
+                "-shared",
+                f"-I{sysconfig.get_paths()['include']}",
+                str(source),
+                "-o",
+                str(partial),
+            ],
+            check=True,
+        )
+        os.replace(partial, target)  # atomic, so a concurrent run never loads half a file
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+_build_kernel()
+
+from caosim import CaoSpec, parse, random_cao, random_state  # noqa: E402
 
 # One CAO exercising every operator form: an M fans (i, j) into (d, s),
 # an L and a D push d and s onward into (g, u), and an F collapses (g, u)

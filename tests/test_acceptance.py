@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from caosim import (
     DslError,
     ParameterSchedule,
@@ -27,6 +29,7 @@ from caosim import (
     verify_conservation,
     with_parameters,
 )
+from caosim.kernel import COMPILED_AVAILABLE
 from conftest import CORPUS_SIZE, SHOWCASE_TEXT, SHOWCASE_TRAJECTORY
 
 
@@ -43,20 +46,30 @@ def test_criterion_1_golden_trace(showcase):
     print(f"PASS criterion 1: golden trace exact, fixed point at step 3 ({elapsed:.4f}s)")
 
 
-def test_criterion_2_engine_equivalence(fuzz_corpus):
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "pure",
+        pytest.param(
+            "compiled",
+            marks=pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built"),
+        ),
+    ],
+)
+def test_criterion_2_engine_equivalence(fuzz_corpus, backend):
     assert len(fuzz_corpus) >= 1000
     began = time.perf_counter()
     steps_total = 0
     for spec, state in fuzz_corpus:
-        report = compare_engines(spec, state, max_steps=50)
+        report = compare_engines(spec, state, max_steps=50, backend=backend)
         assert report.equal, f"{spec.name}: {report.divergence}"
         steps_total += report.steps_compared
     elapsed = time.perf_counter() - began
 
     assert elapsed < 60.0
     print(
-        f"PASS criterion 2: {len(fuzz_corpus)} CAOs lock-step on both engines, "
-        f"{steps_total} steps compared, zero divergences ({elapsed:.2f}s)"
+        f"PASS criterion 2 ({backend} kernel): {len(fuzz_corpus)} CAOs lock-step on "
+        f"both engines, {steps_total} steps compared, zero divergences ({elapsed:.2f}s)"
     )
 
 

@@ -102,6 +102,14 @@ class TestSimulate:
         assert main(["simulate", showcase_file, "--schedule", str(sched)]) == EXIT_ERROR
         assert "no parameters scheduled" in capsys.readouterr().err
 
+    def test_malformed_schedule_is_a_one_line_error(self, showcase_file, tmp_path, capsys):
+        sched = tmp_path / "listed.json"
+        sched.write_text('{"steps": [1]}')
+        assert main(["simulate", showcase_file, "--schedule", str(sched)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_bad_init_syntax(self, showcase_file, capsys):
         assert main(["simulate", showcase_file, "--init", "i"]) == EXIT_ERROR
         assert "NAME=VALUE" in capsys.readouterr().err

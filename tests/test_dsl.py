@@ -184,6 +184,28 @@ class TestTraceSerialization:
         with pytest.raises(ValueError):
             parse_trace("not json")
 
+    def _showcase_doc(self, showcase) -> dict:
+        return json.loads(export_trace(run(showcase), "json"))
+
+    def test_parse_trace_rejects_a_missing_key(self, showcase):
+        doc = self._showcase_doc(showcase)
+        del doc["steps"]
+        with pytest.raises(ValueError, match="steps"):
+            parse_trace(json.dumps(doc))
+
+    def test_parse_trace_rejects_a_step_that_is_not_an_object(self, showcase):
+        doc = self._showcase_doc(showcase)
+        doc["steps"][1] = [0, 20, 10, 20, 0, 0, 0]
+        with pytest.raises(ValueError):
+            parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["state", "partial", "common"])
+    def test_parse_trace_rejects_vectors_of_the_wrong_length(self, showcase, key):
+        doc = self._showcase_doc(showcase)
+        doc["steps"][2][key] = doc["steps"][2][key][:-1]
+        with pytest.raises(ValueError, match="per entity"):
+            parse_trace(json.dumps(doc))
+
     def test_scheduled_trace_embeds_parameters(self, showcase):
         sched = ParameterSchedule.constant(showcase)
         trace = run(showcase, schedule=sched)

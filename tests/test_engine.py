@@ -22,7 +22,6 @@ from caosim import (
     random_state,
     run,
     step,
-    step_nonstationary,
     step_via_matrices,
     validate,
     with_parameters,
@@ -134,6 +133,10 @@ class TestStep:
         assert step_via_matrices(spec, state, fold=True) == step_via_matrices(
             spec, state, fold=False
         )
+
+
+def step_nonstationary(sched, state, k):
+    return step(sched.spec_at(k), state)
 
 
 def _single_link(radix):

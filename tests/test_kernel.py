@@ -9,12 +9,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caosim import build_config_matrix, random_cao, random_state
+from caosim import build_linear_chain, random_cao, random_state
 from caosim.kernel import (
     COMPILED_AVAILABLE,
+    _stepcore,
     compiled_step,
     plan_for,
-    plan_from_matrix,
     pure_step,
     step,
 )
@@ -38,11 +38,6 @@ def test_showcase_plan(showcase):
         (3, 5, 3),
         (4, 6, 1),
     )
-
-
-def test_plan_from_matrix_matches_plan_for(showcase):
-    matrix = build_config_matrix(showcase)
-    assert plan_from_matrix(showcase, matrix) == plan_for(showcase)
 
 
 def test_pure_step_is_a_snapshot_update(showcase):
@@ -85,6 +80,38 @@ class TestCompiledParity:
         assert compiled_step(state, plan) is None
         got = step(state, plan, backend="compiled")
         assert got == pure_step(state, plan)
+
+    def test_credit_overflow_falls_back(self):
+        # the transformant itself fits; adding it to the receiver does not
+        plan = plan_for(build_linear_chain(2, 2))
+        state = (4, 2**63 - 2)
+        assert compiled_step(state, plan) is None
+        assert step(state, plan, backend="compiled") == ((0, 2**63), (2, 0), (2, 0))
+
+    def test_plan_beyond_int64_falls_back(self):
+        plan = plan_for(build_linear_chain(2**64, 2))
+        state = (2**65 + 3, 0)
+        assert compiled_step(state, plan) is None
+        assert step(state, plan, backend="compiled") == ((3, 2), (2, 0), (2, 0))
+
+    def test_negative_or_non_int_state_falls_back(self, showcase):
+        plan = plan_for(showcase)
+        assert compiled_step((100, -1, 0, 0, 0, 0, 0), plan) is None
+        assert compiled_step((100.0, 100, 0, 0, 0, 0, 0), plan) is None
+
+    def test_rejects_malformed_plans_and_states(self):
+        with pytest.raises(ValueError):
+            _stepcore.PlanKernel((2, 2), ((0, 2),), ())
+        with pytest.raises(ValueError):
+            _stepcore.PlanKernel((2, 0), (), ((0, -1, 1),))
+        with pytest.raises(ValueError):
+            _stepcore.PlanKernel((-2, 0), (), ())
+        with pytest.raises(OverflowError):
+            _stepcore.PlanKernel((2, 0), (), ((0, 1, 2**63),))
+        kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, 1),))
+        assert kernel.step((5, 0)) == ((1, 2), (2, 0), (2, 0))
+        with pytest.raises(ValueError):
+            kernel.step((5,))
 
     def test_result_crossing_int64_boundary_is_exact(self):
         # walk a value right across 2**63 - 1 and back through both kernels

@@ -14,8 +14,6 @@ from caosim import (
     build_config_matrix,
     check,
     infer_form,
-    multinumber,
-    reconstruct_parameters,
     validate,
 )
 
@@ -189,16 +187,6 @@ class TestConfigMatrix:
             (0, 0, 0, 0, 0, 2, 1),
             (0, 0, 0, 0, 0, 0, 0),
         )
-
-    def test_parameters_round_trip_through_the_matrix(self, showcase):
-        matrix = build_config_matrix(showcase)
-        assert reconstruct_parameters(showcase, matrix) == showcase.operators
-
-    def test_multinumber_checks_length(self, showcase):
-        with pytest.raises(ValueError):
-            multinumber(showcase, (1, 2, 3))
-        mn = multinumber(showcase, (100, 100, 0, 0, 0, 0, 0))
-        assert mn.config[0][0] == 10
 
 
 def test_entity_index_lookup(showcase):

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caosim import (
-    Form,
     NegativeComponentError,
-    apply_D,
-    apply_F,
-    apply_L,
-    apply_M,
     random_cao,
     random_state,
     resolve,
@@ -24,56 +19,44 @@ from conftest import SHOWCASE_TRAJECTORY
 
 def test_resolve_indexes_the_showcase(showcase):
     ops = resolve(showcase)
-    assert [o.form for o in ops] == [Form.M, Form.L, Form.D, Form.F]
-    assert ops[0].inputs == ((0, 10), (1, 8))
-    assert ops[3].outputs == ((6, 1),)
+    assert len(ops) == 4
+    assert ops[0] == (((0, 10), (1, 8)), ((2, 1), (3, 2)))  # M (i:10, j:8) -> (d:1, s:2)
+    assert ops[3][1] == ((6, 1),)
 
 
 class TestSingleOperatorProcedures:
+    # Each state below makes only the operator under test fire, so the
+    # whole update is that operator's procedure.
+
     def test_L_divides_and_converts(self, showcase):
-        link = resolve(showcase)[1]  # L (d:8) -> (g:2)
-        effect = apply_L(link, (0, 0, 17, 0, 0, 0, 0))
-        assert effect.partials == ((2, 2),)
-        assert effect.common == 2
-        assert effect.removals == ((2, 16),)
-        assert effect.additions == ((4, 4),)
+        # L (d:8) -> (g:2)
+        nxt, p, pc = step_operational(showcase, (0, 0, 17, 0, 0, 0, 0))
+        assert p[2] == 2
+        assert pc[2] == 2
+        assert nxt == (0, 0, 17 - 16, 0, 4, 0, 0)
 
     def test_D_fans_one_carry_out(self, showcase):
-        fan = resolve(showcase)[2]  # D (s:10) -> (g:1, u:3)
-        effect = apply_D(fan, (0, 0, 0, 25, 0, 0, 0))
-        assert effect.common == 2
-        assert effect.removals == ((3, 20),)
-        assert effect.additions == ((4, 2), (5, 6))
+        # D (s:10) -> (g:1, u:3)
+        nxt, _, pc = step_operational(showcase, (0, 0, 0, 25, 0, 0, 0))
+        assert pc[3] == 2
+        assert nxt == (0, 0, 0, 25 - 20, 2, 6, 0)
 
     def test_F_takes_the_group_minimum(self, showcase):
-        merge = resolve(showcase)[3]  # F (g:4, u:2) -> (h:1)
-        effect = apply_F(merge, (0, 0, 0, 0, 14, 7, 0))
+        # F (g:4, u:2) -> (h:1)
+        _, _, pc = step_operational(showcase, (0, 0, 0, 0, 14, 7, 0))
         # 14//4 = 3 and 7//2 = 3 agree here; try an uneven pair too
-        assert effect.common == 3
-        uneven = apply_F(merge, (0, 0, 0, 0, 14, 3, 0))
-        assert uneven.partials == ((4, 3), (5, 1))
-        assert uneven.common == 1
-        assert uneven.removals == ((4, 4), (5, 2))
-        assert uneven.additions == ((6, 1),)
+        assert pc[4] == pc[5] == 3
+        nxt, p, pc = step_operational(showcase, (0, 0, 0, 0, 14, 3, 0))
+        assert (p[4], p[5]) == (3, 1)
+        assert pc[4] == pc[5] == 1
+        assert nxt == (0, 0, 0, 0, 14 - 4, 3 - 2, 1)
 
     def test_M_moves_many_to_many(self, showcase):
-        many = resolve(showcase)[0]  # M (i:10, j:8) -> (d:1, s:2)
-        effect = apply_M(many, (100, 100, 0, 0, 0, 0, 0))
-        assert effect.partials == ((0, 10), (1, 12))
-        assert effect.common == 10
-        assert effect.removals == ((0, 100), (1, 80))
-        assert effect.additions == ((2, 10), (3, 20))
-
-    def test_each_applier_rejects_other_forms(self, showcase):
-        ops = resolve(showcase)
-        with pytest.raises(ValueError):
-            apply_L(ops[0], (0,) * 7)
-        with pytest.raises(ValueError):
-            apply_M(ops[1], (0,) * 7)
-        with pytest.raises(ValueError):
-            apply_F(ops[2], (0,) * 7)
-        with pytest.raises(ValueError):
-            apply_D(ops[3], (0,) * 7)
+        # M (i:10, j:8) -> (d:1, s:2)
+        nxt, p, pc = step_operational(showcase, (100, 100, 0, 0, 0, 0, 0))
+        assert (p[0], p[1]) == (10, 12)
+        assert pc[0] == pc[1] == 10
+        assert nxt == (100 - 100, 100 - 80, 10, 20, 0, 0, 0)
 
 
 class TestStepOperational:
@@ -102,18 +85,18 @@ class TestStepOperational:
         rng = random.Random(seed)
         spec = random_cao(rng)
         state = random_state(rng, spec)
-        from caosim.operational import _apply
-
-        for op in resolve(spec):
-            effect = _apply(op, state)
-            partial_by_index = dict(effect.partials)
-            assert effect.common == min(partial_by_index.values())
-            for i, amount in effect.removals:
-                radix = dict(op.inputs)[i]
-                assert amount == effect.common * radix
-                assert amount <= state[i]
-            for t, amount in effect.additions:
-                assert amount == effect.common * dict(op.outputs)[t]
+        nxt, p, pc = step_operational(spec, state)
+        ledger = list(state)
+        for inputs, outputs in resolve(spec):
+            common = min(p[i] for i, _ in inputs)
+            for i, radix in inputs:
+                assert p[i] == state[i] // radix
+                assert pc[i] == common
+                assert common * radix <= state[i]
+                ledger[i] -= common * radix
+            for t, coeff in outputs:
+                ledger[t] += common * coeff
+        assert nxt == tuple(ledger)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
