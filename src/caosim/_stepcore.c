@@ -2,23 +2,31 @@
 
    A PlanKernel freezes one update plan -- per-entity radices, carry groups
    and conversion edges, all given by entity index -- into C arrays at
-   construction; each step() then only converts the state in and the results
-   out.  Construction raises ValueError for a plan whose indices fall outside
-   the state or whose radices are negative, and OverflowError for one whose
-   radices or coefficients do not fit in int64.
+   construction.  Construction raises ValueError for a plan whose indices
+   fall outside the state or whose radices are negative, and OverflowError
+   for one whose radices or coefficients do not fit in int64.
+
+   step(state) takes one update.  run(state, limit) takes up to `limit`
+   updates in a row without returning to Python in between: the state stays
+   in int64 from one update to the next, and only the tuples each update
+   records are built.  It stops early at a fixed point (every common carry
+   zero) and before any update it cannot take in int64.
 
    Every multiplication and addition that could leave int64 range is checked:
-   step() answers None instead of wrapping, and the caller redoes that step
-   with unbounded Python integers.  A state component that is negative, not
-   an int, or outside int64 also answers None.  Division needs no check,
+   step() answers None and run() stops instead of wrapping, and the caller
+   takes that update with unbounded Python integers.  A state component that
+   is negative, not an int, or outside int64 is treated the same way; run()
+   checks every state it is about to step, because a plan with negative
+   coefficients can drive a component below zero.  Division needs no check,
    because radices and state components are both non-negative by then.
 
-   Scratch rows are reused between calls, so one instance must not be stepped
-   from two threads at once. */
+   Each call works in scratch rows of its own, so a call that allocates
+   (and may thereby run Python code) cannot clobber another call's rows. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 _Static_assert(sizeof(long long) == sizeof(int64_t), "long long must be 64 bits");
 
@@ -26,7 +34,6 @@ typedef struct {
     PyObject_HEAD
     Py_ssize_t m, ngroups, nedges;
     int64_t *n;                     /* m radices, 0 where an entity feeds nothing */
-    int64_t *state, *p, *pc, *nxt;  /* scratch rows, m each */
     int64_t *grp_off;               /* ngroups + 1 offsets into grp_members */
     int64_t *grp_members;
     int64_t *src, *dst, *coeff;     /* one entry per edge */
@@ -76,18 +83,14 @@ load_plan(PlanKernel *self, PyObject *n_obj, PyObject *groups_obj,
         item = NULL;
     }
 
-    self->block = PyMem_Calloc(5 * m + self->ngroups + 1 + total + 3 * self->nedges,
+    self->block = PyMem_Calloc(m + self->ngroups + 1 + total + 3 * self->nedges,
                                sizeof(int64_t));
     if (!self->block) {
         PyErr_NoMemory();
         goto done;
     }
     self->n = self->block;
-    self->state = self->n + m;
-    self->p = self->state + m;
-    self->pc = self->p + m;
-    self->nxt = self->pc + m;
-    self->grp_off = self->nxt + m;
+    self->grp_off = self->n + m;
     self->grp_members = self->grp_off + self->ngroups + 1;
     self->src = self->grp_members + total;
     self->dst = self->src + self->nedges;
@@ -152,49 +155,47 @@ PlanKernel_dealloc(PlanKernel *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* The state as a tuple of the plan's length (a new reference; the same
+   object when it already is a tuple), or NULL with an exception set. */
 static PyObject *
-row_tuple(const int64_t *row, Py_ssize_t m)
+state_tuple(const PlanKernel *self, PyObject *values)
 {
-    PyObject *out = PyTuple_New(m);
-    for (Py_ssize_t i = 0; out && i < m; i++) {
-        PyObject *v = PyLong_FromLongLong(row[i]);
-        if (!v)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, i, v);
+    PyObject *t = PySequence_Tuple(values);
+    if (t && PyTuple_GET_SIZE(t) != self->m) {
+        PyErr_Format(PyExc_ValueError, "state has %zd components, plan has %zd",
+                     PyTuple_GET_SIZE(t), self->m);
+        Py_CLEAR(t);
     }
-    return out;
+    return t;
 }
 
-static PyObject *
-PlanKernel_step(PlanKernel *self, PyObject *values)
+/* Copy a state tuple into row: 1 when every component is an int in
+   [0, INT64_MAX], 0 when one is not.  Ints only, because converting
+   anything else may run Python code. */
+static int
+read_state(PyObject *state, Py_ssize_t m, int64_t *row)
+{
+    for (Py_ssize_t i = 0; i < m; i++) {
+        PyObject *item = PyTuple_GET_ITEM(state, i);
+        int overflow = 0;
+        if (!PyLong_Check(item))
+            return 0;
+        row[i] = PyLong_AsLongLongAndOverflow(item, &overflow);
+        if (overflow || row[i] < 0)
+            return 0;
+    }
+    return 1;
+}
+
+/* One update of a non-negative state into nxt, with the partial and common
+   carries in p and pc; -1 when a credit leaves int64. */
+static int
+update(const PlanKernel *self, const int64_t *state, int64_t *p, int64_t *pc,
+       int64_t *nxt)
 {
     const Py_ssize_t m = self->m;
-    int64_t *state = self->state, *p = self->p, *pc = self->pc, *nxt = self->nxt;
     const int64_t *n = self->n;
     Py_ssize_t i, j, g, e;
-    int fits = 1;
-
-    PyObject *seq = PySequence_Fast(values, "state must be a sequence");
-    if (!seq)
-        return NULL;
-    if (PySequence_Fast_GET_SIZE(seq) != m) {
-        PyErr_Format(PyExc_ValueError, "state has %zd components, plan has %zd",
-                     PySequence_Fast_GET_SIZE(seq), m);
-        Py_DECREF(seq);
-        return NULL;
-    }
-    for (i = 0; i < m && fits; i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
-        int overflow = 0;
-        /* ints only: converting anything else may run Python code */
-        if (PyLong_Check(item))
-            state[i] = PyLong_AsLongLongAndOverflow(item, &overflow);
-        fits = PyLong_Check(item) && !overflow && state[i] >= 0;
-    }
-    Py_DECREF(seq);
-    if (!fits)
-        Py_RETURN_NONE;
 
     for (i = 0; i < m; i++)
         p[i] = pc[i] = n[i] > 0 ? state[i] / n[i] : 0;
@@ -213,18 +214,153 @@ PlanKernel_step(PlanKernel *self, PyObject *values)
         int64_t credit;
         if (__builtin_mul_overflow(pc[self->src[e]], self->coeff[e], &credit)
             || __builtin_add_overflow(nxt[self->dst[e]], credit, &nxt[self->dst[e]]))
-            Py_RETURN_NONE;
+            return -1;
     }
+    return 0;
+}
 
-    PyObject *out = PyTuple_New(3);
-    const int64_t *rows[3] = {nxt, p, pc};
-    for (i = 0; out && i < 3; i++) {
-        PyObject *t = row_tuple(rows[i], m);
-        if (!t)
+static PyObject *
+row_tuple(const int64_t *row, Py_ssize_t m)
+{
+    PyObject *out = PyTuple_New(m);
+    for (Py_ssize_t i = 0; out && i < m; i++) {
+        PyObject *v = PyLong_FromLongLong(row[i]);
+        if (!v)
             Py_CLEAR(out);
         else
-            PyTuple_SET_ITEM(out, i, t);
+            PyTuple_SET_ITEM(out, i, v);
     }
+    return out;
+}
+
+/* A new (head, partials, common) tuple.  It takes over the reference to
+   head, which may be NULL after a failed allocation.  The common tuple is
+   the partials' tuple when the two rows are equal, as they are wherever no
+   carry group lowers a partial carry. */
+static PyObject *
+carry_row(PyObject *head, const int64_t *p, const int64_t *pc, Py_ssize_t m)
+{
+    PyObject *out = NULL, *pt = NULL, *pct = NULL;
+
+    if (!head || !(pt = row_tuple(p, m)))
+        goto fail;
+    if (memcmp(p, pc, m * sizeof *p) == 0) {
+        Py_INCREF(pt);
+        pct = pt;
+    }
+    else if (!(pct = row_tuple(pc, m)))
+        goto fail;
+    if (!(out = PyTuple_New(3)))
+        goto fail;
+    PyTuple_SET_ITEM(out, 0, head);
+    PyTuple_SET_ITEM(out, 1, pt);
+    PyTuple_SET_ITEM(out, 2, pct);
+    return out;
+fail:
+    Py_XDECREF(head);
+    Py_XDECREF(pt);
+    Py_XDECREF(pct);
+    return NULL;
+}
+
+/* Four scratch rows of m int64 each, for one call. */
+static int64_t *
+scratch(Py_ssize_t m)
+{
+    int64_t *rows = PyMem_Malloc((4 * m + 1) * sizeof(int64_t));
+    if (!rows)
+        PyErr_NoMemory();
+    return rows;
+}
+
+static PyObject *
+PlanKernel_step(PlanKernel *self, PyObject *values)
+{
+    const Py_ssize_t m = self->m;
+    PyObject *state, *out = NULL;
+    int64_t *rows;
+
+    if (!(state = state_tuple(self, values)))
+        return NULL;
+    if (!(rows = scratch(m))) {
+        Py_DECREF(state);
+        return NULL;
+    }
+    int64_t *s = rows, *p = s + m, *pc = p + m, *nxt = pc + m;
+    if (!read_state(state, m, s) || update(self, s, p, pc, nxt) < 0) {
+        Py_INCREF(Py_None);
+        out = Py_None;
+    }
+    else
+        out = carry_row(row_tuple(nxt, m), p, pc, m);
+    PyMem_Free(rows);
+    Py_DECREF(state);
+    return out;
+}
+
+static PyObject *
+PlanKernel_run(PlanKernel *self, PyObject *args)
+{
+    const Py_ssize_t m = self->m;
+    PyObject *values, *cur = NULL, *rows = NULL, *out = NULL;
+    Py_ssize_t limit, taken, i;
+    int64_t *scr = NULL;
+    int stop = 1, fits;
+
+    if (!PyArg_ParseTuple(args, "On:run", &values, &limit))
+        return NULL;
+    if (limit < 0) {
+        PyErr_SetString(PyExc_ValueError, "limit must be >= 0");
+        return NULL;
+    }
+    if (!(cur = state_tuple(self, values)) || !(rows = PyList_New(0))
+        || !(scr = scratch(m)))
+        goto done;
+    int64_t *s = scr, *p = s + m, *pc = p + m, *nxt = pc + m;
+    fits = read_state(cur, m, s);
+    for (taken = 0; taken < limit; taken++) {
+        PyObject *next, *row;
+        int moved = 0;
+
+        if (!fits || update(self, s, p, pc, nxt) < 0) {
+            stop = 2;
+            break;
+        }
+        next = row_tuple(nxt, m);
+        row = carry_row(cur, p, pc, m);  /* takes cur */
+        cur = next;
+        if (!next || !row || PyList_Append(rows, row) < 0) {
+            Py_XDECREF(row);
+            goto done;
+        }
+        Py_DECREF(row);
+        for (i = 0; i < m; i++)
+            moved |= pc[i] != 0;
+        if (!moved) {
+            stop = 0;
+            break;
+        }
+        int64_t *t = s;
+        s = nxt;
+        nxt = t;
+        for (i = 0; i < m && fits; i++)
+            fits = s[i] >= 0;
+    }
+    if ((out = PyTuple_New(3))) {
+        PyObject *code = PyLong_FromLong(stop);
+        if (!code) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        PyTuple_SET_ITEM(out, 0, rows);
+        PyTuple_SET_ITEM(out, 1, cur);
+        PyTuple_SET_ITEM(out, 2, code);
+        rows = cur = NULL;
+    }
+done:
+    PyMem_Free(scr);
+    Py_XDECREF(rows);
+    Py_XDECREF(cur);
     return out;
 }
 
@@ -232,6 +368,14 @@ static PyMethodDef PlanKernel_methods[] = {
     {"step", (PyCFunction)PlanKernel_step, METH_O,
      "step(state) -> (next, partials, common) as int tuples, or None when the\n"
      "state or any intermediate value leaves int64 range."},
+    {"run", (PyCFunction)PlanKernel_run, METH_VARARGS,
+     "run(state, limit) -> (rows, last, stop): at most `limit` updates.\n\n"
+     "rows holds one (state, partials, common) tuple per update taken; each\n"
+     "row's state is the previous update's next state, the same object.\n"
+     "last is the state to continue from.  stop is 0 at a fixed point (the\n"
+     "last row's common carries are all zero), 1 when `limit` rows were\n"
+     "taken, and 2 when the next update cannot be taken in int64: last then\n"
+     "is the state that update starts from."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -242,7 +386,7 @@ static PyTypeObject PlanKernelType = {
     .tp_dealloc = (destructor)PlanKernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "PlanKernel(n, groups, edges): one flattened update plan, "
-              "ready to step int64 states.",
+              "ready to step int64 states one update or many at a time.",
     .tp_methods = PlanKernel_methods,
     .tp_new = PlanKernel_new,
 };

@@ -12,6 +12,12 @@ integers and reports overflow instead of wrapping; any step it cannot
 represent is transparently redone by the pure kernel, which uses Python's
 unbounded integers. The compiled kernel is the default backend when the
 extension imports and the ``CAOSIM_PURE`` environment variable is unset.
+
+:func:`bind` makes the backend decision for a plan once: it returns the
+plan's ``PlanKernel`` or None for the pure kernel. A kernel steps one update
+with ``step(state)``, or a stretch of them without returning to Python with
+``run(state, limit) -> (rows, last, stop)``; :func:`caosim.simulate.run`
+binds each parameter set once and drives settled matrix runs that way.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ except ImportError:  # pragma: no cover - depends on build environment
     _stepcore = None
     COMPILED_AVAILABLE = False
 
+BACKENDS = ("pure", "compiled")
 DEFAULT_BACKEND = (
     "compiled" if COMPILED_AVAILABLE and not os.environ.get("CAOSIM_PURE") else "pure"
 )
@@ -105,6 +112,15 @@ def pure_step(state: Sequence[int], plan: StepPlan) -> StepResult:
     return tuple(nxt), tuple(p), tuple(pc)
 
 
+def backend_name(backend: str | None) -> str:
+    """The backend that ``backend`` selects: "pure", "compiled", or for None
+    the module default. Raises ValueError for any other name."""
+    chosen = backend or DEFAULT_BACKEND
+    if chosen not in BACKENDS:
+        raise ValueError(f"unknown backend {chosen!r}")
+    return chosen
+
+
 @lru_cache(maxsize=4096)
 def _compiled_plan(plan: StepPlan):
     """The plan's C-array twin, built once and reused every step; None when
@@ -115,9 +131,19 @@ def _compiled_plan(plan: StepPlan):
         return None
 
 
+def bind(plan: StepPlan, backend: str | None = None):
+    """The compiled ``PlanKernel`` to step ``plan`` with, or None to use the
+    pure kernel: for the pure backend, without the extension, and for a plan
+    whose radices or coefficients leave int64. Raises ValueError for an
+    unknown backend."""
+    if backend_name(backend) == "pure" or _stepcore is None:
+        return None
+    return _compiled_plan(plan)
+
+
 def compiled_step(state: Sequence[int], plan: StepPlan) -> StepResult | None:
     """Fast 64-bit update, or None when plan, inputs or results leave int64."""
-    compiled = _compiled_plan(plan) if _stepcore is not None else None
+    compiled = bind(plan, "compiled")
     return None if compiled is None else compiled.step(state)
 
 
@@ -130,11 +156,6 @@ def step(
     compiled backend silently falls back to the pure kernel for any step it
     cannot represent in 64 bits.
     """
-    chosen = backend or DEFAULT_BACKEND
-    if chosen == "compiled":
-        result = compiled_step(state, plan)
-        if result is not None:
-            return result
-    elif chosen != "pure":
-        raise ValueError(f"unknown backend {chosen!r}")
-    return pure_step(state, plan)
+    compiled = bind(plan, backend)
+    result = None if compiled is None else compiled.step(state)
+    return pure_step(state, plan) if result is None else result

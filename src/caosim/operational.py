@@ -17,10 +17,11 @@ from .model import CaoSpec, check_state, entity_index
 
 StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 IndexPairs = tuple[tuple[int, int], ...]
+Resolved = tuple[tuple[IndexPairs, IndexPairs], ...]
 
 
 @lru_cache(maxsize=4096)
-def resolve(spec: CaoSpec) -> tuple[tuple[IndexPairs, IndexPairs], ...]:
+def resolve(spec: CaoSpec) -> Resolved:
     """Each operator as ``(inputs, outputs)`` with entity names replaced by
     state-vector indices: (index, radix) and (index, coefficient) pairs."""
     idx = entity_index(spec)
@@ -41,10 +42,19 @@ def step_operational(spec: CaoSpec, state: Sequence[int]) -> StepResult:
     next state.
     """
     check_state(spec, state)
+    return enact(resolve(spec), state)
+
+
+def enact(operators: Resolved, state: Sequence[int]) -> StepResult:
+    """Enact every resolved operator once on a snapshot of a checked state.
+
+    The update behind :func:`step_operational`, for callers that resolve a
+    spec and check the state themselves.
+    """
     nxt = list(state)
-    p = [0] * spec.m
-    pc = [0] * spec.m
-    for inputs, outputs in resolve(spec):
+    p = [0] * len(state)
+    pc = [0] * len(state)
+    for inputs, outputs in operators:
         partials = [state[i] // n for i, n in inputs]
         common = min(partials)
         for (i, n), carry in zip(inputs, partials):

@@ -6,6 +6,12 @@ out. The default mode drives the matrix engine and the operational engine in
 lock step and raises on the first disagreement, so every ordinary simulation
 doubles as a consistency check between the two routes.
 
+The loop binds each parameter set once per run: the step plan and compiled
+kernel for the matrix route, the resolved operators for the operational
+route. Once the parameters can no longer change, a matrix run on the
+compiled backend hands whole stretches of steps to ``PlanKernel.run`` and
+takes one big-integer step wherever an update leaves int64.
+
 Also here: exact conserved-weight extraction (integer row vectors w with
 w·state constant along every stationary trace), a base-b chain builder whose
 fixed point is the digit expansion of its input, and a random generator of
@@ -18,16 +24,19 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import rational
-from .engine import ParameterSchedule, derive, step as matrix_step
-from .kernel import StepResult
-from .model import CaoSpec, Entity, Operator, Role, validate
-from .operational import step_operational
+from . import kernel, rational
+from .engine import ParameterSchedule, derive
+from .kernel import StepResult, pure_step
+from .model import CaoSpec, Entity, Operator, Role, check_state, validate
+from .operational import enact, resolve
 
 ENGINES = ("matrix", "operational", "both")
 
+# Updates per PlanKernel.run call: bounds the rows held beside the trace.
+_RUN_CHUNK = 1024
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     """One recorded instant: the state at step k and the carries read off it.
 
@@ -113,6 +122,18 @@ def _stable_from(schedule: ParameterSchedule) -> int | None:
     return max(k for k, _ in schedule.overrides) + 1
 
 
+def _bind(spec: CaoSpec, engine: str, backend: str):
+    """What the engine's routes step ``spec`` with: ``(plan, compiled,
+    operators)``, the routes it does not use left None."""
+    plan = compiled = operators = None
+    if engine != "operational":
+        plan = kernel.plan_for(spec)
+        compiled = kernel.bind(plan, backend)
+    if engine != "matrix":
+        operators = resolve(spec)
+    return plan, compiled, operators
+
+
 def _drive(
     spec: CaoSpec,
     initial: Mapping[str, int] | Sequence[int] | None,
@@ -123,6 +144,12 @@ def _drive(
 ) -> tuple[list[TraceStep], str | None, Divergence | None]:
     """The stepping loop behind :func:`run` and :func:`compare_engines`.
 
+    Each distinct parameter set is bound once, and the state is checked once
+    on entering each stretch of steps that share a set: an update of a
+    checked state keeps its length and, with radices >= 2 and coefficients
+    >= 1, its signs. Once the schedule is settled, a matrix run with a
+    compiled kernel takes up to ``_RUN_CHUNK`` updates per ``run`` call.
+
     Returns ``(entries, termination, divergence)``. With engine "both" the
     loop stops at the first step on which the two routes disagree; that step
     is not recorded, the termination is None and the divergence says where.
@@ -130,26 +157,48 @@ def _drive(
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    backend = kernel.backend_name(backend)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
     stable_from = _stable_from(sched)
     state = _initial_state(spec, initial)
+    bound: dict[int, tuple] = {}  # by id: hashing a spec is the per-step cost avoided
+    current = None
     entries: list[TraceStep] = []
     k = 0
     while True:
         spec_k = sched.spec_at(k)
-        if engine == "operational":
-            nxt, p, pc = step_operational(spec_k, state)
+        if spec_k is not current:
+            current = spec_k
+            check_state(spec_k, state)
+            if id(spec_k) not in bound:
+                bound[id(spec_k)] = _bind(spec_k, engine, backend)
+            plan, compiled, operators = bound[id(spec_k)]
+        settled = stable_from is not None and k >= stable_from
+        if engine == "matrix" and settled and compiled is not None:
+            rows, state, stop = compiled.run(state, min(_RUN_CHUNK, max_steps + 1 - k))
+            entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
+            k += len(rows)
+            if stop == 0:
+                return entries, "fixed-point", None
+            if k > max_steps:
+                return entries, "step-limit", None
+            if stop == 1:
+                continue
+            nxt, p, pc = pure_step(state, plan)  # the update int64 cannot hold
+        elif engine == "operational":
+            nxt, p, pc = enact(operators, state)
         else:
-            got = matrix_step(spec_k, state, backend=backend)
+            got = None if compiled is None else compiled.step(state)
+            if got is None:
+                got = pure_step(state, plan)
             if engine == "both":
-                want = step_operational(spec_k, state)
+                want = enact(operators, state)
                 if got != want:
                     return entries, None, Divergence(k, state, got, want)
             nxt, p, pc = got
-        entries.append(TraceStep(k=k, state=state, partials=p, common=pc))
-        settled = stable_from is not None and k >= stable_from
+        entries.append(TraceStep(k, state, p, pc))
         if settled and not any(pc):
             return entries, "fixed-point", None
         if k == max_steps:
@@ -255,15 +304,20 @@ def check_conservation(
 ) -> ConservationReport:
     """Evaluate w·state along a trace for each weight row (exact integers).
 
-    Weights default to the full conserved basis of the trace's CAO. Only
-    meaningful for stationary traces; a schedule may change the weights that
-    each step preserves.
+    Weights default to the full conserved basis of the trace's CAO, which
+    holds only where every step used the CAO's own parameters: a trace run
+    under any other schedule needs explicit ``weights`` (ValueError without).
     """
-    rows = (
-        tuple(tuple(int(x) for x in w) for w in weights)
-        if weights is not None
-        else conserved_weights(trace.spec)
-    )
+    if weights is None:
+        sched = trace.schedule
+        if sched is not None and not (sched.is_constant() and sched.default == trace.spec):
+            raise ValueError(
+                "the trace was run under a parameter schedule; "
+                "its CAO's conserved weights need not hold, pass weights explicitly"
+            )
+        rows = conserved_weights(trace.spec)
+    else:
+        rows = tuple(tuple(int(x) for x in w) for w in weights)
     constants = tuple(
         sum(wi * si for wi, si in zip(w, trace.steps[0].state)) for w in rows
     )

@@ -18,32 +18,42 @@ from pathlib import Path
 import pytest
 
 
-def _build_kernel() -> None:
-    """Compile the kernel next to its source with Python's own compiler and
-    flags, unless no compiler exists or the built module is up to date."""
-    package = Path(__file__).resolve().parent.parent / "src" / "caosim"
-    source = package / "_stepcore.c"
-    target = package / ("_stepcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "caosim" / "_stepcore.c"
+
+
+def kernel_compiler() -> list[str] | None:
+    """Python's own C compiler command, or None when it is not on PATH."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if not source.is_file() or shutil.which(cc[0]) is None:
+    return cc if shutil.which(cc[0]) else None
+
+
+def kernel_compile_command(output: Path, *extra_flags: str) -> list[str]:
+    """Compile ``_stepcore.c`` into the extension ``output`` with Python's
+    compiler and flags, followed by ``extra_flags``."""
+    return [
+        *kernel_compiler(),
+        *shlex.split(sysconfig.get_config_var("CCSHARED") or "-fPIC"),
+        *shlex.split(sysconfig.get_config_var("CFLAGS") or "-O2"),
+        *extra_flags,
+        "-shared",
+        f"-I{sysconfig.get_paths()['include']}",
+        str(KERNEL_SOURCE),
+        "-o",
+        str(output),
+    ]
+
+
+def _build_kernel() -> None:
+    """Compile the kernel next to its source, unless no compiler exists or
+    the built module is up to date."""
+    target = KERNEL_SOURCE.with_name("_stepcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not KERNEL_SOURCE.is_file() or kernel_compiler() is None:
         return
-    if target.is_file() and target.stat().st_mtime >= source.stat().st_mtime:
+    if target.is_file() and target.stat().st_mtime >= KERNEL_SOURCE.stat().st_mtime:
         return
     partial = target.with_name(f"_stepcore.build-{os.getpid()}.so")
     try:
-        subprocess.run(
-            [
-                *cc,
-                *shlex.split(sysconfig.get_config_var("CCSHARED") or "-fPIC"),
-                *shlex.split(sysconfig.get_config_var("CFLAGS") or "-O2"),
-                "-shared",
-                f"-I{sysconfig.get_paths()['include']}",
-                str(source),
-                "-o",
-                str(partial),
-            ],
-            check=True,
-        )
+        subprocess.run(kernel_compile_command(partial), check=True)
         os.replace(partial, target)  # atomic, so a concurrent run never loads half a file
     finally:
         partial.unlink(missing_ok=True)

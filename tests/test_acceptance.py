@@ -11,6 +11,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caosim import (
     DslError,
@@ -71,6 +72,39 @@ def test_criterion_2_engine_equivalence(fuzz_corpus, backend):
         f"PASS criterion 2 ({backend} kernel): {len(fuzz_corpus)} CAOs lock-step on "
         f"both engines, {steps_total} steps compared, zero divergences ({elapsed:.2f}s)"
     )
+
+
+# A cycle that grows by about half a bit per update, so runs from near 2**63
+# cross the int64 boundary mid-run, often more than once.
+GROWING_CYCLE = parse(
+    """cao grow {
+  initial a
+  initial b
+  intermediate c
+  F (a:2, b:3) -> (c:4)
+  D (c:2) -> (a:3, b:2)
+}""",
+    allow_cycles=True,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.booleans())
+def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic):
+    rng = random.Random(seed)
+    spec = GROWING_CYCLE if cyclic else random_cao(rng)
+    draws = (
+        lambda: rng.randrange(1000),
+        lambda: rng.randrange(2**54, 2**63),
+        lambda: 2**63 + rng.randrange(-64, 64),
+        lambda: rng.randrange(2**70),
+    )
+    state = tuple(rng.choice(draws)() for _ in range(spec.m))
+    compiled = run(spec, state, max_steps=max_steps, engine="matrix", backend="compiled")
+    pure = run(spec, state, max_steps=max_steps, engine="matrix", backend="pure")
+    literal = run(spec, state, max_steps=max_steps, engine="operational")
+    assert compiled.steps == pure.steps == literal.steps
+    assert compiled.termination == pure.termination == literal.termination
 
 
 def test_criterion_3_conservation(showcase, fuzz_corpus):

@@ -12,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 from caosim import build_linear_chain, random_cao, random_state
 from caosim.kernel import (
     COMPILED_AVAILABLE,
+    StepPlan,
     _stepcore,
+    bind,
     compiled_step,
     plan_for,
     pure_step,
     step,
 )
+from conftest import kernel_compile_command, kernel_compiler
 
 needs_extension = pytest.mark.skipif(
     not COMPILED_AVAILABLE, reason="compiled kernel not built"
@@ -122,9 +125,101 @@ class TestCompiledParity:
         assert step(state, plan, backend="compiled") == pure_step(state, plan)
 
 
+@needs_extension
+class TestPlanKernelRun:
+    # a -> a + a // 2: grows by half each update, so it leaves int64 after a
+    # known number of updates
+    GROW = StepPlan(n=(2,), groups=(), edges=((0, 0, 3),))
+
+    def test_zero_limit_takes_no_rows(self, showcase):
+        state = (100, 100, 0, 0, 0, 0, 0)
+        rows, last, stop = bind(plan_for(showcase)).run(state, 0)
+        assert rows == [] and last is state and stop == 1
+
+    def test_fixed_point_on_the_first_row(self):
+        kernel = bind(plan_for(build_linear_chain(2, 2)))
+        assert kernel.run((1, 5), 10) == ([((1, 5), (0, 0), (0, 0))], (1, 5), 0)
+
+    def test_stops_at_the_limit(self, showcase):
+        rows, last, stop = bind(plan_for(showcase)).run((100, 100, 0, 0, 0, 0, 0), 2)
+        assert stop == 1 and len(rows) == 2
+        assert last == (0, 20, 2, 0, 4, 6, 0)
+
+    def test_overflow_mid_run_returns_the_unstepped_state(self):
+        kernel = bind(self.GROW)
+        state = (2**60,)
+        rows, last, stop = kernel.run(state, 100)
+        assert stop == 2 and len(rows) == 5
+        assert kernel.step(last) is None
+        want = state
+        for row in rows:
+            assert row[0] == want
+            want, p, pc = pure_step(want, self.GROW)
+            assert row[1:] == (p, pc)
+        assert last == want
+
+    def test_negative_coefficient_stops_before_a_negative_state(self):
+        kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, -1),))
+        rows, last, stop = kernel.run((4, 1), 10)
+        assert rows == [((4, 1), (2, 0), (2, 0))]
+        assert last == (0, -1) and stop == 2
+        assert kernel.step(last) is None
+
+    def test_rejects_a_wrong_length_state_and_a_negative_limit(self, showcase):
+        kernel = bind(plan_for(showcase))
+        with pytest.raises(ValueError):
+            kernel.run((1, 2), 5)
+        with pytest.raises(ValueError):
+            kernel.run((0,) * 7, -1)
+
+    def test_rows_share_the_next_state_objects(self, showcase):
+        kernel = bind(plan_for(showcase))
+        state = (100, 100, 0, 0, 0, 0, 0)
+        rows, last, _ = kernel.run(state, 2)
+        assert rows[0][0] is state
+        assert rows[1][0] == kernel.step(state)[0]
+        more, _, _ = kernel.run(last, 1)
+        assert more[0][0] is last
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
+    def test_matches_repeated_steps(self, seed, limit):
+        rng = random.Random(seed)
+        spec = random_cao(rng, coeff_range=(1, 20))
+        plan = plan_for(spec)
+        near = rng.choice([2**62, 2**63])
+        draws = (lambda: rng.randrange(1000), lambda: rng.randrange(near), lambda: near - rng.randrange(64))
+        state = tuple(rng.choice(draws)() for _ in plan.n)
+        kernel = bind(plan)
+        rows, last, stop = kernel.run(state, limit)
+        for row in rows:
+            assert row[0] == state
+            state, p, pc = kernel.step(state)
+            assert row[1:] == (p, pc)
+        assert last == state
+        if stop == 0:
+            assert not any(rows[-1][2])
+        elif stop == 1:
+            assert len(rows) == limit
+        else:
+            assert stop == 2 and kernel.step(last) is None
+
+
+@pytest.mark.skipif(kernel_compiler() is None, reason="no C compiler on PATH")
+def test_kernel_compiles_without_warnings(tmp_path):
+    done = subprocess.run(
+        kernel_compile_command(tmp_path / "_stepcore.so", "-Wall", "-Wextra", "-Werror"),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_unknown_backend_rejected(showcase):
     with pytest.raises(ValueError):
         step((0,) * 7, plan_for(showcase), backend="turbo")
+    with pytest.raises(ValueError):
+        bind(plan_for(showcase), "turbo")
 
 
 def test_pure_env_var_selects_pure_backend():

@@ -21,6 +21,7 @@ from caosim import (
     random_state,
     run,
     verify_conservation,
+    with_parameters,
 )
 from caosim.simulate import ConservationError
 from conftest import SHOWCASE_TRAJECTORY
@@ -71,6 +72,13 @@ class TestRun:
         with pytest.raises(ValueError):
             run(showcase, engine="quantum")
 
+    @pytest.mark.parametrize("engine", ["matrix", "operational", "both"])
+    def test_rejects_unknown_backend_on_every_engine(self, showcase, engine):
+        with pytest.raises(ValueError, match="unknown backend"):
+            run(showcase, engine=engine, backend="bogus")
+        with pytest.raises(ValueError, match="unknown backend"):
+            compare_engines(showcase, backend="bogus")
+
     def test_schedule_gap_surfaces(self, showcase):
         sched = ParameterSchedule.from_mapping(showcase, {0: showcase})
         with pytest.raises(ScheduleGapError):
@@ -86,13 +94,13 @@ class TestEngineComparison:
 
     def test_divergence_is_caught_and_reported(self, showcase, monkeypatch):
         import caosim.simulate as sim
-        from caosim.operational import step_operational as real
+        from caosim.operational import enact as real
 
-        def wrong(spec, state):
-            nxt, p, pc = real(spec, state)
+        def wrong(operators, state):
+            nxt, p, pc = real(operators, state)
             return (nxt[0] + 1, *nxt[1:]), p, pc
 
-        monkeypatch.setattr(sim, "step_operational", wrong)
+        monkeypatch.setattr(sim, "enact", wrong)
         report = sim.compare_engines(showcase)
         assert not report.equal
         assert report.divergence.k == 0
@@ -131,6 +139,24 @@ class TestConservedWeights:
         assert report.failures[0][1] == 1  # step k
         with pytest.raises(ConservationError):
             verify_conservation(bent)
+
+    def test_scheduled_trace_needs_explicit_weights(self):
+        # base-3 radices at step 0, then the chain's own base 2: the base-2
+        # weights (1, 2, 4) read 20, 14, 14 along this correct run
+        chain = build_linear_chain(2, 3)
+        base3 = with_parameters(chain, [((3,), (1,)), ((3,), (1,))])
+        schedule = ParameterSchedule.from_mapping(chain, {0: base3}, default=chain)
+        trace = run(chain, (20, 0, 0), schedule=schedule)
+        assert [s.state for s in trace.steps] == [(20, 0, 0), (2, 6, 0), (0, 1, 3)]
+        with pytest.raises(ValueError, match="schedule"):
+            check_conservation(trace)
+        with pytest.raises(ValueError, match="schedule"):
+            verify_conservation(trace)
+        # the total is no invariant here either, and explicit weights say so
+        assert check_conservation(trace, [(1, 1, 1)]).failures == ((0, 1, 8), (0, 2, 4))
+        # a constant schedule of the CAO's own parameters is a stationary run
+        steady = run(chain, (20, 0, 0), schedule=ParameterSchedule.constant(chain))
+        assert check_conservation(steady).ok
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
