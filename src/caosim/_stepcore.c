@@ -6,16 +6,16 @@
    fall outside the state or whose radices are negative, and OverflowError
    for one whose radices or coefficients do not fit in int64.
 
-   step(state) takes one update.  run(state, limit) takes up to `limit`
-   updates in a row without returning to Python in between: the state stays
-   in int64 from one update to the next, and only the tuples each update
-   records are built.  It stops early at a fixed point (every common carry
-   zero) and before any update it cannot take in int64.
+   Its one method, run(state, limit), takes up to `limit` updates in a row
+   without returning to Python in between: the state stays in int64 from one
+   update to the next, and only the tuples each update records are built.
+   It stops early at a fixed point (every common carry zero) and before any
+   update it cannot take in int64; kernel.advance takes that update with
+   unbounded Python integers and calls run again.
 
-   Every multiplication and addition that could leave int64 range is checked:
-   step() answers None and run() stops instead of wrapping, and the caller
-   takes that update with unbounded Python integers.  A state component that
-   is negative, not an int, or outside int64 is treated the same way; run()
+   Every multiplication and addition that could leave int64 range is
+   checked, so run() stops instead of wrapping.  A state component that is
+   negative, not an int, or outside int64 stops it the same way; run()
    checks every state it is about to step, because a plan with negative
    coefficients can drive a component below zero.  Division needs no check,
    because radices and state components are both non-negative by then.
@@ -263,41 +263,6 @@ fail:
     return NULL;
 }
 
-/* Four scratch rows of m int64 each, for one call. */
-static int64_t *
-scratch(Py_ssize_t m)
-{
-    int64_t *rows = PyMem_Malloc((4 * m + 1) * sizeof(int64_t));
-    if (!rows)
-        PyErr_NoMemory();
-    return rows;
-}
-
-static PyObject *
-PlanKernel_step(PlanKernel *self, PyObject *values)
-{
-    const Py_ssize_t m = self->m;
-    PyObject *state, *out = NULL;
-    int64_t *rows;
-
-    if (!(state = state_tuple(self, values)))
-        return NULL;
-    if (!(rows = scratch(m))) {
-        Py_DECREF(state);
-        return NULL;
-    }
-    int64_t *s = rows, *p = s + m, *pc = p + m, *nxt = pc + m;
-    if (!read_state(state, m, s) || update(self, s, p, pc, nxt) < 0) {
-        Py_INCREF(Py_None);
-        out = Py_None;
-    }
-    else
-        out = carry_row(row_tuple(nxt, m), p, pc, m);
-    PyMem_Free(rows);
-    Py_DECREF(state);
-    return out;
-}
-
 static PyObject *
 PlanKernel_run(PlanKernel *self, PyObject *args)
 {
@@ -313,9 +278,13 @@ PlanKernel_run(PlanKernel *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "limit must be >= 0");
         return NULL;
     }
-    if (!(cur = state_tuple(self, values)) || !(rows = PyList_New(0))
-        || !(scr = scratch(m)))
+    if (!(cur = state_tuple(self, values)) || !(rows = PyList_New(0)))
         goto done;
+    /* four scratch rows of m int64 each, for this call only */
+    if (!(scr = PyMem_Malloc((4 * m + 1) * sizeof(int64_t)))) {
+        PyErr_NoMemory();
+        goto done;
+    }
     int64_t *s = scr, *p = s + m, *pc = p + m, *nxt = pc + m;
     fits = read_state(cur, m, s);
     for (taken = 0; taken < limit; taken++) {
@@ -365,9 +334,6 @@ done:
 }
 
 static PyMethodDef PlanKernel_methods[] = {
-    {"step", (PyCFunction)PlanKernel_step, METH_O,
-     "step(state) -> (next, partials, common) as int tuples, or None when the\n"
-     "state or any intermediate value leaves int64 range."},
     {"run", (PyCFunction)PlanKernel_run, METH_VARARGS,
      "run(state, limit) -> (rows, last, stop): at most `limit` updates.\n\n"
      "rows holds one (state, partials, common) tuple per update taken; each\n"
@@ -386,7 +352,7 @@ static PyTypeObject PlanKernelType = {
     .tp_dealloc = (destructor)PlanKernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "PlanKernel(n, groups, edges): one flattened update plan, "
-              "ready to step int64 states one update or many at a time.",
+              "ready to step int64 states a stretch of updates at a time.",
     .tp_methods = PlanKernel_methods,
     .tp_new = PlanKernel_new,
 };

@@ -22,6 +22,7 @@ reproduces the :class:`~caosim.model.CaoSpec` exactly, forms and all.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -405,8 +406,26 @@ class TraceDocument:
         return len(self.steps) - 1
 
 
-def _trace_vector(values, width: int) -> tuple[int, ...]:
-    vec = tuple(int(v) for v in values)
+# An object key holding a step number: JSON writes keys as strings.
+_KEY_INT = re.compile(r"-?[0-9]+")
+
+
+def _json_int(value, where: str, *, key: bool = False) -> int:
+    """An integer read from a JSON document; ValueError for anything else.
+
+    A value must be a JSON integer: an ``int``, but neither ``true`` nor
+    ``false``, and no float (``2.9``, ``1e400``, ``Infinity``) or string.
+    With ``key`` it is an object key and must be a minus sign or none
+    followed by decimal digits, where ``int()`` would also take ``"1_0"``,
+    spaces and the digits of other scripts.
+    """
+    if not (_KEY_INT.fullmatch(value) if key else type(value) is int):
+        raise ValueError(f"{where}: {json.dumps(value)} is not an integer")
+    return int(value)
+
+
+def _trace_vector(values, width: int, where: str) -> tuple[int, ...]:
+    vec = tuple(_json_int(v, where) for v in values)
     if len(vec) != width:
         raise ValueError(f"trace vector has {len(vec)} entries, not one per entity ({width})")
     return vec
@@ -426,12 +445,12 @@ def parse_trace(text: str) -> TraceDocument:
         entities = tuple(str(n) for n in doc["entities"])
         steps = tuple(
             TraceStep(
-                k=int(s["k"]),
-                state=_trace_vector(s["state"], len(entities)),
-                partials=_trace_vector(s["partial"], len(entities)),
-                common=_trace_vector(s["common"], len(entities)),
+                k=_json_int(s["k"], f"steps[{i}].k"),
+                state=_trace_vector(s["state"], len(entities), f"steps[{i}].state"),
+                partials=_trace_vector(s["partial"], len(entities), f"steps[{i}].partial"),
+                common=_trace_vector(s["common"], len(entities), f"steps[{i}].common"),
             )
-            for s in doc["steps"]
+            for i, s in enumerate(doc["steps"])
         )
         return TraceDocument(
             cao=str(doc["cao"]),
@@ -457,7 +476,10 @@ def _paramset(base: CaoSpec, raw, where: str) -> CaoSpec:
         raise ValueError(f"{where}: 'operators' must be a list")
     try:
         params = [
-            (tuple(int(r) for r in o["radices"]), tuple(int(c) for c in o["coefficients"]))
+            (
+                tuple(_json_int(r, f"{where} radix") for r in o["radices"]),
+                tuple(_json_int(c, f"{where} coefficient") for c in o["coefficients"]),
+            )
             for o in ops
         ]
     except (KeyError, TypeError) as exc:
@@ -503,10 +525,7 @@ def load_schedule(text: str, base: CaoSpec) -> ParameterSchedule:
         raise ValueError("schedule 'steps' must be an object mapping step numbers to parameters")
     steps: dict[int, CaoSpec] = {}
     for key, raw in raw_steps.items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise ValueError(f"step key {key!r} is not an integer") from None
+        k = _json_int(key, "step key", key=True)
         if k < 0:
             raise ValueError(f"step key {k} is negative")
         steps[k] = base if raw == "base" else _paramset(base, raw, f"steps[{key}]")

@@ -8,23 +8,24 @@ all read it.
 
 The compiled kernel is ``_stepcore.c``, a hand-written CPython extension
 that ``setup.py`` builds when a C compiler is present. It works in 64-bit
-integers and reports overflow instead of wrapping; any step it cannot
-represent is transparently redone by the pure kernel, which uses Python's
-unbounded integers. The compiled kernel is the default backend when the
-extension imports and the ``CAOSIM_PURE`` environment variable is unset.
+integers and stops instead of wrapping; any update it cannot represent is
+taken by the pure kernel, which uses Python's unbounded integers. The
+compiled kernel is the default backend when the extension imports and the
+``CAOSIM_PURE`` environment variable is unset.
 
-:func:`bind` makes the backend decision for a plan once: it returns the
-plan's ``PlanKernel`` or None for the pure kernel. A kernel steps one update
-with ``step(state)``, or a stretch of them without returning to Python with
-``run(state, limit) -> (rows, last, stop)``; :func:`caosim.simulate.run`
-binds each parameter set once and drives settled matrix runs that way.
+Every update goes through :func:`advance`: given a plan, the kernel
+:func:`bind` chose for it, a state and a limit, it returns a stretch of
+updates as ``(rows, last, stop)``. It steps in C for as long as int64 holds
+the state and the credits, takes any update int64 cannot hold with
+:func:`pure_step`, and goes back into C. :func:`step` is ``advance`` with a
+limit of one, and :func:`caosim.simulate.run` drives whole runs with it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .model import CaoSpec, entity_index
@@ -64,6 +65,15 @@ class StepPlan:
     @property
     def m(self) -> int:
         return len(self.n)
+
+    @cached_property
+    def _compiled(self):
+        """The plan's C-array twin, built once per plan; None when a radix or
+        coefficient does not fit in 64 bits."""
+        try:
+            return _stepcore.PlanKernel(self.n, self.groups, self.edges)
+        except OverflowError:
+            return None
 
 
 @lru_cache(maxsize=4096)
@@ -121,16 +131,6 @@ def backend_name(backend: str | None) -> str:
     return chosen
 
 
-@lru_cache(maxsize=4096)
-def _compiled_plan(plan: StepPlan):
-    """The plan's C-array twin, built once and reused every step; None when
-    a radix or coefficient does not fit in 64 bits."""
-    try:
-        return _stepcore.PlanKernel(plan.n, plan.groups, plan.edges)
-    except OverflowError:
-        return None
-
-
 def bind(plan: StepPlan, backend: str | None = None):
     """The compiled ``PlanKernel`` to step ``plan`` with, or None to use the
     pure kernel: for the pure backend, without the extension, and for a plan
@@ -138,13 +138,32 @@ def bind(plan: StepPlan, backend: str | None = None):
     unknown backend."""
     if backend_name(backend) == "pure" or _stepcore is None:
         return None
-    return _compiled_plan(plan)
+    return plan._compiled
 
 
-def compiled_step(state: Sequence[int], plan: StepPlan) -> StepResult | None:
-    """Fast 64-bit update, or None when plan, inputs or results leave int64."""
-    compiled = bind(plan, "compiled")
-    return None if compiled is None else compiled.step(state)
+def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int):
+    """Up to ``limit`` updates of ``state`` under ``plan``: ``(rows, last, stop)``.
+
+    ``compiled`` is what :func:`bind` returned for the plan. ``rows`` holds
+    one ``(state, partials, common)`` tuple per update taken, ``last`` is the
+    state after the last of them, and ``stop`` is 0 when the last row's
+    common carries are all zero (a fixed point) and 1 when ``limit`` rows
+    were taken. Updates run in C while int64 holds them; one it cannot hold
+    is taken by :func:`pure_step` before the stretch goes back into C.
+    """
+    rows: list = []
+    while len(rows) < limit:
+        if compiled is not None:
+            got, state, stop = compiled.run(state, limit - len(rows))
+            rows += got
+            if stop != 2:
+                return rows, state, stop
+        nxt, p, pc = pure_step(state, plan)
+        rows.append((state, p, pc))
+        state = nxt
+        if not any(pc):
+            return rows, state, 0
+    return rows, state, 1
 
 
 def step(
@@ -153,9 +172,9 @@ def step(
     """Dispatch one update to the selected backend.
 
     ``backend`` may be "pure", "compiled", or None (module default). The
-    compiled backend silently falls back to the pure kernel for any step it
-    cannot represent in 64 bits.
+    compiled backend silently falls back to the pure kernel for any update
+    it cannot represent in 64 bits.
     """
-    compiled = bind(plan, backend)
-    result = None if compiled is None else compiled.step(state)
-    return pure_step(state, plan) if result is None else result
+    rows, nxt, _ = advance(plan, bind(plan, backend), state, 1)
+    _, p, pc = rows[0]
+    return nxt, p, pc

@@ -8,9 +8,10 @@ doubles as a consistency check between the two routes.
 
 The loop binds each parameter set once per run: the step plan and compiled
 kernel for the matrix route, the resolved operators for the operational
-route. Once the parameters can no longer change, a matrix run on the
-compiled backend hands whole stretches of steps to ``PlanKernel.run`` and
-takes one big-integer step wherever an update leaves int64.
+route. The matrix route steps in stretches taken by ``kernel.advance``:
+whole chunks of updates once the parameters can no longer change, one update
+at a time before. The operational route enacts one update per pass, and
+"both" checks every matrix update against it.
 
 Also here: exact conserved-weight extraction (integer row vectors w with
 w·state constant along every stationary trace), a base-b chain builder whose
@@ -25,14 +26,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import kernel, rational
-from .engine import ParameterSchedule, derive
-from .kernel import StepResult, pure_step
+from .engine import ParameterSchedule, _same_topology, derive
+from .kernel import StepResult
 from .model import CaoSpec, Entity, Operator, Role, check_state, validate
 from .operational import enact, resolve
 
 ENGINES = ("matrix", "operational", "both")
 
-# Updates per PlanKernel.run call: bounds the rows held beside the trace.
+# Updates per settled matrix stretch: bounds the rows held beside the trace.
 _RUN_CHUNK = 1024
 
 
@@ -144,28 +145,38 @@ def _drive(
 ) -> tuple[list[TraceStep], str | None, Divergence | None]:
     """The stepping loop behind :func:`run` and :func:`compare_engines`.
 
+    Each pass takes one stretch of updates and records it. The matrix route
+    takes it with ``kernel.advance``: up to ``_RUN_CHUNK`` updates once the
+    schedule is settled, otherwise one. The operational route enacts one
+    update per pass. With engine "both" every matrix update of the stretch
+    is checked against the operational route from the same state.
+
     Each distinct parameter set is bound once, and the state is checked once
     on entering each stretch of steps that share a set: an update of a
     checked state keeps its length and, with radices >= 2 and coefficients
-    >= 1, its signs. Once the schedule is settled, a matrix run with a
-    compiled kernel takes up to ``_RUN_CHUNK`` updates per ``run`` call.
+    >= 1, its signs.
 
     Returns ``(entries, termination, divergence)``. With engine "both" the
     loop stops at the first step on which the two routes disagree; that step
-    is not recorded, the termination is None and the divergence says where.
-    Otherwise the divergence is None.
+    and the rest of its stretch are not recorded, the termination is None
+    and the divergence says where. Otherwise the divergence is None.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     backend = kernel.backend_name(backend)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    if schedule is not None and not _same_topology(spec, schedule.base):
+        raise ValueError(
+            f"the schedule's CAO {schedule.base.name!r} does not have the topology of {spec.name!r}"
+        )
     sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
     stable_from = _stable_from(sched)
     state = _initial_state(spec, initial)
     bound: dict[int, tuple] = {}  # by id: hashing a spec is the per-step cost avoided
     current = None
     entries: list[TraceStep] = []
+    divergence = None
     k = 0
     while True:
         spec_k = sched.spec_at(k)
@@ -176,35 +187,29 @@ def _drive(
                 bound[id(spec_k)] = _bind(spec_k, engine, backend)
             plan, compiled, operators = bound[id(spec_k)]
         settled = stable_from is not None and k >= stable_from
-        if engine == "matrix" and settled and compiled is not None:
-            rows, state, stop = compiled.run(state, min(_RUN_CHUNK, max_steps + 1 - k))
-            entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
-            k += len(rows)
-            if stop == 0:
-                return entries, "fixed-point", None
-            if k > max_steps:
-                return entries, "step-limit", None
-            if stop == 1:
-                continue
-            nxt, p, pc = pure_step(state, plan)  # the update int64 cannot hold
-        elif engine == "operational":
+        if engine == "operational":
             nxt, p, pc = enact(operators, state)
+            rows, last, stop = [(state, p, pc)], nxt, 1 if any(pc) else 0
         else:
-            got = None if compiled is None else compiled.step(state)
-            if got is None:
-                got = pure_step(state, plan)
-            if engine == "both":
-                want = enact(operators, state)
+            limit = min(_RUN_CHUNK if settled else 1, max_steps + 1 - k)
+            rows, last, stop = kernel.advance(plan, compiled, state, limit)
+        if engine == "both":
+            for i, (s, p, pc) in enumerate(rows):
+                got = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
+                want = enact(operators, s)
                 if got != want:
-                    return entries, None, Divergence(k, state, got, want)
-            nxt, p, pc = got
-        entries.append(TraceStep(k, state, p, pc))
-        if settled and not any(pc):
+                    divergence = Divergence(k + i, s, got, want)
+                    del rows[i:]
+                    break
+        entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
+        k += len(rows)
+        if divergence is not None:
+            return entries, None, divergence
+        if settled and stop == 0:
             return entries, "fixed-point", None
-        if k == max_steps:
+        if k > max_steps:
             return entries, "step-limit", None
-        state = nxt
-        k += 1
+        state = last
 
 
 def run(

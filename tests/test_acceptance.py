@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from caosim import (
     DslError,
+    Operator,
     ParameterSchedule,
     build_linear_chain,
     check_conservation,
@@ -27,6 +28,7 @@ from caosim import (
     serialize,
     step,
     step_via_matrices,
+    validate,
     verify_conservation,
     with_parameters,
 )
@@ -88,9 +90,22 @@ GROWING_CYCLE = parse(
 )
 
 
+def _random_parameters(rng: random.Random, spec):
+    """``spec`` with every radix drawn from 2..4 and every coefficient from 1..4."""
+    operators = [
+        Operator(
+            inputs=tuple((e, rng.randint(2, 4)) for e, _ in op.inputs),
+            outputs=tuple((t, rng.randint(1, 4)) for t, _ in op.outputs),
+            form=op.form,
+        )
+        for op in spec.operators
+    ]
+    return validate(spec.name, spec.entities, operators, allow_cycles=True)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.booleans())
-def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic):
+@given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.booleans(), st.booleans())
+def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic, scheduled):
     rng = random.Random(seed)
     spec = GROWING_CYCLE if cyclic else random_cao(rng)
     draws = (
@@ -100,11 +115,21 @@ def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic):
         lambda: rng.randrange(2**70),
     )
     state = tuple(rng.choice(draws)() for _ in range(spec.m))
-    compiled = run(spec, state, max_steps=max_steps, engine="matrix", backend="compiled")
-    pure = run(spec, state, max_steps=max_steps, engine="matrix", backend="pure")
-    literal = run(spec, state, max_steps=max_steps, engine="operational")
-    assert compiled.steps == pure.steps == literal.steps
-    assert compiled.termination == pure.termination == literal.termination
+    schedule = None
+    if scheduled:
+        # overrides at random steps, the last of them often past the end of
+        # the run, so runs step one update at a time before settling
+        overrides = {k: _random_parameters(rng, spec) for k in rng.sample(range(60), 4)}
+        schedule = ParameterSchedule.from_mapping(
+            spec, overrides, default=rng.choice([spec, _random_parameters(rng, spec)])
+        )
+    common = dict(max_steps=max_steps, schedule=schedule)
+    compiled = run(spec, state, engine="matrix", backend="compiled", **common)
+    pure = run(spec, state, engine="matrix", backend="pure", **common)
+    literal = run(spec, state, engine="operational", **common)
+    both = run(spec, state, engine="both", **common)
+    assert compiled.steps == pure.steps == literal.steps == both.steps
+    assert compiled.termination == pure.termination == literal.termination == both.termination
 
 
 def test_criterion_3_conservation(showcase, fuzz_corpus):

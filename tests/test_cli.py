@@ -110,6 +110,20 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_infinite_radix_is_a_one_line_error(self, showcase_file, tmp_path, capsys):
+        ops = [
+            '{"radices": [10, 8], "coefficients": [1, 2]}',
+            '{"radices": [Infinity], "coefficients": [2]}',
+            '{"radices": [10], "coefficients": [1, 3]}',
+            '{"radices": [4, 2], "coefficients": [1]}',
+        ]
+        sched = tmp_path / "infinite.json"
+        sched.write_text(f'{{"default": {{"operators": [{", ".join(ops)}]}}}}')
+        assert main(["simulate", showcase_file, "--schedule", str(sched)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Infinity is not an integer" in err
+
     def test_bad_init_syntax(self, showcase_file, capsys):
         assert main(["simulate", showcase_file, "--init", "i"]) == EXIT_ERROR
         assert "NAME=VALUE" in capsys.readouterr().err

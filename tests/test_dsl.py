@@ -199,6 +199,21 @@ class TestTraceSerialization:
         with pytest.raises(ValueError):
             parse_trace(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [9.7, "0", 1e400, True])
+    @pytest.mark.parametrize("key", ["state", "partial", "common"])
+    def test_parse_trace_accepts_only_json_integers(self, showcase, key, value):
+        doc = self._showcase_doc(showcase)
+        doc["steps"][1][key][0] = value
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [1.0, "1", False])
+    def test_parse_trace_accepts_only_an_integer_step_number(self, showcase, value):
+        doc = self._showcase_doc(showcase)
+        doc["steps"][1]["k"] = value
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_trace(json.dumps(doc))
+
     @pytest.mark.parametrize("key", ["state", "partial", "common"])
     def test_parse_trace_rejects_vectors_of_the_wrong_length(self, showcase, key):
         doc = self._showcase_doc(showcase)
@@ -214,6 +229,17 @@ class TestTraceSerialization:
             "radices": [10, 8],
             "coefficients": [1, 2],
         }
+
+
+def _one_radix(radix: str) -> str:
+    """A showcase schedule whose default gives operator 1 the radix ``radix``."""
+    ops = [
+        '{"radices": [10, 8], "coefficients": [1, 2]}',
+        f'{{"radices": [{radix}], "coefficients": [2]}}',
+        '{"radices": [10], "coefficients": [1, 3]}',
+        '{"radices": [4, 2], "coefficients": [1]}',
+    ]
+    return f'{{"default": {{"operators": [{", ".join(ops)}]}}}}'
 
 
 class TestSchedules:
@@ -273,6 +299,13 @@ class TestSchedules:
             ('{"bogus": 1}', "unknown schedule keys"),
             ('{"steps": {"x": {"operators": []}}}', "not an integer"),
             ('{"steps": {"-2": {"operators": []}}}', "negative"),
+            ('{"steps": {"1_0": "base"}}', "not an integer"),
+            ('{"steps": {" 1": "base"}}', "not an integer"),
+            ('{"steps": {"\u0663": "base"}}', "not an integer"),
+            *(
+                pytest.param(_one_radix(radix), "not an integer", id=f"radix {radix}")
+                for radix in ("Infinity", "2.9", '"3"', "true")
+            ),
             ('{"default": {"operators": "no"}}', "list"),
             ('{"default": {}}', "operators"),
             ("{", "JSON"),

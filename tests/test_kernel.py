@@ -14,8 +14,8 @@ from caosim.kernel import (
     COMPILED_AVAILABLE,
     StepPlan,
     _stepcore,
+    advance,
     bind,
-    compiled_step,
     plan_for,
     pure_step,
     step,
@@ -25,6 +25,20 @@ from conftest import kernel_compile_command, kernel_compiler
 needs_extension = pytest.mark.skipif(
     not COMPILED_AVAILABLE, reason="compiled kernel not built"
 )
+
+
+def compiled_update(plan, state):
+    """One update by ``PlanKernel.run(state, 1)``, as ``(next, partials,
+    common)``, or None when int64 cannot hold it."""
+    rows, last, stop = bind(plan, "compiled").run(state, 1)
+    return None if stop == 2 else (last, *rows[0][1:])
+
+
+def straddling_state(rng, plan):
+    """Components drawn small, below 2**62 or 2**63, or just under either."""
+    near = rng.choice([2**62, 2**63])
+    draws = (lambda: rng.randrange(1000), lambda: rng.randrange(near), lambda: near - rng.randrange(64))
+    return tuple(rng.choice(draws)() for _ in plan.n)
 
 
 def test_showcase_plan(showcase):
@@ -62,7 +76,7 @@ class TestCompiledParity:
         plan = plan_for(spec)
         state = random_state(rng, spec)
         for _ in range(5):
-            got = compiled_step(state, plan)
+            got = compiled_update(plan, state)
             want = pure_step(state, plan)
             assert got == want
             state = want[0]
@@ -70,7 +84,7 @@ class TestCompiledParity:
     def test_state_beyond_int64_falls_back(self, showcase):
         plan = plan_for(showcase)
         state = (2**70, 100, 0, 0, 0, 0, 0)
-        assert compiled_step(state, plan) is None
+        assert compiled_update(plan, state) is None
         nxt, _, _ = step(state, plan, backend="compiled")
         assert nxt == pure_step(state, plan)[0]
 
@@ -80,7 +94,7 @@ class TestCompiledParity:
         plan = plan_for(spec)
         state = tuple(2**62 if n else 0 for n in plan.n)
         # carry = 2**61, times coefficient 9 leaves int64 range
-        assert compiled_step(state, plan) is None
+        assert compiled_update(plan, state) is None
         got = step(state, plan, backend="compiled")
         assert got == pure_step(state, plan)
 
@@ -88,19 +102,19 @@ class TestCompiledParity:
         # the transformant itself fits; adding it to the receiver does not
         plan = plan_for(build_linear_chain(2, 2))
         state = (4, 2**63 - 2)
-        assert compiled_step(state, plan) is None
+        assert compiled_update(plan, state) is None
         assert step(state, plan, backend="compiled") == ((0, 2**63), (2, 0), (2, 0))
 
     def test_plan_beyond_int64_falls_back(self):
         plan = plan_for(build_linear_chain(2**64, 2))
         state = (2**65 + 3, 0)
-        assert compiled_step(state, plan) is None
+        assert bind(plan, "compiled") is None
         assert step(state, plan, backend="compiled") == ((3, 2), (2, 0), (2, 0))
 
     def test_negative_or_non_int_state_falls_back(self, showcase):
         plan = plan_for(showcase)
-        assert compiled_step((100, -1, 0, 0, 0, 0, 0), plan) is None
-        assert compiled_step((100.0, 100, 0, 0, 0, 0, 0), plan) is None
+        assert compiled_update(plan, (100, -1, 0, 0, 0, 0, 0)) is None
+        assert compiled_update(plan, (100.0, 100, 0, 0, 0, 0, 0)) is None
 
     def test_rejects_malformed_plans_and_states(self):
         with pytest.raises(ValueError):
@@ -112,9 +126,9 @@ class TestCompiledParity:
         with pytest.raises(OverflowError):
             _stepcore.PlanKernel((2, 0), (), ((0, 1, 2**63),))
         kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, 1),))
-        assert kernel.step((5, 0)) == ((1, 2), (2, 0), (2, 0))
+        assert kernel.run((5, 0), 1) == ([((5, 0), (2, 0), (2, 0))], (1, 2), 1)
         with pytest.raises(ValueError):
-            kernel.step((5,))
+            kernel.run((5,), 1)
 
     def test_result_crossing_int64_boundary_is_exact(self):
         # walk a value right across 2**63 - 1 and back through both kernels
@@ -150,7 +164,7 @@ class TestPlanKernelRun:
         state = (2**60,)
         rows, last, stop = kernel.run(state, 100)
         assert stop == 2 and len(rows) == 5
-        assert kernel.step(last) is None
+        assert kernel.run(last, 1) == ([], last, 2)
         want = state
         for row in rows:
             assert row[0] == want
@@ -163,7 +177,7 @@ class TestPlanKernelRun:
         rows, last, stop = kernel.run((4, 1), 10)
         assert rows == [((4, 1), (2, 0), (2, 0))]
         assert last == (0, -1) and stop == 2
-        assert kernel.step(last) is None
+        assert kernel.run(last, 1) == ([], last, 2)
 
     def test_rejects_a_wrong_length_state_and_a_negative_limit(self, showcase):
         kernel = bind(plan_for(showcase))
@@ -173,11 +187,12 @@ class TestPlanKernelRun:
             kernel.run((0,) * 7, -1)
 
     def test_rows_share_the_next_state_objects(self, showcase):
-        kernel = bind(plan_for(showcase))
+        plan = plan_for(showcase)
+        kernel = bind(plan)
         state = (100, 100, 0, 0, 0, 0, 0)
         rows, last, _ = kernel.run(state, 2)
         assert rows[0][0] is state
-        assert rows[1][0] == kernel.step(state)[0]
+        assert rows[1][0] == pure_step(state, plan)[0]
         more, _, _ = kernel.run(last, 1)
         assert more[0][0] is last
 
@@ -185,16 +200,13 @@ class TestPlanKernelRun:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
     def test_matches_repeated_steps(self, seed, limit):
         rng = random.Random(seed)
-        spec = random_cao(rng, coeff_range=(1, 20))
-        plan = plan_for(spec)
-        near = rng.choice([2**62, 2**63])
-        draws = (lambda: rng.randrange(1000), lambda: rng.randrange(near), lambda: near - rng.randrange(64))
-        state = tuple(rng.choice(draws)() for _ in plan.n)
+        plan = plan_for(random_cao(rng, coeff_range=(1, 20)))
+        state = straddling_state(rng, plan)
         kernel = bind(plan)
         rows, last, stop = kernel.run(state, limit)
         for row in rows:
             assert row[0] == state
-            state, p, pc = kernel.step(state)
+            state, p, pc = pure_step(state, plan)
             assert row[1:] == (p, pc)
         assert last == state
         if stop == 0:
@@ -202,7 +214,47 @@ class TestPlanKernelRun:
         elif stop == 1:
             assert len(rows) == limit
         else:
-            assert stop == 2 and kernel.step(last) is None
+            assert stop == 2 and kernel.run(last, 1) == ([], last, 2)
+
+
+class TestAdvance:
+    def test_zero_limit_takes_no_rows(self, showcase):
+        state = (100, 100, 0, 0, 0, 0, 0)
+        assert advance(plan_for(showcase), None, state, 0) == ([], state, 1)
+
+    def test_fixed_point_and_limit(self, showcase):
+        plan = plan_for(showcase)
+        rows, last, stop = advance(plan, None, (100, 100, 0, 0, 0, 0, 0), 10)
+        assert stop == 0 and len(rows) == 4 and last == rows[-1][0]
+        rows, last, stop = advance(plan, None, (100, 100, 0, 0, 0, 0, 0), 2)
+        assert stop == 1 and len(rows) == 2 and last == (0, 20, 2, 0, 4, 6, 0)
+
+    @needs_extension
+    def test_steps_beyond_int64_and_back(self):
+        # 2**63 + 2 leaves int64; its carry 2**62 + 1 fits again
+        plan = plan_for(build_linear_chain(2, 3))
+        state = (2**63 + 2, 0, 0)
+        rows, last, stop = advance(plan, bind(plan), state, 10)
+        assert (rows, last, stop) == advance(plan, None, state, 10)
+        assert [r[0] for r in rows] == [state, (0, 2**62 + 1, 0), (0, 1, 2**61)]
+        assert stop == 0 and last == (0, 1, 2**61)
+
+    @needs_extension
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_compiled_matches_pure(self, seed, limit):
+        rng = random.Random(seed)
+        plan = plan_for(random_cao(rng, coeff_range=(1, 20)))
+        state = straddling_state(rng, plan)
+        rows, last, stop = advance(plan, bind(plan), state, limit)
+        assert (rows, last, stop) == advance(plan, None, state, limit)
+        for row in rows:
+            nxt, p, pc = pure_step(state, plan)
+            assert row == (state, p, pc)
+            state = nxt
+        assert last == state
+        assert stop == (0 if not any(rows[-1][2]) else 1)
+        assert stop == 0 or len(rows) == limit
 
 
 @pytest.mark.skipif(kernel_compiler() is None, reason="no C compiler on PATH")

@@ -17,6 +17,7 @@ from caosim import (
     check_conservation,
     compare_engines,
     conserved_weights,
+    parse,
     random_cao,
     random_state,
     run,
@@ -79,6 +80,14 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown backend"):
             compare_engines(showcase, backend="bogus")
 
+    def test_rejects_a_schedule_of_another_cao(self):
+        a = parse("cao a { initial x = 9\n final y\n L (x:2) -> (y:1) }")
+        b = parse("cao b { initial q\n final p\n L (q:3) -> (p:1) }")
+        with pytest.raises(ValueError, match="topology"):
+            run(a, schedule=ParameterSchedule.constant(b))
+        with pytest.raises(ValueError, match="topology"):
+            compare_engines(a, schedule=ParameterSchedule.constant(b))
+
     def test_schedule_gap_surfaces(self, showcase):
         sched = ParameterSchedule.from_mapping(showcase, {0: showcase})
         with pytest.raises(ScheduleGapError):
@@ -107,6 +116,36 @@ class TestEngineComparison:
         with pytest.raises(EngineDivergenceError) as exc:
             sim.run(showcase)
         assert exc.value.divergence.k == 0
+
+    # two entities passing one part back and forth: never a fixed point
+    SWING = parse(
+        "cao swing { initial a = 2\n intermediate b\n L (a:2) -> (b:2)\n L (b:2) -> (a:2) }",
+        allow_cycles=True,
+    )
+
+    @pytest.mark.parametrize("k", [5, 1030])  # 1030 lies past the first 1024-update stretch
+    def test_divergence_inside_a_stretch(self, monkeypatch, k):
+        import caosim.simulate as sim
+        from caosim.operational import enact as real
+
+        calls = []
+
+        def wrong_at_k(operators, state):
+            nxt, p, pc = real(operators, state)
+            calls.append(state)
+            if len(calls) == k + 1:
+                nxt = (nxt[0] + 1, *nxt[1:])
+            return nxt, p, pc
+
+        monkeypatch.setattr(sim, "enact", wrong_at_k)
+        with pytest.raises(EngineDivergenceError) as exc:
+            sim.run(self.SWING, max_steps=2000)
+        assert exc.value.divergence.k == k
+        calls.clear()
+        report = sim.compare_engines(self.SWING, max_steps=2000)
+        assert not report.equal
+        assert report.divergence.k == k
+        assert report.steps_compared == k + 1
 
 
 class TestConservedWeights:
