@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -151,6 +151,22 @@ class CaoSpec:
 
     def start_state(self) -> tuple[int, ...]:
         return tuple(e.start for e in self.entities)
+
+    # The per-spec caches (``plan_for``, ``resolve``, ``entity_index``) hash
+    # the spec on every lookup, so the hash of the whole entity and operator
+    # tree is taken once and kept.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.entities, self.operators))
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a pickle carries no hash.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @lru_cache(maxsize=4096)

@@ -96,6 +96,15 @@ class EngineDivergenceError(AssertionError):
         )
 
 
+def _start_value(value, where: str) -> int:
+    """A start value as given: an ``int`` that is not a ``bool``, else
+    ValueError, so that ``9.7``, ``"9"`` or ``True`` are never truncated or
+    converted into a start."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"start value of {where} is not an integer: {value!r}")
+    return int(value)
+
+
 def _initial_state(
     spec: CaoSpec, initial: Mapping[str, int] | Sequence[int] | None
 ) -> tuple[int, ...]:
@@ -106,9 +115,9 @@ def _initial_state(
         for name, v in initial.items():
             if name not in values:
                 raise KeyError(f"no entity named {name!r} in CAO {spec.name!r}")
-            values[name] = int(v)
+            values[name] = _start_value(v, repr(name))
         return tuple(values[n] for n in spec.names)
-    vec = tuple(int(v) for v in initial)
+    vec = tuple(_start_value(v, f"component {i}") for i, v in enumerate(initial))
     if len(vec) != spec.m:
         raise ValueError(f"initial state has {len(vec)} components, CAO has {spec.m}")
     return vec

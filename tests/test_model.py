@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import caosim
 from caosim import (
     Entity,
     Form,
@@ -14,8 +21,11 @@ from caosim import (
     build_config_matrix,
     check,
     infer_form,
+    parse,
     validate,
 )
+from caosim.kernel import plan_for
+from conftest import SHOWCASE_TEXT
 
 
 def ent(name, role=Role.INTERMEDIATE, start=0):
@@ -193,3 +203,36 @@ def test_entity_index_lookup(showcase):
     assert showcase.index("h") == 6
     with pytest.raises(KeyError):
         showcase.index("nope")
+
+
+class TestSpecHash:
+    def test_equal_specs_hash_alike_and_share_a_plan(self):
+        a, b = parse(SHOWCASE_TEXT), parse(SHOWCASE_TEXT)
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.name, a.entities, a.operators))
+        assert plan_for(a) is plan_for(b)
+        other = replace(a, name="other")
+        assert other != a and plan_for(other) is not plan_for(a)
+
+    def test_a_pickled_spec_hashes_afresh_where_it_is_loaded(self):
+        # String hashes differ between processes, so a spec hashed before it
+        # was pickled must hash as an equal spec built in the loading one.
+        dump = (
+            "import pickle, sys; from caosim import build_linear_chain as chain; "
+            "s = chain(3, 4); hash(s); sys.stdout.buffer.write(pickle.dumps(s))"
+        )
+        load = (
+            "import pickle, sys; from caosim import build_linear_chain as chain; "
+            "s = pickle.loads(sys.stdin.buffer.read()); "
+            "print(s == chain(3, 4), hash(s) == hash(chain(3, 4)), {chain(3, 4): 1}.get(s))"
+        )
+        src = str(Path(caosim.__file__).resolve().parents[1])
+
+        def python(code: str, hash_seed: str, stdin: bytes = b"") -> bytes:
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            return subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env,
+                capture_output=True, check=True, timeout=60,
+            ).stdout
+
+        assert python(load, "2", python(dump, "1")) == b"True True 1\n"

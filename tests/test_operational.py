@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,62 @@ from caosim import (
     resolve,
     step_operational,
 )
+from caosim.operational import enact
 from conftest import SHOWCASE_TRAJECTORY
+
+
+def enact_every_operator(operators, state):
+    """The update with no shortcut for idle operators: every operator's
+    partial carries, minimum, removals and credits, in full. The oracle for
+    ``enact``."""
+    nxt = list(state)
+    p = [0] * len(state)
+    pc = [0] * len(state)
+    for inputs, outputs in operators:
+        partials = [state[i] // n for i, n in inputs]
+        common = min(partials)
+        for (i, n), carry in zip(inputs, partials):
+            p[i] = carry
+            pc[i] = common
+            nxt[i] -= common * n
+        for t, coeff in outputs:
+            nxt[t] += common * coeff
+    return tuple(nxt), tuple(p), tuple(pc)
+
+
+def package_imports(module: str) -> set[str]:
+    """The ``caosim`` modules that the source of ``caosim.<module>`` imports,
+    relatively or by absolute name, anywhere in the file."""
+    path = Path(importlib.import_module(f"caosim.{module}").__file__)
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+            found.update(n[1] if len(n) > 1 else n[0] for n in names if n[0] == "caosim")
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "caosim":
+                continue
+            inside = parts[1:] if node.level == 0 else parts
+            if inside and inside[0]:
+                found.add(inside[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_the_two_routes_import_nothing_of_each_other():
+    # The matrix route (engine, kernel) and the operational route check each
+    # other only while they share no arithmetic.
+    assert package_imports("operational") == {"model"}
+    assert "operational" not in package_imports("kernel")
+    assert "operational" not in package_imports("engine")
+
+
+def small_or_random_state(rng, spec):
+    """A random state whose bound is drawn among 0, 1, the radix range and
+    the default 10**6, so that idle operators are common."""
+    return random_state(rng, spec, rng.choice([0, 1, 2, 3, 8, 16, 10**6]))
 
 
 def test_resolve_indexes_the_showcase(showcase):
@@ -59,6 +117,43 @@ class TestSingleOperatorProcedures:
         assert nxt == (100 - 100, 100 - 80, 10, 20, 0, 0, 0)
 
 
+class TestIdleOperators:
+    # An operator whose common carry is 0 moves nothing, but its partial
+    # carries are still reported.
+
+    def test_idle_F_reports_its_partials(self, showcase):
+        # F (g:4, u:2): 14//4 = 3, 1//2 = 0
+        state = (0, 0, 0, 0, 14, 1, 0)
+        nxt, p, pc = step_operational(showcase, state)
+        assert (p[4], p[5]) == (3, 0)
+        assert (pc[4], pc[5]) == (0, 0)
+        assert nxt == state
+
+    def test_idle_L(self, showcase):
+        # L (d:8) -> (g:2) with d = 7
+        state = (0, 0, 7, 0, 0, 0, 0)
+        assert step_operational(showcase, state) == (state, (0,) * 7, (0,) * 7)
+
+    def test_one_idle_input_stops_a_multi_input_operator(self, showcase):
+        # M (i:10, j:8) with j = 7 is idle beside a firing L (d:8) -> (g:2)
+        nxt, p, pc = step_operational(showcase, (100, 7, 17, 0, 0, 0, 0))
+        assert (p[0], p[1], p[2]) == (10, 0, 2)
+        assert pc == (0, 0, 2, 0, 0, 0, 0)
+        assert nxt == (100, 7, 1, 0, 4, 0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_enacting_every_operator(self, seed):
+        rng = random.Random(seed)
+        spec = random_cao(rng, radix_range=rng.choice([(2, 4), (2, 16)]))
+        operators = resolve(spec)
+        state = small_or_random_state(rng, spec)
+        for _ in range(5):
+            got = enact(operators, state)
+            assert got == enact_every_operator(operators, state)
+            state = got[0]
+
+
 class TestStepOperational:
     def test_walks_the_showcase_trajectory(self, showcase):
         for (state, pc), (nxt_state, _) in zip(
@@ -84,7 +179,7 @@ class TestStepOperational:
         # output gains exactly carry × coefficient.
         rng = random.Random(seed)
         spec = random_cao(rng)
-        state = random_state(rng, spec)
+        state = small_or_random_state(rng, spec)
         nxt, p, pc = step_operational(spec, state)
         ledger = list(state)
         for inputs, outputs in resolve(spec):

@@ -53,6 +53,18 @@ class TestRun:
         with pytest.raises(ValueError):
             run(showcase, (1, 2))
 
+    @pytest.mark.parametrize("bad", [9.7, 9.0, "9", True, False, None])
+    def test_start_values_must_be_integers(self, bad):
+        # int() would truncate 9.7 and convert "9" or True into a start
+        chain = build_linear_chain(2, 3)
+        with pytest.raises(ValueError, match="not an integer"):
+            run(chain, [bad, 0, 0], engine="matrix")
+        with pytest.raises(ValueError, match="not an integer"):
+            run(chain, {"c0": bad})
+        with pytest.raises(ValueError, match="not an integer"):
+            compare_engines(chain, [0, 0, bad])
+        assert run(chain, [9, 0, 0], engine="matrix").final_state == (1, 0, 2)
+
     def test_step_limit_records_unapplied_carries(self, showcase):
         trace = run(showcase, max_steps=1)
         assert trace.termination == "step-limit"
