@@ -115,8 +115,8 @@ def _tokenize(text: str, path: str) -> Iterator[_Token]:
             col += i - start
             yield _Token("IDENT", text[start:i], span(start, start_line, start_col, i))
             continue
-        if ch.isdigit():
-            while i < size and text[i].isdigit():
+        if ch.isdecimal():  # what int() reads; isdigit() would take "²"
+            while i < size and text[i].isdecimal():
                 i += 1
             col += i - start
             yield _Token("NUMBER", text[start:i], span(start, start_line, start_col, i))

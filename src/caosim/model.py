@@ -378,16 +378,21 @@ class NegativeComponentError(ValueError):
 
 
 def check_state(spec: CaoSpec, state: Sequence[int]) -> None:
-    """Reject a state of the wrong length or with a negative component.
+    """Reject a state of the wrong length, or with a component that is not
+    an ``int`` (a ``bool`` is not one) or is negative; ValueError for each.
 
-    Both update routes call this before stepping. It looks at shape and sign
-    only and does no arithmetic, so the routes still share none.
+    Both update routes call this before stepping. It looks at shape, type
+    and sign only and does no arithmetic, so the routes still share none.
     """
     if len(state) != spec.m:
         raise ValueError(
             f"state has {len(state)} components, CAO {spec.name!r} has {spec.m}"
         )
+    if set(map(type, state)) <= {int} and (not state or min(state) >= 0):
+        return  # the common case, checked at C speed; the loop names the culprit
     for ent, value in zip(spec.entities, state):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"entity {ent.name!r} has a cardinal that is not an integer: {value!r}")
         if value < 0:
             raise NegativeComponentError(
                 f"entity {ent.name!r} has negative cardinal {value}"

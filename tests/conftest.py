@@ -92,6 +92,18 @@ SHOWCASE_TRAJECTORY = (
     ((0, 20, 2, 0, 0, 4, 1), (0, 0, 0, 0, 0, 0, 0)),
 )
 
+# A cycle that grows by about half a bit per update, so runs from near 2**63
+# cross the int64 boundary mid-run, often more than once.
+GROWING_CYCLE_TEXT = """\
+cao grow {
+  initial a
+  initial b
+  intermediate c
+  F (a:2, b:3) -> (c:4)
+  D (c:2) -> (a:3, b:2)
+}
+"""
+
 CORPUS_SEED = 0xCA05
 CORPUS_SIZE = 1000
 

@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from caosim import (
     DslError,
@@ -33,7 +33,7 @@ from caosim import (
     with_parameters,
 )
 from caosim.kernel import COMPILED_AVAILABLE
-from conftest import CORPUS_SIZE, SHOWCASE_TEXT, SHOWCASE_TRAJECTORY
+from conftest import CORPUS_SIZE, GROWING_CYCLE_TEXT, SHOWCASE_TEXT, SHOWCASE_TRAJECTORY
 
 
 def test_criterion_1_golden_trace(showcase):
@@ -76,18 +76,7 @@ def test_criterion_2_engine_equivalence(fuzz_corpus, backend):
     )
 
 
-# A cycle that grows by about half a bit per update, so runs from near 2**63
-# cross the int64 boundary mid-run, often more than once.
-GROWING_CYCLE = parse(
-    """cao grow {
-  initial a
-  initial b
-  intermediate c
-  F (a:2, b:3) -> (c:4)
-  D (c:2) -> (a:3, b:2)
-}""",
-    allow_cycles=True,
-)
+GROWING_CYCLE = parse(GROWING_CYCLE_TEXT, allow_cycles=True)
 
 
 def _random_parameters(rng: random.Random, spec):
@@ -105,6 +94,12 @@ def _random_parameters(rng: random.Random, spec):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.booleans(), st.booleans())
+# the whole run in big integers; a run leaving C and going back 25 times;
+# the same under a schedule; an acyclic run with a multi-update stretch in Python
+@example(0, 50, True, False)
+@example(140, 50, True, False)
+@example(879, 50, True, True)
+@example(768, 50, False, False)
 def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic, scheduled):
     rng = random.Random(seed)
     spec = GROWING_CYCLE if cyclic else random_cao(rng)

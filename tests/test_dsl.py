@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +98,11 @@ class TestDiagnostics:
         diag = _sole_error("cao x {\n  initial a = 3\n  ? }")
         assert diag.code == "bad-token"
         assert (diag.span.line, diag.span.column) == (3, 3)
+
+    def test_a_digit_int_cannot_read_is_an_unexpected_character(self):
+        diag = _sole_error("cao x {\n  initial a = 3\u00b2\n}")
+        assert diag.code == "bad-token"
+        assert (diag.span.line, diag.span.column) == (2, 16)
 
     def test_syntax_error_position(self):
         diag = _sole_error("cao x {\n  initial a =\n}")
@@ -320,3 +326,92 @@ class TestSchedules:
         text = '{"default": {"operators": [{"radices": [2], "coefficients": [1]}]}}'
         with pytest.raises(ValueError):
             load_schedule(text, showcase)
+
+
+# --- Parser fuzz ----------------------------------------------------------------
+
+SCHEDULE_TEXT = json.dumps(
+    {
+        "default": "base",
+        "steps": {
+            "1": {
+                "operators": [
+                    {"radices": [5, 4], "coefficients": [1, 2]},
+                    {"radices": [8], "coefficients": [2]},
+                    {"radices": [10], "coefficients": [1, 3]},
+                    {"radices": [4, 2], "coefficients": [1]},
+                ]
+            },
+            "3": "base",
+        },
+    }
+)
+# JSON values of every type, to put in place of any value of a document
+SWAPS = (None, True, False, -1, 0, 2.5, 10**30, "x", "base", [], {}, [1, 2], {"operators": []})
+
+
+def _json_paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_paths(value, (*path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _json_paths(value, (*path, i))
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Truncate ``text``, flip bits of a few of its characters, or swap one
+    value for another of a different type: a JSON value, or in DSL text a
+    number for a name and a name for a number."""
+    how = rng.randrange(3)
+    if how == 0:
+        return text[: rng.randrange(len(text) + 1)]
+    if how == 1 and text:
+        chars = list(text)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(chars))
+            chars[i] = chr(ord(chars[i]) ^ (1 << rng.randrange(8)))
+        return "".join(chars)
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        words = re.split(r"(\w+)", text)
+        spots = range(1, len(words), 2)
+        if not spots:
+            return text
+        i = rng.choice(spots)
+        words[i] = "x" if words[i].isdigit() else str(rng.choice([0, 1, 2**70]))
+        return "".join(words)
+    path = rng.choice(list(_json_paths(doc)))
+    if not path:
+        return json.dumps(rng.choice(SWAPS))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = rng.choice(SWAPS)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["dsl", "schedule", "trace"]))
+def test_mutated_documents_raise_only_value_errors(showcase, seed, kind):
+    # the contract of the three readers of outside text: a malformed document
+    # raises ValueError (DslError is one), never anything else
+    rng = random.Random(seed)
+    text = {
+        "dsl": SHOWCASE_TEXT,
+        "schedule": SCHEDULE_TEXT,
+        "trace": export_trace(run(showcase), "json"),
+    }[kind]
+    for _ in range(rng.randint(1, 3)):
+        text = _mutate(rng, text)
+    try:
+        if kind == "dsl":
+            try_parse(text, allow_cycles=rng.random() < 0.5)
+        elif kind == "schedule":
+            load_schedule(text, showcase)
+        else:
+            parse_trace(text)
+    except ValueError:
+        pass

@@ -115,6 +115,11 @@ class TestStep:
         with pytest.raises(ValueError):
             step(showcase, (1, 2, 3))
 
+    @pytest.mark.parametrize("value", [9.7, 9.0, True, "9"])
+    def test_rejects_components_that_are_not_integers(self, showcase, value):
+        with pytest.raises(ValueError, match="not an integer"):
+            step(showcase, (100, value, 0, 0, 0, 0, 0))
+
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_kernel_agrees_with_literal_matrix_arithmetic(self, seed):

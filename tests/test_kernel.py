@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caosim import build_linear_chain, random_cao, random_state
+from caosim import build_linear_chain, parse, random_cao, random_state, run
 from caosim.kernel import (
     COMPILED_AVAILABLE,
     StepPlan,
@@ -20,7 +21,7 @@ from caosim.kernel import (
     pure_step,
     step,
 )
-from conftest import kernel_compile_command, kernel_compiler
+from conftest import GROWING_CYCLE_TEXT, kernel_compile_command, kernel_compiler
 
 needs_extension = pytest.mark.skipif(
     not COMPILED_AVAILABLE, reason="compiled kernel not built"
@@ -32,6 +33,18 @@ def compiled_update(plan, state):
     common)``, or None when int64 cannot hold it."""
     rows, last, stop = bind(plan, "compiled").run(state, 1)
     return None if stop == 2 else (last, *rows[0][1:])
+
+
+def repeated_pure_steps(plan, state, limit):
+    """The stretch ``advance`` should return, one ``pure_step`` at a time."""
+    rows = []
+    while len(rows) < limit:
+        nxt, p, pc = pure_step(state, plan)
+        rows.append((state, p, pc))
+        state = nxt
+        if not any(pc):
+            return rows, state, 0
+    return rows, state, 1
 
 
 def straddling_state(rng, plan):
@@ -217,6 +230,9 @@ class TestPlanKernelRun:
             assert stop == 2 and kernel.run(last, 1) == ([], last, 2)
 
 
+GROWING_PLAN = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
+
+
 class TestAdvance:
     def test_zero_limit_takes_no_rows(self, showcase):
         state = (100, 100, 0, 0, 0, 0, 0)
@@ -241,20 +257,76 @@ class TestAdvance:
 
     @needs_extension
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
-    def test_compiled_matches_pure(self, seed, limit):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.booleans(), st.booleans())
+    def test_compiled_matches_pure(self, seed, limit, cyclic, idle):
+        # idle: components below 4, so most operators do not fire
         rng = random.Random(seed)
-        plan = plan_for(random_cao(rng, coeff_range=(1, 20)))
-        state = straddling_state(rng, plan)
-        rows, last, stop = advance(plan, bind(plan), state, limit)
-        assert (rows, last, stop) == advance(plan, None, state, limit)
-        for row in rows:
-            nxt, p, pc = pure_step(state, plan)
-            assert row == (state, p, pc)
-            state = nxt
-        assert last == state
-        assert stop == (0 if not any(rows[-1][2]) else 1)
-        assert stop == 0 or len(rows) == limit
+        plan = GROWING_PLAN if cyclic else plan_for(random_cao(rng, coeff_range=(1, 20)))
+        if idle:
+            state = tuple(rng.randrange(4) for _ in plan.n)
+        else:
+            state = straddling_state(rng, plan)
+        want = repeated_pure_steps(plan, state, limit)
+        assert advance(plan, bind(plan, "compiled"), state, limit) == want
+        assert advance(plan, None, state, limit) == want
+
+    @needs_extension
+    def test_credit_overflow_in_every_update_still_makes_progress(self):
+        # entity 0 keeps its value and fires on every update; its two credits
+        # to entity 1 cancel, but each alone leaves int64, so C stops at once
+        # on every state, and every state fits in int64
+        plan = StepPlan(n=(2, 0), groups=(), edges=((0, 0, 2), (0, 1, 2**62), (0, 1, -(2**62))))
+        kernel = bind(plan, "compiled")
+        assert kernel.run((4, 0), 1) == ([], (4, 0), 2)
+        rows, last, stop = advance(plan, kernel, (4, 0), 50)
+        assert (rows, last, stop) == repeated_pure_steps(plan, (4, 0), 50)
+        assert len(rows) == 50 and last == (4, 0) and stop == 1
+
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_extension)])
+    @pytest.mark.parametrize(
+        "plan, state",
+        [
+            (StepPlan(n=(2, 0), groups=(), edges=((0, 1, -1),)), (4, 1)),
+            # entity 1 goes negative, then fires with a negative carry
+            (StepPlan(n=(2, 2), groups=(), edges=((0, 1, -3),)), (8, 0)),
+        ],
+    )
+    def test_negative_coefficients(self, backend, plan, state):
+        got = advance(plan, bind(plan, backend), state, 10)
+        assert got == repeated_pure_steps(plan, state, 10)
+        assert got[2] == 0 and any(min(row[0]) < 0 for row in got[0])
+
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_extension)])
+    def test_wide_chain_rows_and_shared_states(self, backend):
+        plan = plan_for(build_linear_chain(2, 600))
+        state = (random.Random(600).getrandbits(599),) + (0,) * 599
+        kernel = bind(plan, backend)
+        rows, last, stop = advance(plan, kernel, state, 1024)
+        assert (rows, last, stop) == repeated_pure_steps(plan, state, 1024)
+        assert stop == 0 and len(rows) == 599
+        # as in C: each row's state is the previous update's next state, and
+        # common carries equal to the partials are the partials' tuple
+        assert rows[0][0] is state
+        assert all(row[2] is row[1] for row in rows[1:])
+        head, mid, _ = advance(plan, kernel, state, 300)
+        tail, end, _ = advance(plan, kernel, mid, 1024)
+        assert tail[0][0] is mid
+        assert head + tail == rows and end == last
+
+    @needs_extension
+    def test_leaving_c_is_logged(self, caplog):
+        # 2**69 halves on each update down the chain: after 7 updates in
+        # Python the carried value 2**62 fits in int64 again
+        spec = build_linear_chain(2, 70)
+        with caplog.at_level(logging.DEBUG, logger="caosim"):
+            trace = run(spec, (2**69,) + (0,) * 69, engine="matrix", backend="compiled")
+        assert trace.final_state == (0,) * 69 + (1,)
+        [record] = [r for r in caplog.records if r.name == "caosim"]
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == (
+            "left C with 1 of 70 components outside int64; "
+            "7 updates in Python, then back into C"
+        )
 
 
 @pytest.mark.skipif(kernel_compiler() is None, reason="no C compiler on PATH")

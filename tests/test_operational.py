@@ -171,6 +171,11 @@ class TestStepOperational:
         with pytest.raises(ValueError):
             step_operational(showcase, (1,))
 
+    @pytest.mark.parametrize("value", [9.7, 9.0, True, "9"])
+    def test_rejects_components_that_are_not_integers(self, showcase, value):
+        with pytest.raises(ValueError, match="not an integer"):
+            step_operational(showcase, (100, value, 0, 0, 0, 0, 0))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_effects_respect_the_procedure_laws(self, seed):
