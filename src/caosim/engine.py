@@ -157,8 +157,8 @@ def with_parameters(
             )
         new_ops.append(
             Operator(
-                inputs=tuple((e, int(r)) for (e, _), r in zip(op.inputs, radices)),
-                outputs=tuple((t, int(c)) for (t, _), c in zip(op.outputs, coeffs)),
+                inputs=tuple((e, r) for (e, _), r in zip(op.inputs, radices)),
+                outputs=tuple((t, c) for (t, _), c in zip(op.outputs, coeffs)),
                 form=op.form,
             )
         )

@@ -16,16 +16,16 @@ variable is unset.
 Every update goes through :func:`advance`: given a plan, the kernel
 :func:`bind` chose for it, a state and a limit, it returns a stretch of
 updates as ``(rows, last, stop)``. It steps in C for as long as int64 holds
-the state and the credits. In Python, the first update of a stretch is
-:func:`pure_step`; the updates after it are taken the frontier way: an
-update changes only the entries whose common carry is nonzero and the
-entries they credit, so only those entries' partial carries and the carry
-groups they belong to are computed again (in a sandpile, only sites that
-just received grains can topple; Dhar, PRL 64, 1990). On the compiled
-backend the stretch goes back into C as soon as every component fits in
-int64 again, and each time it leaves C it logs a DEBUG record on the
-``caosim`` logger. :func:`step` is ``advance`` with a limit of one, and
-:func:`caosim.simulate.run` drives whole runs with it.
+the state and the credits. In Python, a stretch is taken the frontier way:
+its first update computes every carry, and each update after it changes
+only the entries whose common carry is nonzero and the entries they credit,
+so only those entries' partial carries and the carry groups they belong to
+are computed again (in a sandpile, only sites that just received grains can
+topple; Dhar, PRL 64, 1990). On the compiled backend the stretch goes back
+into C as soon as every component fits in int64 again, and each time it
+leaves C it logs a DEBUG record on the ``caosim`` logger. :func:`step` is
+``advance`` with a limit of one, and :func:`caosim.simulate.run` drives
+whole runs with it.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class StepPlan:
         ``(out, member_of, owned)``. ``out[i]`` holds entity i's edges as
         ``(dst, coeff)`` pairs, ``member_of[i]`` the ids of the groups i
         belongs to, and ``owned[g]`` the members whose common carry group g
-        sets: :func:`pure_step` folds the groups in plan order, so an entity
-        in several groups takes the last one's minimum."""
+        sets: the groups fold in plan order, so an entity in several groups
+        takes the last one's minimum."""
         out = [[] for _ in self.n]
         member_of = [[] for _ in self.n]
         last = {}
@@ -135,26 +135,6 @@ def plan_for(spec: CaoSpec) -> StepPlan:
     return StepPlan(n=tuple(n), groups=tuple(groups), edges=tuple(edges))
 
 
-def pure_step(state: Sequence[int], plan: StepPlan) -> StepResult:
-    """One synchronous update in unbounded integer arithmetic.
-
-    Returns ``(next_state, partial_carries, common_carries)``. The update is
-    a snapshot: every carry is computed from ``state`` before any component
-    is written.
-    """
-    n = plan.n
-    p = [s // r if r else 0 for s, r in zip(state, n)]
-    pc = list(p)
-    for members in plan.groups:
-        low = min(p[i] for i in members)
-        for i in members:
-            pc[i] = low
-    nxt = [s - c * r if r else s for s, c, r in zip(state, pc, n)]
-    for src, dst, coeff in plan.edges:
-        nxt[dst] += pc[src] * coeff
-    return tuple(nxt), tuple(p), tuple(pc)
-
-
 def backend_name(backend: str | None) -> str:
     """The backend that ``backend`` selects: "pure", "compiled", or for None
     the module default. Raises ValueError for any other name."""
@@ -185,10 +165,9 @@ def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int):
     ``limit`` rows were taken.
 
     Updates run in C while int64 holds them. From an update it cannot hold,
-    the stretch goes on in Python: that update by :func:`pure_step`, the
-    ones after it by :func:`_frontier`, until every component fits in int64
-    again and the stretch goes back into C. The pure backend takes the whole
-    stretch in Python the same way.
+    the stretch goes on in Python by :func:`_frontier`, until every
+    component fits in int64 again and the stretch goes back into C. The pure
+    backend takes the whole stretch in Python the same way.
     """
     rows: list = []
     while len(rows) < limit:
@@ -198,25 +177,17 @@ def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int):
             if stop != 2:
                 return rows, state, stop
             left = len(rows)
-        nxt, p, pc = pure_step(state, plan)
-        rows.append((state, p, pc))
-        if not any(pc):
-            stop = 0
-        elif len(rows) == limit:
-            stop = 1
-        else:
-            nxt, stop = _frontier(plan, compiled is not None, rows, nxt, p, pc, limit)
+        state, stop = _frontier(plan, compiled is not None, rows, state, limit)
         if compiled is not None and (log := _debug_log()) is not None:
             log.debug(
                 "left C with %d of %d components outside int64; %d updates in Python, then %s",
-                sum(1 for v in state if not 0 <= v <= _INT64_MAX),
-                len(state),
+                sum(1 for v in rows[left][0] if not 0 <= v <= _INT64_MAX),
+                plan.m,
                 len(rows) - left,
                 ("a fixed point", "the stretch's limit", "back into C")[stop],
             )
         if stop != 2:
-            return rows, nxt, stop
-        state = nxt
+            return rows, state, stop
     return rows, state, 1
 
 
@@ -234,31 +205,28 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _frontier(plan: StepPlan, compiled: bool, rows: list, state, p, pc, limit: int):
-    """Go on with a stretch after :func:`pure_step` took its first update.
+def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
+    """Take updates of ``state`` in Python, appending their rows to ``rows``
+    (the stretch so far) up to ``limit`` rows in all.
 
-    ``state`` is that update's result, ``p`` and ``pc`` its carries, and
-    ``rows`` the stretch so far; the rows of the updates taken here are
-    appended to it, up to ``limit`` rows in all. Returns ``(last, stop)``,
-    with ``stop`` as in :func:`advance`, or 2 when ``compiled`` and every
-    component of ``last`` fits in int64, so C can take the next update.
+    Returns ``(last, stop)``, with ``stop`` as in :func:`advance`, or 2 when
+    ``compiled`` and every component of ``last`` fits in int64 after at
+    least one update here, so C can take the next one.
 
-    The state and the carries are kept as lists. An update changes only the
-    firing entries (common carry nonzero) and the entries they credit, so
-    only those get their partial carry computed again, and only the groups
-    whose members' partials changed are folded again. Each row is copied
-    out with ``tuple()``.
+    The state and the carries are kept as lists, starting from zero carries
+    with every entry to compute. An update changes only the firing entries
+    (common carry nonzero) and the entries they credit, so only those get
+    their partial carry computed again, and only the groups whose members'
+    partials changed are folded again; an entity in several groups takes
+    the last one's minimum. Each row is copied out with ``tuple()``.
     """
-    if compiled and min(state) >= 0 and max(state) <= _INT64_MAX:
-        return state, 2
     n, groups = plan.n, plan.groups
     out, member_of, owned = plan._fanout
-    head, s, p, pc = state, list(state), list(p), list(pc)
+    head, s = tuple(state), list(state)
+    p, pc = [0] * len(s), [0] * len(s)
     wide = {j for j, v in enumerate(s) if not 0 <= v <= _INT64_MAX} if compiled else None
-    fire = {i for i, c in enumerate(pc) if c}
-    touched = set(fire)
-    for i in fire:
-        touched.update([d for d, _ in out[i]])
+    fire = set()
+    touched = range(len(s))
     while True:
         # carries of the entries the last update changed, then of their groups
         dirty = set()
@@ -282,14 +250,6 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, p, pc, limit: i
                     fire.add(x)
                 else:
                     fire.discard(x)
-        if compiled:
-            for j in touched:
-                if 0 <= s[j] <= _INT64_MAX:
-                    wide.discard(j)
-                else:
-                    wide.add(j)
-            if not wide:
-                return head, 2
         pt = tuple(p)
         rows.append((head, pt, pt if p == pc else tuple(pc)))
         if not fire:
@@ -305,6 +265,14 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, p, pc, limit: i
         head = tuple(s)
         if len(rows) == limit:
             return head, 1
+        if compiled:
+            for j in touched:
+                if 0 <= s[j] <= _INT64_MAX:
+                    wide.discard(j)
+                else:
+                    wide.add(j)
+            if not wide:
+                return head, 2
 
 
 def step(
@@ -313,8 +281,8 @@ def step(
     """Dispatch one update to the selected backend.
 
     ``backend`` may be "pure", "compiled", or None (module default). The
-    compiled backend takes any update it cannot represent in 64 bits with
-    :func:`pure_step`, and logs it as :func:`advance` does.
+    compiled backend takes any update it cannot represent in 64 bits in
+    Python, and logs it as :func:`advance` does.
     """
     rows, nxt, _ = advance(plan, bind(plan, backend), state, 1)
     _, p, pc = rows[0]

@@ -213,6 +213,11 @@ def _find_cycle(names: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[
     return None
 
 
+def _is_integer(value) -> bool:
+    """True for an ``int``; a ``bool`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check(
     name: str,
     entities: Sequence[Entity],
@@ -239,7 +244,9 @@ def check(
         if ent.name in seen:
             err("duplicate-name", f"entity {ent.name!r} declared more than once", entity=ent.name)
         seen.add(ent.name)
-        if ent.start < 0:
+        if not _is_integer(ent.start):
+            err("bad-start", f"entity {ent.name!r} has a start value that is not an integer: {ent.start!r}", entity=ent.name)
+        elif ent.start < 0:
             err("bad-start", f"entity {ent.name!r} has negative start value {ent.start}", entity=ent.name)
 
     known = {e.name for e in entities}
@@ -263,10 +270,14 @@ def check(
         if overlap:
             err("self-loop", f"operator #{k} uses {overlap[0]!r} as both input and output", entity=overlap[0], operator=k)
         for e, radix in op.inputs:
-            if radix < 2:
+            if not _is_integer(radix):
+                err("bad-radix", f"operator #{k} input {e!r} has a radix that is not an integer: {radix!r}", entity=e, operator=k)
+            elif radix < 2:
                 err("bad-radix", f"operator #{k} input {e!r} has radix {radix}; must be >= 2", entity=e, operator=k)
         for e, coeff in op.outputs:
-            if coeff < 1:
+            if not _is_integer(coeff):
+                err("bad-coefficient", f"operator #{k} output {e!r} has a coefficient that is not an integer: {coeff!r}", entity=e, operator=k)
+            elif coeff < 1:
                 err("bad-coefficient", f"operator #{k} output {e!r} has coefficient {coeff}; must be >= 1", entity=e, operator=k)
         inferred = infer_form(max(len(op.inputs), 1), max(len(op.outputs), 1))
         if op.form is not None and op.form != inferred:
@@ -391,7 +402,7 @@ def check_state(spec: CaoSpec, state: Sequence[int]) -> None:
     if set(map(type, state)) <= {int} and (not state or min(state) >= 0):
         return  # the common case, checked at C speed; the loop names the culprit
     for ent, value in zip(spec.entities, state):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_integer(value):
             raise ValueError(f"entity {ent.name!r} has a cardinal that is not an integer: {value!r}")
         if value < 0:
             raise NegativeComponentError(

@@ -6,10 +6,11 @@ out. The default mode drives the matrix engine and the operational engine in
 lock step and raises on the first disagreement, so every ordinary simulation
 doubles as a consistency check between the two routes.
 
-The loop binds each parameter set once per run: the step plan and compiled
-kernel for the matrix route, the resolved operators for the operational
-route. The matrix route steps in stretches taken by ``kernel.advance``:
-whole chunks of updates once the parameters can no longer change, one update
+The loop binds the routes to each parameter set as it comes into force:
+the step plan and compiled kernel for the matrix route, the resolved
+operators for the operational route, each from its per-spec cache. The
+matrix route steps in stretches taken by ``kernel.advance``: chunks of up to
+``_RUN_CHUNK`` updates once the parameters can no longer change, one update
 at a time before. The operational route enacts one update per pass, and
 "both" checks every matrix update against it.
 
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 from . import kernel, rational
 from .engine import ParameterSchedule, _same_topology, derive
 from .kernel import StepResult
-from .model import CaoSpec, Entity, Operator, Role, check_state, validate
+from .model import CaoSpec, Entity, Operator, Role, _is_integer, check_state, validate
 from .operational import enact, resolve
 
 ENGINES = ("matrix", "operational", "both")
@@ -96,15 +97,6 @@ class EngineDivergenceError(AssertionError):
         )
 
 
-def _start_value(value, where: str) -> int:
-    """A start value as given: an ``int`` that is not a ``bool``, else
-    ValueError, so that ``9.7``, ``"9"`` or ``True`` are never truncated or
-    converted into a start."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"start value of {where} is not an integer: {value!r}")
-    return int(value)
-
-
 def _initial_state(
     spec: CaoSpec, initial: Mapping[str, int] | Sequence[int] | None
 ) -> tuple[int, ...]:
@@ -115,12 +107,9 @@ def _initial_state(
         for name, v in initial.items():
             if name not in values:
                 raise KeyError(f"no entity named {name!r} in CAO {spec.name!r}")
-            values[name] = _start_value(v, repr(name))
+            values[name] = v
         return tuple(values[n] for n in spec.names)
-    vec = tuple(_start_value(v, f"component {i}") for i, v in enumerate(initial))
-    if len(vec) != spec.m:
-        raise ValueError(f"initial state has {len(vec)} components, CAO has {spec.m}")
-    return vec
+    return tuple(initial)
 
 
 def _stable_from(schedule: ParameterSchedule) -> int | None:
@@ -130,95 +119,6 @@ def _stable_from(schedule: ParameterSchedule) -> int | None:
     if not schedule.overrides:
         return 0
     return max(k for k, _ in schedule.overrides) + 1
-
-
-def _bind(spec: CaoSpec, engine: str, backend: str):
-    """What the engine's routes step ``spec`` with: ``(plan, compiled,
-    operators)``, the routes it does not use left None."""
-    plan = compiled = operators = None
-    if engine != "operational":
-        plan = kernel.plan_for(spec)
-        compiled = kernel.bind(plan, backend)
-    if engine != "matrix":
-        operators = resolve(spec)
-    return plan, compiled, operators
-
-
-def _drive(
-    spec: CaoSpec,
-    initial: Mapping[str, int] | Sequence[int] | None,
-    max_steps: int,
-    engine: str,
-    schedule: ParameterSchedule | None,
-    backend: str | None,
-) -> tuple[list[TraceStep], str | None, Divergence | None]:
-    """The stepping loop behind :func:`run` and :func:`compare_engines`.
-
-    Each pass takes one stretch of updates and records it. The matrix route
-    takes it with ``kernel.advance``: up to ``_RUN_CHUNK`` updates once the
-    schedule is settled, otherwise one. The operational route enacts one
-    update per pass. With engine "both" every matrix update of the stretch
-    is checked against the operational route from the same state.
-
-    Each distinct parameter set is bound once, and the state is checked once
-    on entering each stretch of steps that share a set: an update of a
-    checked state keeps its length and, with radices >= 2 and coefficients
-    >= 1, its signs.
-
-    Returns ``(entries, termination, divergence)``. With engine "both" the
-    loop stops at the first step on which the two routes disagree; that step
-    and the rest of its stretch are not recorded, the termination is None
-    and the divergence says where. Otherwise the divergence is None.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    backend = kernel.backend_name(backend)
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    if schedule is not None and not _same_topology(spec, schedule.base):
-        raise ValueError(
-            f"the schedule's CAO {schedule.base.name!r} does not have the topology of {spec.name!r}"
-        )
-    sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
-    stable_from = _stable_from(sched)
-    state = _initial_state(spec, initial)
-    bound: dict[int, tuple] = {}  # by id: hashing a spec is the per-step cost avoided
-    current = None
-    entries: list[TraceStep] = []
-    divergence = None
-    k = 0
-    while True:
-        spec_k = sched.spec_at(k)
-        if spec_k is not current:
-            current = spec_k
-            check_state(spec_k, state)
-            if id(spec_k) not in bound:
-                bound[id(spec_k)] = _bind(spec_k, engine, backend)
-            plan, compiled, operators = bound[id(spec_k)]
-        settled = stable_from is not None and k >= stable_from
-        if engine == "operational":
-            nxt, p, pc = enact(operators, state)
-            rows, last, stop = [(state, p, pc)], nxt, 1 if any(pc) else 0
-        else:
-            limit = min(_RUN_CHUNK if settled else 1, max_steps + 1 - k)
-            rows, last, stop = kernel.advance(plan, compiled, state, limit)
-        if engine == "both":
-            for i, (s, p, pc) in enumerate(rows):
-                got = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
-                want = enact(operators, s)
-                if got != want:
-                    divergence = Divergence(k + i, s, got, want)
-                    del rows[i:]
-                    break
-        entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
-        k += len(rows)
-        if divergence is not None:
-            return entries, None, divergence
-        if settled and stop == 0:
-            return entries, "fixed-point", None
-        if k > max_steps:
-            return entries, "step-limit", None
-        state = last
 
 
 def run(
@@ -233,20 +133,63 @@ def run(
     """Simulate until a fixed point or for at most ``max_steps`` updates.
 
     ``engine`` is "matrix", "operational", or "both" (run both, demand exact
-    agreement on states and carries each step). ``initial`` may be a full
-    vector or a name→value mapping overriding the declared start values.
-    A ``schedule`` makes the run non-stationary; fixed points are then only
-    declared once the schedule can no longer change the parameters.
+    agreement on states and carries each step; the first mismatch raises
+    :class:`EngineDivergenceError`). ``initial`` may be a full vector or a
+    name→value mapping overriding the declared start values. A ``schedule``
+    makes the run non-stationary; fixed points are then only declared once
+    the schedule can no longer change the parameters.
+
+    Whenever the parameter set changes, the routes in use are bound to it
+    and ``check_state`` checks the state: an update of a checked state keeps
+    its length and, with radices >= 2 and coefficients >= 1, its signs.
     """
-    entries, termination, divergence = _drive(
-        spec, initial, max_steps, engine, schedule, backend
-    )
-    if divergence is not None:
-        raise EngineDivergenceError(divergence)
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    backend = kernel.backend_name(backend)
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    if schedule is not None and not _same_topology(spec, schedule.base):
+        raise ValueError(
+            f"the schedule's CAO {schedule.base.name!r} does not have the topology of {spec.name!r}"
+        )
+    sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
+    stable_from = _stable_from(sched)
+    state = _initial_state(spec, initial)
+    current = None
+    entries: list[TraceStep] = []
+    k = 0
+    while True:
+        spec_k = sched.spec_at(k)
+        if spec_k is not current:
+            current = spec_k
+            check_state(spec_k, state)
+            if engine != "operational":
+                plan = kernel.plan_for(spec_k)
+                compiled = kernel.bind(plan, backend)
+            if engine != "matrix":
+                operators = resolve(spec_k)
+        settled = stable_from is not None and k >= stable_from
+        if engine == "operational":
+            nxt, p, pc = enact(operators, state)
+            rows, last, stop = [(state, p, pc)], nxt, 1 if any(pc) else 0
+        else:
+            limit = min(_RUN_CHUNK if settled else 1, max_steps + 1 - k)
+            rows, last, stop = kernel.advance(plan, compiled, state, limit)
+        if engine == "both":
+            for i, (s, p, pc) in enumerate(rows):
+                got = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
+                want = enact(operators, s)
+                if got != want:
+                    raise EngineDivergenceError(Divergence(k + i, s, got, want))
+        entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
+        k += len(rows)
+        if settled and stop == 0 or k > max_steps:
+            break
+        state = last
     return CstTrace(
         spec=spec,
         engine=engine,
-        termination=termination,
+        termination="fixed-point" if settled and stop == 0 else "step-limit",
         steps=tuple(entries),
         schedule=schedule,
     )
@@ -269,13 +212,17 @@ def compare_engines(
 ) -> EngineComparison:
     """Drive both engines from the same states and report the first mismatch.
 
-    Unlike ``run(engine="both")`` this never raises on divergence; it returns
-    what happened. The comparison continues from the matrix engine's states.
+    This is ``run(engine="both")`` returning what happened instead of raising
+    on divergence. The comparison continues from the matrix engine's states.
     ``steps_compared`` counts every compared step, the diverging one included.
     """
-    entries, _, divergence = _drive(spec, initial, max_steps, "both", schedule, backend)
-    compared = len(entries) + (divergence is not None)
-    return EngineComparison(divergence is None, compared, divergence)
+    try:
+        trace = run(
+            spec, initial, max_steps=max_steps, engine="both", schedule=schedule, backend=backend
+        )
+    except EngineDivergenceError as e:
+        return EngineComparison(False, e.divergence.k + 1, e.divergence)
+    return EngineComparison(True, len(trace.steps), None)
 
 
 # --- Conserved weights -------------------------------------------------------
@@ -321,6 +268,8 @@ def check_conservation(
     Weights default to the full conserved basis of the trace's CAO, which
     holds only where every step used the CAO's own parameters: a trace run
     under any other schedule needs explicit ``weights`` (ValueError without).
+    An explicit row must hold one ``int`` (not a ``bool``) per entity, else
+    ValueError.
     """
     if weights is None:
         sched = trace.schedule
@@ -331,7 +280,12 @@ def check_conservation(
             )
         rows = conserved_weights(trace.spec)
     else:
-        rows = tuple(tuple(int(x) for x in w) for w in weights)
+        rows = tuple(tuple(w) for w in weights)
+        for w in rows:
+            if len(w) != trace.spec.m:
+                raise ValueError(f"weight row has {len(w)} entries, CAO has {trace.spec.m} entities")
+            if not all(map(_is_integer, w)):
+                raise ValueError(f"weight row {w} has an entry that is not an integer")
     constants = tuple(
         sum(wi * si for wi, si in zip(w, trace.steps[0].state)) for w in rows
     )

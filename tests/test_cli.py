@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,22 @@ class TestValidate:
         monkeypatch.setattr("sys.stdin", io.StringIO(SHOWCASE_TEXT))
         assert main(["validate", "-"]) == EXIT_OK
         assert "<stdin>" not in capsys.readouterr().err
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("engine", ["both", "matrix", "operational"])
+def test_readme_quick_start_prints_its_table(tmp_path, capsys, engine, backend):
+    # the quick start's CAO, and the table printed under its command line
+    cao = re.search(r"^cao counter \{\n.*?^\}\n", README, re.M | re.S).group(0)
+    table = re.search(r"^\$ caosim simulate counter\.cao\n(.*?)^```", README, re.M | re.S).group(1)
+    path = tmp_path / "counter.cao"
+    path.write_text(cao)
+    argv = ["simulate", str(path), "--engine", engine, "--backend", backend]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == table.replace("engine=both", f"engine={engine}", 1)
 
 
 class TestSimulate:

@@ -178,6 +178,18 @@ class TestParameterChanges:
                 [((1, 3), (2, 4)), ((6,), (1,)), ((7,), (2, 2)), ((9, 9), (5,))],
             )
 
+    @pytest.mark.parametrize(
+        "radix, coeff, code",
+        [(2.7, 1, "bad-radix"), (True, 1, "bad-radix"), (2, 1.5, "bad-coefficient"), (2, True, "bad-coefficient")],
+    )
+    def test_with_parameters_rejects_numbers_that_are_not_integers(self, radix, coeff, code):
+        # int() would truncate 2.7 to 2 and 1.5 or True to 1
+        from caosim import InvalidCaoError
+
+        with pytest.raises(InvalidCaoError, match="not an integer") as info:
+            with_parameters(_single_link(10), [((radix,), (coeff,))])
+        assert [i.code for i in info.value.report.errors] == [code]
+
     def test_schedule_lookup_and_gaps(self):
         ten = _single_link(10)
         five = _single_link(5)

@@ -6,6 +6,7 @@ import logging
 import random
 import subprocess
 import sys
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +15,11 @@ from caosim import build_linear_chain, parse, random_cao, random_state, run
 from caosim.kernel import (
     COMPILED_AVAILABLE,
     StepPlan,
+    StepResult,
     _stepcore,
     advance,
     bind,
     plan_for,
-    pure_step,
     step,
 )
 from conftest import GROWING_CYCLE_TEXT, kernel_compile_command, kernel_compiler
@@ -26,6 +27,27 @@ from conftest import GROWING_CYCLE_TEXT, kernel_compile_command, kernel_compiler
 needs_extension = pytest.mark.skipif(
     not COMPILED_AVAILABLE, reason="compiled kernel not built"
 )
+
+
+# The oracle for ``advance``: every carry of every entry, on every update.
+def pure_step(state: Sequence[int], plan: StepPlan) -> StepResult:
+    """One synchronous update in unbounded integer arithmetic.
+
+    Returns ``(next_state, partial_carries, common_carries)``. The update is
+    a snapshot: every carry is computed from ``state`` before any component
+    is written.
+    """
+    n = plan.n
+    p = [s // r if r else 0 for s, r in zip(state, n)]
+    pc = list(p)
+    for members in plan.groups:
+        low = min(p[i] for i in members)
+        for i in members:
+            pc[i] = low
+    nxt = [s - c * r if r else s for s, c, r in zip(state, pc, n)]
+    for src, dst, coeff in plan.edges:
+        nxt[dst] += pc[src] * coeff
+    return tuple(nxt), tuple(p), tuple(pc)
 
 
 def compiled_update(plan, state):
@@ -160,20 +182,20 @@ class TestPlanKernelRun:
 
     def test_zero_limit_takes_no_rows(self, showcase):
         state = (100, 100, 0, 0, 0, 0, 0)
-        rows, last, stop = bind(plan_for(showcase)).run(state, 0)
+        rows, last, stop = bind(plan_for(showcase), "compiled").run(state, 0)
         assert rows == [] and last is state and stop == 1
 
     def test_fixed_point_on_the_first_row(self):
-        kernel = bind(plan_for(build_linear_chain(2, 2)))
+        kernel = bind(plan_for(build_linear_chain(2, 2)), "compiled")
         assert kernel.run((1, 5), 10) == ([((1, 5), (0, 0), (0, 0))], (1, 5), 0)
 
     def test_stops_at_the_limit(self, showcase):
-        rows, last, stop = bind(plan_for(showcase)).run((100, 100, 0, 0, 0, 0, 0), 2)
+        rows, last, stop = bind(plan_for(showcase), "compiled").run((100, 100, 0, 0, 0, 0, 0), 2)
         assert stop == 1 and len(rows) == 2
         assert last == (0, 20, 2, 0, 4, 6, 0)
 
     def test_overflow_mid_run_returns_the_unstepped_state(self):
-        kernel = bind(self.GROW)
+        kernel = bind(self.GROW, "compiled")
         state = (2**60,)
         rows, last, stop = kernel.run(state, 100)
         assert stop == 2 and len(rows) == 5
@@ -193,7 +215,7 @@ class TestPlanKernelRun:
         assert kernel.run(last, 1) == ([], last, 2)
 
     def test_rejects_a_wrong_length_state_and_a_negative_limit(self, showcase):
-        kernel = bind(plan_for(showcase))
+        kernel = bind(plan_for(showcase), "compiled")
         with pytest.raises(ValueError):
             kernel.run((1, 2), 5)
         with pytest.raises(ValueError):
@@ -201,7 +223,7 @@ class TestPlanKernelRun:
 
     def test_rows_share_the_next_state_objects(self, showcase):
         plan = plan_for(showcase)
-        kernel = bind(plan)
+        kernel = bind(plan, "compiled")
         state = (100, 100, 0, 0, 0, 0, 0)
         rows, last, _ = kernel.run(state, 2)
         assert rows[0][0] is state
@@ -215,7 +237,7 @@ class TestPlanKernelRun:
         rng = random.Random(seed)
         plan = plan_for(random_cao(rng, coeff_range=(1, 20)))
         state = straddling_state(rng, plan)
-        kernel = bind(plan)
+        kernel = bind(plan, "compiled")
         rows, last, stop = kernel.run(state, limit)
         for row in rows:
             assert row[0] == state
@@ -250,7 +272,7 @@ class TestAdvance:
         # 2**63 + 2 leaves int64; its carry 2**62 + 1 fits again
         plan = plan_for(build_linear_chain(2, 3))
         state = (2**63 + 2, 0, 0)
-        rows, last, stop = advance(plan, bind(plan), state, 10)
+        rows, last, stop = advance(plan, bind(plan, "compiled"), state, 10)
         assert (rows, last, stop) == advance(plan, None, state, 10)
         assert [r[0] for r in rows] == [state, (0, 2**62 + 1, 0), (0, 1, 2**61)]
         assert stop == 0 and last == (0, 1, 2**61)

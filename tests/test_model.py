@@ -103,6 +103,26 @@ class TestValidation:
         report = check("x", [Entity("a", Role.INITIAL, -3)], [])
         assert "bad-start" in codes(report)
 
+    @pytest.mark.parametrize(
+        "radix, coeff, start, code",
+        [
+            (2.5, 1, 0, "bad-radix"),
+            (2.0, 1, 0, "bad-radix"),
+            (True, 1, 0, "bad-radix"),
+            (2, 1.5, 0, "bad-coefficient"),
+            (2, True, 0, "bad-coefficient"),
+            (2, 1, 1.5, "bad-start"),
+            (2, 1, False, "bad-start"),
+        ],
+    )
+    def test_numbers_must_be_integers(self, radix, coeff, start, code):
+        # a float or bool would reach the kernels, or be truncated on the way
+        entities = [Entity("a", Role.INITIAL, start), Entity("b", Role.FINAL)]
+        with pytest.raises(InvalidCaoError) as info:
+            validate("x", entities, [op([("a", radix)], [("b", coeff)])])
+        [issue] = info.value.report.errors
+        assert issue.code == code and "not an integer" in issue.message
+
     def test_bad_names(self):
         assert "bad-name" in codes(check("9lives", [ent("a")], []))
         assert "bad-name" in codes(check("x", [ent("no spaces")], []))

@@ -209,6 +209,22 @@ class TestConservedWeights:
         steady = run(chain, (20, 0, 0), schedule=ParameterSchedule.constant(chain))
         assert check_conservation(steady).ok
 
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            pytest.param([1], "1 entries", id="short"),
+            pytest.param([1, 2, 4, 99], "4 entries", id="long"),
+            pytest.param([1.9, 2, 4], "not an integer", id="float"),
+            pytest.param([True, 2, 4], "not an integer", id="bool"),
+        ],
+    )
+    def test_explicit_weight_rows_are_checked(self, row, match):
+        # zipped and passed through int(), these read as drift, as conserved
+        # with the 99 dropped, or as (1, 2, 4)
+        trace = run(build_linear_chain(2, 3), (20, 0, 0))
+        with pytest.raises(ValueError, match=match):
+            check_conservation(trace, [row])
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_every_basis_vector_annihilates_the_transition(self, seed):
