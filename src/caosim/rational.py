@@ -1,113 +1,62 @@
-"""Exact rational linear algebra for small dense matrices.
+"""Exact integer linear algebra: the left null space of an integer matrix.
 
-Everything here works on sequences of :class:`fractions.Fraction` (plain ints
-are accepted and coerced). Pivoting is deterministic — first nonzero entry in
-the current column — so bases are reproducible across runs.
+One fraction-free Gauss–Jordan elimination on the transpose (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): a row is combined with the pivot row
+as a·row − b·pivot and divided by the gcd of its entries, so every entry
+stays an integer and small. Pivoting is deterministic — first nonzero entry
+in the current column — and the reduced row echelon form is unique, so the
+basis is the one that exact rational elimination would give, scaled to
+primitive integer rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-Vector = tuple[Fraction, ...]
-Matrix = Sequence[Sequence[int | Fraction]]
 
+def left_null_space(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Basis of {w : wᵀM = 0}, one row per free column of Mᵀ, in column order.
 
-def _to_rows(matrix: Matrix) -> list[list[Fraction]]:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
-
-
-def rref(matrix: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form.
-
-    Returns (rows, pivot_columns). Pivot selection is the first row with a
-    nonzero entry in the current column.
+    Each row is primitive: its entries are coprime integers and its leading
+    nonzero entry is positive. An empty matrix (no rows) has no dimension.
     """
-    rows = _to_rows(matrix)
-    if not rows:
-        return (), ()
-    n_cols = len(rows[0])
+    if not matrix:
+        raise ValueError("cannot infer dimension from an empty matrix")
+    width = len(matrix[0])
+    if any(len(row) != width for row in matrix):
+        raise ValueError("ragged matrix")
+    m = len(matrix)
+    rows = [list(col) for col in zip(*matrix) if any(col)]
     pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == len(rows):
-            break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
+    for c in range(m):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                g = gcd(pivot[c], row[c])
+                a, b = pivot[c] // g, row[c] // g
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
-def null_space(matrix: Matrix) -> tuple[Vector, ...]:
-    """Basis of {x : M x = 0}, one vector per free column, in column order.
-
-    An empty matrix (no rows) has no constraints; callers must pass at least
-    one row to fix the dimension.
-    """
-    rows = _to_rows(matrix)
-    if not rows:
-        raise ValueError("cannot infer dimension from an empty matrix")
-    n_cols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for f in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            # row r reads x_c + sum(reduced[r][j] * x_j for free j) = 0
-            vec[c] = -reduced[r][f]
-        basis.append(tuple(vec))
+    # Row r now reads d_r·x_{c_r} + Σ_f a[r][f]·x_f = 0 over the free columns
+    # f; x_f = L, the lcm of the pivots d_r, makes every x_{c_r} an integer.
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    factors = [scale // row[c] for row, c in zip(rows, pivots)]
+    basis = []
+    for f in sorted(set(range(m)).difference(pivots)):
+        vec = [0] * m
+        vec[f] = scale
+        for c, row, k in zip(pivots, rows, factors):
+            vec[c] = -row[f] * k
+        g = gcd(*vec)
+        if next(x for x in vec if x) < 0:
+            g = -g
+        basis.append(tuple(x // g for x in vec))
     return tuple(basis)
-
-
-def left_null_space(matrix: Matrix) -> tuple[Vector, ...]:
-    """Basis of {w : w^T M = 0}."""
-    rows = _to_rows(matrix)
-    if not rows:
-        raise ValueError("cannot infer dimension from an empty matrix")
-    transposed = [list(col) for col in zip(*rows)]
-    return null_space(transposed)
-
-
-def primitive(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers with positive leading sign."""
-    fracs = [Fraction(x) for x in vec]
-    if not any(fracs):
-        raise ValueError("the zero vector has no primitive representative")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
-
-
-def dot(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))

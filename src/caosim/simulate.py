@@ -135,9 +135,10 @@ def run(
     ``engine`` is "matrix", "operational", or "both" (run both, demand exact
     agreement on states and carries each step; the first mismatch raises
     :class:`EngineDivergenceError`). ``initial`` may be a full vector or a
-    name→value mapping overriding the declared start values. A ``schedule``
-    makes the run non-stationary; fixed points are then only declared once
-    the schedule can no longer change the parameters.
+    name→value mapping overriding the declared start values. ``max_steps``
+    must be an ``int`` >= 0, not a ``bool`` (ValueError otherwise). A
+    ``schedule`` makes the run non-stationary; fixed points are then only
+    declared once the schedule can no longer change the parameters.
 
     Whenever the parameter set changes, the routes in use are bound to it
     and ``check_state`` checks the state: an update of a checked state keeps
@@ -146,6 +147,8 @@ def run(
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     backend = kernel.backend_name(backend)
+    if not _is_integer(max_steps):
+        raise ValueError(f"max_steps must be an integer, got {max_steps!r}")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if schedule is not None and not _same_topology(spec, schedule.base):
@@ -255,9 +258,7 @@ def conserved_weights(spec: CaoSpec) -> tuple[tuple[int, ...], ...]:
     in the span: the update adds (Rᵀ − N)·pc to the state and w annihilates
     it regardless of the carry vector.
     """
-    transition = derive(spec).transition()
-    basis = rational.left_null_space(transition)
-    return tuple(rational.primitive(v) for v in basis)
+    return rational.left_null_space(derive(spec).transition())
 
 
 def check_conservation(

@@ -1,4 +1,5 @@
-"""Shared fixtures: the all-forms showcase CAO and a deterministic fuzz corpus.
+"""Shared fixtures: the all-forms showcase CAO and a deterministic fuzz corpus,
+and ``package_imports``, which reads what a ``caosim`` module imports.
 
 Before ``caosim`` is imported, the compiled step kernel is built in place
 from ``src/caosim/_stepcore.c`` when a C compiler is present, so the tests
@@ -7,6 +8,8 @@ exercise it as well as the pure kernel.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import random
 import shlex
@@ -106,6 +109,27 @@ cao grow {
 
 CORPUS_SEED = 0xCA05
 CORPUS_SIZE = 1000
+
+
+def package_imports(module: str) -> set[str]:
+    """The ``caosim`` modules that the source of ``caosim.<module>`` imports,
+    relatively or by absolute name, anywhere in the file."""
+    path = Path(importlib.import_module(f"caosim.{module}").__file__)
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+            found.update(n[1] if len(n) > 1 else n[0] for n in names if n[0] == "caosim")
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "caosim":
+                continue
+            inside = parts[1:] if node.level == 0 else parts
+            if inside and inside[0]:
+                found.add(inside[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import ast
-import importlib
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +15,7 @@ from caosim import (
     step_operational,
 )
 from caosim.operational import enact
-from conftest import SHOWCASE_TRAJECTORY
+from conftest import SHOWCASE_TRAJECTORY, package_imports
 
 
 def enact_every_operator(operators, state):
@@ -38,27 +35,6 @@ def enact_every_operator(operators, state):
         for t, coeff in outputs:
             nxt[t] += common * coeff
     return tuple(nxt), tuple(p), tuple(pc)
-
-
-def package_imports(module: str) -> set[str]:
-    """The ``caosim`` modules that the source of ``caosim.<module>`` imports,
-    relatively or by absolute name, anywhere in the file."""
-    path = Path(importlib.import_module(f"caosim.{module}").__file__)
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            names = [a.name.split(".") for a in node.names]
-            found.update(n[1] if len(n) > 1 else n[0] for n in names if n[0] == "caosim")
-        elif isinstance(node, ast.ImportFrom):
-            parts = (node.module or "").split(".")
-            if node.level == 0 and parts[0] != "caosim":
-                continue
-            inside = parts[1:] if node.level == 0 else parts
-            if inside and inside[0]:
-                found.add(inside[0])
-            else:
-                found.update(a.name for a in node.names)
-    return found
 
 
 def test_the_two_routes_import_nothing_of_each_other():

@@ -76,6 +76,22 @@ class TestRun:
         assert trace.step_count == 0
         assert trace.termination == "step-limit"
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("engine", ["matrix", "operational", "both"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None, True, False])
+    def test_step_budget_must_be_an_integer(self, engine, backend, bad):
+        # the routes used to disagree on 2.5: a 3-update fixed point on the
+        # matrix route, a 2-update step limit on the operational route
+        chain = build_linear_chain(2, 4)
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            run(chain, (9, 0, 0, 0), max_steps=bad, engine=engine, backend=backend)
+        if engine == "both":
+            with pytest.raises(ValueError, match="max_steps must be an integer"):
+                compare_engines(chain, (9, 0, 0, 0), max_steps=bad, backend=backend)
+        trace = run(chain, (9, 0, 0, 0), max_steps=2, engine=engine, backend=backend)
+        assert trace.step_count == 2
+        assert trace.termination == "step-limit"
+
     def test_engine_choices_agree(self, showcase):
         by_matrix = run(showcase, engine="matrix")
         by_procedure = run(showcase, engine="operational")
@@ -167,6 +183,11 @@ class TestConservedWeights:
     def test_chain_weights_are_radix_powers(self):
         chain = build_linear_chain(10, 4)
         assert conserved_weights(chain) == ((1, 10, 100, 1000),)
+
+    def test_long_chain_weights_stay_exact(self):
+        # 200 pivots whose lcm is 7**199: elimination must keep its entries small
+        chain = build_linear_chain(7, 200)
+        assert conserved_weights(chain) == (tuple(7**i for i in range(200)),)
 
     def test_weights_hold_along_the_showcase_run(self, showcase):
         report = verify_conservation(run(showcase))
