@@ -15,8 +15,10 @@ from tokens:
 Operator forms (L/D/F/M) may be omitted; they follow from the valence.
 Every parse failure — lexical, syntactic, or structural — carries a source
 span (1-based line and column, 0-based half-open offsets) so tools can point
-at the offending text. Serialization is canonical: ``parse(serialize(spec))``
-reproduces the :class:`~caosim.model.CaoSpec` exactly, forms and all.
+at the offending text. Tokens carry only their offsets; a span's line and
+column are counted from its start offset when the diagnostic is built.
+Serialization is canonical: ``parse(serialize(spec))`` reproduces the
+:class:`~caosim.model.CaoSpec` exactly, forms and all.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .engine import ParameterSchedule, with_parameters
 from .model import CaoSpec, Entity, Form, Operator, Role, build_spec, check, infer_form
@@ -48,10 +50,6 @@ class SourceSpan:
     column: int  # 1-based
     start: int  # 0-based offset, inclusive
     end: int  # 0-based offset, exclusive
-
-    def merge(self, other: SourceSpan) -> SourceSpan:
-        first = self if self.start <= other.start else other
-        return SourceSpan(first.line, first.column, min(self.start, other.start), max(self.end, other.end))
 
 
 @dataclass(frozen=True)
@@ -77,189 +75,147 @@ class DslError(ValueError):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT NUMBER { } ( ) , : = -> EOF
-    text: str
-    span: SourceSpan
+def _span(text: str, start: int, end: int) -> SourceSpan:
+    """The span of ``text[start:end]``, its line and column counted from the offsets."""
+    line_start = text.rfind("\n", 0, start) + 1
+    return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1, start, end)
 
 
-def _tokenize(text: str, path: str) -> Iterator[_Token]:
-    i = 0
-    line = 1
-    col = 1
-    size = len(text)
+_Lexeme = tuple[str, str, int, int]  # kind, text, start offset, end offset
+_At = tuple[int, int]  # the start and end offsets of a name or declaration
 
-    def span(start: int, start_line: int, start_col: int, end: int) -> SourceSpan:
-        return SourceSpan(start_line, start_col, start, end)
 
-    while i < size:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+# One alternative per token kind, tried in order from each position; an
+# unnamed match is skipped. \d is what int() reads (isdecimal; isdigit would
+# take "²"), \w is isalnum or "_", and BAD takes any other character.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|\#[^\n]*"
+    r"|(?P<NUMBER>\d+)|(?P<IDENT>\w+)|(?P<PUNCT>->|[{}(),:=])|(?P<BAD>.)",
+    re.DOTALL,
+)
+
+
+def _tokenize(text: str, path: str) -> list[_Lexeme]:
+    """The tokens of ``text``, ending in EOF; a punctuation mark is its own kind."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < size and text[i] != "\n":
-                i += 1
-            continue
-        start, start_line, start_col = i, line, col
-        if ch.isalpha() or ch == "_":
-            while i < size and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            col += i - start
-            yield _Token("IDENT", text[start:i], span(start, start_line, start_col, i))
-            continue
-        if ch.isdecimal():  # what int() reads; isdigit() would take "²"
-            while i < size and text[i].isdecimal():
-                i += 1
-            col += i - start
-            yield _Token("NUMBER", text[start:i], span(start, start_line, start_col, i))
-            continue
-        if ch == "-" and i + 1 < size and text[i + 1] == ">":
-            i += 2
-            col += 2
-            yield _Token("->", "->", span(start, start_line, start_col, i))
-            continue
-        if ch in "{}(),:=":
-            i += 1
-            col += 1
-            yield _Token(ch, ch, span(start, start_line, start_col, i))
-            continue
-        raise DslError(
-            [
-                Diagnostic(
-                    path,
-                    "error",
-                    "bad-token",
-                    f"unexpected character {ch!r}",
-                    span(start, start_line, start_col, i + 1),
-                )
-            ]
-        )
-    yield _Token("EOF", "", SourceSpan(line, col, size, size))
+        word, (start, end) = m.group(), m.span()
+        # \w also takes "²", "½" and "Ⅻ", which may follow a letter but not start a name
+        if kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
+            message = f"unexpected character {word[0]!r}"
+            raise DslError([Diagnostic(path, "error", "bad-token", message, _span(text, start, start + 1))])
+        tokens.append((word if kind == "PUNCT" else kind, word, start, end))
+    tokens.append(("EOF", "", len(text), len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str, path: str):
+        self.text = text
         self.path = path
-        self.tokens = list(_tokenize(text, path))
+        self.tokens = _tokenize(text, path)
         self.pos = 0
 
     @property
-    def here(self) -> _Token:
+    def here(self) -> _Lexeme:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> _Lexeme:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
-    def fail(self, message: str, span: SourceSpan | None = None) -> DslError:
-        return DslError(
-            [Diagnostic(self.path, "error", "syntax", message, span or self.here.span)]
-        )
+    def fail(self, message: str, tok: _Lexeme | None = None) -> DslError:
+        _, _, start, end = tok or self.here
+        return DslError([Diagnostic(self.path, "error", "syntax", message, _span(self.text, start, end))])
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.here.kind != kind:
-            found = self.here.text or "end of input"
+    def expect(self, kind: str, what: str) -> _Lexeme:
+        if self.here[0] != kind:
+            found = self.here[1] or "end of input"
             raise self.fail(f"expected {what}, found {found!r}")
         return self.take()
 
-    def parse_pairs(self, number_meaning: str) -> tuple[tuple[tuple[str, int], ...], SourceSpan]:
-        open_tok = self.expect("(", "'('")
+    def parse_pairs(self, number_meaning: str) -> tuple[tuple[tuple[str, int], ...], int]:
+        """The pairs of a parenthesised list, and the offset just past its ')'."""
+        self.expect("(", "'('")
         pairs = []
         while True:
             name = self.expect("IDENT", "an entity name")
             self.expect(":", f"':' before the {number_meaning}")
             num = self.expect("NUMBER", f"a {number_meaning}")
-            pairs.append((name.text, int(num.text)))
-            if self.here.kind == ",":
-                self.take()
-                continue
-            break
-        close_tok = self.expect(")", "')' or ','")
-        return tuple(pairs), open_tok.span.merge(close_tok.span)
+            pairs.append((name[1], int(num[1])))
+            if self.here[0] != ",":
+                break
+            self.take()
+        close = self.expect(")", "')' or ','")
+        return tuple(pairs), close[3]
 
-    def parse_cao(
-        self,
-    ) -> tuple[str, SourceSpan, list[tuple[Entity, SourceSpan]], list[tuple[Operator, SourceSpan]]]:
+    def parse_cao(self) -> tuple[str, _At, list[tuple[Entity, _At]], list[tuple[Operator, _At]]]:
         head = self.expect("IDENT", "'cao'")
-        if head.text != "cao":
-            raise self.fail(f"expected 'cao', found {head.text!r}", head.span)
-        name = self.expect("IDENT", "a CAO name")
+        if head[1] != "cao":
+            raise self.fail(f"expected 'cao', found {head[1]!r}", head)
+        _, name, name_start, name_end = self.expect("IDENT", "a CAO name")
         self.expect("{", "'{'")
-        entities: list[tuple[Entity, SourceSpan]] = []
-        operators: list[tuple[Operator, SourceSpan]] = []
-        while self.here.kind != "}":
-            tok = self.here
-            if tok.kind == "IDENT" and tok.text in _KEYWORD_ROLES:
+        entities: list[tuple[Entity, _At]] = []
+        operators: list[tuple[Operator, _At]] = []
+        while self.here[0] != "}":
+            kind, word, _, _ = self.here
+            if kind == "IDENT" and word in _KEYWORD_ROLES:
                 entities.append(self.parse_entity())
-            elif tok.kind == "(" or (tok.kind == "IDENT" and tok.text in _FORMS):
+            elif kind == "(" or (kind == "IDENT" and word in _FORMS):
                 operators.append(self.parse_operator())
-            elif tok.kind == "EOF":
+            elif kind == "EOF":
                 raise self.fail("unterminated CAO body; expected '}'")
             else:
-                found = tok.text or "end of input"
-                raise self.fail(
-                    f"expected an entity role, an operator, or '}}', found {found!r}"
-                )
+                raise self.fail(f"expected an entity role, an operator, or '}}', found {word!r}")
         self.take()  # }
-        tail = self.here
-        if tail.kind != "EOF":
-            raise self.fail(f"expected end of input after '}}', found {tail.text!r}")
-        return name.text, name.span, entities, operators
+        if self.here[0] != "EOF":
+            raise self.fail(f"expected end of input after '}}', found {self.here[1]!r}")
+        return name, (name_start, name_end), entities, operators
 
-    def parse_entity(self) -> tuple[Entity, SourceSpan]:
-        role_tok = self.take()
-        name = self.expect("IDENT", "an entity name")
+    def parse_entity(self) -> tuple[Entity, _At]:
+        _, role, role_start, _ = self.take()
+        _, name, _, end = self.expect("IDENT", "an entity name")
         start = 0
-        last = name
-        if self.here.kind == "=":
+        if self.here[0] == "=":
             self.take()
-            num = self.expect("NUMBER", "a start value")
-            start = int(num.text)
-            last = num
-        entity = Entity(name.text, _KEYWORD_ROLES[role_tok.text], start)
-        return entity, role_tok.span.merge(last.span)
+            _, digits, _, end = self.expect("NUMBER", "a start value")
+            start = int(digits)
+        return Entity(name, _KEYWORD_ROLES[role], start), (role_start, end)
 
-    def parse_operator(self) -> tuple[Operator, SourceSpan]:
+    def parse_operator(self) -> tuple[Operator, _At]:
         form = None
-        first_span = self.here.span
-        if self.here.kind == "IDENT":
-            form = _FORMS[self.take().text]
+        first = self.here[2]
+        if self.here[0] == "IDENT":
+            form = _FORMS[self.take()[1]]
         inputs, _ = self.parse_pairs("radix")
         self.expect("->", "'->'")
-        outputs, out_span = self.parse_pairs("conversion coefficient")
-        op = Operator(inputs=inputs, outputs=outputs, form=form)
-        return op, first_span.merge(out_span)
+        outputs, end = self.parse_pairs("conversion coefficient")
+        return Operator(inputs=inputs, outputs=outputs, form=form), (first, end)
 
 
 def _semantic_diagnostics(
+    text: str,
     path: str,
-    name_span: SourceSpan,
-    entities: list[tuple[Entity, SourceSpan]],
-    operators: list[tuple[Operator, SourceSpan]],
+    name_at: _At,
+    entities: list[tuple[Entity, _At]],
+    operators: list[tuple[Operator, _At]],
     issues,
 ) -> list[Diagnostic]:
-    entity_spans: dict[str, SourceSpan] = {}
-    for ent, span in entities:
-        entity_spans[ent.name] = span  # duplicates point at the later declaration
+    entity_at = {ent.name: at for ent, at in entities}  # duplicates point at the later declaration
     out = []
     for issue in issues:
         if issue.operator is not None and issue.operator < len(operators):
-            span = operators[issue.operator][1]
-        elif issue.entity is not None and issue.entity in entity_spans:
-            span = entity_spans[issue.entity]
+            at = operators[issue.operator][1]
+        elif issue.entity is not None and issue.entity in entity_at:
+            at = entity_at[issue.entity]
         else:
-            span = name_span
-        out.append(Diagnostic(path, issue.severity, issue.code, issue.message, span))
+            at = name_at
+        out.append(Diagnostic(path, issue.severity, issue.code, issue.message, _span(text, *at)))
     return out
 
 
@@ -268,14 +224,13 @@ def try_parse(
 ) -> tuple[CaoSpec | None, tuple[Diagnostic, ...]]:
     """Parse leniently: return (spec or None, all diagnostics incl. warnings)."""
     try:
-        parser = _Parser(text, path)
-        name, name_span, entities, operators = parser.parse_cao()
+        name, name_at, entities, operators = _Parser(text, path).parse_cao()
     except DslError as exc:
         return None, exc.diagnostics
     ents = [e for e, _ in entities]
     ops = [op for op, _ in operators]
     report = check(name, ents, ops, allow_cycles=allow_cycles)
-    diags = _semantic_diagnostics(path, name_span, entities, operators, report.issues)
+    diags = _semantic_diagnostics(text, path, name_at, entities, operators, report.issues)
     if not report.ok:
         return None, tuple(diags)
     return build_spec(name, ents, ops), tuple(diags)

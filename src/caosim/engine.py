@@ -141,7 +141,8 @@ def with_parameters(
 
     ``op_params[k]`` supplies the new input radices and output coefficients
     of operator k, in declaration order. Wiring and entity set stay fixed;
-    the result is re-validated.
+    the result is re-validated, but for cycles: ``spec``'s wiring was
+    already accepted, with or without them.
     """
     if len(op_params) != len(spec.operators):
         raise ValueError(
@@ -162,7 +163,7 @@ def with_parameters(
                 form=op.form,
             )
         )
-    return validate(spec.name, spec.entities, new_ops)
+    return validate(spec.name, spec.entities, new_ops, allow_cycles=True)
 
 
 def _same_topology(a: CaoSpec, b: CaoSpec) -> bool:

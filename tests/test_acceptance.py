@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from caosim import (
     DslError,
-    Operator,
     ParameterSchedule,
     build_linear_chain,
     check_conservation,
@@ -28,7 +27,6 @@ from caosim import (
     serialize,
     step,
     step_via_matrices,
-    validate,
     verify_conservation,
     with_parameters,
 )
@@ -81,15 +79,13 @@ GROWING_CYCLE = parse(GROWING_CYCLE_TEXT, allow_cycles=True)
 
 def _random_parameters(rng: random.Random, spec):
     """``spec`` with every radix drawn from 2..4 and every coefficient from 1..4."""
-    operators = [
-        Operator(
-            inputs=tuple((e, rng.randint(2, 4)) for e, _ in op.inputs),
-            outputs=tuple((t, rng.randint(1, 4)) for t, _ in op.outputs),
-            form=op.form,
-        )
-        for op in spec.operators
-    ]
-    return validate(spec.name, spec.entities, operators, allow_cycles=True)
+    return with_parameters(
+        spec,
+        [
+            ([rng.randint(2, 4) for _ in op.inputs], [rng.randint(1, 4) for _ in op.outputs])
+            for op in spec.operators
+        ],
+    )
 
 
 @settings(max_examples=200, deadline=None)

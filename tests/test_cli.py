@@ -67,6 +67,43 @@ def test_readme_quick_start_prints_its_table(tmp_path, capsys, engine, backend):
     assert capsys.readouterr().out == table.replace("engine=both", f"engine={engine}", 1)
 
 
+RING_TEXT = "cao ring {\n  initial a = 9\n  intermediate b\n  L (a:2) -> (b:1)\n  L (b:2) -> (a:1)\n}\n"
+# step 0 under radix 3 and coefficient 2 on a's operator, the base after it
+RING_SCHEDULE = json.dumps(
+    {
+        "default": "base",
+        "steps": {
+            "0": {
+                "operators": [
+                    {"radices": [3], "coefficients": [2]},
+                    {"radices": [2], "coefficients": [1]},
+                ]
+            }
+        },
+    }
+)
+RING_TABLE = """\
+# cao ring engine={engine} termination=fixed-point
+# k  a  b  p.a  p.b
+  0  9  0    3    0
+  1  0  6    0    3
+  2  3  0    1    0
+  3  1  1    0    0
+"""
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("engine", ["both", "matrix", "operational"])
+def test_a_cyclic_cao_takes_a_schedule(tmp_path, capsys, engine, backend):
+    path = tmp_path / "ring.cao"
+    path.write_text(RING_TEXT)
+    sched = tmp_path / "s.json"
+    sched.write_text(RING_SCHEDULE)
+    argv = ["simulate", str(path), "--allow-cycles", "--max-steps", "5", "--schedule", str(sched)]
+    assert main([*argv, "--engine", engine, "--backend", backend]) == EXIT_OK
+    assert capsys.readouterr().out == RING_TABLE.format(engine=engine)
+
+
 class TestSimulate:
     def test_fixed_point_exit_zero(self, showcase_file, capsys):
         assert main(["simulate", showcase_file]) == EXIT_OK

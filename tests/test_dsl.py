@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import random
 import re
+from dataclasses import dataclass
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,8 @@ from caosim import (
     serialize,
     try_parse,
 )
+from caosim import dsl
+from caosim.dsl import Diagnostic, SourceSpan
 from conftest import SHOWCASE_TEXT
 
 
@@ -148,6 +152,11 @@ class TestDiagnostics:
     def test_str_format_is_tool_friendly(self):
         diag = _sole_error("cao x { ? }")
         assert str(diag).startswith("<dsl>:1:9: error[bad-token]")
+
+    def test_a_trailing_comment_leaves_the_end_of_input_column_at_its_offset(self):
+        diag = _sole_error("cao x {\n initial a # hi")
+        assert diag.code == "syntax"
+        assert (diag.span.line, diag.span.column, diag.span.start) == (2, 16, 23)
 
 
 class TestDotExport:
@@ -408,10 +417,172 @@ def test_mutated_documents_raise_only_value_errors(showcase, seed, kind):
         text = _mutate(rng, text)
     try:
         if kind == "dsl":
-            try_parse(text, allow_cycles=rng.random() < 0.5)
+            _, diags = try_parse(text, allow_cycles=rng.random() < 0.5)
+            _assert_spans_agree_with_offsets(text, diags)
         elif kind == "schedule":
             load_schedule(text, showcase)
         else:
             parse_trace(text)
     except ValueError:
         pass
+
+
+# --- Tokenizer oracle -------------------------------------------------------------
+# The hand-written scanner that the one-pattern tokenizer replaced, kept
+# verbatim: it tracks line and column character by character.
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # IDENT NUMBER { } ( ) , : = -> EOF
+    text: str
+    span: SourceSpan
+
+
+def _tokenize(text: str, path: str) -> Iterator[_Token]:
+    i = 0
+    line = 1
+    col = 1
+    size = len(text)
+
+    def span(start: int, start_line: int, start_col: int, end: int) -> SourceSpan:
+        return SourceSpan(start_line, start_col, start, end)
+
+    while i < size:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < size and text[i] != "\n":
+                i += 1
+            continue
+        start, start_line, start_col = i, line, col
+        if ch.isalpha() or ch == "_":
+            while i < size and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            col += i - start
+            yield _Token("IDENT", text[start:i], span(start, start_line, start_col, i))
+            continue
+        if ch.isdecimal():  # what int() reads; isdigit() would take "²"
+            while i < size and text[i].isdecimal():
+                i += 1
+            col += i - start
+            yield _Token("NUMBER", text[start:i], span(start, start_line, start_col, i))
+            continue
+        if ch == "-" and i + 1 < size and text[i + 1] == ">":
+            i += 2
+            col += 2
+            yield _Token("->", "->", span(start, start_line, start_col, i))
+            continue
+        if ch in "{}(),:=":
+            i += 1
+            col += 1
+            yield _Token(ch, ch, span(start, start_line, start_col, i))
+            continue
+        raise DslError(
+            [
+                Diagnostic(
+                    path,
+                    "error",
+                    "bad-token",
+                    f"unexpected character {ch!r}",
+                    span(start, start_line, start_col, i + 1),
+                )
+            ]
+        )
+    yield _Token("EOF", "", SourceSpan(line, col, size, size))
+
+
+def _assert_spans_agree_with_offsets(text, diagnostics):
+    for diag in diagnostics:
+        line_start = text.rfind("\n", 0, diag.span.start) + 1
+        assert diag.span.line == text.count("\n", 0, diag.span.start) + 1, str(diag)
+        assert diag.span.column == diag.span.start - line_start + 1, str(diag)
+
+
+def _assert_tokens_match_the_oracle(text):
+    """The tokens of ``text``, or its bad-token diagnostic, are the oracle's.
+
+    The one difference allowed: after a comment that runs to the end of the
+    text, the oracle leaves the end-of-input column at the comment's '#'.
+    """
+    try:
+        old = list(_tokenize(text, "<dsl>"))
+    except DslError as exc:
+        with pytest.raises(DslError) as new:
+            dsl._tokenize(text, "<dsl>")
+        assert new.value.diagnostics == exc.diagnostics
+        return None
+    new = dsl._tokenize(text, "<dsl>")
+    assert new == [(t.kind, t.text, t.span.start, t.span.end) for t in old]
+    spans = [dsl._span(text, start, end) for _, _, start, end in new]
+    assert spans[:-1] == [t.span for t in old[:-1]]
+    old_eof, new_eof = old[-1].span, spans[-1]
+    if old_eof != new_eof:
+        assert (old_eof.line, old_eof.start) == (new_eof.line, new_eof.start)
+        comment_at = text.rfind("\n") + old_eof.column
+        assert text[comment_at] == "#" and "\n" not in text[comment_at:]
+    return new
+
+
+# where \w and \d differ from isalpha and isdecimal, and what is not whitespace
+HOSTILE = "cao{}(),:=->#_ \t\r\n\x0b\x0c\xa0aZ\u00e9\u00b2\u00bd\u216b\u0663\u0130019"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["graph", "mutated", "hostile"]),
+    st.text(st.sampled_from(HOSTILE) | st.characters(), max_size=40),
+)
+def test_tokens_and_diagnostics_match_the_oracle(seed, kind, hostile):
+    rng = random.Random(seed)
+    text = serialize(random_cao(rng))
+    if kind == "mutated":
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text)
+    elif kind == "hostile":
+        at = rng.randrange(len(text) + 1)
+        text = rng.choice([hostile, text[:at] + hostile + text[at:], text[:at] + "#" + hostile])
+    _assert_tokens_match_the_oracle(text)
+    for allow_cycles in (False, True):
+        _, diags = try_parse(text, allow_cycles=allow_cycles)
+        _assert_spans_agree_with_offsets(text, diags)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # \w takes these, but a name cannot start with them
+        ("\u00b2", "'\u00b2'"),
+        ("\u00bd", "'\u00bd'"),
+        ("\u216b", "'\u216b'"),
+        ("a\u00b2 b\u00bd c\u216b", ["IDENT a\u00b2", "IDENT b\u00bd", "IDENT c\u216b"]),
+        ("\u0663", ["NUMBER \u0663"]),
+        ("\x0b", "'\\x0b'"),
+        ("\x0c", "'\\x0c'"),
+        ("\xa0", "'\\xa0'"),
+        ("12ab", ["NUMBER 12", "IDENT ab"]),
+        ("-", "'-'"),
+        ("- >", "'-'"),
+        ("a->b", ["IDENT a", "-> ->", "IDENT b"]),
+        ("_x1 = 2", ["IDENT _x1", "= =", "NUMBER 2"]),
+        ("a # b", ["IDENT a"]),
+        ("a # b\n(", ["IDENT a", "( ("]),
+    ],
+)
+def test_edge_cases_match_the_oracle(text, expected):
+    new = _assert_tokens_match_the_oracle(text)
+    if isinstance(expected, str):
+        assert new is None
+        diag = _sole_error(text)
+        assert diag.code == "bad-token" and diag.message == f"unexpected character {expected}"
+    else:
+        assert [f"{kind} {word}" for kind, word, _, _ in new[:-1]] == expected

@@ -178,6 +178,22 @@ class TestParameterChanges:
                 [((1, 3), (2, 4)), ((6,), (1,)), ((7,), (2, 2)), ((9, 9), (5,))],
             )
 
+    def test_with_parameters_keeps_a_cyclic_base_cyclic(self):
+        from caosim import InvalidCaoError
+
+        ring = validate(
+            "ring",
+            [Entity("a", Role.INITIAL, 9), Entity("b", Role.INTERMEDIATE, 0)],
+            [Operator((("a", 2),), (("b", 1),)), Operator((("b", 2),), (("a", 1),))],
+            allow_cycles=True,
+        )
+        swapped = with_parameters(ring, [((3,), (2,)), ((5,), (1,))])
+        assert swapped.operators[0].inputs == (("a", 3),)
+        assert swapped.operators[0].outputs == (("b", 2),)
+        assert swapped.operators[1].inputs == (("b", 5),)
+        with pytest.raises(InvalidCaoError, match="bad-radix"):
+            with_parameters(ring, [((1,), (2,)), ((5,), (1,))])
+
     @pytest.mark.parametrize(
         "radix, coeff, code",
         [(2.7, 1, "bad-radix"), (True, 1, "bad-radix"), (2, 1.5, "bad-coefficient"), (2, True, "bad-coefficient")],
