@@ -21,7 +21,15 @@
    because radices and state components are both non-negative by then.
 
    Each call works in scratch rows of its own, so a call that allocates
-   (and may thereby run Python code) cannot clobber another call's rows. */
+   (and may thereby run Python code) cannot clobber another call's rows.
+
+   Every state and carry tuple is born untracked by the cyclic garbage
+   collector, and so is the start state when it holds only exact ints: a
+   tuple of exact ints refers to nothing that can refer back to it, so it
+   can never be part of a cycle.  CPython untracks such a tuple itself, but
+   only at the first collection that walks it, and on a wide state that
+   walk costs more than the update.  row(values) does the same for the
+   rows kernel._frontier builds in Python. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -219,6 +227,19 @@ update(const PlanKernel *self, const int64_t *state, int64_t *p, int64_t *pc,
     return 0;
 }
 
+/* Untrack a tuple whose items are all exact ints.  An int subclass
+   instance may carry a __dict__, and through it a reference back to the
+   tuple, so such a tuple stays tracked. */
+static void
+untrack_ints(PyObject *t)
+{
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(t); i++)
+        if (!PyLong_CheckExact(PyTuple_GET_ITEM(t, i)))
+            return;
+    PyObject_GC_UnTrack(t);
+}
+
+/* A new untracked tuple of fresh ints. */
 static PyObject *
 row_tuple(const int64_t *row, Py_ssize_t m)
 {
@@ -230,6 +251,8 @@ row_tuple(const int64_t *row, Py_ssize_t m)
         else
             PyTuple_SET_ITEM(out, i, v);
     }
+    if (out)
+        PyObject_GC_UnTrack(out);
     return out;
 }
 
@@ -280,6 +303,7 @@ PlanKernel_run(PlanKernel *self, PyObject *args)
     }
     if (!(cur = state_tuple(self, values)) || !(rows = PyList_New(0)))
         goto done;
+    untrack_ints(cur);
     /* four scratch rows of m int64 each, for this call only */
     if (!(scr = PyMem_Malloc((4 * m + 1) * sizeof(int64_t)))) {
         PyErr_NoMemory();
@@ -357,11 +381,49 @@ static PyTypeObject PlanKernelType = {
     .tp_new = PlanKernel_new,
 };
 
+/* tuple(values) in one pass: the copy checks the items as it goes. */
+static PyObject *
+stepcore_row(PyObject *module, PyObject *values)
+{
+    PyObject *seq, *out;
+    int ints = 1;
+
+    (void)module;
+    if (PyTuple_CheckExact(values)) {
+        untrack_ints(values);
+        Py_INCREF(values);
+        return values;
+    }
+    if (!(seq = PySequence_Fast(values, "row() argument must be a sequence")))
+        return NULL;
+    /* nothing below runs Python code, so a list cannot change under us */
+    if ((out = PyTuple_New(PySequence_Fast_GET_SIZE(seq)))) {
+        PyObject **items = PySequence_Fast_ITEMS(seq);
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(out); i++) {
+            ints &= PyLong_CheckExact(items[i]);
+            Py_INCREF(items[i]);
+            PyTuple_SET_ITEM(out, i, items[i]);
+        }
+        if (ints)
+            PyObject_GC_UnTrack(out);
+    }
+    Py_DECREF(seq);
+    return out;
+}
+
+static PyMethodDef stepcore_methods[] = {
+    {"row", stepcore_row, METH_O,
+     "row(values) -> tuple: tuple(values), untracked by the garbage collector\n"
+     "when every item is an exact int."},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef stepcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_stepcore",
     .m_doc = "Overflow-checked 64-bit step kernel.",
     .m_size = -1,
+    .m_methods = stepcore_methods,
 };
 
 PyMODINIT_FUNC

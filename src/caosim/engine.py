@@ -167,6 +167,8 @@ def with_parameters(
 
 
 def _same_topology(a: CaoSpec, b: CaoSpec) -> bool:
+    if a is b:
+        return True
     if a.names != b.names:
         return False
     if len(a.operators) != len(b.operators):

@@ -26,6 +26,14 @@ into C as soon as every component fits in int64 again, and each time it
 leaves C it logs a DEBUG record on the ``caosim`` logger. :func:`step` is
 ``advance`` with a limit of one, and :func:`caosim.simulate.run` drives
 whole runs with it.
+
+On the compiled backend every row tuple is born untracked by the cyclic
+garbage collector when it holds only exact ``int`` objects: C builds its rows
+that way, and :func:`_frontier` builds its own with ``_stepcore.row``. Such
+a tuple cannot be part of a reference cycle, and CPython would untrack it
+anyway at the first collection that walks it; on a wide state that walk
+cost more than the update. The pure backend runs no C, so its rows stay
+tracked until a collection untracks them.
 """
 
 from __future__ import annotations
@@ -167,8 +175,11 @@ def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int):
     Updates run in C while int64 holds them. From an update it cannot hold,
     the stretch goes on in Python by :func:`_frontier`, until every
     component fits in int64 again and the stretch goes back into C. The pure
-    backend takes the whole stretch in Python the same way.
+    backend takes the whole stretch in Python the same way. A state whose
+    length is not the plan's raises ValueError on either backend.
     """
+    if len(state) != plan.m:
+        raise ValueError(f"state has {len(state)} components, plan has {plan.m}")
     rows: list = []
     while len(rows) < limit:
         if compiled is not None:
@@ -218,11 +229,13 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
     (common carry nonzero) and the entries they credit, so only those get
     their partial carry computed again, and only the groups whose members'
     partials changed are folded again; an entity in several groups takes
-    the last one's minimum. Each row is copied out with ``tuple()``.
+    the last one's minimum. Each row is copied out with ``tuple()``, or
+    with ``_stepcore.row`` when ``compiled``, which also untracks it.
     """
     n, groups = plan.n, plan.groups
     out, member_of, owned = plan._fanout
-    head, s = tuple(state), list(state)
+    row = _stepcore.row if compiled else tuple
+    head, s = row(state), list(state)
     p, pc = [0] * len(s), [0] * len(s)
     wide = {j for j, v in enumerate(s) if not 0 <= v <= _INT64_MAX} if compiled else None
     fire = set()
@@ -250,8 +263,8 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
                     fire.add(x)
                 else:
                     fire.discard(x)
-        pt = tuple(p)
-        rows.append((head, pt, pt if p == pc else tuple(pc)))
+        pt = row(p)
+        rows.append((head, pt, pt if p == pc else row(pc)))
         if not fire:
             return head, 0
         touched = set()
@@ -262,7 +275,7 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
             for d, coeff in out[i]:
                 s[d] += c * coeff
                 touched.add(d)
-        head = tuple(s)
+        head = row(s)
         if len(rows) == limit:
             return head, 1
         if compiled:

@@ -38,19 +38,41 @@ ENGINES = ("matrix", "operational", "both")
 _RUN_CHUNK = 1024
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceStep:
     """One recorded instant: the state at step k and the carries read off it.
 
     The carries stored here are computed *from* ``state`` and produce the
     next entry's state. In the last entry of a fixed-point trace they are all
     zero; after a step-limit stop they are computed but never applied.
+
+    A run records one entry per update, so the constructor is written by
+    hand: it fills the four slots through their descriptors, which costs
+    less than half of the generated ``__init__``'s four ``object.__setattr__``
+    calls. Everything else is the dataclass's own. On the compiled backend
+    each tuple an entry holds is untracked by the garbage collector when it
+    holds only exact ints, which cannot be part of a cycle (see
+    :mod:`caosim.kernel`), so a collection walks the entry but not its rows.
     """
 
     k: int
     state: tuple[int, ...]
     partials: tuple[int, ...]
     common: tuple[int, ...]
+
+    def __init__(
+        self, k: int, state: tuple[int, ...], partials: tuple[int, ...], common: tuple[int, ...]
+    ) -> None:
+        _set_k(self, k)
+        _set_state(self, state)
+        _set_partials(self, partials)
+        _set_common(self, common)
+
+
+_set_k = TraceStep.k.__set__
+_set_state = TraceStep.state.__set__
+_set_partials = TraceStep.partials.__set__
+_set_common = TraceStep.common.__set__
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import logging
 import random
 import subprocess
 import sys
+import weakref
 from typing import Sequence
 
 import pytest
@@ -252,6 +254,42 @@ class TestPlanKernelRun:
             assert stop == 2 and kernel.run(last, 1) == ([], last, 2)
 
 
+@needs_extension
+class TestRow:
+    def test_untracks_a_tuple_of_exact_ints(self):
+        got = _stepcore.row([3, 2**70, 0])
+        assert got == (3, 2**70, 0) and type(got) is tuple
+        assert not gc.is_tracked(got)
+        same = (1, 2)
+        assert _stepcore.row(same) is same
+
+    def test_anything_else_stays_tracked(self):
+        class Big(int):
+            pass
+
+        for values in ([1, Big(2)], [1, [2]], [1.0, 2]):
+            assert gc.is_tracked(_stepcore.row(values))
+
+    def test_an_int_subclass_row_can_still_be_collected(self):
+        class Big(int):
+            pass
+
+        class Marker:
+            pass
+
+        value = Big(5)
+        value.row = _stepcore.row([value, 0])  # a cycle through the row
+        value.marker = Marker()
+        alive = weakref.ref(value.marker)
+        del value
+        gc.collect()
+        assert alive() is None
+
+    def test_rejects_what_is_not_a_sequence(self):
+        with pytest.raises(TypeError):
+            _stepcore.row(5)
+
+
 GROWING_PLAN = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
 
 
@@ -334,6 +372,16 @@ class TestAdvance:
         tail, end, _ = advance(plan, kernel, mid, 1024)
         assert tail[0][0] is mid
         assert head + tail == rows and end == last
+
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_extension)])
+    @pytest.mark.parametrize("state", [(9, 0), (9, 0, 0, 5)])
+    def test_refuses_a_state_of_the_wrong_length(self, backend, state):
+        plan = plan_for(build_linear_chain(2, 3))
+        message = f"state has {len(state)} components, plan has 3"
+        with pytest.raises(ValueError, match=message):
+            step(state, plan, backend=backend)
+        with pytest.raises(ValueError, match=message):
+            advance(plan, bind(plan, backend), state, 5)
 
     @needs_extension
     def test_leaving_c_is_logged(self, caplog):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +28,8 @@ from caosim import (
     verify_conservation,
     with_parameters,
 )
-from caosim.simulate import ConservationError
+from caosim.kernel import COMPILED_AVAILABLE
+from caosim.simulate import ConservationError, TraceStep
 from conftest import SHOWCASE_TRAJECTORY
 
 
@@ -308,3 +313,147 @@ class TestGenerators:
         state = random_state(random.Random(3), showcase, limit=50)
         assert len(state) == showcase.m
         assert all(0 <= v <= 50 for v in state)
+
+
+# The oracle for TraceStep: the same dataclass with its generated __init__.
+@dataclass(frozen=True, slots=True)
+class OracleTraceStep:
+    k: int
+    state: tuple[int, ...]
+    partials: tuple[int, ...]
+    common: tuple[int, ...]
+
+
+TRACE_STEP_VALUES = [
+    (0, (1, 2), (0, 1), (0, 1)),
+    (7, (2**70, 0, 3), (2**69, 0, 1), (2**69, 0, 0)),
+    (1, (), (), ()),
+]
+
+
+class TestTraceStep:
+    @pytest.mark.parametrize("values", TRACE_STEP_VALUES)
+    def test_constructs_as_the_generated_init(self, values):
+        names = [f.name for f in dataclasses.fields(OracleTraceStep)]
+        want = OracleTraceStep(*values)
+        for got in (TraceStep(*values), TraceStep(**dict(zip(names, values)))):
+            assert [f.name for f in dataclasses.fields(got)] == names
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            assert dataclasses.asdict(got) == dataclasses.asdict(want)
+            assert repr(got) == repr(want).replace("OracleTraceStep", "TraceStep")
+            assert hash(got) == hash(want)
+        assert TraceStep.__match_args__ == OracleTraceStep.__match_args__
+        assert TraceStep.__slots__ == OracleTraceStep.__slots__
+
+    def test_bad_arguments_fail_as_the_generated_init(self):
+        for args, kwargs in [
+            ((1, (), ()), {}),
+            ((1, (), (), (), ()), {}),
+            ((1, (), (), ()), {"k": 2}),
+            ((), {"k": 1, "state": (), "partials": (), "commons": ()}),
+        ]:
+            with pytest.raises(TypeError):
+                OracleTraceStep(*args, **kwargs)
+            with pytest.raises(TypeError):
+                TraceStep(*args, **kwargs)
+
+    def test_eq_and_hash_follow_the_values(self):
+        pairs = [(a, b) for a in TRACE_STEP_VALUES for b in TRACE_STEP_VALUES]
+        pairs.append((TRACE_STEP_VALUES[0], (0, (1, 2), (0, 1), (0, 2))))
+        for a, b in pairs:
+            assert (TraceStep(*a) == TraceStep(*b)) == (OracleTraceStep(*a) == OracleTraceStep(*b))
+            assert (TraceStep(*a) != TraceStep(*b)) == (OracleTraceStep(*a) != OracleTraceStep(*b))
+        assert TraceStep(*TRACE_STEP_VALUES[0]) != OracleTraceStep(*TRACE_STEP_VALUES[0])
+        assert len({TraceStep(*v) for v in TRACE_STEP_VALUES * 2}) == len(TRACE_STEP_VALUES)
+
+    def test_replace_pickle_and_copy(self):
+        entry = TraceStep(*TRACE_STEP_VALUES[1])
+        changed = replace(entry, k=8, common=(0, 0, 0))
+        assert type(changed) is TraceStep
+        assert changed == TraceStep(8, entry.state, entry.partials, (0, 0, 0))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(entry, protocol))
+            assert again == entry and type(again) is TraceStep
+        assert copy.copy(entry) == entry and copy.deepcopy(entry) == entry
+
+    def test_frozen_as_the_generated_class(self):
+        for cls in (OracleTraceStep, TraceStep):
+            entry = cls(*TRACE_STEP_VALUES[0])
+            for name in ("k", "state", "partials", "common"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(entry, name, 1)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(entry, name)
+            assert not hasattr(entry, "__dict__")
+
+
+LOOP_TEXT = """\
+cao loop {
+  initial i = 500000001
+  initial j = 500000000
+  intermediate d
+  intermediate s
+  intermediate g
+  intermediate u
+  intermediate h
+  intermediate k
+
+  M (i:2, j:2) -> (d:2, s:2)
+  D (d:2) -> (g:1, u:1)
+  D (s:2) -> (g:1, u:1)
+  F (g:2, u:2) -> (h:4)
+  L (h:2) -> (k:2)
+  D (k:4) -> (i:2, j:2)
+}
+"""
+
+
+class Big(int):
+    """An int subclass: its instances can hold references, so a row that
+    holds one must stay tracked by the garbage collector."""
+
+
+def untracked_runs():
+    """(spec, start, max_steps): the 8-entity loop, which stays in C, and a
+    70-entity chain from beyond 2**63, which starts in Python and goes back
+    into C after 7 updates."""
+    yield parse(LOOP_TEXT, allow_cycles=True), None, 300
+    yield build_linear_chain(2, 70), (2**69 + 5,) + (0,) * 69, 100
+
+
+def row_tuples(trace):
+    for entry in trace.steps:
+        yield from (entry.state, entry.partials, entry.common)
+
+
+@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
+class TestUntrackedRows:
+    @pytest.mark.parametrize("engine", ["matrix", "both"])
+    def test_compiled_rows_are_untracked(self, engine):
+        for spec, start, max_steps in untracked_runs():
+            trace = run(spec, start, max_steps=max_steps, engine=engine, backend="compiled")
+            assert trace.step_count > 1
+            assert not any(map(gc.is_tracked, row_tuples(trace)))
+
+    def test_rows_holding_an_int_subclass_stay_tracked(self):
+        loop = parse(LOOP_TEXT, allow_cycles=True)
+        chain = build_linear_chain(2, 70)
+        for spec, start in [
+            (loop, (Big(5),) + (1,) * 7),
+            # the last entity keeps its Big until the carry reaches it
+            (chain, (2**69 + 5,) + (0,) * 68 + (Big(3),)),
+        ]:
+            trace = run(spec, start, max_steps=100, engine="matrix", backend="compiled")
+            held = [any(type(v) is not int for v in t) for t in row_tuples(trace)]
+            assert held[0] and not all(held)
+            assert [gc.is_tracked(t) for t in row_tuples(trace)] == held
+
+    def test_the_pure_backend_builds_no_row_in_c(self):
+        # with collection off, nothing but C can untrack a fresh tuple
+        gc.disable()
+        try:
+            for spec, start, max_steps in untracked_runs():
+                trace = run(spec, start, max_steps=max_steps, engine="matrix", backend="pure")
+                assert all(map(gc.is_tracked, row_tuples(trace)))
+        finally:
+            gc.enable()
