@@ -226,8 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("weights", help="print conserved integer weight rows")
-    p.add_argument("file", help="CAO description file ('-' for stdin)")
-    p.add_argument("-o", "--output", help="write result here instead of stdout")
+    add_common(p, cycles=False)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("export", help="emit DOT or the canonical text form")
@@ -254,16 +253,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return EXIT_ERROR
-    except InvalidCaoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except EngineDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except ScheduleGapError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError, KeyError) as exc:
+    except (InvalidCaoError, EngineDivergenceError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -19,13 +19,14 @@ rational arithmetic and exists to cross-check the kernels.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import kernel
-from .model import CaoSpec, Operator, check_state, validate
+from .model import CaoSpec, Operator, _is_integer, check_state, validate
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -186,9 +187,11 @@ class ParameterSchedule:
     """Per-step parameter sets for a non-stationary CAO.
 
     All entries share the topology of ``base``; only radices and conversion
-    coefficients vary. ``overrides`` maps step numbers to full parameter
-    sets; steps without an override use ``default``, and a missing default
-    makes such steps an error (:class:`ScheduleGapError`).
+    coefficients vary. ``overrides`` pairs step numbers (``int``s >= 0, in
+    increasing order) with full parameter sets; steps without an override
+    use ``default``, and a missing default makes such steps an error
+    (:class:`ScheduleGapError`). :meth:`span` is the one place that says when
+    the parameters may change.
     """
 
     base: CaoSpec
@@ -196,9 +199,15 @@ class ParameterSchedule:
     default: CaoSpec | None = None
 
     def __post_init__(self) -> None:
+        last = -1
         for k, sp in self.overrides:
+            if not _is_integer(k):
+                raise ValueError(f"schedule step {k!r} is not an integer")
             if k < 0:
                 raise ValueError(f"schedule step {k} is negative")
+            if k <= last:
+                raise ValueError(f"schedule step {k} does not follow step {last}")
+            last = k
             if not _same_topology(self.base, sp):
                 raise ValueError(f"parameters for step {k} change the topology")
         if self.default is not None and not _same_topology(self.base, self.default):
@@ -222,18 +231,22 @@ class ParameterSchedule:
             default=default,
         )
 
-    @cached_property
-    def _by_step(self) -> dict[int, CaoSpec]:
-        return dict(self.overrides)
+    def span(self, k: int) -> tuple[CaoSpec, int | None]:
+        """``(spec, until)``: the parameter set in force at step k, and the
+        first later step whose set may differ: k + 1 on an override step, the
+        next override after a default step, None once no later step can
+        change. A step with neither raises :class:`ScheduleGapError`."""
+        i = bisect_left(self.overrides, k, key=lambda step: step[0])
+        nxt = self.overrides[i][0] if i < len(self.overrides) else None
+        if nxt == k:
+            return self.overrides[i][1], k + 1
+        if self.default is None:
+            raise ScheduleGapError(k)
+        return self.default, nxt
 
     def spec_at(self, k: int) -> CaoSpec:
         """Parameter set in force at step k."""
-        found = self._by_step.get(k)
-        if found is not None:
-            return found
-        if self.default is not None:
-            return self.default
-        raise ScheduleGapError(k)
+        return self.span(k)[0]
 
     def is_constant(self) -> bool:
         return not self.overrides and self.default is not None

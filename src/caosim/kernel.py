@@ -264,7 +264,7 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
                 else:
                     fire.discard(x)
         pt = row(p)
-        rows.append((head, pt, pt if p == pc else row(pc)))
+        rows.append((head, pt, pt if not groups or p == pc else row(pc)))
         if not fire:
             return head, 0
         touched = set()

@@ -9,10 +9,10 @@ doubles as a consistency check between the two routes.
 The loop binds the routes to each parameter set as it comes into force:
 the step plan and compiled kernel for the matrix route, the resolved
 operators for the operational route, each from its per-spec cache. The
-matrix route steps in stretches taken by ``kernel.advance``: chunks of up to
-``_RUN_CHUNK`` updates once the parameters can no longer change, one update
-at a time before. The operational route enacts one update per pass, and
-"both" checks every matrix update against it.
+matrix route steps in stretches taken by ``kernel.advance``: each runs for
+up to ``_RUN_CHUNK`` updates and ends where the schedule says the parameters
+may next change (``ParameterSchedule.span``). The operational route enacts
+one update per pass, and "both" checks every matrix update against it.
 
 Also here: exact conserved-weight extraction (integer row vectors w with
 w·state constant along every stationary trace), a base-b chain builder whose
@@ -34,7 +34,7 @@ from .operational import enact, resolve
 
 ENGINES = ("matrix", "operational", "both")
 
-# Updates per settled matrix stretch: bounds the rows held beside the trace.
+# Updates per matrix stretch: bounds the rows held beside the trace.
 _RUN_CHUNK = 1024
 
 
@@ -134,15 +134,6 @@ def _initial_state(
     return tuple(initial)
 
 
-def _stable_from(schedule: ParameterSchedule) -> int | None:
-    """First step from which the parameters can no longer change, or None."""
-    if schedule.default is None:
-        return None
-    if not schedule.overrides:
-        return 0
-    return max(k for k, _ in schedule.overrides) + 1
-
-
 def run(
     spec: CaoSpec,
     initial: Mapping[str, int] | Sequence[int] | None = None,
@@ -160,7 +151,8 @@ def run(
     name→value mapping overriding the declared start values. ``max_steps``
     must be an ``int`` >= 0, not a ``bool`` (ValueError otherwise). A
     ``schedule`` makes the run non-stationary; fixed points are then only
-    declared once the schedule can no longer change the parameters.
+    declared once the schedule can no longer change the parameters; until
+    then a fixed state is recorded once per step.
 
     Whenever the parameter set changes, the routes in use are bound to it
     and ``check_state`` checks the state: an update of a checked state keeps
@@ -178,13 +170,12 @@ def run(
             f"the schedule's CAO {schedule.base.name!r} does not have the topology of {spec.name!r}"
         )
     sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
-    stable_from = _stable_from(sched)
     state = _initial_state(spec, initial)
     current = None
     entries: list[TraceStep] = []
     k = 0
     while True:
-        spec_k = sched.spec_at(k)
+        spec_k, until = sched.span(k)
         if spec_k is not current:
             current = spec_k
             check_state(spec_k, state)
@@ -193,13 +184,15 @@ def run(
                 compiled = kernel.bind(plan, backend)
             if engine != "matrix":
                 operators = resolve(spec_k)
-        settled = stable_from is not None and k >= stable_from
         if engine == "operational":
             nxt, p, pc = enact(operators, state)
             rows, last, stop = [(state, p, pc)], nxt, 1 if any(pc) else 0
         else:
-            limit = min(_RUN_CHUNK if settled else 1, max_steps + 1 - k)
+            limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
             rows, last, stop = kernel.advance(plan, compiled, state, limit)
+            if stop == 0 and until is not None:
+                # a fixed state stays fixed, row and all, until the parameters may change
+                rows += [rows[-1]] * (limit - len(rows))
         if engine == "both":
             for i, (s, p, pc) in enumerate(rows):
                 got = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
@@ -208,13 +201,13 @@ def run(
                     raise EngineDivergenceError(Divergence(k + i, s, got, want))
         entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
         k += len(rows)
-        if settled and stop == 0 or k > max_steps:
+        if until is None and stop == 0 or k > max_steps:
             break
         state = last
     return CstTrace(
         spec=spec,
         engine=engine,
-        termination="fixed-point" if settled and stop == 0 else "step-limit",
+        termination="fixed-point" if until is None and stop == 0 else "step-limit",
         steps=tuple(entries),
         schedule=schedule,
     )

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from caosim import (
     DslError,
     ParameterSchedule,
+    ScheduleGapError,
     build_linear_chain,
     check_conservation,
     compare_engines,
@@ -91,11 +92,19 @@ def _random_parameters(rng: random.Random, spec):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.booleans(), st.booleans())
 # the whole run in big integers; a run leaving C and going back 25 times;
-# the same under a schedule; an acyclic run with a multi-update stretch in Python
+# one going back 42 times under a schedule; an acyclic run with a multi-update
+# stretch in Python; under a schedule: a state fixed before a run of
+# consecutive overrides, on the acyclic CAO and on the cycle; a fixed point
+# declared once the schedule settles; a gap at step 39 after the overrides of
+# a schedule without a default
 @example(0, 50, True, False)
 @example(140, 50, True, False)
-@example(879, 50, True, True)
+@example(118, 50, True, True)
 @example(768, 50, False, False)
+@example(0, 50, False, True)
+@example(66, 50, True, True)
+@example(5, 50, False, True)
+@example(14, 50, False, True)
 def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic, scheduled):
     rng = random.Random(seed)
     spec = GROWING_CYCLE if cyclic else random_cao(rng)
@@ -108,19 +117,35 @@ def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic, schedule
     state = tuple(rng.choice(draws)() for _ in range(spec.m))
     schedule = None
     if scheduled:
-        # overrides at random steps, the last of them often past the end of
-        # the run, so runs step one update at a time before settling
-        overrides = {k: _random_parameters(rng, spec) for k in rng.sample(range(60), 4)}
-        schedule = ParameterSchedule.from_mapping(
-            spec, overrides, default=rng.choice([spec, _random_parameters(rng, spec)])
-        )
-    common = dict(max_steps=max_steps, schedule=schedule)
-    compiled = run(spec, state, engine="matrix", backend="compiled", **common)
-    pure = run(spec, state, engine="matrix", backend="pure", **common)
-    literal = run(spec, state, engine="operational", **common)
-    both = run(spec, state, engine="both", **common)
-    assert compiled.steps == pure.steps == literal.steps == both.steps
-    assert compiled.termination == pure.termination == literal.termination == both.termination
+        # Overrides at 4 random steps or on a run of consecutive ones, the
+        # last of them often past the end of the run. A matrix stretch ends at
+        # each override, and a run is often fixed before the schedule settles,
+        # so its state is recorded again at every step until then. Without a
+        # default the overrides start at step 0 and every step after them is
+        # a gap, which each route must report at the same step. The
+        # operational route takes one update per pass: the per-update oracle.
+        default = rng.choice([None, spec, _random_parameters(rng, spec)])
+        start = 0 if default is None else rng.randrange(60)
+        if default is not None and rng.random() < 0.5:
+            keys = rng.sample(range(60), 4)
+        else:
+            keys = range(start, start + rng.randint(1, 60))
+        # an override may also hold the CAO's own parameters
+        pool = (spec, _random_parameters(rng, spec), _random_parameters(rng, spec))
+        overrides = {k: rng.choice(pool) for k in keys}
+        schedule = ParameterSchedule.from_mapping(spec, overrides, default=default)
+
+    def outcome(**route):
+        try:
+            trace = run(spec, state, max_steps=max_steps, schedule=schedule, **route)
+        except ScheduleGapError as gap:
+            return gap.k
+        return trace.steps, trace.termination
+
+    compiled = outcome(engine="matrix", backend="compiled")
+    assert outcome(engine="matrix", backend="pure") == compiled
+    assert outcome(engine="operational") == compiled
+    assert outcome(engine="both") == compiled
 
 
 def test_criterion_3_conservation(showcase, fuzz_corpus):

@@ -217,6 +217,54 @@ class TestParameterChanges:
         filled = ParameterSchedule.from_mapping(ten, {2: five}, default=ten)
         assert filled.spec_at(1) is ten
 
+    def test_span_with_a_default(self):
+        ten, five, three = _single_link(10), _single_link(5), _single_link(3)
+        sched = ParameterSchedule.from_mapping(ten, {3: five, 4: three, 9: five}, default=ten)
+        # before, on, between and after the overrides
+        assert [sched.span(k) for k in range(12)] == [
+            (ten, 3), (ten, 3), (ten, 3),
+            (five, 4), (three, 5),
+            (ten, 9), (ten, 9), (ten, 9), (ten, 9),
+            (five, 10),
+            (ten, None), (ten, None),
+        ]
+        assert sched.span(10**30) == (ten, None)
+        assert all(sched.spec_at(k) is sched.span(k)[0] for k in range(12))
+
+    def test_span_without_a_default(self):
+        five, three = _single_link(5), _single_link(3)
+        sched = ParameterSchedule.from_mapping(five, {3: five, 4: three, 9: five})
+        assert [sched.span(k) for k in (3, 4, 9)] == [(five, 4), (three, 5), (five, 10)]
+        for gap in (0, 2, 5, 8, 10, 10**30):
+            with pytest.raises(ScheduleGapError) as info:
+                sched.span(gap)
+            assert info.value.k == gap
+
+    def test_span_of_an_empty_schedule(self):
+        ten = _single_link(10)
+        assert ParameterSchedule.constant(ten).span(0) == (ten, None)
+        assert ParameterSchedule.from_mapping(ten, {}, default=ten).span(7) == (ten, None)
+        with pytest.raises(ScheduleGapError):
+            ParameterSchedule.from_mapping(ten, {}).span(0)
+
+    @pytest.mark.parametrize("steps", [(9, 3), (3, 3)])
+    def test_schedule_steps_must_increase(self, steps):
+        # from_mapping sorts its keys; a hand-built schedule must list its
+        # steps in order, each once
+        ten = _single_link(10)
+        with pytest.raises(ValueError, match=f"step {steps[1]} does not follow step {steps[0]}"):
+            ParameterSchedule(ten, tuple((k, ten) for k in steps), default=ten)
+        assert ParameterSchedule(ten, ((3, ten), (9, ten))).span(3) == (ten, 4)
+
+    @pytest.mark.parametrize("k", [1.5, True, "3"])
+    def test_schedule_rejects_steps_that_are_not_integers(self, k):
+        # 1.5 would reach the kernel as a stretch limit; True would be step 1
+        ten = _single_link(10)
+        with pytest.raises(ValueError, match="not an integer"):
+            ParameterSchedule.from_mapping(ten, {k: ten}, default=ten)
+        with pytest.raises(ValueError, match="not an integer"):
+            ParameterSchedule(ten, ((k, ten),), default=ten)
+
     def test_schedule_rejects_different_topology(self, showcase):
         with pytest.raises(ValueError):
             ParameterSchedule.from_mapping(showcase, {0: _single_link(10)})

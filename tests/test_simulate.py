@@ -181,6 +181,86 @@ class TestEngineComparison:
         assert report.steps_compared == k + 1
 
 
+# An 8-entity cycle using all four forms that conserves its total: it never
+# reaches a fixed point and stays inside int64.
+LOOP = parse(
+    """\
+cao loop {
+  initial i = 100012346
+  initial j = 100012345
+  intermediate d
+  intermediate s
+  intermediate g
+  intermediate u
+  intermediate h
+  intermediate k
+
+  M (i:2, j:2) -> (d:2, s:2)
+  D (d:2) -> (g:1, u:1)
+  D (s:2) -> (g:1, u:1)
+  F (g:2, u:2) -> (h:4)
+  L (h:2) -> (k:2)
+  D (k:4) -> (i:2, j:2)
+}
+""",
+    allow_cycles=True,
+)
+# LOOP with other conversion coefficients on its M operator
+LOOP_REWEIGHTED = with_parameters(
+    LOOP, [((2, 2), (1, 3)), ((2,), (1, 1)), ((2,), (1, 1)), ((2, 2), (4,)), ((2,), (2,)), ((4,), (2, 2))]
+)
+
+
+class TestScheduledStretches:
+    """A matrix stretch runs up to the next step at which the schedule may
+    change the parameters, so a late override costs a few ``advance`` calls,
+    not one per update. The operational route, which takes one update per
+    pass, is the oracle."""
+
+    @staticmethod
+    def counted_run(monkeypatch, *args, **kwargs):
+        import caosim.simulate as sim
+
+        limits = []
+        real = sim.kernel.advance
+
+        def counting(plan, compiled, state, limit):
+            limits.append(limit)
+            return real(plan, compiled, state, limit)
+
+        monkeypatch.setattr(sim.kernel, "advance", counting)
+        return run(*args, engine="matrix", **kwargs), limits
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_a_late_override_keeps_stretches_long(self, monkeypatch, backend):
+        sched = ParameterSchedule.from_mapping(LOOP, {19_999: LOOP_REWEIGHTED}, default=LOOP)
+        trace, limits = self.counted_run(
+            monkeypatch, LOOP, max_steps=20_000, schedule=sched, backend=backend
+        )
+        assert len(limits) <= 25
+        assert 1 in limits  # the override step is a stretch of its own
+        oracle = run(LOOP, max_steps=20_000, engine="operational", schedule=sched)
+        assert trace.steps == oracle.steps
+        assert trace.termination == oracle.termination == "step-limit"
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_a_fixed_point_before_the_schedule_settles(self, monkeypatch, backend):
+        chain = build_linear_chain(2, 3)
+        base3 = with_parameters(chain, [((3,), (1,)), ((3,), (1,))])
+        sched = ParameterSchedule.from_mapping(chain, {19_999: base3}, default=chain)
+        trace, limits = self.counted_run(
+            monkeypatch, chain, (9, 0, 0), max_steps=30_000, schedule=sched, backend=backend
+        )
+        assert len(limits) <= 25
+        oracle = run(chain, (9, 0, 0), max_steps=30_000, engine="operational", schedule=sched)
+        assert trace.steps == oracle.steps
+        # 9 = 1001 in base 2 is fixed from step 2; the state is recorded at
+        # every step until the schedule settles at 20,000
+        assert trace.termination == oracle.termination == "fixed-point"
+        assert trace.step_count == 20_000
+        assert {s.state for s in trace.steps[2:]} == {(1, 0, 2)}
+
+
 class TestConservedWeights:
     def test_showcase_weight_row(self, showcase):
         assert conserved_weights(showcase) == ((1, 1, 10, 4, 40, 0, 160),)
