@@ -18,15 +18,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .dsl import (
-    DslError,
-    export_dot,
-    export_trace,
-    load_schedule,
-    serialize,
-    try_parse,
-)
-from .engine import ScheduleGapError
+from .dsl import export_dot, export_trace, load_schedule, serialize, try_parse
 from .model import InvalidCaoError
 from .simulate import (
     EngineDivergenceError,
@@ -249,14 +241,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DslError as exc:
-        for d in exc.diagnostics:
-            print(d, file=sys.stderr)
+    except KeyError as exc:
+        # str() of a KeyError quotes its message; ScheduleGapError is one
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ScheduleGapError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_ERROR
-    except (InvalidCaoError, EngineDivergenceError, OSError, ValueError, KeyError) as exc:
+    except (InvalidCaoError, EngineDivergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -386,8 +386,28 @@ def _trace_vector(values, width: int, where: str) -> tuple[int, ...]:
     return vec
 
 
+def _json_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {json.dumps(value)} is not a string")
+    return value
+
+
+def _trace_step(i: int, s, width: int) -> TraceStep:
+    k = _json_int(s["k"], f"steps[{i}].k")
+    if k != i:
+        raise ValueError(f"steps[{i}].k: {k} is not the step's index {i}")
+    return TraceStep(
+        k=k,
+        state=_trace_vector(s["state"], width, f"steps[{i}].state"),
+        partials=_trace_vector(s["partial"], width, f"steps[{i}].partial"),
+        common=_trace_vector(s["common"], width, f"steps[{i}].common"),
+    )
+
+
 def parse_trace(text: str) -> TraceDocument:
-    """Read the JSON trace form back; raise ValueError on a malformed document."""
+    """Read the JSON trace form back; raise ValueError on a malformed document,
+    and on any document :func:`export_trace` never writes: names that are
+    not strings, no steps, or a step whose ``k`` is not its index."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -397,21 +417,17 @@ def parse_trace(text: str) -> TraceDocument:
             f"unsupported trace document; expected format_version {TRACE_FORMAT_VERSION}"
         )
     try:
-        entities = tuple(str(n) for n in doc["entities"])
-        steps = tuple(
-            TraceStep(
-                k=_json_int(s["k"], f"steps[{i}].k"),
-                state=_trace_vector(s["state"], len(entities), f"steps[{i}].state"),
-                partials=_trace_vector(s["partial"], len(entities), f"steps[{i}].partial"),
-                common=_trace_vector(s["common"], len(entities), f"steps[{i}].common"),
-            )
-            for i, s in enumerate(doc["steps"])
-        )
+        if not isinstance(doc["entities"], list):
+            raise ValueError("trace entities must be a list of names")
+        entities = tuple(_json_str(n, "entity name") for n in doc["entities"])
+        steps = tuple(_trace_step(i, s, len(entities)) for i, s in enumerate(doc["steps"]))
+        if not steps:
+            raise ValueError("trace has no steps")
         return TraceDocument(
-            cao=str(doc["cao"]),
+            cao=_json_str(doc["cao"], "cao"),
             entities=entities,
-            engine=str(doc["engine"]),
-            termination=str(doc["termination"]),
+            engine=_json_str(doc["engine"], "engine"),
+            termination=_json_str(doc["termination"], "termination"),
             steps=steps,
         )
     except KeyError as exc:
@@ -478,10 +494,11 @@ def load_schedule(text: str, base: CaoSpec) -> ParameterSchedule:
     raw_steps = {} if doc.get("steps") is None else doc["steps"]
     if not isinstance(raw_steps, dict):
         raise ValueError("schedule 'steps' must be an object mapping step numbers to parameters")
-    steps: dict[int, CaoSpec] = {}
-    for key, raw in raw_steps.items():
-        k = _json_int(key, "step key", key=True)
-        if k < 0:
-            raise ValueError(f"step key {k} is negative")
-        steps[k] = base if raw == "base" else _paramset(base, raw, f"steps[{key}]")
+    keyed = {_json_int(key, "step key", key=True): (key, raw) for key, raw in raw_steps.items()}
+    # the steps themselves are refused before any of their parameter sets is read
+    ParameterSchedule.check_steps(sorted(keyed))
+    steps = {
+        k: base if raw == "base" else _paramset(base, raw, f"steps[{key}]")
+        for k, (key, raw) in keyed.items()
+    }
     return ParameterSchedule.from_mapping(base, steps, default)

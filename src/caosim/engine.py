@@ -199,8 +199,19 @@ class ParameterSchedule:
     default: CaoSpec | None = None
 
     def __post_init__(self) -> None:
-        last = -1
+        self.check_steps([k for k, _ in self.overrides])
         for k, sp in self.overrides:
+            if not _same_topology(self.base, sp):
+                raise ValueError(f"parameters for step {k} change the topology")
+        if self.default is not None and not _same_topology(self.base, self.default):
+            raise ValueError("default parameters change the topology")
+
+    @staticmethod
+    def check_steps(steps: Sequence[int]) -> None:
+        """Raise ValueError unless ``steps`` are ``int``s >= 0 in increasing
+        order, as the overrides' steps must be."""
+        last = -1
+        for k in steps:
             if not _is_integer(k):
                 raise ValueError(f"schedule step {k!r} is not an integer")
             if k < 0:
@@ -208,10 +219,6 @@ class ParameterSchedule:
             if k <= last:
                 raise ValueError(f"schedule step {k} does not follow step {last}")
             last = k
-            if not _same_topology(self.base, sp):
-                raise ValueError(f"parameters for step {k} change the topology")
-        if self.default is not None and not _same_topology(self.base, self.default):
-            raise ValueError("default parameters change the topology")
 
     @classmethod
     def constant(cls, spec: CaoSpec) -> ParameterSchedule:
@@ -225,11 +232,10 @@ class ParameterSchedule:
         steps: Mapping[int, CaoSpec],
         default: CaoSpec | None = None,
     ) -> ParameterSchedule:
-        return cls(
-            base=base,
-            overrides=tuple(sorted(steps.items())),
-            default=default,
-        )
+        # a key that is not an integer sorts first, where the constructor
+        # refuses it, instead of making sorted() raise TypeError
+        items = sorted(steps.items(), key=lambda kv: kv[0] if _is_integer(kv[0]) else -math.inf)
+        return cls(base=base, overrides=tuple(items), default=default)
 
     def span(self, k: int) -> tuple[CaoSpec, int | None]:
         """``(spec, until)``: the parameter set in force at step k, and the

@@ -71,7 +71,8 @@ class StepPlan:
 
     ``n``       per-entity radix (0 = entity feeds no operator)
     ``groups``  tuple of index tuples; each is the input set of one operator
-                with >= 2 inputs (carry groups for the min fold)
+                with >= 2 inputs (carry groups for the min fold). An entity
+                feeds at most one operator, so no entity is in two groups
     ``edges``   (src, dst, coeff) triples; carry of ``src`` adds
                 ``carry * coeff`` to ``dst``
     """
@@ -96,25 +97,17 @@ class StepPlan:
     @cached_property
     def _fanout(self):
         """The plan's adjacency for frontier stepping, built once per plan:
-        ``(out, member_of, owned)``. ``out[i]`` holds entity i's edges as
-        ``(dst, coeff)`` pairs, ``member_of[i]`` the ids of the groups i
-        belongs to, and ``owned[g]`` the members whose common carry group g
-        sets: the groups fold in plan order, so an entity in several groups
-        takes the last one's minimum."""
+        ``(out, group_of)``. ``out[i]`` holds entity i's edges as
+        ``(dst, coeff)`` pairs, and ``group_of[i]`` the index of the one
+        group i belongs to, or None."""
         out = [[] for _ in self.n]
-        member_of = [[] for _ in self.n]
-        last = {}
+        group_of = [None] * self.m
         for src, dst, coeff in self.edges:
             out[src].append((dst, coeff))
         for g, members in enumerate(self.groups):
             for i in members:
-                member_of[i].append(g)
-                last[i] = g
-        owned = tuple(
-            tuple(dict.fromkeys(i for i in members if last[i] == g))
-            for g, members in enumerate(self.groups)
-        )
-        return tuple(map(tuple, out)), tuple(map(tuple, member_of)), owned
+                group_of[i] = g
+        return tuple(map(tuple, out)), tuple(group_of)
 
 
 @lru_cache(maxsize=4096)
@@ -228,16 +221,20 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
     with every entry to compute. An update changes only the firing entries
     (common carry nonzero) and the entries they credit, so only those get
     their partial carry computed again, and only the groups whose members'
-    partials changed are folded again; an entity in several groups takes
-    the last one's minimum. Each row is copied out with ``tuple()``, or
-    with ``_stepcore.row`` when ``compiled``, which also untracks it.
+    partials changed are folded again, each straight into its members.
+    When ``compiled``, ``big`` flags each component outside int64 and
+    ``wide`` counts them; only the entries an update changed are tested
+    again. Each row is copied out with ``tuple()``, or with
+    ``_stepcore.row`` when ``compiled``, which also untracks it.
     """
     n, groups = plan.n, plan.groups
-    out, member_of, owned = plan._fanout
+    out, group_of = plan._fanout
     row = _stepcore.row if compiled else tuple
     head, s = row(state), list(state)
     p, pc = [0] * len(s), [0] * len(s)
-    wide = {j for j, v in enumerate(s) if not 0 <= v <= _INT64_MAX} if compiled else None
+    if compiled:
+        big = [not 0 <= v <= _INT64_MAX for v in s]
+        wide = sum(big)
     fire = set()
     touched = range(len(s))
     while True:
@@ -247,8 +244,8 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
             r = n[j]
             if r and (q := s[j] // r) != p[j]:
                 p[j] = q
-                if member_of[j]:
-                    dirty.update(member_of[j])
+                if (g := group_of[j]) is not None:
+                    dirty.add(g)
                 else:
                     pc[j] = q
                     if q:
@@ -256,8 +253,9 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
                     else:
                         fire.discard(j)
         for g in dirty:
-            low = min([p[x] for x in groups[g]])
-            for x in owned[g]:
+            members = groups[g]
+            low = min([p[x] for x in members])
+            for x in members:
                 pc[x] = low
                 if low:
                     fire.add(x)
@@ -280,10 +278,9 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
             return head, 1
         if compiled:
             for j in touched:
-                if 0 <= s[j] <= _INT64_MAX:
-                    wide.discard(j)
-                else:
-                    wide.add(j)
+                if (b := not 0 <= s[j] <= _INT64_MAX) != big[j]:
+                    big[j] = b
+                    wide += 1 if b else -1
             if not wide:
                 return head, 2
 

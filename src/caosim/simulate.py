@@ -271,9 +271,9 @@ def conserved_weights(spec: CaoSpec) -> tuple[tuple[int, ...], ...]:
 
     Along any stationary trace of the CAO, w·state is constant for every w
     in the span: the update adds (Rᵀ − N)·pc to the state and w annihilates
-    it regardless of the carry vector.
+    it regardless of the carry vector. A CAO with no entities has none.
     """
-    return rational.left_null_space(derive(spec).transition())
+    return rational.left_null_space(derive(spec).transition()) if spec.m else ()
 
 
 def check_conservation(

@@ -107,6 +107,29 @@ cao grow {
 }
 """
 
+# An 8-entity cycle using all four forms: every operator moves as much
+# weight out as in, so from (a + 1, a, 0, ...) it never settles.
+LOOP_TEXT = """\
+cao loop {
+  initial i = 500000001
+  initial j = 500000000
+  intermediate d
+  intermediate s
+  intermediate g
+  intermediate u
+  intermediate h
+  intermediate k
+
+  M (i:2, j:2) -> (d:2, s:2)
+  D (d:2) -> (g:1, u:1)
+  D (s:2) -> (g:1, u:1)
+  F (g:2, u:2) -> (h:4)
+  L (h:2) -> (k:2)
+  D (k:4) -> (i:2, j:2)
+}
+"""
+
+
 CORPUS_SEED = 0xCA05
 CORPUS_SIZE = 1000
 

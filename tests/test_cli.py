@@ -183,6 +183,30 @@ class TestSimulate:
         assert main(["simulate", showcase_file, "--init", "i"]) == EXIT_ERROR
         assert "NAME=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--init", "zz=1"], "no entity named 'zz' in CAO 'showcase'"),
+            (["--init", "i=x"], "--init value for 'i' is not an integer: 'x'"),
+            (["--schedule", "gappy"], "no parameters scheduled for step 0 and no default set"),
+        ],
+    )
+    def test_refusals_print_their_message_unquoted(self, showcase_file, tmp_path, capsys, extra, message):
+        # a KeyError's str() would wrap the message in quotes
+        (tmp_path / "gappy").write_text('{"steps": {}}')
+        extra = [str(tmp_path / a) if a == "gappy" else a for a in extra]
+        assert main(["simulate", showcase_file, *extra]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "weights", "export"])
+def test_an_invalid_file_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "bad.cao"
+    path.write_text("cao x {\n  initial a = 3\n  L (a:1) -> (b:1)\n}\n")
+    assert main([command, str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{path}:3:3: error[unknown-entity]" in captured.err
+
 
 class TestWeights:
     def test_showcase_weights(self, showcase_file, capsys):
@@ -196,6 +220,14 @@ class TestWeights:
         assert main(["weights", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.splitlines() == ["# a b", "1 0", "0 1"]
+
+    def test_an_empty_basis_is_said_in_a_comment(self, tmp_path, capsys):
+        # an acyclic CAO with entities has one that feeds nothing, so its
+        # transition matrix has rank < m: only the empty CAO has no weights
+        path = tmp_path / "empty.cao"
+        path.write_text("cao empty {\n}\n")
+        assert main(["weights", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "# \n# no conserved weights\n"
 
 
 class TestExport:

@@ -236,6 +236,43 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="per entity"):
             parse_trace(json.dumps(doc))
 
+    def test_parse_trace_refuses_a_document_of_wrong_types(self):
+        doc = {"format_version": 1, "cao": 1, "entities": "ab", "engine": None, "termination": [], "steps": []}
+        with pytest.raises(ValueError):
+            parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("cao", 1, "cao: 1 is not a string"),
+            ("engine", None, "engine: null is not a string"),
+            ("termination", [], "termination: [] is not a string"),
+            ("entities", "ijdsguh", "trace entities must be a list of names"),
+            ("entities", {"i": 0}, "trace entities must be a list of names"),
+            ("steps", [], "trace has no steps"),
+        ],
+    )
+    def test_parse_trace_refuses_what_export_trace_never_writes(self, showcase, key, value, message):
+        doc = self._showcase_doc(showcase)
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_trace(json.dumps(doc))
+
+    def test_parse_trace_refuses_an_entity_name_that_is_not_a_string(self, showcase):
+        doc = self._showcase_doc(showcase)
+        doc["entities"][3] = 3
+        with pytest.raises(ValueError, match="^entity name: 3 is not a string$"):
+            parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize("ks, at", [((5, 2), 0), ((0, 2), 1), ((0, 0), 1), ((1, 0), 0)])
+    def test_parse_trace_refuses_a_step_number_that_is_not_its_index(self, showcase, ks, at):
+        doc = self._showcase_doc(showcase)
+        for step, k in zip(doc["steps"], ks):
+            step["k"] = k
+        message = f"steps[{at}].k: {ks[at]} is not the step's index {at}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_trace(json.dumps(doc))
+
     def test_scheduled_trace_embeds_parameters(self, showcase):
         sched = ParameterSchedule.constant(showcase)
         trace = run(showcase, schedule=sched)
@@ -330,6 +367,13 @@ class TestSchedules:
         with pytest.raises(ValueError) as exc:
             load_schedule(text, showcase)
         assert needle in str(exc.value)
+
+    def test_a_negative_step_gets_the_schedules_message(self, showcase):
+        # the message is the schedule's own, for a file as for a mapping, and
+        # it comes before any parameter set is read
+        for raw in ('"base"', '{"operators": []}'):
+            with pytest.raises(ValueError, match="^schedule step -1 is negative$"):
+                load_schedule(f'{{"default": "base", "steps": {{"4": "base", "-1": {raw}}}}}', showcase)
 
     def test_wrong_operator_count_rejected(self, showcase):
         text = '{"default": {"operators": [{"radices": [2], "coefficients": [1]}]}}'

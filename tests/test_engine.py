@@ -26,6 +26,7 @@ from caosim import (
     validate,
     with_parameters,
 )
+from caosim.engine import _same_topology
 from conftest import SHOWCASE_TRAJECTORY
 
 # The full operator family of the showcase CAO, worked out by hand from its
@@ -152,6 +153,16 @@ def _single_link(radix):
     )
 
 
+def _links(*links, names=("a", "b", "c")):
+    """A three-entity CAO with one L operator of radix 2 per (src, dst) link."""
+    roles = (Role.INITIAL, Role.INTERMEDIATE, Role.FINAL)
+    return validate(
+        "links",
+        [Entity(n, r, 0) for n, r in zip(names, roles)],
+        [Operator(((src, 2),), ((dst, 1),)) for src, dst in links],
+    )
+
+
 class TestParameterChanges:
     def test_with_parameters_swaps_numbers_only(self, showcase):
         swapped = with_parameters(
@@ -268,6 +279,33 @@ class TestParameterChanges:
     def test_schedule_rejects_different_topology(self, showcase):
         with pytest.raises(ValueError):
             ParameterSchedule.from_mapping(showcase, {0: _single_link(10)})
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            pytest.param(_links(("a", "b"), names=("a", "b", "d")), id="entity names"),
+            pytest.param(_links(("a", "b"), ("b", "c")), id="operator count"),
+            pytest.param(_links(("a", "c")), id="output wiring"),
+            pytest.param(_links(("b", "c")), id="input wiring"),
+        ],
+    )
+    def test_same_topology_tells_wirings_apart(self, other):
+        base = _links(("a", "b"))
+        assert not _same_topology(base, other) and not _same_topology(other, base)
+        # parameters alone do not change the topology
+        assert _same_topology(base, with_parameters(base, [((7,), (3,))]))
+        with pytest.raises(ValueError, match="^default parameters change the topology$"):
+            ParameterSchedule(base, (), default=other)
+        with pytest.raises(ValueError, match="^parameters for step 2 change the topology$"):
+            ParameterSchedule.from_mapping(base, {2: other}, default=base)
+
+    @pytest.mark.parametrize("steps", [{"3": 0, 1: 0}, {1: 0, "3": 0}, {2: 0, 1.5: 0, 0: 0}])
+    def test_from_mapping_refuses_keys_of_mixed_types(self, steps):
+        # sorted() alone would raise TypeError on "3" against 1
+        ten = _single_link(10)
+        bad = next(k for k in steps if type(k) is not int)
+        with pytest.raises(ValueError, match=f"^schedule step {bad!r} is not an integer$"):
+            ParameterSchedule.from_mapping(ten, dict.fromkeys(steps, ten), default=ten)
 
     def test_schedule_rejects_negative_steps(self):
         ten = _single_link(10)

@@ -13,6 +13,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import caosim.kernel
 from caosim import build_linear_chain, parse, random_cao, random_state, run
 from caosim.kernel import (
     COMPILED_AVAILABLE,
@@ -24,7 +25,7 @@ from caosim.kernel import (
     plan_for,
     step,
 )
-from conftest import GROWING_CYCLE_TEXT, kernel_compile_command, kernel_compiler
+from conftest import GROWING_CYCLE_TEXT, LOOP_TEXT, kernel_compile_command, kernel_compiler
 
 needs_extension = pytest.mark.skipif(
     not COMPILED_AVAILABLE, reason="compiled kernel not built"
@@ -92,6 +93,22 @@ def test_showcase_plan(showcase):
         (3, 5, 3),
         (4, 6, 1),
     )
+
+
+def test_no_entity_is_in_two_carry_groups(fuzz_corpus, showcase):
+    # _frontier folds each group straight into its members, which is exact
+    # because an entity feeds at most one operator
+    specs = [spec for spec, _ in fuzz_corpus] + [showcase, parse(LOOP_TEXT, allow_cycles=True)]
+    for spec in specs:
+        plan = plan_for(spec)
+        members = [i for group in plan.groups for i in group]
+        assert len(members) == len(set(members))
+        _, group_of = plan._fanout
+        assert group_of == tuple(
+            next((g for g, group in enumerate(plan.groups) if i in group), None)
+            for i in range(plan.m)
+        )
+    assert sum(len(plan_for(spec).groups) >= 2 for spec in specs) > 100
 
 
 def test_pure_step_is_a_snapshot_update(showcase):
@@ -382,6 +399,35 @@ class TestAdvance:
             step(state, plan, backend=backend)
         with pytest.raises(ValueError, match=message):
             advance(plan, bind(plan, backend), state, 5)
+
+    @needs_extension
+    def test_a_stretch_goes_back_into_c_once_the_state_fits(self, monkeypatch):
+        # the loop from k = 2**63 + 3 leaves int64 and fits again every few
+        # updates: the stretch alternates between C and Python, and Python
+        # hands back to C only a state that int64 holds
+        loop = parse(LOOP_TEXT, allow_cycles=True)
+        plan = plan_for(loop)
+        state = (500000001, 500000000) + (0,) * 5 + (2**63 + 3,)
+        kernel = bind(plan, "compiled")
+        calls = []
+        frontier = caosim.kernel._frontier
+
+        class Counted:
+            def run(self, state, limit):
+                calls.append("C")
+                return kernel.run(state, limit)
+
+        def counted_frontier(*args):
+            last, stop = frontier(*args)
+            calls.append(stop)
+            assert stop != 2 or all(0 <= v < 2**63 for v in last)
+            return last, stop
+
+        monkeypatch.setattr(caosim.kernel, "_frontier", counted_frontier)
+        got = advance(plan, Counted(), state, 300)
+        assert got == repeated_pure_steps(plan, state, 300)
+        assert calls[:4] == ["C", 2, "C", 2] and calls.count("C") > 20
+        assert all((a == "C") != (b == "C") for a, b in zip(calls, calls[1:]))
 
     @needs_extension
     def test_leaving_c_is_logged(self, caplog):

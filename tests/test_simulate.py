@@ -30,7 +30,7 @@ from caosim import (
 )
 from caosim.kernel import COMPILED_AVAILABLE
 from caosim.simulate import ConservationError, TraceStep
-from conftest import SHOWCASE_TRAJECTORY
+from conftest import LOOP_TEXT, SHOWCASE_TRAJECTORY
 
 
 class TestRun:
@@ -96,6 +96,11 @@ class TestRun:
         trace = run(chain, (9, 0, 0, 0), max_steps=2, engine=engine, backend=backend)
         assert trace.step_count == 2
         assert trace.termination == "step-limit"
+
+    @pytest.mark.parametrize("engine", ["matrix", "operational", "both"])
+    def test_step_budget_must_not_be_negative(self, engine):
+        with pytest.raises(ValueError, match=r"^max_steps must be >= 0$"):
+            run(build_linear_chain(2, 4), (9, 0, 0, 0), max_steps=-1, engine=engine)
 
     def test_engine_choices_agree(self, showcase):
         by_matrix = run(showcase, engine="matrix")
@@ -465,27 +470,6 @@ class TestTraceStep:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     delattr(entry, name)
             assert not hasattr(entry, "__dict__")
-
-
-LOOP_TEXT = """\
-cao loop {
-  initial i = 500000001
-  initial j = 500000000
-  intermediate d
-  intermediate s
-  intermediate g
-  intermediate u
-  intermediate h
-  intermediate k
-
-  M (i:2, j:2) -> (d:2, s:2)
-  D (d:2) -> (g:1, u:1)
-  D (s:2) -> (g:1, u:1)
-  F (g:2, u:2) -> (h:4)
-  L (h:2) -> (k:2)
-  D (k:4) -> (i:2, j:2)
-}
-"""
 
 
 class Big(int):
