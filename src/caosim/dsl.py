@@ -16,7 +16,8 @@ Operator forms (L/D/F/M) may be omitted; they follow from the valence.
 Every parse failure — lexical, syntactic, or structural — carries a source
 span (1-based line and column, 0-based half-open offsets) so tools can point
 at the offending text. Tokens carry only their offsets; a span's line and
-column are counted from its start offset when the diagnostic is built.
+column are looked up from its start offset, in a table of the text's line
+starts built once per parse, when the diagnostic is built.
 Serialization is canonical: ``parse(serialize(spec))`` reproduces the
 :class:`~caosim.model.CaoSpec` exactly, forms and all.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,10 +77,16 @@ class DslError(ValueError):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-def _span(text: str, start: int, end: int) -> SourceSpan:
-    """The span of ``text[start:end]``, its line and column counted from the offsets."""
-    line_start = text.rfind("\n", 0, start) + 1
-    return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1, start, end)
+def _line_starts(text: str) -> list[int]:
+    """The offset at which each line of ``text`` starts, in increasing order."""
+    return [0, *(m.end() for m in re.finditer("\n", text))]
+
+
+def _span(lines: list[int], start: int, end: int) -> SourceSpan:
+    """The span from offset ``start`` to ``end`` of a text whose
+    :func:`_line_starts` are ``lines``, its line and column found by bisection."""
+    line = bisect_right(lines, start)
+    return SourceSpan(line, start - lines[line - 1] + 1, start, end)
 
 
 _Lexeme = tuple[str, str, int, int]  # kind, text, start offset, end offset
@@ -106,7 +114,8 @@ def _tokenize(text: str, path: str) -> list[_Lexeme]:
         # \w also takes "²", "½" and "Ⅻ", which may follow a letter but not start a name
         if kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
             message = f"unexpected character {word[0]!r}"
-            raise DslError([Diagnostic(path, "error", "bad-token", message, _span(text, start, start + 1))])
+            span = _span(_line_starts(text), start, start + 1)
+            raise DslError([Diagnostic(path, "error", "bad-token", message, span)])
         tokens.append((word if kind == "PUNCT" else kind, word, start, end))
     tokens.append(("EOF", "", len(text), len(text)))
     return tokens
@@ -131,7 +140,8 @@ class _Parser:
 
     def fail(self, message: str, tok: _Lexeme | None = None) -> DslError:
         _, _, start, end = tok or self.here
-        return DslError([Diagnostic(self.path, "error", "syntax", message, _span(self.text, start, end))])
+        span = _span(_line_starts(self.text), start, end)
+        return DslError([Diagnostic(self.path, "error", "syntax", message, span)])
 
     def expect(self, kind: str, what: str) -> _Lexeme:
         if self.here[0] != kind:
@@ -207,6 +217,7 @@ def _semantic_diagnostics(
     issues,
 ) -> list[Diagnostic]:
     entity_at = {ent.name: at for ent, at in entities}  # duplicates point at the later declaration
+    lines = _line_starts(text)
     out = []
     for issue in issues:
         if issue.operator is not None and issue.operator < len(operators):
@@ -215,7 +226,7 @@ def _semantic_diagnostics(
             at = entity_at[issue.entity]
         else:
             at = name_at
-        out.append(Diagnostic(path, issue.severity, issue.code, issue.message, _span(text, *at)))
+        out.append(Diagnostic(path, issue.severity, issue.code, issue.message, _span(lines, *at)))
     return out
 
 

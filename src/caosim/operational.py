@@ -7,19 +7,32 @@ matrices are formed anywhere in this module — it is an independent second
 route to the same dynamics, kept in plain unbounded-integer Python so the
 matrix engine can be checked against it step for step.
 
-An operator whose common carry is 0 is idle. Its procedure would remove
-0 × radix from each input and credit 0 × coefficient to each output, which
-leaves every component as it was, so the update skips those two loops and
-spends work only where operators fire. The carries it reports do not change:
-an idle single-input operator's partial carry is the 0 already in place, and
-a multi-input operator records every input's partial carry before it knows
-their minimum.
+An operator's carries depend only on its own inputs. So an operator none of
+whose inputs changed in the last update keeps its carries, and an idle one,
+whose common carry is 0, stays idle. :func:`enactor` therefore enacts every
+operator in its first update, and after that only the operators that read a
+component the last update changed: the inputs and outputs of the operators
+that fired. An operator that fires changes its own inputs, so it is enacted
+again in the next update. This is the frontier stepping of sandpiles, where
+only sites that just received grains can topple (Dhar, PRL 64, 1990;
+Björner, Lovász & Shor, Europ. J. Combin. 12, 1991).
+
+The matrix route (:mod:`caosim.engine`, :mod:`caosim.kernel` and the
+compiled kernel) steps the same way, and the two still check each other
+independently. This module imports only :mod:`caosim.model` and shares no
+code with that route. It derives which operators read which entity from
+:func:`resolve` alone, and it keeps its own state and carries. The two
+routes also work at different grains. Here a whole operator is enacted again
+or not at all. The matrix route recomputes single entries of a flattened
+plan (per-entity radices, carry groups and weighted edges). A slip in either
+one's bookkeeping shows as a difference in some row, and
+``run(engine="both")`` compares every row in full.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import CaoSpec, check_state, entity_index
 
@@ -50,41 +63,87 @@ def step_operational(spec: CaoSpec, state: Sequence[int]) -> StepResult:
     next state.
     """
     check_state(spec, state)
-    return enact(resolve(spec), state)
+    return next(enactor(resolve(spec), state))
 
 
-def enact(operators: Resolved, state: Sequence[int]) -> StepResult:
-    """Enact every resolved operator once on a snapshot of a checked state.
+def enactor(operators: Resolved, state: Sequence[int]) -> Iterator[StepResult]:
+    """The updates of a checked ``state`` under resolved ``operators``: each
+    ``next()`` takes one and returns ``(next, partials, common)``.
 
-    The update behind :func:`step_operational`, for callers that resolve a
-    spec and check the state themselves. A single-input operator (L, D)
-    takes its carry with one division. A multi-input operator (F, M)
-    records every input's partial carry and takes their minimum. An idle
-    operator, one whose common carry is 0, removes and credits nothing, so
-    its removal and credit loops are skipped.
+    The state and the carries are kept as lists. The first update enacts
+    every operator, and each later one only those that read a component the
+    last update changed; the others keep their carries. A single-input
+    operator (L, D) takes its carry with one division. A multi-input
+    operator (F, M) records every input's partial carry and takes their
+    minimum. Carries are read from ``cur``, the snapshot of the state the
+    update starts from, and removals and credits go into the list, so no
+    update sees its own effects. An operator that fires marks for the next
+    update every operator that reads one of its inputs or outputs. Without
+    multi-input operators the common carries are the partials, and one
+    tuple holds both. After a fixed point every update returns the same
+    rows.
     """
-    nxt = list(state)
-    p = [0] * len(state)
-    pc = [0] * len(state)
-    for inputs, outputs in operators:
-        if len(inputs) == 1:
-            i, n = inputs[0]
-            common = state[i] // n
-            if not common:
-                continue
-            p[i] = pc[i] = common
-            nxt[i] -= common * n
-        else:
-            common = None
-            for i, n in inputs:
-                carry = p[i] = state[i] // n
-                if common is None or carry < common:
-                    common = carry
-            if not common:
-                continue
-            for i, n in inputs:
-                pc[i] = common
-                nxt[i] -= common * n
-        for t, coeff in outputs:
-            nxt[t] += common * coeff
-    return tuple(nxt), tuple(p), tuple(pc)
+    readers = [[] for _ in state]
+    for o, (inputs, _) in enumerate(operators):
+        for i, _ in inputs:
+            readers[i].append(o)
+    marks = [
+        tuple({r for i, _ in (*inputs, *outputs) for r in readers[i]})
+        for inputs, outputs in operators
+    ]
+    grouped = any(len(inputs) > 1 for inputs, _ in operators)
+    s = list(state)
+    p = [0] * len(s)
+    pc = [0] * len(s)
+    cur = tuple(s)
+    dirty = range(len(operators))
+    while True:
+        marked = set()
+        for o in dirty:
+            inputs, outputs = operators[o]
+            if len(inputs) == 1:
+                i, n = inputs[0]
+                common = p[i] = pc[i] = cur[i] // n
+                if not common:
+                    continue
+                s[i] -= common * n
+            else:
+                common = None
+                for i, n in inputs:
+                    carry = p[i] = cur[i] // n
+                    if common is None or carry < common:
+                        common = carry
+                for i, n in inputs:
+                    pc[i] = common
+                if not common:
+                    continue
+                for i, n in inputs:
+                    s[i] -= common * n
+            for t, coeff in outputs:
+                s[t] += common * coeff
+            marked.update(marks[o])
+        if marked:
+            cur = tuple(s)
+        dirty = marked
+        pt = tuple(p)
+        yield cur, pt, pt if not grouped or p == pc else tuple(pc)
+
+
+def advance(updates: Iterator[StepResult], state: tuple[int, ...], limit: int):
+    """Up to ``limit`` updates from ``updates``, an :func:`enactor` whose
+    state is ``state``: ``(rows, last, stop)``, as the matrix route's
+    ``advance`` returns them.
+
+    ``rows`` holds one ``(state, partials, common)`` tuple per update and
+    ``last`` the state after the last row. ``stop`` is 0 when the last row's
+    common carries are all zero (a fixed point) and 1 when ``limit`` rows
+    were taken.
+    """
+    rows = []
+    for nxt, p, pc in updates:
+        rows.append((state, p, pc))
+        state = nxt
+        if not any(pc):
+            return rows, state, 0
+        if len(rows) == limit:
+            return rows, state, 1

@@ -7,12 +7,14 @@ lock step and raises on the first disagreement, so every ordinary simulation
 doubles as a consistency check between the two routes.
 
 The loop binds the routes to each parameter set as it comes into force:
-the step plan and compiled kernel for the matrix route, the resolved
-operators for the operational route, each from its per-spec cache. The
-matrix route steps in stretches taken by ``kernel.advance``: each runs for
-up to ``_RUN_CHUNK`` updates and ends where the schedule says the parameters
-may next change (``ParameterSchedule.span``). The operational route enacts
-one update per pass, and "both" checks every matrix update against it.
+the step plan and compiled kernel for the matrix route from their per-spec
+caches, and for the operational route an enactor built from the resolved
+operators and the state. Both routes step in stretches: each runs for up to
+``_RUN_CHUNK`` updates and ends where the schedule says the parameters may
+next change (``ParameterSchedule.span``). The matrix route takes them with
+``kernel.advance``, the operational route with ``operational.advance``. In
+"both", the enactor takes one update for each row of a matrix stretch, in
+lock step, and every row is compared in full.
 
 Also here: exact conserved-weight extraction (integer row vectors w with
 w·state constant along every stationary trace), a base-b chain builder whose
@@ -26,11 +28,10 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import kernel, rational
+from . import kernel, operational, rational
 from .engine import ParameterSchedule, _same_topology, derive
 from .kernel import StepResult
 from .model import CaoSpec, Entity, Operator, Role, _is_integer, check_state, validate
-from .operational import enact, resolve
 
 ENGINES = ("matrix", "operational", "both")
 
@@ -183,22 +184,23 @@ def run(
                 plan = kernel.plan_for(spec_k)
                 compiled = kernel.bind(plan, backend)
             if engine != "matrix":
-                operators = resolve(spec_k)
+                updates = operational.enactor(operational.resolve(spec_k), state)
+        limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
         if engine == "operational":
-            nxt, p, pc = enact(operators, state)
-            rows, last, stop = [(state, p, pc)], nxt, 1 if any(pc) else 0
+            rows, last, stop = operational.advance(updates, state, limit)
         else:
-            limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
             rows, last, stop = kernel.advance(plan, compiled, state, limit)
-            if stop == 0 and until is not None:
-                # a fixed state stays fixed, row and all, until the parameters may change
-                rows += [rows[-1]] * (limit - len(rows))
         if engine == "both":
-            for i, (s, p, pc) in enumerate(rows):
+            # zip takes one update of the enactor per matrix row, and no more
+            for i, ((s, p, pc), want) in enumerate(zip(rows, updates)):
                 got = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
-                want = enact(operators, s)
-                if got != want:
+                # common carries that are the partials' own tuple on both sides
+                # are equal when the partials are
+                if got[:2] != want[:2] or not (pc is p and want[2] is want[1]) and pc != want[2]:
                     raise EngineDivergenceError(Divergence(k + i, s, got, want))
+        if stop == 0 and until is not None:
+            # a fixed state stays fixed, row and all, until the parameters may change
+            rows += [rows[-1]] * (limit - len(rows))
         entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
         k += len(rows)
         if until is None and stop == 0 or k > max_steps:
@@ -231,7 +233,8 @@ def compare_engines(
     """Drive both engines from the same states and report the first mismatch.
 
     This is ``run(engine="both")`` returning what happened instead of raising
-    on divergence. The comparison continues from the matrix engine's states.
+    on divergence. Each route steps from its own state, and the two states
+    are equal up to the first divergence, whose ``state`` they share.
     ``steps_compared`` counts every compared step, the diverging one included.
     """
     try:

@@ -1,5 +1,6 @@
 """Shared fixtures: the all-forms showcase CAO and a deterministic fuzz corpus,
-and ``package_imports``, which reads what a ``caosim`` module imports.
+``random_parameters``, which redraws a CAO's radices and coefficients, and
+``package_imports``, which reads what a ``caosim`` module imports.
 
 Before ``caosim`` is imported, the compiled step kernel is built in place
 from ``src/caosim/_stepcore.c`` when a C compiler is present, so the tests
@@ -64,7 +65,7 @@ def _build_kernel() -> None:
 
 _build_kernel()
 
-from caosim import CaoSpec, parse, random_cao, random_state  # noqa: E402
+from caosim import CaoSpec, parse, random_cao, random_state, with_parameters  # noqa: E402
 
 # One CAO exercising every operator form: an M fans (i, j) into (d, s),
 # an L and a D push d and s onward into (g, u), and an F collapses (g, u)
@@ -128,6 +129,17 @@ cao loop {
   D (k:4) -> (i:2, j:2)
 }
 """
+
+
+def random_parameters(rng: random.Random, spec):
+    """``spec`` with every radix drawn from 2..4 and every coefficient from 1..4."""
+    return with_parameters(
+        spec,
+        [
+            ([rng.randint(2, 4) for _ in op.inputs], [rng.randint(1, 4) for _ in op.outputs])
+            for op in spec.operators
+        ],
+    )
 
 
 CORPUS_SEED = 0xCA05

@@ -32,7 +32,13 @@ from caosim import (
     with_parameters,
 )
 from caosim.kernel import COMPILED_AVAILABLE
-from conftest import CORPUS_SIZE, GROWING_CYCLE_TEXT, SHOWCASE_TEXT, SHOWCASE_TRAJECTORY
+from conftest import (
+    CORPUS_SIZE,
+    GROWING_CYCLE_TEXT,
+    SHOWCASE_TEXT,
+    SHOWCASE_TRAJECTORY,
+    random_parameters,
+)
 
 
 def test_criterion_1_golden_trace(showcase):
@@ -78,17 +84,6 @@ def test_criterion_2_engine_equivalence(fuzz_corpus, backend):
 GROWING_CYCLE = parse(GROWING_CYCLE_TEXT, allow_cycles=True)
 
 
-def _random_parameters(rng: random.Random, spec):
-    """``spec`` with every radix drawn from 2..4 and every coefficient from 1..4."""
-    return with_parameters(
-        spec,
-        [
-            ([rng.randint(2, 4) for _ in op.inputs], [rng.randint(1, 4) for _ in op.outputs])
-            for op in spec.operators
-        ],
-    )
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.booleans(), st.booleans())
 # the whole run in big integers; a run leaving C and going back 25 times;
@@ -123,15 +118,15 @@ def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic, schedule
         # so its state is recorded again at every step until then. Without a
         # default the overrides start at step 0 and every step after them is
         # a gap, which each route must report at the same step. The
-        # operational route takes one update per pass: the per-update oracle.
-        default = rng.choice([None, spec, _random_parameters(rng, spec)])
+        # operational route is rebuilt at every change of the parameters.
+        default = rng.choice([None, spec, random_parameters(rng, spec)])
         start = 0 if default is None else rng.randrange(60)
         if default is not None and rng.random() < 0.5:
             keys = rng.sample(range(60), 4)
         else:
             keys = range(start, start + rng.randint(1, 60))
         # an override may also hold the CAO's own parameters
-        pool = (spec, _random_parameters(rng, spec), _random_parameters(rng, spec))
+        pool = (spec, random_parameters(rng, spec), random_parameters(rng, spec))
         overrides = {k: rng.choice(pool) for k in keys}
         schedule = ParameterSchedule.from_mapping(spec, overrides, default=default)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -157,6 +158,59 @@ class TestDiagnostics:
         diag = _sole_error("cao x {\n initial a # hi")
         assert diag.code == "syntax"
         assert (diag.span.line, diag.span.column, diag.span.start) == (2, 16, 23)
+
+    def test_a_ring_warns_once_per_entity(self):
+        text = (
+            "cao ring {\n  intermediate a\n  intermediate b\n  # a comment\n  intermediate c\n\n"
+            "  L (a:2) -> (b:1)\n  L (b:2) -> (c:1)\n  L (c:2) -> (a:1)\n}\n"
+        )
+        unreachable = (
+            "<dsl>:2:3: warning[unreachable-entity]: entity 'a' is not reachable from any initial entity\n"
+            "<dsl>:3:3: warning[unreachable-entity]: entity 'b' is not reachable from any initial entity\n"
+            "<dsl>:5:3: warning[unreachable-entity]: entity 'c' is not reachable from any initial entity"
+        )
+        spec, diags = try_parse(text, allow_cycles=True)
+        assert spec is not None
+        assert "\n".join(map(str, diags)) == unreachable
+        assert [(d.span.start, d.span.end) for d in diags] == [(13, 27), (30, 44), (61, 75)]
+        spec, diags = try_parse(text)
+        assert spec is None
+        assert "\n".join(map(str, diags)) == (
+            "<dsl>:1:5: error[cycle-detected]: topology contains a cycle: a -> b -> c -> a\n" + unreachable
+        )
+
+    def test_diagnostics_take_linear_time(self):
+        # A ring with no initial entity gets one warning per entity, and each
+        # warning's line is looked up in one table of line starts. Counting
+        # newlines from the start of the text for each warning made a
+        # 20,000-entity ring take several times as long as a chain.
+        def timed(text):
+            best = None
+            for _ in range(2):
+                began = time.perf_counter()
+                spec, diags = try_parse(text, allow_cycles=True)
+                took = time.perf_counter() - began
+                best = took if best is None else min(best, took)
+            return spec, diags, best
+
+        m = 20_000
+        declarations = [f"  intermediate e{i}" for i in range(1, m - 1)]
+        chain = "\n".join(
+            ["cao chain {", "  initial e0 = 5", *declarations, f"  final e{m - 1}"]
+            + [f"  L (e{i}:2) -> (e{i + 1}:1)" for i in range(m - 1)]
+            + ["}"]
+        )
+        ring = "\n".join(
+            ["cao ring {", "  intermediate e0", *declarations, f"  intermediate e{m - 1}"]
+            + [f"  L (e{i}:2) -> (e{(i + 1) % m}:1)" for i in range(m)]
+            + ["}"]
+        )
+        spec, diags, chain_s = timed(chain)
+        assert spec is not None and not diags
+        spec, diags, ring_s = timed(ring)
+        assert spec is not None and len(diags) == m
+        assert diags[-1].span.line == m + 1
+        assert ring_s < 2 * chain_s, f"ring {ring_s:.2f} s, chain {chain_s:.2f} s"
 
 
 class TestDotExport:
@@ -566,7 +620,8 @@ def _assert_tokens_match_the_oracle(text):
         return None
     new = dsl._tokenize(text, "<dsl>")
     assert new == [(t.kind, t.text, t.span.start, t.span.end) for t in old]
-    spans = [dsl._span(text, start, end) for _, _, start, end in new]
+    lines = dsl._line_starts(text)
+    spans = [dsl._span(lines, start, end) for _, _, start, end in new]
     assert spans[:-1] == [t.span for t in old[:-1]]
     old_eof, new_eof = old[-1].span, spans[-1]
     if old_eof != new_eof:

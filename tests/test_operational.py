@@ -9,13 +9,61 @@ from hypothesis import given, settings, strategies as st
 
 from caosim import (
     NegativeComponentError,
+    ParameterSchedule,
+    ScheduleGapError,
+    parse,
     random_cao,
     random_state,
     resolve,
+    run,
     step_operational,
 )
-from caosim.operational import enact
-from conftest import SHOWCASE_TRAJECTORY, package_imports
+from caosim.operational import advance, enactor
+from conftest import (
+    GROWING_CYCLE_TEXT,
+    LOOP_TEXT,
+    SHOWCASE_TRAJECTORY,
+    package_imports,
+    random_parameters,
+)
+
+
+def enact(operators, state):
+    """Enact every resolved operator once on a snapshot of a checked state.
+
+    The literal update, the oracle for :func:`caosim.operational.enactor`,
+    which enacts again only the operators whose inputs changed. A
+    single-input operator (L, D) takes its carry with one division. A
+    multi-input operator (F, M) records every input's partial carry and
+    takes their minimum. An idle operator, one whose common carry is 0,
+    removes and credits nothing, so its removal and credit loops are
+    skipped.
+    """
+    nxt = list(state)
+    p = [0] * len(state)
+    pc = [0] * len(state)
+    for inputs, outputs in operators:
+        if len(inputs) == 1:
+            i, n = inputs[0]
+            common = state[i] // n
+            if not common:
+                continue
+            p[i] = pc[i] = common
+            nxt[i] -= common * n
+        else:
+            common = None
+            for i, n in inputs:
+                carry = p[i] = state[i] // n
+                if common is None or carry < common:
+                    common = carry
+            if not common:
+                continue
+            for i, n in inputs:
+                pc[i] = common
+                nxt[i] -= common * n
+        for t, coeff in outputs:
+            nxt[t] += common * coeff
+    return tuple(nxt), tuple(p), tuple(pc)
 
 
 def enact_every_operator(operators, state):
@@ -124,9 +172,11 @@ class TestIdleOperators:
         spec = random_cao(rng, radix_range=rng.choice([(2, 4), (2, 16)]))
         operators = resolve(spec)
         state = small_or_random_state(rng, spec)
+        updates = enactor(operators, state)
         for _ in range(5):
             got = enact(operators, state)
             assert got == enact_every_operator(operators, state)
+            assert next(updates) == got
             state = got[0]
 
 
@@ -183,3 +233,139 @@ class TestStepOperational:
         for _ in range(10):
             state, _, _ = step_operational(spec, state)
             assert all(v >= 0 for v in state)
+
+
+GROWING_CYCLE = parse(GROWING_CYCLE_TEXT, allow_cycles=True)
+LOOP = parse(LOOP_TEXT, allow_cycles=True)
+
+
+def enacted_updates(spec, state, updates):
+    """Whether the enactor at ``state`` takes ``updates`` updates as the
+    literal ``enact`` does, row for row, and one more after a fixed point."""
+    operators = resolve(spec)
+    got = enactor(operators, state)
+    for _ in range(updates):
+        want = enact(operators, state)
+        assert next(got) == want, f"{spec.name} from {state}"
+        if not any(want[2]):
+            assert next(got) == want
+            return
+        state = want[0]
+
+
+def literal_run(spec, state, max_steps, schedule=None):
+    """What ``run`` records, taken with one literal ``enact`` per update:
+    ``(entries, termination)``, or the step of a schedule's gap. A fixed
+    point ends the run only once the schedule can no longer change the
+    parameters; until then the fixed state is recorded at every step."""
+    sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
+    entries = []
+    for k in range(max_steps + 1):
+        try:
+            spec_k, until = sched.span(k)
+        except ScheduleGapError as gap:
+            return gap.k
+        nxt, p, pc = enact(resolve(spec_k), state)
+        entries.append((k, state, p, pc))
+        if until is None and not any(pc):
+            return entries, "fixed-point"
+        state = nxt
+    return entries, "step-limit"
+
+
+class TestEnactor:
+    """The enactor re-enacts only the operators whose inputs changed; the
+    literal ``enact``, which enacts every operator, is its oracle."""
+
+    def test_matches_the_literal_update_on_the_fuzz_corpus(self, fuzz_corpus):
+        for spec, state in fuzz_corpus:
+            enacted_updates(spec, state, 60)
+
+    def test_matches_the_literal_update_on_the_loop_cao(self):
+        enacted_updates(LOOP, LOOP.start_state(), 3000)
+
+    def test_matches_the_literal_update_across_int64(self):
+        # the growing cycle crosses 2**63 mid-run, from below and from above
+        rng = random.Random(63)
+        draws = (
+            lambda: rng.randrange(1000),
+            lambda: rng.randrange(2**54, 2**63),
+            lambda: 2**63 + rng.randrange(-64, 64),
+            lambda: rng.randrange(2**70),
+        )
+        for _ in range(40):
+            state = tuple(rng.choice(draws)() for _ in range(GROWING_CYCLE.m))
+            enacted_updates(GROWING_CYCLE, state, 200)
+
+    def test_scheduled_runs_match_the_literal_update(self):
+        for seed in range(300):
+            self.check_a_scheduled_run(seed)
+
+    @staticmethod
+    def check_a_scheduled_run(seed):
+        # Overrides at random steps or on a run of consecutive ones, with or
+        # without a default (without one, every step after the overrides is a
+        # gap); a state fixed before the schedule settles is recorded again at
+        # every step up to the next change. The enactor is rebuilt at each
+        # change, so no carry of one parameter set survives into the next.
+        rng = random.Random(seed)
+        spec = rng.choice([GROWING_CYCLE, LOOP, random_cao(rng, radix_range=(2, 4))])
+        big = rng.random() < 0.3
+        state = tuple(
+            (2**63 + rng.randrange(-64, 64)) if big else rng.randrange(40) for _ in range(spec.m)
+        )
+        default = rng.choice([None, spec, random_parameters(rng, spec)])
+        start = 0 if default is None else rng.randrange(40)
+        if default is not None and rng.random() < 0.5:
+            keys = rng.sample(range(40), 4)
+        else:
+            keys = range(start, start + rng.randint(1, 40))
+        pool = (spec, random_parameters(rng, spec), random_parameters(rng, spec))
+        schedule = ParameterSchedule.from_mapping(
+            spec, {k: rng.choice(pool) for k in keys}, default=default
+        )
+        want = literal_run(spec, state, 50, schedule)
+        for engine in ("operational", "both"):
+            try:
+                trace = run(spec, state, max_steps=50, engine=engine, schedule=schedule)
+            except ScheduleGapError as gap:
+                assert gap.k == want, f"seed {seed}, {engine}"
+                continue
+            got = [(e.k, e.state, e.partials, e.common) for e in trace.steps]
+            assert (got, trace.termination) == want, f"seed {seed}, {engine}"
+
+    def test_advance_takes_a_stretch(self):
+        updates = enactor(resolve(LOOP), LOOP.start_state())
+        rows, last, stop = advance(updates, LOOP.start_state(), 7)
+        assert (len(rows), stop) == (7, 1)
+        assert rows[0][0] == LOOP.start_state()
+        nexts = [s for s, _, _ in rows[1:]] + [last]
+        assert [enact(resolve(LOOP), s) for s, _, _ in rows] == [
+            (nxt, p, pc) for (_, p, pc), nxt in zip(rows, nexts)
+        ]
+        # the next stretch goes on from where this one stopped
+        (row,), _, _ = advance(updates, last, 1)
+        assert row[0] == last
+        assert row[1:] == enact(resolve(LOOP), last)[1:]
+
+    def test_advance_stops_at_a_fixed_point(self, showcase):
+        state = showcase.start_state()
+        rows, last, stop = advance(enactor(resolve(showcase), state), state, 1000)
+        assert stop == 0
+        assert [(s, pc) for s, _, pc in rows] == list(SHOWCASE_TRAJECTORY)
+        assert last == rows[-1][0]
+
+    def test_the_operational_engine_steps_in_stretches(self, monkeypatch):
+        import caosim.operational as operational
+
+        limits = []
+        real = operational.advance
+
+        def counting(updates, state, limit):
+            limits.append(limit)
+            return real(updates, state, limit)
+
+        monkeypatch.setattr(operational, "advance", counting)
+        trace = run(LOOP, max_steps=5000, engine="operational")
+        assert limits == [1024] * 4 + [5001 - 4096]
+        assert trace.steps == run(LOOP, max_steps=5000, engine="matrix").steps

@@ -16,6 +16,7 @@ from caosim import (
     CstTrace,
     EngineDivergenceError,
     ParameterSchedule,
+    Role,
     ScheduleGapError,
     build_linear_chain,
     check_conservation,
@@ -139,15 +140,26 @@ class TestEngineComparison:
         assert report.divergence is None
         assert report.steps_compared == 4  # three updates plus the settled state
 
-    def test_divergence_is_caught_and_reported(self, showcase, monkeypatch):
-        import caosim.simulate as sim
-        from caosim.operational import enact as real
+    @staticmethod
+    def corrupt_enactor(monkeypatch, at):
+        """Make every enactor report a next state one too high in its first
+        component at its update ``at``; its own state stays right."""
+        import caosim.operational as operational
+
+        real = operational.enactor
 
         def wrong(operators, state):
-            nxt, p, pc = real(operators, state)
-            return (nxt[0] + 1, *nxt[1:]), p, pc
+            for n, (nxt, p, pc) in enumerate(real(operators, state)):
+                if n == at:
+                    nxt = (nxt[0] + 1, *nxt[1:])
+                yield nxt, p, pc
 
-        monkeypatch.setattr(sim, "enact", wrong)
+        monkeypatch.setattr(operational, "enactor", wrong)
+
+    def test_divergence_is_caught_and_reported(self, showcase, monkeypatch):
+        import caosim.simulate as sim
+
+        self.corrupt_enactor(monkeypatch, 0)
         report = sim.compare_engines(showcase)
         assert not report.equal
         assert report.divergence.k == 0
@@ -164,26 +176,73 @@ class TestEngineComparison:
     @pytest.mark.parametrize("k", [5, 1030])  # 1030 lies past the first 1024-update stretch
     def test_divergence_inside_a_stretch(self, monkeypatch, k):
         import caosim.simulate as sim
-        from caosim.operational import enact as real
 
-        calls = []
-
-        def wrong_at_k(operators, state):
-            nxt, p, pc = real(operators, state)
-            calls.append(state)
-            if len(calls) == k + 1:
-                nxt = (nxt[0] + 1, *nxt[1:])
-            return nxt, p, pc
-
-        monkeypatch.setattr(sim, "enact", wrong_at_k)
+        self.corrupt_enactor(monkeypatch, k)
         with pytest.raises(EngineDivergenceError) as exc:
             sim.run(self.SWING, max_steps=2000)
         assert exc.value.divergence.k == k
-        calls.clear()
         report = sim.compare_engines(self.SWING, max_steps=2000)
         assert not report.equal
         assert report.divergence.k == k
         assert report.steps_compared == k + 1
+
+    @staticmethod
+    def far_entries():
+        """``(spec, state, entry, row)``: an entry that no operator the
+        enactor takes again reads or writes, and a row of the run to put a
+        wrong value in it. A 40-entity base-2 chain from 2**10 settles after
+        10 updates and no operator past entity 11 ever fires or is credited;
+        no operator reads a final entity of a random CAO."""
+        chain = build_linear_chain(2, 40)
+        fuzz = random_cao(random.Random(7), min_entities=10, max_entities=10)
+        final = next(i for i, e in enumerate(fuzz.entities) if e.role is Role.FINAL)
+        return [
+            (chain, (2**10,) + (0,) * 39, 30, 3),
+            (fuzz, random_state(random.Random(8), fuzz, 10**4), final, 1),
+        ]
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("field", [0, 1, 2])  # the state, the partials, the common carries
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_a_wrong_entry_far_from_the_frontier_is_caught(self, monkeypatch, backend, field, case):
+        # The check compares whole rows, so one wrong entry where the enactor
+        # does no work is a divergence all the same, at the update whose
+        # result that row holds, with the message and count it always had.
+        import caosim.simulate as sim
+
+        spec, state, entry, row = self.far_entries()[case]
+        steps = run(spec, state, engine="matrix", backend=backend).steps
+        assert len(steps) > row + 1
+
+        def bump(values):
+            return (*values[:entry], values[entry] + 1, *values[entry + 1 :])
+
+        real = sim.kernel.advance
+
+        def wrong(plan, compiled, start, limit):
+            rows, last, stop = real(plan, compiled, start, limit)
+            rows[row] = tuple(bump(v) if f == field else v for f, v in enumerate(rows[row]))
+            return rows, last, stop
+
+        monkeypatch.setattr(sim.kernel, "advance", wrong)
+        # a row's state is the result of the update before it
+        k = row - 1 if field == 0 else row
+        right = (steps[k + 1].state, steps[k].partials, steps[k].common)
+        wrong_result = tuple(bump(v) if f == field else v for f, v in enumerate(right))
+        message = (
+            f"engines disagree at step {k}: matrix {wrong_result[0]} "
+            f"vs operational {right[0]} from state {steps[k].state}"
+        )
+        with pytest.raises(EngineDivergenceError) as exc:
+            run(spec, state, backend=backend)
+        assert str(exc.value) == message
+        assert exc.value.divergence == sim.Divergence(k, steps[k].state, wrong_result, right)
+        report = compare_engines(spec, state, backend=backend)
+        assert (report.equal, report.steps_compared, report.divergence) == (
+            False,
+            k + 1,
+            exc.value.divergence,
+        )
 
 
 # An 8-entity cycle using all four forms that conserves its total: it never
@@ -219,8 +278,8 @@ LOOP_REWEIGHTED = with_parameters(
 class TestScheduledStretches:
     """A matrix stretch runs up to the next step at which the schedule may
     change the parameters, so a late override costs a few ``advance`` calls,
-    not one per update. The operational route, which takes one update per
-    pass, is the oracle."""
+    not one per update. The operational route, whose enactor is rebuilt at
+    every change of the parameters, is the oracle."""
 
     @staticmethod
     def counted_run(monkeypatch, *args, **kwargs):
