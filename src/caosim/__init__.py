@@ -3,8 +3,10 @@
 A CAO (cardinal abstract object) is a directed graph of integer-valued
 entities linked by carry-propagating operators. This package advances such
 systems along two independent routes — a derived matrix update and direct
-per-operator procedures — checks them against each other, extracts exact
-conserved weights, and round-trips descriptions through a small text format.
+per-operator procedures — checks them against each other, computes an
+acyclic CAO's fixed point by a third route in one sweep without stepping,
+extracts exact conserved weights, and round-trips descriptions through a
+small text format.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .engine import (
     with_parameters,
 )
 from .operational import resolve, step_operational
+from .sweep import fixed_point
 from .simulate import (
     ConservationError,
     ConservationReport,
@@ -95,6 +98,7 @@ __all__ = [
     "with_parameters",
     "resolve",
     "step_operational",
+    "fixed_point",
     "ConservationError",
     "ConservationReport",
     "CstTrace",

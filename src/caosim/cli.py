@@ -8,8 +8,8 @@
                                       digit expansion via a conversion chain
 
 Exit codes: 0 success (simulate: reached a fixed point), 1 any error
-(bad input, validation failure, engine divergence), 2 command-line usage,
-3 simulate stopped at the step limit.
+(bad input, validation failure, engine divergence, radix digits that fail
+their check), 2 command-line usage, 3 simulate stopped at the step limit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .simulate import (
     conserved_weights,
     run,
 )
+from .sweep import fixed_point
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -148,15 +149,30 @@ def _cmd_radix(args: argparse.Namespace) -> int:
         print("error: --length must be at least 1", file=sys.stderr)
         return EXIT_ERROR
     chain = build_linear_chain(args.base, length)
-    # a chain always settles within length-1 updates: each step finalizes one
-    # digit and the last entity only ever accumulates
-    trace = run(chain, [args.value] + [0] * (length - 1), max_steps=max(length - 1, 0))
+    start = [args.value] + [0] * (length - 1)
     if args.trace:
+        # a chain always settles within length-1 updates: each step finalizes
+        # one digit and the last entity only ever accumulates
+        trace = run(chain, start, max_steps=max(length - 1, 0))
         _write(args.output, export_trace(trace, "table"))
+        digits = trace.final_state
     else:
+        digits = fixed_point(chain, start)[0]
+        # The chain conserves Σ dᵢ·bⁱ, and a base-b expansion whose digits
+        # below the last are under b is unique, so these checks prove the
+        # digits without stepping.
+        expanded = 0
+        for d in reversed(digits):
+            expanded = expanded * args.base + d
+        if expanded != args.value or not all(0 <= d < args.base for d in digits[:-1]):
+            print(
+                f"error: the chain's fixed point is not a base-{args.base} expansion of --value",
+                file=sys.stderr,
+            )
+            return EXIT_ERROR
         # least-significant digit first: the chain's own entity order
-        _write(args.output, " ".join(str(d) for d in trace.final_state) + "\n")
-    leading = trace.final_state[-1]
+        _write(args.output, " ".join(str(d) for d in digits) + "\n")
+    leading = digits[-1]
     if leading >= args.base:
         print(
             f"warning: {length} entities cannot hold {args.value} in base {args.base}; "

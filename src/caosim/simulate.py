@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from . import kernel, operational, rational
 from .engine import ParameterSchedule, _same_topology, derive
 from .kernel import StepResult
-from .model import CaoSpec, Entity, Operator, Role, _is_integer, check_state, validate
+from .model import CaoSpec, Entity, Form, Operator, Role, _is_integer, check_state, validate
 
 ENGINES = ("matrix", "operational", "both")
 
@@ -350,8 +350,9 @@ def build_linear_chain(base: int, length: int, *, name: str | None = None) -> Ca
         else:
             role = Role.INTERMEDIATE
         entities.append(Entity(f"c{i}", role))
+    # a declared form spares build_spec a dataclasses.replace per link
     operators = tuple(
-        Operator(inputs=((f"c{i}", base),), outputs=((f"c{i+1}", 1),))
+        Operator(inputs=((f"c{i}", base),), outputs=((f"c{i+1}", 1),), form=Form.L)
         for i in range(length - 1)
     )
     return validate(name or f"chain{base}x{length}", entities, operators)

@@ -1,4 +1,4 @@
-"""Acceptance gate: the seven headline guarantees, one test each.
+"""Acceptance gate: the eight headline guarantees, one test each.
 
 Each test prints a single PASS line with its measured numbers; a failing
 criterion shows up as the test's failure. Seeds are fixed so the whole gate
@@ -21,6 +21,8 @@ from caosim import (
     check_conservation,
     compare_engines,
     conserved_weights,
+    derive,
+    fixed_point,
     parse,
     random_cao,
     random_state,
@@ -260,4 +262,56 @@ def test_criterion_7_round_trips(showcase, fuzz_corpus):
     print(
         f"PASS criterion 7: parse-serialize identity on {CORPUS_SIZE} fuzzed CAOs "
         f"+ showcase; {failures} truncated parses all carried source spans"
+    )
+
+
+
+def test_criterion_8_one_sweep_fixed_point(fuzz_corpus):
+    """The one-sweep fixed point agrees with both stepping routes, on both
+    backends, and its firing totals account for every stepped trace: they
+    are each operator's summed common carries, and x_final = x₀ + B·Σu with
+    B = Rᵀ − N."""
+    rng = random.Random(0x5EE9)
+    backends = ["pure", "compiled"] if COMPILED_AVAILABLE else ["pure"]
+    routes = [dict(engine="matrix", backend=b) for b in backends] + [dict(engine="operational")]
+    cases = []
+    for spec, state in fuzz_corpus:
+        cases += [
+            (spec, state),
+            (spec, random_state(rng, spec, 10**12)),
+            (spec, tuple(rng.randrange(2**63, 2**70) for _ in range(spec.m))),
+        ]
+    for base in (2, 3, 10, 16):
+        for length in (1, 2, 17, 300, 2000):
+            chain = build_linear_chain(base, length)
+            for value in (rng.randrange(1000), rng.randrange(10**12), rng.randrange(2**63, 2**70)):
+                cases.append((chain, (value,) + (0,) * (length - 1)))
+            if length <= 300:  # a value that fills every digit
+                value = rng.randrange(base ** (length - 1), base**length)
+                cases.append((chain, (value,) + (0,) * (length - 1)))
+
+    began = time.perf_counter()
+    transitions = {}
+    for spec, start in cases:
+        final, totals = fixed_point(spec, start)
+        fired = [0] * spec.m  # Σu: each input entity carries its operator's total
+        for o, op in enumerate(spec.operators):
+            for e, _ in op.inputs:
+                fired[spec.index(e)] = totals[o]
+        for route in routes:
+            # an acyclic CAO settles within one update per entity
+            trace = run(spec, start, max_steps=spec.m, **route)
+            assert trace.fixed_point, (spec.name, route)
+            assert trace.final_state == final, (spec.name, route)
+            assert [sum(c) for c in zip(*(s.common for s in trace.steps))] == fired, spec.name
+        if spec not in transitions:
+            transitions[spec] = derive(spec).transition()
+        b = transitions[spec]
+        moved = [i for i, u in enumerate(fired) if u]
+        for j in range(spec.m):
+            assert final[j] == start[j] + sum(b[j][i] * fired[i] for i in moved), spec.name
+    elapsed = time.perf_counter() - began
+    print(
+        f"PASS criterion 8: one-sweep fixed point equals matrix ({'/'.join(backends)}) "
+        f"and operational end states on {len(cases)} starts, firing totals exact ({elapsed:.2f}s)"
     )

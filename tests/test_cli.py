@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
+import caosim.cli
 from caosim.cli import EXIT_ERROR, EXIT_OK, EXIT_STEP_LIMIT, main
 from conftest import SHOWCASE_TEXT
 
@@ -245,6 +247,35 @@ class TestExport:
         assert main(["validate", str(round_trip)]) == EXIT_OK
 
 
+def divmod_digits(value: int, base: int, length: int | None) -> list[int]:
+    """The digits of ``value`` by Python's ``divmod``, least significant
+    first: one per digit when ``length`` is None, else ``length``, the last
+    holding what is left."""
+    digits = []
+    while len(digits) < length - 1 if length else value >= base:
+        value, digit = divmod(value, base)
+        digits.append(digit)
+    return [*digits, value]
+
+
+_rng = random.Random(0xD1617)
+# values 0 and 1, chains of length 1, a short chain that warns, default
+# lengths, a 600-bit value in base 2 and 2000-digit values in bases 3, 10, 16
+RADIX_CASES = [
+    (0, 2, None),
+    (1, 2, None),
+    (0, 10, 1),
+    (2, 3, 1),
+    (7, 3, 1),
+    (100, 10, 2),
+    (123456789, 10, 3),
+    (1234, 10, None),
+    (1234, 10, 9),
+    (_rng.getrandbits(599) | 1 << 599, 2, None),
+    *((base**1999 + _rng.randrange(base**1999), base, None) for base in (3, 10, 16)),
+]
+
+
 class TestRadix:
     def test_digit_expansion(self, capsys):
         # least-significant digit first, straight off the chain state
@@ -273,6 +304,57 @@ class TestRadix:
         assert main(["radix", "--value", "255", "--base", "2", "--trace"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "termination=fixed-point" in out
+        # --trace steps the chain with both routes
+        assert main(["radix", "--value", "19", "--base", "2", "--length", "5", "--trace"]) == EXIT_OK
+        assert capsys.readouterr() == (
+            "# cao chain2x5 engine=both termination=fixed-point\n"
+            "# k  c0  c1  c2  c3  c4  p.c0  p.c1  p.c2  p.c3  p.c4\n"
+            "  0  19   0   0   0   0     9     0     0     0     0\n"
+            "  1   1   9   0   0   0     0     4     0     0     0\n"
+            "  2   1   1   4   0   0     0     0     2     0     0\n"
+            "  3   1   1   0   2   0     0     0     0     1     0\n"
+            "  4   1   1   0   0   1     0     0     0     0     0\n",
+            "",
+        )
+        assert main(["radix", "--value", "100", "--base", "10", "--length", "2", "--trace"]) == EXIT_OK
+        assert capsys.readouterr() == (
+            "# cao chain10x2 engine=both termination=fixed-point\n"
+            "# k   c0  c1  p.c0  p.c1\n"
+            "  0  100   0    10     0\n"
+            "  1    0  10     0     0\n",
+            "warning: 2 entities cannot hold 100 in base 10; "
+            "the leading component (10) exceeds the digit range\n",
+        )
+
+    @pytest.mark.parametrize("value, base, length", RADIX_CASES)
+    def test_digits_are_pythons_own(self, value, base, length, capsys, monkeypatch):
+        # the digits come from the one-sweep fixed point, with no stepping
+        monkeypatch.setattr(caosim.cli, "run", None)
+        args = ["radix", "--value", str(value), "--base", str(base)]
+        if length is not None:
+            args += ["--length", str(length)]
+        digits = divmod_digits(value, base, length)
+        err = ""
+        if digits[-1] >= base:
+            err = (
+                f"warning: {len(digits)} entities cannot hold {value} in base {base}; "
+                f"the leading component ({digits[-1]}) exceeds the digit range\n"
+            )
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr() == (" ".join(map(str, digits)) + "\n", err)
+
+    def test_digits_that_fail_their_check_are_an_error(self, capsys, monkeypatch):
+        sweep = caosim.cli.fixed_point
+
+        def one_digit_off(spec, state):
+            final, totals = sweep(spec, state)
+            return (final[0] + 1, *final[1:]), totals
+
+        monkeypatch.setattr(caosim.cli, "fixed_point", one_digit_off)
+        assert main(["radix", "--value", "1234", "--base", "10", "--length", "4"]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_arguments(self, capsys):
         assert main(["radix", "--value", "-1", "--base", "10"]) == EXIT_ERROR

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from caosim import (
     CstTrace,
     EngineDivergenceError,
+    Entity,
+    Operator,
     ParameterSchedule,
     Role,
     ScheduleGapError,
@@ -26,6 +28,7 @@ from caosim import (
     random_cao,
     random_state,
     run,
+    validate,
     verify_conservation,
     with_parameters,
 )
@@ -420,6 +423,23 @@ class TestChains:
         trace = run(chain, (4095, 0, 0))
         assert trace.final_state == (15, 15, 15)
         assert trace.step_count <= 2
+
+    @pytest.mark.parametrize("base, length", [(2, 1), (2, 2), (3, 7), (10, 40), (16, 600)])
+    def test_declared_forms_build_the_spec_validate_infers(self, base, length):
+        # the links declare form L; formless links, whose form validate
+        # infers, give an equal spec with an equal hash
+        entities = [
+            Entity(f"c{i}", Role.INITIAL if i == 0 else Role.FINAL if i == length - 1 else Role.INTERMEDIATE)
+            for i in range(length)
+        ]
+        formless = [
+            Operator(inputs=((f"c{i}", base),), outputs=((f"c{i + 1}", 1),))
+            for i in range(length - 1)
+        ]
+        oracle = validate(f"chain{base}x{length}", entities, formless)
+        chain = build_linear_chain(base, length)
+        assert chain == oracle
+        assert hash(chain) == hash(oracle)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
