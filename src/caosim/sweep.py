@@ -62,13 +62,9 @@ def fixed_point(
     # its last feeding operator has fired
     for o in ready:
         op = ops[o]
-        if len(op.inputs) == 1:
-            i = idx[op.inputs[0][0]]
-            fired, x[i] = divmod(x[i], op.inputs[0][1])
-        else:
-            fired = min(x[idx[e]] // n for e, n in op.inputs)
-            for e, n in op.inputs:
-                x[idx[e]] -= fired * n
+        fired = min(x[idx[e]] // n for e, n in op.inputs)
+        for e, n in op.inputs:
+            x[idx[e]] -= fired * n
         totals[o] = fired
         for t, r in op.outputs:
             j = idx[t]
