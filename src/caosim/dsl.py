@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .engine import ParameterSchedule, with_parameters
 from .model import CaoSpec, Entity, Form, Operator, Role, build_spec, check, infer_form
-from .simulate import CstTrace, TraceStep
+from .simulate import ENGINES, CstTrace, TraceStep
 
 _KEYWORD_ROLES = {
     "initial": Role.INITIAL,
@@ -42,6 +42,7 @@ _KEYWORD_ROLES = {
 _FORMS = {f.value: f for f in Form}
 
 TRACE_FORMAT_VERSION = 1
+_TERMINATIONS = ("fixed-point", "step-limit")
 
 
 @dataclass(frozen=True)
@@ -326,35 +327,58 @@ def _trace_table(trace: CstTrace) -> str:
     return "\n".join(out) + "\n"
 
 
-def _operator_params(spec: CaoSpec) -> list[dict]:
-    return [
-        {"radices": [n for _, n in op.inputs], "coefficients": [r for _, r in op.outputs]}
-        for op in spec.operators
-    ]
+# The JSON trace is written directly, in the bytes ``json.dumps(doc, indent=2)
+# + "\n"`` would give: given an indent, json.dumps formats every value in pure
+# Python. Strings go through the C escaper json.dumps itself uses, integers
+# through ``str``, which like ``int.__repr__`` refuses more digits than
+# ``sys.get_int_max_str_digits()``. ``_PADn`` opens a line indented n spaces.
+_encode_str = json.encoder.encode_basestring_ascii
+_PAD4, _PAD8, _PAD12 = "\n    ", "\n        ", "\n            "
+
+
+def _array(values, pad: str) -> str:
+    """``values``, integers or JSON text, as json.dumps(indent=2) lays out an
+    array: each on its own line opened by ``pad``, and the closing bracket
+    two spaces left of them."""
+    if not values:
+        return "[]"
+    return "[" + pad + ("," + pad).join(map(str, values)) + pad[:-2] + "]"
+
+
+def _operators_json(spec: CaoSpec) -> str:
+    """The ``operators`` array of a scheduled trace's step: the parameter
+    set ``spec``, as it appears in every step it is in force at."""
+    return _array(
+        [
+            f'{{\n          "radices": {_array([n for _, n in op.inputs], _PAD12)},'
+            f'\n          "coefficients": {_array([r for _, r in op.outputs], _PAD12)}\n        }}'
+            for op in spec.operators
+        ],
+        _PAD8,
+    )
 
 
 def _trace_json(trace: CstTrace) -> str:
+    schedule = trace.schedule
+    operators: dict[CaoSpec, str] = {}  # each parameter set's block, rendered once
     steps = []
     for s in trace.steps:
-        entry: dict = {
-            "k": s.k,
-            "state": list(s.state),
-            "partial": list(s.partials),
-            "common": list(s.common),
-        }
-        if trace.schedule is not None:
-            entry["operators"] = _operator_params(trace.schedule.spec_at(s.k))
-        steps.append(entry)
-    doc = {
-        "format_version": TRACE_FORMAT_VERSION,
-        "cao": trace.spec.name,
-        "entities": list(trace.spec.names),
-        "engine": trace.engine,
-        "termination": trace.termination,
-        "step_count": trace.step_count,
-        "steps": steps,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        step = (
+            f'{{\n      "k": {s.k},\n      "state": {_array(s.state, _PAD8)},'
+            f'\n      "partial": {_array(s.partials, _PAD8)},\n      "common": {_array(s.common, _PAD8)}'
+        )
+        if schedule is not None:
+            spec = schedule.spec_at(s.k)
+            if spec not in operators:
+                operators[spec] = _operators_json(spec)
+            step += ',\n      "operators": ' + operators[spec]
+        steps.append(step + "\n    }")
+    return (
+        f'{{\n  "format_version": {TRACE_FORMAT_VERSION},\n  "cao": {_encode_str(trace.spec.name)},'
+        f'\n  "entities": {_array([_encode_str(n) for n in trace.spec.names], _PAD4)},'
+        f'\n  "engine": {_encode_str(trace.engine)},\n  "termination": {_encode_str(trace.termination)},'
+        f'\n  "step_count": {trace.step_count},\n  "steps": {_array(steps, _PAD4)}\n}}\n'
+    )
 
 
 @dataclass(frozen=True)
@@ -391,7 +415,10 @@ def _json_int(value, where: str, *, key: bool = False) -> int:
 
 
 def _trace_vector(values, width: int, where: str) -> tuple[int, ...]:
-    vec = tuple(_json_int(v, where) for v in values)
+    vec = tuple(values)
+    if not set(map(type, vec)) <= {int}:
+        for v in vec:  # name the first value that is not an integer
+            _json_int(v, where)
     if len(vec) != width:
         raise ValueError(f"trace vector has {len(vec)} entries, not one per entity ({width})")
     return vec
@@ -418,28 +445,46 @@ def _trace_step(i: int, s, width: int) -> TraceStep:
 def parse_trace(text: str) -> TraceDocument:
     """Read the JSON trace form back; raise ValueError on a malformed document,
     and on any document :func:`export_trace` never writes: names that are
-    not strings, no steps, or a step whose ``k`` is not its index."""
+    not strings, no steps, a step whose ``k`` is not its index, an engine or
+    termination no run reports, or a ``step_count`` other than the number of
+    steps less one."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"trace is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != TRACE_FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != TRACE_FORMAT_VERSION:  # true and 1.0 equal 1
         raise ValueError(
             f"unsupported trace document; expected format_version {TRACE_FORMAT_VERSION}"
         )
     try:
         if not isinstance(doc["entities"], list):
             raise ValueError("trace entities must be a list of names")
-        entities = tuple(_json_str(n, "entity name") for n in doc["entities"])
+        entities = tuple(doc["entities"])
+        if not set(map(type, entities)) <= {str}:
+            for n in entities:  # name the first name that is not a string
+                _json_str(n, "entity name")
         steps = tuple(_trace_step(i, s, len(entities)) for i, s in enumerate(doc["steps"]))
         if not steps:
             raise ValueError("trace has no steps")
+        cao = _json_str(doc["cao"], "cao")
+        engine = _json_str(doc["engine"], "engine")
+        termination = _json_str(doc["termination"], "termination")
+        # checked after everything read above, so a document that breaks an
+        # earlier rule as well gets that rule's message
+        if engine not in ENGINES:
+            raise ValueError(f"engine: {json.dumps(engine)} is not one of {', '.join(ENGINES)}")
+        if termination not in _TERMINATIONS:
+            raise ValueError(
+                f"termination: {json.dumps(termination)} is not one of {', '.join(_TERMINATIONS)}"
+            )
+        step_count = _json_int(doc["step_count"], "step_count")
+        if step_count != len(steps) - 1:
+            raise ValueError(
+                f"step_count: {step_count} is not the {len(steps) - 1} updates the steps record"
+            )
         return TraceDocument(
-            cao=_json_str(doc["cao"], "cao"),
-            entities=entities,
-            engine=_json_str(doc["engine"], "engine"),
-            termination=_json_str(doc["termination"], "termination"),
-            steps=steps,
+            cao=cao, entities=entities, engine=engine, termination=termination, steps=steps
         )
     except KeyError as exc:
         raise ValueError(f"trace document lacks the key {exc}") from None

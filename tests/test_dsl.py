@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -28,7 +30,8 @@ from caosim import (
 )
 from caosim import dsl
 from caosim.dsl import Diagnostic, SourceSpan
-from conftest import SHOWCASE_TEXT
+from caosim.simulate import ENGINES
+from conftest import LOOP_TEXT, SHOWCASE_TEXT, random_parameters
 
 
 class TestParse:
@@ -253,6 +256,13 @@ class TestTraceSerialization:
         with pytest.raises(ValueError):
             parse_trace("not json")
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_parse_trace_takes_only_the_integer_version(self, showcase, version):
+        doc = self._showcase_doc(showcase)
+        doc["format_version"] = version
+        with pytest.raises(ValueError, match="^unsupported trace document; expected format_version 1$"):
+            parse_trace(json.dumps(doc))
+
     def _showcase_doc(self, showcase) -> dict:
         return json.loads(export_trace(run(showcase), "json"))
 
@@ -304,11 +314,82 @@ class TestTraceSerialization:
             ("entities", "ijdsguh", "trace entities must be a list of names"),
             ("entities", {"i": 0}, "trace entities must be a list of names"),
             ("steps", [], "trace has no steps"),
+            ("step_count", 99, "step_count: 99 is not the 3 updates the steps record"),
+            ("step_count", 2, "step_count: 2 is not the 3 updates the steps record"),
+            ("step_count", "3", 'step_count: "3" is not an integer'),
+            ("engine", "quantum", 'engine: "quantum" is not one of matrix, operational, both'),
+            ("termination", "banana", 'termination: "banana" is not one of fixed-point, step-limit'),
         ],
     )
     def test_parse_trace_refuses_what_export_trace_never_writes(self, showcase, key, value, message):
         doc = self._showcase_doc(showcase)
         doc[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_trace(json.dumps(doc))
+
+    def test_parse_trace_refuses_a_document_without_a_step_count(self, showcase):
+        doc = self._showcase_doc(showcase)
+        del doc["step_count"]
+        with pytest.raises(ValueError, match="^trace document lacks the key 'step_count'$"):
+            parse_trace(json.dumps(doc))
+
+    def test_an_older_rule_names_a_document_that_breaks_a_newer_one_too(self, showcase):
+        # engine, termination and step_count were accepted unchecked once: a
+        # document that also breaks a rule of that time gets that rule's message
+        doc = self._showcase_doc(showcase)
+        doc.update(engine="quantum", termination=None, step_count=99)
+        with pytest.raises(ValueError, match="^termination: null is not a string$"):
+            parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "steps[1].state: true is not an integer"),
+            (2.5, "steps[1].state: 2.5 is not an integer"),
+            ("3", 'steps[1].state: "3" is not an integer'),
+            (None, "steps[1].state: null is not an integer"),
+            ([1], "steps[1].state: [1] is not an integer"),
+            ({"a": 1}, 'steps[1].state: {"a": 1} is not an integer'),
+        ],
+    )
+    def test_a_vector_value_that_is_not_an_integer_is_named(self, showcase, value, message):
+        doc = self._showcase_doc(showcase)
+        doc["steps"][1]["state"][2] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            (None, "malformed trace document: 'NoneType' object is not iterable"),
+            (7, "malformed trace document: 'int' object is not iterable"),
+            ({"a": 1}, 'steps[1].partial: "a" is not an integer'),
+            ({}, "trace vector has 0 entries, not one per entity (7)"),
+            ("abc", 'steps[1].partial: "a" is not an integer'),
+            ([0] * 6, "trace vector has 6 entries, not one per entity (7)"),
+            ([0] * 8, "trace vector has 8 entries, not one per entity (7)"),
+            ([0, 0, True], "steps[1].partial: true is not an integer"),
+        ],
+    )
+    def test_a_vector_that_is_not_a_list_of_integers_is_named(self, showcase, vector, message):
+        doc = self._showcase_doc(showcase)
+        doc["steps"][1]["partial"] = vector
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            (None, "entity name: null is not a string"),
+            (1.5, "entity name: 1.5 is not a string"),
+            (True, "entity name: true is not a string"),
+            ([], "entity name: [] is not a string"),
+            ({}, "entity name: {} is not a string"),
+        ],
+    )
+    def test_a_name_that_is_not_a_string_is_named(self, showcase, name, message):
+        doc = self._showcase_doc(showcase)
+        doc["entities"][3] = name
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_trace(json.dumps(doc))
 
@@ -685,3 +766,116 @@ def test_edge_cases_match_the_oracle(text, expected):
         assert diag.code == "bad-token" and diag.message == f"unexpected character {expected}"
     else:
         assert [f"{kind} {word}" for kind, word, _, _ in new[:-1]] == expected
+
+
+# --- Trace writer oracle ----------------------------------------------------------
+# The dict-building writer that the direct one replaced, kept verbatim:
+# json.dumps with an indent, which formats every value in pure Python.
+
+
+def _operator_params(spec) -> list[dict]:
+    return [
+        {"radices": [n for _, n in op.inputs], "coefficients": [r for _, r in op.outputs]}
+        for op in spec.operators
+    ]
+
+
+def _trace_json(trace) -> str:
+    steps = []
+    for s in trace.steps:
+        entry: dict = {
+            "k": s.k,
+            "state": list(s.state),
+            "partial": list(s.partials),
+            "common": list(s.common),
+        }
+        if trace.schedule is not None:
+            entry["operators"] = _operator_params(trace.schedule.spec_at(s.k))
+        steps.append(entry)
+    doc = {
+        "format_version": dsl.TRACE_FORMAT_VERSION,
+        "cao": trace.spec.name,
+        "entities": list(trace.spec.names),
+        "engine": trace.engine,
+        "termination": trace.termination,
+        "step_count": trace.step_count,
+        "steps": steps,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _assert_json_matches_the_oracle(trace):
+    text, expected = export_trace(trace, "json"), _trace_json(trace)
+    if text != expected:  # pytest's diff of two whole documents takes seconds each
+        at = len(os.path.commonprefix([text, expected]))
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"offset {at}: wrote {text[near]!r}, json.dumps {expected[near]!r}")
+    assert parse_trace(text).steps == trace.steps
+
+
+LOOP = parse(LOOP_TEXT, allow_cycles=True)
+
+
+def _loop_start(a: int) -> tuple[int, ...]:
+    return (a + 1, a, 0, 0, 0, 0, 0, 0)
+
+
+class TestTraceJsonOracle:
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bytes_match_on_the_fuzz_corpus(self, fuzz_corpus, engine, backend):
+        for spec, state in fuzz_corpus:
+            _assert_json_matches_the_oracle(run(spec, state, engine=engine, backend=backend))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_match_on_scheduled_runs(self, fuzz_corpus, seed):
+        rng = random.Random(seed)
+        for spec, state in fuzz_corpus[seed * 50 : seed * 50 + 50]:
+            sets = [random_parameters(rng, spec) for _ in range(3)]
+            # overrides with gaps the default fills, then overrides at every
+            # step and no default at all
+            gaps = ParameterSchedule.from_mapping(spec, {1: sets[0], 3: sets[1], 4: sets[0]}, sets[2])
+            full = ParameterSchedule.from_mapping(spec, {k: sets[k % 3] for k in range(9)})
+            _assert_json_matches_the_oracle(run(spec, state, schedule=gaps))
+            _assert_json_matches_the_oracle(run(spec, state, schedule=full, max_steps=8))
+            _assert_json_matches_the_oracle(run(spec, state, schedule=ParameterSchedule.constant(spec)))
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("a", [5, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**64 + 3, 10**30])
+    def test_bytes_match_on_either_side_of_int64(self, a, backend):
+        _assert_json_matches_the_oracle(run(LOOP, _loop_start(a), max_steps=40, backend=backend))
+
+    def test_bytes_match_on_the_loop_and_on_a_cao_without_entities(self):
+        _assert_json_matches_the_oracle(run(LOOP, max_steps=300))
+        empty = run(parse("cao empty { }"))
+        _assert_json_matches_the_oracle(empty)
+        assert '"entities": [],' in export_trace(empty, "json")
+        assert '"state": [],' in export_trace(empty, "json")
+
+    def test_a_component_of_too_many_digits_raises_as_json_dumps_does(self):
+        pair = parse("cao pair { initial a\n final b\n L (a:2) -> (b:1) }")
+        trace = run(pair, (10**4400, 0), max_steps=1)
+
+        def outcome(write):
+            try:
+                return write(trace)
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        expected = outcome(_trace_json)
+        assert expected.startswith("ValueError") or getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0
+        assert outcome(lambda t: export_trace(t, "json")) == expected
+
+    def test_each_parameter_set_is_written_once(self, monkeypatch):
+        rng = random.Random(7)
+        first, second = random_parameters(rng, LOOP), random_parameters(rng, LOOP)
+        assert len({LOOP, first, second}) == 3
+        schedule = ParameterSchedule.from_mapping(LOOP, {10: first, 20: second, 21: first}, LOOP)
+        trace = run(LOOP, schedule=schedule, max_steps=1000)
+        assert trace.step_count == 1000
+
+        renders = []
+        real = dsl._operators_json
+        monkeypatch.setattr(dsl, "_operators_json", lambda spec: renders.append(spec) or real(spec))
+        _assert_json_matches_the_oracle(trace)
+        assert len(renders) == 3
