@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .engine import ParameterSchedule, with_parameters
 from .model import CaoSpec, Entity, Form, Operator, Role, build_spec, check, infer_form
-from .simulate import ENGINES, CstTrace, TraceStep
+from .simulate import ENGINES, TERMINATIONS, CstTrace, TraceStep
 
 _KEYWORD_ROLES = {
     "initial": Role.INITIAL,
@@ -42,7 +42,6 @@ _KEYWORD_ROLES = {
 _FORMS = {f.value: f for f in Form}
 
 TRACE_FORMAT_VERSION = 1
-_TERMINATIONS = ("fixed-point", "step-limit")
 
 
 @dataclass(frozen=True)
@@ -330,19 +329,25 @@ def _trace_table(trace: CstTrace) -> str:
 # The JSON trace is written directly, in the bytes ``json.dumps(doc, indent=2)
 # + "\n"`` would give: given an indent, json.dumps formats every value in pure
 # Python. Strings go through the C escaper json.dumps itself uses, integers
-# through ``str``, which like ``int.__repr__`` refuses more digits than
+# through ``int.__repr__`` as in json.dumps, which writes the digits of an int
+# subclass whatever its ``__str__`` and refuses more digits than
 # ``sys.get_int_max_str_digits()``. ``_PADn`` opens a line indented n spaces.
 _encode_str = json.encoder.encode_basestring_ascii
 _PAD4, _PAD8, _PAD12 = "\n    ", "\n        ", "\n            "
 
 
-def _array(values, pad: str) -> str:
-    """``values``, integers or JSON text, as json.dumps(indent=2) lays out an
-    array: each on its own line opened by ``pad``, and the closing bracket
-    two spaces left of them."""
-    if not values:
+def _array(items: list[str], pad: str) -> str:
+    """``items``, JSON text, as json.dumps(indent=2) lays out an array: each
+    on its own line opened by ``pad``, and the closing bracket two spaces
+    left of them."""
+    if not items:
         return "[]"
-    return "[" + pad + ("," + pad).join(map(str, values)) + pad[:-2] + "]"
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+def _ints(values, pad: str) -> str:
+    """The integers ``values`` as an array laid out by :func:`_array`."""
+    return _array(list(map(int.__repr__, values)), pad)
 
 
 def _operators_json(spec: CaoSpec) -> str:
@@ -350,8 +355,8 @@ def _operators_json(spec: CaoSpec) -> str:
     set ``spec``, as it appears in every step it is in force at."""
     return _array(
         [
-            f'{{\n          "radices": {_array([n for _, n in op.inputs], _PAD12)},'
-            f'\n          "coefficients": {_array([r for _, r in op.outputs], _PAD12)}\n        }}'
+            f'{{\n          "radices": {_ints([n for _, n in op.inputs], _PAD12)},'
+            f'\n          "coefficients": {_ints([r for _, r in op.outputs], _PAD12)}\n        }}'
             for op in spec.operators
         ],
         _PAD8,
@@ -360,18 +365,14 @@ def _operators_json(spec: CaoSpec) -> str:
 
 def _trace_json(trace: CstTrace) -> str:
     schedule = trace.schedule
-    operators: dict[CaoSpec, str] = {}  # each parameter set's block, rendered once
     steps = []
     for s in trace.steps:
         step = (
-            f'{{\n      "k": {s.k},\n      "state": {_array(s.state, _PAD8)},'
-            f'\n      "partial": {_array(s.partials, _PAD8)},\n      "common": {_array(s.common, _PAD8)}'
+            f'{{\n      "k": {s.k},\n      "state": {_ints(s.state, _PAD8)},'
+            f'\n      "partial": {_ints(s.partials, _PAD8)},\n      "common": {_ints(s.common, _PAD8)}'
         )
         if schedule is not None:
-            spec = schedule.spec_at(s.k)
-            if spec not in operators:
-                operators[spec] = _operators_json(spec)
-            step += ',\n      "operators": ' + operators[spec]
+            step += ',\n      "operators": ' + _operators_json(schedule.spec_at(s.k))
         steps.append(step + "\n    }")
     return (
         f'{{\n  "format_version": {TRACE_FORMAT_VERSION},\n  "cao": {_encode_str(trace.spec.name)},'
@@ -474,9 +475,9 @@ def parse_trace(text: str) -> TraceDocument:
         # earlier rule as well gets that rule's message
         if engine not in ENGINES:
             raise ValueError(f"engine: {json.dumps(engine)} is not one of {', '.join(ENGINES)}")
-        if termination not in _TERMINATIONS:
+        if termination not in TERMINATIONS:
             raise ValueError(
-                f"termination: {json.dumps(termination)} is not one of {', '.join(_TERMINATIONS)}"
+                f"termination: {json.dumps(termination)} is not one of {', '.join(TERMINATIONS)}"
             )
         step_count = _json_int(doc["step_count"], "step_count")
         if step_count != len(steps) - 1:

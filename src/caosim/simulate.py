@@ -34,6 +34,8 @@ from .kernel import StepResult
 from .model import CaoSpec, Entity, Form, Operator, Role, _is_integer, check_state, validate
 
 ENGINES = ("matrix", "operational", "both")
+FIXED_POINT, STEP_LIMIT = "fixed-point", "step-limit"
+TERMINATIONS = (FIXED_POINT, STEP_LIMIT)  # how a run ends
 
 # Updates per matrix stretch: bounds the rows held beside the trace.
 _RUN_CHUNK = 1024
@@ -82,7 +84,7 @@ class CstTrace:
 
     spec: CaoSpec
     engine: str
-    termination: str  # "fixed-point" | "step-limit"
+    termination: str  # one of TERMINATIONS
     steps: tuple[TraceStep, ...]
     schedule: ParameterSchedule | None = None
 
@@ -97,7 +99,7 @@ class CstTrace:
 
     @property
     def fixed_point(self) -> bool:
-        return self.termination == "fixed-point"
+        return self.termination == FIXED_POINT
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def run(
     return CstTrace(
         spec=spec,
         engine=engine,
-        termination="fixed-point" if until is None and stop == 0 else "step-limit",
+        termination=FIXED_POINT if until is None and stop == 0 else STEP_LIMIT,
         steps=tuple(entries),
         schedule=schedule,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 import random
@@ -866,16 +867,19 @@ class TestTraceJsonOracle:
         assert expected.startswith("ValueError") or getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0
         assert outcome(lambda t: export_trace(t, "json")) == expected
 
-    def test_each_parameter_set_is_written_once(self, monkeypatch):
-        rng = random.Random(7)
-        first, second = random_parameters(rng, LOOP), random_parameters(rng, LOOP)
-        assert len({LOOP, first, second}) == 3
-        schedule = ParameterSchedule.from_mapping(LOOP, {10: first, 20: second, 21: first}, LOOP)
-        trace = run(LOOP, schedule=schedule, max_steps=1000)
-        assert trace.step_count == 1000
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_bytes_match_on_a_start_of_int_subclasses(self, backend):
+        # rows keep the caller's objects; json.dumps writes their digits
+        # whatever their __str__ and __repr__ say
+        class Loud(int):
+            def __str__(self):
+                return "loud"
 
-        renders = []
-        real = dsl._operators_json
-        monkeypatch.setattr(dsl, "_operators_json", lambda spec: renders.append(spec) or real(spec))
+            __repr__ = __str__
+
+        class Level(enum.IntEnum):
+            HIGH = 9
+
+        trace = run(LOOP, (Loud(5), Level.HIGH) + (1,) * 6, max_steps=40, backend=backend)
+        assert {type(trace.steps[0].state[0]), type(trace.steps[0].state[1])} == {Loud, Level}
         _assert_json_matches_the_oracle(trace)
-        assert len(renders) == 3
