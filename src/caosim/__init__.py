@@ -30,11 +30,8 @@ from .engine import (
     DerivedOperators,
     ParameterSchedule,
     ScheduleGapError,
-    common_carries,
     derive,
-    partial_carries,
     step,
-    step_via_matrices,
     with_parameters,
 )
 from .operational import resolve, step_operational
@@ -90,11 +87,8 @@ __all__ = [
     "DerivedOperators",
     "ParameterSchedule",
     "ScheduleGapError",
-    "common_carries",
     "derive",
-    "partial_carries",
     "step",
-    "step_via_matrices",
     "with_parameters",
     "resolve",
     "step_operational",

@@ -15,12 +15,15 @@ their check), 2 command-line usage, 3 simulate stopped at the step limit.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Sequence
 
 from .dsl import export_dot, export_trace, load_schedule, serialize, try_parse
+from .kernel import BACKENDS
 from .model import InvalidCaoError
 from .simulate import (
+    ENGINES,
     EngineDivergenceError,
     build_linear_chain,
     conserved_weights,
@@ -73,6 +76,20 @@ def _parse_inits(pairs: list[str] | None) -> dict[str, int]:
             except ValueError:
                 raise ValueError(f"--init value for {name.strip()!r} is not an integer: {num!r}") from None
     return values
+
+
+def _radix_value(text: str) -> int:
+    """``int(text)``. A decimal integer of more digits than ``int()`` converts
+    raises OverflowError, which argparse passes on to :func:`main`."""
+    try:
+        return int(text)
+    except ValueError:
+        if (number := re.fullmatch(r"[+-]?(\d+(_\d+)*)", text.strip())) is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        digits, limit = len(number[1].replace("_", "")), sys.get_int_max_str_digits()
+        raise OverflowError(
+            f"--value has {digits} digits; Python converts at most {limit} (see PYTHONINTMAXSTRDIGITS)"
+        ) from None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -215,13 +232,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, help="step budget (default 1000)")
     p.add_argument(
         "--engine",
-        choices=("matrix", "operational", "both"),
+        choices=ENGINES,
         default="both",
         help="which update route to use; 'both' cross-checks them (default)",
     )
     p.add_argument(
         "--backend",
-        choices=("pure", "compiled"),
+        choices=BACKENDS,
         help="matrix-engine kernel (default: compiled when built)",
     )
     p.add_argument("--schedule", help="JSON file with per-step parameter sets")
@@ -243,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("radix", help="digit expansion via a conversion chain")
-    p.add_argument("--value", type=int, required=True, help="non-negative integer to expand")
+    p.add_argument("--value", type=_radix_value, required=True, help="non-negative integer to expand")
     p.add_argument("--base", type=int, required=True, help="target base (>= 2)")
     p.add_argument("--length", type=int, help="chain length (default: one per digit)")
     p.add_argument("--trace", action="store_true", help="print the full trajectory instead")
@@ -254,14 +271,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except KeyError as exc:
         # str() of a KeyError quotes its message; ScheduleGapError is one
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (InvalidCaoError, EngineDivergenceError, OSError, ValueError) as exc:
+    except (InvalidCaoError, EngineDivergenceError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -399,6 +399,9 @@ class TraceDocument:
 
 # An object key holding a step number: JSON writes keys as strings.
 _KEY_INT = re.compile(r"-?[0-9]+")
+# The keys export_trace writes in a document and in a step (``operators`` if scheduled).
+_TRACE_KEYS = {"format_version", "cao", "entities", "engine", "termination", "step_count", "steps"}
+_STEP_KEYS = {"k", "state", "partial", "common", "operators"}
 
 
 def _json_int(value, where: str, *, key: bool = False) -> int:
@@ -431,10 +434,23 @@ def _json_str(value, where: str) -> str:
     return value
 
 
+def _known_keys(obj: dict, known: set[str], where: str) -> None:
+    if obj.keys() - known:
+        raise ValueError(f"{where}: {json.dumps(min(obj.keys() - known))} is not a key export_trace writes")
+
+
 def _trace_step(i: int, s, width: int) -> TraceStep:
-    k = _json_int(s["k"], f"steps[{i}].k")
+    k = _json_int(s["k"], f"steps[{i}].k")  # a step that is not an object fails here
+    _known_keys(s, _STEP_KEYS, f"steps[{i}]")
     if k != i:
         raise ValueError(f"steps[{i}].k: {k} is not the step's index {i}")
+    ops = s.get("operators", [])
+    if type(ops) is not list or not all(
+        type(op) is dict and op.keys() == {"radices", "coefficients"}
+        and all(type(v) is list and set(map(type, v)) <= {int} for v in op.values())
+        for op in ops
+    ):
+        raise ValueError(f"steps[{i}].operators: not a list of objects holding only the integer lists radices and coefficients")
     return TraceStep(
         k=k,
         state=_trace_vector(s["state"], width, f"steps[{i}].state"),
@@ -445,8 +461,9 @@ def _trace_step(i: int, s, width: int) -> TraceStep:
 
 def parse_trace(text: str) -> TraceDocument:
     """Read the JSON trace form back; raise ValueError on a malformed document,
-    and on any document :func:`export_trace` never writes: names that are
-    not strings, no steps, a step whose ``k`` is not its index, an engine or
+    and on any document :func:`export_trace` never writes: a key it does not
+    write, names that are not strings, no steps, a step whose ``k`` is not its
+    index or whose ``operators`` are not integer parameter sets, an engine or
     termination no run reports, or a ``step_count`` other than the number of
     steps less one."""
     try:
@@ -459,6 +476,7 @@ def parse_trace(text: str) -> TraceDocument:
             f"unsupported trace document; expected format_version {TRACE_FORMAT_VERSION}"
         )
     try:
+        _known_keys(doc, _TRACE_KEYS, "trace document")
         if not isinstance(doc["entities"], list):
             raise ValueError("trace entities must be a list of names")
         entities = tuple(doc["entities"])

@@ -1,19 +1,18 @@
 """Matrix-form dynamics.
 
-From a validated CAO this module derives the four update operators —
-radix matrix N (diagonal), its exact reciprocal N⁻, the conversion matrix Rᵀ,
-and the carry-group fold Λ — and advances states with
+From a validated CAO this module derives the operators of the paper's update
 
     next = state + (Rᵀ − N) · Λ[⌊N⁻ · state⌋]
 
+— the radix matrix N (diagonal; N⁻ holds its reciprocals), the conversion
+matrix Rᵀ, and the carry-group fold Λ — and advances states with it.
 Rᵀ holds each output's conversion coefficient in exactly one input column;
 outputs cycle through their operator's inputs in declaration order. Λ is not
 a literal matrix: it replaces each partial carry inside a multi-input
 operator's input set by the group minimum and passes everything else through.
 
-``step`` dispatches the update to the fast kernels in :mod:`caosim.kernel`;
-``step_via_matrices`` applies the derived matrices literally in exact
-rational arithmetic and exists to cross-check the kernels.
+``step`` takes the update by the kernels in :mod:`caosim.kernel`; the tests
+apply the derived matrices literally, in exact rationals, as its oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -44,13 +42,11 @@ class DerivedOperators:
     """The operator family of one CAO, in exact form.
 
     ``n``            diagonal of N (0 where an entity feeds nothing)
-    ``ninv``         diagonal of N⁻ as Fractions (exact; 0 stays 0)
     ``rt``           m×m integer conversion matrix
     ``carry_groups`` index sets Λ folds with min
     """
 
     n: tuple[int, ...]
-    ninv: tuple[Fraction, ...]
     rt: IntMatrix
     carry_groups: tuple[tuple[int, ...], ...]
 
@@ -68,7 +64,7 @@ class DerivedOperators:
 
 @lru_cache(maxsize=4096)
 def derive(spec: CaoSpec) -> DerivedOperators:
-    """Build N, N⁻, Rᵀ and the carry groups from the spec's step plan.
+    """Build N, Rᵀ and the carry groups from the spec's step plan.
 
     N is the plan's radix row and Λ its carry groups; each plan edge
     (src, dst, coeff) puts ``coeff`` at Rᵀ[dst][src].
@@ -79,27 +75,9 @@ def derive(spec: CaoSpec) -> DerivedOperators:
         rt[dst][src] = coeff
     return DerivedOperators(
         n=plan.n,
-        ninv=tuple(Fraction(1, v) if v else Fraction(0) for v in plan.n),
         rt=tuple(tuple(r) for r in rt),
         carry_groups=plan.groups,
     )
-
-
-def partial_carries(state: Sequence[int], derived: DerivedOperators) -> tuple[int, ...]:
-    """⌊N⁻ · state⌋ componentwise (zero where the reciprocal radix is zero)."""
-    return tuple(math.floor(r * s) for s, r in zip(state, derived.ninv))
-
-
-def common_carries(
-    partials: Sequence[int], derived: DerivedOperators
-) -> tuple[int, ...]:
-    """Apply Λ: group minima for multi-input operators, pass-through else."""
-    pc = list(partials)
-    for grp in derived.carry_groups:
-        low = min(partials[i] for i in grp)
-        for i in grp:
-            pc[i] = low
-    return tuple(pc)
 
 
 def step(
@@ -108,27 +86,6 @@ def step(
     """One synchronous update; returns (next, partials, common carries)."""
     check_state(spec, state)
     return kernel.step(state, kernel.plan_for(spec), backend=backend)
-
-
-def step_via_matrices(
-    spec: CaoSpec, state: Sequence[int], *, fold: bool = True
-) -> kernel.StepResult:
-    """Reference update applying the derived matrices literally.
-
-    Computes state + (Rᵀ − N)·pc with exact Fractions and integer matvec.
-    ``fold=False`` skips Λ and uses the raw partial carries — only sound for
-    CAOs without multi-input operators, where Λ is the identity anyway.
-    """
-    check_state(spec, state)
-    d = derive(spec)
-    p = partial_carries(state, d)
-    pc = common_carries(p, d) if fold else p
-    tr = d.transition()
-    nxt = tuple(
-        s + sum(tr[i][j] * pc[j] for j in range(d.m))
-        for i, s in enumerate(state)
-    )
-    return nxt, p, pc
 
 
 # --- Non-stationary runs ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures: the all-forms showcase CAO and a deterministic fuzz corpus,
-``random_parameters``, which redraws a CAO's radices and coefficients, and
+``random_parameters``, which redraws a CAO's radices and coefficients,
+``matrix_step``, the paper's matrix update applied literally, and
 ``package_imports``, which reads what a ``caosim`` module imports.
 
 Before ``caosim`` is imported, the compiled step kernel is built in place
@@ -11,12 +12,14 @@ from __future__ import annotations
 
 import ast
 import importlib
+import math
 import os
 import random
 import shlex
 import shutil
 import subprocess
 import sysconfig
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -65,7 +68,15 @@ def _build_kernel() -> None:
 
 _build_kernel()
 
-from caosim import CaoSpec, parse, random_cao, random_state, with_parameters  # noqa: E402
+from caosim import (  # noqa: E402
+    CaoSpec,
+    DerivedOperators,
+    derive,
+    parse,
+    random_cao,
+    random_state,
+    with_parameters,
+)
 
 # One CAO exercising every operator form: an M fans (i, j) into (d, s),
 # an L and a D push d and s onward into (g, u), and an F collapses (g, u)
@@ -140,6 +151,42 @@ def random_parameters(rng: random.Random, spec):
             for op in spec.operators
         ],
     )
+
+
+# The oracle for ``caosim.step``: the paper's state equation
+#     x(k+1) = x(k) + (Rᵀ − N)·Λ⌊N⁻·x(k)⌋
+# applied literally to the dense matrices ``derive`` builds, with N⁻ in exact
+# Fractions and an integer matrix-vector product.
+def reciprocal_radices(d: DerivedOperators) -> tuple[Fraction, ...]:
+    """The diagonal of N⁻: 1/n for each radix n, and 0 where N has 0."""
+    return tuple(Fraction(1, v) if v else Fraction(0) for v in d.n)
+
+
+def partial_carries(state, d: DerivedOperators) -> tuple[int, ...]:
+    """⌊N⁻·state⌋ componentwise (zero where the reciprocal radix is zero)."""
+    return tuple(math.floor(r * s) for s, r in zip(state, reciprocal_radices(d)))
+
+
+def common_carries(partials, d: DerivedOperators) -> tuple[int, ...]:
+    """Λ: each carry group takes its minimum; every other entry passes."""
+    pc = list(partials)
+    for grp in d.carry_groups:
+        low = min(partials[i] for i in grp)
+        for i in grp:
+            pc[i] = low
+    return tuple(pc)
+
+
+def matrix_step(spec: CaoSpec, state, *, fold: bool = True):
+    """``(next, partials, common)``: one update by the matrices of
+    ``derive(spec)``. ``fold=False`` skips Λ, which is sound only for CAOs
+    without multi-input operators, where Λ is the identity anyway."""
+    d = derive(spec)
+    p = partial_carries(state, d)
+    pc = common_carries(p, d) if fold else p
+    tr = d.transition()
+    nxt = tuple(s + sum(tr[i][j] * pc[j] for j in range(d.m)) for i, s in enumerate(state))
+    return nxt, p, pc
 
 
 CORPUS_SEED = 0xCA05

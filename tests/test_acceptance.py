@@ -29,7 +29,6 @@ from caosim import (
     run,
     serialize,
     step,
-    step_via_matrices,
     verify_conservation,
     with_parameters,
 )
@@ -39,6 +38,7 @@ from conftest import (
     GROWING_CYCLE_TEXT,
     SHOWCASE_TEXT,
     SHOWCASE_TRAJECTORY,
+    matrix_step,
     random_parameters,
 )
 
@@ -200,8 +200,8 @@ def test_criterion_5_no_fold_degenerate_case():
         spec = random_cao(rng, max_inputs=1, name=f"ld{i}")
         state = random_state(rng, spec)
         for _ in range(50):
-            full = step_via_matrices(spec, state, fold=True)
-            plain = step_via_matrices(spec, state, fold=False)
+            full = matrix_step(spec, state, fold=True)
+            plain = matrix_step(spec, state, fold=False)
             assert full == plain
             assert step(spec, state) == full
             state = full[0]

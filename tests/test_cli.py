@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ import pytest
 import caosim.cli
 from caosim.cli import EXIT_ERROR, EXIT_OK, EXIT_STEP_LIMIT, main
 from conftest import SHOWCASE_TEXT
+
+# Python's limit on the digits int() converts; 0 where it sets none
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.fixture()
@@ -361,6 +365,34 @@ class TestRadix:
         assert main(["radix", "--value", "10", "--base", "1"]) == EXIT_ERROR
         assert main(["radix", "--value", "10", "--base", "10", "--length", "0"]) == EXIT_ERROR
         capsys.readouterr()
+
+    @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() converts any number of digits")
+    @pytest.mark.parametrize("sign", ["", "-", "+", " "])
+    @pytest.mark.parametrize("excess", [1, 700])
+    def test_a_value_past_the_digit_limit_is_a_one_line_error(self, capsys, sign, excess):
+        # argparse's type=int echoed the whole value and exited 2
+        digits = INT_MAX_STR_DIGITS + excess
+        for value in (sign + "7" * digits, sign + "1_" + "0" * (digits - 1)):
+            assert main(["radix", f"--value={value}", "--base", "10"]) == EXIT_ERROR
+            assert capsys.readouterr() == (
+                "",
+                f"error: --value has {digits} digits; Python converts at most "
+                f"{INT_MAX_STR_DIGITS} (see PYTHONINTMAXSTRDIGITS)\n",
+            )
+
+    def test_a_value_at_the_digit_limit_is_expanded(self, capsys):
+        value = "9" * (INT_MAX_STR_DIGITS or 4300)
+        assert main(["radix", "--value", value, "--base", "10"]) == EXIT_OK
+        assert capsys.readouterr() == (" ".join(value) + "\n", "")
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "+-5", "5-", "1__0", "_1", "0x10", ""])
+    def test_a_value_that_is_not_an_integer_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["radix", f"--value={value}", "--base", "10"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"\ncaosim radix: error: argument --value: invalid int value: {value!r}\n")
 
 
 def test_usage_error_exits_two():

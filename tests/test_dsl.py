@@ -28,6 +28,7 @@ from caosim import (
     run,
     serialize,
     try_parse,
+    with_parameters,
 )
 from caosim import dsl
 from caosim.dsl import Diagnostic, SourceSpan
@@ -417,6 +418,78 @@ class TestTraceSerialization:
             "radices": [10, 8],
             "coefficients": [1, 2],
         }
+
+    def _scheduled_doc(self, showcase) -> dict:
+        """The JSON trace of the showcase run with other parameters at steps 0
+        and 2. Scheduled traces read back whole in ``TestTraceJsonOracle``."""
+        other = with_parameters(showcase, [((3, 8), (1, 2)), ((8,), (2,)), ((10,), (1, 3)), ((4, 2), (1,))])
+        sched = ParameterSchedule.from_mapping(showcase, {0: other, 2: other}, default=showcase)
+        return json.loads(export_trace(run(showcase, schedule=sched), "json"))
+
+    @pytest.mark.parametrize(
+        "where, key, message",
+        [
+            ((), "bogus", 'trace document: "bogus" is not a key export_trace writes'),
+            ((), "", 'trace document: "" is not a key export_trace writes'),
+            (("steps", 2), "bogus", 'steps[2]: "bogus" is not a key export_trace writes'),
+            (("steps", 0), "partials", 'steps[0]: "partials" is not a key export_trace writes'),
+        ],
+    )
+    def test_parse_trace_refuses_a_key_export_trace_never_writes(self, showcase, where, key, message):
+        for doc in (self._showcase_doc(showcase), self._scheduled_doc(showcase)):
+            target = doc
+            for part in where:
+                target = target[part]
+            target[key] = 1
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_trace(json.dumps(doc))
+
+    def test_an_unknown_key_is_named_first_in_sorted_order(self, showcase):
+        doc = self._showcase_doc(showcase)
+        doc.update(zeta=1, alpha=2)
+        with pytest.raises(ValueError, match='^trace document: "alpha" is not a key'):
+            parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "operators",
+        [
+            "banana",
+            None,
+            7,
+            {"radices": [10, 8], "coefficients": [1, 2]},
+            ["banana"],
+            [[10, 8]],
+            [None],
+            [{"radices": [10, 8]}],
+            [{"coefficients": [1, 2]}],
+            [{"radices": [10, 8], "coefficients": [1, 2], "form": "M"}],
+            [{"radices": "10", "coefficients": [1, 2]}],
+            [{"radices": {"10": 8}, "coefficients": [1, 2]}],
+            [{"radices": [10, 8], "coefficients": 1}],
+            [{"radices": [10, 8.0], "coefficients": [1, 2]}],
+            [{"radices": [10, "8"], "coefficients": [1, 2]}],
+            [{"radices": [10, 8], "coefficients": [True, 2]}],
+            [{"radices": [10, 8], "coefficients": [[1], 2]}],
+            [{"radices": [10, 8], "coefficients": [1, 2]}, "banana"],
+        ],
+    )
+    def test_parse_trace_refuses_operators_export_trace_never_writes(self, showcase, operators):
+        # the first step, as in the document with "operators": "banana" once accepted
+        message = "steps[0].operators: not a list of objects holding only the integer lists radices and coefficients"
+        for doc in (self._showcase_doc(showcase), self._scheduled_doc(showcase)):
+            doc["steps"][0]["operators"] = operators
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_trace(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "operators",
+        [[], [{"radices": [], "coefficients": []}], [{"coefficients": [-1], "radices": [0, 2**70]}]],
+    )
+    def test_parse_trace_checks_the_shape_of_operators_only(self, showcase, operators):
+        # a trace carries no CAO to check parameter values against
+        doc = self._scheduled_doc(showcase)
+        doc["steps"][1]["operators"] = operators
+        assert parse_trace(json.dumps(doc)).steps[1].state == tuple(doc["steps"][1]["state"])
 
 
 def _one_radix(radix: str) -> str:

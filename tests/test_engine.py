@@ -15,19 +15,29 @@ from caosim import (
     ParameterSchedule,
     Role,
     ScheduleGapError,
-    common_carries,
     derive,
-    partial_carries,
+    parse,
     random_cao,
     random_state,
     run,
     step,
-    step_via_matrices,
     validate,
     with_parameters,
 )
 from caosim.engine import _same_topology
-from conftest import SHOWCASE_TRAJECTORY
+from caosim.kernel import COMPILED_AVAILABLE
+from conftest import (
+    GROWING_CYCLE_TEXT,
+    LOOP_TEXT,
+    SHOWCASE_TRAJECTORY,
+    common_carries,
+    matrix_step,
+    partial_carries,
+    random_parameters,
+    reciprocal_radices,
+)
+
+needs_extension = pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
 
 # The full operator family of the showcase CAO, worked out by hand from its
 # parameters (entity order i, j, d, s, g, u, h).
@@ -48,8 +58,7 @@ class TestDerive:
         assert derive(showcase).n == SHOWCASE_N
 
     def test_exact_reciprocals(self, showcase):
-        d = derive(showcase)
-        assert d.ninv == (
+        assert reciprocal_radices(derive(showcase)) == (
             Fraction(1, 10),
             Fraction(1, 8),
             Fraction(1, 8),
@@ -127,7 +136,7 @@ class TestStep:
         rng = random.Random(seed)
         spec = random_cao(rng)
         state = random_state(rng, spec)
-        assert step(spec, state) == step_via_matrices(spec, state)
+        assert step(spec, state) == matrix_step(spec, state)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -136,9 +145,38 @@ class TestStep:
         spec = random_cao(rng, max_inputs=1)
         state = random_state(rng, spec)
         assert derive(spec).carry_groups == ()
-        assert step_via_matrices(spec, state, fold=True) == step_via_matrices(
-            spec, state, fold=False
+        assert matrix_step(spec, state, fold=True) == matrix_step(spec, state, fold=False)
+
+    def test_literal_update_takes_the_hand_checked_trajectory(self, showcase):
+        for (state, pc), (nxt, _) in zip(SHOWCASE_TRAJECTORY, SHOWCASE_TRAJECTORY[1:]):
+            got, _, got_pc = matrix_step(showcase, state)
+            assert (got, got_pc) == (nxt, pc)
+
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_extension)])
+    @pytest.mark.parametrize("text", [GROWING_CYCLE_TEXT, LOOP_TEXT], ids=["grow", "loop"])
+    def test_kernel_agrees_with_literal_matrix_arithmetic_on_cycles(self, text, backend):
+        # starts wholly below 2**63 and starts with components above it, on
+        # the CAO's own parameters and on redrawn ones; the growing cycle
+        # crosses the boundary mid-run
+        rng = random.Random(63)
+        cyclic = parse(text, allow_cycles=True)
+        near = (
+            lambda: rng.randrange(1000),
+            lambda: 2**63 - 1 - rng.randrange(2**20),
+            lambda: 2**63 + rng.randrange(2**20),
+            lambda: rng.randrange(2**63, 2**70),
         )
+        sides = set()
+        for i in range(40):
+            spec = random_parameters(rng, cyclic) if i % 2 else cyclic
+            draws = near[:2] if i % 4 < 2 else near
+            state = tuple(rng.choice(draws)() for _ in range(spec.m))
+            sides.add(max(state) >= 2**63)
+            for _ in range(30):
+                got = step(spec, state, backend=backend)
+                assert got == matrix_step(spec, state), f"{spec.name} from {state}"
+                state = got[0]
+        assert sides == {False, True}
 
 
 def step_nonstationary(sched, state, k):
