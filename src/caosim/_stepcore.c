@@ -28,11 +28,18 @@
    tuple of exact ints refers to nothing that can refer back to it, so it
    can never be part of a cycle.  CPython untracks such a tuple itself, but
    only at the first collection that walks it, and on a wide state that
-   walk costs more than the update.  row(values) does the same for the
-   rows kernel._frontier builds in Python. */
+   walk costs more than the update.  So is each (state, partials, common)
+   row whose state is untracked.  row(values) does the same for the rows
+   kernel._frontier builds in Python.
+
+   entries(cls, k, rows) builds simulate.run's trace entries from a stretch
+   of rows.  An entry of frozen TraceStep holds an int and three tuples;
+   when the tuples are untracked tuples of exact ints, the entry can never
+   be part of a cycle either, and it is untracked too. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>           /* T_OBJECT_EX */
 #include <stdint.h>
 #include <string.h>
 
@@ -256,10 +263,10 @@ row_tuple(const int64_t *row, Py_ssize_t m)
     return out;
 }
 
-/* A new (head, partials, common) tuple.  It takes over the reference to
-   head, which may be NULL after a failed allocation.  The common tuple is
-   the partials' tuple when the two rows are equal, as they are wherever no
-   carry group lowers a partial carry. */
+/* A new (head, partials, common) tuple, untracked when head is.  It takes
+   over the reference to head, which may be NULL after a failed allocation.
+   The common tuple is the partials' tuple when the two rows are equal, as
+   they are wherever no carry group lowers a partial carry. */
 static PyObject *
 carry_row(PyObject *head, const int64_t *p, const int64_t *pc, Py_ssize_t m)
 {
@@ -275,6 +282,8 @@ carry_row(PyObject *head, const int64_t *p, const int64_t *pc, Py_ssize_t m)
         goto fail;
     if (!(out = PyTuple_New(3)))
         goto fail;
+    if (!PyObject_GC_IsTracked(head))
+        PyObject_GC_UnTrack(out);
     PyTuple_SET_ITEM(out, 0, head);
     PyTuple_SET_ITEM(out, 1, pt);
     PyTuple_SET_ITEM(out, 2, pct);
@@ -411,10 +420,142 @@ stepcore_row(PyObject *module, PyObject *values)
     return out;
 }
 
+/* An entry class: the offsets of its k, state, partials and common slots,
+   read off its member descriptors, and whether its instances may be
+   untracked, which needs a class whose instances hold nothing but slots. */
+typedef struct {
+    PyTypeObject *cls;
+    Py_ssize_t off[4];
+    int untrack;
+} EntryClass;
+
+/* The class entries() was last given, a strong reference, so that its
+   descriptors are looked up once. */
+static EntryClass last_class;
+
+#define ENTRY_SLOT(ec, entry, i) (*(PyObject **)((char *)(entry) + (ec).off[i]))
+
+/* Fill *ec with cls and a new reference to it; -1 with TypeError when cls
+   is not a class with the four slots.  Each call works on its own copy,
+   because allocating may run Python code that calls entries() again. */
+static int
+load_entry_class(PyObject *cls, EntryClass *ec)
+{
+    static const char *const names[4] = {"k", "state", "partials", "common"};
+    PyTypeObject *type = (PyTypeObject *)cls, *old;
+    EntryClass found = {type, {0}, 0};
+
+    if (type == last_class.cls) {
+        *ec = last_class;
+        Py_INCREF(type);
+        return 0;
+    }
+    if (!PyType_Check(cls)) {
+        PyErr_Format(PyExc_TypeError, "entries() needs a class, not %.100s",
+                     Py_TYPE(cls)->tp_name);
+        return -1;
+    }
+    for (int i = 0; i < 4; i++) {
+        PyObject *name = PyUnicode_InternFromString(names[i]), *descr;
+        if (!name)
+            return -1;
+        descr = _PyType_Lookup(type, name);  /* borrowed */
+        Py_DECREF(name);
+        /* a writable object slot of a class this one derives from */
+        if (!descr || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
+            || ((PyMemberDescrObject *)descr)->d_member->type != T_OBJECT_EX
+            || ((PyMemberDescrObject *)descr)->d_member->flags != 0
+            || !PyType_IsSubtype(type, PyDescr_TYPE(descr))) {
+            PyErr_Format(PyExc_TypeError, "%.100s has no slot '%s'", type->tp_name, names[i]);
+            return -1;
+        }
+        found.off[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
+    }
+    found.untrack = PyType_IS_GC(type) && type->tp_dictoffset == 0;
+    *ec = found;
+    Py_INCREF(type);                /* ec's reference */
+    Py_INCREF(type);                /* the cache's */
+    old = last_class.cls;
+    last_class = found;
+    Py_XDECREF(old);                /* last: it may run Python code */
+    return 0;
+}
+
+/* 1 when row's items are three untracked exact tuples. */
+static int
+untracked_rows(PyObject *row)
+{
+    for (Py_ssize_t i = 0; i < 3; i++) {
+        PyObject *t = PyTuple_GET_ITEM(row, i);
+        if (!PyTuple_CheckExact(t) || PyObject_GC_IsTracked(t))
+            return 0;
+    }
+    return 1;
+}
+
+static PyObject *
+stepcore_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *rows = NULL, *out = NULL;
+    Py_ssize_t k, i, n;
+    EntryClass ec;
+
+    (void)module;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "entries() takes 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (load_entry_class(args[0], &ec) < 0)
+        return NULL;
+    if ((k = PyLong_AsSsize_t(args[1])) == -1 && PyErr_Occurred())
+        goto fail;
+    /* a tuple, because allocating may run Python code that could change a list */
+    if (!(rows = PySequence_Tuple(args[2])))
+        goto fail;
+    n = PyTuple_GET_SIZE(rows);
+    if (k > PY_SSIZE_T_MAX - n) {
+        PyErr_SetString(PyExc_OverflowError, "entries() step count overflows");
+        goto fail;
+    }
+    if (!(out = PyList_New(n)))
+        goto fail;
+    for (i = 0; i < n; i++) {
+        PyObject *row = PyTuple_GET_ITEM(rows, i), *entry;
+        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 3) {
+            PyErr_SetString(PyExc_TypeError,
+                            "each row must be a (state, partials, common) tuple");
+            goto fail;
+        }
+        if (!(entry = ec.cls->tp_alloc(ec.cls, 0)))
+            goto fail;
+        PyList_SET_ITEM(out, i, entry);
+        if (!(ENTRY_SLOT(ec, entry, 0) = PyLong_FromSsize_t(k + i)))
+            goto fail;
+        for (int j = 1; j < 4; j++)
+            ENTRY_SLOT(ec, entry, j) = Py_NewRef(PyTuple_GET_ITEM(row, j - 1));
+        if (ec.untrack && untracked_rows(row))
+            PyObject_GC_UnTrack(entry);
+    }
+    Py_DECREF(rows);
+    Py_DECREF(ec.cls);
+    return out;
+fail:
+    Py_XDECREF(out);
+    Py_XDECREF(rows);
+    Py_DECREF(ec.cls);
+    return NULL;
+}
+
 static PyMethodDef stepcore_methods[] = {
     {"row", stepcore_row, METH_O,
      "row(values) -> tuple: tuple(values), untracked by the garbage collector\n"
      "when every item is an exact int."},
+    {"entries", (PyCFunction)(void (*)(void))stepcore_entries, METH_FASTCALL,
+     "entries(cls, k, rows) -> list: [cls(i, s, p, pc) for i, (s, p, pc) in\n"
+     "enumerate(rows, k)], with the slots filled and neither __new__ nor\n"
+     "__init__ called.  cls must have object slots k, state, partials and\n"
+     "common.  An entry is untracked by the garbage collector when its class\n"
+     "has no __dict__ and its row holds three untracked exact tuples."},
     {NULL, NULL, 0, NULL},
 };
 

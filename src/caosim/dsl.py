@@ -514,12 +514,25 @@ def parse_trace(text: str) -> TraceDocument:
 # --- Schedules ----------------------------------------------------------------
 
 
+def _schedule_keys(obj: dict, known: set[str], refusal: str) -> None:
+    """Refuse an object holding a key outside ``known``: ValueError
+    ``"<refusal>: [<the unknown keys, sorted>]"``."""
+    unknown = set(obj) - known
+    if unknown:
+        raise ValueError(f"{refusal}: {sorted(unknown)}")
+
+
 def _paramset(base: CaoSpec, raw, where: str) -> CaoSpec:
     if not isinstance(raw, dict) or "operators" not in raw:
         raise ValueError(f"{where}: expected an object with an 'operators' list")
+    _schedule_keys(raw, {"operators"}, f"{where}: unknown parameter set keys")
     ops = raw["operators"]
     if not isinstance(ops, list):
         raise ValueError(f"{where}: 'operators' must be a list")
+    for i, o in enumerate(ops):
+        if isinstance(o, dict):
+            refusal = f"{where} operators[{i}]: unknown operator keys"
+            _schedule_keys(o, {"radices", "coefficients"}, refusal)
     try:
         params = [
             (
@@ -548,7 +561,8 @@ def load_schedule(text: str, base: CaoSpec) -> ParameterSchedule:
 
     ``"base"`` — usable as the default or for any single step — reuses the
     parameters of the CAO file itself. A ``null`` default (or omitting the
-    key) makes unscheduled steps an error.
+    key) makes unscheduled steps an error. A key outside this layout, in the
+    schedule, a parameter set or an operator, is refused.
     """
     try:
         doc = json.loads(text)
@@ -556,9 +570,7 @@ def load_schedule(text: str, base: CaoSpec) -> ParameterSchedule:
         raise ValueError(f"schedule is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("schedule must be a JSON object")
-    unknown = set(doc) - {"default", "steps"}
-    if unknown:
-        raise ValueError(f"unknown schedule keys: {sorted(unknown)}")
+    _schedule_keys(doc, {"default", "steps"}, "unknown schedule keys")
     raw_default = doc.get("default")
     if raw_default is None:
         default = None

@@ -32,8 +32,11 @@ garbage collector when it holds only exact ``int`` objects: C builds its rows
 that way, and :func:`_frontier` builds its own with ``_stepcore.row``. Such
 a tuple cannot be part of a reference cycle, and CPython would untrack it
 anyway at the first collection that walks it; on a wide state that walk
-cost more than the update. The pure backend runs no C, so its rows stay
-tracked until a collection untracks them.
+cost more than the update. The (state, partials, common) triples C returns
+are untracked too when their state is, and so are the trace entries
+:func:`caosim.simulate.run` builds over such rows with ``_stepcore.entries``.
+The pure backend runs no C, so its rows and entries stay tracked until a
+collection untracks them (an entry, being an object with slots, never).
 """
 
 from __future__ import annotations

@@ -16,6 +16,11 @@ next change (``ParameterSchedule.span``). The matrix route takes them with
 "both", the enactor takes one update for each row of a matrix stretch, in
 lock step, and every row is compared in full.
 
+Each stretch's rows become :class:`TraceStep` entries. On the compiled
+backend C builds them (``_stepcore.entries``), and leaves an entry untracked
+by the garbage collector when its tuples are untracked tuples of exact ints;
+on the pure backend a list comprehension builds them.
+
 Also here: exact conserved-weight extraction (integer row vectors w with
 w·state constant along every stationary trace), a base-b chain builder whose
 fixed point is the digit expansion of its input, and a random generator of
@@ -30,7 +35,7 @@ from typing import Mapping, Sequence
 
 from . import kernel, operational, rational
 from .engine import ParameterSchedule, _same_topology, derive
-from .kernel import StepResult
+from .kernel import StepResult, _stepcore
 from .model import CaoSpec, Entity, Form, Operator, Role, _is_integer, check_state, validate
 
 ENGINES = ("matrix", "operational", "both")
@@ -52,10 +57,18 @@ class TraceStep:
     A run records one entry per update, so the constructor is written by
     hand: it fills the four slots through their descriptors, which costs
     less than half of the generated ``__init__``'s four ``object.__setattr__``
-    calls. Everything else is the dataclass's own. On the compiled backend
-    each tuple an entry holds is untracked by the garbage collector when it
-    holds only exact ints, which cannot be part of a cycle (see
-    :mod:`caosim.kernel`), so a collection walks the entry but not its rows.
+    calls. Everything else is the dataclass's own.
+
+    On the compiled backend ``run`` builds its entries in C
+    (``_stepcore.entries``), filling the same slots, and each tuple an entry
+    holds is untracked by the garbage collector when it holds only exact
+    ints, which cannot be part of a cycle (see :mod:`caosim.kernel`). An
+    entry whose three tuples are such untracked tuples is untracked too: it
+    is frozen and has no ``__dict__``, so it refers to an int and those
+    tuples alone, and nothing they reach can refer back to it. Any other
+    entry, one holding an ``int`` subclass say, stays tracked. (Forcing a
+    slot of an untracked entry with ``object.__setattr__`` can make a cycle
+    the collector never frees; it cannot make one it frees wrongly.)
     """
 
     k: int
@@ -173,6 +186,8 @@ def run(
             f"the schedule's CAO {schedule.base.name!r} does not have the topology of {spec.name!r}"
         )
     sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
+    # on the compiled backend C builds the entries, as it builds the rows
+    record = _stepcore.entries if backend == "compiled" and _stepcore is not None else None
     state = _initial_state(spec, initial)
     current = None
     entries: list[TraceStep] = []
@@ -203,7 +218,10 @@ def run(
         if stop == 0 and until is not None:
             # a fixed state stays fixed, row and all, until the parameters may change
             rows += [rows[-1]] * (limit - len(rows))
-        entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
+        if record is None:
+            entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
+        else:
+            entries += record(TraceStep, k, rows)
         k += len(rows)
         if until is None and stop == 0 or k > max_steps:
             break

@@ -185,6 +185,31 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Infinity is not an integer" in err
 
+    @pytest.mark.parametrize(
+        "where, extra, message",
+        [
+            ("set", {"extra": 1}, "default: unknown parameter set keys: ['extra']"),
+            ("op", {"form": "banana"}, "default operators[0]: unknown operator keys: ['form']"),
+            # a misspelt key beside the right one
+            ("op", {"coeficients": [1, 2]}, "default operators[0]: unknown operator keys: ['coeficients']"),
+        ],
+    )
+    def test_an_unknown_schedule_key_is_a_one_line_error(
+        self, showcase_file, tmp_path, capsys, where, extra, message
+    ):
+        ops = [
+            {"radices": [10, 8], "coefficients": [1, 2]},
+            {"radices": [8], "coefficients": [2]},
+            {"radices": [10], "coefficients": [1, 3]},
+            {"radices": [4, 2], "coefficients": [1]},
+        ]
+        params = {"operators": ops}
+        (params if where == "set" else ops[0]).update(extra)
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"default": params}))
+        assert main(["simulate", showcase_file, "--schedule", str(sched)]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bad_init_syntax(self, showcase_file, capsys):
         assert main(["simulate", showcase_file, "--init", "i"]) == EXIT_ERROR
         assert "NAME=VALUE" in capsys.readouterr().err

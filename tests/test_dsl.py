@@ -569,6 +569,11 @@ class TestSchedules:
             ),
             ('{"default": {"operators": "no"}}', "list"),
             ('{"default": {}}', "operators"),
+            ('{"steps": {"2": {"operators": [], "extra": 1}}}', "steps[2]: unknown parameter set keys: ['extra']"),
+            (
+                '{"steps": {"2": {"operators": [{"radices": [2], "coefficients": [1], "form": "L"}]}}}',
+                "steps[2] operators[0]: unknown operator keys: ['form']",
+            ),
             ("{", "JSON"),
         ],
     )

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import weakref
+from dataclasses import dataclass
 from typing import Sequence
 
 import pytest
@@ -25,6 +26,7 @@ from caosim.kernel import (
     plan_for,
     step,
 )
+from caosim.simulate import TraceStep
 from conftest import GROWING_CYCLE_TEXT, LOOP_TEXT, kernel_compile_command, kernel_compiler
 
 needs_extension = pytest.mark.skipif(
@@ -240,6 +242,22 @@ class TestPlanKernelRun:
         with pytest.raises(ValueError):
             kernel.run((0,) * 7, -1)
 
+    def test_rows_are_born_untracked(self, showcase):
+        class Big(int):
+            pass
+
+        kernel = bind(plan_for(showcase), "compiled")
+        # with collection off, nothing but C can untrack a fresh tuple
+        gc.disable()
+        try:
+            rows, _, _ = kernel.run((100, 100, 0, 0, 0, 0, 0), 3)
+            assert len(rows) == 3 and not any(map(gc.is_tracked, rows))
+            # a row holding a start with an int subclass stays tracked
+            rows, _, _ = kernel.run((Big(100), 100, 0, 0, 0, 0, 0), 3)
+            assert [gc.is_tracked(row) for row in rows] == [True, False, False]
+        finally:
+            gc.enable()
+
     def test_rows_share_the_next_state_objects(self, showcase):
         plan = plan_for(showcase)
         kernel = bind(plan, "compiled")
@@ -305,6 +323,138 @@ class TestRow:
     def test_rejects_what_is_not_a_sequence(self):
         with pytest.raises(TypeError):
             _stepcore.row(5)
+
+
+@needs_extension
+class TestEntries:
+    """``_stepcore.entries``, which builds ``run``'s trace entries in C; the
+    list comprehension the pure backend records with is its oracle."""
+
+    ROWS = [((4, 1), (2, 0), (2, 0)), ((0, 3), (0, 1), (0, 1)), ((2**70, 0), (2**69, 0), (0, 0))]
+
+    @staticmethod
+    def oracle(k, rows):
+        return [TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)]
+
+    @pytest.mark.parametrize("k", [0, 7, 300])
+    def test_matches_the_comprehension(self, k):
+        rows = [tuple(map(_stepcore.row, row)) for row in self.ROWS]
+        got = _stepcore.entries(TraceStep, k, rows)
+        assert type(got) is list and got == self.oracle(k, rows)
+        assert {type(e) for e in got} == {TraceStep}
+        assert [type(e.k) for e in got] == [int] * 3
+        assert all(e.state is row[0] and e.common is row[2] for e, row in zip(got, rows))
+        assert _stepcore.entries(TraceStep, k, ()) == []
+        # any sequence of rows will do, the same row more than once too
+        assert _stepcore.entries(TraceStep, k, (rows[0],) * 2) == self.oracle(k, [rows[0]] * 2)
+
+    def test_untracked_only_over_untracked_exact_tuples(self):
+        class Big(int):
+            pass
+
+        class Tup(tuple):
+            pass
+
+        clean = tuple(map(_stepcore.row, self.ROWS[0]))
+        state, p, pc = clean
+        gc.disable()
+        try:
+            assert not any(map(gc.is_tracked, _stepcore.entries(TraceStep, 0, [clean] * 3)))
+            for row in [
+                ((Big(4), 1), p, pc),
+                ([4, 1], p, pc),
+                (Tup(state), p, pc),
+                (state, p, tuple([2, 0])),  # a fresh tuple, tracked until a collection
+            ]:
+                [entry] = _stepcore.entries(TraceStep, 0, [row])
+                assert gc.is_tracked(entry), row
+        finally:
+            gc.enable()
+
+    def test_a_class_with_a_dict_keeps_its_entries_tracked(self):
+        class Loose(TraceStep):
+            pass  # no __slots__, so its instances have a __dict__
+
+        row = tuple(map(_stepcore.row, self.ROWS[0]))
+        [entry] = _stepcore.entries(Loose, 3, [row])
+        assert type(entry) is Loose and gc.is_tracked(entry)
+        assert (entry.k, entry.state, entry.partials, entry.common) == (3, *row)
+
+    def test_a_class_without_the_four_slots_is_refused(self):
+        class Plain:
+            pass
+
+        @dataclass(frozen=True, slots=True)
+        class Three:
+            k: int
+            state: tuple
+            partials: tuple
+
+        class Props:
+            k = state = partials = common = property(lambda self: 0)
+
+        row = self.ROWS[0]
+        for cls in (Plain, Three, Props, int, 5, "TraceStep"):
+            with pytest.raises(TypeError):
+                _stepcore.entries(cls, 0, [row])
+        # a refused class does not displace the one in use
+        assert _stepcore.entries(TraceStep, 0, [row]) == self.oracle(0, [row])
+
+    def test_a_finalizer_calling_it_with_another_class_mid_call(self):
+        # under Python 3.11 and older a collection may run inside the call's
+        # allocations, and with it a finalizer calling entries() again
+        class Padded:
+            __slots__ = ("pad", "k", "state", "partials", "common")
+
+        class Trigger:
+            def __del__(self):
+                inner.extend(_stepcore.entries(Padded, 0, [row]))
+
+        row = tuple(map(_stepcore.row, self.ROWS[0]))
+        rows, inner = [row] * 50, []
+        threshold = gc.get_threshold()
+        gc.collect()
+        try:
+            for _ in range(3):
+                trigger = Trigger()
+                trigger.cycle = trigger
+            del trigger
+            gc.set_threshold(1)
+            got = _stepcore.entries(TraceStep, 0, rows)
+        finally:
+            gc.set_threshold(*threshold)
+        gc.collect()
+        assert got == self.oracle(0, rows) and {type(e) for e in got} == {TraceStep}
+        assert len(inner) == 3 and {type(e) for e in inner} == {Padded}
+        assert not hasattr(inner[0], "pad") and inner[0].state is row[0]
+
+    def test_a_row_that_is_not_a_3_tuple_is_refused(self):
+        state, p, pc = self.ROWS[0]
+        for bad in ([(state, p)], [(state, p, pc, pc)], [[state, p, pc]], [5], 5):
+            with pytest.raises(TypeError):
+                _stepcore.entries(TraceStep, 0, bad)
+        for bad_k in (1.0, "0", None):
+            with pytest.raises(TypeError):
+                _stepcore.entries(TraceStep, bad_k, [self.ROWS[0]])
+        with pytest.raises(TypeError):
+            _stepcore.entries(TraceStep, 0)
+        with pytest.raises(OverflowError):
+            _stepcore.entries(TraceStep, sys.maxsize, [self.ROWS[0]] * 2)
+
+    def test_leaks_no_references(self):
+        state, p, pc = (_stepcore.row([2**40 + i, i]) for i in range(3))
+        row = (state, p, pc)
+        rows, bad = [row] * 3, [row, (state, p)]
+        held = (state, row, TraceStep)
+        _stepcore.entries(TraceStep, 0, [])
+        gc.collect()  # a class entries() held before may be left in a cycle
+        before = list(map(sys.getrefcount, held))
+        for _ in range(10_000):
+            _stepcore.entries(TraceStep, 5, rows)
+            with pytest.raises(TypeError):
+                _stepcore.entries(TraceStep, 5, bad)
+        gc.collect()
+        assert list(map(sys.getrefcount, held)) == before
 
 
 GROWING_PLAN = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))

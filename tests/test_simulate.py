@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import weakref
 import random
 from dataclasses import dataclass, replace
 
@@ -577,6 +578,7 @@ class TestUntrackedRows:
             trace = run(spec, start, max_steps=max_steps, engine=engine, backend="compiled")
             assert trace.step_count > 1
             assert not any(map(gc.is_tracked, row_tuples(trace)))
+            assert not any(map(gc.is_tracked, trace.steps))
 
     def test_rows_holding_an_int_subclass_stay_tracked(self):
         loop = parse(LOOP_TEXT, allow_cycles=True)
@@ -600,3 +602,66 @@ class TestUntrackedRows:
                 assert all(map(gc.is_tracked, row_tuples(trace)))
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize(
+        "engine, backend",
+        [("matrix", "pure"), ("both", "pure"), ("operational", "pure"), ("operational", "compiled")],
+    )
+    def test_entries_over_python_rows_stay_tracked(self, engine, backend):
+        # the pure backend and the enactor build their rows in Python, so
+        # with collection off every row, and so every entry, stays tracked
+        gc.disable()
+        try:
+            for spec, start, max_steps in untracked_runs():
+                trace = run(spec, start, max_steps=max_steps, engine=engine, backend=backend)
+                assert all(map(gc.is_tracked, trace.steps))
+        finally:
+            gc.enable()
+
+    def test_an_entry_holding_an_int_subclass_stays_tracked(self):
+        start = (Big(100012346), 100012345) + (0,) * 6
+        for engine in ("matrix", "both"):
+            trace = run(LOOP, start, max_steps=100, engine=engine, backend="compiled")
+            held = [type(e.state[0]) is Big for e in trace.steps]
+            assert held[0] and not all(held)
+            assert [gc.is_tracked(e) for e in trace.steps] == held
+
+    def test_a_cycle_through_an_entry_is_collected(self):
+        class Marker:
+            pass
+
+        value = Big(100012346)
+        trace = run(LOOP, (value, 100012345) + (0,) * 6, max_steps=10, engine="matrix", backend="compiled")
+        value.entry = trace.steps[0]  # value -> its __dict__ -> entry -> state -> value
+        value.marker = Marker()
+        alive = weakref.ref(value.marker)
+        del value, trace
+        gc.collect()
+        assert alive() is None
+
+
+class TestRecordedEntries:
+    """Every engine on either backend records the same entries, one per
+    update, each with its own step number, across stretches, parameter
+    changes and a fixed state padded until the schedule settles."""
+
+    @pytest.mark.parametrize("max_steps", [3, 1500, 3000])
+    def test_scheduled_runs_agree_across_backends_and_engines(self, max_steps):
+        chain = build_linear_chain(2, 3)
+        base3 = with_parameters(chain, [((3,), (1,)), ((3,), (1,))])
+        # 8 is 22 in base 3, fixed from step 1 until base 2 moves it at step
+        # 1500; the schedule settles after step 2600, stretches later
+        sched = ParameterSchedule.from_mapping(chain, {1500: chain, 2600: chain}, default=base3)
+        traces = [
+            run(chain, (8, 0, 0), max_steps=max_steps, engine=engine, schedule=sched, backend=backend)
+            for engine in ("matrix", "operational", "both")
+            for backend in ("pure", "compiled")
+        ]
+        want = traces[0]
+        assert [e.k for e in want.steps] == list(range(min(max_steps, 2601) + 1))
+        assert len({id(e) for e in want.steps}) == len(want.steps)
+        states = [e.state for e in want.steps]
+        assert set(states[1:1501]) == {(2, 2, 0)} and set(states[1501:]) <= {(0, 1, 1)}
+        for got in traces[1:]:
+            assert got.steps == want.steps and got.termination == want.termination
+            assert [type(e) for e in got.steps] == [TraceStep] * len(want.steps)
