@@ -19,7 +19,7 @@ import re
 import sys
 from typing import Sequence
 
-from .dsl import export_dot, export_trace, load_schedule, serialize, try_parse
+from .dsl import export_dot, export_trace, load_schedule, serialize, too_many_digits, try_parse
 from .kernel import BACKENDS
 from .model import InvalidCaoError
 from .simulate import (
@@ -71,25 +71,31 @@ def _parse_inits(pairs: list[str] | None) -> dict[str, int]:
             name, eq, num = item.partition("=")
             if not eq:
                 raise ValueError(f"--init expects NAME=VALUE, got {item!r}")
-            try:
-                values[name.strip()] = int(num)
-            except ValueError:
-                raise ValueError(f"--init value for {name.strip()!r} is not an integer: {num!r}") from None
+            what = f"--init value for {name.strip()!r}"
+            if (value := _int(num, what)) is None:
+                raise ValueError(f"{what} is not an integer: {num!r}")
+            values[name.strip()] = value
     return values
 
 
-def _radix_value(text: str) -> int:
-    """``int(text)``. A decimal integer of more digits than ``int()`` converts
-    raises OverflowError, which argparse passes on to :func:`main`."""
+def _int(text: str, what: str) -> int | None:
+    """``int(text)``, or None when ``text`` is not an integer. A decimal
+    integer of more digits than ``int()`` converts raises OverflowError
+    naming ``what``, its digit count and the limit."""
     try:
         return int(text)
     except ValueError:
         if (number := re.fullmatch(r"[+-]?(\d+(_\d+)*)", text.strip())) is None:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        digits, limit = len(number[1].replace("_", "")), sys.get_int_max_str_digits()
-        raise OverflowError(
-            f"--value has {digits} digits; Python converts at most {limit} (see PYTHONINTMAXSTRDIGITS)"
-        ) from None
+            return None
+        raise OverflowError(too_many_digits(what, len(number[1].replace("_", "")))) from None
+
+
+def _radix_value(text: str) -> int:
+    """``int(text)``; OverflowError past the digit limit, which argparse passes
+    on to :func:`main`."""
+    if (value := _int(text, "--value")) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -13,6 +13,12 @@ from tokens:
     }
 
 Operator forms (L/D/F/M) may be omitted; they follow from the valence.
+Two readers share this grammar. An ASCII text without comments is read one
+declaration at a time, by one anchored regular expression per statement
+(:func:`_scan`). Any other text, and any text that scanner does not take
+whole, is tokenized and read by the token parser, so every lexical and
+syntax diagnostic comes from the token parser. Both record the offsets of
+each declaration, from which the structural checks point at it.
 Every parse failure — lexical, syntactic, or structural — carries a source
 span (1-based line and column, 0-based half-open offsets) so tools can point
 at the offending text. Tokens carry only their offsets; a span's line and
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,6 +82,15 @@ class DslError(ValueError):
     def __init__(self, diagnostics: Sequence[Diagnostic]):
         self.diagnostics = tuple(diagnostics)
         super().__init__("\n".join(str(d) for d in self.diagnostics))
+
+
+def too_many_digits(what: str, digits: int) -> str:
+    """The refusal of a decimal number ``what`` of ``digits`` digits, more than
+    ``int()`` converts."""
+    return (
+        f"{what} has {digits} digits; Python converts at most "
+        f"{sys.get_int_max_str_digits()} (see PYTHONINTMAXSTRDIGITS)"
+    )
 
 
 def _line_starts(text: str) -> list[int]:
@@ -149,6 +165,16 @@ class _Parser:
             raise self.fail(f"expected {what}, found {found!r}")
         return self.take()
 
+    def number(self, meaning: str) -> tuple[int, int]:
+        """The value of the number expected next, and the offset just past it."""
+        _, digits, start, end = self.expect("NUMBER", f"a {meaning}")
+        try:
+            return int(digits), end
+        except ValueError:  # more digits than int() converts
+            span = _span(_line_starts(self.text), start, end)
+            message = too_many_digits(f"the {meaning}", len(digits))
+            raise DslError([Diagnostic(self.path, "error", "bad-number", message, span)]) from None
+
     def parse_pairs(self, number_meaning: str) -> tuple[tuple[tuple[str, int], ...], int]:
         """The pairs of a parenthesised list, and the offset just past its ')'."""
         self.expect("(", "'('")
@@ -156,8 +182,7 @@ class _Parser:
         while True:
             name = self.expect("IDENT", "an entity name")
             self.expect(":", f"':' before the {number_meaning}")
-            num = self.expect("NUMBER", f"a {number_meaning}")
-            pairs.append((name[1], int(num[1])))
+            pairs.append((name[1], self.number(number_meaning)[0]))
             if self.here[0] != ",":
                 break
             self.take()
@@ -193,8 +218,7 @@ class _Parser:
         start = 0
         if self.here[0] == "=":
             self.take()
-            _, digits, _, end = self.expect("NUMBER", "a start value")
-            start = int(digits)
+            start, end = self.number("start value")
         return Entity(name, _KEYWORD_ROLES[role], start), (role_start, end)
 
     def parse_operator(self) -> tuple[Operator, _At]:
@@ -206,6 +230,54 @@ class _Parser:
         self.expect("->", "'->'")
         outputs, end = self.parse_pairs("conversion coefficient")
         return Operator(inputs=inputs, outputs=outputs, form=form), (first, end)
+
+
+# The statement scanner reads only ASCII texts, on which \w is [A-Za-z0-9_]
+# and \d is [0-9], as in the tokenizer, and no pattern takes a '#'. Whitespace
+# is optional between two tokens unless both are words, and a word is read
+# whole: nothing after a name or a number can go on with a word character,
+# except a name after a number (``= 10final h``), which the tokenizer splits too.
+_WS = r"[ \t\r\n]*"
+_PAIR = rf"[A-Za-z_]\w*{_WS}:{_WS}\d+{_WS}"
+_PAIRS = rf"\({_WS}(?:{_PAIR},{_WS})*{_PAIR}\)"
+_HEAD = re.compile(rf"{_WS}cao[ \t\r\n]+([A-Za-z_]\w*){_WS}\{{")
+_STATEMENT = re.compile(
+    rf"{_WS}(?:(initial|intermediate|final)[ \t\r\n]+([A-Za-z_]\w*)(?:{_WS}={_WS}(\d+))?"
+    rf"|(?:([LDFM]){_WS})?({_PAIRS}){_WS}->{_WS}({_PAIRS})|(}}){_WS}\Z)"
+)
+_PAIR_VALUES = re.compile(rf"(\w+){_WS}:{_WS}(\d+)")
+
+
+def _pairs(text: str) -> tuple[tuple[str, int], ...]:
+    """The ``(name, number)`` pairs of a list :data:`_PAIRS` matched."""
+    return tuple([(name, int(digits)) for name, digits in _PAIR_VALUES.findall(text)])
+
+
+def _scan(text: str) -> tuple[str, _At, list[tuple[Entity, _At]], list[tuple[Operator, _At]]] | None:
+    """What ``_Parser(text, path).parse_cao()`` returns, read one declaration
+    per match; None for any text it does not take whole, which the token
+    parser then reads: one with a comment, a character outside ASCII, a
+    number of more digits than ``int()`` converts, or an error."""
+    if not text.isascii() or (head := _HEAD.match(text)) is None:
+        return None
+    entities: list[tuple[Entity, _At]] = []
+    operators: list[tuple[Operator, _At]] = []
+    pos = head.end()
+    try:
+        while (m := _STATEMENT.match(text, pos)) is not None:
+            role, name, start, form, inputs, outputs, close = m.groups()
+            if close:
+                return head[1], head.span(1), entities, operators
+            pos = m.end()
+            if role:
+                entity = Entity(name, _KEYWORD_ROLES[role], int(start) if start else 0)
+                entities.append((entity, (m.start(1), pos)))
+            else:
+                operator = Operator(_pairs(inputs), _pairs(outputs), _FORMS[form] if form else None)
+                operators.append((operator, (m.start(4) if form else m.start(5), pos)))
+    except ValueError:  # more digits than int() converts
+        pass
+    return None
 
 
 def _semantic_diagnostics(
@@ -234,10 +306,13 @@ def try_parse(
     text: str, *, path: str = "<dsl>", allow_cycles: bool = False
 ) -> tuple[CaoSpec | None, tuple[Diagnostic, ...]]:
     """Parse leniently: return (spec or None, all diagnostics incl. warnings)."""
-    try:
-        name, name_at, entities, operators = _Parser(text, path).parse_cao()
-    except DslError as exc:
-        return None, exc.diagnostics
+    parsed = _scan(text)
+    if parsed is None:
+        try:
+            parsed = _Parser(text, path).parse_cao()
+        except DslError as exc:
+            return None, exc.diagnostics
+    name, name_at, entities, operators = parsed
     ents = [e for e, _ in entities]
     ops = [op for op, _ in operators]
     report = check(name, ents, ops, allow_cycles=allow_cycles)
@@ -273,11 +348,14 @@ def serialize(spec: CaoSpec) -> str:
 
 
 _ROLE_SHAPES = {Role.INITIAL: "triangle", Role.INTERMEDIATE: "circle", Role.FINAL: "invtriangle"}
+# DOT's keywords, in any letter case, cannot be a bare graph ID
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def export_dot(spec: CaoSpec) -> str:
     """Graphviz rendering: entities as role-shaped nodes, operators as diamonds."""
-    lines = [f"digraph {spec.name} {{", "  rankdir=LR;"]
+    name = f'"{spec.name}"' if spec.name.lower() in _DOT_KEYWORDS else spec.name
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for ent in spec.entities:
         lines.append(f'  ent_{ent.name} [label="{ent.name}" shape={_ROLE_SHAPES[ent.role]}];')
     for k, op in enumerate(spec.operators):

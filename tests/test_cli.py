@@ -45,6 +45,19 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_OK
         assert "warning[role-mismatch]" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() converts any number of digits")
+    def test_a_number_past_the_digit_limit_is_a_diagnostic(self, tmp_path, capsys):
+        # int() raised, and validate printed "error: Exceeds the limit …" with no position
+        digits = INT_MAX_STR_DIGITS + 1
+        path = tmp_path / "big.cao"
+        path.write_text(f"cao x {{\n  initial a = {'7' * digits}\n  final b\n  L (a:2) -> (b:1)\n}}\n")
+        assert main(["validate", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "",
+            f"{path}:2:15: error[bad-number]: the start value has {digits} digits; "
+            f"Python converts at most {INT_MAX_STR_DIGITS} (see PYTHONINTMAXSTRDIGITS)\n",
+        )
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent.cao"]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
@@ -209,6 +222,19 @@ class TestSimulate:
         sched.write_text(json.dumps({"default": params}))
         assert main(["simulate", showcase_file, "--schedule", str(sched)]) == EXIT_ERROR
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() converts any number of digits")
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_an_init_past_the_digit_limit_is_a_one_line_error(self, showcase_file, capsys, sign):
+        # the message said "not an integer" and echoed every digit
+        digits = INT_MAX_STR_DIGITS + 700
+        for value in (sign + "5" * digits, sign + "1_" + "0" * (digits - 1)):
+            assert main(["simulate", showcase_file, "--init", f"i={value}"]) == EXIT_ERROR
+            assert capsys.readouterr() == (
+                "",
+                f"error: --init value for 'i' has {digits} digits; Python converts at most "
+                f"{INT_MAX_STR_DIGITS} (see PYTHONINTMAXSTRDIGITS)\n",
+            )
 
     def test_bad_init_syntax(self, showcase_file, capsys):
         assert main(["simulate", showcase_file, "--init", "i"]) == EXIT_ERROR

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import os
 import random
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,15 +27,20 @@ from caosim import (
     parse,
     parse_trace,
     random_cao,
+    random_state,
     run,
     serialize,
     try_parse,
+    validate,
     with_parameters,
 )
 from caosim import dsl
 from caosim.dsl import Diagnostic, SourceSpan
 from caosim.simulate import ENGINES
 from conftest import LOOP_TEXT, SHOWCASE_TEXT, random_parameters
+
+# Python's limit on the digits int() converts; 0 where it sets none
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestParse:
@@ -217,6 +224,64 @@ class TestDiagnostics:
         assert diags[-1].span.line == m + 1
         assert ring_s < 2 * chain_s, f"ring {ring_s:.2f} s, chain {chain_s:.2f} s"
 
+    def test_the_scanner_takes_linear_time(self):
+        # one anchored match per declaration from where the last one ended: a
+        # text four times as long takes about four times as long, whether the
+        # scanner takes it or refuses it at its last declaration. The timings
+        # run with the collector off: a full collection, which the large text
+        # sets off more often, costs what the rest of the test run holds.
+        def chain(m):
+            return "\n".join(
+                ["cao chain {", "  initial e0 = 5", *[f"  intermediate e{i}" for i in range(1, m - 1)]]
+                + [f"  final e{m - 1}", *[f"  L (e{i}:2) -> (e{i + 1}:1)" for i in range(m - 1)], "}"]
+            )
+
+        def best(text):
+            took = []
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(3):
+                    began = time.perf_counter()
+                    dsl._scan(text)
+                    took.append(time.perf_counter() - began)
+            finally:
+                gc.enable()
+            return min(took)
+
+        taken = chain(5_000), chain(20_000)
+        refused = tuple(t.replace(":1)\n}", ":1,)\n}") for t in taken)
+        for refuse, (small, large) in ((False, taken), (True, refused)):
+            assert (dsl._scan(large) is None) is refuse
+            small_s, large_s = best(small), best(large)
+            assert large_s < 8 * small_s, f"4x the text: {large_s:.3f} s against {small_s:.3f} s"
+
+    @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() converts any number of digits")
+    @pytest.mark.parametrize(
+        "template, meaning",
+        [
+            ("cao x {{\n  initial a = {}\n  final b\n  L (a:2) -> (b:1)\n}}", "start value"),
+            ("cao x {{\n  initial a\n  final b\n  L (a:{}) -> (b:1)\n}}", "radix"),
+            ("cao x {{\n  initial a\n  final b\n  L (a:2) -> (b:{})\n}}", "conversion coefficient"),
+        ],
+    )
+    def test_a_number_past_the_digit_limit_is_a_diagnostic(self, template, meaning):
+        # int() raised a bare ValueError with no position
+        digits = INT_MAX_STR_DIGITS + 1
+        text = template.format("0" * digits)
+        diag = _sole_error(text)
+        assert (diag.code, diag.message) == (
+            "bad-number",
+            f"the {meaning} has {digits} digits; Python converts at most "
+            f"{INT_MAX_STR_DIGITS} (see PYTHONINTMAXSTRDIGITS)",
+        )
+        assert text[diag.span.start : diag.span.end] == "0" * digits
+        _assert_spans_agree_with_offsets(text, [diag])
+        assert dsl._scan(text) is None
+        at_the_limit = template.format("2" + "0" * (INT_MAX_STR_DIGITS - 1))
+        assert dsl._scan(at_the_limit) is not None
+        assert try_parse(at_the_limit)[0] is not None
+
 
 class TestDotExport:
     def test_showcase_graph_shape(self, showcase):
@@ -229,6 +294,17 @@ class TestDotExport:
         assert 'ent_h [label="h" shape=invtriangle];' in dot
         assert 'op_0 [label="M" shape=diamond];' in dot
         assert 'ent_g -> op_3 [label="4"];' in dot
+
+    @pytest.mark.parametrize("name", ["graph", "Graph", "NODE", "edge", "digraph", "subGraph", "strict"])
+    def test_a_dot_keyword_graph_id_is_quoted(self, name):
+        # Graphviz refuses a keyword, in any letter case, as a bare graph ID
+        dot = export_dot(parse(f"cao {name} {{ initial a = 4 final b (a:2) -> (b:1) }}"))
+        assert dot.splitlines()[0] == f'digraph "{name}" {{'
+
+    @pytest.mark.parametrize("name", ["x", "graphs", "node_1", "_edge", "strictly"])
+    def test_any_other_graph_id_stays_bare(self, name):
+        dot = export_dot(parse(f"cao {name} {{ initial a = 4 final b (a:2) -> (b:1) }}"))
+        assert dot.splitlines()[0] == f"digraph {name} {{"
 
 
 class TestTraceSerialization:
@@ -845,6 +921,142 @@ def test_edge_cases_match_the_oracle(text, expected):
         assert diag.code == "bad-token" and diag.message == f"unexpected character {expected}"
     else:
         assert [f"{kind} {word}" for kind, word, _, _ in new[:-1]] == expected
+
+
+# --- Statement scanner oracle -------------------------------------------------------
+# try_parse reads a comment-free ASCII text with dsl._scan, and any other text
+# with the token parser, which is the scanner's oracle: the scanner either
+# refuses a text or reads what the token parser reads, and it takes every
+# comment-free ASCII text the token parser reads without error.
+
+
+def _parse_cao(text):
+    """What the token parser reads from ``text``, or None on a DslError."""
+    try:
+        return dsl._Parser(text, "<dsl>").parse_cao()
+    except DslError:
+        return None
+
+
+def _assert_the_scanner_matches_the_parser(text) -> bool:
+    """Whether the scanner takes ``text``, having checked it against the token parser."""
+    scanned, parsed = dsl._scan(text), _parse_cao(text)
+    if scanned is None:
+        assert parsed is None or not text.isascii() or "#" in text, f"refused {text!r}"
+        return False
+    assert scanned == parsed, f"misread {text!r}"
+    for allow_cycles in (False, True):
+        with patch.object(dsl, "_scan", lambda text: None):
+            expected = try_parse(text, allow_cycles=allow_cycles)
+        assert try_parse(text, allow_cycles=allow_cycles) == expected
+    return True
+
+
+@pytest.mark.parametrize(
+    "text, scanned",
+    [
+        # a number ends where a name begins, in both readers
+        ("cao x {\n  initial i = 10final h\n  L (i:2) -> (h:1)\n}\n", True),
+        ("cao x{initial a=4 final b(a:2)->(b:1)L(b:2)->(a:1)}", True),
+        # a role or form keyword is a name anywhere a name goes
+        ("cao L { initial L = 3 final h L (L:2) -> (h:1) }", True),
+        ("cao initial { initial final = 3 final cao M (final:2, x:2) -> (cao:1, y:1) initial x final y }", True),
+        ("cao cao { intermediate intermediate D (intermediate:2) -> (F:1, M:2) final F final M }", True),
+        ("cao x {\r\n\tinitial a = 4\r\n\tfinal b\r\n\t(a:2)->(b:1)\r\n}\r\n", True),
+        ("cao x { initial a = 0010 final b L (a:0002) -> (b:01) }", True),
+        ("cao x { }", True),
+        # \d takes other scripts' digits and \w other letters: the token parser reads those
+        ("cao x { initial a = \u0661\u0660 final b L (a:2) -> (b:1) }", False),
+        ("cao x { initial \u00e9 = 4 final b L (\u00e9:2) -> (b:1) }", False),
+        ("cao x { initial a = 4\x0b final b L (a:2) -> (b:1) }", False),
+        ("cao x { initial a = 4 final b L (a:2) -> (b:1) } # done", False),
+        ("cao x { initial a = 4 final b L (a:2,) -> (b:1) }", False),
+        ("cao x { initial a = 4 final b La (a:2) -> (b:1) }", False),
+        ("cao x { initiala = 4 final b L (a:2) -> (b:1) }", False),
+        ("caox { initial a = 4 final b L (a:2) -> (b:1) }", False),
+        ("cao x { initial a = final b L (a:2) -> (b:1) }", False),
+        ("cao x { initial a = 4 final b L (a:2) -> (b:1) } }", False),
+    ],
+)
+def test_both_readers_agree_on_the_grammar_corners(text, scanned):
+    assert _assert_the_scanner_matches_the_parser(text) is scanned
+
+
+def _ensemble_text(rng, n):
+    """A random acyclic CAO with random start values, as the benchmark's ensemble writes them."""
+    size = 2 + n % 11
+    spec = random_cao(rng, min_entities=size, max_entities=size, name=f"g{n}")
+    entities = [replace(e, start=s) for e, s in zip(spec.entities, random_state(rng, spec))]
+    spec = validate(spec.name, entities, spec.operators)
+    return spec, serialize(spec)
+
+
+def test_comment_free_ascii_texts_take_the_scanner(monkeypatch):
+    rng = random.Random(21)
+    corpus = [_ensemble_text(rng, n) for n in range(200)]
+
+    def token_parser(text, path):
+        raise AssertionError(f"the token parser read {text!r}")
+
+    monkeypatch.setattr(dsl, "_Parser", token_parser)
+    warned = 0
+    for spec, text in corpus:
+        read, diags = try_parse(text)
+        assert read == spec and all(d.severity == "warning" for d in diags)
+        warned += bool(diags)  # their spans come from the scanner's offsets
+        assert try_parse(text.replace("\n", "\r\n").replace("  ", "\t"))[0] == spec
+    assert warned > 0
+
+
+def test_the_scanner_reads_the_fuzz_corpus_as_the_token_parser_does(fuzz_corpus):
+    for spec, state in fuzz_corpus:
+        entities = [replace(e, start=s) for e, s in zip(spec.entities, state)]
+        assert _assert_the_scanner_matches_the_parser(serialize(validate(spec.name, entities, spec.operators)))
+
+
+# what a one-token mutation puts in: every kind of token, keywords, glued
+# spellings, and the characters where \w and \d differ from ASCII
+SPLICES = tuple(
+    dict.fromkeys(
+        ["cao", "initial", "intermediate", "final", "L", "D", "F", "M", "x", "e0", "_", "0", "7", "0010"]
+        + ["{", "}", "(", ")", ",", ":", "=", "->", "-", " ", "\r\n", "\t", "# c\n", *HOSTILE]
+    )
+)
+
+
+def _one_token_mutations(text):
+    """Every text that deletes, replaces or inserts one lexeme of ``text``:
+    a token, a run of whitespace, a comment or a character no token takes."""
+    spans = [m.span() for m in dsl._TOKEN.finditer(text)]
+    for start, end in spans:
+        yield text[:start] + text[end:]
+        for new in SPLICES:
+            yield text[:start] + new + text[end:]
+    for at in sorted({0, *(end for _, end in spans)}):
+        for new in SPLICES:
+            yield text[:at] + new + text[at:]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_readers_agree_on_every_one_token_mutation(n):
+    _, text = _ensemble_text(random.Random(n), n)
+    taken = sum(map(_assert_the_scanner_matches_the_parser, _one_token_mutations(text)))
+    assert taken > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.text(st.sampled_from(HOSTILE) | st.characters(), max_size=8),
+)
+def test_the_readers_agree_on_random_mutations(seed, hostile):
+    rng = random.Random(seed)
+    _, text = _ensemble_text(rng, rng.randrange(11))
+    for _ in range(rng.randint(1, 3)):
+        text = rng.choice([*_one_token_mutations(text)] or [hostile])
+    at = rng.randrange(len(text) + 1)
+    _assert_the_scanner_matches_the_parser(text)
+    _assert_the_scanner_matches_the_parser(text[:at] + hostile + text[at:])
 
 
 # --- Trace writer oracle ----------------------------------------------------------
