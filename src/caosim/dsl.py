@@ -493,7 +493,30 @@ def _json_int(value, where: str, *, key: bool = False) -> int:
     """
     if not (_KEY_INT.fullmatch(value) if key else type(value) is int):
         raise ValueError(f"{where}: {json.dumps(value)} is not an integer")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # a key of more digits than int() converts
+        raise ValueError(too_many_digits(where, len(value.lstrip("-")))) from None
+
+
+def _json_document(text: str, what: str):
+    """``json.loads(text)``, or ValueError naming ``what``: the ``schedule``
+    or the ``trace``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    except ValueError:
+        # int()'s refusal of a number past its digit limit, which names no
+        # document: read again, refusing that number in our own words
+        def number(literal: str) -> int:
+            digits = len(literal.lstrip("-"))
+            if digits > sys.get_int_max_str_digits() > 0:
+                raise ValueError(too_many_digits(f"a number in the {what}", digits)) from None
+            return int(literal)
+
+        json.loads(text, parse_int=number)
+        raise
 
 
 def _trace_vector(values, width: int, where: str) -> tuple[int, ...]:
@@ -544,10 +567,7 @@ def parse_trace(text: str) -> TraceDocument:
     index or whose ``operators`` are not integer parameter sets, an engine or
     termination no run reports, or a ``step_count`` other than the number of
     steps less one."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"trace is not valid JSON: {exc}") from exc
+    doc = _json_document(text, "trace")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != TRACE_FORMAT_VERSION:  # true and 1.0 equal 1
         raise ValueError(
@@ -642,10 +662,7 @@ def load_schedule(text: str, base: CaoSpec) -> ParameterSchedule:
     key) makes unscheduled steps an error. A key outside this layout, in the
     schedule, a parameter set or an operator, is refused.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"schedule is not valid JSON: {exc}") from exc
+    doc = _json_document(text, "schedule")
     if not isinstance(doc, dict):
         raise ValueError("schedule must be a JSON object")
     _schedule_keys(doc, {"default", "steps"}, "unknown schedule keys")

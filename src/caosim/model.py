@@ -26,12 +26,17 @@ Structural rules enforced by :func:`validate`:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, is_not, itemgetter, lt
+from typing import Iterable, Iterator, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# identifiers, one per line
+_IDENTS_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\n[A-Za-z_][A-Za-z0-9_]*)*")
 
 ConfigMatrix = tuple[tuple[int, ...], ...]
 
@@ -213,9 +218,115 @@ def _find_cycle(names: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[
     return None
 
 
+_NAME, _ROLE, _START = attrgetter("name"), attrgetter("role"), attrgetter("start")
+_INPUTS, _OUTPUTS, _FORM = attrgetter("inputs"), attrgetter("outputs"), attrgetter("form")
+
+
+class _FormTable(dict):
+    """The form each valence implies, by ``(inputs, outputs)``; a valence
+    outside the table is inferred, and not kept."""
+
+    def __missing__(self, valence: tuple[int, int]) -> Form:
+        return infer_form(*valence)
+
+
+_FORM_OF = _FormTable({(i, o): infer_form(i, o) for i in (1, 2) for o in (1, 2)})
+
+
 def _is_integer(value) -> bool:
     """True for an ``int``; a ``bool`` is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_identifier(name) -> bool:
+    return isinstance(name, str) and _IDENT_RE.match(name) is not None
+
+
+def _name_order(name) -> tuple[bool, str]:
+    """Sort key: names in string order, then names that are not strings."""
+    return (False, name) if isinstance(name, str) else (True, repr(name))
+
+
+def _columns(sides) -> tuple[list, list]:
+    """The names and the numbers of all ``(name, number)`` pairs of ``sides``."""
+    pairs = list(chain.from_iterable(sides))
+    return list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+
+
+def _entity_issues(entities: Sequence[Entity]) -> Iterator[Issue]:
+    """The errors of each entity, in declaration order."""
+    seen: set[str] = set()
+    for ent in entities:
+        if not _is_identifier(ent.name):
+            yield Issue("error", "bad-name", f"entity name {ent.name!r} is not an identifier", ent.name)
+        if ent.name in seen:
+            yield Issue("error", "duplicate-name", f"entity {ent.name!r} declared more than once", ent.name)
+        seen.add(ent.name)
+        if not _is_integer(ent.start):
+            yield Issue("error", "bad-start", f"entity {ent.name!r} has a start value that is not an integer: {ent.start!r}", ent.name)
+        elif ent.start < 0:
+            yield Issue("error", "bad-start", f"entity {ent.name!r} has negative start value {ent.start}", ent.name)
+
+
+def _operator_issues(
+    operators: Sequence[Operator], known: set[str], finals: set[str], outgoing: dict[str, list[int]]
+) -> Iterator[Issue]:
+    """The errors of each operator, in declaration order. Fills ``outgoing``
+    with the operators each entity feeds."""
+    for k, op in enumerate(operators):
+        if not op.inputs or not op.outputs:
+            yield Issue("error", "bad-valence", f"operator #{k} must have at least one input and one output", None, k)
+            continue
+        in_names = [e for e, _ in op.inputs]
+        out_names = [e for e, _ in op.outputs]
+        for e in in_names + out_names:
+            if e not in known:
+                yield Issue("error", "unknown-entity", f"operator #{k} references undeclared entity {e!r}", e, k)
+        if len(set(in_names)) != len(in_names):
+            yield Issue("error", "duplicate-input", f"operator #{k} lists an input entity twice", None, k)
+        if len(set(out_names)) != len(out_names):
+            yield Issue("error", "duplicate-output", f"operator #{k} lists an output entity twice", None, k)
+        overlap = set(in_names) & set(out_names)
+        if overlap:
+            e = min(overlap, key=_name_order)
+            yield Issue("error", "self-loop", f"operator #{k} uses {e!r} as both input and output", e, k)
+        for e, radix in op.inputs:
+            if not _is_integer(radix):
+                yield Issue("error", "bad-radix", f"operator #{k} input {e!r} has a radix that is not an integer: {radix!r}", e, k)
+            elif radix < 2:
+                yield Issue("error", "bad-radix", f"operator #{k} input {e!r} has radix {radix}; must be >= 2", e, k)
+        for e, coeff in op.outputs:
+            if not _is_integer(coeff):
+                yield Issue("error", "bad-coefficient", f"operator #{k} output {e!r} has a coefficient that is not an integer: {coeff!r}", e, k)
+            elif coeff < 1:
+                yield Issue("error", "bad-coefficient", f"operator #{k} output {e!r} has coefficient {coeff}; must be >= 1", e, k)
+        inferred = infer_form(len(op.inputs), len(op.outputs))
+        valence = f"valence ({len(op.inputs)},{len(op.outputs)}) implies {inferred.value}"
+        if op.form is not None and op.form is not inferred:
+            declared = f"{op.form.value} but" if isinstance(op.form, Form) else f"form {op.form!r}, which is not a Form;"
+            yield Issue("error", "form-mismatch", f"operator #{k} declared {declared} {valence}", None, k)
+        for e in in_names:
+            if e in finals:
+                yield Issue("error", "final-entity-input", f"final entity {e!r} cannot feed operator #{k}", e, k)
+            outgoing.setdefault(e, []).append(k)
+
+
+def _acyclic(outs: list, outgoing: dict[str, tuple[int]], out_names: list[str]) -> bool:
+    """Whether one topological pass (Kahn, "Topological sorting of large
+    networks", CACM 5, 1962) takes every operator. ``outs`` holds each
+    operator's outputs, and ``outgoing`` maps each entity that feeds an
+    operator to that one operator, in a 1-tuple."""
+    waiting = Counter(chain.from_iterable(filter(None, map(outgoing.get, out_names))))
+    ready = [k for k in range(len(outs)) if k not in waiting]
+    # ``ready`` grows while it is walked: each operator joins it once, after
+    # the last operator that credits one of its inputs
+    for k in ready:
+        for t, _ in outs[k]:
+            if (fed := outgoing.get(t)) is not None:
+                waiting[fed[0]] -= 1
+                if not waiting[fed[0]]:
+                    ready.append(fed[0])
+    return len(ready) == len(outs)
 
 
 def check(
@@ -225,109 +336,107 @@ def check(
     *,
     allow_cycles: bool = False,
 ) -> ValidationReport:
-    """Collect every violated rule (and advisory warnings) without raising."""
+    """Collect every violated rule (and advisory warnings) without raising.
+
+    Each group of rules is first shown to hold for the whole description at
+    once, with set, ``min`` and ``map`` operations. Only a group whose proof
+    fails is walked item by item, to name its culprits in declaration order.
+    """
     issues: list[Issue] = []
+    if not _is_identifier(name):
+        issues.append(Issue("error", "bad-name", f"CAO name {name!r} is not an identifier"))
 
-    def err(code: str, message: str, entity: str | None = None, operator: int | None = None) -> None:
-        issues.append(Issue("error", code, message, entity, operator))
+    names = list(map(_NAME, entities))
+    roles = list(map(_ROLE, entities))
+    starts = list(map(_START, entities))
+    known = set(names)
+    if not (
+        set(map(type, names)) <= {str}
+        # one match for all names; the count shows that no name holds a newline
+        and (not names or _IDENTS_RE.fullmatch(joined := "\n".join(names)) and joined.count("\n") == len(names) - 1)
+        and len(known) == len(names)
+        and set(map(type, starts)) <= {int}
+        and (not starts or min(starts) >= 0)
+    ):
+        issues.extend(_entity_issues(entities))
 
-    def warn(code: str, message: str, entity: str | None = None, operator: int | None = None) -> None:
-        issues.append(Issue("warning", code, message, entity, operator))
+    role_of = dict(zip(names, roles))  # a name declared twice has its last role
+    finals = set(compress(role_of, map(is_, role_of.values(), repeat(Role.FINAL))))
+    ins = list(map(_INPUTS, operators))
+    outs = list(map(_OUTPUTS, operators))
+    in_counts, out_counts = list(map(len, ins)), list(map(len, outs))
+    in_names, radices = _columns(ins)
+    out_names, coefficients = _columns(outs)
+    # the operator of each input and output, in a 1-tuple
+    in_ops = list(zip(chain.from_iterable(map(repeat, range(len(ins)), in_counts))))
+    out_ops = list(zip(chain.from_iterable(map(repeat, range(len(outs)), out_counts))))
+    out_pairs = set(zip(out_names, out_ops))
+    outgoing: dict = dict(zip(in_names, in_ops))
+    forms = list(map(_FORM, operators))
+    bulk = (
+        (not operators or min(in_counts) >= 1 and min(out_counts) >= 1)
+        and known.issuperset(in_names)
+        and known.issuperset(out_names)
+        and len(outgoing) == len(in_names)  # no entity feeds two operators, or one twice
+        and len(out_pairs) == len(out_names)  # no operator credits an entity twice
+        and out_pairs.isdisjoint(zip(in_names, in_ops))  # no operator credits its own input
+        and set(map(type, radices)) <= {int}
+        and (not radices or min(radices) >= 2)
+        and set(map(type, coefficients)) <= {int}
+        and (not coefficients or min(coefficients) >= 1)
+        # each declared form is the one its valence implies
+        and sum(map(is_not, forms, map(_FORM_OF.__getitem__, zip(in_counts, out_counts)))) == forms.count(None)
+        and finals.isdisjoint(in_names)
+    )
+    if not bulk:
+        outgoing = {}
+        issues.extend(_operator_issues(operators, known, finals, outgoing))
+        for e, ops in sorted(outgoing.items(), key=lambda item: _name_order(item[0])):
+            if len(ops) > 1:
+                message = f"entity {e!r} feeds operators {ops}; an entity may feed at most one"
+                issues.append(Issue("error", "multiple-outgoing-operators", message, e))
 
-    if not _IDENT_RE.match(name or ""):
-        err("bad-name", f"CAO name {name!r} is not an identifier")
-
-    seen: set[str] = set()
-    for ent in entities:
-        if not _IDENT_RE.match(ent.name or ""):
-            err("bad-name", f"entity name {ent.name!r} is not an identifier", entity=ent.name)
-        if ent.name in seen:
-            err("duplicate-name", f"entity {ent.name!r} declared more than once", entity=ent.name)
-        seen.add(ent.name)
-        if not _is_integer(ent.start):
-            err("bad-start", f"entity {ent.name!r} has a start value that is not an integer: {ent.start!r}", entity=ent.name)
-        elif ent.start < 0:
-            err("bad-start", f"entity {ent.name!r} has negative start value {ent.start}", entity=ent.name)
-
-    known = {e.name for e in entities}
-    role_of = {e.name: e.role for e in entities}
-    outgoing: dict[str, list[int]] = {}
-
-    for k, op in enumerate(operators):
-        if not op.inputs or not op.outputs:
-            err("bad-valence", f"operator #{k} must have at least one input and one output", operator=k)
-            continue
-        in_names = [e for e, _ in op.inputs]
-        out_names = [e for e, _ in op.outputs]
-        for e in in_names + out_names:
-            if e not in known:
-                err("unknown-entity", f"operator #{k} references undeclared entity {e!r}", entity=e, operator=k)
-        if len(set(in_names)) != len(in_names):
-            err("duplicate-input", f"operator #{k} lists an input entity twice", operator=k)
-        if len(set(out_names)) != len(out_names):
-            err("duplicate-output", f"operator #{k} lists an output entity twice", operator=k)
-        overlap = sorted(set(in_names) & set(out_names))
-        if overlap:
-            err("self-loop", f"operator #{k} uses {overlap[0]!r} as both input and output", entity=overlap[0], operator=k)
-        for e, radix in op.inputs:
-            if not _is_integer(radix):
-                err("bad-radix", f"operator #{k} input {e!r} has a radix that is not an integer: {radix!r}", entity=e, operator=k)
-            elif radix < 2:
-                err("bad-radix", f"operator #{k} input {e!r} has radix {radix}; must be >= 2", entity=e, operator=k)
-        for e, coeff in op.outputs:
-            if not _is_integer(coeff):
-                err("bad-coefficient", f"operator #{k} output {e!r} has a coefficient that is not an integer: {coeff!r}", entity=e, operator=k)
-            elif coeff < 1:
-                err("bad-coefficient", f"operator #{k} output {e!r} has coefficient {coeff}; must be >= 1", entity=e, operator=k)
-        inferred = infer_form(max(len(op.inputs), 1), max(len(op.outputs), 1))
-        if op.form is not None and op.form != inferred:
-            err(
-                "form-mismatch",
-                f"operator #{k} declared {op.form.value} but valence "
-                f"({len(op.inputs)},{len(op.outputs)}) implies {inferred.value}",
-                operator=k,
-            )
-        for e in in_names:
-            if role_of.get(e) == Role.FINAL:
-                err("final-entity-input", f"final entity {e!r} cannot feed operator #{k}", entity=e, operator=k)
-            outgoing.setdefault(e, []).append(k)
-
-    for e, ops in sorted(outgoing.items()):
-        if len(ops) > 1:
-            err(
-                "multiple-outgoing-operators",
-                f"entity {e!r} feeds operators {ops}; an entity may feed at most one",
-                entity=e,
-            )
-
-    if not allow_cycles:
-        cycle = _find_cycle([e.name for e in entities], _operator_edges(operators))
+    # Once each entity feeds at most one operator, which ``bulk`` shows,
+    # the topology is acyclic when every operator credits only entities
+    # that feed a later one, or else when a topological pass takes every
+    # operator. A search then names a cycle that exists.
+    last = (len(operators),)
+    acyclic = bulk and (
+        all(map(lt, out_ops, map(outgoing.get, out_names, repeat(last))))
+        or _acyclic(outs, outgoing, out_names)
+    )
+    if not allow_cycles and not acyclic:
+        cycle = _find_cycle(names, _operator_edges(operators))
         if cycle is not None:
-            err("cycle-detected", "topology contains a cycle: " + " -> ".join(cycle))
+            issues.append(Issue("error", "cycle-detected", "topology contains a cycle: " + " -> ".join(cycle)))
 
     # Advisory checks. An intermediate entity with no outgoing operator
     # behaves exactly like a final one; reachability gaps usually mean a typo.
-    for ent in entities:
-        if ent.role == Role.INTERMEDIATE and ent.name not in outgoing:
-            warn(
-                "role-mismatch",
-                f"entity {ent.name!r} has no outgoing operator but is not declared final",
-                entity=ent.name,
-            )
-    reachable = {e.name for e in entities if e.role == Role.INITIAL}
-    frontier = list(reachable)
-    adj: dict[str, set[str]] = {}
-    for src, dst in _operator_edges(operators):
-        adj.setdefault(src, set()).add(dst)
-    while frontier:
-        node = frontier.pop()
-        for nxt in sorted(adj.get(node, ())):
-            if nxt not in reachable:
-                reachable.add(nxt)
-                frontier.append(nxt)
-    for ent in entities:
-        if ent.role != Role.INITIAL and ent.name not in reachable:
-            warn("unreachable-entity", f"entity {ent.name!r} is not reachable from any initial entity", entity=ent.name)
+    if not outgoing.keys() >= set(compress(names, map(is_, roles, repeat(Role.INTERMEDIATE)))):
+        for ent in entities:
+            if ent.role is Role.INTERMEDIATE and ent.name not in outgoing:
+                message = f"entity {ent.name!r} has no outgoing operator but is not declared final"
+                issues.append(Issue("warning", "role-mismatch", message, ent.name))
+    # In an acyclic topology every operator is reached, by induction in
+    # topological order, when every entity that is not initial is credited
+    # by some operator; otherwise a walk finds what is reached. Its order
+    # never shows, as the warnings go out in entity order.
+    reachable = set(compress(names, map(is_, roles, repeat(Role.INITIAL))))
+    if not (acyclic and reachable.union(out_names).issuperset(names)):
+        frontier = list(reachable)
+        taken: set[int] = set()
+        for e in frontier:
+            for k in outgoing.get(e, ()):
+                if k not in taken:
+                    taken.add(k)
+                    for t, _ in outs[k]:
+                        if t not in reachable:
+                            reachable.add(t)
+                            frontier.append(t)
+        for ent in entities:
+            if ent.role is not Role.INITIAL and ent.name not in reachable:
+                message = f"entity {ent.name!r} is not reachable from any initial entity"
+                issues.append(Issue("warning", "unreachable-entity", message, ent.name))
 
     return ValidationReport(tuple(issues))
 

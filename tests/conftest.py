@@ -1,6 +1,7 @@
 """Shared fixtures: the all-forms showcase CAO and a deterministic fuzz corpus,
 ``random_parameters``, which redraws a CAO's radices and coefficients,
-``matrix_step``, the paper's matrix update applied literally, and
+``matrix_step``, the paper's matrix update applied literally,
+``check_oracle``, the structural check walked rule by rule, and
 ``package_imports``, which reads what a ``caosim`` module imports.
 
 Before ``caosim`` is imported, the compiled step kernel is built in place
@@ -21,6 +22,7 @@ import subprocess
 import sysconfig
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -76,6 +78,18 @@ from caosim import (  # noqa: E402
     random_cao,
     random_state,
     with_parameters,
+)
+from caosim.model import (  # noqa: E402
+    Entity,
+    Issue,
+    Operator,
+    Role,
+    ValidationReport,
+    _IDENT_RE,
+    _find_cycle,
+    _is_integer,
+    _operator_edges,
+    infer_form,
 )
 
 # One CAO exercising every operator form: an M fans (i, j) into (d, s),
@@ -187,6 +201,124 @@ def matrix_step(spec: CaoSpec, state, *, fold: bool = True):
     tr = d.transition()
     nxt = tuple(s + sum(tr[i][j] * pc[j] for j in range(d.m)) for i, s in enumerate(state))
     return nxt, p, pc
+
+
+# The oracle for ``caosim.check``: every rule checked entity by entity and
+# operator by operator. ``check`` must return an equal report. It raises
+# where ``check`` reports a name that is not a string (``bad-name``) or a
+# declared form that is not a ``Form`` (``form-mismatch``).
+def check_oracle(
+    name: str,
+    entities: Sequence[Entity],
+    operators: Sequence[Operator],
+    *,
+    allow_cycles: bool = False,
+) -> ValidationReport:
+    """Every violated rule and advisory warning, found item by item."""
+    issues: list[Issue] = []
+
+    def err(code: str, message: str, entity: str | None = None, operator: int | None = None) -> None:
+        issues.append(Issue("error", code, message, entity, operator))
+
+    def warn(code: str, message: str, entity: str | None = None, operator: int | None = None) -> None:
+        issues.append(Issue("warning", code, message, entity, operator))
+
+    if not _IDENT_RE.match(name or ""):
+        err("bad-name", f"CAO name {name!r} is not an identifier")
+
+    seen: set[str] = set()
+    for ent in entities:
+        if not _IDENT_RE.match(ent.name or ""):
+            err("bad-name", f"entity name {ent.name!r} is not an identifier", entity=ent.name)
+        if ent.name in seen:
+            err("duplicate-name", f"entity {ent.name!r} declared more than once", entity=ent.name)
+        seen.add(ent.name)
+        if not _is_integer(ent.start):
+            err("bad-start", f"entity {ent.name!r} has a start value that is not an integer: {ent.start!r}", entity=ent.name)
+        elif ent.start < 0:
+            err("bad-start", f"entity {ent.name!r} has negative start value {ent.start}", entity=ent.name)
+
+    known = {e.name for e in entities}
+    role_of = {e.name: e.role for e in entities}
+    outgoing: dict[str, list[int]] = {}
+
+    for k, op in enumerate(operators):
+        if not op.inputs or not op.outputs:
+            err("bad-valence", f"operator #{k} must have at least one input and one output", operator=k)
+            continue
+        in_names = [e for e, _ in op.inputs]
+        out_names = [e for e, _ in op.outputs]
+        for e in in_names + out_names:
+            if e not in known:
+                err("unknown-entity", f"operator #{k} references undeclared entity {e!r}", entity=e, operator=k)
+        if len(set(in_names)) != len(in_names):
+            err("duplicate-input", f"operator #{k} lists an input entity twice", operator=k)
+        if len(set(out_names)) != len(out_names):
+            err("duplicate-output", f"operator #{k} lists an output entity twice", operator=k)
+        overlap = sorted(set(in_names) & set(out_names))
+        if overlap:
+            err("self-loop", f"operator #{k} uses {overlap[0]!r} as both input and output", entity=overlap[0], operator=k)
+        for e, radix in op.inputs:
+            if not _is_integer(radix):
+                err("bad-radix", f"operator #{k} input {e!r} has a radix that is not an integer: {radix!r}", entity=e, operator=k)
+            elif radix < 2:
+                err("bad-radix", f"operator #{k} input {e!r} has radix {radix}; must be >= 2", entity=e, operator=k)
+        for e, coeff in op.outputs:
+            if not _is_integer(coeff):
+                err("bad-coefficient", f"operator #{k} output {e!r} has a coefficient that is not an integer: {coeff!r}", entity=e, operator=k)
+            elif coeff < 1:
+                err("bad-coefficient", f"operator #{k} output {e!r} has coefficient {coeff}; must be >= 1", entity=e, operator=k)
+        inferred = infer_form(max(len(op.inputs), 1), max(len(op.outputs), 1))
+        if op.form is not None and op.form != inferred:
+            err(
+                "form-mismatch",
+                f"operator #{k} declared {op.form.value} but valence "
+                f"({len(op.inputs)},{len(op.outputs)}) implies {inferred.value}",
+                operator=k,
+            )
+        for e in in_names:
+            if role_of.get(e) == Role.FINAL:
+                err("final-entity-input", f"final entity {e!r} cannot feed operator #{k}", entity=e, operator=k)
+            outgoing.setdefault(e, []).append(k)
+
+    for e, ops in sorted(outgoing.items()):
+        if len(ops) > 1:
+            err(
+                "multiple-outgoing-operators",
+                f"entity {e!r} feeds operators {ops}; an entity may feed at most one",
+                entity=e,
+            )
+
+    if not allow_cycles:
+        cycle = _find_cycle([e.name for e in entities], _operator_edges(operators))
+        if cycle is not None:
+            err("cycle-detected", "topology contains a cycle: " + " -> ".join(cycle))
+
+    # Advisory checks. An intermediate entity with no outgoing operator
+    # behaves exactly like a final one; reachability gaps usually mean a typo.
+    for ent in entities:
+        if ent.role == Role.INTERMEDIATE and ent.name not in outgoing:
+            warn(
+                "role-mismatch",
+                f"entity {ent.name!r} has no outgoing operator but is not declared final",
+                entity=ent.name,
+            )
+    reachable = {e.name for e in entities if e.role == Role.INITIAL}
+    frontier = list(reachable)
+    adj: dict[str, set[str]] = {}
+    for src, dst in _operator_edges(operators):
+        adj.setdefault(src, set()).add(dst)
+    while frontier:
+        node = frontier.pop()
+        for nxt in sorted(adj.get(node, ())):
+            if nxt not in reachable:
+                reachable.add(nxt)
+                frontier.append(nxt)
+    for ent in entities:
+        if ent.role != Role.INITIAL and ent.name not in reachable:
+            warn("unreachable-entity", f"entity {ent.name!r} is not reachable from any initial entity", entity=ent.name)
+
+    return ValidationReport(tuple(issues))
 
 
 CORPUS_SEED = 0xCA05

@@ -224,6 +224,31 @@ class TestSimulate:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() converts any number of digits")
+    @pytest.mark.parametrize("where", ["radix", "step key"])
+    def test_a_schedule_number_past_the_digit_limit_is_a_one_line_error(
+        self, showcase_file, tmp_path, capsys, where
+    ):
+        # json.loads's own refusal named neither the schedule nor the number
+        digits = INT_MAX_STR_DIGITS + 100
+        big = "9" * digits
+        sched = tmp_path / "sched.json"
+        if where == "radix":
+            ops = ",".join(['{"radices": [%s, 8], "coefficients": [1, 2]}' % big]
+                           + ['{"radices": [2], "coefficients": [1]}'] * 2
+                           + ['{"radices": [2, 2], "coefficients": [1]}'])
+            sched.write_text('{"default": {"operators": [%s]}}' % ops)
+            what = "a number in the schedule"
+        else:
+            sched.write_text('{"default": "base", "steps": {"-%s": "base"}}' % big)
+            what = "step key"
+        assert main(["simulate", showcase_file, "--schedule", str(sched)]) == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "",
+            f"error: {what} has {digits} digits; Python converts at most "
+            f"{INT_MAX_STR_DIGITS} (see PYTHONINTMAXSTRDIGITS)\n",
+        )
+
+    @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() converts any number of digits")
     @pytest.mark.parametrize("sign", ["", "-", "+"])
     def test_an_init_past_the_digit_limit_is_a_one_line_error(self, showcase_file, capsys, sign):
         # the message said "not an integer" and echoed every digit

@@ -37,7 +37,7 @@ from caosim import (
 from caosim import dsl
 from caosim.dsl import Diagnostic, SourceSpan
 from caosim.simulate import ENGINES
-from conftest import LOOP_TEXT, SHOWCASE_TEXT, random_parameters
+from conftest import LOOP_TEXT, SHOWCASE_TEXT, check_oracle, random_parameters
 
 # Python's limit on the digits int() converts; 0 where it sets none
 INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -370,6 +370,20 @@ class TestTraceSerialization:
         doc["steps"][1]["k"] = value
         with pytest.raises(ValueError, match="not an integer"):
             parse_trace(json.dumps(doc))
+
+    @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() converts any number of digits")
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_trace_number_past_the_digit_limit_is_refused_in_one_line(self, showcase, sign):
+        # json.loads's own refusal named no document
+        text = export_trace(run(showcase), "json")
+        digits = INT_MAX_STR_DIGITS + 100
+        text = text.replace('"k": 1,', f'"k": {sign}{"4" * digits},', 1)
+        with pytest.raises(ValueError) as info:
+            parse_trace(text)
+        assert str(info.value) == (
+            f"a number in the trace has {digits} digits; Python converts at most "
+            f"{INT_MAX_STR_DIGITS} (see PYTHONINTMAXSTRDIGITS)"
+        )
 
     @pytest.mark.parametrize("key", ["state", "partial", "common"])
     def test_parse_trace_rejects_vectors_of_the_wrong_length(self, showcase, key):
@@ -1042,6 +1056,29 @@ def test_the_readers_agree_on_every_one_token_mutation(n):
     _, text = _ensemble_text(random.Random(n), n)
     taken = sum(map(_assert_the_scanner_matches_the_parser, _one_token_mutations(text)))
     assert taken > 0
+
+
+def test_diagnostics_are_those_of_the_oracle_check(monkeypatch):
+    # ensemble-style texts and their one-token mutations, which break the
+    # structural rules as well as the grammar: the same spec and the same
+    # diagnostic lines with the rule-by-rule check in place of ``check``
+    rng = random.Random(22)
+    texts = [_ensemble_text(rng, n)[1] for n in range(200)]
+    texts += [*_one_token_mutations(texts[2])]
+    texts.append(LOOP_TEXT)
+
+    def read(text):
+        return [
+            (spec, [str(d) for d in diags])
+            for spec, diags in (try_parse(text, allow_cycles=cycles) for cycles in (False, True))
+        ]
+
+    got = list(map(read, texts))
+    monkeypatch.setattr(dsl, "check", check_oracle)
+    assert got == list(map(read, texts))
+    assert {line.split("[")[1].split("]")[0] for results in got for _, lines in results for line in lines} >= {
+        "duplicate-name", "unknown-entity", "role-mismatch", "unreachable-entity", "cycle-detected",
+    }
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from caosim import (
     validate,
 )
 from caosim.kernel import plan_for
-from conftest import SHOWCASE_TEXT
+from conftest import LOOP_TEXT, SHOWCASE_TEXT, check_oracle
 
 
 def ent(name, role=Role.INTERMEDIATE, start=0):
@@ -202,6 +205,139 @@ class TestWarnings:
             [op([("a", 2)], [("b", 1)])],
         )
         assert any(w.code == "unreachable-entity" and w.entity == "c" for w in report.warnings)
+
+
+class TestCheckAgainstItsOracle:
+    """``check`` proves each group of rules in bulk and walks only a group
+    whose proof fails; ``check_oracle`` walks every rule item by item."""
+
+    class Count(int):
+        """An ``int`` subclass, which passes as an integer."""
+
+    def mutations(self, spec, rng):
+        """``spec`` as a raw description, and descriptions that change one
+        field of it each, so that every rule fails somewhere."""
+        name, ents, ops = spec.name, list(spec.entities), list(spec.operators)
+        names = [e.name for e in ents]
+        yield name, ents, ops
+        for bad in ("", "9x", "a b", "é", None):
+            yield bad, ents, ops
+        for i, e in enumerate(ents):
+            def put(**change):
+                return name, [*ents[:i], replace(e, **change), *ents[i + 1:]], ops
+
+            for bad in ("", "9a", "a-b", "é", f"{e.name}\n{e.name}", names[i - 1]):
+                yield put(name=bad)
+            for bad in (True, False, 1.5, -1, -(10**30), "3", self.Count(3)):
+                yield put(start=bad)
+            for role in Role:
+                yield put(role=role)
+        for k, o in enumerate(ops):
+            def put(**change):
+                return name, ents, [*ops[:k], replace(o, **change), *ops[k + 1:]]
+
+            first, last = o.inputs[0][0], o.outputs[-1][0]
+            yield put(inputs=())
+            yield put(outputs=())
+            yield put(inputs=o.inputs + (("undeclared", 2),))
+            yield put(outputs=o.outputs + (("undeclared", 1),))
+            yield put(inputs=o.inputs + o.inputs[:1])
+            yield put(outputs=o.outputs + o.outputs[:1])
+            yield put(outputs=o.outputs + ((first, 1),))
+            for bad in (1, 0, -2, True, 2.0, "2", None, self.Count(2)):
+                yield put(inputs=((first, bad), *o.inputs[1:]))
+            for bad in (0, -1, True, 1.0, "1", self.Count(1)):
+                yield put(outputs=(*o.outputs[:-1], (last, bad)))
+            for form in (*Form, None):
+                yield put(form=form)
+            other = rng.choice(ops)
+            yield put(inputs=o.inputs + other.inputs[-1:])  # an entity feeds two operators
+            yield put(outputs=o.outputs + ((other.inputs[-1][0], 1),))  # a back edge, perhaps
+            yield name, ents, [*ops[:k], *ops[k + 1:]]
+        yield name, ents[::-1], ops
+        yield name, ents, ops[::-1]  # acyclic, but not in declaration order
+
+    def test_equal_reports_on_the_fuzz_corpus_and_its_mutations(self, fuzz_corpus):
+        rng = random.Random(22)
+        tripped = set()
+        for spec, _ in fuzz_corpus[:120]:
+            for description in self.mutations(spec, rng):
+                for allow_cycles in (False, True):
+                    try:
+                        want = check_oracle(*description, allow_cycles=allow_cycles)
+                    except TypeError:  # the oracle cannot read a name that is not a string
+                        assert not all(isinstance(e.name, str) for e in description[1])
+                        continue
+                    assert check(*description, allow_cycles=allow_cycles) == want, description
+                    tripped.update(i.code for i in want.issues)
+        assert tripped == {
+            "bad-name", "duplicate-name", "bad-start", "bad-valence", "unknown-entity",
+            "duplicate-input", "duplicate-output", "self-loop", "bad-radix", "bad-coefficient",
+            "form-mismatch", "final-entity-input", "multiple-outgoing-operators",
+            "cycle-detected", "role-mismatch", "unreachable-entity",
+        }
+
+    def test_equal_reports_on_the_showcase_and_the_loop(self, showcase):
+        loop = parse(LOOP_TEXT, allow_cycles=True)
+        for spec in (showcase, loop):
+            for allow_cycles in (False, True):
+                description = (spec.name, spec.entities, spec.operators)
+                want = check_oracle(*description, allow_cycles=allow_cycles)
+                assert check(*description, allow_cycles=allow_cycles) == want
+        assert [i.code for i in check(loop.name, loop.entities, loop.operators).issues] == ["cycle-detected"]
+
+    @pytest.mark.parametrize("bad", [5, None, b"a", ("a",)])
+    def test_a_name_that_is_not_a_string_is_a_bad_name(self, bad):
+        entities = [Entity("a", Role.INITIAL), Entity(bad, Role.FINAL)]
+        report = check("x", entities, [op([("a", 2)], [(bad, 1)])])
+        assert [i.message for i in report.errors] == [f"entity name {bad!r} is not an identifier"]
+        assert [i.code for i in check(bad, entities[:1], []).errors] == ["bad-name"]
+        # operators that break rules are walked, and their inputs sorted, with the name among them
+        entities.append(Entity("c", Role.FINAL))
+        report = check("x", entities, [op([("a", 1)], [(bad, 1)]), op([(bad, 2), (bad, 2)], [("c", 1)])])
+        assert [i.code for i in report.errors] == [
+            "bad-name", "bad-radix", "duplicate-input", "final-entity-input", "final-entity-input",
+            "multiple-outgoing-operators",
+        ]
+
+    def test_a_form_that_is_not_a_form_is_a_form_mismatch(self):
+        entities = [Entity("a", Role.INITIAL), Entity("b", Role.FINAL)]
+        report = check("x", entities, [op([("a", 2)], [("b", 1)], form="L")])
+        [issue] = report.errors
+        assert (issue.code, issue.operator) == ("form-mismatch", 0)
+        assert issue.message == "operator #0 declared form 'L', which is not a Form; valence (1,1) implies L"
+
+    def test_check_takes_linear_time(self):
+        # every rule holds on a chain, and every link but the ring's closing
+        # one points forward, so the ring takes the topological pass and the
+        # reachability walk. Four times the entities take about four times
+        # as long. The timings run with the collector off, as a full
+        # collection costs what the rest of the test run holds.
+        def described(m, cyclic):
+            if not cyclic:
+                chain = caosim.build_linear_chain(2, m)
+                return chain.name, chain.entities, chain.operators
+            entities = [Entity(f"e{i}", Role.INITIAL if i == 0 else Role.INTERMEDIATE) for i in range(m)]
+            return "ring", entities, [op([(f"e{i}", 2)], [(f"e{(i + 1) % m}", 1)], Form.L) for i in range(m)]
+
+        def best(m, cyclic):
+            args = described(m, cyclic)
+            took = []
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(3):
+                    began = time.perf_counter()
+                    report = check(*args, allow_cycles=cyclic)
+                    took.append(time.perf_counter() - began)
+            finally:
+                gc.enable()
+            assert report.issues == ()
+            return min(took)
+
+        for cyclic in (False, True):
+            small_s, large_s = best(5_000, cyclic), best(20_000, cyclic)
+            assert large_s < 8 * small_s, f"4x the entities: {large_s:.3f} s against {small_s:.3f} s"
 
 
 class TestConfigMatrix:
