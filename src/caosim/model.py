@@ -367,7 +367,9 @@ def check(
     in_counts, out_counts = list(map(len, ins)), list(map(len, outs))
     in_names, radices = _columns(ins)
     out_names, coefficients = _columns(outs)
-    # the operator of each input and output, in a 1-tuple
+    # the operator of each input and output, in a 1-tuple, so that
+    # ``outgoing`` maps an entity to the operators it feeds as the walk below
+    # and the per-operator loop's lists do
     in_ops = list(zip(chain.from_iterable(map(repeat, range(len(ins)), in_counts))))
     out_ops = list(zip(chain.from_iterable(map(repeat, range(len(outs)), out_counts))))
     out_pairs = set(zip(out_names, out_ops))
@@ -413,10 +415,9 @@ def check(
     # Advisory checks. An intermediate entity with no outgoing operator
     # behaves exactly like a final one; reachability gaps usually mean a typo.
     if not outgoing.keys() >= set(compress(names, map(is_, roles, repeat(Role.INTERMEDIATE)))):
-        for ent in entities:
-            if ent.role is Role.INTERMEDIATE and ent.name not in outgoing:
-                message = f"entity {ent.name!r} has no outgoing operator but is not declared final"
-                issues.append(Issue("warning", "role-mismatch", message, ent.name))
+        for e, role in zip(names, roles):
+            if role is Role.INTERMEDIATE and e not in outgoing:
+                issues.append(Issue("warning", "role-mismatch", f"entity {e!r} has no outgoing operator but is not declared final", e))
     # In an acyclic topology every operator is reached, by induction in
     # topological order, when every entity that is not initial is credited
     # by some operator; otherwise a walk finds what is reached. Its order
@@ -433,10 +434,9 @@ def check(
                         if t not in reachable:
                             reachable.add(t)
                             frontier.append(t)
-        for ent in entities:
-            if ent.role is not Role.INITIAL and ent.name not in reachable:
-                message = f"entity {ent.name!r} is not reachable from any initial entity"
-                issues.append(Issue("warning", "unreachable-entity", message, ent.name))
+        for e, role in zip(names, roles):
+            if role is not Role.INITIAL and e not in reachable:
+                issues.append(Issue("warning", "unreachable-entity", f"entity {e!r} is not reachable from any initial entity", e))
 
     return ValidationReport(tuple(issues))
 

@@ -310,8 +310,11 @@ class TestCheckAgainstItsOracle:
     def test_check_takes_linear_time(self):
         # every rule holds on a chain, and every link but the ring's closing
         # one points forward, so the ring takes the topological pass and the
-        # reachability walk. Four times the entities take about four times
-        # as long. The timings run with the collector off, as a full
+        # reachability walk. A quadratic step would make four times the
+        # entities take 16 times as long. The bound is 12, not 8, because
+        # the bulk passes are bound by memory: on a shared 2-core x86-64
+        # host even set(names) took 6 times as long for 20,000 names as for
+        # 5,000. The timings run with the collector off, as a full
         # collection costs what the rest of the test run holds.
         def described(m, cyclic):
             if not cyclic:
@@ -337,7 +340,7 @@ class TestCheckAgainstItsOracle:
 
         for cyclic in (False, True):
             small_s, large_s = best(5_000, cyclic), best(20_000, cyclic)
-            assert large_s < 8 * small_s, f"4x the entities: {large_s:.3f} s against {small_s:.3f} s"
+            assert large_s < 12 * small_s, f"4x the entities: {large_s:.3f} s against {small_s:.3f} s"
 
 
 class TestConfigMatrix:
