@@ -26,7 +26,6 @@ Structural rules enforced by :func:`validate`:
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -34,9 +33,9 @@ from itertools import chain, compress, repeat
 from operator import attrgetter, is_, is_not, itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-# identifiers, one per line
-_IDENTS_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\n[A-Za-z_][A-Za-z0-9_]*)*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
+_IDENTS_RE = re.compile(f"{_IDENT}(?:\\n{_IDENT})*")  # identifiers, one per line
 
 ConfigMatrix = tuple[tuple[int, ...], ...]
 
@@ -222,17 +221,6 @@ _NAME, _ROLE, _START = attrgetter("name"), attrgetter("role"), attrgetter("start
 _INPUTS, _OUTPUTS, _FORM = attrgetter("inputs"), attrgetter("outputs"), attrgetter("form")
 
 
-class _FormTable(dict):
-    """The form each valence implies, by ``(inputs, outputs)``; a valence
-    outside the table is inferred, and not kept."""
-
-    def __missing__(self, valence: tuple[int, int]) -> Form:
-        return infer_form(*valence)
-
-
-_FORM_OF = _FormTable({(i, o): infer_form(i, o) for i in (1, 2) for o in (1, 2)})
-
-
 def _is_integer(value) -> bool:
     """True for an ``int``; a ``bool`` is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -311,24 +299,6 @@ def _operator_issues(
             outgoing.setdefault(e, []).append(k)
 
 
-def _acyclic(outs: list, outgoing: dict[str, tuple[int]], out_names: list[str]) -> bool:
-    """Whether one topological pass (Kahn, "Topological sorting of large
-    networks", CACM 5, 1962) takes every operator. ``outs`` holds each
-    operator's outputs, and ``outgoing`` maps each entity that feeds an
-    operator to that one operator, in a 1-tuple."""
-    waiting = Counter(chain.from_iterable(filter(None, map(outgoing.get, out_names))))
-    ready = [k for k in range(len(outs)) if k not in waiting]
-    # ``ready`` grows while it is walked: each operator joins it once, after
-    # the last operator that credits one of its inputs
-    for k in ready:
-        for t, _ in outs[k]:
-            if (fed := outgoing.get(t)) is not None:
-                waiting[fed[0]] -= 1
-                if not waiting[fed[0]]:
-                    ready.append(fed[0])
-    return len(ready) == len(outs)
-
-
 def check(
     name: str,
     entities: Sequence[Entity],
@@ -367,11 +337,9 @@ def check(
     in_counts, out_counts = list(map(len, ins)), list(map(len, outs))
     in_names, radices = _columns(ins)
     out_names, coefficients = _columns(outs)
-    # the operator of each input and output, in a 1-tuple, so that
-    # ``outgoing`` maps an entity to the operators it feeds as the walk below
-    # and the per-operator loop's lists do
-    in_ops = list(zip(chain.from_iterable(map(repeat, range(len(ins)), in_counts))))
-    out_ops = list(zip(chain.from_iterable(map(repeat, range(len(outs)), out_counts))))
+    # the operator of each input and output
+    in_ops = list(chain.from_iterable(map(repeat, range(len(ins)), in_counts)))
+    out_ops = list(chain.from_iterable(map(repeat, range(len(outs)), out_counts)))
     out_pairs = set(zip(out_names, out_ops))
     outgoing: dict = dict(zip(in_names, in_ops))
     forms = list(map(_FORM, operators))
@@ -387,7 +355,7 @@ def check(
         and set(map(type, coefficients)) <= {int}
         and (not coefficients or min(coefficients) >= 1)
         # each declared form is the one its valence implies
-        and sum(map(is_not, forms, map(_FORM_OF.__getitem__, zip(in_counts, out_counts)))) == forms.count(None)
+        and sum(map(is_not, forms, map(infer_form, in_counts, out_counts))) == forms.count(None)
         and finals.isdisjoint(in_names)
     )
     if not bulk:
@@ -400,17 +368,13 @@ def check(
 
     # Once each entity feeds at most one operator, which ``bulk`` shows,
     # the topology is acyclic when every operator credits only entities
-    # that feed a later one, or else when a topological pass takes every
-    # operator. A search then names a cycle that exists.
-    last = (len(operators),)
-    acyclic = bulk and (
-        all(map(lt, out_ops, map(outgoing.get, out_names, repeat(last))))
-        or _acyclic(outs, outgoing, out_names)
-    )
+    # that feed a later one; otherwise a search decides, and names a cycle.
+    acyclic = bulk and all(map(lt, out_ops, map(outgoing.get, out_names, repeat(len(operators)))))
     if not allow_cycles and not acyclic:
         cycle = _find_cycle(names, _operator_edges(operators))
         if cycle is not None:
             issues.append(Issue("error", "cycle-detected", "topology contains a cycle: " + " -> ".join(cycle)))
+        acyclic = bulk and cycle is None
 
     # Advisory checks. An intermediate entity with no outgoing operator
     # behaves exactly like a final one; reachability gaps usually mean a typo.
@@ -424,10 +388,12 @@ def check(
     # never shows, as the warnings go out in entity order.
     reachable = set(compress(names, map(is_, roles, repeat(Role.INITIAL))))
     if not (acyclic and reachable.union(out_names).issuperset(names)):
+        # ``bulk`` left each entity mapped to the one operator it feeds
+        fed = {e: (k,) for e, k in outgoing.items()} if bulk else outgoing
         frontier = list(reachable)
         taken: set[int] = set()
         for e in frontier:
-            for k in outgoing.get(e, ()):
+            for k in fed.get(e, ()):
                 if k not in taken:
                     taken.add(k)
                     for t, _ in outs[k]:
