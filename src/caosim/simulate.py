@@ -22,8 +22,10 @@ by the garbage collector when its tuples are untracked tuples of exact ints;
 on the pure backend a list comprehension builds them.
 
 Also here: exact conserved-weight extraction (integer row vectors w with
-w·state constant along every stationary trace), a base-b chain builder whose
-fixed point is the digit expansion of its input, and a random generator of
+w·state constant along every stationary trace), by one reverse-topological
+sweep over the step plan when its edges are acyclic and by dense elimination
+(:mod:`caosim.rational`) when they are not; a base-b chain builder whose
+fixed point is the digit expansion of its input; and a random generator of
 layered acyclic CAOs for fuzzing.
 """
 
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import kernel, operational, rational
@@ -295,8 +299,71 @@ def conserved_weights(spec: CaoSpec) -> tuple[tuple[int, ...], ...]:
     Along any stationary trace of the CAO, w·state is constant for every w
     in the span: the update adds (Rᵀ − N)·pc to the state and w annihilates
     it regardless of the carry vector. A CAO with no entities has none.
+
+    When the step plan's edges have no cycle, :func:`_sweep_weights` solves
+    for the basis by back-substitution and ``rational.canonical_basis``
+    puts it in the form ``rational.left_null_space`` gives; otherwise that
+    dense elimination runs on Rᵀ − N itself. Both give the same rows.
     """
-    return rational.left_null_space(derive(spec).transition()) if spec.m else ()
+    if not spec.m:
+        return ()
+    plan = kernel.plan_for(spec)
+    rows = _sweep_weights(plan)
+    if rows is None:
+        return rational.left_null_space(derive(spec).transition())
+    return rational.canonical_basis(rows, plan.m)
+
+
+def _sweep_weights(plan: kernel.StepPlan) -> list[list[int]] | None:
+    """A basis of {w : wᵀ(Rᵀ − N) = 0} with one row per sink (an entity
+    of radix 0), or None when the plan's edges have a cycle.
+
+    Column j of wᵀ(Rᵀ − N) = 0 reads n_j·w_j = Σ coeff·w_t over entity j's
+    edges (j, t, coeff). With the edges acyclic, the radix entities are
+    solved in reverse topological order, each after every entity it
+    credits. The row of sink s sets w_s = 1 and every other sink to 0; each
+    entry is kept as its own numerator and denominator, and the row is put
+    over their lcm once at the end. A radix entity with no edge (a carry
+    group member no output is attributed to) gets w_j = 0.
+    """
+    m, n = plan.m, plan.n
+    out = [[] for _ in range(m)]
+    into = [[] for _ in range(m)]
+    unsolved = [0] * m  # per entity, the entities it credits not yet ordered
+    for src, dst, coeff in plan.edges:
+        out[src].append((dst, coeff))
+        into[dst].append(src)
+        unsolved[src] += 1
+    order = [j for j in range(m) if not unsolved[j]]
+    for j in order:  # the list grows as it is read
+        for i in into[j]:
+            unsolved[i] -= 1
+            if not unsolved[i]:
+                order.append(i)
+    if len(order) < m:
+        return None
+    radix_entities = [j for j in order if n[j]]
+    rows = []
+    for s in order:
+        if n[s]:
+            continue
+        num, den = [0] * m, [1] * m
+        num[s] = 1
+        for j in radix_entities:
+            a, d = 0, 1
+            for t, coeff in out[j]:
+                if x := num[t]:
+                    e = den[t]
+                    common = lcm(d, e)
+                    a = a * (common // d) + coeff * x * (common // e)
+                    d = common
+            if a:
+                d *= n[j]
+                g = gcd(a, d)
+                num[j], den[j] = a // g, d // g
+        common = lcm(*den)
+        rows.append([x * (common // y) for x, y in zip(num, den)])
+    return rows
 
 
 def check_conservation(
@@ -325,13 +392,12 @@ def check_conservation(
                 raise ValueError(f"weight row has {len(w)} entries, CAO has {trace.spec.m} entities")
             if not all(map(_is_integer, w)):
                 raise ValueError(f"weight row {w} has an entry that is not an integer")
-    constants = tuple(
-        sum(wi * si for wi, si in zip(w, trace.steps[0].state)) for w in rows
-    )
+    start = trace.steps[0].state
+    constants = tuple(sum(map(mul, w, start)) for w in rows)
     failures = []
     for entry in trace.steps[1:]:
         for r, w in enumerate(rows):
-            value = sum(wi * si for wi, si in zip(w, entry.state))
+            value = sum(map(mul, w, entry.state))
             if value != constants[r]:
                 failures.append((r, entry.k, value))
     return ConservationReport(rows, constants, tuple(failures))

@@ -6,11 +6,13 @@ import json
 import random
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import caosim.cli
+from caosim import build_linear_chain, serialize
 from caosim.cli import EXIT_ERROR, EXIT_OK, EXIT_STEP_LIMIT, main
 from conftest import SHOWCASE_TEXT
 
@@ -302,6 +304,22 @@ class TestWeights:
         assert main(["weights", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.splitlines() == ["# a b", "1 0", "0 1"]
+
+    def test_a_2000_entity_chain_prints_the_powers_of_two(self, tmp_path, capsys):
+        # on a 2-core x86-64 host the command takes about 0.07 s, and the
+        # dense elimination would take minutes; the bound leaves room for a
+        # slow shared runner
+        path = tmp_path / "chain.cao"
+        path.write_text(serialize(build_linear_chain(2, 2000)))
+        start = time.perf_counter()
+        assert main(["weights", str(path)]) == EXIT_OK
+        elapsed = time.perf_counter() - start
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "# " + " ".join(f"c{i}" for i in range(2000)),
+            " ".join(str(2**i) for i in range(2000)),
+        ]
+        assert elapsed < 10, f"caosim weights took {elapsed:.1f} s"
 
     def test_an_empty_basis_is_said_in_a_comment(self, tmp_path, capsys):
         # an acyclic CAO with entities has one that feeds nothing, so its

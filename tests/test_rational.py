@@ -270,6 +270,31 @@ def test_left_null_space_matches_the_oracle_and_sympy(matrix):
     assert len(check_left_null_space(matrix)) == sympy_nullity(matrix)
 
 
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices(), st.randoms(use_true_random=False))
+def test_canonical_basis_recovers_the_basis_from_any_other(matrix, rng):
+    basis = rational.left_null_space(matrix)
+    # another basis of the same space: each row scaled, then added to
+    # multiples of the rows before it, then all shuffled
+    mixed = []
+    for w in basis:
+        scale = rng.choice([-3, -2, -1, 1, 2, 5])
+        row = [scale * x for x in w]
+        for other in mixed:
+            k = rng.randint(-4, 4)
+            row = [x + k * y for x, y in zip(row, other)]
+        mixed.append(row)
+    rng.shuffle(mixed)
+    assert rational.canonical_basis(mixed, len(matrix)) == basis
+
+
+def test_canonical_basis_of_corner_cases():
+    assert rational.canonical_basis([], 3) == ()
+    # pivots at the last nonzero column, sorted, signed by the first entry
+    assert rational.canonical_basis([[0, -2, 4], [3, 0, 0]], 3) == ((1, 0, 0), (0, 1, -2))
+    assert rational.canonical_basis([[1, 1], [1, 2]], 2) == ((1, 0), (0, 1))
+
+
 def test_left_null_space_of_corner_cases():
     assert check_left_null_space([[0]]) == ((1,),)
     assert check_left_null_space([[5]]) == ()

@@ -25,6 +25,7 @@ from caosim import (
     check_conservation,
     compare_engines,
     conserved_weights,
+    derive,
     parse,
     random_cao,
     random_state,
@@ -33,9 +34,10 @@ from caosim import (
     verify_conservation,
     with_parameters,
 )
+from caosim import kernel, rational
 from caosim.kernel import COMPILED_AVAILABLE
-from caosim.simulate import ConservationError, TraceStep
-from conftest import LOOP_TEXT, SHOWCASE_TRAJECTORY
+from caosim.simulate import ConservationError, TraceStep, _sweep_weights
+from conftest import GROWING_CYCLE_TEXT, LOOP_TEXT, SHOWCASE_TRAJECTORY
 
 
 class TestRun:
@@ -342,6 +344,14 @@ class TestConservedWeights:
         chain = build_linear_chain(7, 200)
         assert conserved_weights(chain) == (tuple(7**i for i in range(200)),)
 
+    def test_long_chain_dense_elimination_stays_exact(self):
+        # the chain now takes the sweep; the elimination it took before, and
+        # cyclic CAOs still take, must keep the same 200 pivots small
+        chain = build_linear_chain(7, 200)
+        assert rational.left_null_space(derive(chain).transition()) == (
+            tuple(7**i for i in range(200)),
+        )
+
     def test_weights_hold_along_the_showcase_run(self, showcase):
         report = verify_conservation(run(showcase))
         assert report.ok
@@ -402,8 +412,6 @@ class TestConservedWeights:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_every_basis_vector_annihilates_the_transition(self, seed):
-        from caosim import derive
-
         rng = random.Random(seed)
         spec = random_cao(rng)
         transition = derive(spec).transition()
@@ -411,6 +419,126 @@ class TestConservedWeights:
         for w in conserved_weights(spec):
             for j in range(m):
                 assert sum(w[i] * transition[i][j] for i in range(m)) == 0
+
+
+def dense_weights(spec):
+    """The elimination on Rᵀ − N that ``conserved_weights`` ran for every
+    CAO before the sweep, and still runs for one whose plan has a cycle."""
+    return rational.left_null_space(derive(spec).transition()) if spec.m else ()
+
+
+def reordered(spec, order):
+    """``spec`` with its entities declared in ``order`` (entity indices)."""
+    return validate(
+        spec.name, [spec.entities[i] for i in order], spec.operators, allow_cycles=True
+    )
+
+
+# F (a:2, b:3) attributes its one output to a, so b credits nothing and
+# conserves nothing: w_b = 0
+UNATTRIBUTED_TEXT = """\
+cao unattributed {
+  initial a
+  initial b
+  final c
+  F (a:2, b:3) -> (c:1)
+}
+"""
+
+# the description's cycle b -> c -> b runs through b, which the plan gives
+# no edge, so the plan's edges a -> c -> {b, d} have none
+UNATTRIBUTED_CYCLE_TEXT = """\
+cao loose {
+  initial a
+  intermediate b
+  intermediate c
+  final d
+  F (a:2, b:3) -> (c:1)
+  D (c:2) -> (b:1, d:1)
+}
+"""
+
+
+class TestSweptWeights:
+    """``conserved_weights`` of a CAO whose plan edges are acyclic comes from
+    the reverse-topological sweep, and must equal the dense elimination."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """A list that grows by one for each ``rational.left_null_space`` call."""
+        calls = []
+        real = rational.left_null_space
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(rational, "left_null_space", counted)
+        return calls
+
+    def check(self, spec, eliminations):
+        weights = conserved_weights(spec)
+        assert not eliminations, "an acyclic plan took the dense elimination"
+        assert weights == dense_weights(spec)
+        eliminations.clear()
+        return weights
+
+    @pytest.mark.parametrize("max_inputs", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_caos(self, seed, max_inputs, eliminations):
+        # sizes up to 40 entities, declared in random_cao's shuffled order
+        rng = random.Random(seed)
+        for n in range(80):
+            size = 2 + n % 39
+            spec = random_cao(rng, min_entities=size, max_entities=size, max_inputs=max_inputs)
+            self.check(spec, eliminations)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_declaration_orders(self, seed, showcase, eliminations):
+        rng = random.Random(seed)
+        for spec in (showcase, random_cao(rng, max_entities=20)):
+            n = kernel.plan_for(spec).n
+            sinks_first = sorted(range(spec.m), key=lambda i: n[i] != 0)
+            shuffled = rng.sample(range(spec.m), spec.m)
+            for order in (sinks_first, range(spec.m - 1, -1, -1), shuffled):
+                self.check(reordered(spec, order), eliminations)
+
+    def test_no_operators_and_a_lone_entity(self, eliminations):
+        inert = validate("inert", [Entity("a", Role.INITIAL), Entity("b", Role.FINAL)], [])
+        assert self.check(inert, eliminations) == ((1, 0), (0, 1))
+        lone = validate("lone", [Entity("a", Role.INITIAL)], [])
+        assert self.check(lone, eliminations) == ((1,),)
+
+    def test_an_unattributed_group_member_weighs_nothing(self, eliminations):
+        spec = parse(UNATTRIBUTED_TEXT)
+        assert self.check(spec, eliminations) == ((1, 0, 2),)
+
+    def test_a_description_cycle_the_plan_does_not_have(self, eliminations):
+        spec = parse(UNATTRIBUTED_CYCLE_TEXT, allow_cycles=True)
+        assert self.check(spec, eliminations) == ((1, 0, 2, 4),)
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 10])
+    def test_chains(self, base, eliminations):
+        for length in (1, 2, 3, 40):
+            chain = build_linear_chain(base, length)
+            weights = self.check(chain, eliminations)
+            assert weights == (tuple(base**i for i in range(length)),)
+        # declared last link first, the dense path's free column is c0
+        backwards = reordered(chain, range(chain.m - 1, -1, -1))
+        assert self.check(backwards, eliminations) == (tuple(base**i for i in range(39, -1, -1)),)
+
+    # in the loop, u's group F (g:2, u:2) attributes its output to g
+    @pytest.mark.parametrize(
+        "text, weights",
+        [(LOOP_TEXT, ((1, 1, 1, 1, 2, 0, 1, 1),)), (GROWING_CYCLE_TEXT, ())],
+        ids=["loop", "growing"],
+    )
+    def test_cyclic_caos_take_the_elimination(self, text, weights, eliminations):
+        spec = parse(text, allow_cycles=True)
+        assert _sweep_weights(kernel.plan_for(spec)) is None
+        assert conserved_weights(spec) == weights
+        assert eliminations == [spec.m]
+        assert weights == dense_weights(spec)
 
 
 class TestChains:
