@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import ParameterSchedule, with_parameters
-from .model import CaoSpec, Entity, Form, Operator, Role, build_spec, check, infer_form
+from . import model
+from .model import CaoSpec, Entity, Form, Operator, Role, build_spec, infer_form
 from .simulate import ENGINES, TERMINATIONS, CstTrace, TraceStep
 
 _KEYWORD_ROLES = {
@@ -315,7 +316,7 @@ def try_parse(
     name, name_at, entities, operators = parsed
     ents = [e for e, _ in entities]
     ops = [op for op, _ in operators]
-    report = check(name, ents, ops, allow_cycles=allow_cycles)
+    report = model.check(name, ents, ops, allow_cycles=allow_cycles)
     diags = _semantic_diagnostics(text, path, name_at, entities, operators, report.issues)
     if not report.ok:
         return None, tuple(diags)

@@ -26,13 +26,16 @@ routes also work at different grains. Here a whole operator is enacted again
 or not at all. The matrix route recomputes single entries of a flattened
 plan (per-entity radices, carry groups and weighted edges). A slip in either
 one's bookkeeping shows as a difference in some row, and
-``run(engine="both")`` compares every row in full.
+``run(engine="both")`` compares every row in full: it sends each matrix
+stretch to the enactor, which compares its own updates with the rows as it
+takes them. The matrix route's rows reach this module only to be compared;
+nothing here is computed from them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Generator, Sequence
 
 from .model import CaoSpec, check_state, entity_index
 
@@ -63,25 +66,40 @@ def step_operational(spec: CaoSpec, state: Sequence[int]) -> StepResult:
     next state.
     """
     check_state(spec, state)
-    return next(enactor(resolve(spec), state))
+    updates = enactor(resolve(spec), state)
+    next(updates)
+    ((_, p, pc),), nxt, _ = updates.send(1)
+    return nxt, p, pc
 
 
-def enactor(operators: Resolved, state: Sequence[int]) -> Iterator[StepResult]:
-    """The updates of a checked ``state`` under resolved ``operators``: each
-    ``next()`` takes one and returns ``(next, partials, common)``.
+def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
+    """The updates of a checked ``state`` under resolved ``operators``, a
+    stretch per ``send`` once primed with ``next()``.
 
-    The state and the carries are kept as lists. The first update enacts
-    every operator, and each later one only those that read a component the
-    last update changed; the others keep their carries. A single-input
-    operator (L, D) takes its carry with one division. A multi-input
-    operator (F, M) records every input's partial carry and takes their
-    minimum. Carries are read from ``cur``, the snapshot of the state the
-    update starts from, and removals and credits go into the list, so no
-    update sees its own effects. An operator that fires marks for the next
-    update every operator that reads one of its inputs or outputs. Without
-    multi-input operators the common carries are the partials, and one
-    tuple holds both. After a fixed point every update returns the same
-    rows.
+    ``send(limit)`` takes up to ``limit`` updates and returns ``(rows, last,
+    stop)`` as the matrix route's ``advance`` does: a ``(state, partials,
+    common)`` row per update, the state after the last, and ``stop`` 0 at a
+    fixed point (all common carries zero) or 1 after ``limit`` rows.
+
+    ``send((rows, last))`` checks such a stretch: it takes ``len(rows)``
+    updates and compares each in full as it is taken, its next state with
+    the next row's state (``last`` after the last row) and its carries with
+    the row's. It keeps none of its rows. It returns None when all match,
+    else ``(i, (next, partials, common))`` for the first mismatch: its index
+    in the stretch and this route's result there. A mismatch ends the
+    enactor's use.
+
+    The first update enacts every operator, each later one only those that
+    read a component the last update changed; the others keep their
+    carries. A single-input operator (L, D) takes its carry with one
+    division, a multi-input one (F, M) records every input's partial carry
+    and takes their minimum. Carries are read from ``cur``, the snapshot the
+    update starts from, and removals and credits go into the list ``s``, so
+    no update sees its own effects. An operator that fires marks for the
+    next update every operator that reads one of its inputs or outputs.
+    Without multi-input operators the common carries are the partials, and
+    one tuple holds both. After a fixed point every update gives the same
+    row.
     """
     readers = [[] for _ in state]
     for o, (inputs, _) in enumerate(operators):
@@ -97,53 +115,61 @@ def enactor(operators: Resolved, state: Sequence[int]) -> Iterator[StepResult]:
     pc = [0] * len(s)
     cur = tuple(s)
     dirty = range(len(operators))
+    done = None
     while True:
-        marked = set()
-        for o in dirty:
-            inputs, outputs = operators[o]
-            if len(inputs) == 1:
-                i, n = inputs[0]
-                common = p[i] = pc[i] = cur[i] // n
-                if not common:
-                    continue
-                s[i] -= common * n
-            else:
-                common = None
-                for i, n in inputs:
-                    carry = p[i] = cur[i] // n
-                    if common is None or carry < common:
-                        common = carry
-                for i, n in inputs:
-                    pc[i] = common
-                if not common:
-                    continue
-                for i, n in inputs:
+        job = yield done
+        if type(job) is int:
+            limit, want, rows = job, None, []
+        else:
+            want, last = job
+            limit = len(want)
+        for j in range(limit):
+            before = cur
+            marked = set()
+            for o in dirty:
+                inputs, outputs = operators[o]
+                if len(inputs) == 1:
+                    i, n = inputs[0]
+                    common = p[i] = pc[i] = cur[i] // n
+                    if not common:
+                        continue
                     s[i] -= common * n
-            for t, coeff in outputs:
-                s[t] += common * coeff
-            marked.update(marks[o])
-        if marked:
-            cur = tuple(s)
-        dirty = marked
-        pt = tuple(p)
-        yield cur, pt, pt if not grouped or p == pc else tuple(pc)
-
-
-def advance(updates: Iterator[StepResult], state: tuple[int, ...], limit: int):
-    """Up to ``limit`` updates from ``updates``, an :func:`enactor` whose
-    state is ``state``: ``(rows, last, stop)``, as the matrix route's
-    ``advance`` returns them.
-
-    ``rows`` holds one ``(state, partials, common)`` tuple per update and
-    ``last`` the state after the last row. ``stop`` is 0 when the last row's
-    common carries are all zero (a fixed point) and 1 when ``limit`` rows
-    were taken.
-    """
-    rows = []
-    for nxt, p, pc in updates:
-        rows.append((state, p, pc))
-        state = nxt
-        if not any(pc):
-            return rows, state, 0
-        if len(rows) == limit:
-            return rows, state, 1
+                else:
+                    common = None
+                    for i, n in inputs:
+                        carry = p[i] = cur[i] // n
+                        if common is None or carry < common:
+                            common = carry
+                    for i, n in inputs:
+                        pc[i] = common
+                    if not common:
+                        continue
+                    for i, n in inputs:
+                        s[i] -= common * n
+                for t, coeff in outputs:
+                    s[t] += common * coeff
+                marked.update(marks[o])
+            if marked:
+                cur = tuple(s)
+            dirty = marked
+            pt = tuple(p)
+            common = pt if not grouped or p == pc else tuple(pc)
+            if want is None:
+                rows.append((before, pt, common))
+                if not any(common):
+                    done = rows, cur, 0
+                    break
+            else:
+                _, mp, mpc = want[j]
+                # common carries that are the partials' own tuple on both
+                # sides are equal when the partials are
+                if (
+                    cur != (want[j + 1][0] if j + 1 < limit else last)
+                    or pt != mp
+                    or not (common is pt and mpc is mp)
+                    and common != mpc
+                ):
+                    done = j, (cur, pt, common)
+                    break
+        else:
+            done = (rows, cur, 1) if want is None else None

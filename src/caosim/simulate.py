@@ -12,9 +12,11 @@ caches, and for the operational route an enactor built from the resolved
 operators and the state. Both routes step in stretches: each runs for up to
 ``_RUN_CHUNK`` updates and ends where the schedule says the parameters may
 next change (``ParameterSchedule.span``). The matrix route takes them with
-``kernel.advance``, the operational route with ``operational.advance``. In
-"both", the enactor takes one update for each row of a matrix stretch, in
-lock step, and every row is compared in full.
+``kernel.advance``, the operational route by sending the enactor a limit.
+In "both", the enactor is sent each matrix stretch instead: it takes one
+update per row and compares each in full as it goes, next state, partial
+carries and common carries, keeping none of its own rows, and names the
+first mismatch, from which ``run`` raises.
 
 Each stretch's rows become :class:`TraceStep` entries. On the compiled
 backend C builds them (``_stepcore.entries``), and leaves an entry untracked
@@ -206,19 +208,18 @@ def run(
                 compiled = kernel.bind(plan, backend)
             if engine != "matrix":
                 updates = operational.enactor(operational.resolve(spec_k), state)
+                next(updates)
         limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
         if engine == "operational":
-            rows, last, stop = operational.advance(updates, state, limit)
+            rows, last, stop = updates.send(limit)
         else:
             rows, last, stop = kernel.advance(plan, compiled, state, limit)
-        if engine == "both":
-            # zip takes one update of the enactor per matrix row, and no more
-            for i, ((s, p, pc), want) in enumerate(zip(rows, updates)):
-                got = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
-                # common carries that are the partials' own tuple on both sides
-                # are equal when the partials are
-                if got[:2] != want[:2] or not (pc is p and want[2] is want[1]) and pc != want[2]:
-                    raise EngineDivergenceError(Divergence(k + i, s, got, want))
+            # the enactor takes one update per row and compares it as it goes
+            if engine == "both" and (mismatch := updates.send((rows, last))) is not None:
+                i, enacted = mismatch
+                s, p, pc = rows[i]
+                stepped = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
+                raise EngineDivergenceError(Divergence(k + i, s, stepped, enacted))
         if stop == 0 and until is not None:
             # a fixed state stays fixed, row and all, until the parameters may change
             rows += [rows[-1]] * (limit - len(rows))

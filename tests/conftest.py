@@ -1,7 +1,8 @@
 """Shared fixtures: the all-forms showcase CAO and a deterministic fuzz corpus,
 ``random_parameters``, which redraws a CAO's radices and coefficients,
 ``matrix_step``, the paper's matrix update applied literally,
-``check_oracle``, the structural check walked rule by rule, and
+``check_oracle``, the structural check walked rule by rule,
+``lockstep_oracle``, the lock-step check compared row by row, and
 ``package_imports``, which reads what a ``caosim`` module imports.
 
 Before ``caosim`` is imported, the compiled step kernel is built in place
@@ -73,10 +74,13 @@ _build_kernel()
 from caosim import (  # noqa: E402
     CaoSpec,
     DerivedOperators,
+    ParameterSchedule,
     derive,
+    kernel,
     parse,
     random_cao,
     random_state,
+    resolve,
     with_parameters,
 )
 from caosim.model import (  # noqa: E402
@@ -91,6 +95,7 @@ from caosim.model import (  # noqa: E402
     _operator_edges,
     infer_form,
 )
+from caosim.simulate import _RUN_CHUNK, Divergence, _initial_state  # noqa: E402
 
 # One CAO exercising every operator form: an M fans (i, j) into (d, s),
 # an L and a D push d and s onward into (g, u), and an F collapses (g, u)
@@ -319,6 +324,95 @@ def check_oracle(
             warn("unreachable-entity", f"entity {ent.name!r} is not reachable from any initial entity", entity=ent.name)
 
     return ValidationReport(tuple(issues))
+
+
+# The oracle for the lock-step check of ``run(engine="both")``, which the
+# enactor makes as it takes each matrix stretch: the enactor as it was when
+# each ``next()`` took one update, and the loop that zipped it with the rows
+# of each matrix stretch and compared each row in full.
+def stepwise_enactor(operators, state):
+    """The updates of ``state`` under resolved ``operators``: each
+    ``next()`` takes one and returns ``(next, partials, common)``. The first
+    update enacts every operator, each later one only the operators that
+    read a component the last update changed."""
+    readers = [[] for _ in state]
+    for o, (inputs, _) in enumerate(operators):
+        for i, _ in inputs:
+            readers[i].append(o)
+    marks = [
+        tuple({r for i, _ in (*inputs, *outputs) for r in readers[i]})
+        for inputs, outputs in operators
+    ]
+    grouped = any(len(inputs) > 1 for inputs, _ in operators)
+    s = list(state)
+    p = [0] * len(s)
+    pc = [0] * len(s)
+    cur = tuple(s)
+    dirty = range(len(operators))
+    while True:
+        marked = set()
+        for o in dirty:
+            inputs, outputs = operators[o]
+            if len(inputs) == 1:
+                i, n = inputs[0]
+                common = p[i] = pc[i] = cur[i] // n
+                if not common:
+                    continue
+                s[i] -= common * n
+            else:
+                common = None
+                for i, n in inputs:
+                    carry = p[i] = cur[i] // n
+                    if common is None or carry < common:
+                        common = carry
+                for i, n in inputs:
+                    pc[i] = common
+                if not common:
+                    continue
+                for i, n in inputs:
+                    s[i] -= common * n
+            for t, coeff in outputs:
+                s[t] += common * coeff
+            marked.update(marks[o])
+        if marked:
+            cur = tuple(s)
+        dirty = marked
+        pt = tuple(p)
+        yield cur, pt, pt if not grouped or p == pc else tuple(pc)
+
+
+def lockstep_oracle(spec, initial=None, *, max_steps=1000, schedule=None, backend=None):
+    """The first :class:`Divergence` of the two routes on the run ``run``
+    would make with ``engine="both"``, or None when they agree throughout.
+
+    It takes the matrix stretches as ``run`` does, through ``kernel.advance``
+    looked up on the module at each stretch (so a test's patch applies), and
+    one :func:`stepwise_enactor` update per row, compared in full with the
+    row's carries and the next row's state (``last`` after the last row).
+    """
+    backend = kernel.backend_name(backend)
+    sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
+    state = _initial_state(spec, initial)
+    current = None
+    k = 0
+    while True:
+        spec_k, until = sched.span(k)
+        if spec_k is not current:
+            current = spec_k
+            plan = kernel.plan_for(spec_k)
+            compiled = kernel.bind(plan, backend)
+            updates = stepwise_enactor(resolve(spec_k), state)
+        limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
+        rows, last, stop = kernel.advance(plan, compiled, state, limit)
+        for i, ((s, p, pc), want) in enumerate(zip(rows, updates)):
+            got = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
+            if got != want:
+                return Divergence(k + i, s, got, want)
+        # a fixed state stays fixed until the parameters may change
+        k += limit if stop == 0 and until is not None else len(rows)
+        if until is None and stop == 0 or k > max_steps:
+            return None
+        state = last
 
 
 CORPUS_SEED = 0xCA05

@@ -1085,7 +1085,7 @@ def test_diagnostics_are_those_of_the_oracle_check(monkeypatch):
         ]
 
     got = list(map(read, texts))
-    monkeypatch.setattr(dsl, "check", check_oracle)
+    monkeypatch.setattr(dsl.model, "check", check_oracle)
     assert got == list(map(read, texts))
     assert {line.split("[")[1].split("]")[0] for results in got for _, lines in results for line in lines} >= {
         "duplicate-name", "unknown-entity", "role-mismatch", "unreachable-entity", "cycle-detected",

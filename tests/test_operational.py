@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from caosim import (
     run,
     step_operational,
 )
-from caosim.operational import advance, enactor
+from caosim.operational import enactor
 from conftest import (
     GROWING_CYCLE_TEXT,
     LOOP_TEXT,
@@ -83,6 +84,13 @@ def enact_every_operator(operators, state):
         for t, coeff in outputs:
             nxt[t] += common * coeff
     return tuple(nxt), tuple(p), tuple(pc)
+
+
+def one_update(updates):
+    """The next update of a primed :func:`enactor`, as ``(next, partials,
+    common)``: a stretch of one taken with ``send(1)``."""
+    ((_, p, pc),), nxt, _ = updates.send(1)
+    return nxt, p, pc
 
 
 def test_the_two_routes_import_nothing_of_each_other():
@@ -173,10 +181,11 @@ class TestIdleOperators:
         operators = resolve(spec)
         state = small_or_random_state(rng, spec)
         updates = enactor(operators, state)
+        next(updates)
         for _ in range(5):
             got = enact(operators, state)
             assert got == enact_every_operator(operators, state)
-            assert next(updates) == got
+            assert one_update(updates) == got
             state = got[0]
 
 
@@ -244,11 +253,12 @@ def enacted_updates(spec, state, updates):
     literal ``enact`` does, row for row, and one more after a fixed point."""
     operators = resolve(spec)
     got = enactor(operators, state)
+    next(got)
     for _ in range(updates):
         want = enact(operators, state)
-        assert next(got) == want, f"{spec.name} from {state}"
+        assert one_update(got) == want, f"{spec.name} from {state}"
         if not any(want[2]):
-            assert next(got) == want
+            assert one_update(got) == want
             return
         state = want[0]
 
@@ -334,9 +344,10 @@ class TestEnactor:
             got = [(e.k, e.state, e.partials, e.common) for e in trace.steps]
             assert (got, trace.termination) == want, f"seed {seed}, {engine}"
 
-    def test_advance_takes_a_stretch(self):
+    def test_send_takes_a_stretch(self):
         updates = enactor(resolve(LOOP), LOOP.start_state())
-        rows, last, stop = advance(updates, LOOP.start_state(), 7)
+        assert next(updates) is None
+        rows, last, stop = updates.send(7)
         assert (len(rows), stop) == (7, 1)
         assert rows[0][0] == LOOP.start_state()
         nexts = [s for s, _, _ in rows[1:]] + [last]
@@ -344,13 +355,15 @@ class TestEnactor:
             (nxt, p, pc) for (_, p, pc), nxt in zip(rows, nexts)
         ]
         # the next stretch goes on from where this one stopped
-        (row,), _, _ = advance(updates, last, 1)
+        (row,), _, _ = updates.send(1)
         assert row[0] == last
         assert row[1:] == enact(resolve(LOOP), last)[1:]
 
-    def test_advance_stops_at_a_fixed_point(self, showcase):
+    def test_send_stops_at_a_fixed_point(self, showcase):
         state = showcase.start_state()
-        rows, last, stop = advance(enactor(resolve(showcase), state), state, 1000)
+        updates = enactor(resolve(showcase), state)
+        next(updates)
+        rows, last, stop = updates.send(1000)
         assert stop == 0
         assert [(s, pc) for s, _, pc in rows] == list(SHOWCASE_TRAJECTORY)
         assert last == rows[-1][0]
@@ -359,13 +372,98 @@ class TestEnactor:
         import caosim.operational as operational
 
         limits = []
-        real = operational.advance
+        real = operational.enactor
 
-        def counting(updates, state, limit):
-            limits.append(limit)
-            return real(updates, state, limit)
+        def counting(operators, state):
+            updates = real(operators, state)
+            done = next(updates)
+            while True:
+                job = yield done
+                limits.append(job)
+                done = updates.send(job)
 
-        monkeypatch.setattr(operational, "advance", counting)
+        monkeypatch.setattr(operational, "enactor", counting)
         trace = run(LOOP, max_steps=5000, engine="operational")
         assert limits == [1024] * 4 + [5001 - 4096]
         assert trace.steps == run(LOOP, max_steps=5000, engine="matrix").steps
+
+    def test_step_operational_is_the_literal_update_on_the_fuzz_corpus(self, fuzz_corpus):
+        for spec, state in fuzz_corpus:
+            operators = resolve(spec)
+            for _ in range(3):
+                want = enact(operators, state)
+                assert step_operational(spec, state) == want, f"{spec.name} from {state}"
+                state = want[0]
+
+
+class TestLockStepCheck:
+    """``send((rows, last))`` checks a stretch of the matrix route as the
+    enactor takes it; the literal ``enact`` gives the rows it is checked on."""
+
+    @staticmethod
+    def literal_stretch(spec, state, limit):
+        """``(rows, last)``: ``limit`` updates of ``state`` by ``enact``."""
+        rows = []
+        for _ in range(limit):
+            nxt, p, pc = enact(resolve(spec), state)
+            rows.append((state, p, pc))
+            state = nxt
+        return rows, state
+
+    def test_matching_stretches_return_none(self):
+        state = LOOP.start_state()
+        updates = enactor(resolve(LOOP), state)
+        next(updates)
+        for limit in (1, 7, 300):
+            rows, last = self.literal_stretch(LOOP, state, limit)
+            assert updates.send((rows, last)) is None
+            state = last
+        # and the enactor goes on from there
+        assert one_update(updates) == enact(resolve(LOOP), state)
+
+    def test_a_fixed_point_is_checked_like_any_row(self, showcase):
+        state = showcase.start_state()
+        rows, last = self.literal_stretch(showcase, state, 9)
+        updates = enactor(resolve(showcase), state)
+        next(updates)
+        assert updates.send((rows, last)) is None
+
+    @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
+    @pytest.mark.parametrize("at", [0, 3, 9])  # 9: the next state is ``last``
+    def test_the_first_mismatch_is_named_with_this_routes_result(self, field, at):
+        state = LOOP.start_state()
+        rows, last = self.literal_stretch(LOOP, state, 10)
+        right = [enact(resolve(LOOP), s) for s, _, _ in rows]
+
+        def bump(values):
+            return (values[0] + 1, *values[1:])
+
+        if field == 0 and at == 9:
+            last = bump(last)
+        elif field == 0:
+            s, p, pc = rows[at + 1]
+            rows[at + 1] = (bump(s), p, pc)
+        else:
+            rows[at] = tuple(bump(v) if f == field else v for f, v in enumerate(rows[at]))
+        rows[at + 2 :] = [(bump(s), p, pc) for s, p, pc in rows[at + 2 :]]  # later rows wrong too
+        updates = enactor(resolve(LOOP), state)
+        next(updates)
+        assert updates.send((rows, last)) == (at, right[at])
+
+    def test_the_check_keeps_no_rows(self):
+        # Taking a stretch builds its rows; checking one holds a row at a
+        # time, so its peak allocation is a small part of the rows' size.
+        state = LOOP.start_state()
+        rows, last = self.literal_stretch(LOOP, state, 1024)
+        peaks = []
+        for job in (1024, (rows, last)):
+            updates = enactor(resolve(LOOP), state)
+            next(updates)
+            tracemalloc.start()
+            try:
+                done = updates.send(job)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del done
+        assert peaks[1] * 10 < peaks[0], peaks

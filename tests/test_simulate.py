@@ -37,7 +37,7 @@ from caosim import (
 from caosim import kernel, rational
 from caosim.kernel import COMPILED_AVAILABLE
 from caosim.simulate import ConservationError, TraceStep, _sweep_weights
-from conftest import GROWING_CYCLE_TEXT, LOOP_TEXT, SHOWCASE_TRAJECTORY
+from conftest import GROWING_CYCLE_TEXT, LOOP_TEXT, SHOWCASE_TRAJECTORY, lockstep_oracle
 
 
 class TestRun:
@@ -149,16 +149,36 @@ class TestEngineComparison:
     @staticmethod
     def corrupt_enactor(monkeypatch, at):
         """Make every enactor report a next state one too high in its first
-        component at its update ``at``; its own state stays right."""
+        component at its update ``at``; its own state stays right.
+
+        The enactor checks each stretch itself, so the real one is handed
+        the matrix route's next state of update ``at`` one too low: its own
+        check finds the mismatch there, and its result is passed on with
+        the next state one too high. The rows ``run`` holds are not changed.
+        """
         import caosim.operational as operational
 
         real = operational.enactor
 
+        def lower(values):
+            return (values[0] - 1, *values[1:])
+
         def wrong(operators, state):
-            for n, (nxt, p, pc) in enumerate(real(operators, state)):
-                if n == at:
-                    nxt = (nxt[0] + 1, *nxt[1:])
-                yield nxt, p, pc
+            updates = real(operators, state)
+            done = next(updates)
+            taken = 0
+            while True:
+                rows, last = yield done
+                j = at + 1 - taken  # the row holding update at's next state
+                taken += len(rows)
+                if j == len(rows):
+                    last = lower(last)
+                elif 0 < j < len(rows):
+                    rows = [*rows[:j], (lower(rows[j][0]), *rows[j][1:]), *rows[j + 1 :]]
+                done = updates.send((rows, last))
+                if done is not None and done[0] == j - 1:
+                    nxt, p, pc = done[1]
+                    done = j - 1, ((nxt[0] + 1, *nxt[1:]), p, pc)
 
         monkeypatch.setattr(operational, "enactor", wrong)
 
@@ -279,6 +299,79 @@ cao loop {
 LOOP_REWEIGHTED = with_parameters(
     LOOP, [((2, 2), (1, 3)), ((2,), (1, 1)), ((2,), (1, 1)), ((2, 2), (4,)), ((2,), (2,)), ((4,), (2, 2))]
 )
+
+
+class TestLockStepOracle:
+    """``run``'s lock-step check, which the enactor makes as it takes each
+    matrix stretch, against ``lockstep_oracle``, the per-row loop it
+    replaced, on faults injected into one update of the matrix route."""
+
+    @staticmethod
+    def corrupt_matrix(monkeypatch, real, at, field):
+        """Patch ``kernel.advance`` so that, from the next run on, update
+        ``at`` has a first component one too high in its next state (field
+        0), its partials (1) or its common carries (2). ``real`` is the
+        unpatched ``advance``. A next state is the next row's state, or
+        ``last`` after a stretch's last row."""
+        taken = 0
+
+        def bump(values):
+            return (values[0] + 1, *values[1:])
+
+        def wrong(plan, compiled, state, limit):
+            nonlocal taken
+            rows, last, stop = real(plan, compiled, state, limit)
+            j = at - taken + (field == 0)  # the row holding the value
+            taken += len(rows)
+            if field == 0 and j == len(rows):
+                last = bump(last)
+            elif 0 <= j < len(rows):
+                rows[j] = tuple(bump(v) if f == field else v for f, v in enumerate(rows[j]))
+            return rows, last, stop
+
+        monkeypatch.setattr(kernel, "advance", wrong)
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
+    @pytest.mark.parametrize("at", [0, 5, 1023, 1024, 1030, 2000])  # 2000 is the step limit
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_divergences_are_the_oracles(self, monkeypatch, backend, field, at, grouped):
+        # LOOP has multi-input operators; SWING's common carries are its partials
+        spec = LOOP if grouped else TestEngineComparison.SWING
+        real = kernel.advance
+        self.corrupt_matrix(monkeypatch, real, at, field)
+        want = lockstep_oracle(spec, max_steps=2000, backend=backend)
+        assert want is not None and want.k == at
+        self.corrupt_matrix(monkeypatch, real, at, field)
+        with pytest.raises(EngineDivergenceError) as exc:
+            run(spec, max_steps=2000, backend=backend)
+        assert exc.value.divergence == want
+        assert str(exc.value) == str(EngineDivergenceError(want))
+        self.corrupt_matrix(monkeypatch, real, at, field)
+        report = compare_engines(spec, max_steps=2000, backend=backend)
+        assert (report.equal, report.steps_compared, report.divergence) == (False, at + 1, want)
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("max_steps", [2000, 1023, 2047])  # 1023, 2047: a full last stretch
+    def test_the_unrecorded_next_state_of_the_last_update_is_checked(
+        self, monkeypatch, backend, max_steps
+    ):
+        # A step-limit run records the last update's carries but not its
+        # next state; a wrong value there still raises, at the step limit.
+        clean = run(LOOP, max_steps=max_steps, engine="matrix", backend=backend)
+        real = kernel.advance
+        self.corrupt_matrix(monkeypatch, real, max_steps, 0)
+        assert run(LOOP, max_steps=max_steps, engine="matrix", backend=backend) == clean
+        self.corrupt_matrix(monkeypatch, real, max_steps, 0)
+        with pytest.raises(EngineDivergenceError) as exc:
+            run(LOOP, max_steps=max_steps, backend=backend)
+        assert exc.value.divergence.k == max_steps
+        self.corrupt_matrix(monkeypatch, real, max_steps, 0)
+        assert exc.value.divergence == lockstep_oracle(LOOP, max_steps=max_steps, backend=backend)
+
+    def test_the_oracle_finds_nothing_on_agreeing_runs(self, showcase):
+        assert lockstep_oracle(showcase) is None
+        assert lockstep_oracle(LOOP, max_steps=3000) is None
 
 
 class TestScheduledStretches:
