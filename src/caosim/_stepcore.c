@@ -1,36 +1,38 @@
-/* 64-bit step kernel.
+/* Step kernel: int64 while it holds, exact ints past it.
 
    A PlanKernel freezes one update plan -- per-entity radices, carry groups
    and conversion edges, all given by entity index -- into C arrays at
-   construction.  Construction raises ValueError for a plan whose indices
-   fall outside the state or whose radices are negative, and OverflowError
-   for one whose radices or coefficients do not fit in int64.
+   construction, with each entity's outgoing edges and its one carry group.
+   Construction raises ValueError for a plan whose indices fall outside the
+   state, whose radices are negative or which puts an entity in two carry
+   groups, and OverflowError for one whose radices or coefficients do not
+   fit in int64.
 
    Its one method, run(state, limit), takes up to `limit` updates in a row
-   without returning to Python in between: the state stays in int64 from one
-   update to the next, and only the tuples each update records are built.
-   It stops early at a fixed point (every common carry zero) and before any
-   update it cannot take in int64; kernel.advance takes that update with
-   unbounded Python integers and calls run again.
+   without returning to Python in between.  While int64 holds the state and
+   every credit, the state stays in int64 from one update to the next, and
+   only the tuples each update records are built.  Every multiplication and
+   addition that could leave int64 is checked, and so is every state about
+   to be stepped: a component that is negative, not an int, or outside int64
+   ends the int64 loop too, as a plan with negative coefficients may need.
 
-   Every multiplication and addition that could leave int64 range is
-   checked, so run() stops instead of wrapping.  A state component that is
-   negative, not an int, or outside int64 stops it the same way; run()
-   checks every state it is about to step, because a plan with negative
-   coefficients can drive a component below zero.  Division needs no check,
-   because radices and state components are both non-negative by then.
+   There a big-integer stretch starts.  It holds the components and carries
+   as Python objects and updates them with PyNumber_* calls, which stay
+   exact, the frontier way, as kernel._frontier steps the pure backend: only
+   the entities the last update changed get their carries computed again,
+   and only the carry groups whose members' partial carries changed are
+   folded again.  Once every component is an int in [0, INT64_MAX] again,
+   the stretch goes back to the int64 loop.  So run() stops only at a fixed
+   point or at the limit.  Each call works in scratch rows of its own: a
+   PyNumber_* call on an int subclass, or any allocation, may run Python
+   code that calls run() again.
 
-   Each call works in scratch rows of its own, so a call that allocates
-   (and may thereby run Python code) cannot clobber another call's rows.
-
-   Every state and carry tuple is born untracked by the cyclic garbage
-   collector, and so is the start state when it holds only exact ints: a
-   tuple of exact ints refers to nothing that can refer back to it, so it
-   can never be part of a cycle.  CPython untracks such a tuple itself, but
-   only at the first collection that walks it, and on a wide state that
-   walk costs more than the update.  So is each (state, partials, common)
-   row whose state is untracked.  row(values) does the same for the rows
-   kernel._frontier builds in Python.
+   Every tuple of exact ints is born untracked by the cyclic garbage
+   collector, the start state included, and so is each (state, partials,
+   common) row of three such tuples: a tuple of exact ints can never be part
+   of a cycle.  CPython untracks such a tuple itself, but only at the first
+   collection that walks it, and on a wide state that walk costs more than
+   the update.
 
    entries(cls, k, rows) builds simulate.run's trace entries from a stretch
    of rows.  An entry of frozen TraceStep holds an int and three tuples;
@@ -52,7 +54,13 @@ typedef struct {
     int64_t *grp_off;               /* ngroups + 1 offsets into grp_members */
     int64_t *grp_members;
     int64_t *src, *dst, *coeff;     /* one entry per edge */
+    int64_t *group_of;              /* m: an entity's carry group, or -1 */
+    int64_t *first_out, *next_out;  /* m, nedges: each source's edges in plan
+                                       order, as a list ending in -1 */
     int64_t *block;                 /* owns every row above */
+    PyObject *py;                   /* a tuple of the m radices, then the
+                                       coefficients, made on the first
+                                       big-integer update */
 } PlanKernel;
 
 /* Read one plan integer: OverflowError when it does not fit in int64,
@@ -69,6 +77,30 @@ plan_int(PyObject *obj, int64_t lo, int64_t hi, int64_t *out)
         return -1;
     }
     *out = v;
+    return 0;
+}
+
+/* Index the entities by carry group and the edges by source; -1 with
+   ValueError when an entity is in two groups. */
+static int
+index_plan(PlanKernel *self)
+{
+    for (Py_ssize_t i = 0; i < self->m; i++)
+        self->group_of[i] = self->first_out[i] = -1;
+    for (Py_ssize_t g = 0; g < self->ngroups; g++)
+        for (int64_t j = self->grp_off[g]; j < self->grp_off[g + 1]; j++) {
+            int64_t x = self->grp_members[j];
+            if (self->group_of[x] >= 0) {
+                PyErr_Format(PyExc_ValueError, "entity %lld is in two carry groups",
+                             (long long)x);
+                return -1;
+            }
+            self->group_of[x] = g;
+        }
+    for (Py_ssize_t e = self->nedges - 1; e >= 0; e--) {
+        self->next_out[e] = self->first_out[self->src[e]];
+        self->first_out[self->src[e]] = e;
+    }
     return 0;
 }
 
@@ -98,7 +130,7 @@ load_plan(PlanKernel *self, PyObject *n_obj, PyObject *groups_obj,
         item = NULL;
     }
 
-    self->block = PyMem_Calloc(m + self->ngroups + 1 + total + 3 * self->nedges,
+    self->block = PyMem_Calloc(3 * m + self->ngroups + 1 + total + 4 * self->nedges,
                                sizeof(int64_t));
     if (!self->block) {
         PyErr_NoMemory();
@@ -110,6 +142,9 @@ load_plan(PlanKernel *self, PyObject *n_obj, PyObject *groups_obj,
     self->src = self->grp_members + total;
     self->dst = self->src + self->nedges;
     self->coeff = self->dst + self->nedges;
+    self->group_of = self->coeff + self->nedges;
+    self->first_out = self->group_of + m;
+    self->next_out = self->first_out + m;
 
     for (i = 0; i < m; i++)
         if (plan_int(PyTuple_GET_ITEM(n, i), 0, INT64_MAX, &self->n[i]) < 0)
@@ -134,7 +169,7 @@ load_plan(PlanKernel *self, PyObject *n_obj, PyObject *groups_obj,
             goto done;
         Py_CLEAR(item);
     }
-    rc = 0;
+    rc = index_plan(self);
 done:
     Py_XDECREF(item);
     Py_XDECREF(edges);
@@ -166,8 +201,36 @@ PlanKernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 static void
 PlanKernel_dealloc(PlanKernel *self)
 {
+    Py_XDECREF(self->py);
     PyMem_Free(self->block);
     Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* Make self->py once per kernel; -1 with an exception set. */
+static int
+load_py_ints(PlanKernel *self)
+{
+    PyObject *py;
+
+    if (self->py)
+        return 0;
+    if (!(py = PyTuple_New(self->m + self->nedges)))
+        return -1;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(py); i++) {
+        PyObject *v = PyLong_FromLongLong(i < self->m ? self->n[i] : self->coeff[i - self->m]);
+        if (!v) {
+            Py_DECREF(py);
+            return -1;
+        }
+        PyTuple_SET_ITEM(py, i, v);
+    }
+    PyObject_GC_UnTrack(py);
+    /* allocating may have run Python code that made one meanwhile */
+    if (self->py)
+        Py_DECREF(py);
+    else
+        self->py = py;
+    return 0;
 }
 
 /* The state as a tuple of the plan's length (a new reference; the same
@@ -184,22 +247,16 @@ state_tuple(const PlanKernel *self, PyObject *values)
     return t;
 }
 
-/* Copy a state tuple into row: 1 when every component is an int in
-   [0, INT64_MAX], 0 when one is not.  Ints only, because converting
-   anything else may run Python code. */
+/* 1 when v is an int in [0, INT64_MAX], which is stored in *out; 0 when it
+   is not.  Ints only, because converting anything else may run Python code. */
 static int
-read_state(PyObject *state, Py_ssize_t m, int64_t *row)
+fits_int64(PyObject *v, int64_t *out)
 {
-    for (Py_ssize_t i = 0; i < m; i++) {
-        PyObject *item = PyTuple_GET_ITEM(state, i);
-        int overflow = 0;
-        if (!PyLong_Check(item))
-            return 0;
-        row[i] = PyLong_AsLongLongAndOverflow(item, &overflow);
-        if (overflow || row[i] < 0)
-            return 0;
-    }
-    return 1;
+    int overflow = 0;
+    if (!PyLong_Check(v))
+        return 0;
+    *out = PyLong_AsLongLongAndOverflow(v, &overflow);
+    return !overflow && *out >= 0;
 }
 
 /* One update of a non-negative state into nxt, with the partial and common
@@ -263,91 +320,379 @@ row_tuple(const int64_t *row, Py_ssize_t m)
     return out;
 }
 
-/* A new (head, partials, common) tuple, untracked when head is.  It takes
-   over the reference to head, which may be NULL after a failed allocation.
-   The common tuple is the partials' tuple when the two rows are equal, as
-   they are wherever no carry group lowers a partial carry. */
+/* A new tuple of the m objects in row, untracked when all are exact ints. */
 static PyObject *
-carry_row(PyObject *head, const int64_t *p, const int64_t *pc, Py_ssize_t m)
+copy_tuple(PyObject *const *row, Py_ssize_t m)
 {
-    PyObject *out = NULL, *pt = NULL, *pct = NULL;
+    PyObject *out = PyTuple_New(m);
+    int ints = 1;
 
-    if (!head || !(pt = row_tuple(p, m)))
-        goto fail;
-    if (memcmp(p, pc, m * sizeof *p) == 0) {
-        Py_INCREF(pt);
-        pct = pt;
+    if (!out)
+        return NULL;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        ints &= PyLong_CheckExact(row[i]);
+        PyTuple_SET_ITEM(out, i, Py_NewRef(row[i]));
     }
-    else if (!(pct = row_tuple(pc, m)))
-        goto fail;
-    if (!(out = PyTuple_New(3)))
-        goto fail;
-    if (!PyObject_GC_IsTracked(head))
+    if (ints)
         PyObject_GC_UnTrack(out);
-    PyTuple_SET_ITEM(out, 0, head);
-    PyTuple_SET_ITEM(out, 1, pt);
-    PyTuple_SET_ITEM(out, 2, pct);
     return out;
-fail:
+}
+
+/* Append a (head, partials, common) row to rows, untracked when none of
+   the three is tracked; -1 with an exception set.  It takes over the three
+   references, any of which may be NULL after a failed allocation. */
+static int
+append_row(PyObject *rows, PyObject *head, PyObject *pt, PyObject *pct)
+{
+    PyObject *row = NULL;
+    int rc = -1;
+
+    if (head && pt && pct && (row = PyTuple_New(3))) {
+        if (!PyObject_GC_IsTracked(head) && !PyObject_GC_IsTracked(pt)
+            && !PyObject_GC_IsTracked(pct))
+            PyObject_GC_UnTrack(row);
+        PyTuple_SET_ITEM(row, 0, head);
+        PyTuple_SET_ITEM(row, 1, pt);
+        PyTuple_SET_ITEM(row, 2, pct);
+        rc = PyList_Append(rows, row);
+        Py_DECREF(row);
+        return rc;
+    }
     Py_XDECREF(head);
     Py_XDECREF(pt);
     Py_XDECREF(pct);
-    return NULL;
+    return rc;
+}
+
+/* Append rows from *cur in int64 until limit rows are taken (1), at a fixed
+   point (0), or before an update int64 cannot hold (2); -1 on error.  *cur
+   becomes the state to go on from, NULL after an error.  scr holds four
+   rows of m. */
+static int
+run_int64(const PlanKernel *self, int64_t *scr, PyObject **cur, PyObject *rows,
+          Py_ssize_t limit)
+{
+    const Py_ssize_t m = self->m;
+    int64_t *s = scr, *p = s + m, *pc = p + m, *nxt = pc + m;
+    int fits = 1;
+
+    for (Py_ssize_t i = 0; i < m && fits; i++)
+        fits = fits_int64(PyTuple_GET_ITEM(*cur, i), &s[i]);
+    for (Py_ssize_t taken = 0; taken < limit; taken++) {
+        PyObject *next, *pt, *head = *cur;
+        int moved = 0;
+
+        if (!fits || update(self, s, p, pc, nxt) < 0)
+            return 2;
+        *cur = next = row_tuple(nxt, m);
+        pt = row_tuple(p, m);
+        /* the common tuple is the partials' wherever no group lowers a carry */
+        if (append_row(rows, head, pt, memcmp(p, pc, m * sizeof *p) ? row_tuple(pc, m) : Py_XNewRef(pt)) < 0
+            || !next)
+            return -1;
+        for (Py_ssize_t i = 0; i < m; i++)
+            moved |= pc[i] != 0;
+        if (!moved)
+            return 0;
+        int64_t *t = s;
+        s = nxt;
+        nxt = t;
+        for (Py_ssize_t i = 0; i < m && fits; i++)
+            fits = s[i] >= 0;
+    }
+    return 1;
+}
+
+/* A big-integer stretch's working rows, of m entries unless marked. */
+typedef struct {
+    PyObject **s, **p, **pc;        /* state, partial and common carries */
+    Py_ssize_t *touched, ntouched;  /* entities the last update changed */
+    Py_ssize_t *firing, nfiring;    /* entities whose common carry is nonzero */
+    Py_ssize_t *fire_at;            /* an entity's place in firing, or -1 */
+    Py_ssize_t *dirty, ndirty;      /* ngroups: groups to fold again */
+    char *is_touched, *is_dirty;    /* membership of touched, of dirty */
+    char *wide;                     /* not an int in [0, INT64_MAX] */
+} Frontier;
+
+static void
+touch(Frontier *f, Py_ssize_t j)
+{
+    if (!f->is_touched[j]) {
+        f->is_touched[j] = 1;
+        f->touched[f->ntouched++] = j;
+    }
+}
+
+/* *slot = op(*slot, c * k); -1 with an exception set. */
+static int
+credit(PyObject **slot, PyObject *c, PyObject *k, binaryfunc op)
+{
+    PyObject *t = PyNumber_Multiply(c, k), *v;
+    if (!t)
+        return -1;
+    v = op(*slot, t);
+    Py_DECREF(t);
+    if (!v)
+        return -1;
+    Py_SETREF(*slot, v);
+    return 0;
+}
+
+/* pc[j] = q, and j fires when q is true; -1 with an exception set. */
+static int
+set_common(Frontier *f, Py_ssize_t j, PyObject *q)
+{
+    int t = PyObject_IsTrue(q);
+    if (t < 0)
+        return -1;
+    Py_SETREF(f->pc[j], Py_NewRef(q));
+    if (t && f->fire_at[j] < 0) {
+        f->fire_at[j] = f->nfiring;
+        f->firing[f->nfiring++] = j;
+    }
+    else if (!t && f->fire_at[j] >= 0) {
+        Py_ssize_t last = f->firing[--f->nfiring];
+        f->firing[f->fire_at[j]] = last;
+        f->fire_at[last] = f->fire_at[j];
+        f->fire_at[j] = -1;
+    }
+    return 0;
+}
+
+/* The carries of the entities the last update touched, then the folds of
+   the groups whose partial carries changed; -1 with an exception set. */
+static int
+frontier_carries(const PlanKernel *self, Frontier *f)
+{
+    PyObject **p = f->p;
+
+    f->ndirty = 0;
+    for (Py_ssize_t k = 0; k < f->ntouched; k++) {
+        Py_ssize_t j = f->touched[k], g = self->group_of[j];
+        PyObject *q;
+        int changed;
+
+        if (!self->n[j])
+            continue;
+        if (!(q = PyNumber_FloorDivide(f->s[j], PyTuple_GET_ITEM(self->py, j))))
+            return -1;
+        if ((changed = PyObject_RichCompareBool(q, p[j], Py_NE)) <= 0) {
+            Py_DECREF(q);
+            if (changed < 0)
+                return -1;
+            continue;
+        }
+        Py_SETREF(p[j], q);
+        if (g < 0) {
+            if (set_common(f, j, q) < 0)
+                return -1;
+        }
+        else if (!f->is_dirty[g]) {
+            f->is_dirty[g] = 1;
+            f->dirty[f->ndirty++] = g;
+        }
+    }
+    for (Py_ssize_t k = 0; k < f->ndirty; k++) {
+        Py_ssize_t g = f->dirty[k];
+        const int64_t *x = self->grp_members + self->grp_off[g];
+        const int64_t *end = self->grp_members + self->grp_off[g + 1];
+        PyObject *low = p[*x];
+
+        f->is_dirty[g] = 0;
+        /* min(): the first of the smallest; p stays as it is meanwhile */
+        for (const int64_t *y = x + 1; y < end; y++) {
+            int lt = PyObject_RichCompareBool(p[*y], low, Py_LT);
+            if (lt < 0)
+                return -1;
+            if (lt)
+                low = p[*y];
+        }
+        for (; x < end; x++)
+            if (set_common(f, *x, low) < 0)
+                return -1;
+    }
+    return 0;
+}
+
+/* The update's removals and credits by the entities that fire, into s; -1
+   with an exception set.  The entities it changes become the touched ones. */
+static int
+frontier_credits(const PlanKernel *self, Frontier *f)
+{
+    for (Py_ssize_t k = 0; k < f->ntouched; k++)
+        f->is_touched[f->touched[k]] = 0;
+    f->ntouched = 0;
+    for (Py_ssize_t k = 0; k < f->nfiring; k++) {
+        Py_ssize_t i = f->firing[k];
+        PyObject *c = f->pc[i];
+
+        if (credit(&f->s[i], c, PyTuple_GET_ITEM(self->py, i), PyNumber_InPlaceSubtract) < 0)
+            return -1;
+        touch(f, i);
+        for (int64_t e = self->first_out[i]; e >= 0; e = self->next_out[e]) {
+            PyObject *coeff = PyTuple_GET_ITEM(self->py, self->m + e);
+            if (credit(&f->s[self->dst[e]], c, coeff, PyNumber_InPlaceAdd) < 0)
+                return -1;
+            touch(f, self->dst[e]);
+        }
+    }
+    return 0;
+}
+
+/* 1 when a group member's common carry is not equal to its partial carry;
+   every other entity's two carries are one object.  -1 with an exception
+   set. */
+static int
+carries_differ(const PlanKernel *self, const Frontier *f)
+{
+    for (int64_t j = 0; j < self->grp_off[self->ngroups]; j++) {
+        int64_t x = self->grp_members[j];
+        int eq;
+        if (f->p[x] != f->pc[x] && (eq = PyObject_RichCompareBool(f->p[x], f->pc[x], Py_EQ)) <= 0)
+            return eq < 0 ? -1 : 1;
+    }
+    return 0;
+}
+
+/* Append rows from *cur in Python objects, the frontier way, until limit
+   rows are taken (1), at a fixed point (0), or once every component fits
+   in int64 after at least one update (2); -1 on error.  *cur becomes the
+   state to go on from, NULL after an error, and *wide the count of the
+   start's components outside int64. */
+static int
+run_big(PlanKernel *self, PyObject **cur, PyObject *rows, Py_ssize_t limit,
+        Py_ssize_t *wide)
+{
+    const Py_ssize_t m = self->m, ng = self->ngroups;
+    PyObject *zero = NULL;
+    Py_ssize_t i, taken = 0, left = 0;
+    Frontier f;
+    char *block;
+    int stop = -1;
+    int64_t v;
+
+    if (load_py_ints(self) < 0)
+        goto fail;
+    if (!(block = PyMem_Calloc(1, 3 * m * sizeof(PyObject *)
+                                  + (3 * m + ng) * sizeof(Py_ssize_t) + 2 * m + ng + 1))) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    f.s = (PyObject **)block;
+    f.p = f.s + m;
+    f.pc = f.p + m;
+    f.touched = (Py_ssize_t *)(f.pc + m);
+    f.firing = f.touched + m;
+    f.fire_at = f.firing + m;
+    f.dirty = f.fire_at + m;
+    f.is_touched = (char *)(f.dirty + ng);
+    f.is_dirty = f.is_touched + m;
+    f.wide = f.is_dirty + ng;
+    f.ntouched = f.nfiring = 0;
+    if (!(zero = PyLong_FromLong(0)))
+        goto done;
+    for (i = 0; i < m; i++) {
+        f.s[i] = Py_NewRef(PyTuple_GET_ITEM(*cur, i));
+        f.p[i] = Py_NewRef(zero);
+        f.pc[i] = Py_NewRef(zero);
+        touch(&f, i);
+        f.fire_at[i] = -1;
+        f.wide[i] = !fits_int64(f.s[i], &v);
+        left += f.wide[i];
+    }
+    *wide = left;
+    for (;;) {
+        PyObject *pt, *pct = NULL;
+        int differ;
+
+        if (frontier_carries(self, &f) < 0 || (differ = carries_differ(self, &f)) < 0)
+            break;
+        if ((pt = copy_tuple(f.p, m)))
+            pct = differ ? copy_tuple(f.pc, m) : Py_NewRef(pt);
+        if (append_row(rows, Py_NewRef(*cur), pt, pct) < 0)
+            break;
+        if (!f.nfiring) {
+            stop = 0;
+            break;
+        }
+        if (frontier_credits(self, &f) < 0)
+            break;
+        Py_SETREF(*cur, copy_tuple(f.s, m));
+        if (!*cur)
+            break;
+        if (++taken == limit) {
+            stop = 1;
+            break;
+        }
+        for (Py_ssize_t k = 0; k < f.ntouched; k++) {
+            Py_ssize_t j = f.touched[k];
+            char b = !fits_int64(f.s[j], &v);
+            left += b - f.wide[j];
+            f.wide[j] = b;
+        }
+        if (!left) {
+            stop = 2;
+            break;
+        }
+    }
+done:
+    for (i = 0; i < m; i++) {
+        Py_XDECREF(f.s[i]);
+        Py_XDECREF(f.p[i]);
+        Py_XDECREF(f.pc[i]);
+    }
+    Py_XDECREF(zero);
+    PyMem_Free(block);
+    if (stop >= 0)
+        return stop;
+fail:
+    Py_CLEAR(*cur);
+    return -1;
 }
 
 static PyObject *
 PlanKernel_run(PlanKernel *self, PyObject *args)
 {
-    const Py_ssize_t m = self->m;
-    PyObject *values, *cur = NULL, *rows = NULL, *out = NULL;
-    Py_ssize_t limit, taken, i;
+    PyObject *values, *stretches = Py_None, *cur = NULL, *rows = NULL, *out = NULL;
+    Py_ssize_t limit;
     int64_t *scr = NULL;
-    int stop = 1, fits;
+    int stop;
 
-    if (!PyArg_ParseTuple(args, "On:run", &values, &limit))
+    if (!PyArg_ParseTuple(args, "On|O:run", &values, &limit, &stretches))
         return NULL;
     if (limit < 0) {
         PyErr_SetString(PyExc_ValueError, "limit must be >= 0");
+        return NULL;
+    }
+    if (stretches != Py_None && !PyList_Check(stretches)) {
+        PyErr_SetString(PyExc_TypeError, "stretches must be a list or None");
         return NULL;
     }
     if (!(cur = state_tuple(self, values)) || !(rows = PyList_New(0)))
         goto done;
     untrack_ints(cur);
     /* four scratch rows of m int64 each, for this call only */
-    if (!(scr = PyMem_Malloc((4 * m + 1) * sizeof(int64_t)))) {
+    if (!(scr = PyMem_Malloc((4 * self->m + 1) * sizeof(int64_t)))) {
         PyErr_NoMemory();
         goto done;
     }
-    int64_t *s = scr, *p = s + m, *pc = p + m, *nxt = pc + m;
-    fits = read_state(cur, m, s);
-    for (taken = 0; taken < limit; taken++) {
-        PyObject *next, *row;
-        int moved = 0;
-
-        if (!fits || update(self, s, p, pc, nxt) < 0) {
-            stop = 2;
-            break;
-        }
-        next = row_tuple(nxt, m);
-        row = carry_row(cur, p, pc, m);  /* takes cur */
-        cur = next;
-        if (!next || !row || PyList_Append(rows, row) < 0) {
-            Py_XDECREF(row);
+    while ((stop = run_int64(self, scr, &cur, rows, limit - PyList_GET_SIZE(rows))) == 2) {
+        Py_ssize_t before = PyList_GET_SIZE(rows), wide = 0;
+        if ((stop = run_big(self, &cur, rows, limit - before, &wide)) < 0)
             goto done;
+        if (stretches != Py_None) {
+            PyObject *record = Py_BuildValue("(nni)", wide, PyList_GET_SIZE(rows) - before, stop);
+            if (!record || PyList_Append(stretches, record) < 0) {
+                Py_XDECREF(record);
+                goto done;
+            }
+            Py_DECREF(record);
         }
-        Py_DECREF(row);
-        for (i = 0; i < m; i++)
-            moved |= pc[i] != 0;
-        if (!moved) {
-            stop = 0;
+        if (stop != 2)
             break;
-        }
-        int64_t *t = s;
-        s = nxt;
-        nxt = t;
-        for (i = 0; i < m && fits; i++)
-            fits = s[i] >= 0;
     }
+    if (stop < 0)
+        goto done;
     if ((out = PyTuple_New(3))) {
         PyObject *code = PyLong_FromLong(stop);
         if (!code) {
@@ -368,13 +713,16 @@ done:
 
 static PyMethodDef PlanKernel_methods[] = {
     {"run", (PyCFunction)PlanKernel_run, METH_VARARGS,
-     "run(state, limit) -> (rows, last, stop): at most `limit` updates.\n\n"
+     "run(state, limit, stretches=None) -> (rows, last, stop): at most `limit`\n"
+     "updates, in int64 while it holds them and in exact ints past it.\n\n"
      "rows holds one (state, partials, common) tuple per update taken; each\n"
      "row's state is the previous update's next state, the same object.\n"
      "last is the state to continue from.  stop is 0 at a fixed point (the\n"
-     "last row's common carries are all zero), 1 when `limit` rows were\n"
-     "taken, and 2 when the next update cannot be taken in int64: last then\n"
-     "is the state that update starts from."},
+     "last row's common carries are all zero) and 1 when `limit` rows were\n"
+     "taken.  A list passed as `stretches` receives one (wide, updates, end)\n"
+     "tuple per big-integer stretch: how many components of its start were\n"
+     "outside int64, how many updates it took, and its end: 0 at a fixed\n"
+     "point, 1 at the limit, 2 back into int64."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -385,40 +733,10 @@ static PyTypeObject PlanKernelType = {
     .tp_dealloc = (destructor)PlanKernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "PlanKernel(n, groups, edges): one flattened update plan, "
-              "ready to step int64 states a stretch of updates at a time.",
+              "ready to step states a stretch of updates at a time.",
     .tp_methods = PlanKernel_methods,
     .tp_new = PlanKernel_new,
 };
-
-/* tuple(values) in one pass: the copy checks the items as it goes. */
-static PyObject *
-stepcore_row(PyObject *module, PyObject *values)
-{
-    PyObject *seq, *out;
-    int ints = 1;
-
-    (void)module;
-    if (PyTuple_CheckExact(values)) {
-        untrack_ints(values);
-        Py_INCREF(values);
-        return values;
-    }
-    if (!(seq = PySequence_Fast(values, "row() argument must be a sequence")))
-        return NULL;
-    /* nothing below runs Python code, so a list cannot change under us */
-    if ((out = PyTuple_New(PySequence_Fast_GET_SIZE(seq)))) {
-        PyObject **items = PySequence_Fast_ITEMS(seq);
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(out); i++) {
-            ints &= PyLong_CheckExact(items[i]);
-            Py_INCREF(items[i]);
-            PyTuple_SET_ITEM(out, i, items[i]);
-        }
-        if (ints)
-            PyObject_GC_UnTrack(out);
-    }
-    Py_DECREF(seq);
-    return out;
-}
 
 /* An entry class: the offsets of its k, state, partials and common slots,
    read off its member descriptors, and whether its instances may be
@@ -547,9 +865,6 @@ fail:
 }
 
 static PyMethodDef stepcore_methods[] = {
-    {"row", stepcore_row, METH_O,
-     "row(values) -> tuple: tuple(values), untracked by the garbage collector\n"
-     "when every item is an exact int."},
     {"entries", (PyCFunction)(void (*)(void))stepcore_entries, METH_FASTCALL,
      "entries(cls, k, rows) -> list: [cls(i, s, p, pc) for i, (s, p, pc) in\n"
      "enumerate(rows, k)], with the slots filled and neither __new__ nor\n"

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import kernel
-from .model import CaoSpec, Operator, _is_integer, check_state, validate
+from .model import CaoSpec, Operator, _is_integer, check_state, per_spec, validate
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -62,7 +61,7 @@ class DerivedOperators:
         )
 
 
-@lru_cache(maxsize=4096)
+@per_spec
 def derive(spec: CaoSpec) -> DerivedOperators:
     """Build N, Rᵀ and the carry groups from the spec's step plan.
 

@@ -7,33 +7,33 @@ route: the pure kernel, the compiled kernel and :func:`caosim.engine.derive`
 all read it.
 
 The compiled kernel is ``_stepcore.c``, a hand-written CPython extension
-that ``setup.py`` builds when a C compiler is present. It works in 64-bit
-integers and stops instead of wrapping; any update it cannot represent is
-taken in Python's unbounded integers. The compiled kernel is the default
-backend when the extension imports and the ``CAOSIM_PURE`` environment
-variable is unset.
+that ``setup.py`` builds when a C compiler is present. It steps in 64-bit
+integers while they hold the update, and never wraps: from an update int64
+cannot hold, it steps in exact Python ints until every component fits in
+int64 again. The compiled kernel is the default backend when the extension
+imports and the ``CAOSIM_PURE`` environment variable is unset.
 
 Every update goes through :func:`advance`: given a plan, the kernel
 :func:`bind` chose for it, a state and a limit, it returns a stretch of
-updates as ``(rows, last, stop)``. It steps in C for as long as int64 holds
-the state and the credits. In Python, a stretch is taken the frontier way:
-its first update computes every carry, and each update after it changes
-only the entries whose common carry is nonzero and the entries they credit,
-so only those entries' partial carries and the carry groups they belong to
-are computed again (in a sandpile, only sites that just received grains can
-topple; Dhar, PRL 64, 1990). On the compiled backend the stretch goes back
-into C as soon as every component fits in int64 again, and each time it
-leaves C it logs a DEBUG record on the ``caosim`` logger. :func:`step` is
+updates as ``(rows, last, stop)``. On the compiled backend the stretch is
+one ``PlanKernel.run`` call, and ``advance`` logs each of its big-integer
+stretches as a DEBUG record on the ``caosim`` logger. The pure backend
+takes the stretch in Python by :func:`_frontier`. Both take big integers
+the frontier way: a stretch's first update computes every carry, and each
+update after it changes only the entries whose common carry is nonzero and
+the entries they credit, so only those entries' partial carries and the
+carry groups they belong to are computed again (in a sandpile, only sites
+that just received grains can topple; Dhar, PRL 64, 1990). :func:`step` is
 ``advance`` with a limit of one, and :func:`caosim.simulate.run` drives
 whole runs with it.
 
 On the compiled backend every row tuple is born untracked by the cyclic
-garbage collector when it holds only exact ``int`` objects: C builds its rows
-that way, and :func:`_frontier` builds its own with ``_stepcore.row``. Such
-a tuple cannot be part of a reference cycle, and CPython would untrack it
-anyway at the first collection that walks it; on a wide state that walk
-cost more than the update. The (state, partials, common) triples C returns
-are untracked too when their state is, and so are the trace entries
+garbage collector when it holds only exact ``int`` objects: C builds its
+rows that way, in int64 and in big integers alike. Such a tuple cannot be
+part of a reference cycle, and CPython would untrack it anyway at the first
+collection that walks it; on a wide state that walk cost more than the
+update. The (state, partials, common) triples C returns are untracked too
+when their three tuples are, and so are the trace entries
 :func:`caosim.simulate.run` builds over such rows with ``_stepcore.entries``.
 The pure backend runs no C, so its rows and entries stay tracked until a
 collection untracks them (an entry, being an object with slots, never).
@@ -44,10 +44,10 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
-from .model import CaoSpec, entity_index
+from .model import CaoSpec, entity_index, per_spec
 
 try:
     from . import _stepcore  # type: ignore[attr-defined]
@@ -61,8 +61,6 @@ BACKENDS = ("pure", "compiled")
 DEFAULT_BACKEND = (
     "compiled" if COMPILED_AVAILABLE and not os.environ.get("CAOSIM_PURE") else "pure"
 )
-
-_INT64_MAX = 2**63 - 1
 
 # (next state, partial carries, common carries)
 StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -113,9 +111,9 @@ class StepPlan:
         return tuple(map(tuple, out)), tuple(group_of)
 
 
-@lru_cache(maxsize=4096)
+@per_spec
 def plan_for(spec: CaoSpec) -> StepPlan:
-    """Flatten a validated spec into index arrays (cached per spec).
+    """Flatten a validated spec into index arrays (cached while the spec lives).
 
     Each output's transformant is attributed to exactly one source input
     (outputs cycle through the inputs in declaration order). The common
@@ -168,34 +166,32 @@ def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int):
     last row's common carries are all zero (a fixed point) and 1 when
     ``limit`` rows were taken.
 
-    Updates run in C while int64 holds them. From an update it cannot hold,
-    the stretch goes on in Python by :func:`_frontier`, until every
-    component fits in int64 again and the stretch goes back into C. The pure
-    backend takes the whole stretch in Python the same way. A state whose
-    length is not the plan's raises ValueError on either backend.
+    On the compiled backend the whole stretch is one ``PlanKernel.run``
+    call: in int64 while it holds the update, and in exact Python ints,
+    stepped the frontier way, from an update it cannot hold until every
+    component fits in int64 again. Each such big-integer stretch is logged
+    as a DEBUG record on the ``caosim`` logger. The pure backend takes the
+    whole stretch by :func:`_frontier`. A state whose length is not the
+    plan's raises ValueError on either backend.
     """
     if len(state) != plan.m:
         raise ValueError(f"state has {len(state)} components, plan has {plan.m}")
-    rows: list = []
-    while len(rows) < limit:
-        if compiled is not None:
-            got, state, stop = compiled.run(state, limit - len(rows))
-            rows += got
-            if stop != 2:
-                return rows, state, stop
-            left = len(rows)
-        state, stop = _frontier(plan, compiled is not None, rows, state, limit)
-        if compiled is not None and (log := _debug_log()) is not None:
+    if limit <= 0:
+        return [], state, 1
+    if compiled is None:
+        return _frontier(plan, state, limit)
+    stretches: list = []
+    rows, last, stop = compiled.run(state, limit, stretches)
+    if stretches and (log := _debug_log()) is not None:
+        for wide, taken, end in stretches:
             log.debug(
-                "left C with %d of %d components outside int64; %d updates in Python, then %s",
-                sum(1 for v in rows[left][0] if not 0 <= v <= _INT64_MAX),
+                "left int64 with %d of %d components outside it; %d updates in big integers, then %s",
+                wide,
                 plan.m,
-                len(rows) - left,
-                ("a fixed point", "the stretch's limit", "back into C")[stop],
+                taken,
+                ("a fixed point", "the stretch's limit", "back into int64")[end],
             )
-        if stop != 2:
-            return rows, state, stop
-    return rows, state, 1
+    return rows, last, stop
 
 
 def _debug_log():
@@ -212,32 +208,22 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
-    """Take updates of ``state`` in Python, appending their rows to ``rows``
-    (the stretch so far) up to ``limit`` rows in all.
-
-    Returns ``(last, stop)``, with ``stop`` as in :func:`advance`, or 2 when
-    ``compiled`` and every component of ``last`` fits in int64 after at
-    least one update here, so C can take the next one.
+def _frontier(plan: StepPlan, state, limit: int):
+    """The pure backend's stretch: up to ``limit`` (at least one) updates of
+    ``state`` in Python, returned as :func:`advance` returns them.
 
     The state and the carries are kept as lists, starting from zero carries
     with every entry to compute. An update changes only the firing entries
     (common carry nonzero) and the entries they credit, so only those get
     their partial carry computed again, and only the groups whose members'
     partials changed are folded again, each straight into its members.
-    When ``compiled``, ``big`` flags each component outside int64 and
-    ``wide`` counts them; only the entries an update changed are tested
-    again. Each row is copied out with ``tuple()``, or with
-    ``_stepcore.row`` when ``compiled``, which also untracks it.
+    ``PlanKernel.run`` steps its big-integer stretches by the same rule.
     """
     n, groups = plan.n, plan.groups
     out, group_of = plan._fanout
-    row = _stepcore.row if compiled else tuple
-    head, s = row(state), list(state)
+    rows = []
+    head, s = tuple(state), list(state)
     p, pc = [0] * len(s), [0] * len(s)
-    if compiled:
-        big = [not 0 <= v <= _INT64_MAX for v in s]
-        wide = sum(big)
     fire = set()
     touched = range(len(s))
     while True:
@@ -264,10 +250,10 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
                     fire.add(x)
                 else:
                     fire.discard(x)
-        pt = row(p)
-        rows.append((head, pt, pt if not groups or p == pc else row(pc)))
+        pt = tuple(p)
+        rows.append((head, pt, pt if not groups or p == pc else tuple(pc)))
         if not fire:
-            return head, 0
+            return rows, head, 0
         touched = set()
         for i in fire:
             c = pc[i]
@@ -276,16 +262,9 @@ def _frontier(plan: StepPlan, compiled: bool, rows: list, state, limit: int):
             for d, coeff in out[i]:
                 s[d] += c * coeff
                 touched.add(d)
-        head = row(s)
+        head = tuple(s)
         if len(rows) == limit:
-            return head, 1
-        if compiled:
-            for j in touched:
-                if (b := not 0 <= s[j] <= _INT64_MAX) != big[j]:
-                    big[j] = b
-                    wide += 1 if b else -1
-            if not wide:
-                return head, 2
+            return rows, head, 1
 
 
 def step(
@@ -295,7 +274,7 @@ def step(
 
     ``backend`` may be "pure", "compiled", or None (module default). The
     compiled backend takes any update it cannot represent in 64 bits in
-    Python, and logs it as :func:`advance` does.
+    exact Python ints, and logs it as :func:`advance` does.
     """
     rows, nxt, _ = advance(plan, bind(plan, backend), state, 1)
     _, p, pc = rows[0]

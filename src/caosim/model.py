@@ -26,12 +26,14 @@ Structural rules enforced by :func:`validate`:
 from __future__ import annotations
 
 import re
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from itertools import chain, compress, repeat
 from operator import attrgetter, is_, is_not, itemgetter, lt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT + r"\Z")
@@ -173,7 +175,42 @@ class CaoSpec:
         return state
 
 
-@lru_cache(maxsize=4096)
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "currsize"])
+
+
+def per_spec(fn: Callable) -> Callable:
+    """Cache ``fn(spec)`` for as long as ``spec`` lives.
+
+    The cache holds its keys weakly, so a dropped spec takes its entry, and
+    all that was computed from it, with it. Equal specs share an entry.
+    Like a ``functools.lru_cache``, the cached function has
+    ``cache_clear()`` and ``cache_info()``, which counts hits and misses.
+    A cached value must not refer to its spec, or the entry never dies.
+    """
+    cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    counts = [0, 0]  # hits, misses
+    miss = object()
+
+    @wraps(fn)
+    def cached(spec: CaoSpec):
+        value = cache.get(spec, miss)
+        if value is miss:
+            counts[1] += 1
+            value = cache[spec] = fn(spec)
+        else:
+            counts[0] += 1
+        return value
+
+    def cache_clear() -> None:
+        cache.clear()
+        counts[:] = [0, 0]
+
+    cached.cache_clear = cache_clear  # type: ignore[attr-defined]
+    cached.cache_info = lambda: CacheInfo(*counts, len(cache))  # type: ignore[attr-defined]
+    return cached
+
+
+@per_spec
 def entity_index(spec: CaoSpec) -> dict[str, int]:
     return {e.name: i for i, e in enumerate(spec.entities)}
 

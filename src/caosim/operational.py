@@ -34,17 +34,16 @@ nothing here is computed from them.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Generator, Sequence
 
-from .model import CaoSpec, check_state, entity_index
+from .model import CaoSpec, check_state, entity_index, per_spec
 
 StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 IndexPairs = tuple[tuple[int, int], ...]
 Resolved = tuple[tuple[IndexPairs, IndexPairs], ...]
 
 
-@lru_cache(maxsize=4096)
+@per_spec
 def resolve(spec: CaoSpec) -> Resolved:
     """Each operator as ``(inputs, outputs)`` with entity names replaced by
     state-vector indices: (index, radix) and (index, coefficient) pairs."""

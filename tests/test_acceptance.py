@@ -88,9 +88,9 @@ GROWING_CYCLE = parse(GROWING_CYCLE_TEXT, allow_cycles=True)
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.booleans(), st.booleans())
-# the whole run in big integers; a run leaving C and going back 25 times;
+# the whole run in big integers; a run leaving int64 and going back 25 times;
 # one going back 42 times under a schedule; an acyclic run with a multi-update
-# stretch in Python; under a schedule: a state fixed before a run of
+# big-integer stretch; under a schedule: a state fixed before a run of
 # consecutive overrides, on the acyclic CAO and on the cycle; a fixed point
 # declared once the schedule settles; a gap at step 39 after the overrides of
 # a schedule without a default

@@ -1,12 +1,14 @@
-"""The step kernels: plan flattening, backend parity, overflow fallback."""
+"""The step kernels: plan flattening, backend parity, big-integer stretches."""
 
 from __future__ import annotations
 
 import gc
 import logging
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
@@ -14,7 +16,6 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import caosim.kernel
 from caosim import build_linear_chain, parse, random_cao, random_state, run
 from caosim.kernel import (
     COMPILED_AVAILABLE,
@@ -57,9 +58,68 @@ def pure_step(state: Sequence[int], plan: StepPlan) -> StepResult:
 
 def compiled_update(plan, state):
     """One update by ``PlanKernel.run(state, 1)``, as ``(next, partials,
-    common)``, or None when int64 cannot hold it."""
-    rows, last, stop = bind(plan, "compiled").run(state, 1)
-    return None if stop == 2 else (last, *rows[0][1:])
+    common)``, and the big-integer stretches the run reported."""
+    stretches = []
+    rows, last, _ = bind(plan, "compiled").run(state, 1, stretches)
+    return (last, *rows[0][1:]), stretches
+
+
+def fits_int64(value) -> bool:
+    """Whether C reads ``value`` as an int64 state component."""
+    return isinstance(value, int) and 0 <= value < 2**63
+
+
+def int64_takes(plan, state) -> bool:
+    """Whether C's int64 loop can take the update of ``state``: every
+    component fits, and so does every credit and every running sum it is
+    added to, edge by edge in plan order."""
+    if not all(map(fits_int64, state)):
+        return False
+    _, _, pc = pure_step(state, plan)
+    nxt = [s - c * r for s, c, r in zip(state, pc, plan.n)]
+    for src, dst, coeff in plan.edges:
+        credit = pc[src] * coeff
+        nxt[dst] += credit
+        if not (-(2**63) <= credit < 2**63 and -(2**63) <= nxt[dst] < 2**63):
+            return False
+    return True
+
+
+def expected_stretches(plan, rows, stop):
+    """The ``(wide, updates, end)`` records ``PlanKernel.run`` reports for a
+    stretch of ``rows`` ending with ``stop``: a big-integer stretch starts at
+    each update the int64 loop cannot take, and ends at the first later row
+    whose state fits in int64 (end 2), or with the rows."""
+    out, i = [], 0
+    while i < len(rows):
+        if int64_takes(plan, rows[i][0]):
+            i += 1
+            continue
+        start, i = i, i + 1
+        while i < len(rows) and not all(map(fits_int64, rows[i][0])):
+            i += 1
+        wide = sum(not fits_int64(v) for v in rows[start][0])
+        out.append((wide, i - start, 2 if i < len(rows) else stop))
+    return out
+
+
+STRETCH_RECORD = re.compile(
+    r"left int64 with (\d+) of (\d+) components outside it; (\d+) updates in big integers, "
+    r"then (a fixed point|the stretch's limit|back into int64)\Z"
+)
+
+
+def logged_stretches(records, m):
+    """The ``(wide, updates, end)`` of each big-integer stretch ``advance``
+    logged for a plan of ``m`` entities."""
+    ends = ("a fixed point", "the stretch's limit", "back into int64")
+    out = []
+    for record in records:
+        assert record.name == "caosim" and record.levelno == logging.DEBUG
+        wide, of, taken, end = STRETCH_RECORD.match(record.getMessage()).groups()
+        assert int(of) == m
+        out.append((int(wide), int(taken), ends.index(end)))
+    return out
 
 
 def repeated_pure_steps(plan, state, limit):
@@ -132,34 +192,33 @@ class TestCompiledParity:
         plan = plan_for(spec)
         state = random_state(rng, spec)
         for _ in range(5):
-            got = compiled_update(plan, state)
+            got, stretches = compiled_update(plan, state)
             want = pure_step(state, plan)
-            assert got == want
+            assert got == want and stretches == []
             state = want[0]
 
-    def test_state_beyond_int64_falls_back(self, showcase):
+    def test_state_beyond_int64_is_stepped_in_big_integers(self, showcase):
         plan = plan_for(showcase)
         state = (2**70, 100, 0, 0, 0, 0, 0)
-        assert compiled_update(plan, state) is None
-        nxt, _, _ = step(state, plan, backend="compiled")
-        assert nxt == pure_step(state, plan)[0]
+        assert compiled_update(plan, state) == (pure_step(state, plan), [(1, 1, 1)])
+        assert step(state, plan, backend="compiled") == pure_step(state, plan)
 
-    def test_transformant_overflow_falls_back(self):
+    def test_transformant_overflow_is_stepped_in_big_integers(self):
         rng = random.Random(7)
         spec = random_cao(rng, min_entities=2, max_entities=2, radix_range=(2, 2), coeff_range=(9, 9))
         plan = plan_for(spec)
         state = tuple(2**62 if n else 0 for n in plan.n)
         # carry = 2**61, times coefficient 9 leaves int64 range
-        assert compiled_update(plan, state) is None
-        got = step(state, plan, backend="compiled")
-        assert got == pure_step(state, plan)
+        assert compiled_update(plan, state) == (pure_step(state, plan), [(0, 1, 1)])
+        assert step(state, plan, backend="compiled") == pure_step(state, plan)
 
-    def test_credit_overflow_falls_back(self):
+    def test_credit_overflow_is_stepped_in_big_integers(self):
         # the transformant itself fits; adding it to the receiver does not
         plan = plan_for(build_linear_chain(2, 2))
         state = (4, 2**63 - 2)
-        assert compiled_update(plan, state) is None
-        assert step(state, plan, backend="compiled") == ((0, 2**63), (2, 0), (2, 0))
+        want = ((0, 2**63), (2, 0), (2, 0))
+        assert compiled_update(plan, state) == (want, [(0, 1, 1)])
+        assert step(state, plan, backend="compiled") == want
 
     def test_plan_beyond_int64_falls_back(self):
         plan = plan_for(build_linear_chain(2**64, 2))
@@ -167,10 +226,14 @@ class TestCompiledParity:
         assert bind(plan, "compiled") is None
         assert step(state, plan, backend="compiled") == ((3, 2), (2, 0), (2, 0))
 
-    def test_negative_or_non_int_state_falls_back(self, showcase):
+    def test_negative_or_non_int_state_is_stepped_as_the_pure_backend_steps_it(self, showcase):
         plan = plan_for(showcase)
-        assert compiled_update(plan, (100, -1, 0, 0, 0, 0, 0)) is None
-        assert compiled_update(plan, (100.0, 100, 0, 0, 0, 0, 0)) is None
+        for state in [(100, -1, 0, 0, 0, 0, 0), (100.0, 100, 0, 0, 0, 0, 0)]:
+            got, stretches = compiled_update(plan, state)
+            assert got == pure_step(state, plan) and stretches == [(1, 1, 1)]
+            assert advance(plan, bind(plan, "compiled"), state, 10) == advance(plan, None, state, 10)
+        # the float stays a float, as in Python
+        assert type(compiled_update(plan, (100.0, 100, 0, 0, 0, 0, 0))[0][0][0]) is float
 
     def test_rejects_malformed_plans_and_states(self):
         with pytest.raises(ValueError):
@@ -181,10 +244,14 @@ class TestCompiledParity:
             _stepcore.PlanKernel((-2, 0), (), ())
         with pytest.raises(OverflowError):
             _stepcore.PlanKernel((2, 0), (), ((0, 1, 2**63),))
+        with pytest.raises(ValueError, match="entity 1 is in two carry groups"):
+            _stepcore.PlanKernel((2, 2, 2), ((0, 1), (1, 2)), ())
         kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, 1),))
         assert kernel.run((5, 0), 1) == ([((5, 0), (2, 0), (2, 0))], (1, 2), 1)
         with pytest.raises(ValueError):
             kernel.run((5,), 1)
+        with pytest.raises(TypeError):
+            kernel.run((5, 0), 1, ())
 
     def test_result_crossing_int64_boundary_is_exact(self):
         # walk a value right across 2**63 - 1 and back through both kernels
@@ -215,25 +282,25 @@ class TestPlanKernelRun:
         assert stop == 1 and len(rows) == 2
         assert last == (0, 20, 2, 0, 4, 6, 0)
 
-    def test_overflow_mid_run_returns_the_unstepped_state(self):
+    def test_a_run_goes_on_past_int64(self):
         kernel = bind(self.GROW, "compiled")
-        state = (2**60,)
-        rows, last, stop = kernel.run(state, 100)
-        assert stop == 2 and len(rows) == 5
-        assert kernel.run(last, 1) == ([], last, 2)
-        want = state
-        for row in rows:
-            assert row[0] == want
-            want, p, pc = pure_step(want, self.GROW)
-            assert row[1:] == (p, pc)
-        assert last == want
+        state, stretches = (2**60,), []
+        rows, last, stop = kernel.run(state, 100, stretches)
+        assert (rows, last, stop) == repeated_pure_steps(self.GROW, state, 100)
+        assert rows[0][0] is state and all(a[0] is not b[0] for a, b in zip(rows, rows[1:]))
+        # five updates in int64, then the sixth's credit leaves it for good
+        assert stretches == [(0, 95, 1)] == expected_stretches(self.GROW, rows, stop)
+        more = []
+        assert kernel.run(last, 1, more) == repeated_pure_steps(self.GROW, last, 1)
+        assert more == [(1, 1, 1)]
 
-    def test_negative_coefficient_stops_before_a_negative_state(self):
+    def test_negative_coefficient_goes_on_below_zero(self):
         kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, -1),))
-        rows, last, stop = kernel.run((4, 1), 10)
-        assert rows == [((4, 1), (2, 0), (2, 0))]
-        assert last == (0, -1) and stop == 2
-        assert kernel.run(last, 1) == ([], last, 2)
+        stretches = []
+        rows, last, stop = kernel.run((4, 1), 10, stretches)
+        assert rows == [((4, 1), (2, 0), (2, 0)), ((0, -1), (0, 0), (0, 0))]
+        assert last == (0, -1) and last is rows[-1][0] and stop == 0
+        assert stretches == [(1, 1, 0)]
 
     def test_rejects_a_wrong_length_state_and_a_negative_limit(self, showcase):
         kernel = bind(plan_for(showcase), "compiled")
@@ -275,35 +342,53 @@ class TestPlanKernelRun:
         plan = plan_for(random_cao(rng, coeff_range=(1, 20)))
         state = straddling_state(rng, plan)
         kernel = bind(plan, "compiled")
-        rows, last, stop = kernel.run(state, limit)
-        for row in rows:
-            assert row[0] == state
-            state, p, pc = pure_step(state, plan)
-            assert row[1:] == (p, pc)
-        assert last == state
-        if stop == 0:
-            assert not any(rows[-1][2])
-        elif stop == 1:
-            assert len(rows) == limit
-        else:
-            assert stop == 2 and kernel.run(last, 1) == ([], last, 2)
+        stretches = []
+        rows, last, stop = kernel.run(state, limit, stretches)
+        assert (rows, last, stop) == repeated_pure_steps(plan, state, limit)
+        assert stretches == expected_stretches(plan, rows, stop)
+        if rows:
+            assert rows[0][0] is state
+        assert all(a[2] is a[1] for a in rows if a[1] == a[2])
 
 
 @needs_extension
-class TestRow:
-    def test_untracks_a_tuple_of_exact_ints(self):
-        got = _stepcore.row([3, 2**70, 0])
-        assert got == (3, 2**70, 0) and type(got) is tuple
-        assert not gc.is_tracked(got)
-        same = (1, 2)
-        assert _stepcore.row(same) is same
+class TestBigIntegerRows:
+    """The rows ``PlanKernel.run`` copies out of a big-integer stretch."""
+
+    CHAIN = plan_for(build_linear_chain(2, 70))
+    # 2**69 + 5 halves down the chain: 7 updates in big integers
+    START = (2**69 + 5,) + (0,) * 69
+
+    def test_rows_of_exact_ints_are_born_untracked(self):
+        kernel = bind(self.CHAIN, "compiled")
+        stretches = []
+        # with collection off, nothing but C can untrack a fresh tuple
+        gc.disable()
+        try:
+            rows, last, _ = kernel.run(self.START, 10, stretches)
+            assert stretches == [(1, 7, 2)]
+            tuples = [t for row in rows for t in row]
+            assert not any(map(gc.is_tracked, rows + tuples + [last]))
+        finally:
+            gc.enable()
 
     def test_anything_else_stays_tracked(self):
         class Big(int):
             pass
 
-        for values in ([1, Big(2)], [1, [2]], [1.0, 2]):
-            assert gc.is_tracked(_stepcore.row(values))
+        kernel = bind(self.CHAIN, "compiled")
+        gc.disable()
+        try:
+            # the last entity keeps its Big, the first its float, throughout
+            for start in [self.START[:-1] + (Big(3),), (float(2**69),) + (0,) * 69]:
+                rows, _, _ = kernel.run(start, 10)
+                assert rows == repeated_pure_steps(self.CHAIN, start, 10)[0]
+                for row in rows:
+                    held = [any(type(v) is not int for v in t) for t in row]
+                    assert [gc.is_tracked(t) for t in row] == held
+                    assert gc.is_tracked(row) == any(held)
+        finally:
+            gc.enable()
 
     def test_an_int_subclass_row_can_still_be_collected(self):
         class Big(int):
@@ -312,17 +397,52 @@ class TestRow:
         class Marker:
             pass
 
-        value = Big(5)
-        value.row = _stepcore.row([value, 0])  # a cycle through the row
+        value = Big(2**69)
+        rows, _, _ = bind(self.CHAIN, "compiled").run((value,) + (0,) * 69, 2)
+        value.rows = rows  # a cycle through a row
         value.marker = Marker()
         alive = weakref.ref(value.marker)
-        del value
+        del value, rows
         gc.collect()
         assert alive() is None
 
-    def test_rejects_what_is_not_a_sequence(self):
+    def test_rejects_what_is_not_a_sequence_or_a_number(self):
+        kernel = bind(self.CHAIN, "compiled")
         with pytest.raises(TypeError):
-            _stepcore.row(5)
+            kernel.run(5, 1)
+        for bad in ([2**69], "x"):
+            state = (bad,) + (0,) * 69
+            with pytest.raises(TypeError):
+                kernel.run(state, 1)
+            with pytest.raises(TypeError):
+                advance(self.CHAIN, None, state, 1)
+
+    def test_runs_leak_nothing(self):
+        # the chain from 2**599 - 1 and the loop from 2**70: a leaked row,
+        # component or reference would grow the traced size or the refcounts
+        chain = plan_for(build_linear_chain(2, 600))
+        loop = plan_for(parse(LOOP_TEXT, allow_cycles=True))
+        runs = [
+            (bind(chain, "compiled"), (2**599 - 1,) + (0,) * 599, 1024),
+            (bind(loop, "compiled"), (2**70 + 1, 2**70) + (0,) * 6, 300),
+        ]
+        for kernel, start, limit in runs:
+            kernel.run(start, limit, [])  # makes the kernel's Python ints once
+            held = (start, start[0])
+            before = list(map(sys.getrefcount, held))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                size, _ = tracemalloc.get_traced_memory()
+                for _ in range(200):
+                    rows, last, stop = kernel.run(start, limit, [])
+                del rows, last
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - size
+            finally:
+                tracemalloc.stop()
+            assert stop in (0, 1) and grown < 4096
+            assert list(map(sys.getrefcount, held)) == before
 
 
 @needs_extension
@@ -336,9 +456,19 @@ class TestEntries:
     def oracle(k, rows):
         return [TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)]
 
+    @staticmethod
+    def untracked(rows):
+        """The rows with each item a fresh tuple, untracked as C untracks
+        its rows: CPython untracks a tuple of exact ints at the first
+        collection that walks it."""
+        out = [tuple(tuple(t) for t in row) for row in rows]
+        gc.collect()
+        assert not any(gc.is_tracked(t) for row in out for t in row)
+        return out
+
     @pytest.mark.parametrize("k", [0, 7, 300])
     def test_matches_the_comprehension(self, k):
-        rows = [tuple(map(_stepcore.row, row)) for row in self.ROWS]
+        rows = self.untracked(self.ROWS)
         got = _stepcore.entries(TraceStep, k, rows)
         assert type(got) is list and got == self.oracle(k, rows)
         assert {type(e) for e in got} == {TraceStep}
@@ -355,7 +485,7 @@ class TestEntries:
         class Tup(tuple):
             pass
 
-        clean = tuple(map(_stepcore.row, self.ROWS[0]))
+        [clean] = self.untracked(self.ROWS[:1])
         state, p, pc = clean
         gc.disable()
         try:
@@ -375,7 +505,7 @@ class TestEntries:
         class Loose(TraceStep):
             pass  # no __slots__, so its instances have a __dict__
 
-        row = tuple(map(_stepcore.row, self.ROWS[0]))
+        [row] = self.untracked(self.ROWS[:1])
         [entry] = _stepcore.entries(Loose, 3, [row])
         assert type(entry) is Loose and gc.is_tracked(entry)
         assert (entry.k, entry.state, entry.partials, entry.common) == (3, *row)
@@ -410,7 +540,7 @@ class TestEntries:
             def __del__(self):
                 inner.extend(_stepcore.entries(Padded, 0, [row]))
 
-        row = tuple(map(_stepcore.row, self.ROWS[0]))
+        [row] = self.untracked(self.ROWS[:1])
         rows, inner = [row] * 50, []
         threshold = gc.get_threshold()
         gc.collect()
@@ -442,8 +572,8 @@ class TestEntries:
             _stepcore.entries(TraceStep, sys.maxsize, [self.ROWS[0]] * 2)
 
     def test_leaks_no_references(self):
-        state, p, pc = (_stepcore.row([2**40 + i, i]) for i in range(3))
-        row = (state, p, pc)
+        [row] = self.untracked([[(2**40 + i, i) for i in range(3)]])
+        state, p, pc = row
         rows, bad = [row] * 3, [row, (state, p)]
         held = (state, row, TraceStep)
         _stepcore.entries(TraceStep, 0, [])
@@ -458,12 +588,16 @@ class TestEntries:
 
 
 GROWING_PLAN = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
+LOOP_PLAN = plan_for(parse(LOOP_TEXT, allow_cycles=True))
 
 
 class TestAdvance:
-    def test_zero_limit_takes_no_rows(self, showcase):
-        state = (100, 100, 0, 0, 0, 0, 0)
-        assert advance(plan_for(showcase), None, state, 0) == ([], state, 1)
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_extension)])
+    def test_zero_or_negative_limit_takes_no_rows(self, showcase, backend):
+        plan, state = plan_for(showcase), (100, 100, 0, 0, 0, 0, 0)
+        for limit in (0, -1):
+            rows, last, stop = advance(plan, bind(plan, backend), state, limit)
+            assert rows == [] and last is state and stop == 1
 
     def test_fixed_point_and_limit(self, showcase):
         plan = plan_for(showcase)
@@ -498,16 +632,20 @@ class TestAdvance:
         assert advance(plan, None, state, limit) == want
 
     @needs_extension
-    def test_credit_overflow_in_every_update_still_makes_progress(self):
+    def test_credit_overflow_in_every_update_still_makes_progress(self, caplog):
         # entity 0 keeps its value and fires on every update; its two credits
-        # to entity 1 cancel, but each alone leaves int64, so C stops at once
-        # on every state, and every state fits in int64
+        # to entity 1 cancel, but each alone leaves int64, so every update is
+        # a big-integer stretch of its own, and every state fits in int64
         plan = StepPlan(n=(2, 0), groups=(), edges=((0, 0, 2), (0, 1, 2**62), (0, 1, -(2**62))))
         kernel = bind(plan, "compiled")
-        assert kernel.run((4, 0), 1) == ([], (4, 0), 2)
-        rows, last, stop = advance(plan, kernel, (4, 0), 50)
+        stretches = []
+        assert kernel.run((4, 0), 1, stretches) == ([((4, 0), (2, 0), (2, 0))], (4, 0), 1)
+        assert stretches == [(0, 1, 1)]
+        with caplog.at_level(logging.DEBUG, logger="caosim"):
+            rows, last, stop = advance(plan, kernel, (4, 0), 50)
         assert (rows, last, stop) == repeated_pure_steps(plan, (4, 0), 50)
         assert len(rows) == 50 and last == (4, 0) and stop == 1
+        assert logged_stretches(caplog.records, 2) == [(0, 1, 2)] * 49 + [(0, 1, 1)]
 
     @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_extension)])
     @pytest.mark.parametrize(
@@ -551,38 +689,26 @@ class TestAdvance:
             advance(plan, bind(plan, backend), state, 5)
 
     @needs_extension
-    def test_a_stretch_goes_back_into_c_once_the_state_fits(self, monkeypatch):
+    def test_a_stretch_goes_back_into_int64_once_the_state_fits(self, caplog):
         # the loop from k = 2**63 + 3 leaves int64 and fits again every few
-        # updates: the stretch alternates between C and Python, and Python
-        # hands back to C only a state that int64 holds
+        # updates: the stretch alternates between int64 and big integers,
+        # and goes back to int64 only from a state that int64 holds
         loop = parse(LOOP_TEXT, allow_cycles=True)
         plan = plan_for(loop)
         state = (500000001, 500000000) + (0,) * 5 + (2**63 + 3,)
-        kernel = bind(plan, "compiled")
-        calls = []
-        frontier = caosim.kernel._frontier
-
-        class Counted:
-            def run(self, state, limit):
-                calls.append("C")
-                return kernel.run(state, limit)
-
-        def counted_frontier(*args):
-            last, stop = frontier(*args)
-            calls.append(stop)
-            assert stop != 2 or all(0 <= v < 2**63 for v in last)
-            return last, stop
-
-        monkeypatch.setattr(caosim.kernel, "_frontier", counted_frontier)
-        got = advance(plan, Counted(), state, 300)
+        with caplog.at_level(logging.DEBUG, logger="caosim"):
+            got = advance(plan, bind(plan, "compiled"), state, 300)
         assert got == repeated_pure_steps(plan, state, 300)
-        assert calls[:4] == ["C", 2, "C", 2] and calls.count("C") > 20
-        assert all((a == "C") != (b == "C") for a, b in zip(calls, calls[1:]))
+        logged = logged_stretches(caplog.records, plan.m)
+        assert logged == expected_stretches(plan, got[0], got[2])
+        assert len(logged) > 20 and {end for _, _, end in logged[:-1]} == {2}
+        # the stretch starts in big integers, with k outside int64
+        assert logged[0][0] == 1 and logged[0][1] >= 1
 
     @needs_extension
-    def test_leaving_c_is_logged(self, caplog):
+    def test_each_big_integer_stretch_is_logged(self, caplog):
         # 2**69 halves on each update down the chain: after 7 updates in
-        # Python the carried value 2**62 fits in int64 again
+        # big integers the carried value 2**62 fits in int64 again
         spec = build_linear_chain(2, 70)
         with caplog.at_level(logging.DEBUG, logger="caosim"):
             trace = run(spec, (2**69,) + (0,) * 69, engine="matrix", backend="compiled")
@@ -590,9 +716,39 @@ class TestAdvance:
         [record] = [r for r in caplog.records if r.name == "caosim"]
         assert record.levelno == logging.DEBUG
         assert record.getMessage() == (
-            "left C with 1 of 70 components outside int64; "
-            "7 updates in Python, then back into C"
+            "left int64 with 1 of 70 components outside it; "
+            "7 updates in big integers, then back into int64"
         )
+
+    @needs_extension
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 1023, 1024]),
+        st.sampled_from(["acyclic", "negative", "growing", "loop"]),
+    )
+    def test_compiled_advance_matches_pure_advance_across_2_63(self, seed, limit, kind):
+        rng = random.Random(seed)
+        if kind == "growing":
+            plan = GROWING_PLAN
+        elif kind == "loop":
+            plan = LOOP_PLAN
+        else:
+            plan = plan_for(random_cao(rng, coeff_range=(1, 20)))
+        if kind == "negative":
+            flip = lambda c: -c if rng.random() < 0.3 else c  # noqa: E731
+            plan = StepPlan(plan.n, plan.groups, tuple((a, b, flip(c)) for a, b, c in plan.edges))
+        # each component small, or just below or just above 2**63
+        state = tuple(
+            rng.choice([rng.randrange(1000), 2**63 - rng.randrange(1, 64), 2**63 + rng.randrange(64)])
+            for _ in plan.n
+        )
+        kernel = bind(plan, "compiled")
+        got = advance(plan, kernel, state, limit)
+        assert got == advance(plan, None, state, limit)
+        stretches = []
+        assert kernel.run(state, limit, stretches) == got
+        assert stretches == expected_stretches(plan, got[0], got[2])
 
 
 @pytest.mark.skipif(kernel_compiler() is None, reason="no C compiler on PATH")

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -395,3 +396,42 @@ class TestSpecHash:
             ).stdout
 
         assert python(load, "2", python(dump, "1")) == b"True True 1\n"
+
+
+class TestPerSpecCaches:
+    """``plan_for``, ``derive``, ``resolve`` and ``entity_index`` cache per
+    spec, for as long as the spec lives."""
+
+    CACHED = (
+        caosim.kernel.plan_for,
+        caosim.engine.derive,
+        caosim.operational.resolve,
+        caosim.model.entity_index,
+    )
+
+    def test_a_dropped_spec_is_not_kept_alive(self):
+        spec = caosim.build_linear_chain(2, 600)
+        for fn in self.CACHED:
+            fn(spec)
+        caosim.kernel.bind(plan_for(spec), "compiled")
+        kept = weakref.ref(spec)
+        plan = weakref.ref(plan_for(spec))
+        del spec
+        gc.collect()
+        assert kept() is None and plan() is None
+
+    def test_equal_specs_share_an_entry_and_the_counts_are_kept(self):
+        for fn in self.CACHED:
+            fn.cache_clear()
+            first, equal = parse(LOOP_TEXT, allow_cycles=True), parse(LOOP_TEXT, allow_cycles=True)
+            assert first is not equal and first == equal
+            value = fn(first)
+            assert fn(first) is value and fn(equal) is value
+            info = fn.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+            fn.cache_clear()
+            assert fn.cache_info() == (0, 0, 0)
+            assert fn(first) is not value and fn(first) == value
+            del first, equal
+            gc.collect()
+            assert fn.cache_info().currsize == 0

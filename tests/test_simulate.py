@@ -780,8 +780,8 @@ class Big(int):
 
 def untracked_runs():
     """(spec, start, max_steps): the 8-entity loop, which stays in C, and a
-    70-entity chain from beyond 2**63, which starts in Python and goes back
-    into C after 7 updates."""
+    70-entity chain from beyond 2**63, which starts in big integers and goes
+    back into int64 after 7 updates."""
     yield parse(LOOP_TEXT, allow_cycles=True), None, 300
     yield build_linear_chain(2, 70), (2**69 + 5,) + (0,) * 69, 100
 
