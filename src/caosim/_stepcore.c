@@ -1,4 +1,13 @@
-/* Step kernel: int64 while it holds, exact ints past it.
+/* Step kernel: int64 while it holds, exact ints past it; and the lock-step
+   check of the other route, in int64.
+
+   The file has four sections, each headed by a line of its own: the matrix
+   route's PlanKernel, the trace entries, the operational route's Enactor,
+   and the module.  The two routes' sections share no code: neither names a
+   function, type or static of the other (tests/test_kernel.py checks it),
+   so a slip in one shows as a divergence in the other.  They live in one
+   file because the package builds one extension from it, and so does the
+   benchmark.
 
    A PlanKernel freezes one update plan -- per-entity radices, carry groups
    and conversion edges, all given by entity index -- into C arrays at
@@ -37,7 +46,11 @@
    entries(cls, k, rows) builds simulate.run's trace entries from a stretch
    of rows.  An entry of frozen TraceStep holds an int and three tuples;
    when the tuples are untracked tuples of exact ints, the entry can never
-   be part of a cycle either, and it is untracked too. */
+   be part of a cycle either, and it is untracked too.
+
+   An Enactor(operators, state) enacts operational.resolve(spec)'s
+   operators literally in int64 and checks the matrix route's stretches
+   against its own updates; its section says how. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -46,6 +59,8 @@
 #include <string.h>
 
 _Static_assert(sizeof(long long) == sizeof(int64_t), "long long must be 64 bits");
+
+/* ======== The matrix route: PlanKernel ======== */
 
 typedef struct {
     PyObject_HEAD
@@ -738,6 +753,8 @@ static PyTypeObject PlanKernelType = {
     .tp_new = PlanKernel_new,
 };
 
+/* ======== Trace entries ======== */
+
 /* An entry class: the offsets of its k, state, partials and common slots,
    read off its member descriptors, and whether its instances may be
    untracked, which needs a class whose instances hold nothing but slots. */
@@ -864,6 +881,474 @@ fail:
     return NULL;
 }
 
+/* ======== The operational route: Enactor ======== */
+
+/* An Enactor makes run(engine="both")'s lock-step check on the compiled
+   backend.  It is a second reading of the update, built from the operator
+   tables of operational.resolve(spec), never from a PlanKernel's plan, and
+   it calls nothing of the PlanKernel section.  Each operator is enacted
+   literally, as operational.enactor enacts it: its common carry c is the
+   least floor(x / n) over its inputs, c * n is taken from each input and
+   c * coeff credited to each output.  Carries are read from cur, the state
+   the update starts from, and removals and credits go into s.  The first
+   update enacts every operator, each later one only the operators that
+   read a component the last update changed: the readers of the inputs and
+   outputs of the operators that fired.
+
+   It holds its state in int64 from one call to the next.  send((rows,
+   last)) takes one update per row and compares each in full with the
+   matrix route's stretch -- next state, partial and common carries -- and
+   returns what operational.enactor's send((rows, last)) returns: None when
+   all match, else (i, (next, partials, common)) for the first mismatch,
+   which ends the enactor's use.  Where an update would leave int64, or a
+   value it is compared with is not an exact int, it returns the row's
+   index i instead: it then holds the state update i starts from (its state
+   attribute), with every operator to enact next, and the caller checks the
+   rest of the stretch with operational.enactor.  A start that is not all
+   exact ints in int64 is handed back at row 0.
+
+   No Python code runs while the rows are compared, so they cannot change
+   meanwhile: every shape is checked first, an exact int is read without
+   calling into Python, and nothing is allocated until the result. */
+
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t m, nops, ndirty, nmarked;
+    int64_t *in_off, *in_at, *in_n;     /* nops + 1 offsets; each input's
+                                           entity and radix */
+    int64_t *out_off, *out_at, *out_k;  /* the same for the outputs, with
+                                           each one's coefficient */
+    int64_t *rd_off, *rd_op;            /* m + 1 offsets; the operators that
+                                           read each entity */
+    int64_t *cur, *s, *p, *pc;          /* m each */
+    int64_t *dirty, *marked, *is_marked;/* nops each: the operators to enact,
+                                           those marked for the next update,
+                                           and which are marked */
+    int64_t *block;                     /* owns every row above */
+    int grouped;                        /* an operator has two or more inputs */
+    PyObject *start;                    /* the start, when int64 does not hold it */
+} Enactor;
+
+/* Read an (index, value) pair of an operator: ValueError for an index
+   outside the m components or a value below lo, OverflowError for a value
+   outside int64. */
+static int
+enactor_pair(PyObject *item, Py_ssize_t m, int64_t lo, int64_t *at, int64_t *value)
+{
+    PyObject *pair = PySequence_Tuple(item);
+    long long i, v;
+    int overflow = 0, rc = -1;
+
+    if (!pair)
+        return -1;
+    if (PyTuple_GET_SIZE(pair) != 2)
+        PyErr_SetString(PyExc_ValueError, "each input and output must be an (index, value) pair");
+    else if ((i = PyLong_AsLongLongAndOverflow(PyTuple_GET_ITEM(pair, 0), &overflow)) == -1
+             && PyErr_Occurred())
+        ;
+    else if (overflow || i < 0 || i >= m)
+        PyErr_Format(PyExc_ValueError, "entity index %R outside a state of %zd components",
+                     PyTuple_GET_ITEM(pair, 0), m);
+    else if ((v = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 1))) == -1 && PyErr_Occurred())
+        ;
+    else if (v < lo)
+        PyErr_Format(PyExc_ValueError, "radix %R is below 1", PyTuple_GET_ITEM(pair, 1));
+    else {
+        *at = i;
+        *value = v;
+        rc = 0;
+    }
+    Py_DECREF(pair);
+    return rc;
+}
+
+/* Fill the tables from the operators and hold the state; -1 with an
+   exception set.  Every sequence is copied into a tuple before it is read,
+   because converting an item may run Python code that could change it. */
+static int
+enactor_load(Enactor *self, PyObject *ops_obj, PyObject *state_obj)
+{
+    PyObject *state = NULL, *ops = NULL, *sides = NULL, *op = NULL;
+    Py_ssize_t m, nops, o, side, i, count[2] = {0, 0};
+    int64_t j;
+    int rc = -1;
+
+    if (!(state = PySequence_Tuple(state_obj)) || !(ops = PySequence_Tuple(ops_obj)))
+        goto done;
+    m = self->m = PyTuple_GET_SIZE(state);
+    nops = self->nops = PyTuple_GET_SIZE(ops);
+    /* each operator's inputs, then its outputs, as tuples */
+    if (!(sides = PyTuple_New(2 * nops)))
+        goto done;
+    for (o = 0; o < nops; o++) {
+        if (!(op = PySequence_Tuple(PyTuple_GET_ITEM(ops, o))))
+            goto done;
+        if (PyTuple_GET_SIZE(op) != 2) {
+            PyErr_SetString(PyExc_ValueError, "each operator must be (inputs, outputs)");
+            goto done;
+        }
+        for (side = 0; side < 2; side++) {
+            PyObject *pairs = PySequence_Tuple(PyTuple_GET_ITEM(op, side));
+            if (!pairs)
+                goto done;
+            count[side] += PyTuple_GET_SIZE(pairs);
+            PyTuple_SET_ITEM(sides, 2 * o + side, pairs);
+        }
+        Py_CLEAR(op);
+    }
+
+    self->block = PyMem_Calloc(2 * (nops + 1) + 3 * count[0] + 2 * count[1] + m + 1 + 4 * m
+                               + 3 * nops, sizeof(int64_t));
+    if (!self->block) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    self->in_off = self->block;
+    self->in_at = self->in_off + nops + 1;
+    self->in_n = self->in_at + count[0];
+    self->out_off = self->in_n + count[0];
+    self->out_at = self->out_off + nops + 1;
+    self->out_k = self->out_at + count[1];
+    self->rd_off = self->out_k + count[1];
+    self->rd_op = self->rd_off + m + 1;
+    self->cur = self->rd_op + count[0];
+    self->s = self->cur + m;
+    self->p = self->s + m;
+    self->pc = self->p + m;
+    self->dirty = self->pc + m;
+    self->marked = self->dirty + nops;
+    self->is_marked = self->marked + nops;
+
+    for (o = 0; o < nops; o++) {
+        PyObject *in = PyTuple_GET_ITEM(sides, 2 * o), *out = PyTuple_GET_ITEM(sides, 2 * o + 1);
+        int64_t a = self->in_off[o], b = self->out_off[o];
+
+        for (i = 0; i < PyTuple_GET_SIZE(in); i++, a++) {
+            if (enactor_pair(PyTuple_GET_ITEM(in, i), m, 1, &self->in_at[a], &self->in_n[a]) < 0)
+                goto done;
+            self->rd_off[self->in_at[a] + 1]++;
+        }
+        for (i = 0; i < PyTuple_GET_SIZE(out); i++, b++)
+            if (enactor_pair(PyTuple_GET_ITEM(out, i), m, INT64_MIN, &self->out_at[b],
+                             &self->out_k[b]) < 0)
+                goto done;
+        self->in_off[o + 1] = a;
+        self->out_off[o + 1] = b;
+        self->grouped |= PyTuple_GET_SIZE(in) > 1;
+        self->dirty[o] = o;
+    }
+    self->ndirty = nops;
+    /* the readers of each entity, in operator order; s counts them off */
+    for (i = 0; i < m; i++)
+        self->s[i] = self->rd_off[i + 1] += self->rd_off[i];
+    for (o = nops - 1; o >= 0; o--)
+        for (j = self->in_off[o + 1] - 1; j >= self->in_off[o]; j--)
+            self->rd_op[--self->s[self->in_at[j]]] = o;
+
+    for (i = 0; i < m && !self->start; i++) {
+        PyObject *v = PyTuple_GET_ITEM(state, i);
+        int overflow = 0;
+        if (PyLong_CheckExact(v))
+            self->cur[i] = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (!PyLong_CheckExact(v) || overflow)
+            self->start = Py_NewRef(state);
+    }
+    memcpy(self->s, self->cur, m * sizeof(int64_t));
+    rc = 0;
+done:
+    Py_XDECREF(op);
+    Py_XDECREF(sides);
+    Py_XDECREF(ops);
+    Py_XDECREF(state);
+    return rc;
+}
+
+static PyObject *
+Enactor_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"operators", "state", NULL};
+    PyObject *operators, *state;
+    Enactor *self;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO:Enactor", kwlist, &operators, &state))
+        return NULL;
+    if (!(self = (Enactor *)type->tp_alloc(type, 0)))
+        return NULL;
+    if (enactor_load(self, operators, state) < 0) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *)self;
+}
+
+/* The start may hold int subclass instances, which can refer back. */
+static int
+Enactor_traverse(Enactor *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->start);
+    return 0;
+}
+
+static int
+Enactor_clear(Enactor *self)
+{
+    Py_CLEAR(self->start);
+    return 0;
+}
+
+static void
+Enactor_dealloc(Enactor *self)
+{
+    PyObject_GC_UnTrack(self);
+    Py_CLEAR(self->start);
+    PyMem_Free(self->block);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* Mark the readers of the entities at[lo:hi] for the next update. */
+static void
+enactor_mark(Enactor *self, const int64_t *at, int64_t lo, int64_t hi)
+{
+    for (int64_t j = lo; j < hi; j++)
+        for (int64_t r = self->rd_off[at[j]]; r < self->rd_off[at[j] + 1]; r++) {
+            int64_t o = self->rd_op[r];
+            if (!self->is_marked[o]) {
+                self->is_marked[o] = 1;
+                self->marked[self->nmarked++] = o;
+            }
+        }
+}
+
+/* One update of cur into s, p and pc by the dirty operators, marking the
+   next update's; -1 when a value would leave int64. */
+static int
+enactor_update(Enactor *self)
+{
+    int64_t *cur = self->cur, *s = self->s, *p = self->p, *pc = self->pc;
+
+    for (Py_ssize_t d = 0; d < self->ndirty; d++) {
+        int64_t o = self->dirty[d], lo = self->in_off[o], hi = self->in_off[o + 1], c = 0, t, j;
+
+        for (j = lo; j < hi; j++) {
+            int64_t x = cur[self->in_at[j]], n = self->in_n[j];
+            int64_t q = p[self->in_at[j]] = x / n - (x % n < 0);   /* floor, as n >= 1 */
+            if (j == lo || q < c)
+                c = q;
+        }
+        for (j = lo; j < hi; j++)
+            pc[self->in_at[j]] = c;
+        if (!c)
+            continue;
+        for (j = lo; j < hi; j++)
+            if (__builtin_mul_overflow(c, self->in_n[j], &t)
+                || __builtin_sub_overflow(s[self->in_at[j]], t, &s[self->in_at[j]]))
+                return -1;
+        for (j = self->out_off[o]; j < self->out_off[o + 1]; j++)
+            if (__builtin_mul_overflow(c, self->out_k[j], &t)
+                || __builtin_add_overflow(s[self->out_at[j]], t, &s[self->out_at[j]]))
+                return -1;
+        enactor_mark(self, self->in_at, lo, hi);
+        enactor_mark(self, self->out_at, self->out_off[o], self->out_off[o + 1]);
+    }
+    return 0;
+}
+
+/* Go back to the state the update started from, with every operator to
+   enact in the next one. */
+static void
+enactor_rewind(Enactor *self)
+{
+    memcpy(self->s, self->cur, self->m * sizeof(int64_t));
+    for (Py_ssize_t k = 0; k < self->nmarked; k++)
+        self->is_marked[self->marked[k]] = 0;
+    self->nmarked = 0;
+    for (Py_ssize_t o = 0; o < self->nops; o++)
+        self->dirty[o] = o;
+    self->ndirty = self->nops;
+}
+
+/* The marked operators become the dirty ones, and s the state. */
+static void
+enactor_commit(Enactor *self)
+{
+    int64_t *t = self->dirty;
+
+    if (self->nmarked)
+        memcpy(self->cur, self->s, self->m * sizeof(int64_t));
+    self->dirty = self->marked;
+    self->marked = t;
+    self->ndirty = self->nmarked;
+    self->nmarked = 0;
+    for (Py_ssize_t k = 0; k < self->ndirty; k++)
+        self->is_marked[self->dirty[k]] = 0;
+}
+
+/* 1 when the items of the tuple t equal the m values, 0 when one differs,
+   -1 at an item that is not an exact int before any difference. */
+static int
+enactor_equal(const int64_t *values, PyObject *t, Py_ssize_t m)
+{
+    for (Py_ssize_t i = 0; i < m; i++) {
+        PyObject *v = PyTuple_GET_ITEM(t, i);
+        int overflow;
+        if (!PyLong_CheckExact(v))
+            return -1;
+        if (PyLong_AsLongLongAndOverflow(v, &overflow) != values[i] || overflow)
+            return 0;
+    }
+    return 1;
+}
+
+/* A new tuple of the m values. */
+static PyObject *
+enactor_tuple(const int64_t *values, Py_ssize_t m)
+{
+    PyObject *out = PyTuple_New(m);
+    for (Py_ssize_t i = 0; out && i < m; i++) {
+        PyObject *v = PyLong_FromLongLong(values[i]);
+        if (!v)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
+/* TypeError unless t is a tuple, ValueError unless it has m items. */
+static int
+enactor_shape(PyObject *t, Py_ssize_t m)
+{
+    if (!PyTuple_Check(t)) {
+        PyErr_Format(PyExc_TypeError, "a state or carry row must be a tuple, not %.100s",
+                     Py_TYPE(t)->tp_name);
+        return -1;
+    }
+    if (PyTuple_GET_SIZE(t) != m) {
+        PyErr_Format(PyExc_ValueError, "a row has %zd components, the state %zd",
+                     PyTuple_GET_SIZE(t), m);
+        return -1;
+    }
+    return 0;
+}
+
+/* (j, (next, partials, common)): this route's update j. */
+static PyObject *
+enactor_mismatch(Enactor *self, Py_ssize_t j, int same)
+{
+    PyObject *pt = enactor_tuple(self->p, self->m);
+    PyObject *pct = !pt ? NULL : same ? Py_NewRef(pt) : enactor_tuple(self->pc, self->m);
+    PyObject *nxt = !pct ? NULL : enactor_tuple(self->s, self->m);
+    PyObject *out = nxt ? Py_BuildValue("(n(OOO))", j, nxt, pt, pct) : NULL;
+
+    Py_XDECREF(nxt);
+    Py_XDECREF(pct);
+    Py_XDECREF(pt);
+    return out;
+}
+
+static PyObject *
+Enactor_send(Enactor *self, PyObject *job)
+{
+    PyObject *rows, *last, *out = NULL;
+    Py_ssize_t n, j, k;
+    const Py_ssize_t m = self->m;
+
+    if (!PyTuple_Check(job) || PyTuple_GET_SIZE(job) != 2) {
+        PyErr_SetString(PyExc_TypeError, "send() takes a (rows, last) pair");
+        return NULL;
+    }
+    if (!(rows = PySequence_Fast(PyTuple_GET_ITEM(job, 0), "rows must be a sequence")))
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(rows);
+    if (enactor_shape(last = PyTuple_GET_ITEM(job, 1), m) < 0)
+        goto done;
+    for (j = 0; j < n; j++) {
+        PyObject *row = PySequence_Fast_GET_ITEM(rows, j);
+        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 3) {
+            PyErr_SetString(PyExc_TypeError, "each row must be a (state, partials, common) tuple");
+            goto done;
+        }
+        for (k = 0; k < 3; k++)
+            if (enactor_shape(PyTuple_GET_ITEM(row, k), m) < 0)
+                goto done;
+    }
+    for (j = 0; j < n; j++) {
+        PyObject *row = PySequence_Fast_GET_ITEM(rows, j);
+        PyObject *want = j + 1 < n ? PyTuple_GET_ITEM(PySequence_Fast_GET_ITEM(rows, j + 1), 0) : last;
+        PyObject *mp = PyTuple_GET_ITEM(row, 1), *mpc = PyTuple_GET_ITEM(row, 2);
+        int same = 0, eq = -1;
+
+        if (!self->start && enactor_update(self) == 0) {
+            same = !self->grouped || !memcmp(self->p, self->pc, m * sizeof(int64_t));
+            /* common carries that are the partials' own tuple on both sides
+               are equal when the partials are */
+            if ((eq = enactor_equal(self->s, want, m)) == 1
+                && (eq = enactor_equal(self->p, mp, m)) == 1 && !(same && mpc == mp))
+                eq = enactor_equal(self->pc, mpc, m);
+        }
+        if (eq < 0) {
+            enactor_rewind(self);
+            out = PyLong_FromSsize_t(j);
+            goto done;
+        }
+        if (!eq) {
+            out = enactor_mismatch(self, j, same);
+            goto done;
+        }
+        enactor_commit(self);
+    }
+    out = Py_NewRef(Py_None);
+done:
+    Py_DECREF(rows);
+    return out;
+}
+
+static PyObject *
+Enactor_state(Enactor *self, void *closure)
+{
+    (void)closure;
+    return self->start ? Py_NewRef(self->start) : enactor_tuple(self->cur, self->m);
+}
+
+static PyMethodDef Enactor_methods[] = {
+    {"send", (PyCFunction)Enactor_send, METH_O,
+     "send((rows, last)) -> None | (i, (next, partials, common)) | i: check a\n"
+     "stretch of the matrix route, one update per row, each compared in full:\n"
+     "its next state with the next row's state (last after the last row), its\n"
+     "carries with the row's.  None when all match; the first mismatch, with\n"
+     "this route's result there; or the index i of the row where an update\n"
+     "leaves int64 or meets a value that is not an exact int, the state then\n"
+     "being that update's start.  Shapes are checked first: TypeError or\n"
+     "ValueError for a row that is not three tuples of the state's length."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef Enactor_getset[] = {
+    {"state", (getter)Enactor_state, NULL,
+     "The state the next update starts from, as a tuple.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject EnactorType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "caosim._stepcore.Enactor",
+    .tp_basicsize = sizeof(Enactor),
+    .tp_dealloc = (destructor)Enactor_dealloc,
+    .tp_traverse = (traverseproc)Enactor_traverse,
+    .tp_clear = (inquiry)Enactor_clear,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Enactor(operators, state): operational.resolve(spec)'s operators, "
+              "enacted literally in int64 from state, to check the matrix route's "
+              "stretches with.  ValueError for an entity index outside the state or "
+              "a radix below 1, OverflowError for a radix or coefficient outside "
+              "int64.",
+    .tp_methods = Enactor_methods,
+    .tp_getset = Enactor_getset,
+    .tp_new = Enactor_new,
+};
+
+/* ======== The module ======== */
+
 static PyMethodDef stepcore_methods[] = {
     {"entries", (PyCFunction)(void (*)(void))stepcore_entries, METH_FASTCALL,
      "entries(cls, k, rows) -> list: [cls(i, s, p, pc) for i, (s, p, pc) in\n"
@@ -877,7 +1362,7 @@ static PyMethodDef stepcore_methods[] = {
 static struct PyModuleDef stepcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_stepcore",
-    .m_doc = "Overflow-checked 64-bit step kernel.",
+    .m_doc = "Overflow-checked 64-bit step kernel, and the lock-step enactor.",
     .m_size = -1,
     .m_methods = stepcore_methods,
 };
@@ -886,13 +1371,12 @@ PyMODINIT_FUNC
 PyInit__stepcore(void)
 {
     PyObject *mod;
-    if (PyType_Ready(&PlanKernelType) < 0)
+    if (PyType_Ready(&PlanKernelType) < 0 || PyType_Ready(&EnactorType) < 0)
         return NULL;
     if (!(mod = PyModule_Create(&stepcore_module)))
         return NULL;
-    Py_INCREF(&PlanKernelType);
-    if (PyModule_AddObject(mod, "PlanKernel", (PyObject *)&PlanKernelType) < 0) {
-        Py_DECREF(&PlanKernelType);
+    if (PyModule_AddObjectRef(mod, "PlanKernel", (PyObject *)&PlanKernelType) < 0
+        || PyModule_AddObjectRef(mod, "Enactor", (PyObject *)&EnactorType) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

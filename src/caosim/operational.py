@@ -30,6 +30,12 @@ one's bookkeeping shows as a difference in some row, and
 stretch to the enactor, which compares its own updates with the rows as it
 takes them. The matrix route's rows reach this module only to be compared;
 nothing here is computed from them.
+
+On the compiled backend ``run`` makes that check with ``_stepcore.Enactor``,
+this module's enactor written again in C: built from :func:`resolve`'s
+tables, enacting each operator literally by the same frontier rule, in
+int64. :func:`enactor` is its oracle in the tests, and checks every stretch
+or rest of a stretch that the C enactor hands back past int64.
 """
 
 from __future__ import annotations

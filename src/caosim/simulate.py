@@ -18,6 +18,15 @@ update per row and compares each in full as it goes, next state, partial
 carries and common carries, keeping none of its own rows, and names the
 first mismatch, from which ``run`` raises.
 
+On the compiled backend that enactor is ``_stepcore.Enactor``: the same
+literal procedure and frontier rule as ``operational.enactor``, written in
+C, built from the same resolved operators and holding its state in int64.
+Where an update would leave int64, or a value is not an exact int, it hands
+the rest of the stretch back, and ``operational.enactor``, primed at the C
+enactor's state, checks it; the next stretch starts in C again. The pure
+backend runs no C, and a parameter set with a radix or coefficient outside
+int64 no C kernel; both check with ``operational.enactor`` throughout.
+
 Each stretch's rows become :class:`TraceStep` entries. On the compiled
 backend C builds them (``_stepcore.entries``), and leaves an entry untracked
 by the garbage collector when its tuples are untracked tuples of exact ints;
@@ -207,8 +216,14 @@ def run(
                 plan = kernel.plan_for(spec_k)
                 compiled = kernel.bind(plan, backend)
             if engine != "matrix":
-                updates = operational.enactor(operational.resolve(spec_k), state)
-                next(updates)
+                operators = operational.resolve(spec_k)
+                # C checks where C steps: on the compiled backend, with every
+                # radix and coefficient in int64
+                if engine == "both" and compiled is not None:
+                    updates = _stepcore.Enactor(operators, state)
+                else:
+                    updates = operational.enactor(operators, state)
+                    next(updates)
         limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
         if engine == "operational":
             rows, last, stop = updates.send(limit)
@@ -216,10 +231,13 @@ def run(
             rows, last, stop = kernel.advance(plan, compiled, state, limit)
             # the enactor takes one update per row and compares it as it goes
             if engine == "both" and (mismatch := updates.send((rows, last))) is not None:
-                i, enacted = mismatch
-                s, p, pc = rows[i]
-                stepped = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
-                raise EngineDivergenceError(Divergence(k + i, s, stepped, enacted))
+                if type(mismatch) is int:  # the C enactor handed the stretch back there
+                    mismatch, updates = _hand_back(operators, updates, rows, last, mismatch)
+                if mismatch is not None:
+                    i, enacted = mismatch
+                    s, p, pc = rows[i]
+                    stepped = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
+                    raise EngineDivergenceError(Divergence(k + i, s, stepped, enacted))
         if stop == 0 and until is not None:
             # a fixed state stays fixed, row and all, until the parameters may change
             rows += [rows[-1]] * (limit - len(rows))
@@ -238,6 +256,23 @@ def run(
         steps=tuple(entries),
         schedule=schedule,
     )
+
+
+def _hand_back(operators, fast, rows, last, at):
+    """The lock-step check of a stretch from row ``at`` on, where the C
+    enactor ``fast`` handed it back: ``(mismatch, enactor)``.
+
+    ``operational.enactor``, primed at ``fast``'s own state, takes the rows
+    left. On a mismatch it returns it, indexed in the whole stretch, and no
+    enactor. Else a new C enactor starts from ``last``, which the generator
+    has just proved equal to its own state, to check the next stretch.
+    """
+    updates = operational.enactor(operators, fast.state)
+    next(updates)
+    if (mismatch := updates.send((rows[at:], last))) is not None:
+        i, enacted = mismatch
+        return (at + i, enacted), None
+    return None, _stepcore.Enactor(operators, last)
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ def kernel_compiler() -> list[str] | None:
     return cc if shutil.which(cc[0]) else None
 
 
-def kernel_compile_command(output: Path, *extra_flags: str) -> list[str]:
-    """Compile ``_stepcore.c`` into the extension ``output`` with Python's
-    compiler and flags, followed by ``extra_flags``."""
+def kernel_compile_command(output: Path, *extra_flags: str, source: Path = KERNEL_SOURCE) -> list[str]:
+    """Compile ``source``, by default ``_stepcore.c``, into the extension
+    ``output`` with Python's compiler and flags, followed by ``extra_flags``."""
     return [
         *kernel_compiler(),
         *shlex.split(sysconfig.get_config_var("CCSHARED") or "-fPIC"),
@@ -47,7 +47,7 @@ def kernel_compile_command(output: Path, *extra_flags: str) -> list[str]:
         *extra_flags,
         "-shared",
         f"-I{sysconfig.get_paths()['include']}",
-        str(KERNEL_SOURCE),
+        str(source),
         "-o",
         str(output),
     ]

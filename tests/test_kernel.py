@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import gc
 import logging
+import os
 import random
 import re
+import shutil
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 import weakref
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caosim import build_linear_chain, parse, random_cao, random_state, run
+import caosim
+from caosim import build_linear_chain, parse, random_cao, random_state, resolve, run
 from caosim.kernel import (
     COMPILED_AVAILABLE,
     StepPlan,
@@ -28,7 +33,13 @@ from caosim.kernel import (
     step,
 )
 from caosim.simulate import TraceStep
-from conftest import GROWING_CYCLE_TEXT, LOOP_TEXT, kernel_compile_command, kernel_compiler
+from conftest import (
+    GROWING_CYCLE_TEXT,
+    KERNEL_SOURCE,
+    LOOP_TEXT,
+    kernel_compile_command,
+    kernel_compiler,
+)
 
 needs_extension = pytest.mark.skipif(
     not COMPILED_AVAILABLE, reason="compiled kernel not built"
@@ -428,21 +439,71 @@ class TestBigIntegerRows:
         ]
         for kernel, start, limit in runs:
             kernel.run(start, limit, [])  # makes the kernel's Python ints once
-            held = (start, start[0])
-            before = list(map(sys.getrefcount, held))
-            gc.collect()
-            tracemalloc.start()
-            try:
-                size, _ = tracemalloc.get_traced_memory()
-                for _ in range(200):
-                    rows, last, stop = kernel.run(start, limit, [])
-                del rows, last
-                gc.collect()
-                grown = tracemalloc.get_traced_memory()[0] - size
-            finally:
-                tracemalloc.stop()
-            assert stop in (0, 1) and grown < 4096
-            assert list(map(sys.getrefcount, held)) == before
+
+            def runs():
+                rows, last, stop = kernel.run(start, limit, [])
+                assert stop in (0, 1)
+
+            assert_leaks_nothing(runs, (start, start[0]))
+
+    def test_enactor_checks_leak_nothing(self):
+        # the C enactor of the lock-step check, on each of its paths: a
+        # stretch that matches, checked by a fresh enactor each time and by
+        # one enactor stretch after stretch; a mismatch; a start it hands
+        # back at once; and an update past int64 it hands back mid-stretch
+        loop = parse(LOOP_TEXT, allow_cycles=True)
+        grow = parse(GROWING_CYCLE_TEXT, allow_cycles=True)
+
+        def stretches(spec, state, limit, count=1):
+            out = []
+            for _ in range(count):
+                rows, state, _ = advance(plan_for(spec), None, state, limit)
+                out.append((rows, state))
+            return out
+
+        start, wide, near = loop.start_state(), (2**70 + 1, 2**70) + (0,) * 6, (2**60, 2**60, 0)
+        rows, last = stretches(loop, start, 300)[0]
+        wrong = rows[:-1] + [(*rows[-1][:2], (1,) + rows[-1][2][1:])]
+        cases = [
+            (loop, start, (rows, last), lambda done: done is None),
+            (loop, start, (wrong, last), lambda done: done[0] == 299),
+            (loop, wide, stretches(loop, wide, 50)[0], lambda done: done == 0),
+            (grow, near, stretches(grow, near, 40)[0], lambda done: type(done) is int and done > 0),
+        ]
+        for spec, state, job, expected in cases:
+
+            def check():
+                fast = _stepcore.Enactor(resolve(spec), state)
+                assert expected(fast.send(job))
+                assert fast.state is state or fast.state in [row[0] for row in job[0]]
+
+            assert_leaks_nothing(check, (state, state[0], job[0], job[1]))
+
+        fast, jobs = _stepcore.Enactor(resolve(loop), start), iter(stretches(loop, start, 5, 200))
+
+        def check_next():
+            assert fast.send(next(jobs)) is None
+
+        assert_leaks_nothing(check_next, (start, last))
+        assert fast.state == stretches(loop, start, 1000)[0][1]
+
+
+def assert_leaks_nothing(action, held, repeat=200):
+    """Call ``action`` ``repeat`` times: the traced size must grow by less
+    than 4 KB, and the refcounts of the objects ``held`` must not change."""
+    before = list(map(sys.getrefcount, held))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        size, _ = tracemalloc.get_traced_memory()
+        for _ in range(repeat):
+            action()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - size
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096
+    assert list(map(sys.getrefcount, held)) == before
 
 
 @needs_extension
@@ -761,6 +822,105 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# the kernel's sections, each headed by a line /* ======== name ======== */
+KERNEL_SECTION = re.compile(r"^/\* =+ (.+?) =+ \*/$", re.M)
+MATRIX_SECTION, ENACTOR_SECTION = "The matrix route: PlanKernel", "The operational route: Enactor"
+
+
+def kernel_sections() -> dict[str, str]:
+    """``_stepcore.c``'s code by section, with comments and string literals
+    blanked out."""
+    parts = KERNEL_SECTION.split(KERNEL_SOURCE.read_text())
+    return {
+        name: re.sub(r'/\*.*?\*/|"(?:\\.|[^"\\\n])*"', " ", body, flags=re.S)
+        for name, body in zip(parts[1::2], parts[2::2])
+    }
+
+
+def defined_names(code: str) -> set[str]:
+    """The static functions, typedefs and file-scope statics ``code`` defines."""
+    return {
+        *re.findall(r"^static\b[^;{=()]*?\b(\w+)\s*\(", code, re.M),
+        *re.findall(r"^\}\s*(\w+)\s*;", code, re.M),
+        *re.findall(r"^static\b[^;(=]*?\b(\w+)\s*(?:\[\])?\s*[=;]", code, re.M),
+    }
+
+
+def test_the_two_routes_in_c_use_nothing_of_each_other():
+    # The C analogue of the import check in test_operational.py: the
+    # enactor's section names nothing the PlanKernel section defines (no
+    # function, type or static), and the reverse.
+    sections = kernel_sections()
+    assert list(sections) == [MATRIX_SECTION, "Trace entries", ENACTOR_SECTION, "The module"]
+    matrix, enactor = sections[MATRIX_SECTION], sections[ENACTOR_SECTION]
+    assert {"run_int64", "update", "plan_int", "PlanKernel", "Frontier", "PlanKernelType"} <= defined_names(matrix)
+    assert {"enactor_update", "enactor_pair", "Enactor", "EnactorType"} <= defined_names(enactor)
+    assert not defined_names(matrix) & set(re.findall(r"\w+", enactor))
+    assert not defined_names(enactor) & set(re.findall(r"\w+", matrix))
+
+
+# One credit dropped, in the int64 loop's update and in the enactor's: each
+# route's mutant must be caught by the other.
+KERNEL_MUTANTS = {
+    MATRIX_SECTION: (
+        "    for (e = 0; e < self->nedges; e++) {\n",
+        "    for (e = 1; e < self->nedges; e++) {\n",
+    ),
+    ENACTOR_SECTION: (
+        "        for (j = self->out_off[o]; j < self->out_off[o + 1]; j++)\n",
+        "        for (j = self->out_off[o] + 1; j < self->out_off[o + 1]; j++)\n",
+    ),
+}
+
+CATCH_THE_MUTANT = """\
+import sys
+import caosim
+from caosim import EngineDivergenceError, parse, run
+from caosim.kernel import _stepcore
+
+assert caosim.__file__.startswith(sys.argv[1]) and _stepcore.__file__.startswith(sys.argv[1])
+try:
+    run(parse(sys.stdin.read(), allow_cycles=True), max_steps=3000, backend="compiled")
+except EngineDivergenceError as e:
+    print(e.divergence.k)
+else:
+    sys.exit("the mutant went unnoticed")
+"""
+
+
+@pytest.mark.skipif(kernel_compiler() is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("section", list(KERNEL_MUTANTS))
+def test_a_dropped_credit_in_c_is_a_divergence(tmp_path, section):
+    original, mutant = KERNEL_MUTANTS[section]
+    source = KERNEL_SOURCE.read_text()
+    assert source.count(original) == 1 and original in kernel_sections()[section]
+    package = tmp_path / "caosim"
+    shutil.copytree(
+        Path(caosim.__file__).parent, package, ignore=shutil.ignore_patterns("*.so", "*.c", "__pycache__")
+    )
+    (tmp_path / "_stepcore.c").write_text(source.replace(original, mutant))
+    built = subprocess.run(
+        kernel_compile_command(
+            package / ("_stepcore" + sysconfig.get_config_var("EXT_SUFFIX")),
+            source=tmp_path / "_stepcore.c",
+        ),
+        capture_output=True,
+        text=True,
+    )
+    assert built.returncode == 0, built.stderr
+    done = subprocess.run(
+        [sys.executable, "-c", CATCH_THE_MUTANT, str(tmp_path)],
+        input=LOOP_TEXT,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"  # the first update credits every operator's outputs
+
+
 def test_unknown_backend_rejected(showcase):
     with pytest.raises(ValueError):
         step((0,) * 7, plan_for(showcase), backend="turbo")
@@ -769,8 +929,6 @@ def test_unknown_backend_rejected(showcase):
 
 
 def test_pure_env_var_selects_pure_backend():
-    import os
-
     code = "import caosim.kernel as k; print(k.DEFAULT_BACKEND)"
     out = subprocess.run(
         [sys.executable, "-c", code],

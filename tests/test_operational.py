@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,9 @@ from caosim import (
     run,
     step_operational,
 )
+from caosim.kernel import _stepcore
 from caosim.operational import enactor
+from caosim.simulate import _hand_back
 from conftest import (
     GROWING_CYCLE_TEXT,
     LOOP_TEXT,
@@ -467,3 +471,216 @@ class TestLockStepCheck:
                 tracemalloc.stop()
             del done
         assert peaks[1] * 10 < peaks[0], peaks
+
+
+class Big(int):
+    """An int subclass, which the C enactor leaves to the generator."""
+
+
+def generator_check(operators, state, rows, last):
+    """What a freshly primed :func:`enactor` makes of the stretch."""
+    updates = enactor(operators, state)
+    next(updates)
+    return updates.send((rows, last))
+
+
+def c_check(operators, state, rows, last):
+    """What ``run`` makes of the stretch on the compiled backend: the C
+    enactor's check, with the rows it hands back checked by the generator."""
+    fast = _stepcore.Enactor(operators, state)
+    done = fast.send((rows, last))
+    if type(done) is int:
+        done, _ = _hand_back(operators, fast, rows, last, done)
+    return done
+
+
+def stretch(operators, state, limit):
+    """``(rows, last)``: ``limit`` updates of ``state`` taken by the
+    generator, whose rows are what the checks compare with."""
+    updates = enactor(operators, state)
+    next(updates)
+    rows, last, _ = updates.send(limit)
+    return rows, last
+
+
+def bump(values, entry=0, by=1):
+    return (*values[:entry], values[entry] + by, *values[entry + 1 :])
+
+
+@pytest.mark.skipif(_stepcore is None, reason="compiled kernel not built")
+class TestCEnactor:
+    """``_stepcore.Enactor``, the lock-step check ``run(engine="both")``
+    makes in C on the compiled backend. It is built from the same resolved
+    operators as the generator's ``send((rows, last))``, which is its oracle:
+    it must return what the generator returns, except where it hands the
+    stretch back, and then the generator, primed at its state, must."""
+
+    def test_matching_stretches_return_none(self):
+        state = LOOP.start_state()
+        fast = _stepcore.Enactor(resolve(LOOP), state)
+        for limit in (1, 7, 300, 1024):
+            rows, last = stretch(resolve(LOOP), state, limit)
+            assert fast.send((rows, last)) is None
+            assert fast.state == last
+            state = last
+
+    def test_an_empty_stretch_checks_nothing(self):
+        fast = _stepcore.Enactor(resolve(LOOP), LOOP.start_state())
+        assert fast.send(([], LOOP.start_state())) is None
+        assert fast.send(((), (2**70,) * LOOP.m)) is None
+        assert fast.state == LOOP.start_state()
+
+    def test_a_fixed_point_is_checked_like_any_row(self, showcase):
+        state = showcase.start_state()
+        rows, last = stretch(resolve(showcase), state, 9)
+        assert _stepcore.Enactor(resolve(showcase), state).send((rows, last)) is None
+
+    @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
+    @pytest.mark.parametrize("at", [0, 3, 9])  # 9: the next state is ``last``
+    def test_the_first_mismatch_is_the_generators(self, field, at):
+        operators, state = resolve(LOOP), LOOP.start_state()
+        rows, last = stretch(operators, state, 10)
+        if field == 0 and at == 9:
+            last = bump(last)
+        elif field == 0:
+            s, p, pc = rows[at + 1]
+            rows[at + 1] = (bump(s), p, pc)
+        else:
+            rows[at] = tuple(bump(v) if f == field else v for f, v in enumerate(rows[at]))
+        rows[at + 2 :] = [(bump(s), p, pc) for s, p, pc in rows[at + 2 :]]  # later rows wrong too
+        done = _stepcore.Enactor(operators, state).send((rows, last))
+        assert done == generator_check(operators, state, rows, last)
+        assert done[0] == at
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_injected_faults_give_the_generators_result(self, seed, fuzz_corpus):
+        # one wrong entry, anywhere in a stretch of a random CAO, the loop or
+        # the growing cycle: the same first mismatch, with the same result,
+        # also where the growing cycle leaves int64 and the stretch is handed back
+        rng = random.Random(seed)
+        for _ in range(50):
+            spec, state = rng.choice(
+                [
+                    rng.choice(fuzz_corpus),
+                    (LOOP, LOOP.start_state()),
+                    (GROWING_CYCLE, (5, 9, 0)),
+                    (GROWING_CYCLE, (2**60, 2**61, 0)),
+                ]
+            )
+            operators = resolve(spec)
+            rows, last = stretch(operators, state, rng.randint(1, 40))
+            row, field = rng.randrange(len(rows) + 1), rng.randrange(3)
+            entry, by = rng.randrange(spec.m), rng.choice([-(2**64), -1, 1, 2**63])
+            if row == len(rows):
+                last = bump(last, entry, by)
+            elif row or field:
+                rows[row] = tuple(bump(v, entry, by) if f == field else v for f, v in enumerate(rows[row]))
+            want = generator_check(operators, state, rows, last)
+            done = _stepcore.Enactor(operators, state).send((rows, last))
+            assert done == want or type(done) is int and (want is None or done <= want[0])
+            assert c_check(operators, state, rows, last) == want
+
+    def test_a_start_past_int64_is_handed_back_at_once(self):
+        for state in [(2**63,) + (0,) * 7, LOOP.start_state()[:-1] + (Big(3),), (True,) + (0,) * 7]:
+            fast = _stepcore.Enactor(resolve(LOOP), state)
+            rows, last = stretch(resolve(LOOP), state, 20)
+            assert fast.send((rows, last)) == 0
+            assert fast.state is state
+            assert c_check(resolve(LOOP), state, rows, last) is None
+
+    def test_an_update_past_int64_is_handed_back(self):
+        # the growing cycle leaves int64 mid-stretch; the C enactor then holds
+        # the state of the update it could not take, and the generator primed
+        # there finds what the generator finds over the whole stretch
+        operators, state = resolve(GROWING_CYCLE), (2**60, 2**60, 0)
+        rows, last = stretch(operators, state, 40)
+        fast = _stepcore.Enactor(operators, state)
+        at = fast.send((rows, last))
+        assert type(at) is int and 0 < at < 40
+        assert fast.state == rows[at][0]
+        assert c_check(operators, state, rows, last) is None
+        rows[-1] = (rows[-1][0], bump(rows[-1][1]), rows[-1][2])
+        assert c_check(operators, state, rows, last) == generator_check(operators, state, rows, last)
+
+    @pytest.mark.parametrize("kind", [Big, bool, float])
+    def test_a_value_that_is_not_an_exact_int_is_handed_back(self, kind):
+        # Python compares it by its own __eq__, so the generator decides
+        operators, state = resolve(LOOP), LOOP.start_state()
+        rows, last = stretch(operators, state, 10)
+        clean = list(rows)
+        s, p, pc = rows[4]
+        i = pc.index(0)
+        rows[4] = (s, p, (*pc[:i], kind(0), *pc[i + 1 :]))
+        fast = _stepcore.Enactor(operators, state)
+        assert fast.send((rows, last)) == 4
+        assert fast.state == rows[4][0]
+        assert c_check(operators, state, rows, last) == generator_check(operators, state, rows, last)
+        # after a hand-back it enacts every operator again, from that state
+        assert fast.send((clean[4:], last)) is None
+
+    def test_negative_coefficients_are_enacted_as_the_generator_enacts_them(self):
+        # not a validated CAO: states go negative, and floor division rounds down
+        operators = (
+            (((0, 3),), ((1, -2), (3, 1))),
+            (((1, 2),), ((0, 1), (2, -5))),
+            (((2, 4), (3, 2)), ((1, 3), (0, -1))),
+        )
+        for state in [(7, 0, 0, 0), (100, 3, 50, 9), (5, 40, 0, 11)]:
+            rows, last = stretch(operators, state, 30)
+            assert _stepcore.Enactor(operators, state).send((rows, last)) is None
+            rows[5] = (rows[5][0], rows[5][1], bump(rows[5][2], 1))
+            want = generator_check(operators, state, rows, last)
+            assert _stepcore.Enactor(operators, state).send((rows, last)) == want
+
+    @pytest.mark.parametrize("index", [8, -1, 2**70, 2**64 + 1])
+    def test_an_index_outside_the_state_is_refused(self, index):
+        for operators in [((((index, 2),), ((1, 1),)),), ((((0, 2),), ((index, 1),)),)]:
+            with pytest.raises(ValueError, match="outside a state of 8"):
+                _stepcore.Enactor(operators, LOOP.start_state())
+
+    @pytest.mark.parametrize("radix", [0, -1, -(2**63)])
+    def test_a_radix_below_1_is_refused(self, radix):
+        # so the enactor never divides by zero
+        with pytest.raises(ValueError, match="below 1"):
+            _stepcore.Enactor(((((0, radix),), ((1, 1),)),), (4, 0))
+
+    @pytest.mark.parametrize("pair", [(2**63, 1), (2, 2**63), (2, -(2**63) - 1), (2**100, 1)])
+    def test_a_radix_or_coefficient_outside_int64_overflows(self, pair):
+        radix, coeff = pair
+        with pytest.raises(OverflowError):
+            _stepcore.Enactor(((((0, radix),), ((1, coeff),)),), (4, 0))
+
+    @pytest.mark.parametrize(
+        "job, error",
+        [
+            ([], TypeError),  # not a (rows, last) pair
+            ((5, (0,) * 8), TypeError),  # rows that are not a sequence
+            (([[(0,) * 8, (0,) * 8, (0,) * 8]], (0,) * 8), TypeError),  # a row that is not a tuple
+            (([((0,) * 8, (0,) * 8)], (0,) * 8), TypeError),  # a row of two items
+            (([((0,) * 8, [0] * 8, (0,) * 8)], (0,) * 8), TypeError),  # carries not a tuple
+            (([((0,) * 8, (0,) * 7, (0,) * 8)], (0,) * 8), ValueError),  # carries too short
+            (([((0,) * 9, (0,) * 8, (0,) * 8)], (0,) * 8), ValueError),  # a state too long
+            (([((0,) * 8,) * 3], (0,) * 7), ValueError),  # last too short
+            (([((0,) * 8,) * 3], [0] * 8), TypeError),  # last not a tuple
+        ],
+    )
+    def test_rows_of_the_wrong_shape_are_refused(self, job, error):
+        operators, state = resolve(LOOP), LOOP.start_state()
+        fast = _stepcore.Enactor(operators, state)
+        with pytest.raises(error):
+            fast.send(job)
+        # nothing was enacted: the enactor still checks from its start
+        assert fast.state == state
+        assert fast.send(stretch(operators, state, 5)) is None
+
+    def test_a_cycle_through_its_start_is_collected(self):
+        class Marker:
+            pass
+
+        value = Big(3)
+        value.fast = _stepcore.Enactor(resolve(LOOP), LOOP.start_state()[:-1] + (value,))
+        value.marker = Marker()
+        alive = weakref.ref(value.marker)
+        del value
+        gc.collect()
+        assert alive() is None

@@ -35,7 +35,7 @@ from caosim import (
     with_parameters,
 )
 from caosim import kernel, rational
-from caosim.kernel import COMPILED_AVAILABLE
+from caosim.kernel import COMPILED_AVAILABLE, _stepcore
 from caosim.simulate import ConservationError, TraceStep, _sweep_weights
 from conftest import GROWING_CYCLE_TEXT, LOOP_TEXT, SHOWCASE_TRAJECTORY, lockstep_oracle
 
@@ -148,8 +148,9 @@ class TestEngineComparison:
 
     @staticmethod
     def corrupt_enactor(monkeypatch, at):
-        """Make every enactor report a next state one too high in its first
-        component at its update ``at``; its own state stays right.
+        """Make every enactor, the generator ``operational.enactor`` and the
+        C ``_stepcore.Enactor`` alike, report a next state one too high in
+        its first component at its update ``at``; its own state stays right.
 
         The enactor checks each stretch itself, so the real one is handed
         the matrix route's next state of update ``at`` one too low: its own
@@ -158,39 +159,63 @@ class TestEngineComparison:
         """
         import caosim.operational as operational
 
-        real = operational.enactor
-
         def lower(values):
             return (values[0] - 1, *values[1:])
 
-        def wrong(operators, state):
-            updates = real(operators, state)
-            done = next(updates)
+        def lying(send):
             taken = 0
-            while True:
-                rows, last = yield done
+
+            def wrong(job):
+                nonlocal taken
+                rows, last = job
                 j = at + 1 - taken  # the row holding update at's next state
                 taken += len(rows)
                 if j == len(rows):
                     last = lower(last)
                 elif 0 < j < len(rows):
                     rows = [*rows[:j], (lower(rows[j][0]), *rows[j][1:]), *rows[j + 1 :]]
-                done = updates.send((rows, last))
-                if done is not None and done[0] == j - 1:
+                done = send((rows, last))
+                if type(done) is tuple and done[0] == j - 1:
                     nxt, p, pc = done[1]
                     done = j - 1, ((nxt[0] + 1, *nxt[1:]), p, pc)
+                return done
 
-        monkeypatch.setattr(operational, "enactor", wrong)
+            return wrong
 
-    def test_divergence_is_caught_and_reported(self, showcase, monkeypatch):
+        real = operational.enactor
+
+        def wrong_generator(operators, state):
+            updates = real(operators, state)
+            send = lying(updates.send)
+            done = next(updates)
+            while True:
+                done = send((yield done))
+
+        monkeypatch.setattr(operational, "enactor", wrong_generator)
+        if _stepcore is not None:
+            real_c = _stepcore.Enactor
+
+            class WrongEnactor:
+                def __init__(self, operators, state):
+                    self.real = real_c(operators, state)
+                    self.send = lying(self.real.send)
+
+                @property
+                def state(self):
+                    return self.real.state
+
+            monkeypatch.setattr(_stepcore, "Enactor", WrongEnactor)
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_divergence_is_caught_and_reported(self, showcase, monkeypatch, backend):
         import caosim.simulate as sim
 
         self.corrupt_enactor(monkeypatch, 0)
-        report = sim.compare_engines(showcase)
+        report = sim.compare_engines(showcase, backend=backend)
         assert not report.equal
         assert report.divergence.k == 0
         with pytest.raises(EngineDivergenceError) as exc:
-            sim.run(showcase)
+            sim.run(showcase, backend=backend)
         assert exc.value.divergence.k == 0
 
     # two entities passing one part back and forth: never a fixed point
@@ -199,15 +224,16 @@ class TestEngineComparison:
         allow_cycles=True,
     )
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
     @pytest.mark.parametrize("k", [5, 1030])  # 1030 lies past the first 1024-update stretch
-    def test_divergence_inside_a_stretch(self, monkeypatch, k):
+    def test_divergence_inside_a_stretch(self, monkeypatch, k, backend):
         import caosim.simulate as sim
 
         self.corrupt_enactor(monkeypatch, k)
         with pytest.raises(EngineDivergenceError) as exc:
-            sim.run(self.SWING, max_steps=2000)
+            sim.run(self.SWING, max_steps=2000, backend=backend)
         assert exc.value.divergence.k == k
-        report = sim.compare_engines(self.SWING, max_steps=2000)
+        report = sim.compare_engines(self.SWING, max_steps=2000, backend=backend)
         assert not report.equal
         assert report.divergence.k == k
         assert report.steps_compared == k + 1
@@ -368,6 +394,68 @@ class TestLockStepOracle:
         assert exc.value.divergence.k == max_steps
         self.corrupt_matrix(monkeypatch, real, max_steps, 0)
         assert exc.value.divergence == lockstep_oracle(LOOP, max_steps=max_steps, backend=backend)
+
+    @staticmethod
+    def start_of(name):
+        """Starts of ``LOOP_TEXT`` the C enactor hands back: from k = 2**63 - 1
+        it leaves int64 after three updates, from k = 2**63 + 3 it starts
+        outside, and a start holding an ``int`` subclass is not all exact
+        ints. Each stretch after a hand-back starts in C again."""
+        return {
+            "2**63-1": {"k": 2**63 - 1},
+            "2**63+3": {"k": 2**63 + 3},
+            "int subclass": {"i": Big(500000001)},
+        }[name]
+
+    @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
+    @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
+    @pytest.mark.parametrize("at", [3, 1030, 2000])  # 2000 is the step limit
+    @pytest.mark.parametrize("start", ["2**63-1", "2**63+3", "int subclass"])
+    def test_divergences_past_a_hand_back_are_the_oracles(self, monkeypatch, start, field, at):
+        spec, init = parse(LOOP_TEXT, allow_cycles=True), self.start_of(start)
+        real = kernel.advance
+        self.corrupt_matrix(monkeypatch, real, at, field)
+        want = lockstep_oracle(spec, init, max_steps=2000, backend="compiled")
+        assert want is not None and want.k == at
+        self.corrupt_matrix(monkeypatch, real, at, field)
+        with pytest.raises(EngineDivergenceError) as exc:
+            run(spec, init, max_steps=2000, backend="compiled")
+        assert exc.value.divergence == want
+        assert str(exc.value) == str(EngineDivergenceError(want))
+
+    @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
+    @pytest.mark.parametrize(
+        "start, hand_backs",
+        [("2**63-1", [3, 0, 0]), ("2**63+3", [0, 0, 0]), ("int subclass", [0])],
+    )
+    def test_a_stretch_handed_back_returns_to_c(self, monkeypatch, start, hand_backs):
+        import caosim.simulate as sim
+
+        spec, init = parse(LOOP_TEXT, allow_cycles=True), self.start_of(start)
+        real, seen = sim._hand_back, []
+
+        def spy(operators, fast, rows, last, at):
+            seen.append(at)
+            mismatch, again = real(operators, fast, rows, last, at)
+            assert mismatch is None and type(again) is _stepcore.Enactor
+            assert again.state == last
+            return mismatch, again
+
+        monkeypatch.setattr(sim, "_hand_back", spy)
+        trace = run(spec, init, max_steps=3000, backend="compiled")
+        assert seen == hand_backs
+        assert trace.steps == run(spec, init, max_steps=3000, engine="operational").steps
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_parameters_past_int64_are_checked_in_python(self, backend):
+        # no C kernel holds a radix or coefficient of 2**64, so neither route
+        # runs in C and the check is the generator's, as on the pure backend
+        spec = with_parameters(build_linear_chain(2, 3), [((2**64,), (1,)), ((2,), (2**64,))])
+        start = (2**66 + 5, 0, 0)
+        trace = run(spec, start, backend=backend)
+        assert trace.steps == run(spec, start, engine="operational").steps
+        assert trace.final_state == (5, 0, 2**65)
+        assert lockstep_oracle(spec, start, backend=backend) is None
 
     def test_the_oracle_finds_nothing_on_agreeing_runs(self, showcase):
         assert lockstep_oracle(showcase) is None
