@@ -36,6 +36,16 @@
    PyNumber_* call on an int subclass, or any allocation, may run Python
    code that calls run() again.
 
+   Rows share what repeats, by one rule on both paths: a partial carry equal
+   to the previous update's is its object, and each common carry is the
+   partials tuple's object of its value, its own or, for a carry the fold
+   lowered, that of the group member whose partial the fold took.  A
+   next-state component the update does not touch keeps its object; the
+   int64 loop, which computes every component, keeps it wherever the value
+   is unchanged.  Only other values are new ints.  The int64 loop shares
+   only exact ints, so an int subclass instance in its start stays in the
+   start's row.
+
    Every tuple of exact ints is born untracked by the cyclic garbage
    collector, the start state included, and so is each (state, partials,
    common) row of three such tuples: a tuple of exact ints can never be part
@@ -275,10 +285,12 @@ fits_int64(PyObject *v, int64_t *out)
 }
 
 /* One update of a non-negative state into nxt, with the partial and common
-   carries in p and pc; -1 when a credit leaves int64. */
+   carries in p and pc, and in low each carry group's member whose partial
+   carry the fold took, the first of the smallest as min() takes it; -1
+   when a credit leaves int64. */
 static int
 update(const PlanKernel *self, const int64_t *state, int64_t *p, int64_t *pc,
-       int64_t *nxt)
+       int64_t *nxt, int64_t *low)
 {
     const Py_ssize_t m = self->m;
     const int64_t *n = self->n;
@@ -287,12 +299,13 @@ update(const PlanKernel *self, const int64_t *state, int64_t *p, int64_t *pc,
     for (i = 0; i < m; i++)
         p[i] = pc[i] = n[i] > 0 ? state[i] / n[i] : 0;
     for (g = 0; g < self->ngroups; g++) {
-        int64_t lo = INT64_MAX;
+        int64_t at = self->grp_members[self->grp_off[g]];
+        for (j = self->grp_off[g] + 1; j < self->grp_off[g + 1]; j++)
+            if (p[self->grp_members[j]] < p[at])
+                at = self->grp_members[j];
+        low[g] = at;
         for (j = self->grp_off[g]; j < self->grp_off[g + 1]; j++)
-            if (p[self->grp_members[j]] < lo)
-                lo = p[self->grp_members[j]];
-        for (j = self->grp_off[g]; j < self->grp_off[g + 1]; j++)
-            pc[self->grp_members[j]] = lo;
+            pc[self->grp_members[j]] = p[at];
     }
     /* pc[i] <= state[i] / n[i], so pc[i] * n[i] <= state[i]: cannot overflow */
     for (i = 0; i < m; i++)
@@ -318,20 +331,44 @@ untrack_ints(PyObject *t)
     PyObject_GC_UnTrack(t);
 }
 
-/* A new untracked tuple of fresh ints. */
+/* A new untracked tuple of the m values in row, by the one sharing rule:
+   item i is the previous row's item, was's item i, when its value old[i]
+   equals row[i] and it is an exact int, and a fresh int otherwise (every
+   item when was is NULL).  Each item is thus an exact int. */
 static PyObject *
-row_tuple(const int64_t *row, Py_ssize_t m)
+shared_ints(const int64_t *row, PyObject *was, const int64_t *old, Py_ssize_t m)
 {
     PyObject *out = PyTuple_New(m);
     for (Py_ssize_t i = 0; out && i < m; i++) {
-        PyObject *v = PyLong_FromLongLong(row[i]);
-        if (!v)
+        PyObject *v = was ? PyTuple_GET_ITEM(was, i) : NULL;
+        if (v && row[i] == old[i] && PyLong_CheckExact(v))
+            Py_INCREF(v);
+        else if (!(v = PyLong_FromLongLong(row[i]))) {
             Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, i, v);
+            break;
+        }
+        PyTuple_SET_ITEM(out, i, v);
     }
     if (out)
         PyObject_GC_UnTrack(out);
+    return out;
+}
+
+/* A new untracked tuple of the common carries pc, each the object the
+   partials tuple pt holds for its value: its own item, or for a carry the
+   fold lowered, the item of the group's member the fold took. */
+static PyObject *
+common_ints(const PlanKernel *self, PyObject *pt, const int64_t *p, const int64_t *pc,
+            const int64_t *low)
+{
+    PyObject *out = PyTuple_New(self->m);
+    if (!out)
+        return NULL;
+    for (Py_ssize_t i = 0; i < self->m; i++) {
+        Py_ssize_t at = pc[i] == p[i] ? i : low[self->group_of[i]];
+        PyTuple_SET_ITEM(out, i, Py_NewRef(PyTuple_GET_ITEM(pt, at)));
+    }
+    PyObject_GC_UnTrack(out);
     return out;
 }
 
@@ -381,41 +418,57 @@ append_row(PyObject *rows, PyObject *head, PyObject *pt, PyObject *pct)
 
 /* Append rows from *cur in int64 until limit rows are taken (1), at a fixed
    point (0), or before an update int64 cannot hold (2); -1 on error.  *cur
-   becomes the state to go on from, NULL after an error.  scr holds four
-   rows of m. */
+   becomes the state to go on from, NULL after an error.  scr holds five
+   rows of m and one of ngroups.
+
+   Each row shares what repeats: a next-state component equal to the
+   previous state's is that object, a partial carry equal to the previous
+   update's is its object, and every common carry is an object of the
+   partials tuple; only other values are fresh ints. */
 static int
 run_int64(const PlanKernel *self, int64_t *scr, PyObject **cur, PyObject *rows,
           Py_ssize_t limit)
 {
     const Py_ssize_t m = self->m;
-    int64_t *s = scr, *p = s + m, *pc = p + m, *nxt = pc + m;
-    int fits = 1;
+    int64_t *s = scr, *p = s + m, *pc = p + m, *nxt = pc + m, *was = nxt + m, *low = was + m;
+    PyObject *pt = NULL;            /* the last row's partials, was in int64 */
+    int fits = 1, rc = 1;
 
     for (Py_ssize_t i = 0; i < m && fits; i++)
         fits = fits_int64(PyTuple_GET_ITEM(*cur, i), &s[i]);
     for (Py_ssize_t taken = 0; taken < limit; taken++) {
-        PyObject *next, *pt, *head = *cur;
+        PyObject *pct, *head = *cur;
         int moved = 0;
 
-        if (!fits || update(self, s, p, pc, nxt) < 0)
-            return 2;
-        *cur = next = row_tuple(nxt, m);
-        pt = row_tuple(p, m);
+        if (!fits || update(self, s, p, pc, nxt, low) < 0) {
+            rc = 2;
+            break;
+        }
+        *cur = shared_ints(nxt, head, s, m);
+        Py_XSETREF(pt, shared_ints(p, pt, was, m));
         /* the common tuple is the partials' wherever no group lowers a carry */
-        if (append_row(rows, head, pt, memcmp(p, pc, m * sizeof *p) ? row_tuple(pc, m) : Py_XNewRef(pt)) < 0
-            || !next)
-            return -1;
+        pct = pt && memcmp(p, pc, m * sizeof *p) ? common_ints(self, pt, p, pc, low) : Py_XNewRef(pt);
+        if (append_row(rows, head, Py_XNewRef(pt), pct) < 0 || !*cur) {
+            rc = -1;
+            break;
+        }
         for (Py_ssize_t i = 0; i < m; i++)
             moved |= pc[i] != 0;
-        if (!moved)
-            return 0;
+        if (!moved) {
+            rc = 0;
+            break;
+        }
         int64_t *t = s;
         s = nxt;
         nxt = t;
+        t = was;
+        was = p;
+        p = t;
         for (Py_ssize_t i = 0; i < m && fits; i++)
             fits = s[i] >= 0;
     }
-    return 1;
+    Py_XDECREF(pt);
+    return rc;
 }
 
 /* A big-integer stretch's working rows, of m entries unless marked. */
@@ -686,8 +739,8 @@ PlanKernel_run(PlanKernel *self, PyObject *args)
     if (!(cur = state_tuple(self, values)) || !(rows = PyList_New(0)))
         goto done;
     untrack_ints(cur);
-    /* four scratch rows of m int64 each, for this call only */
-    if (!(scr = PyMem_Malloc((4 * self->m + 1) * sizeof(int64_t)))) {
+    /* run_int64's scratch rows, for this call only */
+    if (!(scr = PyMem_Malloc((5 * self->m + self->ngroups + 1) * sizeof(int64_t)))) {
         PyErr_NoMemory();
         goto done;
     }

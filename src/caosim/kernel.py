@@ -27,6 +27,16 @@ that just received grains can topple; Dhar, PRL 64, 1990). :func:`step` is
 ``advance`` with a limit of one, and :func:`caosim.simulate.run` drives
 whole runs with it.
 
+Rows share what repeats, on both backends: a partial carry equal to the
+previous update's is the previous row's object, each common carry is the
+object its row's partials tuple holds for that value (its own, or for a
+carry the fold lowered, the one of the group member whose partial the fold
+took), and a common tuple equal to the partials is that tuple. A next-state
+component the update does not touch keeps its object; C's int64 loop, which
+computes every component, keeps it wherever its value is unchanged, and
+shares only exact ints, so an ``int`` subclass instance in its start stays in
+the start's row. Every other value is a new int.
+
 On the compiled backend every row tuple is born untracked by the cyclic
 garbage collector when it holds only exact ``int`` objects: C builds its
 rows that way, in int64 and in big integers alike. Such a tuple cannot be

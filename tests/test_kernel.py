@@ -429,13 +429,19 @@ class TestBigIntegerRows:
                 advance(self.CHAIN, None, state, 1)
 
     def test_runs_leak_nothing(self):
-        # the chain from 2**599 - 1 and the loop from 2**70: a leaked row,
-        # component or reference would grow the traced size or the refcounts
+        # the chain from 2**599 - 1, the loop from 2**70 and from its start,
+        # and the growing cycle from 2**60: a leaked row, component or
+        # reference would grow the traced size or the refcounts
         chain = plan_for(build_linear_chain(2, 600))
         loop = plan_for(parse(LOOP_TEXT, allow_cycles=True))
+        grow = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
         runs = [
             (bind(chain, "compiled"), (2**599 - 1,) + (0,) * 599, 1024),
             (bind(loop, "compiled"), (2**70 + 1, 2**70) + (0,) * 6, 300),
+            # int64 throughout, every row sharing objects with the last
+            (bind(loop, "compiled"), parse(LOOP_TEXT, allow_cycles=True).start_state(), 300),
+            # the int64 loop leaves mid-stretch, holding the last partials
+            (bind(grow, "compiled"), (2**60, 2**60, 0), 40),
         ]
         for kernel, start, limit in runs:
             kernel.run(start, limit, [])  # makes the kernel's Python ints once
@@ -504,6 +510,104 @@ def assert_leaks_nothing(action, held, repeat=200):
         tracemalloc.stop()
     assert grown < 4096
     assert list(map(sys.getrefcount, held)) == before
+
+
+# The loop from (a + 1, a) with a odd: i's partial carry is one more than
+# j's, so the M operator's fold lowers i's common carry on every update.
+LOWERING_LOOP_TEXT = LOOP_TEXT.replace("= 500000001", "= 500000002").replace("= 500000000", "= 500000001")
+
+
+def int_objects(trace) -> int:
+    """How many distinct int objects a trace's entries hold."""
+    return len({id(v) for entry in trace.steps for t in (entry.state, entry.partials, entry.common) for v in t})
+
+
+@needs_extension
+class TestSharedRows:
+    """The one sharing rule of the rows ``PlanKernel.run``'s int64 loop
+    records: a next-state item equal to the previous state's is that object,
+    a partial carry equal to the previous update's is its object, and each
+    common carry is the partials tuple's object of its value. The pure
+    backend's rows, which share by ``_frontier``'s lists, bound how many
+    objects a trace may hold."""
+
+    @staticmethod
+    def int64_runs(fuzz_corpus):
+        """(spec, start, max_steps) from int64 starts: the loop from its own
+        start and from one that lowers a carry on every update, and the
+        acyclic fuzz corpus."""
+        for text in (LOOP_TEXT, LOWERING_LOOP_TEXT):
+            loop = parse(text, allow_cycles=True)
+            yield loop, loop.start_state(), 3000
+        for spec, state in fuzz_corpus:
+            yield spec, state, 100
+
+    def test_rows_share_by_the_one_rule(self, fuzz_corpus):
+        lowered = 0
+        for spec, start, max_steps in self.int64_runs(fuzz_corpus):
+            plan = plan_for(spec)
+            _, group_of = plan._fanout
+            # with collection off, nothing but C can untrack a fresh tuple
+            gc.disable()
+            try:
+                trace = run(spec, start, max_steps=max_steps, engine="matrix", backend="compiled")
+            finally:
+                gc.enable()
+            tuples = [t for entry in trace.steps for t in (entry.state, entry.partials, entry.common)]
+            assert all(type(v) is int for t in tuples for v in t)
+            assert not any(map(gc.is_tracked, tuples + list(trace.steps)))
+            for entry in trace.steps:
+                for i, c in enumerate(entry.common):
+                    members = (i,) if group_of[i] is None else plan.groups[group_of[i]]
+                    assert any(c is entry.partials[x] for x in members)
+                lowered += entry.common is not entry.partials
+            for before, after in zip(trace.steps, trace.steps[1:]):
+                assert all(b is a for a, b in zip(before.state, after.state) if a == b)
+            pure = run(spec, start, max_steps=max_steps, engine="matrix", backend="pure")
+            assert trace == pure
+            assert int_objects(trace) <= int_objects(pure)
+        assert lowered > 3001 + 1000  # every row of the lowering loop, and the corpus's
+
+    def test_partials_equal_to_the_last_updates_are_its_objects(self, fuzz_corpus):
+        kept = 0
+        for spec, start, limit in self.int64_runs(fuzz_corpus):
+            rows, _, _ = bind(plan_for(spec), "compiled").run(start, limit)
+            for (_, before, _), (_, after, _) in zip(rows, rows[1:]):
+                assert all(b is a for a, b in zip(before, after) if a == b)
+                kept += sum(a == b > 256 for a, b in zip(before, after))
+        assert kept > 500  # partials that no small-int cache could share
+
+    def test_an_int_subclass_in_the_start_stays_in_row_0(self):
+        class Big(int):
+            pass
+
+        loop = parse(LOWERING_LOOP_TEXT, allow_cycles=True)
+        # every component a Big; those that keep their value on the first
+        # update must still be fresh ints in the next row
+        start = tuple(map(Big, loop.start_state()))
+        trace = run(loop, start, max_steps=50, engine="matrix", backend="compiled")
+        assert trace.steps[0].state is start
+        later = [v for entry in trace.steps[1:] for t in (entry.state, entry.partials, entry.common) for v in t]
+        assert all(type(v) is int for v in later)
+        assert trace == run(loop, start, max_steps=50, engine="matrix", backend="pure")
+
+    def test_a_trace_takes_no_more_memory_than_the_pure_backends(self):
+        # 20,000 updates of the loop that lowers a carry on every update
+        loop = parse(LOWERING_LOOP_TEXT, allow_cycles=True)
+
+        def traced(backend):
+            run(loop, max_steps=10, engine="matrix", backend=backend)  # warm the caches
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                trace = run(loop, max_steps=20_000, engine="matrix", backend=backend)
+                assert trace.step_count == 20_000
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        assert traced("compiled") <= traced("pure")
 
 
 @needs_extension
@@ -859,20 +963,7 @@ def test_the_two_routes_in_c_use_nothing_of_each_other():
     assert not defined_names(enactor) & set(re.findall(r"\w+", matrix))
 
 
-# One credit dropped, in the int64 loop's update and in the enactor's: each
-# route's mutant must be caught by the other.
-KERNEL_MUTANTS = {
-    MATRIX_SECTION: (
-        "    for (e = 0; e < self->nedges; e++) {\n",
-        "    for (e = 1; e < self->nedges; e++) {\n",
-    ),
-    ENACTOR_SECTION: (
-        "        for (j = self->out_off[o]; j < self->out_off[o + 1]; j++)\n",
-        "        for (j = self->out_off[o] + 1; j < self->out_off[o + 1]; j++)\n",
-    ),
-}
-
-CATCH_THE_MUTANT = """\
+CATCH_A_DIVERGENCE = """\
 import sys
 import caosim
 from caosim import EngineDivergenceError, parse, run
@@ -887,18 +978,99 @@ else:
     sys.exit("the mutant went unnoticed")
 """
 
+# TestSharedRows.test_an_int_subclass_in_the_start_stays_in_row_0, on its own
+CATCH_A_SHARED_SUBCLASS = """\
+import sys
+import caosim
+from caosim import parse, run
+from caosim.kernel import _stepcore
+
+assert caosim.__file__.startswith(sys.argv[1]) and _stepcore.__file__.startswith(sys.argv[1])
+
+class Big(int):
+    pass
+
+loop = parse(sys.stdin.read(), allow_cycles=True)
+start = tuple(map(Big, loop.start_state()))
+trace = run(loop, start, max_steps=50, engine="matrix", backend="compiled")
+assert trace == run(loop, start, max_steps=50, engine="matrix", backend="pure")
+held = [e.k for e in trace.steps if any(type(v) is not int for t in (e.state, e.partials, e.common) for v in t)]
+if held == [0]:
+    sys.exit("the mutant went unnoticed")
+print(held[1])
+"""
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """A change of one line of ``_stepcore.c``: run on the built mutant with
+    ``text`` as its input, the script ``catch`` must print ``caught``."""
+
+    name: str
+    original: str
+    mutant: str
+    catch: str = CATCH_A_DIVERGENCE
+    text: str = LOOP_TEXT
+    caught: str = "0\n"  # the first update credits every operator's outputs
+
+
+# The committed mutants of the C kernel, by section. One credit dropped, in
+# the int64 loop's update and in the enactor's: each route's mutant must be
+# caught by the other. The int64 loop's sharing rule broken three ways: the
+# first two record wrong values, which the enactor must catch on the first
+# update, and the third lets an int subclass out of row 0.
+KERNEL_MUTANTS = {
+    MATRIX_SECTION: [
+        Mutant(
+            "a dropped credit",
+            "    for (e = 0; e < self->nedges; e++) {\n",
+            "    for (e = 1; e < self->nedges; e++) {\n",
+        ),
+        Mutant(
+            "a previous item reused unseen",
+            "        if (v && row[i] == old[i] && PyLong_CheckExact(v))\n",
+            "        if (v && PyLong_CheckExact(v))\n",
+        ),
+        Mutant(
+            "a lowered carry from the first member",
+            "        Py_ssize_t at = pc[i] == p[i] ? i : low[self->group_of[i]];\n",
+            "        Py_ssize_t at = pc[i] == p[i] ? i : self->grp_members[self->grp_off[self->group_of[i]]];\n",
+            # the loop from its own start never lowers a carry
+            text=LOWERING_LOOP_TEXT,
+        ),
+        Mutant(
+            "an int subclass reused",
+            "        if (v && row[i] == old[i] && PyLong_CheckExact(v))\n",
+            "        if (v && row[i] == old[i])\n",
+            catch=CATCH_A_SHARED_SUBCLASS,
+            text=LOWERING_LOOP_TEXT,
+            caught="1\n",
+        ),
+    ],
+    ENACTOR_SECTION: [
+        Mutant(
+            "a dropped credit",
+            "        for (j = self->out_off[o]; j < self->out_off[o + 1]; j++)\n",
+            "        for (j = self->out_off[o] + 1; j < self->out_off[o + 1]; j++)\n",
+        ),
+    ],
+}
+
 
 @pytest.mark.skipif(kernel_compiler() is None, reason="no C compiler on PATH")
-@pytest.mark.parametrize("section", list(KERNEL_MUTANTS))
-def test_a_dropped_credit_in_c_is_a_divergence(tmp_path, section):
-    original, mutant = KERNEL_MUTANTS[section]
+@pytest.mark.parametrize(
+    "section, mutant",
+    [(section, mutant) for section, mutants in KERNEL_MUTANTS.items() for mutant in mutants],
+    ids=lambda v: v.name if isinstance(v, Mutant) else v,
+)
+def test_a_c_mutant_is_caught(tmp_path, section, mutant):
     source = KERNEL_SOURCE.read_text()
-    assert source.count(original) == 1 and original in kernel_sections()[section]
+    assert source.count(mutant.original) == 1 and mutant.original in kernel_sections()[section]
     package = tmp_path / "caosim"
     shutil.copytree(
         Path(caosim.__file__).parent, package, ignore=shutil.ignore_patterns("*.so", "*.c", "__pycache__")
     )
-    (tmp_path / "_stepcore.c").write_text(source.replace(original, mutant))
+    (tmp_path / "_stepcore.c").write_text(source.replace(mutant.original, mutant.mutant))
     built = subprocess.run(
         kernel_compile_command(
             package / ("_stepcore" + sysconfig.get_config_var("EXT_SUFFIX")),
@@ -909,8 +1081,8 @@ def test_a_dropped_credit_in_c_is_a_divergence(tmp_path, section):
     )
     assert built.returncode == 0, built.stderr
     done = subprocess.run(
-        [sys.executable, "-c", CATCH_THE_MUTANT, str(tmp_path)],
-        input=LOOP_TEXT,
+        [sys.executable, "-c", mutant.catch, str(tmp_path)],
+        input=mutant.text,
         env={**os.environ, "PYTHONPATH": str(tmp_path)},
         cwd=tmp_path,
         capture_output=True,
@@ -918,7 +1090,7 @@ def test_a_dropped_credit_in_c_is_a_divergence(tmp_path, section):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0\n"  # the first update credits every operator's outputs
+    assert done.stdout == mutant.caught
 
 
 def test_unknown_backend_rejected(showcase):
