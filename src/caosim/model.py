@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import chain, compress, repeat
-from operator import attrgetter, is_, is_not, itemgetter, lt
+from operator import attrgetter, gt, is_, is_not, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -43,45 +43,73 @@ ConfigMatrix = tuple[tuple[int, ...], ...]
 
 
 class Role(Enum):
-    """Declared position of an entity in the topology."""
+    """Declared position of an entity in the topology.
+
+    A member hashes by identity, in C, where ``Enum.__hash__`` hashes its
+    name in Python code at about five times the cost. Members compare by
+    identity, so this agrees with their equality.
+    """
 
     INITIAL = "initial"
     INTERMEDIATE = "intermediate"
     FINAL = "final"
 
+    __hash__ = object.__hash__
+
 
 class Form(Enum):
-    """Operator form, determined by valence."""
+    """Operator form, determined by valence. Hashed by identity, as
+    :class:`Role` is."""
 
     L = "L"
     D = "D"
     F = "F"
     M = "M"
 
+    __hash__ = object.__hash__
+
+
+# The form of each valence, keyed by (more than one input, more than one output).
+_FORM_OF_VALENCE = {(False, False): Form.L, (False, True): Form.D, (True, False): Form.F, (True, True): Form.M}
+
 
 def infer_form(input_count: int, output_count: int) -> Form:
     """Map an operator's valence (input count, output count) to its form."""
     if input_count < 1 or output_count < 1:
         raise ValueError("operator needs at least one input and one output")
-    if input_count == 1:
-        return Form.L if output_count == 1 else Form.D
-    return Form.F if output_count == 1 else Form.M
+    return _FORM_OF_VALENCE[input_count > 1, output_count > 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Entity:
     """A named cardinal-bearing entity.
 
     ``start`` is the default initial cardinal used when a simulation is not
     given an explicit initial state.
+
+    A description builds one per entity, so the record is slotted and its
+    constructor is written by hand: it fills the three slots through their
+    descriptors, which costs less than half of the generated ``__init__``'s
+    three ``object.__setattr__`` calls. Everything else is the dataclass's
+    own.
     """
 
     name: str
     role: Role = Role.INTERMEDIATE
     start: int = 0
 
+    def __init__(self, name: str, role: Role = Role.INTERMEDIATE, start: int = 0) -> None:
+        _set_name(self, name)
+        _set_role(self, role)
+        _set_start(self, start)
 
-@dataclass(frozen=True)
+
+_set_name = Entity.name.__set__
+_set_role = Entity.role.__set__
+_set_start = Entity.start.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Operator:
     """One carry-propagating operator.
 
@@ -89,11 +117,31 @@ class Operator:
     pairs each credited entity with its conversion coefficient (>= 1).
     ``form`` may be left ``None`` in raw descriptions; :func:`validate` infers
     it from the valence and cross-checks it when declared.
+
+    Slotted, with a hand-written constructor, for the reason
+    :class:`Entity` gives.
     """
 
     inputs: tuple[tuple[str, int], ...]
     outputs: tuple[tuple[str, int], ...]
     form: Form | None = None
+
+    def __init__(
+        self, inputs: tuple[tuple[str, int], ...], outputs: tuple[tuple[str, int], ...], form: Form | None = None
+    ) -> None:
+        _set_inputs(self, inputs)
+        _set_outputs(self, outputs)
+        _set_form(self, form)
+
+
+_set_inputs = Operator.inputs.__set__
+_set_outputs = Operator.outputs.__set__
+_set_form = Operator.form.__set__
+
+_NAME, _ROLE, _START = attrgetter("name"), attrgetter("role"), attrgetter("start")
+_INPUTS, _OUTPUTS, _FORM = attrgetter("inputs"), attrgetter("outputs"), attrgetter("form")
+_ENTITY_FIELDS = attrgetter("name", "role", "start")
+_OPERATOR_FIELDS = attrgetter("inputs", "outputs", "form")
 
 
 @dataclass(frozen=True)
@@ -160,13 +208,17 @@ class CaoSpec:
 
     # The per-spec caches (``plan_for``, ``resolve``, ``entity_index``) hash
     # the spec on every lookup, so the hash of the whole entity and operator
-    # tree is taken once and kept.
+    # tree is taken once and kept. It hashes each record's field tuple, read
+    # in C by ``attrgetter``, where hashing the records would call each one's
+    # generated ``__hash__`` in Python; equal specs hold records of one class
+    # with equal fields, so they still hash alike.
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.name, self.entities, self.operators))
+        entities = tuple(map(_ENTITY_FIELDS, self.entities))
+        return hash((self.name, entities, tuple(map(_OPERATOR_FIELDS, self.operators))))
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes, so a pickle carries no hash.
@@ -254,10 +306,6 @@ def _find_cycle(names: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[
     return None
 
 
-_NAME, _ROLE, _START = attrgetter("name"), attrgetter("role"), attrgetter("start")
-_INPUTS, _OUTPUTS, _FORM = attrgetter("inputs"), attrgetter("outputs"), attrgetter("form")
-
-
 def _is_integer(value) -> bool:
     """True for an ``int``; a ``bool`` is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -291,6 +339,8 @@ def _entity_issues(entities: Sequence[Entity]) -> Iterator[Issue]:
             yield Issue("error", "bad-start", f"entity {ent.name!r} has a start value that is not an integer: {ent.start!r}", ent.name)
         elif ent.start < 0:
             yield Issue("error", "bad-start", f"entity {ent.name!r} has negative start value {ent.start}", ent.name)
+        if type(ent.role) is not Role:
+            yield Issue("error", "bad-role", f"entity {ent.name!r} has role {ent.role!r}, which is not a Role", ent.name)
 
 
 def _operator_issues(
@@ -364,6 +414,7 @@ def check(
         and len(known) == len(names)
         and set(map(type, starts)) <= {int}
         and (not starts or min(starts) >= 0)
+        and set(map(type, roles)) <= {Role}
     ):
         issues.extend(_entity_issues(entities))
 
@@ -380,6 +431,8 @@ def check(
     out_pairs = set(zip(out_names, out_ops))
     outgoing: dict = dict(zip(in_names, in_ops))
     forms = list(map(_FORM, operators))
+    # the form each valence implies, looked up by (inputs > 1, outputs > 1)
+    implied = map(_FORM_OF_VALENCE.__getitem__, zip(map(gt, in_counts, repeat(1)), map(gt, out_counts, repeat(1))))
     bulk = (
         (not operators or min(in_counts) >= 1 and min(out_counts) >= 1)
         and known.issuperset(in_names)
@@ -392,7 +445,7 @@ def check(
         and set(map(type, coefficients)) <= {int}
         and (not coefficients or min(coefficients) >= 1)
         # each declared form is the one its valence implies
-        and sum(map(is_not, forms, map(infer_form, in_counts, out_counts))) == forms.count(None)
+        and sum(map(is_not, forms, implied)) == forms.count(None)
         and finals.isdisjoint(in_names)
     )
     if not bulk:

@@ -62,7 +62,7 @@ def fixed_point(
     # its last feeding operator has fired
     for o in ready:
         op = ops[o]
-        fired = min(x[idx[e]] // n for e, n in op.inputs)
+        fired = min([x[idx[e]] // n for e, n in op.inputs])
         for e, n in op.inputs:
             x[idx[e]] -= fired * n
         totals[o] = fired

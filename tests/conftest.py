@@ -160,6 +160,11 @@ cao loop {
 }
 """
 
+# The loop from (a + 1, a) with a odd: i's partial carry is one more than
+# j's, so the M operator's fold lowers i's common carry on every update.
+# From ``LOOP_TEXT``'s own start, with a even, no update lowers one.
+LOWERING_LOOP_TEXT = LOOP_TEXT.replace("= 500000001", "= 500000002").replace("= 500000000", "= 500000001")
+
 
 def random_parameters(rng: random.Random, spec):
     """``spec`` with every radix drawn from 2..4 and every coefficient from 1..4."""
@@ -242,6 +247,8 @@ def check_oracle(
             err("bad-start", f"entity {ent.name!r} has a start value that is not an integer: {ent.start!r}", entity=ent.name)
         elif ent.start < 0:
             err("bad-start", f"entity {ent.name!r} has negative start value {ent.start}", entity=ent.name)
+        if not isinstance(ent.role, Role):
+            err("bad-role", f"entity {ent.name!r} has role {ent.role!r}, which is not a Role", entity=ent.name)
 
     known = {e.name for e in entities}
     role_of = {e.name: e.role for e in entities}

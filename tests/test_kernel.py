@@ -37,6 +37,7 @@ from conftest import (
     GROWING_CYCLE_TEXT,
     KERNEL_SOURCE,
     LOOP_TEXT,
+    LOWERING_LOOP_TEXT,
     kernel_compile_command,
     kernel_compiler,
 )
@@ -510,11 +511,6 @@ def assert_leaks_nothing(action, held, repeat=200):
         tracemalloc.stop()
     assert grown < 4096
     assert list(map(sys.getrefcount, held)) == before
-
-
-# The loop from (a + 1, a) with a odd: i's partial carry is one more than
-# j's, so the M operator's fold lowers i's common carry on every update.
-LOWERING_LOOP_TEXT = LOOP_TEXT.replace("= 500000001", "= 500000002").replace("= 500000000", "= 500000001")
 
 
 def int_objects(trace) -> int:
@@ -1018,7 +1014,9 @@ class Mutant:
 # the int64 loop's update and in the enactor's: each route's mutant must be
 # caught by the other. The int64 loop's sharing rule broken three ways: the
 # first two record wrong values, which the enactor must catch on the first
-# update, and the third lets an int subclass out of row 0.
+# update, and the third lets an int subclass out of row 0. The enactor's
+# fold taking its first input's carry, not the least, which the int64 loop
+# must catch on the first update of a start that lowers a carry.
 KERNEL_MUTANTS = {
     MATRIX_SECTION: [
         Mutant(
@@ -1052,6 +1050,13 @@ KERNEL_MUTANTS = {
             "a dropped credit",
             "        for (j = self->out_off[o]; j < self->out_off[o + 1]; j++)\n",
             "        for (j = self->out_off[o] + 1; j < self->out_off[o + 1]; j++)\n",
+        ),
+        Mutant(
+            "the common carry from the first input",
+            "            if (j == lo || q < c)\n",
+            "            if (j == lo)\n",
+            # the loop from its own start never lowers a carry
+            text=LOWERING_LOOP_TEXT,
         ),
     ],
 }

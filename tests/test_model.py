@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from caosim import (
     parse,
     validate,
 )
+from caosim.dsl import _scan
 from caosim.kernel import plan_for
 from conftest import LOOP_TEXT, SHOWCASE_TEXT, check_oracle
 
@@ -231,7 +235,7 @@ class TestCheckAgainstItsOracle:
                 yield put(name=bad)
             for bad in (True, False, 1.5, -1, -(10**30), "3", self.Count(3)):
                 yield put(start=bad)
-            for role in Role:
+            for role in (*Role, "final", "initial", None, 0):
                 yield put(role=role)
         for k, o in enumerate(ops):
             def put(**change):
@@ -272,7 +276,7 @@ class TestCheckAgainstItsOracle:
                     assert check(*description, allow_cycles=allow_cycles) == want, description
                     tripped.update(i.code for i in want.issues)
         assert tripped == {
-            "bad-name", "duplicate-name", "bad-start", "bad-valence", "unknown-entity",
+            "bad-name", "duplicate-name", "bad-start", "bad-role", "bad-valence", "unknown-entity",
             "duplicate-input", "duplicate-output", "self-loop", "bad-radix", "bad-coefficient",
             "form-mismatch", "final-entity-input", "multiple-outgoing-operators",
             "cycle-detected", "role-mismatch", "unreachable-entity",
@@ -300,6 +304,17 @@ class TestCheckAgainstItsOracle:
             "bad-name", "bad-radix", "duplicate-input", "final-entity-input", "final-entity-input",
             "multiple-outgoing-operators",
         ]
+
+    def test_a_role_that_is_not_a_role_is_a_bad_role(self):
+        # a string "final" role once escaped the final-entity-input rule,
+        # and the spec validate returned could not be serialized
+        entities = [Entity("a", "initial"), Entity("b", "final")]
+        with pytest.raises(InvalidCaoError) as info:
+            validate("x", entities, [op([("a", 2)], [("b", 1)])])
+        assert [(i.code, i.entity) for i in info.value.report.errors] == [("bad-role", "a"), ("bad-role", "b")]
+        assert info.value.report.errors[1].message == "entity 'b' has role 'final', which is not a Role"
+        report = check("x", [Entity("a", Role.INITIAL), Entity("b", "final")], [op([("b", 2)], [("a", 1)])])
+        assert codes(report) == ["bad-role"]
 
     def test_a_form_that_is_not_a_form_is_a_form_mismatch(self):
         entities = [Entity("a", Role.INITIAL), Entity("b", Role.FINAL)]
@@ -396,6 +411,179 @@ class TestSpecHash:
             ).stdout
 
         assert python(load, "2", python(dump, "1")) == b"True True 1\n"
+
+
+# The oracles for Entity and Operator: the records as they were, with the
+# dataclass's generated __init__ and an instance __dict__.
+@dataclass(frozen=True)
+class OracleEntity:
+    name: str
+    role: Role = Role.INTERMEDIATE
+    start: int = 0
+
+
+@dataclass(frozen=True)
+class OracleOperator:
+    inputs: tuple[tuple[str, int], ...]
+    outputs: tuple[tuple[str, int], ...]
+    form: Form | None = None
+
+
+RECORDS = [
+    pytest.param(
+        Entity, OracleEntity,
+        [("a",), ("b", Role.FINAL), ("c", Role.INITIAL, 2**70), ("d", "final", 1.5), (None, None, None)],
+        id="Entity",
+    ),
+    pytest.param(
+        Operator, OracleOperator,
+        [((("a", 2),), (("b", 1),)), ((("a", 2), ("b", 3)), (("c", 1),), Form.F), ((), (), "L"), ([], None, None)],
+        id="Operator",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, oracle, cases", RECORDS)
+class TestRecordsAgainstTheirOracles:
+    """``Entity`` and ``Operator`` are slotted and fill their slots by hand;
+    all else must be what the generated dataclass gives."""
+
+    @staticmethod
+    def same(got, want) -> None:
+        assert type(got).__name__ == type(want).__name__.removeprefix("Oracle")
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert repr(got) == repr(want).replace("Oracle", "", 1)
+
+    def test_fields_match(self, cls, oracle, cases):
+        def described(fields):
+            return [(f.name, f.default, f.default_factory, f.init, f.repr, f.hash, f.compare, f.kw_only) for f in fields]
+
+        assert described(dataclasses.fields(cls)) == described(dataclasses.fields(oracle))
+        assert cls.__match_args__ == oracle.__match_args__
+        assert cls.__slots__ == oracle.__match_args__
+        assert all(not hasattr(cls(*values), "__dict__") for values in cases)
+
+    def test_constructs_as_the_generated_init(self, cls, oracle, cases):
+        names = [f.name for f in dataclasses.fields(oracle)]
+        for values in cases:
+            want = oracle(*values)
+            keywords = dict(zip(names, values))
+            for got in (cls(*values), cls(**keywords), cls(values[0], **dict(zip(names[1:], values[1:])))):
+                self.same(got, want)
+            try:
+                expected = hash(want)
+            except TypeError:  # a field holds a list
+                with pytest.raises(TypeError):
+                    hash(cls(*values))
+            else:
+                assert hash(cls(*values)) == expected
+
+    def test_bad_arguments_fail_as_the_generated_init(self, cls, oracle, cases):
+        first = cases[1]
+        name = dataclasses.fields(oracle)[0].name
+        for args, kwargs in [((), {}), ((*first, 0, 0), {}), (first, {name: first[0]}), (first[:1], {"nope": 1})]:
+            with pytest.raises(TypeError):
+                oracle(*args, **kwargs)
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_eq_follows_the_values(self, cls, oracle, cases):
+        for a in cases:
+            for b in cases:
+                assert (cls(*a) == cls(*b)) == (oracle(*a) == oracle(*b))
+                assert (cls(*a) != cls(*b)) == (oracle(*a) != oracle(*b))
+            assert cls(*a) != oracle(*a)
+
+    def test_replace_pickle_and_copy(self, cls, oracle, cases):
+        name = dataclasses.fields(oracle)[0].name
+        for values in cases:
+            record, want = cls(*values), oracle(*values)
+            changed = replace(record, **{name: "z"})
+            self.same(changed, replace(want, **{name: "z"}))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                again = pickle.loads(pickle.dumps(record, protocol))
+                assert again == record
+                self.same(again, want)
+            for again in (copy.copy(record), copy.deepcopy(record)):
+                assert again == record
+                self.same(again, want)
+
+    def test_frozen_as_the_generated_class(self, cls, oracle, cases):
+        for kind in (oracle, cls):
+            record = kind(*cases[1])
+            for name in kind.__match_args__:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, 1)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+        # a new attribute has nowhere to go; before Python 3.14 the slotted
+        # class's generated __setattr__ refuses it with a TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(cls(*cases[1]), "other", 1)
+
+
+CHAIN_TEXT = """\
+cao chain2x5 {
+  initial c0
+  intermediate c1
+  intermediate c2
+  intermediate c3
+  final c4
+
+  L (c0:2) -> (c1:1)
+  L (c1:2) -> (c2:1)
+  L (c2:2) -> (c3:1)
+  L (c3:2) -> (c4:1)
+}
+"""
+
+
+class TestOneSpecFiveWays:
+    def test_equal_specs_hash_alike_and_share_a_plan(self):
+        commented = "# a five-entity base-2 chain\n" + CHAIN_TEXT
+        assert _scan(CHAIN_TEXT) is not None and _scan(commented) is None
+        scanned = parse(CHAIN_TEXT)
+        specs = [
+            scanned,
+            parse(commented),
+            parse(caosim.serialize(scanned)),
+            caosim.build_linear_chain(2, 5),
+            caosim.with_parameters(scanned, [([2], [1])] * 4),
+        ]
+        # built apart: no two share a record, but for the entities
+        # with_parameters keeps
+        records = [id(r) for spec in specs for r in spec.operators]
+        records += [id(r) for spec in specs[:4] for r in spec.entities]
+        assert len(set(records)) == len(records)
+        assert all(spec == scanned for spec in specs)
+        assert len({hash(spec) for spec in specs}) == 1
+        plan_for.cache_clear()
+        plans = [plan_for(spec) for spec in specs]
+        assert all(plan is plans[0] for plan in plans)
+        assert plan_for.cache_info() == (4, 1, 1)
+
+
+def test_enum_members_hash_by_identity():
+    for member in (*Role, *Form):
+        assert hash(member) == object.__hash__(member)
+
+
+def test_a_valid_description_is_proven_in_bulk(fuzz_corpus, showcase, monkeypatch):
+    # the item-by-item walks name the culprits of a group whose bulk proof
+    # failed; a valid acyclic description must never reach them
+    specs = [spec for spec, _ in fuzz_corpus] + [showcase, caosim.build_linear_chain(2, 600)]
+    descriptions = [(spec.name, spec.entities, spec.operators) for spec in specs]
+    wants = [check_oracle(*description) for description in descriptions]
+    assert not any(want.errors for want in wants)
+
+    def walked(*args, **kwargs):
+        raise AssertionError("a valid description was walked")
+
+    for fn in ("_entity_issues", "_operator_issues", "_find_cycle"):
+        monkeypatch.setattr(caosim.model, fn, walked)
+    for description, want in zip(descriptions, wants):
+        assert check(*description) == want
 
 
 class TestPerSpecCaches:

@@ -27,6 +27,7 @@ from caosim.simulate import _hand_back
 from conftest import (
     GROWING_CYCLE_TEXT,
     LOOP_TEXT,
+    LOWERING_LOOP_TEXT,
     SHOWCASE_TRAJECTORY,
     package_imports,
     random_parameters,
@@ -250,6 +251,7 @@ class TestStepOperational:
 
 GROWING_CYCLE = parse(GROWING_CYCLE_TEXT, allow_cycles=True)
 LOOP = parse(LOOP_TEXT, allow_cycles=True)
+LOWERING_LOOP = parse(LOWERING_LOOP_TEXT, allow_cycles=True)
 
 
 def enacted_updates(spec, state, updates):
@@ -515,11 +517,15 @@ class TestCEnactor:
     it must return what the generator returns, except where it hands the
     stretch back, and then the generator, primed at its state, must."""
 
-    def test_matching_stretches_return_none(self):
-        state = LOOP.start_state()
-        fast = _stepcore.Enactor(resolve(LOOP), state)
+    # the loop from its own start, and from one whose fold lowers a carry on every update
+    both_starts = pytest.mark.parametrize("loop", [LOOP, LOWERING_LOOP], ids=["loop", "lowering"])
+
+    @both_starts
+    def test_matching_stretches_return_none(self, loop):
+        state = loop.start_state()
+        fast = _stepcore.Enactor(resolve(loop), state)
         for limit in (1, 7, 300, 1024):
-            rows, last = stretch(resolve(LOOP), state, limit)
+            rows, last = stretch(resolve(loop), state, limit)
             assert fast.send((rows, last)) is None
             assert fast.state == last
             state = last
@@ -535,10 +541,11 @@ class TestCEnactor:
         rows, last = stretch(resolve(showcase), state, 9)
         assert _stepcore.Enactor(resolve(showcase), state).send((rows, last)) is None
 
+    @both_starts
     @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
     @pytest.mark.parametrize("at", [0, 3, 9])  # 9: the next state is ``last``
-    def test_the_first_mismatch_is_the_generators(self, field, at):
-        operators, state = resolve(LOOP), LOOP.start_state()
+    def test_the_first_mismatch_is_the_generators(self, field, at, loop):
+        operators, state = resolve(loop), loop.start_state()
         rows, last = stretch(operators, state, 10)
         if field == 0 and at == 9:
             last = bump(last)
