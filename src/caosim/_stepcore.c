@@ -1,13 +1,19 @@
 /* Step kernel: int64 while it holds, exact ints past it; and the lock-step
    check of the other route, in int64.
 
-   The file has four sections, each headed by a line of its own: the matrix
-   route's PlanKernel, the trace entries, the operational route's Enactor,
+   The file has four sections, each headed by a line of its own: the trace
+   entries, the matrix route's PlanKernel, the operational route's Enactor,
    and the module.  The two routes' sections share no code: neither names a
    function, type or static of the other (tests/test_kernel.py checks it),
-   so a slip in one shows as a divergence in the other.  They live in one
-   file because the package builds one extension from it, and so does the
-   benchmark.
+   so a slip in one shows as a divergence in the other.  Both use the first
+   section, which reads where an entry class keeps its slots.  They live in
+   one file because the package builds one extension from it, and so does
+   the benchmark.
+
+   Each update is recorded once, as one trace entry of caosim.model's
+   TraceStep class: (k, state, partials, common), its slots filled in C.
+   The PlanKernel writes the entries, simulate.run keeps them as the trace,
+   and the Enactor reads those very entries to check them.
 
    A PlanKernel freezes one update plan -- per-entity radices, carry groups
    and conversion edges, all given by entity index -- into C arrays at
@@ -17,13 +23,15 @@
    groups, and OverflowError for one whose radices or coefficients do not
    fit in int64.
 
-   Its one method, run(state, limit), takes up to `limit` updates in a row
-   without returning to Python in between.  While int64 holds the state and
+   Its one method, run(cls, k, state, limit), takes up to `limit` updates in
+   a row without returning to Python in between, and writes one entry of
+   class cls per update, numbered from k.  While int64 holds the state and
    every credit, the state stays in int64 from one update to the next, and
-   only the tuples each update records are built.  Every multiplication and
-   addition that could leave int64 is checked, and so is every state about
-   to be stepped: a component that is negative, not an int, or outside int64
-   ends the int64 loop too, as a plan with negative coefficients may need.
+   only the tuples and the entry each update records are built.  Every
+   multiplication and addition that could leave int64 is checked, and so is
+   every state about to be stepped: a component that is negative, not an
+   int, or outside int64 ends the int64 loop too, as a plan with negative
+   coefficients may need.
 
    There a big-integer stretch starts.  It holds the components and carries
    as Python objects and updates them with PyNumber_* calls, which stay
@@ -36,30 +44,26 @@
    PyNumber_* call on an int subclass, or any allocation, may run Python
    code that calls run() again.
 
-   Rows share what repeats, by one rule on both paths: a partial carry equal
-   to the previous update's is its object, and each common carry is the
-   partials tuple's object of its value, its own or, for a carry the fold
-   lowered, that of the group member whose partial the fold took.  A
+   Entries share what repeats, by one rule on both paths: a partial carry
+   equal to the previous update's is its object, and each common carry is
+   the partials tuple's object of its value, its own or, for a carry the
+   fold lowered, that of the group member whose partial the fold took.  A
    next-state component the update does not touch keeps its object; the
    int64 loop, which computes every component, keeps it wherever the value
    is unchanged.  Only other values are new ints.  The int64 loop shares
    only exact ints, so an int subclass instance in its start stays in the
-   start's row.
+   start's entry.
 
    Every tuple of exact ints is born untracked by the cyclic garbage
-   collector, the start state included, and so is each (state, partials,
-   common) row of three such tuples: a tuple of exact ints can never be part
-   of a cycle.  CPython untracks such a tuple itself, but only at the first
-   collection that walks it, and on a wide state that walk costs more than
-   the update.
-
-   entries(cls, k, rows) builds simulate.run's trace entries from a stretch
-   of rows.  An entry of frozen TraceStep holds an int and three tuples;
-   when the tuples are untracked tuples of exact ints, the entry can never
-   be part of a cycle either, and it is untracked too.
+   collector, the start state included: a tuple of exact ints can never be
+   part of a cycle.  CPython untracks such a tuple itself, but only at the
+   first collection that walks it, and on a wide state that walk costs more
+   than the update.  An entry of frozen TraceStep holds an int and three
+   tuples; when the tuples are untracked tuples of exact ints, the entry can
+   never be part of a cycle either, and it is untracked too.
 
    An Enactor(operators, state) enacts operational.resolve(spec)'s
-   operators literally in int64 and checks the matrix route's stretches
+   operators literally in int64 and checks the matrix route's entries
    against its own updates; its section says how. */
 
 #define PY_SSIZE_T_CLEAN
@@ -69,6 +73,74 @@
 #include <string.h>
 
 _Static_assert(sizeof(long long) == sizeof(int64_t), "long long must be 64 bits");
+
+/* ======== Trace entries ======== */
+
+/* An entry class: the offsets of its k, state, partials and common slots,
+   read off its member descriptors, and whether its instances may be
+   untracked, which needs a class whose instances hold nothing but slots.
+   The matrix route writes entries through these offsets, and the
+   operational route reads them. */
+typedef struct {
+    PyTypeObject *cls;
+    Py_ssize_t off[4];
+    int untrack;
+} EntryClass;
+
+/* The class last loaded, a strong reference, so that its descriptors are
+   looked up once. */
+static EntryClass last_class;
+
+#define ENTRY_SLOT(ec, entry, i) (*(PyObject **)((char *)(entry) + (ec).off[i]))
+
+/* Fill *ec with cls and a new reference to it; -1 with TypeError when cls
+   is not a class with the four slots.  Each call works on its own copy,
+   because allocating may run Python code that loads another class. */
+static int
+load_entry_class(PyObject *cls, EntryClass *ec)
+{
+    static const char *const names[4] = {"k", "state", "partials", "common"};
+    PyTypeObject *type = (PyTypeObject *)cls, *old;
+    EntryClass found = {type, {0}, 0};
+
+    if (type == last_class.cls) {
+        *ec = last_class;
+        Py_INCREF(type);
+        return 0;
+    }
+    if (!PyType_Check(cls)) {
+        PyErr_Format(PyExc_TypeError, "an entry class must be a class, not %.100s",
+                     Py_TYPE(cls)->tp_name);
+        return -1;
+    }
+    Py_INCREF(type);                /* allocating may run code that drops it */
+    for (int i = 0; i < 4; i++) {
+        PyObject *name = PyUnicode_InternFromString(names[i]), *descr;
+        if (!name) {
+            Py_DECREF(type);
+            return -1;
+        }
+        descr = _PyType_Lookup(type, name);  /* borrowed */
+        Py_DECREF(name);
+        /* a writable object slot of a class this one derives from */
+        if (!descr || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
+            || ((PyMemberDescrObject *)descr)->d_member->type != T_OBJECT_EX
+            || ((PyMemberDescrObject *)descr)->d_member->flags != 0
+            || !PyType_IsSubtype(type, PyDescr_TYPE(descr))) {
+            PyErr_Format(PyExc_TypeError, "%.100s has no slot '%s'", type->tp_name, names[i]);
+            Py_DECREF(type);
+            return -1;
+        }
+        found.off[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
+    }
+    found.untrack = PyType_IS_GC(type) && type->tp_dictoffset == 0;
+    *ec = found;                    /* ec's reference */
+    Py_INCREF(type);                /* the cache's */
+    old = last_class.cls;
+    last_class = found;
+    Py_XDECREF(old);                /* last: it may run Python code */
+    return 0;
+}
 
 /* ======== The matrix route: PlanKernel ======== */
 
@@ -390,24 +462,28 @@ copy_tuple(PyObject *const *row, Py_ssize_t m)
     return out;
 }
 
-/* Append a (head, partials, common) row to rows, untracked when none of
-   the three is tracked; -1 with an exception set.  It takes over the three
-   references, any of which may be NULL after a failed allocation. */
+/* Append entry k, (k, head, partials, common), to the list out, untracked
+   when its class allows it and the three are untracked exact tuples; -1
+   with an exception set.  It takes over the three references, any of which
+   may be NULL after a failed allocation. */
 static int
-append_row(PyObject *rows, PyObject *head, PyObject *pt, PyObject *pct)
+append_entry(const EntryClass *ec, PyObject *out, Py_ssize_t k, PyObject *head,
+             PyObject *pt, PyObject *pct)
 {
-    PyObject *row = NULL;
+    PyObject *entry = NULL, *items[3] = {head, pt, pct};
     int rc = -1;
 
-    if (head && pt && pct && (row = PyTuple_New(3))) {
-        if (!PyObject_GC_IsTracked(head) && !PyObject_GC_IsTracked(pt)
-            && !PyObject_GC_IsTracked(pct))
-            PyObject_GC_UnTrack(row);
-        PyTuple_SET_ITEM(row, 0, head);
-        PyTuple_SET_ITEM(row, 1, pt);
-        PyTuple_SET_ITEM(row, 2, pct);
-        rc = PyList_Append(rows, row);
-        Py_DECREF(row);
+    if (head && pt && pct && (entry = ec->cls->tp_alloc(ec->cls, 0))) {
+        int untrack = ec->untrack;
+        for (int i = 0; i < 3; i++) {
+            untrack &= PyTuple_CheckExact(items[i]) && !PyObject_GC_IsTracked(items[i]);
+            ENTRY_SLOT(*ec, entry, i + 1) = items[i];
+        }
+        if (untrack)
+            PyObject_GC_UnTrack(entry);
+        if ((ENTRY_SLOT(*ec, entry, 0) = PyLong_FromSsize_t(k)))
+            rc = PyList_Append(out, entry);
+        Py_DECREF(entry);
         return rc;
     }
     Py_XDECREF(head);
@@ -416,27 +492,28 @@ append_row(PyObject *rows, PyObject *head, PyObject *pt, PyObject *pct)
     return rc;
 }
 
-/* Append rows from *cur in int64 until limit rows are taken (1), at a fixed
-   point (0), or before an update int64 cannot hold (2); -1 on error.  *cur
-   becomes the state to go on from, NULL after an error.  scr holds five
-   rows of m and one of ngroups.
+/* Append entries of class ec to out from *cur in int64, numbered on from
+   k + len(out), until out holds limit entries (1), at a fixed point (0),
+   or before an update int64 cannot hold (2); -1 on error.  *cur becomes the
+   state to go on from, NULL after an error.  scr holds five rows of m and
+   one of ngroups.
 
-   Each row shares what repeats: a next-state component equal to the
+   Each entry shares what repeats: a next-state component equal to the
    previous state's is that object, a partial carry equal to the previous
    update's is its object, and every common carry is an object of the
    partials tuple; only other values are fresh ints. */
 static int
-run_int64(const PlanKernel *self, int64_t *scr, PyObject **cur, PyObject *rows,
-          Py_ssize_t limit)
+run_int64(const PlanKernel *self, const EntryClass *ec, int64_t *scr, PyObject **cur,
+          PyObject *out, Py_ssize_t k, Py_ssize_t limit)
 {
     const Py_ssize_t m = self->m;
     int64_t *s = scr, *p = s + m, *pc = p + m, *nxt = pc + m, *was = nxt + m, *low = was + m;
-    PyObject *pt = NULL;            /* the last row's partials, was in int64 */
+    PyObject *pt = NULL;            /* the last entry's partials, was in int64 */
     int fits = 1, rc = 1;
 
     for (Py_ssize_t i = 0; i < m && fits; i++)
         fits = fits_int64(PyTuple_GET_ITEM(*cur, i), &s[i]);
-    for (Py_ssize_t taken = 0; taken < limit; taken++) {
+    while (PyList_GET_SIZE(out) < limit) {
         PyObject *pct, *head = *cur;
         int moved = 0;
 
@@ -448,7 +525,8 @@ run_int64(const PlanKernel *self, int64_t *scr, PyObject **cur, PyObject *rows,
         Py_XSETREF(pt, shared_ints(p, pt, was, m));
         /* the common tuple is the partials' wherever no group lowers a carry */
         pct = pt && memcmp(p, pc, m * sizeof *p) ? common_ints(self, pt, p, pc, low) : Py_XNewRef(pt);
-        if (append_row(rows, head, Py_XNewRef(pt), pct) < 0 || !*cur) {
+        if (append_entry(ec, out, k + PyList_GET_SIZE(out), head, Py_XNewRef(pt), pct) < 0
+            || !*cur) {
             rc = -1;
             break;
         }
@@ -622,18 +700,19 @@ carries_differ(const PlanKernel *self, const Frontier *f)
     return 0;
 }
 
-/* Append rows from *cur in Python objects, the frontier way, until limit
-   rows are taken (1), at a fixed point (0), or once every component fits
-   in int64 after at least one update (2); -1 on error.  *cur becomes the
-   state to go on from, NULL after an error, and *wide the count of the
-   start's components outside int64. */
+/* Append entries of class ec to out from *cur in Python objects, the
+   frontier way, numbered on from k + len(out), until out holds limit
+   entries (1), at a fixed point (0), or once every component fits in int64
+   after at least one update (2); -1 on error.  *cur becomes the state to
+   go on from, NULL after an error, and *wide the count of the start's
+   components outside int64. */
 static int
-run_big(PlanKernel *self, PyObject **cur, PyObject *rows, Py_ssize_t limit,
-        Py_ssize_t *wide)
+run_big(PlanKernel *self, const EntryClass *ec, PyObject **cur, PyObject *out, Py_ssize_t k,
+        Py_ssize_t limit, Py_ssize_t *wide)
 {
     const Py_ssize_t m = self->m, ng = self->ngroups;
     PyObject *zero = NULL;
-    Py_ssize_t i, taken = 0, left = 0;
+    Py_ssize_t i, left = 0;
     Frontier f;
     char *block;
     int stop = -1;
@@ -677,7 +756,7 @@ run_big(PlanKernel *self, PyObject **cur, PyObject *rows, Py_ssize_t limit,
             break;
         if ((pt = copy_tuple(f.p, m)))
             pct = differ ? copy_tuple(f.pc, m) : Py_NewRef(pt);
-        if (append_row(rows, Py_NewRef(*cur), pt, pct) < 0)
+        if (append_entry(ec, out, k + PyList_GET_SIZE(out), Py_NewRef(*cur), pt, pct) < 0)
             break;
         if (!f.nfiring) {
             stop = 0;
@@ -688,7 +767,7 @@ run_big(PlanKernel *self, PyObject **cur, PyObject *rows, Py_ssize_t limit,
         Py_SETREF(*cur, copy_tuple(f.s, m));
         if (!*cur)
             break;
-        if (++taken == limit) {
+        if (PyList_GET_SIZE(out) == limit) {
             stop = 1;
             break;
         }
@@ -718,25 +797,50 @@ fail:
     return -1;
 }
 
+/* Append copies of out's last entry, its three tuples shared and k counting
+   on, until out holds limit entries; -1 with an exception set. */
+static int
+hold_entry(const EntryClass *ec, PyObject *out, Py_ssize_t k, Py_ssize_t limit)
+{
+    PyObject *fixed = PyList_GET_ITEM(out, PyList_GET_SIZE(out) - 1), *items[3];
+    int rc = 0;
+
+    for (int i = 0; i < 3; i++)
+        items[i] = Py_NewRef(ENTRY_SLOT(*ec, fixed, i + 1));
+    while (rc == 0 && PyList_GET_SIZE(out) < limit)
+        rc = append_entry(ec, out, k + PyList_GET_SIZE(out), Py_NewRef(items[0]),
+                          Py_NewRef(items[1]), Py_NewRef(items[2]));
+    for (int i = 0; i < 3; i++)
+        Py_DECREF(items[i]);
+    return rc;
+}
+
 static PyObject *
 PlanKernel_run(PlanKernel *self, PyObject *args)
 {
-    PyObject *values, *stretches = Py_None, *cur = NULL, *rows = NULL, *out = NULL;
-    Py_ssize_t limit;
+    PyObject *cls, *values, *stretches = Py_None, *cur = NULL, *entries = NULL, *out = NULL;
+    Py_ssize_t k, limit;
     int64_t *scr = NULL;
-    int stop;
+    int stop, hold = 0;
+    EntryClass ec;
 
-    if (!PyArg_ParseTuple(args, "On|O:run", &values, &limit, &stretches))
+    if (!PyArg_ParseTuple(args, "OnOn|Op:run", &cls, &k, &values, &limit, &stretches, &hold))
         return NULL;
     if (limit < 0) {
         PyErr_SetString(PyExc_ValueError, "limit must be >= 0");
+        return NULL;
+    }
+    if (k > PY_SSIZE_T_MAX - limit) {
+        PyErr_SetString(PyExc_OverflowError, "run() step count overflows");
         return NULL;
     }
     if (stretches != Py_None && !PyList_Check(stretches)) {
         PyErr_SetString(PyExc_TypeError, "stretches must be a list or None");
         return NULL;
     }
-    if (!(cur = state_tuple(self, values)) || !(rows = PyList_New(0)))
+    if (load_entry_class(cls, &ec) < 0)
+        return NULL;
+    if (!(cur = state_tuple(self, values)) || !(entries = PyList_New(0)))
         goto done;
     untrack_ints(cur);
     /* run_int64's scratch rows, for this call only */
@@ -744,12 +848,12 @@ PlanKernel_run(PlanKernel *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    while ((stop = run_int64(self, scr, &cur, rows, limit - PyList_GET_SIZE(rows))) == 2) {
-        Py_ssize_t before = PyList_GET_SIZE(rows), wide = 0;
-        if ((stop = run_big(self, &cur, rows, limit - before, &wide)) < 0)
+    while ((stop = run_int64(self, &ec, scr, &cur, entries, k, limit)) == 2) {
+        Py_ssize_t before = PyList_GET_SIZE(entries), wide = 0;
+        if ((stop = run_big(self, &ec, &cur, entries, k, limit, &wide)) < 0)
             goto done;
         if (stretches != Py_None) {
-            PyObject *record = Py_BuildValue("(nni)", wide, PyList_GET_SIZE(rows) - before, stop);
+            PyObject *record = Py_BuildValue("(nni)", wide, PyList_GET_SIZE(entries) - before, stop);
             if (!record || PyList_Append(stretches, record) < 0) {
                 Py_XDECREF(record);
                 goto done;
@@ -759,7 +863,7 @@ PlanKernel_run(PlanKernel *self, PyObject *args)
         if (stop != 2)
             break;
     }
-    if (stop < 0)
+    if (stop < 0 || (stop == 0 && hold && hold_entry(&ec, entries, k, limit) < 0))
         goto done;
     if ((out = PyTuple_New(3))) {
         PyObject *code = PyLong_FromLong(stop);
@@ -767,30 +871,37 @@ PlanKernel_run(PlanKernel *self, PyObject *args)
             Py_CLEAR(out);
             goto done;
         }
-        PyTuple_SET_ITEM(out, 0, rows);
+        PyTuple_SET_ITEM(out, 0, entries);
         PyTuple_SET_ITEM(out, 1, cur);
         PyTuple_SET_ITEM(out, 2, code);
-        rows = cur = NULL;
+        entries = cur = NULL;
     }
 done:
     PyMem_Free(scr);
-    Py_XDECREF(rows);
+    Py_XDECREF(entries);
     Py_XDECREF(cur);
+    Py_DECREF(ec.cls);
     return out;
 }
 
 static PyMethodDef PlanKernel_methods[] = {
     {"run", (PyCFunction)PlanKernel_run, METH_VARARGS,
-     "run(state, limit, stretches=None) -> (rows, last, stop): at most `limit`\n"
-     "updates, in int64 while it holds them and in exact ints past it.\n\n"
-     "rows holds one (state, partials, common) tuple per update taken; each\n"
-     "row's state is the previous update's next state, the same object.\n"
-     "last is the state to continue from.  stop is 0 at a fixed point (the\n"
-     "last row's common carries are all zero) and 1 when `limit` rows were\n"
-     "taken.  A list passed as `stretches` receives one (wide, updates, end)\n"
-     "tuple per big-integer stretch: how many components of its start were\n"
-     "outside int64, how many updates it took, and its end: 0 at a fixed\n"
-     "point, 1 at the limit, 2 back into int64."},
+     "run(cls, k, state, limit, stretches=None, hold=False) -> (entries, last,\n"
+     "stop): at most `limit` updates, in int64 while it holds them and in exact\n"
+     "ints past it.\n\n"
+     "entries holds one cls(k + i, state, partials, common) per update taken,\n"
+     "its slots filled and neither __new__ nor __init__ called; cls must have\n"
+     "object slots k, state, partials and common.  Each entry's state is the\n"
+     "previous update's next state, the same object.  An entry is untracked\n"
+     "by the garbage collector when cls has no __dict__ and its three tuples\n"
+     "are untracked exact tuples.  last is the state to continue from.  stop\n"
+     "is 0 at a fixed point (the last entry's common carries are all zero)\n"
+     "and 1 when `limit` entries were taken.  With `hold`, a fixed point's\n"
+     "entry repeats, its tuples shared, up to the limit.  A list passed as\n"
+     "`stretches` receives one (wide, updates, end) tuple per big-integer\n"
+     "stretch: how many components of its start were outside int64, how many\n"
+     "updates it took, and its end: 0 at a fixed point, 1 at the limit, 2\n"
+     "back into int64."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -806,134 +917,6 @@ static PyTypeObject PlanKernelType = {
     .tp_new = PlanKernel_new,
 };
 
-/* ======== Trace entries ======== */
-
-/* An entry class: the offsets of its k, state, partials and common slots,
-   read off its member descriptors, and whether its instances may be
-   untracked, which needs a class whose instances hold nothing but slots. */
-typedef struct {
-    PyTypeObject *cls;
-    Py_ssize_t off[4];
-    int untrack;
-} EntryClass;
-
-/* The class entries() was last given, a strong reference, so that its
-   descriptors are looked up once. */
-static EntryClass last_class;
-
-#define ENTRY_SLOT(ec, entry, i) (*(PyObject **)((char *)(entry) + (ec).off[i]))
-
-/* Fill *ec with cls and a new reference to it; -1 with TypeError when cls
-   is not a class with the four slots.  Each call works on its own copy,
-   because allocating may run Python code that calls entries() again. */
-static int
-load_entry_class(PyObject *cls, EntryClass *ec)
-{
-    static const char *const names[4] = {"k", "state", "partials", "common"};
-    PyTypeObject *type = (PyTypeObject *)cls, *old;
-    EntryClass found = {type, {0}, 0};
-
-    if (type == last_class.cls) {
-        *ec = last_class;
-        Py_INCREF(type);
-        return 0;
-    }
-    if (!PyType_Check(cls)) {
-        PyErr_Format(PyExc_TypeError, "entries() needs a class, not %.100s",
-                     Py_TYPE(cls)->tp_name);
-        return -1;
-    }
-    for (int i = 0; i < 4; i++) {
-        PyObject *name = PyUnicode_InternFromString(names[i]), *descr;
-        if (!name)
-            return -1;
-        descr = _PyType_Lookup(type, name);  /* borrowed */
-        Py_DECREF(name);
-        /* a writable object slot of a class this one derives from */
-        if (!descr || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
-            || ((PyMemberDescrObject *)descr)->d_member->type != T_OBJECT_EX
-            || ((PyMemberDescrObject *)descr)->d_member->flags != 0
-            || !PyType_IsSubtype(type, PyDescr_TYPE(descr))) {
-            PyErr_Format(PyExc_TypeError, "%.100s has no slot '%s'", type->tp_name, names[i]);
-            return -1;
-        }
-        found.off[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
-    }
-    found.untrack = PyType_IS_GC(type) && type->tp_dictoffset == 0;
-    *ec = found;
-    Py_INCREF(type);                /* ec's reference */
-    Py_INCREF(type);                /* the cache's */
-    old = last_class.cls;
-    last_class = found;
-    Py_XDECREF(old);                /* last: it may run Python code */
-    return 0;
-}
-
-/* 1 when row's items are three untracked exact tuples. */
-static int
-untracked_rows(PyObject *row)
-{
-    for (Py_ssize_t i = 0; i < 3; i++) {
-        PyObject *t = PyTuple_GET_ITEM(row, i);
-        if (!PyTuple_CheckExact(t) || PyObject_GC_IsTracked(t))
-            return 0;
-    }
-    return 1;
-}
-
-static PyObject *
-stepcore_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *rows = NULL, *out = NULL;
-    Py_ssize_t k, i, n;
-    EntryClass ec;
-
-    (void)module;
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "entries() takes 3 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    if (load_entry_class(args[0], &ec) < 0)
-        return NULL;
-    if ((k = PyLong_AsSsize_t(args[1])) == -1 && PyErr_Occurred())
-        goto fail;
-    /* a tuple, because allocating may run Python code that could change a list */
-    if (!(rows = PySequence_Tuple(args[2])))
-        goto fail;
-    n = PyTuple_GET_SIZE(rows);
-    if (k > PY_SSIZE_T_MAX - n) {
-        PyErr_SetString(PyExc_OverflowError, "entries() step count overflows");
-        goto fail;
-    }
-    if (!(out = PyList_New(n)))
-        goto fail;
-    for (i = 0; i < n; i++) {
-        PyObject *row = PyTuple_GET_ITEM(rows, i), *entry;
-        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 3) {
-            PyErr_SetString(PyExc_TypeError,
-                            "each row must be a (state, partials, common) tuple");
-            goto fail;
-        }
-        if (!(entry = ec.cls->tp_alloc(ec.cls, 0)))
-            goto fail;
-        PyList_SET_ITEM(out, i, entry);
-        if (!(ENTRY_SLOT(ec, entry, 0) = PyLong_FromSsize_t(k + i)))
-            goto fail;
-        for (int j = 1; j < 4; j++)
-            ENTRY_SLOT(ec, entry, j) = Py_NewRef(PyTuple_GET_ITEM(row, j - 1));
-        if (ec.untrack && untracked_rows(row))
-            PyObject_GC_UnTrack(entry);
-    }
-    Py_DECREF(rows);
-    Py_DECREF(ec.cls);
-    return out;
-fail:
-    Py_XDECREF(out);
-    Py_XDECREF(rows);
-    Py_DECREF(ec.cls);
-    return NULL;
-}
-
 /* ======== The operational route: Enactor ======== */
 
 /* An Enactor makes run(engine="both")'s lock-step check on the compiled
@@ -948,21 +931,30 @@ fail:
    read a component the last update changed: the readers of the inputs and
    outputs of the operators that fired.
 
-   It holds its state in int64 from one call to the next.  send((rows,
-   last)) takes one update per row and compares each in full with the
+   It holds its state in int64 from one call to the next.  send((entries,
+   last)) takes one update per entry and compares each in full with the
    matrix route's stretch -- next state, partial and common carries -- and
-   returns what operational.enactor's send((rows, last)) returns: None when
-   all match, else (i, (next, partials, common)) for the first mismatch,
-   which ends the enactor's use.  Where an update would leave int64, or a
-   value it is compared with is not an exact int, it returns the row's
+   returns what operational.enactor's send((entries, last)) returns: None
+   when all match, else (i, (next, partials, common)) for the first
+   mismatch, which ends the enactor's use.  It reads the very entries the
+   trace keeps, through their slots.  Where an update would leave int64, or
+   a value it is compared with is not an exact int, it returns the entry's
    index i instead: it then holds the state update i starts from (its state
    attribute), with every operator to enact next, and the caller checks the
    rest of the stretch with operational.enactor.  A start that is not all
-   exact ints in int64 is handed back at row 0.
+   exact ints in int64 is handed back at entry 0.
 
-   No Python code runs while the rows are compared, so they cannot change
-   meanwhile: every shape is checked first, an exact int is read without
-   calling into Python, and nothing is allocated until the result. */
+   Most values a trace holds are small, and CPython keeps one int object
+   for each value from -5 to 256.  So before it converts an item, the check
+   asks whether the item is that cached object for the value it computed
+   itself: an object's value never changes, so the one pointer comparison
+   proves the item equal, and takes nothing on trust from the matrix route.
+   Any other item is converted and compared in full.
+
+   No Python code runs while the entries are compared, so they cannot
+   change meanwhile: every shape is checked first, an exact int is read
+   without calling into Python, and nothing is allocated until the
+   result. */
 
 typedef struct {
     PyObject_HEAD
@@ -1236,6 +1228,11 @@ enactor_commit(Enactor *self)
         self->is_marked[self->dirty[k]] = 0;
 }
 
+/* The interpreter's cached ints 0..ENACTOR_SMALL, by value, made at module
+   init. */
+#define ENACTOR_SMALL 256
+static PyObject *enactor_small[ENACTOR_SMALL + 1];
+
 /* 1 when the items of the tuple t equal the m values, 0 when one differs,
    -1 at an item that is not an exact int before any difference. */
 static int
@@ -1244,6 +1241,8 @@ enactor_equal(const int64_t *values, PyObject *t, Py_ssize_t m)
     for (Py_ssize_t i = 0; i < m; i++) {
         PyObject *v = PyTuple_GET_ITEM(t, i);
         int overflow;
+        if ((uint64_t)values[i] <= ENACTOR_SMALL && v == enactor_small[values[i]])
+            continue;
         if (!PyLong_CheckExact(v))
             return -1;
         if (PyLong_AsLongLongAndOverflow(v, &overflow) != values[i] || overflow)
@@ -1299,36 +1298,63 @@ enactor_mismatch(Enactor *self, Py_ssize_t j, int same)
     return out;
 }
 
+/* 0 when every entry of the sequence is of ec's class, with its three
+   tuples of m items; -1 with TypeError or ValueError. */
+static int
+enactor_shapes(const EntryClass *ec, PyObject *entries, Py_ssize_t m)
+{
+    for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(entries); j++) {
+        PyObject *entry = PySequence_Fast_GET_ITEM(entries, j);
+        if (!Py_IS_TYPE(entry, ec->cls)) {
+            PyErr_Format(PyExc_TypeError, "each entry must be a %.100s, not %.100s",
+                         ec->cls->tp_name, Py_TYPE(entry)->tp_name);
+            return -1;
+        }
+        for (int k = 1; k < 4; k++) {
+            PyObject *t = ENTRY_SLOT(*ec, entry, k);
+            if (!t) {
+                PyErr_SetString(PyExc_TypeError, "an entry has an empty slot");
+                return -1;
+            }
+            if (enactor_shape(t, m) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
 static PyObject *
 Enactor_send(Enactor *self, PyObject *job)
 {
-    PyObject *rows, *last, *out = NULL;
-    Py_ssize_t n, j, k;
+    PyObject *entries, *last, *first, *out = NULL;
+    Py_ssize_t n, j;
     const Py_ssize_t m = self->m;
+    EntryClass ec = {NULL, {0}, 0};
 
     if (!PyTuple_Check(job) || PyTuple_GET_SIZE(job) != 2) {
-        PyErr_SetString(PyExc_TypeError, "send() takes a (rows, last) pair");
+        PyErr_SetString(PyExc_TypeError, "send() takes an (entries, last) pair");
         return NULL;
     }
-    if (!(rows = PySequence_Fast(PyTuple_GET_ITEM(job, 0), "rows must be a sequence")))
+    if (!(entries = PySequence_Fast(PyTuple_GET_ITEM(job, 0), "entries must be a sequence")))
         return NULL;
-    n = PySequence_Fast_GET_SIZE(rows);
+    if (PySequence_Fast_GET_SIZE(entries)) {
+        /* the class of the first entry; loading it may run Python code,
+           so every shape is checked after it */
+        first = Py_NewRef(Py_TYPE(PySequence_Fast_GET_ITEM(entries, 0)));
+        j = load_entry_class(first, &ec);
+        Py_DECREF(first);
+        if (j < 0)
+            goto done;
+        if (enactor_shapes(&ec, entries, m) < 0)
+            goto done;
+    }
+    n = PySequence_Fast_GET_SIZE(entries);
     if (enactor_shape(last = PyTuple_GET_ITEM(job, 1), m) < 0)
         goto done;
     for (j = 0; j < n; j++) {
-        PyObject *row = PySequence_Fast_GET_ITEM(rows, j);
-        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 3) {
-            PyErr_SetString(PyExc_TypeError, "each row must be a (state, partials, common) tuple");
-            goto done;
-        }
-        for (k = 0; k < 3; k++)
-            if (enactor_shape(PyTuple_GET_ITEM(row, k), m) < 0)
-                goto done;
-    }
-    for (j = 0; j < n; j++) {
-        PyObject *row = PySequence_Fast_GET_ITEM(rows, j);
-        PyObject *want = j + 1 < n ? PyTuple_GET_ITEM(PySequence_Fast_GET_ITEM(rows, j + 1), 0) : last;
-        PyObject *mp = PyTuple_GET_ITEM(row, 1), *mpc = PyTuple_GET_ITEM(row, 2);
+        PyObject *entry = PySequence_Fast_GET_ITEM(entries, j);
+        PyObject *want = j + 1 < n ? ENTRY_SLOT(ec, PySequence_Fast_GET_ITEM(entries, j + 1), 1) : last;
+        PyObject *mp = ENTRY_SLOT(ec, entry, 2), *mpc = ENTRY_SLOT(ec, entry, 3);
         int same = 0, eq = -1;
 
         if (!self->start && enactor_update(self) == 0) {
@@ -1352,7 +1378,8 @@ Enactor_send(Enactor *self, PyObject *job)
     }
     out = Py_NewRef(Py_None);
 done:
-    Py_DECREF(rows);
+    Py_XDECREF(ec.cls);
+    Py_DECREF(entries);
     return out;
 }
 
@@ -1365,14 +1392,17 @@ Enactor_state(Enactor *self, void *closure)
 
 static PyMethodDef Enactor_methods[] = {
     {"send", (PyCFunction)Enactor_send, METH_O,
-     "send((rows, last)) -> None | (i, (next, partials, common)) | i: check a\n"
-     "stretch of the matrix route, one update per row, each compared in full:\n"
-     "its next state with the next row's state (last after the last row), its\n"
-     "carries with the row's.  None when all match; the first mismatch, with\n"
-     "this route's result there; or the index i of the row where an update\n"
-     "leaves int64 or meets a value that is not an exact int, the state then\n"
-     "being that update's start.  Shapes are checked first: TypeError or\n"
-     "ValueError for a row that is not three tuples of the state's length."},
+     "send((entries, last)) -> None | (i, (next, partials, common)) | i: check\n"
+     "a stretch of the matrix route's trace entries, one update per entry,\n"
+     "each compared in full: its next state with the next entry's state (last\n"
+     "after the last entry), its carries with the entry's.  None when all\n"
+     "match; the first mismatch, with this route's result there; or the index\n"
+     "i of the entry where an update leaves int64 or meets a value that is not\n"
+     "an exact int, the state then being that update's start.  Shapes are\n"
+     "checked first: TypeError for entries not all of the first one's class,\n"
+     "a class with object slots k, state, partials and common, and TypeError\n"
+     "or ValueError for a state or carries that are not a tuple of the\n"
+     "state's length."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1400,31 +1430,31 @@ static PyTypeObject EnactorType = {
     .tp_new = Enactor_new,
 };
 
-/* ======== The module ======== */
+/* Fill enactor_small once; -1 with an exception set. */
+static int
+enactor_load_small(void)
+{
+    for (long i = 0; i <= ENACTOR_SMALL; i++)
+        if (!enactor_small[i] && !(enactor_small[i] = PyLong_FromLong(i)))
+            return -1;
+    return 0;
+}
 
-static PyMethodDef stepcore_methods[] = {
-    {"entries", (PyCFunction)(void (*)(void))stepcore_entries, METH_FASTCALL,
-     "entries(cls, k, rows) -> list: [cls(i, s, p, pc) for i, (s, p, pc) in\n"
-     "enumerate(rows, k)], with the slots filled and neither __new__ nor\n"
-     "__init__ called.  cls must have object slots k, state, partials and\n"
-     "common.  An entry is untracked by the garbage collector when its class\n"
-     "has no __dict__ and its row holds three untracked exact tuples."},
-    {NULL, NULL, 0, NULL},
-};
+/* ======== The module ======== */
 
 static struct PyModuleDef stepcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_stepcore",
     .m_doc = "Overflow-checked 64-bit step kernel, and the lock-step enactor.",
     .m_size = -1,
-    .m_methods = stepcore_methods,
 };
 
 PyMODINIT_FUNC
 PyInit__stepcore(void)
 {
     PyObject *mod;
-    if (PyType_Ready(&PlanKernelType) < 0 || PyType_Ready(&EnactorType) < 0)
+    if (PyType_Ready(&PlanKernelType) < 0 || PyType_Ready(&EnactorType) < 0
+        || enactor_load_small() < 0)
         return NULL;
     if (!(mod = PyModule_Create(&stepcore_module)))
         return NULL;

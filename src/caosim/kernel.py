@@ -14,10 +14,13 @@ int64 again. The compiled kernel is the default backend when the extension
 imports and the ``CAOSIM_PURE`` environment variable is unset.
 
 Every update goes through :func:`advance`: given a plan, the kernel
-:func:`bind` chose for it, a state and a limit, it returns a stretch of
-updates as ``(rows, last, stop)``. On the compiled backend the stretch is
-one ``PlanKernel.run`` call, and ``advance`` logs each of its big-integer
-stretches as a DEBUG record on the ``caosim`` logger. The pure backend
+:func:`bind` chose for it, a state, a limit and the first step number, it
+returns a stretch of updates as ``(entries, last, stop)``, one
+:class:`~caosim.model.TraceStep` per update. The kernels write each update
+straight into its trace entry; nothing copies it afterwards. On the
+compiled backend the stretch is one ``PlanKernel.run`` call, and
+``advance`` logs each of its big-integer stretches as a DEBUG record on the
+``caosim`` logger. The pure backend
 takes the stretch in Python by :func:`_frontier`. Both take big integers
 the frontier way: a stretch's first update computes every carry, and each
 update after it changes only the entries whose common carry is nonzero and
@@ -27,26 +30,25 @@ that just received grains can topple; Dhar, PRL 64, 1990). :func:`step` is
 ``advance`` with a limit of one, and :func:`caosim.simulate.run` drives
 whole runs with it.
 
-Rows share what repeats, on both backends: a partial carry equal to the
-previous update's is the previous row's object, each common carry is the
-object its row's partials tuple holds for that value (its own, or for a
+Entries share what repeats, on both backends: a partial carry equal to the
+previous update's is the previous entry's object, each common carry is the
+object its entry's partials tuple holds for that value (its own, or for a
 carry the fold lowered, the one of the group member whose partial the fold
 took), and a common tuple equal to the partials is that tuple. A next-state
 component the update does not touch keeps its object; C's int64 loop, which
 computes every component, keeps it wherever its value is unchanged, and
 shares only exact ints, so an ``int`` subclass instance in its start stays in
-the start's row. Every other value is a new int.
+the start's entry. Every other value is a new int.
 
-On the compiled backend every row tuple is born untracked by the cyclic
-garbage collector when it holds only exact ``int`` objects: C builds its
-rows that way, in int64 and in big integers alike. Such a tuple cannot be
-part of a reference cycle, and CPython would untrack it anyway at the first
-collection that walks it; on a wide state that walk cost more than the
-update. The (state, partials, common) triples C returns are untracked too
-when their three tuples are, and so are the trace entries
-:func:`caosim.simulate.run` builds over such rows with ``_stepcore.entries``.
-The pure backend runs no C, so its rows and entries stay tracked until a
-collection untracks them (an entry, being an object with slots, never).
+On the compiled backend every tuple an entry holds is born untracked by the
+cyclic garbage collector when it holds only exact ``int`` objects: C builds
+its tuples that way, in int64 and in big integers alike. Such a tuple cannot
+be part of a reference cycle, and CPython would untrack it anyway at the
+first collection that walks it; on a wide state that walk cost more than
+the update. An entry whose three tuples are such tuples is born untracked
+too (see :class:`~caosim.model.TraceStep`). The pure backend runs no C, so
+its tuples stay tracked until a collection untracks them, and its entries,
+objects with slots, stay tracked.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .model import CaoSpec, entity_index, per_spec
+from .model import CaoSpec, TraceStep, entity_index, held, per_spec
 
 try:
     from . import _stepcore  # type: ignore[attr-defined]
@@ -166,15 +168,20 @@ def bind(plan: StepPlan, backend: str | None = None):
     return plan._compiled
 
 
-def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int):
-    """Up to ``limit`` updates of ``state`` under ``plan``: ``(rows, last, stop)``.
+def advance(
+    plan: StepPlan, compiled, state: Sequence[int], limit: int, k: int = 0, *, hold: bool = False
+):
+    """Up to ``limit`` updates of ``state`` under ``plan``: ``(entries, last, stop)``.
 
-    ``compiled`` is what :func:`bind` returned for the plan. ``rows`` holds
-    one ``(state, partials, common)`` tuple per update taken; each row's
-    state is the previous update's next-state tuple, the same object.
-    ``last`` is the state after the last row, and ``stop`` is 0 when the
-    last row's common carries are all zero (a fixed point) and 1 when
-    ``limit`` rows were taken.
+    ``compiled`` is what :func:`bind` returned for the plan. ``entries``
+    holds one ``TraceStep(k + i, state, partials, common)`` per update
+    taken; each entry's state is the previous update's next-state tuple,
+    the same object. ``last`` is the state after the last entry, and
+    ``stop`` is 0 when the last entry's common carries are all zero (a fixed
+    point) and 1 when ``limit`` entries were taken. With ``hold``, a fixed
+    point's entry repeats up to the limit, its tuples shared and ``k``
+    counting on, as a run under a schedule records a fixed state until the
+    parameters may change; ``stop`` is still 0.
 
     On the compiled backend the whole stretch is one ``PlanKernel.run``
     call: in int64 while it holds the update, and in exact Python ints,
@@ -189,9 +196,12 @@ def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int):
     if limit <= 0:
         return [], state, 1
     if compiled is None:
-        return _frontier(plan, state, limit)
+        entries, last, stop = _frontier(plan, state, limit, k)
+        if hold and stop == 0:
+            entries += held(entries[-1], k + limit)
+        return entries, last, stop
     stretches: list = []
-    rows, last, stop = compiled.run(state, limit, stretches)
+    entries, last, stop = compiled.run(TraceStep, k, state, limit, stretches, hold)
     if stretches and (log := _debug_log()) is not None:
         for wide, taken, end in stretches:
             log.debug(
@@ -201,7 +211,7 @@ def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int):
                 taken,
                 ("a fixed point", "the stretch's limit", "back into int64")[end],
             )
-    return rows, last, stop
+    return entries, last, stop
 
 
 def _debug_log():
@@ -218,9 +228,10 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _frontier(plan: StepPlan, state, limit: int):
+def _frontier(plan: StepPlan, state, limit: int, k: int):
     """The pure backend's stretch: up to ``limit`` (at least one) updates of
-    ``state`` in Python, returned as :func:`advance` returns them.
+    ``state`` in Python, numbered from ``k``, returned as :func:`advance`
+    returns them without ``hold``.
 
     The state and the carries are kept as lists, starting from zero carries
     with every entry to compute. An update changes only the firing entries
@@ -231,7 +242,7 @@ def _frontier(plan: StepPlan, state, limit: int):
     """
     n, groups = plan.n, plan.groups
     out, group_of = plan._fanout
-    rows = []
+    entries = []
     head, s = tuple(state), list(state)
     p, pc = [0] * len(s), [0] * len(s)
     fire = set()
@@ -261,9 +272,9 @@ def _frontier(plan: StepPlan, state, limit: int):
                 else:
                     fire.discard(x)
         pt = tuple(p)
-        rows.append((head, pt, pt if not groups or p == pc else tuple(pc)))
+        entries.append(TraceStep(k, head, pt, pt if not groups or p == pc else tuple(pc)))
         if not fire:
-            return rows, head, 0
+            return entries, head, 0
         touched = set()
         for i in fire:
             c = pc[i]
@@ -273,8 +284,9 @@ def _frontier(plan: StepPlan, state, limit: int):
                 s[d] += c * coeff
                 touched.add(d)
         head = tuple(s)
-        if len(rows) == limit:
-            return rows, head, 1
+        k += 1
+        if len(entries) == limit:
+            return entries, head, 1
 
 
 def step(
@@ -286,6 +298,5 @@ def step(
     compiled backend takes any update it cannot represent in 64 bits in
     exact Python ints, and logs it as :func:`advance` does.
     """
-    rows, nxt, _ = advance(plan, bind(plan, backend), state, 1)
-    _, p, pc = rows[0]
-    return nxt, p, pc
+    (entry,), nxt, _ = advance(plan, bind(plan, backend), state, 1)
+    return nxt, entry.partials, entry.common

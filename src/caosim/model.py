@@ -138,6 +138,59 @@ _set_inputs = Operator.inputs.__set__
 _set_outputs = Operator.outputs.__set__
 _set_form = Operator.form.__set__
 
+
+@dataclass(frozen=True, slots=True, init=False)
+class TraceStep:
+    """One recorded instant: the state at step k and the carries read off it.
+
+    The carries stored here are computed *from* ``state`` and produce the
+    next entry's state. In the last entry of a fixed-point trace they are all
+    zero; after a step-limit stop they are computed but never applied.
+
+    A run records one entry per update, and the stepping routes build the
+    entries themselves (:mod:`caosim.kernel`, :mod:`caosim.operational`), so
+    the record lives here, where both import it. Its constructor is written
+    by hand, for the reason :class:`Entity` gives.
+
+    On the compiled backend C writes the entries, filling the same slots,
+    and each tuple an entry holds is untracked by the garbage collector when
+    it holds only exact ints, which cannot be part of a cycle (see
+    :mod:`caosim.kernel`). An entry whose three tuples are such untracked
+    tuples is untracked too: it is frozen and has no ``__dict__``, so it
+    refers to an int and those tuples alone, and nothing they reach can
+    refer back to it. Any other entry, one holding an ``int`` subclass say,
+    stays tracked. (Forcing a slot of an untracked entry with
+    ``object.__setattr__`` can make a cycle the collector never frees; it
+    cannot make one it frees wrongly.)
+    """
+
+    k: int
+    state: tuple[int, ...]
+    partials: tuple[int, ...]
+    common: tuple[int, ...]
+
+    def __init__(
+        self, k: int, state: tuple[int, ...], partials: tuple[int, ...], common: tuple[int, ...]
+    ) -> None:
+        _set_k(self, k)
+        _set_state(self, state)
+        _set_partials(self, partials)
+        _set_common(self, common)
+
+
+_set_k = TraceStep.k.__set__
+_set_state = TraceStep.state.__set__
+_set_partials = TraceStep.partials.__set__
+_set_common = TraceStep.common.__set__
+
+
+def held(entry: TraceStep, end: int) -> list[TraceStep]:
+    """The entries that repeat ``entry`` from step ``entry.k + 1`` up to
+    ``end`` (exclusive): a fixed point held while the parameters may still
+    change. Each shares ``entry``'s three tuples."""
+    state, partials, common = entry.state, entry.partials, entry.common
+    return [TraceStep(k, state, partials, common) for k in range(entry.k + 1, end)]
+
 _NAME, _ROLE, _START = attrgetter("name"), attrgetter("role"), attrgetter("start")
 _INPUTS, _OUTPUTS, _FORM = attrgetter("inputs"), attrgetter("outputs"), attrgetter("form")
 _ENTITY_FIELDS = attrgetter("name", "role", "start")

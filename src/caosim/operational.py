@@ -25,11 +25,13 @@ code with that route. It derives which operators read which entity from
 routes also work at different grains. Here a whole operator is enacted again
 or not at all. The matrix route recomputes single entries of a flattened
 plan (per-entity radices, carry groups and weighted edges). A slip in either
-one's bookkeeping shows as a difference in some row, and
-``run(engine="both")`` compares every row in full: it sends each matrix
-stretch to the enactor, which compares its own updates with the rows as it
-takes them. The matrix route's rows reach this module only to be compared;
-nothing here is computed from them.
+one's bookkeeping shows as a difference in some trace entry, and
+``run(engine="both")`` compares every entry in full: it sends each matrix
+stretch of entries to the enactor, which compares its own updates with them
+as it takes them. The entries are the very objects the trace keeps; they
+reach this module only to be compared, and nothing here is computed from
+them. The record class, :class:`~caosim.model.TraceStep`, comes from
+:mod:`caosim.model`, as everything here does.
 
 On the compiled backend ``run`` makes that check with ``_stepcore.Enactor``,
 this module's enactor written again in C: built from :func:`resolve`'s
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from typing import Generator, Sequence
 
-from .model import CaoSpec, check_state, entity_index, per_spec
+from .model import CaoSpec, TraceStep, check_state, entity_index, per_spec
 
 StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 IndexPairs = tuple[tuple[int, int], ...]
@@ -73,26 +75,28 @@ def step_operational(spec: CaoSpec, state: Sequence[int]) -> StepResult:
     check_state(spec, state)
     updates = enactor(resolve(spec), state)
     next(updates)
-    ((_, p, pc),), nxt, _ = updates.send(1)
-    return nxt, p, pc
+    (entry,), nxt, _ = updates.send((0, 1))
+    return nxt, entry.partials, entry.common
 
 
 def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
     """The updates of a checked ``state`` under resolved ``operators``, a
     stretch per ``send`` once primed with ``next()``.
 
-    ``send(limit)`` takes up to ``limit`` updates and returns ``(rows, last,
-    stop)`` as the matrix route's ``advance`` does: a ``(state, partials,
-    common)`` row per update, the state after the last, and ``stop`` 0 at a
-    fixed point (all common carries zero) or 1 after ``limit`` rows.
+    ``send((k, limit))`` takes up to ``limit`` updates and returns
+    ``(entries, last, stop)`` as the matrix route's ``advance`` does: a
+    ``TraceStep(k + i, state, partials, common)`` per update, the state
+    after the last, and ``stop`` 0 at a fixed point (all common carries
+    zero) or 1 after ``limit`` entries.
 
-    ``send((rows, last))`` checks such a stretch: it takes ``len(rows)``
-    updates and compares each in full as it is taken, its next state with
-    the next row's state (``last`` after the last row) and its carries with
-    the row's. It keeps none of its rows. It returns None when all match,
-    else ``(i, (next, partials, common))`` for the first mismatch: its index
-    in the stretch and this route's result there. A mismatch ends the
-    enactor's use.
+    ``send((entries, last))`` checks such a stretch: it takes
+    ``len(entries)`` updates and compares each in full as it is taken, its
+    next state with the next entry's ``state`` (``last`` after the last
+    entry) and its carries with the entry's ``partials`` and ``common``. It
+    keeps none of its own. It returns None when all match, else ``(i,
+    (next, partials, common))`` for the first mismatch: its index in the
+    stretch and this route's result there. A mismatch ends the enactor's
+    use.
 
     The first update enacts every operator, each later one only those that
     read a component the last update changed; the others keep their
@@ -104,7 +108,7 @@ def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
     next update every operator that reads one of its inputs or outputs.
     Without multi-input operators the common carries are the partials, and
     one tuple holds both. After a fixed point every update gives the same
-    row.
+    values.
     """
     readers = [[] for _ in state]
     for o, (inputs, _) in enumerate(operators):
@@ -123,8 +127,8 @@ def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
     done = None
     while True:
         job = yield done
-        if type(job) is int:
-            limit, want, rows = job, None, []
+        if type(job[0]) is int:
+            (k, limit), want, entries = job, None, []
         else:
             want, last = job
             limit = len(want)
@@ -160,16 +164,18 @@ def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
             pt = tuple(p)
             common = pt if not grouped or p == pc else tuple(pc)
             if want is None:
-                rows.append((before, pt, common))
+                entries.append(TraceStep(k, before, pt, common))
+                k += 1
                 if not any(common):
-                    done = rows, cur, 0
+                    done = entries, cur, 0
                     break
             else:
-                _, mp, mpc = want[j]
+                entry = want[j]
+                mp, mpc = entry.partials, entry.common
                 # common carries that are the partials' own tuple on both
                 # sides are equal when the partials are
                 if (
-                    cur != (want[j + 1][0] if j + 1 < limit else last)
+                    cur != (want[j + 1].state if j + 1 < limit else last)
                     or pt != mp
                     or not (common is pt and mpc is mp)
                     and common != mpc
@@ -177,4 +183,4 @@ def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
                     done = j, (cur, pt, common)
                     break
         else:
-            done = (rows, cur, 1) if want is None else None
+            done = (entries, cur, 1) if want is None else None

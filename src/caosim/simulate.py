@@ -12,11 +12,16 @@ caches, and for the operational route an enactor built from the resolved
 operators and the state. Both routes step in stretches: each runs for up to
 ``_RUN_CHUNK`` updates and ends where the schedule says the parameters may
 next change (``ParameterSchedule.span``). The matrix route takes them with
-``kernel.advance``, the operational route by sending the enactor a limit.
-In "both", the enactor is sent each matrix stretch instead: it takes one
-update per row and compares each in full as it goes, next state, partial
-carries and common carries, keeping none of its own rows, and names the
-first mismatch, from which ``run`` raises.
+``kernel.advance``, the operational route by sending the enactor a step
+number and a limit. Either returns the stretch as its :class:`TraceStep`
+entries, numbered by step, and ``run`` keeps them as they are: each update
+is recorded once, by the route that takes it. A fixed point reached while
+the schedule may still change the parameters is held: its entry repeats,
+the same tuples at each step, up to that change. In "both", the enactor is sent each matrix
+stretch's entries instead: it takes one update per entry and compares each
+in full as it goes, next state, partial carries and common carries, keeping
+none of its own, and names the first mismatch, from which ``run`` raises.
+So the check compares the very objects the trace keeps.
 
 On the compiled backend that enactor is ``_stepcore.Enactor``: the same
 literal procedure and frontier rule as ``operational.enactor``, written in
@@ -27,10 +32,10 @@ enactor's state, checks it; the next stretch starts in C again. The pure
 backend runs no C, and a parameter set with a radix or coefficient outside
 int64 no C kernel; both check with ``operational.enactor`` throughout.
 
-Each stretch's rows become :class:`TraceStep` entries. On the compiled
-backend C builds them (``_stepcore.entries``), and leaves an entry untracked
-by the garbage collector when its tuples are untracked tuples of exact ints;
-on the pure backend a list comprehension builds them.
+On the compiled backend C writes the matrix route's entries, and leaves an
+entry untracked by the garbage collector when its tuples are untracked
+tuples of exact ints; on the pure backend, and on the operational route,
+Python builds them.
 
 Also here: exact conserved-weight extraction (integer row vectors w with
 w·state constant along every stationary trace), by one reverse-topological
@@ -51,59 +56,26 @@ from typing import Mapping, Sequence
 from . import kernel, operational, rational
 from .engine import ParameterSchedule, _same_topology, derive
 from .kernel import StepResult, _stepcore
-from .model import CaoSpec, Entity, Form, Operator, Role, _is_integer, check_state, validate
+from .model import (
+    CaoSpec,
+    Entity,
+    Form,
+    Operator,
+    Role,
+    TraceStep,
+    _is_integer,
+    check_state,
+    held,
+    validate,
+)
 
 ENGINES = ("matrix", "operational", "both")
 FIXED_POINT, STEP_LIMIT = "fixed-point", "step-limit"
 TERMINATIONS = (FIXED_POINT, STEP_LIMIT)  # how a run ends
 
-# Updates per matrix stretch: bounds the rows held beside the trace.
+# Updates per stretch: how many entries one kernel call writes before the
+# lock-step check reads them.
 _RUN_CHUNK = 1024
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class TraceStep:
-    """One recorded instant: the state at step k and the carries read off it.
-
-    The carries stored here are computed *from* ``state`` and produce the
-    next entry's state. In the last entry of a fixed-point trace they are all
-    zero; after a step-limit stop they are computed but never applied.
-
-    A run records one entry per update, so the constructor is written by
-    hand: it fills the four slots through their descriptors, which costs
-    less than half of the generated ``__init__``'s four ``object.__setattr__``
-    calls. Everything else is the dataclass's own.
-
-    On the compiled backend ``run`` builds its entries in C
-    (``_stepcore.entries``), filling the same slots, and each tuple an entry
-    holds is untracked by the garbage collector when it holds only exact
-    ints, which cannot be part of a cycle (see :mod:`caosim.kernel`). An
-    entry whose three tuples are such untracked tuples is untracked too: it
-    is frozen and has no ``__dict__``, so it refers to an int and those
-    tuples alone, and nothing they reach can refer back to it. Any other
-    entry, one holding an ``int`` subclass say, stays tracked. (Forcing a
-    slot of an untracked entry with ``object.__setattr__`` can make a cycle
-    the collector never frees; it cannot make one it frees wrongly.)
-    """
-
-    k: int
-    state: tuple[int, ...]
-    partials: tuple[int, ...]
-    common: tuple[int, ...]
-
-    def __init__(
-        self, k: int, state: tuple[int, ...], partials: tuple[int, ...], common: tuple[int, ...]
-    ) -> None:
-        _set_k(self, k)
-        _set_state(self, state)
-        _set_partials(self, partials)
-        _set_common(self, common)
-
-
-_set_k = TraceStep.k.__set__
-_set_state = TraceStep.state.__set__
-_set_partials = TraceStep.partials.__set__
-_set_common = TraceStep.common.__set__
 
 
 @dataclass(frozen=True)
@@ -201,8 +173,6 @@ def run(
             f"the schedule's CAO {schedule.base.name!r} does not have the topology of {spec.name!r}"
         )
     sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
-    # on the compiled backend C builds the entries, as it builds the rows
-    record = _stepcore.entries if backend == "compiled" and _stepcore is not None else None
     state = _initial_state(spec, initial)
     current = None
     entries: list[TraceStep] = []
@@ -225,27 +195,29 @@ def run(
                     updates = operational.enactor(operators, state)
                     next(updates)
         limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
+        # a fixed state stays fixed, entry and all, until the parameters may change
+        hold = until is not None
         if engine == "operational":
-            rows, last, stop = updates.send(limit)
+            stretch, last, stop = updates.send((k, limit))
+            if hold and stop == 0:
+                stretch += held(stretch[-1], k + limit)
         else:
-            rows, last, stop = kernel.advance(plan, compiled, state, limit)
-            # the enactor takes one update per row and compares it as it goes
-            if engine == "both" and (mismatch := updates.send((rows, last))) is not None:
+            stretch, last, stop = kernel.advance(plan, compiled, state, limit, k, hold=hold)
+            # the enactor takes one update per entry and compares it as it goes
+            if engine == "both" and (mismatch := updates.send((stretch, last))) is not None:
                 if type(mismatch) is int:  # the C enactor handed the stretch back there
-                    mismatch, updates = _hand_back(operators, updates, rows, last, mismatch)
+                    mismatch, updates = _hand_back(operators, updates, stretch, last, mismatch)
                 if mismatch is not None:
                     i, enacted = mismatch
-                    s, p, pc = rows[i]
-                    stepped = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
-                    raise EngineDivergenceError(Divergence(k + i, s, stepped, enacted))
-        if stop == 0 and until is not None:
-            # a fixed state stays fixed, row and all, until the parameters may change
-            rows += [rows[-1]] * (limit - len(rows))
-        if record is None:
-            entries.extend([TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)])
-        else:
-            entries += record(TraceStep, k, rows)
-        k += len(rows)
+                    entry = stretch[i]
+                    stepped = (
+                        stretch[i + 1].state if i + 1 < len(stretch) else last,
+                        entry.partials,
+                        entry.common,
+                    )
+                    raise EngineDivergenceError(Divergence(k + i, entry.state, stepped, enacted))
+        entries += stretch
+        k += len(stretch)
         if until is None and stop == 0 or k > max_steps:
             break
         state = last
@@ -258,18 +230,19 @@ def run(
     )
 
 
-def _hand_back(operators, fast, rows, last, at):
-    """The lock-step check of a stretch from row ``at`` on, where the C
+def _hand_back(operators, fast, entries, last, at):
+    """The lock-step check of a stretch from entry ``at`` on, where the C
     enactor ``fast`` handed it back: ``(mismatch, enactor)``.
 
-    ``operational.enactor``, primed at ``fast``'s own state, takes the rows
-    left. On a mismatch it returns it, indexed in the whole stretch, and no
-    enactor. Else a new C enactor starts from ``last``, which the generator
-    has just proved equal to its own state, to check the next stretch.
+    ``operational.enactor``, primed at ``fast``'s own state, takes the
+    entries left. On a mismatch it returns it, indexed in the whole stretch,
+    and no enactor. Else a new C enactor starts from ``last``, which the
+    generator has just proved equal to its own state, to check the next
+    stretch.
     """
     updates = operational.enactor(operators, fast.state)
     next(updates)
-    if (mismatch := updates.send((rows[at:], last))) is not None:
+    if (mismatch := updates.send((entries[at:], last))) is not None:
         i, enacted = mismatch
         return (at + i, enacted), None
     return None, _stepcore.Enactor(operators, last)

@@ -2,8 +2,11 @@
 ``random_parameters``, which redraws a CAO's radices and coefficients,
 ``matrix_step``, the paper's matrix update applied literally,
 ``check_oracle``, the structural check walked rule by rule,
-``lockstep_oracle``, the lock-step check compared row by row, and
-``package_imports``, which reads what a ``caosim`` module imports.
+``lockstep_oracle``, the lock-step check compared row by row,
+``recorded`` and ``untracked_as_recorded``, the recording the stepping
+routes replaced by writing their trace entries themselves, ``as_rows``,
+which reads a stretch of entries back as rows, and ``package_imports``,
+which reads what a ``caosim`` module imports.
 
 Before ``caosim`` is imported, the compiled step kernel is built in place
 from ``src/caosim/_stepcore.c`` when a C compiler is present, so the tests
@@ -13,6 +16,7 @@ exercise it as well as the pure kernel.
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import math
 import os
@@ -88,6 +92,7 @@ from caosim.model import (  # noqa: E402
     Issue,
     Operator,
     Role,
+    TraceStep,
     ValidationReport,
     _IDENT_RE,
     _find_cycle,
@@ -333,6 +338,37 @@ def check_oracle(
     return ValidationReport(tuple(issues))
 
 
+# The oracle for the entries the stepping routes write: the recording they
+# replaced, which built one ``TraceStep`` per ``(state, partials, common)``
+# row after the stretch (a list comprehension on the pure backend, and
+# ``_stepcore.entries`` on the compiled one, which also untracked entries).
+def recorded(rows, k=0) -> list[TraceStep]:
+    """One entry per row, numbered from ``k``, holding the row's objects."""
+    return [TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)]
+
+
+def untracked_as_recorded(entry) -> bool:
+    """Whether ``_stepcore.entries`` left ``entry`` untracked by the garbage
+    collector: when its class gives instances no ``__dict__`` and its three
+    tuples are exact tuples that are themselves untracked."""
+    tuples = (entry.state, entry.partials, entry.common)
+    return not hasattr(entry, "__dict__") and all(
+        type(t) is tuple and not gc.is_tracked(t) for t in tuples
+    )
+
+
+def as_rows(stretch, k=0):
+    """``(rows, last, stop)`` for a stretch ``(entries, last, stop)`` that a
+    stepping route returned: each entry as its ``(state, partials, common)``
+    row, holding the entry's own tuples, once the entries are checked to be
+    ``TraceStep``s numbered from ``k``."""
+    entries, last, stop = stretch
+    assert type(entries) is list
+    assert [type(e) for e in entries] == [TraceStep] * len(entries)
+    assert [e.k for e in entries] == list(range(k, k + len(entries)))
+    return [(e.state, e.partials, e.common) for e in entries], last, stop
+
+
 # The oracle for the lock-step check of ``run(engine="both")``, which the
 # enactor makes as it takes each matrix stretch: the enactor as it was when
 # each ``next()`` took one update, and the loop that zipped it with the rows
@@ -410,7 +446,7 @@ def lockstep_oracle(spec, initial=None, *, max_steps=1000, schedule=None, backen
             compiled = kernel.bind(plan, backend)
             updates = stepwise_enactor(resolve(spec_k), state)
         limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
-        rows, last, stop = kernel.advance(plan, compiled, state, limit)
+        rows, last, stop = as_rows(kernel.advance(plan, compiled, state, limit, k), k)
         for i, ((s, p, pc), want) in enumerate(zip(rows, updates)):
             got = (rows[i + 1][0] if i + 1 < len(rows) else last, p, pc)
             if got != want:

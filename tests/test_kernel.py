@@ -13,7 +13,7 @@ import sys
 import sysconfig
 import tracemalloc
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,14 +32,17 @@ from caosim.kernel import (
     plan_for,
     step,
 )
-from caosim.simulate import TraceStep
+from caosim.model import TraceStep
 from conftest import (
     GROWING_CYCLE_TEXT,
     KERNEL_SOURCE,
     LOOP_TEXT,
     LOWERING_LOOP_TEXT,
+    as_rows,
     kernel_compile_command,
     kernel_compiler,
+    recorded,
+    untracked_as_recorded,
 )
 
 needs_extension = pytest.mark.skipif(
@@ -69,10 +72,10 @@ def pure_step(state: Sequence[int], plan: StepPlan) -> StepResult:
 
 
 def compiled_update(plan, state):
-    """One update by ``PlanKernel.run(state, 1)``, as ``(next, partials,
-    common)``, and the big-integer stretches the run reported."""
+    """One update by ``PlanKernel.run(TraceStep, 0, state, 1)``, as ``(next,
+    partials, common)``, and the big-integer stretches the run reported."""
     stretches = []
-    rows, last, _ = bind(plan, "compiled").run(state, 1, stretches)
+    rows, last, _ = as_rows(bind(plan, "compiled").run(TraceStep, 0, state, 1, stretches))
     return (last, *rows[0][1:]), stretches
 
 
@@ -259,11 +262,11 @@ class TestCompiledParity:
         with pytest.raises(ValueError, match="entity 1 is in two carry groups"):
             _stepcore.PlanKernel((2, 2, 2), ((0, 1), (1, 2)), ())
         kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, 1),))
-        assert kernel.run((5, 0), 1) == ([((5, 0), (2, 0), (2, 0))], (1, 2), 1)
+        assert as_rows(kernel.run(TraceStep, 0, (5, 0), 1)) == ([((5, 0), (2, 0), (2, 0))], (1, 2), 1)
         with pytest.raises(ValueError):
-            kernel.run((5,), 1)
+            kernel.run(TraceStep, 0, (5,), 1)
         with pytest.raises(TypeError):
-            kernel.run((5, 0), 1, ())
+            kernel.run(TraceStep, 0, (5, 0), 1, ())
 
     def test_result_crossing_int64_boundary_is_exact(self):
         # walk a value right across 2**63 - 1 and back through both kernels
@@ -282,34 +285,34 @@ class TestPlanKernelRun:
 
     def test_zero_limit_takes_no_rows(self, showcase):
         state = (100, 100, 0, 0, 0, 0, 0)
-        rows, last, stop = bind(plan_for(showcase), "compiled").run(state, 0)
+        rows, last, stop = as_rows(bind(plan_for(showcase), "compiled").run(TraceStep, 0, state, 0))
         assert rows == [] and last is state and stop == 1
 
     def test_fixed_point_on_the_first_row(self):
         kernel = bind(plan_for(build_linear_chain(2, 2)), "compiled")
-        assert kernel.run((1, 5), 10) == ([((1, 5), (0, 0), (0, 0))], (1, 5), 0)
+        assert as_rows(kernel.run(TraceStep, 0, (1, 5), 10)) == ([((1, 5), (0, 0), (0, 0))], (1, 5), 0)
 
     def test_stops_at_the_limit(self, showcase):
-        rows, last, stop = bind(plan_for(showcase), "compiled").run((100, 100, 0, 0, 0, 0, 0), 2)
+        rows, last, stop = as_rows(bind(plan_for(showcase), "compiled").run(TraceStep, 0, (100, 100, 0, 0, 0, 0, 0), 2))
         assert stop == 1 and len(rows) == 2
         assert last == (0, 20, 2, 0, 4, 6, 0)
 
     def test_a_run_goes_on_past_int64(self):
         kernel = bind(self.GROW, "compiled")
         state, stretches = (2**60,), []
-        rows, last, stop = kernel.run(state, 100, stretches)
+        rows, last, stop = as_rows(kernel.run(TraceStep, 0, state, 100, stretches))
         assert (rows, last, stop) == repeated_pure_steps(self.GROW, state, 100)
         assert rows[0][0] is state and all(a[0] is not b[0] for a, b in zip(rows, rows[1:]))
         # five updates in int64, then the sixth's credit leaves it for good
         assert stretches == [(0, 95, 1)] == expected_stretches(self.GROW, rows, stop)
         more = []
-        assert kernel.run(last, 1, more) == repeated_pure_steps(self.GROW, last, 1)
+        assert as_rows(kernel.run(TraceStep, 100, last, 1, more), 100) == repeated_pure_steps(self.GROW, last, 1)
         assert more == [(1, 1, 1)]
 
     def test_negative_coefficient_goes_on_below_zero(self):
         kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, -1),))
         stretches = []
-        rows, last, stop = kernel.run((4, 1), 10, stretches)
+        rows, last, stop = as_rows(kernel.run(TraceStep, 0, (4, 1), 10, stretches))
         assert rows == [((4, 1), (2, 0), (2, 0)), ((0, -1), (0, 0), (0, 0))]
         assert last == (0, -1) and last is rows[-1][0] and stop == 0
         assert stretches == [(1, 1, 0)]
@@ -317,23 +320,24 @@ class TestPlanKernelRun:
     def test_rejects_a_wrong_length_state_and_a_negative_limit(self, showcase):
         kernel = bind(plan_for(showcase), "compiled")
         with pytest.raises(ValueError):
-            kernel.run((1, 2), 5)
+            kernel.run(TraceStep, 0, (1, 2), 5)
         with pytest.raises(ValueError):
-            kernel.run((0,) * 7, -1)
+            kernel.run(TraceStep, 0, (0,) * 7, -1)
 
-    def test_rows_are_born_untracked(self, showcase):
+    def test_entries_are_born_untracked(self, showcase):
         class Big(int):
             pass
 
         kernel = bind(plan_for(showcase), "compiled")
-        # with collection off, nothing but C can untrack a fresh tuple
+        # with collection off, nothing but C can untrack a fresh object
         gc.disable()
         try:
-            rows, _, _ = kernel.run((100, 100, 0, 0, 0, 0, 0), 3)
-            assert len(rows) == 3 and not any(map(gc.is_tracked, rows))
-            # a row holding a start with an int subclass stays tracked
-            rows, _, _ = kernel.run((Big(100), 100, 0, 0, 0, 0, 0), 3)
-            assert [gc.is_tracked(row) for row in rows] == [True, False, False]
+            entries, _, _ = kernel.run(TraceStep, 0, (100, 100, 0, 0, 0, 0, 0), 3)
+            assert len(entries) == 3 and not any(map(gc.is_tracked, entries))
+            # an entry holding a start with an int subclass stays tracked
+            entries, _, _ = kernel.run(TraceStep, 0, (Big(100), 100, 0, 0, 0, 0, 0), 3)
+            assert [gc.is_tracked(e) for e in entries] == [True, False, False]
+            assert [untracked_as_recorded(e) for e in entries] == [False, True, True]
         finally:
             gc.enable()
 
@@ -341,10 +345,10 @@ class TestPlanKernelRun:
         plan = plan_for(showcase)
         kernel = bind(plan, "compiled")
         state = (100, 100, 0, 0, 0, 0, 0)
-        rows, last, _ = kernel.run(state, 2)
+        rows, last, _ = as_rows(kernel.run(TraceStep, 0, state, 2))
         assert rows[0][0] is state
         assert rows[1][0] == pure_step(state, plan)[0]
-        more, _, _ = kernel.run(last, 1)
+        more, _, _ = as_rows(kernel.run(TraceStep, 0, last, 1))
         assert more[0][0] is last
 
     @settings(max_examples=150, deadline=None)
@@ -355,7 +359,7 @@ class TestPlanKernelRun:
         state = straddling_state(rng, plan)
         kernel = bind(plan, "compiled")
         stretches = []
-        rows, last, stop = kernel.run(state, limit, stretches)
+        rows, last, stop = as_rows(kernel.run(TraceStep, 0, state, limit, stretches))
         assert (rows, last, stop) == repeated_pure_steps(plan, state, limit)
         assert stretches == expected_stretches(plan, rows, stop)
         if rows:
@@ -365,22 +369,23 @@ class TestPlanKernelRun:
 
 @needs_extension
 class TestBigIntegerRows:
-    """The rows ``PlanKernel.run`` copies out of a big-integer stretch."""
+    """The entries ``PlanKernel.run`` writes in a big-integer stretch."""
 
     CHAIN = plan_for(build_linear_chain(2, 70))
     # 2**69 + 5 halves down the chain: 7 updates in big integers
     START = (2**69 + 5,) + (0,) * 69
 
-    def test_rows_of_exact_ints_are_born_untracked(self):
+    def test_entries_of_exact_ints_are_born_untracked(self):
         kernel = bind(self.CHAIN, "compiled")
         stretches = []
-        # with collection off, nothing but C can untrack a fresh tuple
+        # with collection off, nothing but C can untrack a fresh object
         gc.disable()
         try:
-            rows, last, _ = kernel.run(self.START, 10, stretches)
+            entries, last, _ = kernel.run(TraceStep, 0, self.START, 10, stretches)
             assert stretches == [(1, 7, 2)]
+            rows, _, _ = as_rows((entries, last, 1))
             tuples = [t for row in rows for t in row]
-            assert not any(map(gc.is_tracked, rows + tuples + [last]))
+            assert not any(map(gc.is_tracked, entries + tuples + [last]))
         finally:
             gc.enable()
 
@@ -393,16 +398,17 @@ class TestBigIntegerRows:
         try:
             # the last entity keeps its Big, the first its float, throughout
             for start in [self.START[:-1] + (Big(3),), (float(2**69),) + (0,) * 69]:
-                rows, _, _ = kernel.run(start, 10)
+                entries, _, _ = kernel.run(TraceStep, 0, start, 10)
+                rows, _, _ = as_rows((entries, None, 1))
                 assert rows == repeated_pure_steps(self.CHAIN, start, 10)[0]
-                for row in rows:
+                for entry, row in zip(entries, rows):
                     held = [any(type(v) is not int for v in t) for t in row]
                     assert [gc.is_tracked(t) for t in row] == held
-                    assert gc.is_tracked(row) == any(held)
+                    assert gc.is_tracked(entry) == any(held) == (not untracked_as_recorded(entry))
         finally:
             gc.enable()
 
-    def test_an_int_subclass_row_can_still_be_collected(self):
+    def test_an_int_subclass_entry_can_still_be_collected(self):
         class Big(int):
             pass
 
@@ -410,48 +416,53 @@ class TestBigIntegerRows:
             pass
 
         value = Big(2**69)
-        rows, _, _ = bind(self.CHAIN, "compiled").run((value,) + (0,) * 69, 2)
-        value.rows = rows  # a cycle through a row
+        entries, _, _ = bind(self.CHAIN, "compiled").run(TraceStep, 0, (value,) + (0,) * 69, 2)
+        value.entries = entries  # a cycle through an entry
         value.marker = Marker()
         alive = weakref.ref(value.marker)
-        del value, rows
+        del value, entries
         gc.collect()
         assert alive() is None
 
     def test_rejects_what_is_not_a_sequence_or_a_number(self):
         kernel = bind(self.CHAIN, "compiled")
         with pytest.raises(TypeError):
-            kernel.run(5, 1)
+            kernel.run(TraceStep, 0, 5, 1)
         for bad in ([2**69], "x"):
             state = (bad,) + (0,) * 69
             with pytest.raises(TypeError):
-                kernel.run(state, 1)
+                kernel.run(TraceStep, 0, state, 1)
             with pytest.raises(TypeError):
                 advance(self.CHAIN, None, state, 1)
 
     def test_runs_leak_nothing(self):
-        # the chain from 2**599 - 1, the loop from 2**70 and from its start,
-        # and the growing cycle from 2**60: a leaked row, component or
-        # reference would grow the traced size or the refcounts
+        # the chain from 2**599 - 1, the loop from 2**70, from its start and
+        # from a start that lowers a carry on every update, and the growing
+        # cycle from 2**60: a leaked entry, component or reference would
+        # grow the traced size or the refcounts
         chain = plan_for(build_linear_chain(2, 600))
         loop = plan_for(parse(LOOP_TEXT, allow_cycles=True))
         grow = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
         runs = [
-            (bind(chain, "compiled"), (2**599 - 1,) + (0,) * 599, 1024),
-            (bind(loop, "compiled"), (2**70 + 1, 2**70) + (0,) * 6, 300),
-            # int64 throughout, every row sharing objects with the last
-            (bind(loop, "compiled"), parse(LOOP_TEXT, allow_cycles=True).start_state(), 300),
+            (bind(chain, "compiled"), (2**599 - 1,) + (0,) * 599, 1024, False),
+            (bind(loop, "compiled"), (2**70 + 1, 2**70) + (0,) * 6, 300, False),
+            # int64 throughout, every entry sharing objects with the last
+            (bind(loop, "compiled"), parse(LOOP_TEXT, allow_cycles=True).start_state(), 300, False),
+            # and every common tuple built of the partials' objects
+            (bind(loop, "compiled"), parse(LOWERING_LOOP_TEXT, allow_cycles=True).start_state(), 300, False),
             # the int64 loop leaves mid-stretch, holding the last partials
-            (bind(grow, "compiled"), (2**60, 2**60, 0), 40),
+            (bind(grow, "compiled"), (2**60, 2**60, 0), 40, False),
+            # a fixed point held to the limit
+            (bind(chain, "compiled"), (2**70,) + (0,) * 599, 1024, True),
         ]
-        for kernel, start, limit in runs:
-            kernel.run(start, limit, [])  # makes the kernel's Python ints once
+        for kernel, start, limit, hold in runs:
+            kernel.run(TraceStep, 0, start, limit, [])  # makes the kernel's Python ints once
 
             def runs():
-                rows, last, stop = kernel.run(start, limit, [])
-                assert stop in (0, 1)
+                entries, last, stop = kernel.run(TraceStep, 7, start, limit, [], hold)
+                assert stop in (0, 1) and entries[0].k == 7
 
-            assert_leaks_nothing(runs, (start, start[0]))
+            assert_leaks_nothing(runs, (start, start[0], TraceStep))
 
     def test_enactor_checks_leak_nothing(self):
         # the C enactor of the lock-step check, on each of its paths: a
@@ -464,15 +475,18 @@ class TestBigIntegerRows:
         def stretches(spec, state, limit, count=1):
             out = []
             for _ in range(count):
-                rows, state, _ = advance(plan_for(spec), None, state, limit)
-                out.append((rows, state))
+                entries, state, _ = advance(plan_for(spec), None, state, limit)
+                out.append((entries, state))
             return out
 
         start, wide, near = loop.start_state(), (2**70 + 1, 2**70) + (0,) * 6, (2**60, 2**60, 0)
-        rows, last = stretches(loop, start, 300)[0]
-        wrong = rows[:-1] + [(*rows[-1][:2], (1,) + rows[-1][2][1:])]
+        entries, last = stretches(loop, start, 300)[0]
+        wrong = entries[:-1] + [replace(entries[-1], common=(1,) + entries[-1].common[1:])]
+        lowering = parse(LOWERING_LOOP_TEXT, allow_cycles=True)
         cases = [
-            (loop, start, (rows, last), lambda done: done is None),
+            (loop, start, (entries, last), lambda done: done is None),
+            # common carries the fold lowers, on every update
+            (lowering, lowering.start_state(), stretches(lowering, lowering.start_state(), 300)[0], lambda done: done is None),
             (loop, start, (wrong, last), lambda done: done[0] == 299),
             (loop, wide, stretches(loop, wide, 50)[0], lambda done: done == 0),
             (grow, near, stretches(grow, near, 40)[0], lambda done: type(done) is int and done > 0),
@@ -482,7 +496,7 @@ class TestBigIntegerRows:
             def check():
                 fast = _stepcore.Enactor(resolve(spec), state)
                 assert expected(fast.send(job))
-                assert fast.state is state or fast.state in [row[0] for row in job[0]]
+                assert fast.state is state or fast.state in [e.state for e in job[0]]
 
             assert_leaks_nothing(check, (state, state[0], job[0], job[1]))
 
@@ -567,7 +581,7 @@ class TestSharedRows:
     def test_partials_equal_to_the_last_updates_are_its_objects(self, fuzz_corpus):
         kept = 0
         for spec, start, limit in self.int64_runs(fuzz_corpus):
-            rows, _, _ = bind(plan_for(spec), "compiled").run(start, limit)
+            rows, _, _ = as_rows(bind(plan_for(spec), "compiled").run(TraceStep, 0, start, limit))
             for (_, before, _), (_, after, _) in zip(rows, rows[1:]):
                 assert all(b is a for a, b in zip(before, after) if a == b)
                 kept += sum(a == b > 256 for a, b in zip(before, after))
@@ -607,71 +621,59 @@ class TestSharedRows:
 
 
 @needs_extension
-class TestEntries:
-    """``_stepcore.entries``, which builds ``run``'s trace entries in C; the
-    list comprehension the pure backend records with is its oracle."""
+class TestWrittenEntries:
+    """The trace entries ``PlanKernel.run`` writes in C, one per update, in
+    place of the rows ``_stepcore.entries`` once copied into entries; that
+    recording (``recorded`` and ``untracked_as_recorded``) is its oracle."""
 
-    ROWS = [((4, 1), (2, 0), (2, 0)), ((0, 3), (0, 1), (0, 1)), ((2**70, 0), (2**69, 0), (0, 0))]
-
-    @staticmethod
-    def oracle(k, rows):
-        return [TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)]
-
-    @staticmethod
-    def untracked(rows):
-        """The rows with each item a fresh tuple, untracked as C untracks
-        its rows: CPython untracks a tuple of exact ints at the first
-        collection that walks it."""
-        out = [tuple(tuple(t) for t in row) for row in rows]
-        gc.collect()
-        assert not any(gc.is_tracked(t) for row in out for t in row)
-        return out
+    SHOWCASE = (100, 100, 0, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("k", [0, 7, 300])
-    def test_matches_the_comprehension(self, k):
-        rows = self.untracked(self.ROWS)
-        got = _stepcore.entries(TraceStep, k, rows)
-        assert type(got) is list and got == self.oracle(k, rows)
-        assert {type(e) for e in got} == {TraceStep}
-        assert [type(e.k) for e in got] == [int] * 3
-        assert all(e.state is row[0] and e.common is row[2] for e, row in zip(got, rows))
-        assert _stepcore.entries(TraceStep, k, ()) == []
-        # any sequence of rows will do, the same row more than once too
-        assert _stepcore.entries(TraceStep, k, (rows[0],) * 2) == self.oracle(k, [rows[0]] * 2)
+    @pytest.mark.parametrize("start", ["int64", "big"])
+    def test_matches_the_recording(self, showcase, k, start):
+        plan = plan_for(showcase)
+        state = self.SHOWCASE if start == "int64" else (2**70, 100, 0, 0, 0, 0, 0)
+        gc.disable()
+        try:
+            entries, last, stop = bind(plan, "compiled").run(TraceStep, k, state, 10)
+        finally:
+            gc.enable()
+        rows, want_last, want_stop = repeated_pure_steps(plan, state, 10)
+        assert type(entries) is list and entries == recorded(rows, k)
+        assert (last, stop) == (want_last, want_stop)
+        assert {type(e) for e in entries} == {TraceStep} and {type(e.k) for e in entries} == {int}
+        assert not any(map(gc.is_tracked, entries))
+        assert all(map(untracked_as_recorded, entries))
 
-    def test_untracked_only_over_untracked_exact_tuples(self):
+    def test_untracked_only_over_untracked_exact_tuples(self, showcase):
         class Big(int):
             pass
 
-        class Tup(tuple):
-            pass
-
-        [clean] = self.untracked(self.ROWS[:1])
-        state, p, pc = clean
+        kernel = bind(plan_for(showcase), "compiled")
         gc.disable()
         try:
-            assert not any(map(gc.is_tracked, _stepcore.entries(TraceStep, 0, [clean] * 3)))
-            for row in [
-                ((Big(4), 1), p, pc),
-                ([4, 1], p, pc),
-                (Tup(state), p, pc),
-                (state, p, tuple([2, 0])),  # a fresh tuple, tracked until a collection
+            # a Big stays in row 0 of an int64 stretch, a float in every
+            # entry of a big-integer one
+            for state, tracked in [
+                ((Big(100),) + self.SHOWCASE[1:], [True, False, False, False]),
+                ((100.0,) + self.SHOWCASE[1:], [True] * 4),
             ]:
-                [entry] = _stepcore.entries(TraceStep, 0, [row])
-                assert gc.is_tracked(entry), row
+                entries, _, _ = kernel.run(TraceStep, 0, state, 10)
+                assert [gc.is_tracked(e) for e in entries] == tracked
+                assert [not untracked_as_recorded(e) for e in entries] == tracked
         finally:
             gc.enable()
 
-    def test_a_class_with_a_dict_keeps_its_entries_tracked(self):
+    def test_a_class_with_a_dict_keeps_its_entries_tracked(self, showcase):
         class Loose(TraceStep):
             pass  # no __slots__, so its instances have a __dict__
 
-        [row] = self.untracked(self.ROWS[:1])
-        [entry] = _stepcore.entries(Loose, 3, [row])
-        assert type(entry) is Loose and gc.is_tracked(entry)
-        assert (entry.k, entry.state, entry.partials, entry.common) == (3, *row)
+        entries, _, _ = bind(plan_for(showcase), "compiled").run(Loose, 3, self.SHOWCASE, 2)
+        assert {type(e) for e in entries} == {Loose} and all(map(gc.is_tracked, entries))
+        rows = repeated_pure_steps(plan_for(showcase), self.SHOWCASE, 2)[0]
+        assert [(e.k, e.state, e.partials, e.common) for e in entries] == [(3 + i, *row) for i, row in enumerate(rows)]
 
-    def test_a_class_without_the_four_slots_is_refused(self):
+    def test_a_class_without_the_four_slots_is_refused(self, showcase):
         class Plain:
             pass
 
@@ -684,25 +686,28 @@ class TestEntries:
         class Props:
             k = state = partials = common = property(lambda self: 0)
 
-        row = self.ROWS[0]
+        kernel = bind(plan_for(showcase), "compiled")
         for cls in (Plain, Three, Props, int, 5, "TraceStep"):
             with pytest.raises(TypeError):
-                _stepcore.entries(cls, 0, [row])
+                kernel.run(cls, 0, self.SHOWCASE, 2)
         # a refused class does not displace the one in use
-        assert _stepcore.entries(TraceStep, 0, [row]) == self.oracle(0, [row])
+        entries, _, _ = kernel.run(TraceStep, 0, self.SHOWCASE, 2)
+        assert entries == recorded(repeated_pure_steps(plan_for(showcase), self.SHOWCASE, 2)[0])
 
     def test_a_finalizer_calling_it_with_another_class_mid_call(self):
         # under Python 3.11 and older a collection may run inside the call's
-        # allocations, and with it a finalizer calling entries() again
+        # allocations, and with it a finalizer calling run() again
         class Padded:
             __slots__ = ("pad", "k", "state", "partials", "common")
 
+        loop = parse(LOOP_TEXT, allow_cycles=True)
+        kernel, start = bind(plan_for(loop), "compiled"), loop.start_state()
+
         class Trigger:
             def __del__(self):
-                inner.extend(_stepcore.entries(Padded, 0, [row]))
+                inner.extend(kernel.run(Padded, 0, start, 1)[0])
 
-        [row] = self.untracked(self.ROWS[:1])
-        rows, inner = [row] * 50, []
+        inner = []
         threshold = gc.get_threshold()
         gc.collect()
         try:
@@ -711,41 +716,68 @@ class TestEntries:
                 trigger.cycle = trigger
             del trigger
             gc.set_threshold(1)
-            got = _stepcore.entries(TraceStep, 0, rows)
+            entries, _, _ = kernel.run(TraceStep, 0, start, 50)
         finally:
             gc.set_threshold(*threshold)
         gc.collect()
-        assert got == self.oracle(0, rows) and {type(e) for e in got} == {TraceStep}
+        rows = repeated_pure_steps(plan_for(loop), start, 50)[0]
+        assert entries == recorded(rows) and {type(e) for e in entries} == {TraceStep}
         assert len(inner) == 3 and {type(e) for e in inner} == {Padded}
-        assert not hasattr(inner[0], "pad") and inner[0].state is row[0]
+        assert not hasattr(inner[0], "pad") and inner[0].state is start
 
-    def test_a_row_that_is_not_a_3_tuple_is_refused(self):
-        state, p, pc = self.ROWS[0]
-        for bad in ([(state, p)], [(state, p, pc, pc)], [[state, p, pc]], [5], 5):
-            with pytest.raises(TypeError):
-                _stepcore.entries(TraceStep, 0, bad)
+    def test_bad_arguments_are_refused(self, showcase):
+        kernel = bind(plan_for(showcase), "compiled")
         for bad_k in (1.0, "0", None):
             with pytest.raises(TypeError):
-                _stepcore.entries(TraceStep, bad_k, [self.ROWS[0]])
+                kernel.run(TraceStep, bad_k, self.SHOWCASE, 2)
         with pytest.raises(TypeError):
-            _stepcore.entries(TraceStep, 0)
+            kernel.run(TraceStep, 0, self.SHOWCASE)
+        with pytest.raises(TypeError):
+            kernel.run(self.SHOWCASE, 2)
         with pytest.raises(OverflowError):
-            _stepcore.entries(TraceStep, sys.maxsize, [self.ROWS[0]] * 2)
+            kernel.run(TraceStep, sys.maxsize - 1, self.SHOWCASE, 2)
+        # the last step number that fits is written
+        [entry], _, _ = kernel.run(TraceStep, sys.maxsize - 1, self.SHOWCASE, 1)
+        assert entry.k == sys.maxsize - 1
 
-    def test_leaks_no_references(self):
-        [row] = self.untracked([[(2**40 + i, i) for i in range(3)]])
-        state, p, pc = row
-        rows, bad = [row] * 3, [row, (state, p)]
-        held = (state, row, TraceStep)
-        _stepcore.entries(TraceStep, 0, [])
-        gc.collect()  # a class entries() held before may be left in a cycle
+    def test_leaks_no_references(self, showcase):
+        kernel = bind(plan_for(showcase), "compiled")
+        state = (2**40, 2**40) + self.SHOWCASE[2:]
+        held = (state, state[0], TraceStep)
+        kernel.run(TraceStep, 0, state, 3)
+        gc.collect()  # a class run() held before may be left in a cycle
         before = list(map(sys.getrefcount, held))
         for _ in range(10_000):
-            _stepcore.entries(TraceStep, 5, rows)
+            kernel.run(TraceStep, 5, state, 3)
             with pytest.raises(TypeError):
-                _stepcore.entries(TraceStep, 5, bad)
+                kernel.run(int, 5, state, 3)
         gc.collect()
         assert list(map(sys.getrefcount, held)) == before
+
+    @pytest.mark.parametrize("start", ["int64", "big"])
+    def test_a_held_fixed_point_repeats_its_entry(self, start):
+        # the chain from 2**10 settles after 10 updates; held to the limit,
+        # its fixed entry repeats with the same tuples and k counting on
+        chain = plan_for(build_linear_chain(2, 40 if start == "int64" else 80))
+        state = ((2**10 if start == "int64" else 2**70),) + (0,) * (chain.m - 1)
+        kernel = bind(chain, "compiled")
+        gc.disable()
+        try:
+            free, last, stop = kernel.run(TraceStep, 5, state, 100)
+            entries, held_last, held_stop = kernel.run(TraceStep, 5, state, 100, None, True)
+        finally:
+            gc.enable()
+        n = len(free)
+        assert stop == held_stop == 0 and last == held_last and n < 100
+        assert entries[:n] == free and len(entries) == 100
+        assert [e.k for e in entries] == list(range(5, 105))
+        fixed = entries[n - 1]
+        for e in entries[n:]:
+            assert (e.state, e.partials, e.common) == (fixed.state, fixed.partials, fixed.common)
+            assert e.state is fixed.state and e.partials is fixed.partials and e.common is fixed.common
+        assert not any(map(gc.is_tracked, entries))
+        assert advance(chain, kernel, state, 100, 5, hold=True) == (entries, last, 0)
+        assert advance(chain, None, state, 100, 5, hold=True) == (entries, last, 0)
 
 
 GROWING_PLAN = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
@@ -757,14 +789,14 @@ class TestAdvance:
     def test_zero_or_negative_limit_takes_no_rows(self, showcase, backend):
         plan, state = plan_for(showcase), (100, 100, 0, 0, 0, 0, 0)
         for limit in (0, -1):
-            rows, last, stop = advance(plan, bind(plan, backend), state, limit)
+            rows, last, stop = as_rows(advance(plan, bind(plan, backend), state, limit))
             assert rows == [] and last is state and stop == 1
 
     def test_fixed_point_and_limit(self, showcase):
         plan = plan_for(showcase)
-        rows, last, stop = advance(plan, None, (100, 100, 0, 0, 0, 0, 0), 10)
+        rows, last, stop = as_rows(advance(plan, None, (100, 100, 0, 0, 0, 0, 0), 10))
         assert stop == 0 and len(rows) == 4 and last == rows[-1][0]
-        rows, last, stop = advance(plan, None, (100, 100, 0, 0, 0, 0, 0), 2)
+        rows, last, stop = as_rows(advance(plan, None, (100, 100, 0, 0, 0, 0, 0), 2))
         assert stop == 1 and len(rows) == 2 and last == (0, 20, 2, 0, 4, 6, 0)
 
     @needs_extension
@@ -772,8 +804,8 @@ class TestAdvance:
         # 2**63 + 2 leaves int64; its carry 2**62 + 1 fits again
         plan = plan_for(build_linear_chain(2, 3))
         state = (2**63 + 2, 0, 0)
-        rows, last, stop = advance(plan, bind(plan, "compiled"), state, 10)
-        assert (rows, last, stop) == advance(plan, None, state, 10)
+        rows, last, stop = as_rows(advance(plan, bind(plan, "compiled"), state, 10))
+        assert (rows, last, stop) == as_rows(advance(plan, None, state, 10))
         assert [r[0] for r in rows] == [state, (0, 2**62 + 1, 0), (0, 1, 2**61)]
         assert stop == 0 and last == (0, 1, 2**61)
 
@@ -789,8 +821,8 @@ class TestAdvance:
         else:
             state = straddling_state(rng, plan)
         want = repeated_pure_steps(plan, state, limit)
-        assert advance(plan, bind(plan, "compiled"), state, limit) == want
-        assert advance(plan, None, state, limit) == want
+        assert as_rows(advance(plan, bind(plan, "compiled"), state, limit)) == want
+        assert as_rows(advance(plan, None, state, limit)) == want
 
     @needs_extension
     def test_credit_overflow_in_every_update_still_makes_progress(self, caplog):
@@ -800,10 +832,10 @@ class TestAdvance:
         plan = StepPlan(n=(2, 0), groups=(), edges=((0, 0, 2), (0, 1, 2**62), (0, 1, -(2**62))))
         kernel = bind(plan, "compiled")
         stretches = []
-        assert kernel.run((4, 0), 1, stretches) == ([((4, 0), (2, 0), (2, 0))], (4, 0), 1)
+        assert as_rows(kernel.run(TraceStep, 0, (4, 0), 1, stretches)) == ([((4, 0), (2, 0), (2, 0))], (4, 0), 1)
         assert stretches == [(0, 1, 1)]
         with caplog.at_level(logging.DEBUG, logger="caosim"):
-            rows, last, stop = advance(plan, kernel, (4, 0), 50)
+            rows, last, stop = as_rows(advance(plan, kernel, (4, 0), 50))
         assert (rows, last, stop) == repeated_pure_steps(plan, (4, 0), 50)
         assert len(rows) == 50 and last == (4, 0) and stop == 1
         assert logged_stretches(caplog.records, 2) == [(0, 1, 2)] * 49 + [(0, 1, 1)]
@@ -818,7 +850,7 @@ class TestAdvance:
         ],
     )
     def test_negative_coefficients(self, backend, plan, state):
-        got = advance(plan, bind(plan, backend), state, 10)
+        got = as_rows(advance(plan, bind(plan, backend), state, 10))
         assert got == repeated_pure_steps(plan, state, 10)
         assert got[2] == 0 and any(min(row[0]) < 0 for row in got[0])
 
@@ -827,15 +859,15 @@ class TestAdvance:
         plan = plan_for(build_linear_chain(2, 600))
         state = (random.Random(600).getrandbits(599),) + (0,) * 599
         kernel = bind(plan, backend)
-        rows, last, stop = advance(plan, kernel, state, 1024)
+        rows, last, stop = as_rows(advance(plan, kernel, state, 1024))
         assert (rows, last, stop) == repeated_pure_steps(plan, state, 1024)
         assert stop == 0 and len(rows) == 599
         # as in C: each row's state is the previous update's next state, and
         # common carries equal to the partials are the partials' tuple
         assert rows[0][0] is state
         assert all(row[2] is row[1] for row in rows[1:])
-        head, mid, _ = advance(plan, kernel, state, 300)
-        tail, end, _ = advance(plan, kernel, mid, 1024)
+        head, mid, _ = as_rows(advance(plan, kernel, state, 300))
+        tail, end, _ = as_rows(advance(plan, kernel, mid, 1024, 300), 300)
         assert tail[0][0] is mid
         assert head + tail == rows and end == last
 
@@ -858,7 +890,7 @@ class TestAdvance:
         plan = plan_for(loop)
         state = (500000001, 500000000) + (0,) * 5 + (2**63 + 3,)
         with caplog.at_level(logging.DEBUG, logger="caosim"):
-            got = advance(plan, bind(plan, "compiled"), state, 300)
+            got = as_rows(advance(plan, bind(plan, "compiled"), state, 300))
         assert got == repeated_pure_steps(plan, state, 300)
         logged = logged_stretches(caplog.records, plan.m)
         assert logged == expected_stretches(plan, got[0], got[2])
@@ -908,8 +940,85 @@ class TestAdvance:
         got = advance(plan, kernel, state, limit)
         assert got == advance(plan, None, state, limit)
         stretches = []
-        assert kernel.run(state, limit, stretches) == got
-        assert stretches == expected_stretches(plan, got[0], got[2])
+        assert kernel.run(TraceStep, 0, state, limit, stretches) == got
+        rows, _, stop = as_rows(got)
+        assert stretches == expected_stretches(plan, rows, stop)
+
+
+LOWERING_PLAN = plan_for(parse(LOWERING_LOOP_TEXT, allow_cycles=True))
+
+
+def same_loop(plan, before, after) -> bool:
+    """Whether C computes the updates of the states ``before`` and
+    ``after``, one after the other, in one pass of one of its two loops:
+    the int64 loop takes both, or the big-integer stretch that takes
+    ``before`` goes on to ``after``, which int64 does not hold. A loop
+    entered afresh starts from fresh partial carries."""
+    if int64_takes(plan, before):
+        return int64_takes(plan, after)
+    return not all(map(fits_int64, after))
+
+
+class TestAdvanceWritesTheRecordedEntries:
+    """``advance`` returns its stretch as trace entries, written by the
+    kernel itself; the recording it replaced, ``recorded`` over the
+    stretch's rows, is the oracle for their values and step numbers, and
+    ``untracked_as_recorded`` for their tracking. Each stretch must also
+    share its objects by the one rule."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["pure", "compiled"]),
+        st.sampled_from(["loop", "lowering", "growing", "acyclic"]),
+        st.sampled_from(["below", "above", "straddling"]),
+        st.integers(0, 5000),
+        st.integers(1, 80),
+    )
+    def test_entries_are_the_recordings(self, seed, backend, kind, side, k, limit):
+        if backend == "compiled" and not COMPILED_AVAILABLE:
+            return  # the pure backend's examples still run
+        rng = random.Random(seed)
+        plan = {"loop": LOOP_PLAN, "lowering": LOWERING_PLAN, "growing": GROWING_PLAN}.get(kind)
+        if plan is None:
+            plan = plan_for(random_cao(rng, coeff_range=(1, 20)))
+        if kind in ("loop", "lowering") and side == "below":
+            # from the CAO's own start: the lowering one lowers i's carry on every update
+            spec = parse(LOWERING_LOOP_TEXT if kind == "lowering" else LOOP_TEXT, allow_cycles=True)
+            state = spec.start_state()
+        else:
+            low, high = {"below": (0, 2**40), "above": (2**63, 2**70), "straddling": (2**62, 2**64)}[side]
+            state = tuple(rng.randrange(low, high) for _ in plan.n)
+        gc.disable()
+        try:
+            entries, last, stop = advance(plan, bind(plan, backend), state, limit, k)
+        finally:
+            gc.enable()
+        rows, want_last, want_stop = repeated_pure_steps(plan, state, limit)
+        # values and step numbers
+        assert entries == recorded(rows, k) and (last, stop) == (want_last, want_stop)
+        assert [type(e) for e in entries] == [TraceStep] * len(rows)
+        # tracking: C's entries as the recording left them, Python's all tracked
+        if backend == "compiled":
+            assert [gc.is_tracked(e) for e in entries] == [not untracked_as_recorded(e) for e in entries]
+        else:
+            assert all(map(gc.is_tracked, entries))
+        # sharing
+        assert entries[0].state is state or type(state) is not tuple
+        _, group_of = plan._fanout
+        for e in entries:
+            if e.common == e.partials:
+                assert e.common is e.partials
+            for i, c in enumerate(e.common):
+                members = (i,) if group_of[i] is None else plan.groups[group_of[i]]
+                assert any(c is e.partials[x] for x in members)
+        for before, after in zip(entries, entries[1:]):
+            credited = {d for src, d, _ in plan.edges if before.common[src]}
+            for i, (a, b) in enumerate(zip(before.state, after.state)):
+                if not before.common[i] and i not in credited:
+                    assert b is a  # a component the update does not touch
+            if backend == "pure" or same_loop(plan, before.state, after.state):
+                assert all(b is a for a, b in zip(before.partials, after.partials) if a == b)
 
 
 @pytest.mark.skipif(kernel_compiler() is None, reason="no C compiler on PATH")
@@ -951,8 +1060,12 @@ def test_the_two_routes_in_c_use_nothing_of_each_other():
     # enactor's section names nothing the PlanKernel section defines (no
     # function, type or static), and the reverse.
     sections = kernel_sections()
-    assert list(sections) == [MATRIX_SECTION, "Trace entries", ENACTOR_SECTION, "The module"]
+    assert list(sections) == ["Trace entries", MATRIX_SECTION, ENACTOR_SECTION, "The module"]
     matrix, enactor = sections[MATRIX_SECTION], sections[ENACTOR_SECTION]
+    # what both use: where an entry class keeps its slots, which the
+    # PlanKernel writes and the Enactor reads
+    assert defined_names(sections["Trace entries"]) == {"EntryClass", "last_class", "load_entry_class"}
+    assert "load_entry_class" in matrix and "load_entry_class" in enactor
     assert {"run_int64", "update", "plan_int", "PlanKernel", "Frontier", "PlanKernelType"} <= defined_names(matrix)
     assert {"enactor_update", "enactor_pair", "Enactor", "EnactorType"} <= defined_names(enactor)
     assert not defined_names(matrix) & set(re.findall(r"\w+", enactor))
@@ -997,6 +1110,58 @@ print(held[1])
 """
 
 
+# The compiled matrix route's trace against the pure one's, entry by entry:
+# prints the first entry at which they differ
+CATCH_A_WRONG_ENTRY = """\
+import sys
+import caosim
+from caosim import parse, run
+from caosim.kernel import _stepcore
+
+assert caosim.__file__.startswith(sys.argv[1]) and _stepcore.__file__.startswith(sys.argv[1])
+spec = parse(sys.stdin.read(), allow_cycles=True)
+compiled = run(spec, max_steps=3000, engine="matrix", backend="compiled").steps
+pure = run(spec, max_steps=3000, engine="matrix", backend="pure").steps
+wrong = [i for i, (a, b) in enumerate(zip(compiled, pure)) if a != b]
+if not wrong and len(compiled) == len(pure):
+    sys.exit("the mutant went unnoticed")
+print(wrong[0])
+"""
+
+# A small partial carry one too high in the matrix route's entry 1, where
+# the loop's first partial carry is 0: the wrong value and the right one
+# are both ints the interpreter caches. The check must raise; where it does
+# not, prints the first step at which the trace is not the pure backend's
+CATCH_A_SMALL_INT_SLIP = """\
+import sys
+from dataclasses import replace
+import caosim
+from caosim import EngineDivergenceError, kernel, parse, run
+from caosim.kernel import _stepcore
+
+assert caosim.__file__.startswith(sys.argv[1]) and _stepcore.__file__.startswith(sys.argv[1])
+real = kernel.advance
+
+def wrong(plan, compiled, state, limit, k=0, hold=False):
+    entries, last, stop = real(plan, compiled, state, limit, k, hold=hold)
+    if k == 0 and len(entries) > 1:
+        e = entries[1]
+        assert e.partials[0] == 0
+        entries[1] = replace(e, partials=(1, *e.partials[1:]))
+    return entries, last, stop
+
+kernel.advance = wrong
+spec = parse(sys.stdin.read(), allow_cycles=True)
+try:
+    trace = run(spec, max_steps=3000, backend="compiled")
+except EngineDivergenceError:
+    sys.exit("the mutant went unnoticed")
+kernel.advance = real
+pure = run(spec, max_steps=3000, engine="matrix", backend="pure")
+print(next(i for i, (a, b) in enumerate(zip(trace.steps, pure.steps)) if a != b))
+"""
+
+
 @dataclass(frozen=True)
 class Mutant:
     """A change of one line of ``_stepcore.c``: run on the built mutant with
@@ -1014,9 +1179,14 @@ class Mutant:
 # the int64 loop's update and in the enactor's: each route's mutant must be
 # caught by the other. The int64 loop's sharing rule broken three ways: the
 # first two record wrong values, which the enactor must catch on the first
-# update, and the third lets an int subclass out of row 0. The enactor's
+# update, and the third lets an int subclass out of row 0. The entry writer
+# broken two ways: step numbers one too high, which the pure backend's trace
+# shows, and partials and common carries swapped where the fold lowers a
+# carry, which the enactor must catch on the first update. The enactor's
 # fold taking its first input's carry, not the least, which the int64 loop
-# must catch on the first update of a start that lowers a carry.
+# must catch on the first update of a start that lowers a carry; and its
+# identity test taking any cached small int for any small value, which
+# lets a wrong small carry through.
 KERNEL_MUTANTS = {
     MATRIX_SECTION: [
         Mutant(
@@ -1044,6 +1214,19 @@ KERNEL_MUTANTS = {
             text=LOWERING_LOOP_TEXT,
             caught="1\n",
         ),
+        Mutant(
+            "the step number off by one",
+            "        if ((ENTRY_SLOT(*ec, entry, 0) = PyLong_FromSsize_t(k)))\n",
+            "        if ((ENTRY_SLOT(*ec, entry, 0) = PyLong_FromSsize_t(k + 1)))\n",
+            catch=CATCH_A_WRONG_ENTRY,
+        ),
+        Mutant(
+            "partials and common carries swapped",
+            "        if (append_entry(ec, out, k + PyList_GET_SIZE(out), head, Py_XNewRef(pt), pct) < 0\n",
+            "        if (append_entry(ec, out, k + PyList_GET_SIZE(out), head, pct, Py_XNewRef(pt)) < 0\n",
+            # equal, one tuple, wherever no carry is lowered
+            text=LOWERING_LOOP_TEXT,
+        ),
     ],
     ENACTOR_SECTION: [
         Mutant(
@@ -1057,6 +1240,15 @@ KERNEL_MUTANTS = {
             "            if (j == lo)\n",
             # the loop from its own start never lowers a carry
             text=LOWERING_LOOP_TEXT,
+        ),
+        Mutant(
+            "any cached small int taken for any small value",
+            "        if ((uint64_t)values[i] <= ENACTOR_SMALL && v == enactor_small[values[i]])\n",
+            "        if ((uint64_t)values[i] <= ENACTOR_SMALL && PyLong_CheckExact(v)"
+            " && PyLong_AsUnsignedLongMask(v) <= ENACTOR_SMALL"
+            " && v == enactor_small[PyLong_AsUnsignedLongMask(v)])\n",
+            catch=CATCH_A_SMALL_INT_SLIP,
+            caught="1\n",
         ),
     ],
 }

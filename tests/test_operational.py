@@ -22,6 +22,7 @@ from caosim import (
     step_operational,
 )
 from caosim.kernel import _stepcore
+from caosim.model import TraceStep
 from caosim.operational import enactor
 from caosim.simulate import _hand_back
 from conftest import (
@@ -29,8 +30,10 @@ from conftest import (
     LOOP_TEXT,
     LOWERING_LOOP_TEXT,
     SHOWCASE_TRAJECTORY,
+    as_rows,
     package_imports,
     random_parameters,
+    recorded,
 )
 
 
@@ -93,8 +96,8 @@ def enact_every_operator(operators, state):
 
 def one_update(updates):
     """The next update of a primed :func:`enactor`, as ``(next, partials,
-    common)``: a stretch of one taken with ``send(1)``."""
-    ((_, p, pc),), nxt, _ = updates.send(1)
+    common)``: a stretch of one taken with ``send((0, 1))``."""
+    ((_, p, pc),), nxt, _ = as_rows(updates.send((0, 1)))
     return nxt, p, pc
 
 
@@ -353,7 +356,7 @@ class TestEnactor:
     def test_send_takes_a_stretch(self):
         updates = enactor(resolve(LOOP), LOOP.start_state())
         assert next(updates) is None
-        rows, last, stop = updates.send(7)
+        rows, last, stop = as_rows(updates.send((0, 7)))
         assert (len(rows), stop) == (7, 1)
         assert rows[0][0] == LOOP.start_state()
         nexts = [s for s, _, _ in rows[1:]] + [last]
@@ -361,7 +364,7 @@ class TestEnactor:
             (nxt, p, pc) for (_, p, pc), nxt in zip(rows, nexts)
         ]
         # the next stretch goes on from where this one stopped
-        (row,), _, _ = updates.send(1)
+        (row,), _, _ = as_rows(updates.send((7, 1)), 7)
         assert row[0] == last
         assert row[1:] == enact(resolve(LOOP), last)[1:]
 
@@ -369,7 +372,7 @@ class TestEnactor:
         state = showcase.start_state()
         updates = enactor(resolve(showcase), state)
         next(updates)
-        rows, last, stop = updates.send(1000)
+        rows, last, stop = as_rows(updates.send((0, 1000)))
         assert stop == 0
         assert [(s, pc) for s, _, pc in rows] == list(SHOWCASE_TRAJECTORY)
         assert last == rows[-1][0]
@@ -390,7 +393,7 @@ class TestEnactor:
 
         monkeypatch.setattr(operational, "enactor", counting)
         trace = run(LOOP, max_steps=5000, engine="operational")
-        assert limits == [1024] * 4 + [5001 - 4096]
+        assert limits == [(k, 1024) for k in range(0, 4096, 1024)] + [(4096, 5001 - 4096)]
         assert trace.steps == run(LOOP, max_steps=5000, engine="matrix").steps
 
     def test_step_operational_is_the_literal_update_on_the_fuzz_corpus(self, fuzz_corpus):
@@ -403,8 +406,9 @@ class TestEnactor:
 
 
 class TestLockStepCheck:
-    """``send((rows, last))`` checks a stretch of the matrix route as the
-    enactor takes it; the literal ``enact`` gives the rows it is checked on."""
+    """``send((entries, last))`` checks a stretch of the matrix route as the
+    enactor takes it; the literal ``enact`` gives the rows its entries are
+    recorded from."""
 
     @staticmethod
     def literal_stretch(spec, state, limit):
@@ -422,7 +426,7 @@ class TestLockStepCheck:
         next(updates)
         for limit in (1, 7, 300):
             rows, last = self.literal_stretch(LOOP, state, limit)
-            assert updates.send((rows, last)) is None
+            assert updates.send((recorded(rows), last)) is None
             state = last
         # and the enactor goes on from there
         assert one_update(updates) == enact(resolve(LOOP), state)
@@ -432,7 +436,7 @@ class TestLockStepCheck:
         rows, last = self.literal_stretch(showcase, state, 9)
         updates = enactor(resolve(showcase), state)
         next(updates)
-        assert updates.send((rows, last)) is None
+        assert updates.send((recorded(rows), last)) is None
 
     @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
     @pytest.mark.parametrize("at", [0, 3, 9])  # 9: the next state is ``last``
@@ -454,7 +458,7 @@ class TestLockStepCheck:
         rows[at + 2 :] = [(bump(s), p, pc) for s, p, pc in rows[at + 2 :]]  # later rows wrong too
         updates = enactor(resolve(LOOP), state)
         next(updates)
-        assert updates.send((rows, last)) == (at, right[at])
+        assert updates.send((recorded(rows), last)) == (at, right[at])
 
     def test_the_check_keeps_no_rows(self):
         # Taking a stretch builds its rows; checking one holds a row at a
@@ -462,7 +466,7 @@ class TestLockStepCheck:
         state = LOOP.start_state()
         rows, last = self.literal_stretch(LOOP, state, 1024)
         peaks = []
-        for job in (1024, (rows, last)):
+        for job in ((0, 1024), (recorded(rows), last)):
             updates = enactor(resolve(LOOP), state)
             next(updates)
             tracemalloc.start()
@@ -479,20 +483,24 @@ class Big(int):
     """An int subclass, which the C enactor leaves to the generator."""
 
 
+Z8 = (0,) * 8
+ENTRY = TraceStep(0, Z8, Z8, Z8)
+
+
 def generator_check(operators, state, rows, last):
     """What a freshly primed :func:`enactor` makes of the stretch."""
     updates = enactor(operators, state)
     next(updates)
-    return updates.send((rows, last))
+    return updates.send((recorded(rows), last))
 
 
 def c_check(operators, state, rows, last):
     """What ``run`` makes of the stretch on the compiled backend: the C
     enactor's check, with the rows it hands back checked by the generator."""
     fast = _stepcore.Enactor(operators, state)
-    done = fast.send((rows, last))
+    done = fast.send((recorded(rows), last))
     if type(done) is int:
-        done, _ = _hand_back(operators, fast, rows, last, done)
+        done, _ = _hand_back(operators, fast, recorded(rows), last, done)
     return done
 
 
@@ -501,7 +509,7 @@ def stretch(operators, state, limit):
     generator, whose rows are what the checks compare with."""
     updates = enactor(operators, state)
     next(updates)
-    rows, last, _ = updates.send(limit)
+    rows, last, _ = as_rows(updates.send((0, limit)))
     return rows, last
 
 
@@ -513,7 +521,7 @@ def bump(values, entry=0, by=1):
 class TestCEnactor:
     """``_stepcore.Enactor``, the lock-step check ``run(engine="both")``
     makes in C on the compiled backend. It is built from the same resolved
-    operators as the generator's ``send((rows, last))``, which is its oracle:
+    operators as the generator's ``send((entries, last))``, which is its oracle:
     it must return what the generator returns, except where it hands the
     stretch back, and then the generator, primed at its state, must."""
 
@@ -526,7 +534,7 @@ class TestCEnactor:
         fast = _stepcore.Enactor(resolve(loop), state)
         for limit in (1, 7, 300, 1024):
             rows, last = stretch(resolve(loop), state, limit)
-            assert fast.send((rows, last)) is None
+            assert fast.send((recorded(rows), last)) is None
             assert fast.state == last
             state = last
 
@@ -539,7 +547,7 @@ class TestCEnactor:
     def test_a_fixed_point_is_checked_like_any_row(self, showcase):
         state = showcase.start_state()
         rows, last = stretch(resolve(showcase), state, 9)
-        assert _stepcore.Enactor(resolve(showcase), state).send((rows, last)) is None
+        assert _stepcore.Enactor(resolve(showcase), state).send((recorded(rows), last)) is None
 
     @both_starts
     @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
@@ -555,7 +563,7 @@ class TestCEnactor:
         else:
             rows[at] = tuple(bump(v) if f == field else v for f, v in enumerate(rows[at]))
         rows[at + 2 :] = [(bump(s), p, pc) for s, p, pc in rows[at + 2 :]]  # later rows wrong too
-        done = _stepcore.Enactor(operators, state).send((rows, last))
+        done = _stepcore.Enactor(operators, state).send((recorded(rows), last))
         assert done == generator_check(operators, state, rows, last)
         assert done[0] == at
 
@@ -583,7 +591,7 @@ class TestCEnactor:
             elif row or field:
                 rows[row] = tuple(bump(v, entry, by) if f == field else v for f, v in enumerate(rows[row]))
             want = generator_check(operators, state, rows, last)
-            done = _stepcore.Enactor(operators, state).send((rows, last))
+            done = _stepcore.Enactor(operators, state).send((recorded(rows), last))
             assert done == want or type(done) is int and (want is None or done <= want[0])
             assert c_check(operators, state, rows, last) == want
 
@@ -591,7 +599,7 @@ class TestCEnactor:
         for state in [(2**63,) + (0,) * 7, LOOP.start_state()[:-1] + (Big(3),), (True,) + (0,) * 7]:
             fast = _stepcore.Enactor(resolve(LOOP), state)
             rows, last = stretch(resolve(LOOP), state, 20)
-            assert fast.send((rows, last)) == 0
+            assert fast.send((recorded(rows), last)) == 0
             assert fast.state is state
             assert c_check(resolve(LOOP), state, rows, last) is None
 
@@ -602,7 +610,7 @@ class TestCEnactor:
         operators, state = resolve(GROWING_CYCLE), (2**60, 2**60, 0)
         rows, last = stretch(operators, state, 40)
         fast = _stepcore.Enactor(operators, state)
-        at = fast.send((rows, last))
+        at = fast.send((recorded(rows), last))
         assert type(at) is int and 0 < at < 40
         assert fast.state == rows[at][0]
         assert c_check(operators, state, rows, last) is None
@@ -619,11 +627,26 @@ class TestCEnactor:
         i = pc.index(0)
         rows[4] = (s, p, (*pc[:i], kind(0), *pc[i + 1 :]))
         fast = _stepcore.Enactor(operators, state)
-        assert fast.send((rows, last)) == 4
+        assert fast.send((recorded(rows), last)) == 4
         assert fast.state == rows[4][0]
         assert c_check(operators, state, rows, last) == generator_check(operators, state, rows, last)
         # after a hand-back it enacts every operator again, from that state
-        assert fast.send((clean[4:], last)) is None
+        assert fast.send((recorded(clean[4:], 4), last)) is None
+
+    def test_an_int_subclass_of_a_cached_value_is_handed_back(self, showcase):
+        # Big(3) equals 3 but is not the interpreter's cached 3: the check's
+        # identity test passes it by, and the full comparison hands the
+        # stretch back at its entry, for the generator to compare
+        operators, state = resolve(showcase), showcase.start_state()
+        rows, last = stretch(operators, state, 4)
+        s, p, pc = rows[2]
+        assert p[5] == 3 and pc[5] != 3
+        rows[2] = (s, (*p[:5], Big(3), *p[6:]), pc)
+        fast = _stepcore.Enactor(operators, state)
+        assert fast.send((recorded(rows), last)) == 2
+        assert fast.state == s
+        assert c_check(operators, state, rows, last) is None
+        assert generator_check(operators, state, rows, last) is None
 
     def test_negative_coefficients_are_enacted_as_the_generator_enacts_them(self):
         # not a validated CAO: states go negative, and floor division rounds down
@@ -634,10 +657,10 @@ class TestCEnactor:
         )
         for state in [(7, 0, 0, 0), (100, 3, 50, 9), (5, 40, 0, 11)]:
             rows, last = stretch(operators, state, 30)
-            assert _stepcore.Enactor(operators, state).send((rows, last)) is None
+            assert _stepcore.Enactor(operators, state).send((recorded(rows), last)) is None
             rows[5] = (rows[5][0], rows[5][1], bump(rows[5][2], 1))
             want = generator_check(operators, state, rows, last)
-            assert _stepcore.Enactor(operators, state).send((rows, last)) == want
+            assert _stepcore.Enactor(operators, state).send((recorded(rows), last)) == want
 
     @pytest.mark.parametrize("index", [8, -1, 2**70, 2**64 + 1])
     def test_an_index_outside_the_state_is_refused(self, index):
@@ -660,25 +683,27 @@ class TestCEnactor:
     @pytest.mark.parametrize(
         "job, error",
         [
-            ([], TypeError),  # not a (rows, last) pair
-            ((5, (0,) * 8), TypeError),  # rows that are not a sequence
-            (([[(0,) * 8, (0,) * 8, (0,) * 8]], (0,) * 8), TypeError),  # a row that is not a tuple
-            (([((0,) * 8, (0,) * 8)], (0,) * 8), TypeError),  # a row of two items
-            (([((0,) * 8, [0] * 8, (0,) * 8)], (0,) * 8), TypeError),  # carries not a tuple
-            (([((0,) * 8, (0,) * 7, (0,) * 8)], (0,) * 8), ValueError),  # carries too short
-            (([((0,) * 9, (0,) * 8, (0,) * 8)], (0,) * 8), ValueError),  # a state too long
-            (([((0,) * 8,) * 3], (0,) * 7), ValueError),  # last too short
-            (([((0,) * 8,) * 3], [0] * 8), TypeError),  # last not a tuple
+            ([], TypeError),  # not an (entries, last) pair
+            ((5, Z8), TypeError),  # entries that are not a sequence
+            (([(Z8, Z8, Z8)], Z8), TypeError),  # a row, not an entry
+            (([ENTRY, (Z8, Z8, Z8)], Z8), TypeError),  # entries not all of one class
+            (([TraceStep.__new__(TraceStep)], Z8), TypeError),  # an entry with empty slots
+            (([TraceStep(0, Z8, [0] * 8, Z8)], Z8), TypeError),  # carries not a tuple
+            (([TraceStep(0, Z8, (0,) * 7, Z8)], Z8), ValueError),  # carries too short
+            (([TraceStep(0, (0,) * 9, Z8, Z8)], Z8), ValueError),  # a state too long
+            (([ENTRY] * 3, (0,) * 7), ValueError),  # last too short
+            (([ENTRY] * 3, [0] * 8), TypeError),  # last not a tuple
         ],
     )
-    def test_rows_of_the_wrong_shape_are_refused(self, job, error):
+    def test_entries_of_the_wrong_shape_are_refused(self, job, error):
         operators, state = resolve(LOOP), LOOP.start_state()
         fast = _stepcore.Enactor(operators, state)
         with pytest.raises(error):
             fast.send(job)
         # nothing was enacted: the enactor still checks from its start
         assert fast.state == state
-        assert fast.send(stretch(operators, state, 5)) is None
+        rows, last = stretch(operators, state, 5)
+        assert fast.send((recorded(rows), last)) is None
 
     def test_a_cycle_through_its_start_is_collected(self):
         class Marker:

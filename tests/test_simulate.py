@@ -36,8 +36,15 @@ from caosim import (
 )
 from caosim import kernel, rational
 from caosim.kernel import COMPILED_AVAILABLE, _stepcore
-from caosim.simulate import ConservationError, TraceStep, _sweep_weights
-from conftest import GROWING_CYCLE_TEXT, LOOP_TEXT, SHOWCASE_TRAJECTORY, lockstep_oracle
+from caosim.simulate import ENGINES, ConservationError, TraceStep, _sweep_weights
+from conftest import (
+    GROWING_CYCLE_TEXT,
+    LOOP_TEXT,
+    LOWERING_LOOP_TEXT,
+    SHOWCASE_TRAJECTORY,
+    lockstep_oracle,
+    untracked_as_recorded,
+)
 
 
 class TestRun:
@@ -139,6 +146,10 @@ class TestRun:
             run(showcase, schedule=sched)
 
 
+# A trace entry's fields after k, in the order of a (state, partials, common) row.
+FIELDS = ("state", "partials", "common")
+
+
 class TestEngineComparison:
     def test_equal_on_the_showcase(self, showcase):
         report = compare_engines(showcase)
@@ -155,7 +166,7 @@ class TestEngineComparison:
         The enactor checks each stretch itself, so the real one is handed
         the matrix route's next state of update ``at`` one too low: its own
         check finds the mismatch there, and its result is passed on with
-        the next state one too high. The rows ``run`` holds are not changed.
+        the next state one too high. The entries ``run`` holds are not changed.
         """
         import caosim.operational as operational
 
@@ -167,14 +178,14 @@ class TestEngineComparison:
 
             def wrong(job):
                 nonlocal taken
-                rows, last = job
-                j = at + 1 - taken  # the row holding update at's next state
-                taken += len(rows)
-                if j == len(rows):
+                entries, last = job
+                j = at + 1 - taken  # the entry holding update at's next state
+                taken += len(entries)
+                if j == len(entries):
                     last = lower(last)
-                elif 0 < j < len(rows):
-                    rows = [*rows[:j], (lower(rows[j][0]), *rows[j][1:]), *rows[j + 1 :]]
-                done = send((rows, last))
+                elif 0 < j < len(entries):
+                    entries = [*entries[:j], replace(entries[j], state=lower(entries[j].state)), *entries[j + 1 :]]
+                done = send((entries, last))
                 if type(done) is tuple and done[0] == j - 1:
                     nxt, p, pc = done[1]
                     done = j - 1, ((nxt[0] + 1, *nxt[1:]), p, pc)
@@ -226,14 +237,16 @@ class TestEngineComparison:
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     @pytest.mark.parametrize("k", [5, 1030])  # 1030 lies past the first 1024-update stretch
-    def test_divergence_inside_a_stretch(self, monkeypatch, k, backend):
+    @pytest.mark.parametrize("spec", ["swing", "lowering"])  # lowering: a common tuple of its own
+    def test_divergence_inside_a_stretch(self, monkeypatch, k, backend, spec):
         import caosim.simulate as sim
 
+        spec = self.SWING if spec == "swing" else parse(LOWERING_LOOP_TEXT, allow_cycles=True)
         self.corrupt_enactor(monkeypatch, k)
         with pytest.raises(EngineDivergenceError) as exc:
-            sim.run(self.SWING, max_steps=2000, backend=backend)
+            sim.run(spec, max_steps=2000, backend=backend)
         assert exc.value.divergence.k == k
-        report = sim.compare_engines(self.SWING, max_steps=2000, backend=backend)
+        report = sim.compare_engines(spec, max_steps=2000, backend=backend)
         assert not report.equal
         assert report.divergence.k == k
         assert report.steps_compared == k + 1
@@ -271,10 +284,11 @@ class TestEngineComparison:
 
         real = sim.kernel.advance
 
-        def wrong(plan, compiled, start, limit):
-            rows, last, stop = real(plan, compiled, start, limit)
-            rows[row] = tuple(bump(v) if f == field else v for f, v in enumerate(rows[row]))
-            return rows, last, stop
+        def wrong(plan, compiled, start, limit, k=0, hold=False):
+            entries, last, stop = real(plan, compiled, start, limit, k, hold=hold)
+            name = FIELDS[field]
+            entries[row] = replace(entries[row], **{name: bump(getattr(entries[row], name))})
+            return entries, last, stop
 
         monkeypatch.setattr(sim.kernel, "advance", wrong)
         # a row's state is the result of the update before it
@@ -337,23 +351,21 @@ class TestLockStepOracle:
         """Patch ``kernel.advance`` so that, from the next run on, update
         ``at`` has a first component one too high in its next state (field
         0), its partials (1) or its common carries (2). ``real`` is the
-        unpatched ``advance``. A next state is the next row's state, or
-        ``last`` after a stretch's last row."""
-        taken = 0
+        unpatched ``advance``. A next state is the next entry's state, or
+        ``last`` after a stretch's last entry."""
 
         def bump(values):
             return (values[0] + 1, *values[1:])
 
-        def wrong(plan, compiled, state, limit):
-            nonlocal taken
-            rows, last, stop = real(plan, compiled, state, limit)
-            j = at - taken + (field == 0)  # the row holding the value
-            taken += len(rows)
-            if field == 0 and j == len(rows):
+        def wrong(plan, compiled, state, limit, k=0, hold=False):
+            entries, last, stop = real(plan, compiled, state, limit, k, hold=hold)
+            j = at - k + (field == 0)  # the entry holding the value
+            if field == 0 and j == len(entries):
                 last = bump(last)
-            elif 0 <= j < len(rows):
-                rows[j] = tuple(bump(v) if f == field else v for f, v in enumerate(rows[j]))
-            return rows, last, stop
+            elif 0 <= j < len(entries):
+                name = FIELDS[field]
+                entries[j] = replace(entries[j], **{name: bump(getattr(entries[j], name))})
+            return entries, last, stop
 
         monkeypatch.setattr(kernel, "advance", wrong)
 
@@ -457,6 +469,40 @@ class TestLockStepOracle:
         assert trace.final_state == (5, 0, 2**65)
         assert lockstep_oracle(spec, start, backend=backend) is None
 
+    @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
+    @pytest.mark.parametrize("text", [LOOP_TEXT, LOWERING_LOOP_TEXT], ids=["loop", "lowering"])
+    @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
+    @pytest.mark.parametrize("at", [1, 6, 1030, 2000])  # 2000 is the step limit
+    def test_a_fault_in_the_written_entries_is_the_oracles(self, monkeypatch, text, field, at):
+        # The entries C writes are the trace's own objects, and the check
+        # reads those very objects: a value forced into one of them in place
+        # is found where the oracle finds it, with the same results. At
+        # update 1 the loop's first partial and common carries are 0, so a
+        # partial forced to 1 is a cached small int where another is right.
+        spec = parse(text, allow_cycles=True)
+        real = kernel.advance
+
+        def bump(values):
+            return (values[0] + 1, *values[1:])
+
+        def forced(plan, compiled, state, limit, k=0, hold=False):
+            entries, last, stop = real(plan, compiled, state, limit, k, hold=hold)
+            j = at - k + (field == 0)  # the entry holding the value
+            if field == 0 and j == len(entries):
+                last = bump(last)
+            elif 0 <= j < len(entries):
+                entry, name = entries[j], FIELDS[field]
+                object.__setattr__(entry, name, bump(getattr(entry, name)))
+            return entries, last, stop
+
+        monkeypatch.setattr(kernel, "advance", forced)
+        want = lockstep_oracle(spec, max_steps=2000, backend="compiled")
+        assert want is not None and want.k == at
+        with pytest.raises(EngineDivergenceError) as exc:
+            run(spec, max_steps=2000, backend="compiled")
+        assert exc.value.divergence == want
+        assert str(exc.value) == str(EngineDivergenceError(want))
+
     def test_the_oracle_finds_nothing_on_agreeing_runs(self, showcase):
         assert lockstep_oracle(showcase) is None
         assert lockstep_oracle(LOOP, max_steps=3000) is None
@@ -475,9 +521,9 @@ class TestScheduledStretches:
         limits = []
         real = sim.kernel.advance
 
-        def counting(plan, compiled, state, limit):
+        def counting(plan, compiled, state, limit, k=0, hold=False):
             limits.append(limit)
-            return real(plan, compiled, state, limit)
+            return real(plan, compiled, state, limit, k, hold=hold)
 
         monkeypatch.setattr(sim.kernel, "advance", counting)
         return run(*args, engine="matrix", **kwargs), limits
@@ -867,10 +913,12 @@ class Big(int):
 
 
 def untracked_runs():
-    """(spec, start, max_steps): the 8-entity loop, which stays in C, and a
-    70-entity chain from beyond 2**63, which starts in big integers and goes
-    back into int64 after 7 updates."""
+    """(spec, start, max_steps): the 8-entity loop, which stays in C, from
+    its own start and from one whose fold lowers a carry on every update,
+    and a 70-entity chain from beyond 2**63, which starts in big integers
+    and goes back into int64 after 7 updates."""
     yield parse(LOOP_TEXT, allow_cycles=True), None, 300
+    yield parse(LOWERING_LOOP_TEXT, allow_cycles=True), None, 300
     yield build_linear_chain(2, 70), (2**69 + 5,) + (0,) * 69, 100
 
 
@@ -949,6 +997,9 @@ class TestUntrackedRows:
         assert alive() is None
 
 
+needs_compiled = pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
+
+
 class TestRecordedEntries:
     """Every engine on either backend records the same entries, one per
     update, each with its own step number, across stretches, parameter
@@ -974,3 +1025,31 @@ class TestRecordedEntries:
         for got in traces[1:]:
             assert got.steps == want.steps and got.termination == want.termination
             assert [type(e) for e in got.steps] == [TraceStep] * len(want.steps)
+
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_held_fixed_state_repeats_its_entry(self, engine, backend):
+        # 8 is 22 in base 3, fixed from step 1 until base 2 moves it at step
+        # 1500: each stretch up to there holds its fixed entry, the same
+        # three tuples at consecutive steps
+        chain = build_linear_chain(2, 3)
+        base3 = with_parameters(chain, [((3,), (1,)), ((3,), (1,))])
+        sched = ParameterSchedule.from_mapping(chain, {1500: chain}, default=base3)
+        gc.disable()  # with collection off, nothing but C can untrack an entry
+        try:
+            steps = run(chain, (8, 0, 0), max_steps=1600, engine=engine, schedule=sched, backend=backend).steps
+        finally:
+            gc.enable()
+        # from step 1501 on base 3 holds for good, so the run settles
+        assert len(steps) > 1501 and [e.k for e in steps] == list(range(len(steps)))
+        assert len(set(map(id, steps))) == len(steps)
+        for first, end in [(1, 1024), (1024, 1500)]:  # the two stretches that hold (2, 2, 0)
+            fixed = steps[first]
+            assert fixed.state == (2, 2, 0) and not any(fixed.common)
+            for e in steps[first + 1 : end]:
+                assert e.state is fixed.state and e.partials is fixed.partials and e.common is fixed.common
+        # C writes the matrix route's entries, held ones too, untracked
+        if backend == "compiled" and engine != "operational":
+            assert not any(map(gc.is_tracked, steps)) and all(map(untracked_as_recorded, steps))
+        else:
+            assert all(map(gc.is_tracked, steps))
