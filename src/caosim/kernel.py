@@ -48,7 +48,9 @@ first collection that walks it; on a wide state that walk cost more than
 the update. An entry whose three tuples are such tuples is born untracked
 too (see :class:`~caosim.model.TraceStep`). The pure backend runs no C, so
 its tuples stay tracked until a collection untracks them, and its entries,
-objects with slots, stay tracked.
+objects with slots, stay tracked. :func:`caosim.simulate.run` pauses the
+collector while it records, so for a run that collection comes after it
+returns.
 """
 
 from __future__ import annotations
@@ -218,9 +220,9 @@ def _debug_log():
     """The ``caosim`` logger when it handles DEBUG records, else None.
 
     ``logging`` is not imported here: it would add about a tenth to the
-    package's import time (6 of 65 ms on a 2-core x86-64 host, Python
-    3.11), and a process that has not imported it has configured no logger
-    to handle the record."""
+    package's import time (2.5 ms after a 22 ms ``import caosim`` on a
+    2-core x86-64 host, Python 3.11), and a process that has not imported
+    it has configured no logger to handle the record."""
     logging = sys.modules.get("logging")
     if logging is None:
         return None

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import chain, compress, repeat
@@ -80,6 +80,29 @@ def infer_form(input_count: int, output_count: int) -> Form:
     return _FORM_OF_VALENCE[input_count > 1, output_count > 1]
 
 
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls):
+    """Make every assignment and deletion on ``cls``'s instances raise
+    ``FrozenInstanceError``, with the dataclass's own messages.
+
+    With ``slots=True`` the decorator returns a new class, but before Python
+    3.14 its generated ``__setattr__`` and ``__delattr__`` still name the
+    class it replaced: a name that is not a field reaches ``super()`` with
+    that class and raises TypeError. A slotted record without ``__dict__``
+    has nowhere to put such a name anyway."""
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class Entity:
     """A named cardinal-bearing entity.
@@ -109,6 +132,7 @@ _set_role = Entity.role.__set__
 _set_start = Entity.start.__set__
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class Operator:
     """One carry-propagating operator.
@@ -139,6 +163,7 @@ _set_outputs = Operator.outputs.__set__
 _set_form = Operator.form.__set__
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, init=False)
 class TraceStep:
     """One recorded instant: the state at step k and the carries read off it.

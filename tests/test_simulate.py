@@ -8,6 +8,7 @@ import gc
 import pickle
 import weakref
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import pytest
@@ -900,11 +901,18 @@ class TestTraceStep:
         for cls in (OracleTraceStep, TraceStep):
             entry = cls(*TRACE_STEP_VALUES[0])
             for name in ("k", "state", "partials", "common"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
                     setattr(entry, name, 1)
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
                     delattr(entry, name)
             assert not hasattr(entry, "__dict__")
+        # before Python 3.14 the generated class refuses another name with a
+        # TypeError; the entry refuses it as it refuses a field
+        entry = TraceStep(*TRACE_STEP_VALUES[0])
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'other'$"):
+            entry.other = 1
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'other'$"):
+            del entry.other
 
 
 class Big(int):
@@ -1053,3 +1061,118 @@ class TestRecordedEntries:
             assert not any(map(gc.is_tracked, steps)) and all(map(untracked_as_recorded, steps))
         else:
             assert all(map(gc.is_tracked, steps))
+
+
+def recording_runs():
+    """Calls of ``run`` that take every way a run records, as ``(args,
+    keywords)`` without the engine and backend: the loop over 20,000
+    updates, a scheduled run that holds the fixed point (2, 2, 0) of base 3
+    from step 1 until base 2 moves it at step 1500, and the loop from
+    k = 2**63 + 3, where the C enactor hands each stretch back to the
+    Python one."""
+    chain = build_linear_chain(2, 3)
+    base3 = with_parameters(chain, [((3,), (1,)), ((3,), (1,))])
+    sched = ParameterSchedule.from_mapping(chain, {1500: chain}, default=base3)
+    return {
+        "loop": ((LOOP,), {"max_steps": 20_000}),
+        "held": ((chain, (8, 0, 0)), {"max_steps": 1600, "schedule": sched}),
+        "2**63+3": ((LOOP, {"k": 2**63 + 3}), {"max_steps": 3000}),
+    }
+
+
+@contextmanager
+def collector(enabled):
+    """The cyclic garbage collector turned on or off for the block, and
+    restored after it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class Interrupting(int):
+    """An int whose floor division is interrupted, as by Ctrl-C."""
+
+    def __floordiv__(self, other):
+        raise KeyboardInterrupt
+
+
+class TestCollectorPaused:
+    """``run`` pauses the cyclic garbage collector while it records, and
+    leaves it as it found it on every way out."""
+
+    @pytest.mark.parametrize("case", recording_runs())
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_collection_starts_during_a_run(self, engine, backend, case):
+        args, keywords = recording_runs()[case]
+        started = []
+
+        def note(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        threshold = gc.get_threshold()
+        gc.collect()
+        gc.set_threshold(100)  # a run records far more objects than this
+        gc.callbacks.append(note)
+        try:
+            trace = run(*args, engine=engine, backend=backend, **keywords)
+            during = len(started)
+        finally:
+            gc.callbacks.remove(note)
+            gc.set_threshold(*threshold)
+        assert gc.isenabled()
+        assert trace.step_count > 1500
+        assert during == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_returning_run_leaves_the_collector_as_it_was(self, engine, backend, enabled):
+        with collector(enabled):
+            for args, keywords in recording_runs().values():
+                run(*args, engine=engine, backend=backend, **keywords)
+                assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+    def test_a_divergence_leaves_the_collector_as_it_was(self, monkeypatch, backend, enabled):
+        TestLockStepOracle.corrupt_matrix(monkeypatch, kernel.advance, 1030, 1)
+        with collector(enabled):
+            with pytest.raises(EngineDivergenceError):
+                run(LOOP, max_steps=2000, backend=backend)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_refused_state_leaves_the_collector_as_it_was(self, engine, backend, enabled):
+        # check_state refuses the start at the first binding, inside the pause
+        chain = build_linear_chain(2, 3)
+        sched = ParameterSchedule.from_mapping(chain, {5: chain}, default=chain)
+        with collector(enabled):
+            with pytest.raises(ValueError, match="negative cardinal"):
+                run(chain, (8, -1, 0), engine=engine, schedule=sched, backend=backend)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_an_interrupt_leaves_the_collector_as_it_was(self, engine, enabled):
+        chain = build_linear_chain(2, 3)
+        with collector(enabled):
+            with pytest.raises(KeyboardInterrupt):
+                run(chain, (Interrupting(9), 0, 0), engine=engine, backend="pure")
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_trace_does_not_depend_on_the_collector(self, engine, backend):
+        for args, keywords in recording_runs().values():
+            with collector(True):
+                on = run(*args, engine=engine, backend=backend, **keywords)
+            with collector(False):
+                off = run(*args, engine=engine, backend=backend, **keywords)
+            assert on == off
