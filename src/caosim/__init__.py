@@ -20,6 +20,7 @@ from .model import (
     NegativeComponentError,
     Operator,
     Role,
+    Stretch,
     ValidationReport,
     build_config_matrix,
     check,
@@ -43,6 +44,7 @@ from .simulate import (
     Divergence,
     EngineComparison,
     EngineDivergenceError,
+    Steps,
     TraceStep,
     build_linear_chain,
     check_conservation,
@@ -79,6 +81,7 @@ __all__ = [
     "NegativeComponentError",
     "Operator",
     "Role",
+    "Stretch",
     "ValidationReport",
     "build_config_matrix",
     "check",
@@ -99,6 +102,7 @@ __all__ = [
     "Divergence",
     "EngineComparison",
     "EngineDivergenceError",
+    "Steps",
     "TraceStep",
     "build_linear_chain",
     "check_conservation",

@@ -2,18 +2,20 @@
    check of the other route, in int64.
 
    The file has four sections, each headed by a line of its own: the trace
-   entries, the matrix route's PlanKernel, the operational route's Enactor,
+   records, the matrix route's PlanKernel, the operational route's Enactor,
    and the module.  The two routes' sections share no code: neither names a
    function, type or static of the other (tests/test_kernel.py checks it),
    so a slip in one shows as a divergence in the other.  Both use the first
-   section, which reads where an entry class keeps its slots.  They live in
-   one file because the package builds one extension from it, and so does
-   the benchmark.
+   section, which says how a record numbers its cells.  They live in one
+   file because the package builds one extension from it, and so does the
+   benchmark.
 
-   Each update is recorded once, as one trace entry of caosim.model's
-   TraceStep class: (k, state, partials, common), its slots filled in C.
-   The PlanKernel writes the entries, simulate.run keeps them as the trace,
-   and the Enactor reads those very entries to check them.
+   A run is recorded a stretch of updates at a time, as caosim.model's
+   Stretch: the rows of the stretch's first update in full (its state,
+   partial carries and common carries), then for each later update only
+   the cells whose value differs from the update before.  The PlanKernel
+   writes the rows and the changes, simulate.run keeps them as the trace,
+   and the Enactor reads those very changes to check them.
 
    A PlanKernel freezes one update plan -- per-entity radices, carry groups
    and conversion edges, all given by entity index -- into C arrays at
@@ -23,124 +25,57 @@
    groups, and OverflowError for one whose radices or coefficients do not
    fit in int64.
 
-   Its one method, run(cls, k, state, limit), takes up to `limit` updates in
-   a row without returning to Python in between, and writes one entry of
-   class cls per update, numbered from k.  While int64 holds the state and
-   every credit, the state stays in int64 from one update to the next, and
-   only the tuples and the entry each update records are built.  Every
-   multiplication and addition that could leave int64 is checked, and so is
-   every state about to be stepped: a component that is negative, not an
-   int, or outside int64 ends the int64 loop too, as a plan with negative
-   coefficients may need.
+   Its one method, run(state, limit), takes up to `limit` updates in a row
+   without returning to Python in between, and records them.  While int64
+   holds the state and every credit, the state stays in int64 from one
+   update to the next, and only the cells an update changes become ints.
+   Every multiplication and addition that could leave int64 is checked,
+   and so is every state about to be stepped: a component that is
+   negative, not an int, or outside int64 ends the int64 loop too, as a
+   plan with negative coefficients may need.
 
-   There a big-integer stretch starts.  It holds the components and carries
-   as Python objects and updates them with PyNumber_* calls, which stay
-   exact, the frontier way, as kernel._frontier steps the pure backend: only
-   the entities the last update changed get their carries computed again,
-   and only the carry groups whose members' partial carries changed are
-   folded again.  Once every component is an int in [0, INT64_MAX] again,
-   the stretch goes back to the int64 loop.  So run() stops only at a fixed
-   point or at the limit.  Each call works in scratch rows of its own: a
-   PyNumber_* call on an int subclass, or any allocation, may run Python
-   code that calls run() again.
+   There a big-integer stretch starts.  It updates the components and
+   carries as Python objects with PyNumber_* calls, which stay exact, the
+   frontier way, as kernel._frontier steps the pure backend: only the
+   entities the last update changed get their carries computed again, and
+   only the carry groups whose members' partial carries changed are folded
+   again.  Once every component is an int in [0, INT64_MAX] again, the
+   stretch goes back to the int64 loop.  So run() stops only at a fixed
+   point or at the limit.  Both loops write one record: the last update's
+   rows as objects, which either loop reads where the other stopped, and
+   the changes of the update being taken.  Each call works in rows of its
+   own: a PyNumber_* call on an int subclass, or any allocation, may run
+   Python code that calls run() again.
 
-   Entries share what repeats, by one rule on both paths: a partial carry
-   equal to the previous update's is its object, and each common carry is
-   the partials tuple's object of its value, its own or, for a carry the
-   fold lowered, that of the group member whose partial the fold took.  A
-   next-state component the update does not touch keeps its object; the
-   int64 loop, which computes every component, keeps it wherever the value
-   is unchanged.  Only other values are new ints.  The int64 loop shares
-   only exact ints, so an int subclass instance in its start stays in the
-   start's entry.
-
-   Every tuple of exact ints is born untracked by the cyclic garbage
-   collector, the start state included: a tuple of exact ints can never be
-   part of a cycle.  CPython untracks such a tuple itself, but only at the
-   first collection that walks it, and on a wide state that walk costs more
-   than the update.  An entry of frozen TraceStep holds an int and three
-   tuples; when the tuples are untracked tuples of exact ints, the entry can
-   never be part of a cycle either, and it is untracked too.
+   Every tuple of exact ints the kernel makes is born untracked by the
+   cyclic garbage collector, a change tuple or a row: a tuple of exact
+   ints can never be part of a cycle.  CPython untracks such a tuple
+   itself, but only at the first collection that walks it.
 
    An Enactor(operators, state) enacts operational.resolve(spec)'s
-   operators literally in int64 and checks the matrix route's entries
+   operators literally in int64 and checks the matrix route's records
    against its own updates; its section says how. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>           /* T_OBJECT_EX */
 #include <stdint.h>
 #include <string.h>
 
 _Static_assert(sizeof(long long) == sizeof(int64_t), "long long must be 64 bits");
 
-/* ======== Trace entries ======== */
+/* ======== Trace records ======== */
 
-/* An entry class: the offsets of its k, state, partials and common slots,
-   read off its member descriptors, and whether its instances may be
-   untracked, which needs a class whose instances hold nothing but slots.
-   The matrix route writes entries through these offsets, and the
+/* The rows of a record.  Cell row * m + i is entity i's component of that
+   row: its state, its partial carry or its common carry.  A change is a
+   (cell, value) pair, and the changes of one update are one tuple of such
+   pairs laid end to end.  The matrix route writes cells, and the
    operational route reads them. */
-typedef struct {
-    PyTypeObject *cls;
-    Py_ssize_t off[4];
-    int untrack;
-} EntryClass;
-
-/* The class last loaded, a strong reference, so that its descriptors are
-   looked up once. */
-static EntryClass last_class;
-
-#define ENTRY_SLOT(ec, entry, i) (*(PyObject **)((char *)(entry) + (ec).off[i]))
-
-/* Fill *ec with cls and a new reference to it; -1 with TypeError when cls
-   is not a class with the four slots.  Each call works on its own copy,
-   because allocating may run Python code that loads another class. */
-static int
-load_entry_class(PyObject *cls, EntryClass *ec)
-{
-    static const char *const names[4] = {"k", "state", "partials", "common"};
-    PyTypeObject *type = (PyTypeObject *)cls, *old;
-    EntryClass found = {type, {0}, 0};
-
-    if (type == last_class.cls) {
-        *ec = last_class;
-        Py_INCREF(type);
-        return 0;
-    }
-    if (!PyType_Check(cls)) {
-        PyErr_Format(PyExc_TypeError, "an entry class must be a class, not %.100s",
-                     Py_TYPE(cls)->tp_name);
-        return -1;
-    }
-    Py_INCREF(type);                /* allocating may run code that drops it */
-    for (int i = 0; i < 4; i++) {
-        PyObject *name = PyUnicode_InternFromString(names[i]), *descr;
-        if (!name) {
-            Py_DECREF(type);
-            return -1;
-        }
-        descr = _PyType_Lookup(type, name);  /* borrowed */
-        Py_DECREF(name);
-        /* a writable object slot of a class this one derives from */
-        if (!descr || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
-            || ((PyMemberDescrObject *)descr)->d_member->type != T_OBJECT_EX
-            || ((PyMemberDescrObject *)descr)->d_member->flags != 0
-            || !PyType_IsSubtype(type, PyDescr_TYPE(descr))) {
-            PyErr_Format(PyExc_TypeError, "%.100s has no slot '%s'", type->tp_name, names[i]);
-            Py_DECREF(type);
-            return -1;
-        }
-        found.off[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
-    }
-    found.untrack = PyType_IS_GC(type) && type->tp_dictoffset == 0;
-    *ec = found;                    /* ec's reference */
-    Py_INCREF(type);                /* the cache's */
-    old = last_class.cls;
-    last_class = found;
-    Py_XDECREF(old);                /* last: it may run Python code */
-    return 0;
-}
+typedef enum {
+    ROW_STATE,
+    ROW_PARTIALS,
+    ROW_COMMON,
+    ROWS
+} Row;
 
 /* ======== The matrix route: PlanKernel ======== */
 
@@ -155,9 +90,10 @@ typedef struct {
     int64_t *first_out, *next_out;  /* m, nedges: each source's edges in plan
                                        order, as a list ending in -1 */
     int64_t *block;                 /* owns every row above */
-    PyObject *py;                   /* a tuple of the m radices, then the
-                                       coefficients, made on the first
-                                       big-integer update */
+    PyObject *py;                   /* a tuple of the m radices, the
+                                       coefficients and the record's cell
+                                       numbers, as ints, made on the first
+                                       run */
 } PlanKernel;
 
 /* Read one plan integer: OverflowError when it does not fit in int64,
@@ -307,14 +243,17 @@ PlanKernel_dealloc(PlanKernel *self)
 static int
 load_py_ints(PlanKernel *self)
 {
+    const Py_ssize_t m = self->m, size = m + self->nedges + ROWS * m;
     PyObject *py;
 
     if (self->py)
         return 0;
-    if (!(py = PyTuple_New(self->m + self->nedges)))
+    if (!(py = PyTuple_New(size)))
         return -1;
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(py); i++) {
-        PyObject *v = PyLong_FromLongLong(i < self->m ? self->n[i] : self->coeff[i - self->m]);
+    for (Py_ssize_t i = 0; i < size; i++) {
+        PyObject *v = PyLong_FromLongLong(i < m ? self->n[i]
+                                          : i < m + self->nedges ? self->coeff[i - m]
+                                          : i - m - self->nedges);
         if (!v) {
             Py_DECREF(py);
             return -1;
@@ -329,6 +268,10 @@ load_py_ints(PlanKernel *self)
         self->py = py;
     return 0;
 }
+
+#define RADIX(self, i) PyTuple_GET_ITEM((self)->py, (i))
+#define COEFF(self, e) PyTuple_GET_ITEM((self)->py, (self)->m + (e))
+#define CELL(self, c) PyTuple_GET_ITEM((self)->py, (self)->m + (self)->nedges + (c))
 
 /* The state as a tuple of the plan's length (a new reference; the same
    object when it already is a tuple), or NULL with an exception set. */
@@ -403,195 +346,169 @@ untrack_ints(PyObject *t)
     PyObject_GC_UnTrack(t);
 }
 
-/* A new untracked tuple of the m values in row, by the one sharing rule:
-   item i is the previous row's item, was's item i, when its value old[i]
-   equals row[i] and it is an exact int, and a fresh int otherwise (every
-   item when was is NULL).  Each item is thus an exact int. */
+/* A new tuple of the n objects in row, untracked when all are exact ints. */
 static PyObject *
-shared_ints(const int64_t *row, PyObject *was, const int64_t *old, Py_ssize_t m)
+copy_tuple(PyObject *const *row, Py_ssize_t n)
 {
-    PyObject *out = PyTuple_New(m);
-    for (Py_ssize_t i = 0; out && i < m; i++) {
-        PyObject *v = was ? PyTuple_GET_ITEM(was, i) : NULL;
-        if (v && row[i] == old[i] && PyLong_CheckExact(v))
-            Py_INCREF(v);
-        else if (!(v = PyLong_FromLongLong(row[i]))) {
-            Py_CLEAR(out);
-            break;
-        }
-        PyTuple_SET_ITEM(out, i, v);
-    }
-    if (out)
-        PyObject_GC_UnTrack(out);
-    return out;
-}
-
-/* A new untracked tuple of the common carries pc, each the object the
-   partials tuple pt holds for its value: its own item, or for a carry the
-   fold lowered, the item of the group's member the fold took. */
-static PyObject *
-common_ints(const PlanKernel *self, PyObject *pt, const int64_t *p, const int64_t *pc,
-            const int64_t *low)
-{
-    PyObject *out = PyTuple_New(self->m);
-    if (!out)
-        return NULL;
-    for (Py_ssize_t i = 0; i < self->m; i++) {
-        Py_ssize_t at = pc[i] == p[i] ? i : low[self->group_of[i]];
-        PyTuple_SET_ITEM(out, i, Py_NewRef(PyTuple_GET_ITEM(pt, at)));
-    }
-    PyObject_GC_UnTrack(out);
-    return out;
-}
-
-/* A new tuple of the m objects in row, untracked when all are exact ints. */
-static PyObject *
-copy_tuple(PyObject *const *row, Py_ssize_t m)
-{
-    PyObject *out = PyTuple_New(m);
-    int ints = 1;
+    PyObject *out = PyTuple_New(n);
 
     if (!out)
         return NULL;
-    for (Py_ssize_t i = 0; i < m; i++) {
-        ints &= PyLong_CheckExact(row[i]);
+    for (Py_ssize_t i = 0; i < n; i++)
         PyTuple_SET_ITEM(out, i, Py_NewRef(row[i]));
-    }
-    if (ints)
-        PyObject_GC_UnTrack(out);
+    if (n)
+        untrack_ints(out);
     return out;
 }
 
-/* Append entry k, (k, head, partials, common), to the list out, untracked
-   when its class allows it and the three are untracked exact tuples; -1
-   with an exception set.  It takes over the three references, any of which
-   may be NULL after a failed allocation. */
-static int
-append_entry(const EntryClass *ec, PyObject *out, Py_ssize_t k, PyObject *head,
-             PyObject *pt, PyObject *pct)
-{
-    PyObject *entry = NULL, *items[3] = {head, pt, pct};
-    int rc = -1;
+/* One run() call's record in the making. */
+typedef struct {
+    PyObject **row;                 /* ROWS * m: the last update's rows, owned;
+                                       the carries NULL before the first */
+    PyObject **buf;                 /* 2 * ROWS * m: the (cell, value) pairs
+                                       of the update being taken, owned */
+    Py_ssize_t nbuf, count;         /* count: the updates recorded */
+    PyObject *first[2];             /* the first update's partials and common */
+    PyObject *changes;              /* a list: one tuple per later update */
+} Record;
 
-    if (head && pt && pct && (entry = ec->cls->tp_alloc(ec->cls, 0))) {
-        int untrack = ec->untrack;
-        for (int i = 0; i < 3; i++) {
-            untrack &= PyTuple_CheckExact(items[i]) && !PyObject_GC_IsTracked(items[i]);
-            ENTRY_SLOT(*ec, entry, i + 1) = items[i];
-        }
-        if (untrack)
-            PyObject_GC_UnTrack(entry);
-        if ((ENTRY_SLOT(*ec, entry, 0) = PyLong_FromSsize_t(k)))
-            rc = PyList_Append(out, entry);
-        Py_DECREF(entry);
-        return rc;
+/* Log cell c, whose value the update being taken changed, unless that
+   update is the first. */
+static void
+log_cell(const PlanKernel *self, Record *r, Py_ssize_t c)
+{
+    if (r->count) {
+        r->buf[r->nbuf++] = Py_NewRef(CELL(self, c));
+        r->buf[r->nbuf++] = Py_NewRef(r->row[c]);
     }
-    Py_XDECREF(head);
-    Py_XDECREF(pt);
-    Py_XDECREF(pct);
-    return rc;
 }
 
-/* Append entries of class ec to out from *cur in int64, numbered on from
-   k + len(out), until out holds limit entries (1), at a fixed point (0),
-   or before an update int64 cannot hold (2); -1 on error.  *cur becomes the
-   state to go on from, NULL after an error.  scr holds five rows of m and
-   one of ngroups.
+/* Set cell c of the rows to v, a new reference, and log it. */
+static void
+set_cell(const PlanKernel *self, Record *r, Py_ssize_t c, PyObject *v)
+{
+    Py_XSETREF(r->row[c], v);
+    log_cell(self, r, c);
+}
 
-   Each entry shares what repeats: a next-state component equal to the
-   previous state's is that object, a partial carry equal to the previous
-   update's is its object, and every common carry is an object of the
-   partials tuple; only other values are fresh ints. */
+/* Record the update being taken: the first as its partials and common
+   tuples, one tuple if they are equal, and each later one as the tuple of
+   its changes, appended to r->changes; -1 with an exception set. */
 static int
-run_int64(const PlanKernel *self, const EntryClass *ec, int64_t *scr, PyObject **cur,
-          PyObject *out, Py_ssize_t k, Py_ssize_t limit)
+seal(const PlanKernel *self, Record *r)
 {
     const Py_ssize_t m = self->m;
-    int64_t *s = scr, *p = s + m, *pc = p + m, *nxt = pc + m, *was = nxt + m, *low = was + m;
-    PyObject *pt = NULL;            /* the last entry's partials, was in int64 */
-    int fits = 1, rc = 1;
+    PyObject **p = r->row + ROW_PARTIALS * m, **pc = r->row + ROW_COMMON * m, *t;
+    int same = 1, rc;
 
-    for (Py_ssize_t i = 0; i < m && fits; i++)
-        fits = fits_int64(PyTuple_GET_ITEM(*cur, i), &s[i]);
-    while (PyList_GET_SIZE(out) < limit) {
-        PyObject *pct, *head = *cur;
-        int moved = 0;
-
-        if (!fits || update(self, s, p, pc, nxt, low) < 0) {
-            rc = 2;
-            break;
-        }
-        *cur = shared_ints(nxt, head, s, m);
-        Py_XSETREF(pt, shared_ints(p, pt, was, m));
-        /* the common tuple is the partials' wherever no group lowers a carry */
-        pct = pt && memcmp(p, pc, m * sizeof *p) ? common_ints(self, pt, p, pc, low) : Py_XNewRef(pt);
-        if (append_entry(ec, out, k + PyList_GET_SIZE(out), head, Py_XNewRef(pt), pct) < 0
-            || !*cur) {
-            rc = -1;
-            break;
-        }
-        for (Py_ssize_t i = 0; i < m; i++)
-            moved |= pc[i] != 0;
-        if (!moved) {
-            rc = 0;
-            break;
-        }
-        int64_t *t = s;
-        s = nxt;
-        nxt = t;
-        t = was;
-        was = p;
-        p = t;
-        for (Py_ssize_t i = 0; i < m && fits; i++)
-            fits = s[i] >= 0;
+    if (!r->count) {
+        for (Py_ssize_t i = 0; i < m && same; i++)
+            if (p[i] != pc[i] && (same = PyObject_RichCompareBool(p[i], pc[i], Py_EQ)) < 0)
+                return -1;
+        if (!(r->first[0] = copy_tuple(p, m)))
+            return -1;
+        if (!(r->first[1] = same ? Py_NewRef(r->first[0]) : copy_tuple(pc, m)))
+            return -1;
+        r->count = 1;
+        return 0;
     }
-    Py_XDECREF(pt);
+    if (!(t = copy_tuple(r->buf, r->nbuf)))
+        return -1;
+    for (Py_ssize_t i = 0; i < r->nbuf; i++)
+        Py_DECREF(r->buf[i]);
+    r->nbuf = 0;
+    rc = PyList_Append(r->changes, t);
+    Py_DECREF(t);
+    r->count += rc == 0;
     return rc;
 }
 
-/* A big-integer stretch's working rows, of m entries unless marked. */
+/* Record updates from the state in r's rows in int64, until r holds
+   limit updates (1), at a fixed point (0), or before an update int64
+   cannot take (2); -1 with an exception set.  scr holds six rows of m and
+   one of ngroups.  The rows hold every update's values, and each change
+   is a new int; a common carry is the object of the partial carry it
+   equals, its own or the one the fold took. */
+static int
+run_int64(const PlanKernel *self, int64_t *scr, Record *r, Py_ssize_t limit)
+{
+    const Py_ssize_t m = self->m;
+    int64_t *s = scr, *nxt = s + m, *p = nxt + m, *pc = p + m, *lp = pc + m, *lpc = lp + m;
+    int64_t *low = lpc + m, *t;
+    PyObject **row = r->row, *v;
+    Py_ssize_t i;
+
+    for (i = 0; i < m; i++)
+        if (!fits_int64(row[i], &s[i]))
+            return 2;
+    /* the last update's carries, -1 (no carry here) where int64 does not hold one */
+    for (i = 0; r->count && i < m; i++) {
+        if (!fits_int64(row[ROW_PARTIALS * m + i], &lp[i]))
+            lp[i] = -1;
+        if (!fits_int64(row[ROW_COMMON * m + i], &lpc[i]))
+            lpc[i] = -1;
+    }
+    for (;;) {
+        int moved = 0;
+
+        if (update(self, s, p, pc, nxt, low) < 0)
+            return 2;
+        for (i = 0; i < m; i++)
+            if (!r->count || p[i] != lp[i]) {
+                if (!(v = PyLong_FromLongLong(p[i])))
+                    return -1;
+                set_cell(self, r, ROW_PARTIALS * m + i, v);
+            }
+        for (i = 0; i < m; i++)
+            if (!r->count || pc[i] != lpc[i]) {
+                Py_ssize_t at = pc[i] == p[i] ? i : low[self->group_of[i]];
+                set_cell(self, r, ROW_COMMON * m + i, Py_NewRef(row[ROW_PARTIALS * m + at]));
+            }
+        if (seal(self, r) < 0)
+            return -1;
+        for (i = 0; i < m; i++)
+            moved |= pc[i] != 0;
+        if (!moved)
+            return 0;
+        for (i = 0; i < m; i++)
+            if (nxt[i] != s[i]) {
+                if (!(v = PyLong_FromLongLong(nxt[i])))
+                    return -1;
+                set_cell(self, r, ROW_STATE * m + i, v);
+            }
+        if (r->count == limit)
+            return 1;
+        t = s, s = nxt, nxt = t;
+        t = lp, lp = p, p = t;
+        t = lpc, lpc = pc, pc = t;
+        for (i = 0; i < m; i++)
+            if (s[i] < 0)
+                return 2;
+    }
+}
+
+/* A big-integer stretch's working rows, of m entries unless marked; the
+   values themselves are the record's rows. */
 typedef struct {
-    PyObject **s, **p, **pc;        /* state, partial and common carries */
     Py_ssize_t *touched, ntouched;  /* entities the last update changed */
     Py_ssize_t *firing, nfiring;    /* entities whose common carry is nonzero */
     Py_ssize_t *fire_at;            /* an entity's place in firing, or -1 */
     Py_ssize_t *dirty, ndirty;      /* ngroups: groups to fold again */
     char *is_touched, *is_dirty;    /* membership of touched, of dirty */
     char *wide;                     /* not an int in [0, INT64_MAX] */
+    PyObject **before;              /* a touched component's value when the
+                                       update began */
 } Frontier;
 
-static void
-touch(Frontier *f, Py_ssize_t j)
-{
-    if (!f->is_touched[j]) {
-        f->is_touched[j] = 1;
-        f->touched[f->ntouched++] = j;
-    }
-}
-
-/* *slot = op(*slot, c * k); -1 with an exception set. */
+/* The common carry of entity j becomes q, which differs from it, and j
+   fires when q is true; -1 with an exception set. */
 static int
-credit(PyObject **slot, PyObject *c, PyObject *k, binaryfunc op)
-{
-    PyObject *t = PyNumber_Multiply(c, k), *v;
-    if (!t)
-        return -1;
-    v = op(*slot, t);
-    Py_DECREF(t);
-    if (!v)
-        return -1;
-    Py_SETREF(*slot, v);
-    return 0;
-}
-
-/* pc[j] = q, and j fires when q is true; -1 with an exception set. */
-static int
-set_common(Frontier *f, Py_ssize_t j, PyObject *q)
+set_common(const PlanKernel *self, Record *r, Frontier *f, Py_ssize_t j, PyObject *q)
 {
     int t = PyObject_IsTrue(q);
     if (t < 0)
         return -1;
-    Py_SETREF(f->pc[j], Py_NewRef(q));
+    set_cell(self, r, ROW_COMMON * self->m + j, Py_NewRef(q));
     if (t && f->fire_at[j] < 0) {
         f->fire_at[j] = f->nfiring;
         f->firing[f->nfiring++] = j;
@@ -608,9 +525,10 @@ set_common(Frontier *f, Py_ssize_t j, PyObject *q)
 /* The carries of the entities the last update touched, then the folds of
    the groups whose partial carries changed; -1 with an exception set. */
 static int
-frontier_carries(const PlanKernel *self, Frontier *f)
+frontier_carries(const PlanKernel *self, Record *r, Frontier *f)
 {
-    PyObject **p = f->p;
+    const Py_ssize_t m = self->m;
+    PyObject **s = r->row, **p = s + ROW_PARTIALS * m, **pc = s + ROW_COMMON * m;
 
     f->ndirty = 0;
     for (Py_ssize_t k = 0; k < f->ntouched; k++) {
@@ -620,7 +538,7 @@ frontier_carries(const PlanKernel *self, Frontier *f)
 
         if (!self->n[j])
             continue;
-        if (!(q = PyNumber_FloorDivide(f->s[j], PyTuple_GET_ITEM(self->py, j))))
+        if (!(q = PyNumber_FloorDivide(s[j], RADIX(self, j))))
             return -1;
         if ((changed = PyObject_RichCompareBool(q, p[j], Py_NE)) <= 0) {
             Py_DECREF(q);
@@ -628,9 +546,10 @@ frontier_carries(const PlanKernel *self, Frontier *f)
                 return -1;
             continue;
         }
-        Py_SETREF(p[j], q);
+        set_cell(self, r, ROW_PARTIALS * m + j, q);
         if (g < 0) {
-            if (set_common(f, j, q) < 0)
+            /* its common carry is its partial carry, which just changed */
+            if (set_common(self, r, f, j, q) < 0)
                 return -1;
         }
         else if (!f->is_dirty[g]) {
@@ -643,6 +562,7 @@ frontier_carries(const PlanKernel *self, Frontier *f)
         const int64_t *x = self->grp_members + self->grp_off[g];
         const int64_t *end = self->grp_members + self->grp_off[g + 1];
         PyObject *low = p[*x];
+        int ne;
 
         f->is_dirty[g] = 0;
         /* min(): the first of the smallest; p stays as it is meanwhile */
@@ -654,81 +574,99 @@ frontier_carries(const PlanKernel *self, Frontier *f)
                 low = p[*y];
         }
         for (; x < end; x++)
-            if (set_common(f, *x, low) < 0)
+            if ((ne = PyObject_RichCompareBool(low, pc[*x], Py_NE)) < 0
+                || (ne && set_common(self, r, f, *x, low) < 0))
                 return -1;
     }
     return 0;
 }
 
-/* The update's removals and credits by the entities that fire, into s; -1
-   with an exception set.  The entities it changes become the touched ones. */
+/* s[j] = op(s[j], c * by) for component j of the state row, which
+   becomes touched; -1 with an exception set. */
 static int
-frontier_credits(const PlanKernel *self, Frontier *f)
+credit(Frontier *f, PyObject **s, Py_ssize_t j, PyObject *c, PyObject *by, binaryfunc op)
 {
+    PyObject *t, *v;
+
+    if (!f->is_touched[j]) {
+        f->is_touched[j] = 1;
+        f->touched[f->ntouched++] = j;
+        f->before[j] = Py_NewRef(s[j]);
+    }
+    if (!(t = PyNumber_Multiply(c, by)))
+        return -1;
+    v = op(s[j], t);
+    Py_DECREF(t);
+    if (!v)
+        return -1;
+    Py_SETREF(s[j], v);
+    return 0;
+}
+
+/* The update's removals and credits by the entities that fire, into the
+   state row, logged as changes where a component's value changed; -1 with
+   an exception set.  Those components become the touched ones. */
+static int
+frontier_credits(const PlanKernel *self, Record *r, Frontier *f)
+{
+    PyObject **s = r->row, **pc = s + ROW_COMMON * self->m;
+    Py_ssize_t kept = 0;
+
     for (Py_ssize_t k = 0; k < f->ntouched; k++)
         f->is_touched[f->touched[k]] = 0;
     f->ntouched = 0;
     for (Py_ssize_t k = 0; k < f->nfiring; k++) {
         Py_ssize_t i = f->firing[k];
-        PyObject *c = f->pc[i];
+        PyObject *c = pc[i];
 
-        if (credit(&f->s[i], c, PyTuple_GET_ITEM(self->py, i), PyNumber_InPlaceSubtract) < 0)
+        if (credit(f, s, i, c, RADIX(self, i), PyNumber_InPlaceSubtract) < 0)
             return -1;
-        touch(f, i);
-        for (int64_t e = self->first_out[i]; e >= 0; e = self->next_out[e]) {
-            PyObject *coeff = PyTuple_GET_ITEM(self->py, self->m + e);
-            if (credit(&f->s[self->dst[e]], c, coeff, PyNumber_InPlaceAdd) < 0)
+        for (int64_t e = self->first_out[i]; e >= 0; e = self->next_out[e])
+            if (credit(f, s, self->dst[e], c, COEFF(self, e), PyNumber_InPlaceAdd) < 0)
                 return -1;
-            touch(f, self->dst[e]);
+    }
+    for (Py_ssize_t k = 0; k < f->ntouched; k++) {
+        Py_ssize_t j = f->touched[k];
+        int ne = PyObject_RichCompareBool(s[j], f->before[j], Py_NE);
+
+        Py_CLEAR(f->before[j]);
+        if (ne < 0)
+            return -1;
+        if (ne) {
+            log_cell(self, r, ROW_STATE * self->m + j);
+            f->touched[kept++] = j;
         }
+        else
+            f->is_touched[j] = 0;
     }
+    f->ntouched = kept;
     return 0;
 }
 
-/* 1 when a group member's common carry is not equal to its partial carry;
-   every other entity's two carries are one object.  -1 with an exception
-   set. */
+/* Record updates from the state in r's rows in Python objects, the
+   frontier way, until r holds limit updates (1), at a fixed point (0), or
+   once every component fits in int64 after at least one update (2); -1
+   with an exception set.  *wide becomes the count of the start's
+   components outside int64.  The first update computes every carry, from
+   zero carries for a run's first and from the last update's otherwise. */
 static int
-carries_differ(const PlanKernel *self, const Frontier *f)
-{
-    for (int64_t j = 0; j < self->grp_off[self->ngroups]; j++) {
-        int64_t x = self->grp_members[j];
-        int eq;
-        if (f->p[x] != f->pc[x] && (eq = PyObject_RichCompareBool(f->p[x], f->pc[x], Py_EQ)) <= 0)
-            return eq < 0 ? -1 : 1;
-    }
-    return 0;
-}
-
-/* Append entries of class ec to out from *cur in Python objects, the
-   frontier way, numbered on from k + len(out), until out holds limit
-   entries (1), at a fixed point (0), or once every component fits in int64
-   after at least one update (2); -1 on error.  *cur becomes the state to
-   go on from, NULL after an error, and *wide the count of the start's
-   components outside int64. */
-static int
-run_big(PlanKernel *self, const EntryClass *ec, PyObject **cur, PyObject *out, Py_ssize_t k,
-        Py_ssize_t limit, Py_ssize_t *wide)
+run_big(PlanKernel *self, Record *r, Py_ssize_t limit, Py_ssize_t *wide)
 {
     const Py_ssize_t m = self->m, ng = self->ngroups;
-    PyObject *zero = NULL;
+    PyObject **row = r->row;
     Py_ssize_t i, left = 0;
     Frontier f;
     char *block;
     int stop = -1;
     int64_t v;
 
-    if (load_py_ints(self) < 0)
-        goto fail;
-    if (!(block = PyMem_Calloc(1, 3 * m * sizeof(PyObject *)
-                                  + (3 * m + ng) * sizeof(Py_ssize_t) + 2 * m + ng + 1))) {
+    if (!(block = PyMem_Calloc(1, m * sizeof(PyObject *) + (3 * m + ng) * sizeof(Py_ssize_t)
+                                  + 2 * m + ng + 1))) {
         PyErr_NoMemory();
-        goto fail;
+        return -1;
     }
-    f.s = (PyObject **)block;
-    f.p = f.s + m;
-    f.pc = f.p + m;
-    f.touched = (Py_ssize_t *)(f.pc + m);
+    f.before = (PyObject **)block;
+    f.touched = (Py_ssize_t *)(f.before + m);
     f.firing = f.touched + m;
     f.fire_at = f.firing + m;
     f.dirty = f.fire_at + m;
@@ -736,44 +674,42 @@ run_big(PlanKernel *self, const EntryClass *ec, PyObject **cur, PyObject *out, P
     f.is_dirty = f.is_touched + m;
     f.wide = f.is_dirty + ng;
     f.ntouched = f.nfiring = 0;
-    if (!(zero = PyLong_FromLong(0)))
-        goto done;
     for (i = 0; i < m; i++) {
-        f.s[i] = Py_NewRef(PyTuple_GET_ITEM(*cur, i));
-        f.p[i] = Py_NewRef(zero);
-        f.pc[i] = Py_NewRef(zero);
-        touch(&f, i);
-        f.fire_at[i] = -1;
-        f.wide[i] = !fits_int64(f.s[i], &v);
+        PyObject **pc = &row[ROW_COMMON * m + i];
+        int t = 0;
+
+        if (!*pc) {
+            if (!(row[ROW_PARTIALS * m + i] = PyLong_FromLong(0)))
+                goto done;
+            *pc = Py_NewRef(row[ROW_PARTIALS * m + i]);
+        }
+        else if ((t = PyObject_IsTrue(*pc)) < 0)
+            goto done;
+        f.fire_at[i] = t ? f.nfiring : -1;
+        if (t)
+            f.firing[f.nfiring++] = i;
+        f.is_touched[i] = 1;
+        f.touched[f.ntouched++] = i;
+        f.wide[i] = !fits_int64(row[i], &v);
         left += f.wide[i];
     }
     *wide = left;
     for (;;) {
-        PyObject *pt, *pct = NULL;
-        int differ;
-
-        if (frontier_carries(self, &f) < 0 || (differ = carries_differ(self, &f)) < 0)
-            break;
-        if ((pt = copy_tuple(f.p, m)))
-            pct = differ ? copy_tuple(f.pc, m) : Py_NewRef(pt);
-        if (append_entry(ec, out, k + PyList_GET_SIZE(out), Py_NewRef(*cur), pt, pct) < 0)
+        if (frontier_carries(self, r, &f) < 0 || seal(self, r) < 0)
             break;
         if (!f.nfiring) {
             stop = 0;
             break;
         }
-        if (frontier_credits(self, &f) < 0)
+        if (frontier_credits(self, r, &f) < 0)
             break;
-        Py_SETREF(*cur, copy_tuple(f.s, m));
-        if (!*cur)
-            break;
-        if (PyList_GET_SIZE(out) == limit) {
+        if (r->count == limit) {
             stop = 1;
             break;
         }
         for (Py_ssize_t k = 0; k < f.ntouched; k++) {
             Py_ssize_t j = f.touched[k];
-            char b = !fits_int64(f.s[j], &v);
+            char b = !fits_int64(row[j], &v);
             left += b - f.wide[j];
             f.wide[j] = b;
         }
@@ -783,77 +719,54 @@ run_big(PlanKernel *self, const EntryClass *ec, PyObject **cur, PyObject *out, P
         }
     }
 done:
-    for (i = 0; i < m; i++) {
-        Py_XDECREF(f.s[i]);
-        Py_XDECREF(f.p[i]);
-        Py_XDECREF(f.pc[i]);
-    }
-    Py_XDECREF(zero);
+    for (i = 0; i < m; i++)
+        Py_XDECREF(f.before[i]);
     PyMem_Free(block);
-    if (stop >= 0)
-        return stop;
-fail:
-    Py_CLEAR(*cur);
-    return -1;
-}
-
-/* Append copies of out's last entry, its three tuples shared and k counting
-   on, until out holds limit entries; -1 with an exception set. */
-static int
-hold_entry(const EntryClass *ec, PyObject *out, Py_ssize_t k, Py_ssize_t limit)
-{
-    PyObject *fixed = PyList_GET_ITEM(out, PyList_GET_SIZE(out) - 1), *items[3];
-    int rc = 0;
-
-    for (int i = 0; i < 3; i++)
-        items[i] = Py_NewRef(ENTRY_SLOT(*ec, fixed, i + 1));
-    while (rc == 0 && PyList_GET_SIZE(out) < limit)
-        rc = append_entry(ec, out, k + PyList_GET_SIZE(out), Py_NewRef(items[0]),
-                          Py_NewRef(items[1]), Py_NewRef(items[2]));
-    for (int i = 0; i < 3; i++)
-        Py_DECREF(items[i]);
-    return rc;
+    return stop;
 }
 
 static PyObject *
 PlanKernel_run(PlanKernel *self, PyObject *args)
 {
-    PyObject *cls, *values, *stretches = Py_None, *cur = NULL, *entries = NULL, *out = NULL;
-    Py_ssize_t k, limit;
+    PyObject *values, *stretches = Py_None, *start = NULL, *last, *out = NULL;
+    PyObject **block = NULL;
+    Py_ssize_t limit, i, m = self->m;
     int64_t *scr = NULL;
-    int stop, hold = 0;
-    EntryClass ec;
+    Record r = {NULL, NULL, 0, 0, {NULL, NULL}, NULL};
+    int stop;
 
-    if (!PyArg_ParseTuple(args, "OnOn|Op:run", &cls, &k, &values, &limit, &stretches, &hold))
+    if (!PyArg_ParseTuple(args, "On|O:run", &values, &limit, &stretches))
         return NULL;
-    if (limit < 0) {
-        PyErr_SetString(PyExc_ValueError, "limit must be >= 0");
-        return NULL;
-    }
-    if (k > PY_SSIZE_T_MAX - limit) {
-        PyErr_SetString(PyExc_OverflowError, "run() step count overflows");
+    if (limit < 1) {
+        PyErr_SetString(PyExc_ValueError, "limit must be >= 1");
         return NULL;
     }
     if (stretches != Py_None && !PyList_Check(stretches)) {
         PyErr_SetString(PyExc_TypeError, "stretches must be a list or None");
         return NULL;
     }
-    if (load_entry_class(cls, &ec) < 0)
+    if (load_py_ints(self) < 0 || !(start = state_tuple(self, values)))
         return NULL;
-    if (!(cur = state_tuple(self, values)) || !(entries = PyList_New(0)))
-        goto done;
-    untrack_ints(cur);
-    /* run_int64's scratch rows, for this call only */
-    if (!(scr = PyMem_Malloc((5 * self->m + self->ngroups + 1) * sizeof(int64_t)))) {
+    untrack_ints(start);
+    /* the record's rows and pending pairs, and run_int64's scratch rows,
+       for this call only */
+    if (!(block = PyMem_Calloc(3 * ROWS * m + 1, sizeof(PyObject *)))
+        || !(scr = PyMem_Malloc((6 * m + self->ngroups + 1) * sizeof(int64_t)))) {
         PyErr_NoMemory();
         goto done;
     }
-    while ((stop = run_int64(self, &ec, scr, &cur, entries, k, limit)) == 2) {
-        Py_ssize_t before = PyList_GET_SIZE(entries), wide = 0;
-        if ((stop = run_big(self, &ec, &cur, entries, k, limit, &wide)) < 0)
+    r.row = block;
+    r.buf = block + ROWS * m;
+    if (!(r.changes = PyList_New(0)))
+        goto done;
+    for (i = 0; i < m; i++)
+        r.row[i] = Py_NewRef(PyTuple_GET_ITEM(start, i));
+    while ((stop = run_int64(self, scr, &r, limit)) == 2) {
+        Py_ssize_t before = r.count, wide = 0;
+        if ((stop = run_big(self, &r, limit, &wide)) < 0)
             goto done;
         if (stretches != Py_None) {
-            PyObject *record = Py_BuildValue("(nni)", wide, PyList_GET_SIZE(entries) - before, stop);
+            PyObject *record = Py_BuildValue("(nni)", wide, r.count - before, stop);
             if (!record || PyList_Append(stretches, record) < 0) {
                 Py_XDECREF(record);
                 goto done;
@@ -863,45 +776,41 @@ PlanKernel_run(PlanKernel *self, PyObject *args)
         if (stop != 2)
             break;
     }
-    if (stop < 0 || (stop == 0 && hold && hold_entry(&ec, entries, k, limit) < 0))
+    if (stop < 0 || !(last = copy_tuple(r.row, m)))
         goto done;
-    if ((out = PyTuple_New(3))) {
-        PyObject *code = PyLong_FromLong(stop);
-        if (!code) {
-            Py_CLEAR(out);
-            goto done;
-        }
-        PyTuple_SET_ITEM(out, 0, entries);
-        PyTuple_SET_ITEM(out, 1, cur);
-        PyTuple_SET_ITEM(out, 2, code);
-        entries = cur = NULL;
-    }
+    out = Py_BuildValue("(OOOONi)", start, r.first[0], r.first[1], r.changes, last, stop);
 done:
+    if (block) {
+        for (i = 0; i < ROWS * m; i++)
+            Py_XDECREF(r.row[i]);
+        for (i = 0; i < r.nbuf; i++)
+            Py_DECREF(r.buf[i]);
+    }
+    PyMem_Free(block);
     PyMem_Free(scr);
-    Py_XDECREF(entries);
-    Py_XDECREF(cur);
-    Py_DECREF(ec.cls);
+    Py_XDECREF(r.first[0]);
+    Py_XDECREF(r.first[1]);
+    Py_XDECREF(r.changes);
+    Py_XDECREF(start);
     return out;
 }
 
 static PyMethodDef PlanKernel_methods[] = {
     {"run", (PyCFunction)PlanKernel_run, METH_VARARGS,
-     "run(cls, k, state, limit, stretches=None, hold=False) -> (entries, last,\n"
-     "stop): at most `limit` updates, in int64 while it holds them and in exact\n"
-     "ints past it.\n\n"
-     "entries holds one cls(k + i, state, partials, common) per update taken,\n"
-     "its slots filled and neither __new__ nor __init__ called; cls must have\n"
-     "object slots k, state, partials and common.  Each entry's state is the\n"
-     "previous update's next state, the same object.  An entry is untracked\n"
-     "by the garbage collector when cls has no __dict__ and its three tuples\n"
-     "are untracked exact tuples.  last is the state to continue from.  stop\n"
-     "is 0 at a fixed point (the last entry's common carries are all zero)\n"
-     "and 1 when `limit` entries were taken.  With `hold`, a fixed point's\n"
-     "entry repeats, its tuples shared, up to the limit.  A list passed as\n"
-     "`stretches` receives one (wide, updates, end) tuple per big-integer\n"
-     "stretch: how many components of its start were outside int64, how many\n"
-     "updates it took, and its end: 0 at a fixed point, 1 at the limit, 2\n"
-     "back into int64."},
+     "run(state, limit, stretches=None) -> (state, partials, common, changes,\n"
+     "last, stop): from 1 to `limit` updates, in int64 while it holds them and\n"
+     "in exact ints past it.\n\n"
+     "state is the start as a tuple, and partials and common are the first\n"
+     "update's carries, one tuple when they are equal.  changes holds one\n"
+     "tuple per later update: the cells whose value differs from the update\n"
+     "before, as (cell, value) pairs laid end to end, cell row * m + i for\n"
+     "entity i's state (row 0), partial carry (1) or common carry (2).  last\n"
+     "is the state to continue from.  stop is 0 at a fixed point (the last\n"
+     "update's common carries are all zero) and 1 when `limit` updates were\n"
+     "taken.  A list passed as `stretches` receives one (wide, updates, end)\n"
+     "tuple per big-integer stretch: how many components of its start were\n"
+     "outside int64, how many updates it took, and its end: 0 at a fixed\n"
+     "point, 1 at the limit, 2 back into int64."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -931,30 +840,36 @@ static PyTypeObject PlanKernelType = {
    read a component the last update changed: the readers of the inputs and
    outputs of the operators that fired.
 
-   It holds its state in int64 from one call to the next.  send((entries,
-   last)) takes one update per entry and compares each in full with the
-   matrix route's stretch -- next state, partial and common carries -- and
-   returns what operational.enactor's send((entries, last)) returns: None
-   when all match, else (i, (next, partials, common)) for the first
-   mismatch, which ends the enactor's use.  It reads the very entries the
-   trace keeps, through their slots.  Where an update would leave int64, or
-   a value it is compared with is not an exact int, it returns the entry's
-   index i instead: it then holds the state update i starts from (its state
-   attribute), with every operator to enact next, and the caller checks the
-   rest of the stretch with operational.enactor.  A start that is not all
-   exact ints in int64 is handed back at entry 0.
+   It holds its state in int64 from one call to the next.  send((stretch,
+   last)) takes one update per update of the matrix route's stretch record
+   (k, state, partials, common, changes) and returns what
+   operational.enactor's send((stretch, last)) returns: None when all
+   match, else (i, (next, partials, common)) for the first mismatch, which
+   ends the enactor's use.  The first update is compared in full: the
+   record's state with the one it starts from, and its carries.  Each
+   later one by its changes: the enactor flags every cell its own update
+   changes, and the record's changes must be those cells, each once, with
+   the values it gave them -- the carries in the update's own changes, the
+   components of its next state in the next update's.  The state after
+   the last update is compared with last in full.  Where an update would leave int64, or a value it is
+   compared with is not an exact int, it returns the update's index i
+   instead: it then holds the state update i starts from (its state
+   attribute), and the caller checks the rest of the stretch with
+   operational.enactor.  A start that is not all exact ints in int64 is
+   handed back at update 0.
 
    Most values a trace holds are small, and CPython keeps one int object
-   for each value from -5 to 256.  So before it converts an item, the check
-   asks whether the item is that cached object for the value it computed
-   itself: an object's value never changes, so the one pointer comparison
-   proves the item equal, and takes nothing on trust from the matrix route.
-   Any other item is converted and compared in full.
+   for each value from -5 to 256.  So before it converts a value, the check
+   asks whether it is that cached object for the value it computed itself:
+   an object's value never changes, so the one pointer comparison proves
+   the value equal, and takes nothing on trust from the matrix route.  Any
+   other value is converted and compared in full.
 
-   No Python code runs while the entries are compared, so they cannot
-   change meanwhile: every shape is checked first, an exact int is read
-   without calling into Python, and nothing is allocated until the
-   result. */
+   No Python code runs while a record is compared, so it cannot change
+   meanwhile: an exact int is read without calling into Python, and
+   nothing is allocated until the result.  A record of the wrong shape
+   raises TypeError or ValueError where it is read, which ends the
+   enactor's use too. */
 
 typedef struct {
     PyObject_HEAD
@@ -969,6 +884,15 @@ typedef struct {
     int64_t *dirty, *marked, *is_marked;/* nops each: the operators to enact,
                                            those marked for the next update,
                                            and which are marked */
+    int64_t *touched, *is_touched;      /* m each: the components this
+                                           update removes from or credits */
+    int64_t *changed, *flagged;         /* ROWS * m each: whether a cell is
+                                           flagged as changed, and the
+                                           flagged cells */
+    int64_t *pend_cell, *pend_at;       /* 2 * m each: the carry cells of the
+                                           next update's changes, and where
+                                           their values are in its tuple */
+    Py_ssize_t ntouched, nflagged, npending;
     int64_t *block;                     /* owns every row above */
     int grouped;                        /* an operator has two or more inputs */
     PyObject *start;                    /* the start, when int64 does not hold it */
@@ -1042,7 +966,8 @@ enactor_load(Enactor *self, PyObject *ops_obj, PyObject *state_obj)
         Py_CLEAR(op);
     }
 
-    self->block = PyMem_Calloc(2 * (nops + 1) + 3 * count[0] + 2 * count[1] + m + 1 + 4 * m
+    self->block = PyMem_Calloc(2 * (nops + 1) + 3 * count[0] + 2 * count[1] + m + 1 + 6 * m
+                               + 2 * ROWS * m + 4 * m
                                + 3 * nops, sizeof(int64_t));
     if (!self->block) {
         PyErr_NoMemory();
@@ -1063,6 +988,12 @@ enactor_load(Enactor *self, PyObject *ops_obj, PyObject *state_obj)
     self->dirty = self->pc + m;
     self->marked = self->dirty + nops;
     self->is_marked = self->marked + nops;
+    self->touched = self->is_marked + nops;
+    self->is_touched = self->touched + m;
+    self->changed = self->is_touched + m;
+    self->flagged = self->changed + ROWS * m;
+    self->pend_cell = self->flagged + ROWS * m;
+    self->pend_at = self->pend_cell + 2 * m;
 
     for (o = 0; o < nops; o++) {
         PyObject *in = PyTuple_GET_ITEM(sides, 2 * o), *out = PyTuple_GET_ITEM(sides, 2 * o + 1);
@@ -1164,33 +1095,76 @@ enactor_mark(Enactor *self, const int64_t *at, int64_t lo, int64_t hi)
         }
 }
 
-/* One update of cur into s, p and pc by the dirty operators, marking the
-   next update's; -1 when a value would leave int64. */
+/* Flag cell c as one the updates changed. */
+static void
+enactor_flag(Enactor *self, int64_t c)
+{
+    if (!self->changed[c]) {
+        self->changed[c] = 1;
+        self->flagged[self->nflagged++] = c;
+    }
+}
+
+/* Clear every flag. */
+static void
+enactor_unflag(Enactor *self)
+{
+    for (Py_ssize_t k = 0; k < self->nflagged; k++)
+        self->changed[self->flagged[k]] = 0;
+    self->nflagged = 0;
+}
+
+/* s[i] = s[i] + c * k, or minus it; -1 when a value would leave int64. */
+static int
+enactor_credit(Enactor *self, int64_t i, int64_t c, int64_t k, int minus)
+{
+    int64_t t;
+
+    if (!self->is_touched[i]) {
+        self->is_touched[i] = 1;
+        self->touched[self->ntouched++] = i;
+    }
+    if (__builtin_mul_overflow(c, k, &t)
+        || (minus ? __builtin_sub_overflow(self->s[i], t, &self->s[i])
+                  : __builtin_add_overflow(self->s[i], t, &self->s[i])))
+        return -1;
+    return 0;
+}
+
+/* One update of cur into s, p and pc by the dirty operators, flagging the
+   carries it changes and marking the next update's operators; -1 when a
+   value would leave int64. */
 static int
 enactor_update(Enactor *self)
 {
-    int64_t *cur = self->cur, *s = self->s, *p = self->p, *pc = self->pc;
+    const int64_t m = self->m;
+    int64_t *cur = self->cur, *p = self->p, *pc = self->pc;
 
     for (Py_ssize_t d = 0; d < self->ndirty; d++) {
-        int64_t o = self->dirty[d], lo = self->in_off[o], hi = self->in_off[o + 1], c = 0, t, j;
+        int64_t o = self->dirty[d], lo = self->in_off[o], hi = self->in_off[o + 1], c = 0, j;
 
         for (j = lo; j < hi; j++) {
-            int64_t x = cur[self->in_at[j]], n = self->in_n[j];
-            int64_t q = p[self->in_at[j]] = x / n - (x % n < 0);   /* floor, as n >= 1 */
+            int64_t i = self->in_at[j], x = cur[i], n = self->in_n[j];
+            int64_t q = x / n - (x % n < 0);   /* floor, as n >= 1 */
+            if (q != p[i]) {
+                p[i] = q;
+                enactor_flag(self, ROW_PARTIALS * m + i);
+            }
             if (j == lo || q < c)
                 c = q;
         }
         for (j = lo; j < hi; j++)
-            pc[self->in_at[j]] = c;
+            if (pc[self->in_at[j]] != c) {
+                pc[self->in_at[j]] = c;
+                enactor_flag(self, ROW_COMMON * m + self->in_at[j]);
+            }
         if (!c)
             continue;
         for (j = lo; j < hi; j++)
-            if (__builtin_mul_overflow(c, self->in_n[j], &t)
-                || __builtin_sub_overflow(s[self->in_at[j]], t, &s[self->in_at[j]]))
+            if (enactor_credit(self, self->in_at[j], c, self->in_n[j], 1) < 0)
                 return -1;
         for (j = self->out_off[o]; j < self->out_off[o + 1]; j++)
-            if (__builtin_mul_overflow(c, self->out_k[j], &t)
-                || __builtin_add_overflow(s[self->out_at[j]], t, &s[self->out_at[j]]))
+            if (enactor_credit(self, self->out_at[j], c, self->out_k[j], 0) < 0)
                 return -1;
         enactor_mark(self, self->in_at, lo, hi);
         enactor_mark(self, self->out_at, self->out_off[o], self->out_off[o + 1]);
@@ -1198,12 +1172,18 @@ enactor_update(Enactor *self)
     return 0;
 }
 
-/* Go back to the state the update started from, with every operator to
-   enact in the next one. */
+/* Go back to the state the update started from, with no cell flagged and
+   every operator to enact in the next update. */
 static void
 enactor_rewind(Enactor *self)
 {
-    memcpy(self->s, self->cur, self->m * sizeof(int64_t));
+    for (Py_ssize_t k = 0; k < self->ntouched; k++) {
+        int64_t i = self->touched[k];
+        self->s[i] = self->cur[i];
+        self->is_touched[i] = 0;
+    }
+    self->ntouched = 0;
+    enactor_unflag(self);
     for (Py_ssize_t k = 0; k < self->nmarked; k++)
         self->is_marked[self->marked[k]] = 0;
     self->nmarked = 0;
@@ -1212,14 +1192,18 @@ enactor_rewind(Enactor *self)
     self->ndirty = self->nops;
 }
 
-/* The marked operators become the dirty ones, and s the state. */
+/* s becomes the state, and the marked operators the dirty ones. */
 static void
 enactor_commit(Enactor *self)
 {
     int64_t *t = self->dirty;
 
-    if (self->nmarked)
-        memcpy(self->cur, self->s, self->m * sizeof(int64_t));
+    for (Py_ssize_t k = 0; k < self->ntouched; k++) {
+        int64_t i = self->touched[k];
+        self->is_touched[i] = 0;
+        self->cur[i] = self->s[i];
+    }
+    self->ntouched = 0;
     self->dirty = self->marked;
     self->marked = t;
     self->ndirty = self->nmarked;
@@ -1233,22 +1217,118 @@ enactor_commit(Enactor *self)
 #define ENACTOR_SMALL 256
 static PyObject *enactor_small[ENACTOR_SMALL + 1];
 
+/* 1 when v equals value, 0 when it does not, -1 when it is not an exact
+   int. */
+static int
+enactor_value(PyObject *v, int64_t value)
+{
+    int overflow;
+    if ((uint64_t)value <= ENACTOR_SMALL && v == enactor_small[value])
+        return 1;
+    if (!PyLong_CheckExact(v))
+        return -1;
+    return PyLong_AsLongLongAndOverflow(v, &overflow) == value && !overflow;
+}
+
 /* 1 when the items of the tuple t equal the m values, 0 when one differs,
    -1 at an item that is not an exact int before any difference. */
 static int
 enactor_equal(const int64_t *values, PyObject *t, Py_ssize_t m)
 {
     for (Py_ssize_t i = 0; i < m; i++) {
-        PyObject *v = PyTuple_GET_ITEM(t, i);
-        int overflow;
-        if ((uint64_t)values[i] <= ENACTOR_SMALL && v == enactor_small[values[i]])
-            continue;
-        if (!PyLong_CheckExact(v))
-            return -1;
-        if (PyLong_AsLongLongAndOverflow(v, &overflow) != values[i] || overflow)
-            return 0;
+        int eq = enactor_value(PyTuple_GET_ITEM(t, i), values[i]);
+        if (eq <= 0)
+            return eq;
     }
     return 1;
+}
+
+/* Read the (cell, value) pairs of the tuple ch, an update's changes:
+   its components are the last update's next state, and must be the
+   flagged cells, each once, with the values this route gave them; its
+   carries are set aside for the update's own check.  1 when the
+   components match, 0 when they do not; -1 at a value that is not an
+   exact int before any difference, and -2 with TypeError or ValueError
+   for a malformed pair. */
+static int
+enactor_lookahead(Enactor *self, PyObject *ch)
+{
+    const Py_ssize_t m = self->m, n = PyTuple_GET_SIZE(ch);
+    Py_ssize_t moved = 0;
+
+    self->npending = 0;
+    if (n % 2) {
+        PyErr_SetString(PyExc_ValueError, "a change tuple must hold (cell, value) pairs");
+        return -2;
+    }
+    for (Py_ssize_t i = 0; i < n; i += 2) {
+        PyObject *cell = PyTuple_GET_ITEM(ch, i);
+        int overflow = 0, eq;
+        long long c;
+
+        if (!PyLong_CheckExact(cell)) {
+            PyErr_Format(PyExc_TypeError, "a cell must be an int, not %.100s", Py_TYPE(cell)->tp_name);
+            return -2;
+        }
+        c = PyLong_AsLongLongAndOverflow(cell, &overflow);
+        if (overflow || c < 0 || c >= ROWS * m) {
+            PyErr_Format(PyExc_ValueError, "cell %R outside the %zd cells of a record", cell, ROWS * m);
+            return -2;
+        }
+        if (c >= ROW_PARTIALS * m) {
+            /* more carries than there are carry cells: one listed twice */
+            if (self->npending == (ROWS - ROW_PARTIALS) * m)
+                return 0;
+            self->pend_cell[self->npending] = c;
+            self->pend_at[self->npending++] = i + 1;
+            continue;
+        }
+        /* a component the update left as it was, or one listed twice */
+        if (!self->changed[c])
+            return 0;
+        self->changed[c] = 0;
+        moved++;
+        if ((eq = enactor_value(PyTuple_GET_ITEM(ch, i + 1), self->s[c])) <= 0)
+            return eq;
+    }
+    return moved == self->nflagged;
+}
+
+/* 1 when the carries set aside from the update's changes ch are the
+   flagged cells, each once, with the values this route gave them; 0 when
+   they are not; -1 at a value that is not an exact int before any
+   difference. */
+static int
+enactor_carries(Enactor *self, PyObject *ch)
+{
+    const Py_ssize_t m = self->m;
+    Py_ssize_t seen = 0;
+
+    for (Py_ssize_t k = 0; k < self->npending; k++) {
+        int64_t c = self->pend_cell[k];
+        int eq;
+
+        if (!self->changed[c])
+            return 0;
+        self->changed[c] = 0;
+        seen++;
+        eq = enactor_value(PyTuple_GET_ITEM(ch, self->pend_at[k]),
+                           c < ROW_COMMON * m ? self->p[c - m] : self->pc[c - ROW_COMMON * m]);
+        if (eq <= 0)
+            return eq;
+    }
+    return seen == self->nflagged;
+}
+
+/* Flag the components the update changed, s against cur. */
+static void
+enactor_moved(Enactor *self)
+{
+    for (Py_ssize_t k = 0; k < self->ntouched; k++) {
+        int64_t i = self->touched[k];
+        if (self->s[i] != self->cur[i])
+            enactor_flag(self, ROW_STATE * self->m + i);
+    }
 }
 
 /* A new tuple of the m values. */
@@ -1298,89 +1378,90 @@ enactor_mismatch(Enactor *self, Py_ssize_t j, int same)
     return out;
 }
 
-/* 0 when every entry of the sequence is of ec's class, with its three
-   tuples of m items; -1 with TypeError or ValueError. */
-static int
-enactor_shapes(const EntryClass *ec, PyObject *entries, Py_ssize_t m)
-{
-    for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(entries); j++) {
-        PyObject *entry = PySequence_Fast_GET_ITEM(entries, j);
-        if (!Py_IS_TYPE(entry, ec->cls)) {
-            PyErr_Format(PyExc_TypeError, "each entry must be a %.100s, not %.100s",
-                         ec->cls->tp_name, Py_TYPE(entry)->tp_name);
-            return -1;
-        }
-        for (int k = 1; k < 4; k++) {
-            PyObject *t = ENTRY_SLOT(*ec, entry, k);
-            if (!t) {
-                PyErr_SetString(PyExc_TypeError, "an entry has an empty slot");
-                return -1;
-            }
-            if (enactor_shape(t, m) < 0)
-                return -1;
-        }
-    }
-    return 0;
-}
+/* The fields of a stretch record, caosim.model.Stretch. */
+typedef enum {
+    REC_K,
+    REC_STATE,
+    REC_PARTIALS,
+    REC_COMMON,
+    REC_CHANGES,
+    REC_FIELDS
+} RecordField;
 
 static PyObject *
 Enactor_send(Enactor *self, PyObject *job)
 {
-    PyObject *entries, *last, *first, *out = NULL;
+    PyObject *record, *last, *changes, *mp, *mpc;
     Py_ssize_t n, j;
     const Py_ssize_t m = self->m;
-    EntryClass ec = {NULL, {0}, 0};
 
     if (!PyTuple_Check(job) || PyTuple_GET_SIZE(job) != 2) {
-        PyErr_SetString(PyExc_TypeError, "send() takes an (entries, last) pair");
+        PyErr_SetString(PyExc_TypeError, "send() takes a (stretch, last) pair");
         return NULL;
     }
-    if (!(entries = PySequence_Fast(PyTuple_GET_ITEM(job, 0), "entries must be a sequence")))
+    record = PyTuple_GET_ITEM(job, 0);
+    last = PyTuple_GET_ITEM(job, 1);
+    if (!PyTuple_Check(record) || PyTuple_GET_SIZE(record) != REC_FIELDS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a stretch must be a (k, state, partials, common, changes) tuple");
         return NULL;
-    if (PySequence_Fast_GET_SIZE(entries)) {
-        /* the class of the first entry; loading it may run Python code,
-           so every shape is checked after it */
-        first = Py_NewRef(Py_TYPE(PySequence_Fast_GET_ITEM(entries, 0)));
-        j = load_entry_class(first, &ec);
-        Py_DECREF(first);
-        if (j < 0)
-            goto done;
-        if (enactor_shapes(&ec, entries, m) < 0)
-            goto done;
     }
-    n = PySequence_Fast_GET_SIZE(entries);
-    if (enactor_shape(last = PyTuple_GET_ITEM(job, 1), m) < 0)
-        goto done;
+    changes = PyTuple_GET_ITEM(record, REC_CHANGES);
+    mp = PyTuple_GET_ITEM(record, REC_PARTIALS);
+    mpc = PyTuple_GET_ITEM(record, REC_COMMON);
+    if (!PyList_Check(changes)) {
+        PyErr_Format(PyExc_TypeError, "a stretch's changes must be a list, not %.100s",
+                     Py_TYPE(changes)->tp_name);
+        return NULL;
+    }
+    if (enactor_shape(PyTuple_GET_ITEM(record, REC_STATE), m) < 0 || enactor_shape(mp, m) < 0
+        || enactor_shape(mpc, m) < 0 || enactor_shape(last, m) < 0)
+        return NULL;
+    n = 1 + PyList_GET_SIZE(changes);
     for (j = 0; j < n; j++) {
-        PyObject *entry = PySequence_Fast_GET_ITEM(entries, j);
-        PyObject *want = j + 1 < n ? ENTRY_SLOT(ec, PySequence_Fast_GET_ITEM(entries, j + 1), 1) : last;
-        PyObject *mp = ENTRY_SLOT(ec, entry, 2), *mpc = ENTRY_SLOT(ec, entry, 3);
+        PyObject *ch = j ? PyList_GET_ITEM(changes, j - 1) : NULL;
+        PyObject *after = j + 1 < n ? PyList_GET_ITEM(changes, j) : NULL;
         int same = 0, eq = -1;
 
+        if ((ch && !PyTuple_Check(ch)) || (after && !PyTuple_Check(after))) {
+            PyErr_Format(PyExc_TypeError, "an update's changes must be a tuple, not %.100s",
+                         Py_TYPE(ch && !PyTuple_Check(ch) ? ch : after)->tp_name);
+            return NULL;
+        }
         if (!self->start && enactor_update(self) == 0) {
             same = !self->grouped || !memcmp(self->p, self->pc, m * sizeof(int64_t));
-            /* common carries that are the partials' own tuple on both sides
-               are equal when the partials are */
-            if ((eq = enactor_equal(self->s, want, m)) == 1
-                && (eq = enactor_equal(self->p, mp, m)) == 1 && !(same && mpc == mp))
+            /* the update's carries: the first in full, where common carries
+               that are the partials' own tuple on both sides are equal when
+               the partials are, and each later one by its changes */
+            if (ch)
+                eq = enactor_carries(self, ch);
+            else if ((eq = enactor_equal(self->cur, PyTuple_GET_ITEM(record, REC_STATE), m)) == 1
+                     && (eq = enactor_equal(self->p, mp, m)) == 1 && !(same && mpc == mp))
                 eq = enactor_equal(self->pc, mpc, m);
+            /* its next state: the components the next update's changes
+               name, or last */
+            if (eq == 1) {
+                enactor_unflag(self);
+                if (after) {
+                    enactor_moved(self);
+                    eq = enactor_lookahead(self, after);
+                }
+                else
+                    eq = enactor_equal(self->s, last, m);
+            }
         }
-        if (eq < 0) {
+        if (eq < 0)
             enactor_rewind(self);
-            out = PyLong_FromSsize_t(j);
-            goto done;
-        }
-        if (!eq) {
-            out = enactor_mismatch(self, j, same);
-            goto done;
-        }
+        if (eq == -2)
+            return NULL;
+        if (eq < 0)
+            return PyLong_FromSsize_t(j);
+        if (!eq)
+            return enactor_mismatch(self, j, same);
+        enactor_unflag(self);
         enactor_commit(self);
     }
-    out = Py_NewRef(Py_None);
-done:
-    Py_XDECREF(ec.cls);
-    Py_DECREF(entries);
-    return out;
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -1392,17 +1473,17 @@ Enactor_state(Enactor *self, void *closure)
 
 static PyMethodDef Enactor_methods[] = {
     {"send", (PyCFunction)Enactor_send, METH_O,
-     "send((entries, last)) -> None | (i, (next, partials, common)) | i: check\n"
-     "a stretch of the matrix route's trace entries, one update per entry,\n"
-     "each compared in full: its next state with the next entry's state (last\n"
-     "after the last entry), its carries with the entry's.  None when all\n"
-     "match; the first mismatch, with this route's result there; or the index\n"
-     "i of the entry where an update leaves int64 or meets a value that is not\n"
-     "an exact int, the state then being that update's start.  Shapes are\n"
-     "checked first: TypeError for entries not all of the first one's class,\n"
-     "a class with object slots k, state, partials and common, and TypeError\n"
-     "or ValueError for a state or carries that are not a tuple of the\n"
-     "state's length."},
+     "send((stretch, last)) -> None | (i, (next, partials, common)) | i: check\n"
+     "a stretch record (k, state, partials, common, changes) of the matrix\n"
+     "route, one update per update it records: the first in full, each later\n"
+     "one by its changes, which must be the cells this route's updates\n"
+     "changed, each once, with the values it gave them; the state after the\n"
+     "last update is compared with last.  None when all match; the first\n"
+     "mismatch, with this route's result there; or the index i of the update\n"
+     "that leaves int64 or meets a value that is not an exact int, the state\n"
+     "then being that update's start.  TypeError or ValueError for a record\n"
+     "of the wrong shape: rows that are not tuples of the state's length,\n"
+     "changes that are not a list of tuples of (cell, value) pairs."},
     {NULL, NULL, 0, NULL},
 };
 

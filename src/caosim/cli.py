@@ -133,7 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.file)
+    spec = _load_spec(args.file, allow_cycles=args.allow_cycles)
     if spec is None:
         return EXIT_ERROR
     rows = conserved_weights(spec)
@@ -212,15 +212,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, cycles: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="CAO description file ('-' for stdin)")
         p.add_argument("-o", "--output", help="write result here instead of stdout")
-        if cycles:
-            p.add_argument(
-                "--allow-cycles",
-                action="store_true",
-                help="accept descriptions whose entity graph has cycles",
-            )
+        p.add_argument(
+            "--allow-cycles",
+            action="store_true",
+            help="accept descriptions whose entity graph has cycles",
+        )
 
     p = sub.add_parser("validate", help="check a description and print diagnostics")
     p.add_argument("file", help="CAO description file ('-' for stdin)")
@@ -257,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("weights", help="print conserved integer weight rows")
-    add_common(p, cycles=False)
+    add_common(p)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("export", help="emit DOT or the canonical text form")

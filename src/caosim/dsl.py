@@ -392,8 +392,8 @@ def _trace_table(trace: CstTrace) -> str:
     names = trace.spec.names
     header = ["k", *names, *[f"p.{n}" for n in names]]
     rows = [
-        [str(s.k), *[str(v) for v in s.state], *[str(c) for c in s.common]]
-        for s in trace.steps
+        [str(k), *[str(v) for v in state], *[str(c) for c in common]]
+        for k, state, _, common in trace.steps.rows()
     ]
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c]) for c in range(len(header))]
     out = [
@@ -445,13 +445,13 @@ def _operators_json(spec: CaoSpec) -> str:
 def _trace_json(trace: CstTrace) -> str:
     schedule = trace.schedule
     steps = []
-    for s in trace.steps:
+    for k, state, partials, common in trace.steps.rows():
         step = (
-            f'{{\n      "k": {s.k},\n      "state": {_ints(s.state, _PAD8)},'
-            f'\n      "partial": {_ints(s.partials, _PAD8)},\n      "common": {_ints(s.common, _PAD8)}'
+            f'{{\n      "k": {k},\n      "state": {_ints(state, _PAD8)},'
+            f'\n      "partial": {_ints(partials, _PAD8)},\n      "common": {_ints(common, _PAD8)}'
         )
         if schedule is not None:
-            step += ',\n      "operators": ' + _operators_json(schedule.spec_at(s.k))
+            step += ',\n      "operators": ' + _operators_json(schedule.spec_at(k))
         steps.append(step + "\n    }")
     return (
         f'{{\n  "format_version": {TRACE_FORMAT_VERSION},\n  "cao": {_encode_str(trace.spec.name)},'

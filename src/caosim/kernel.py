@@ -15,42 +15,25 @@ imports and the ``CAOSIM_PURE`` environment variable is unset.
 
 Every update goes through :func:`advance`: given a plan, the kernel
 :func:`bind` chose for it, a state, a limit and the first step number, it
-returns a stretch of updates as ``(entries, last, stop)``, one
-:class:`~caosim.model.TraceStep` per update. The kernels write each update
-straight into its trace entry; nothing copies it afterwards. On the
-compiled backend the stretch is one ``PlanKernel.run`` call, and
-``advance`` logs each of its big-integer stretches as a DEBUG record on the
-``caosim`` logger. The pure backend
+returns a stretch of updates as ``(stretch, last, stop)``, the stretch a
+:class:`~caosim.model.Stretch` record: its first update's rows in full,
+then for each later update only the cells whose value differs from the
+update before. So a wide run costs what its updates change, not its width
+times their number. On the compiled backend the stretch is one
+``PlanKernel.run`` call, and ``advance`` logs each of its big-integer
+stretches as a DEBUG record on the ``caosim`` logger. The pure backend
 takes the stretch in Python by :func:`_frontier`. Both take big integers
 the frontier way: a stretch's first update computes every carry, and each
 update after it changes only the entries whose common carry is nonzero and
 the entries they credit, so only those entries' partial carries and the
 carry groups they belong to are computed again (in a sandpile, only sites
-that just received grains can topple; Dhar, PRL 64, 1990). :func:`step` is
-``advance`` with a limit of one, and :func:`caosim.simulate.run` drives
-whole runs with it.
+that just received grains can topple; Dhar, PRL 64, 1990). :func:`step`
+takes one update and reads its rows straight off the kernel's result, and
+:func:`caosim.simulate.run` drives whole runs with ``advance``.
 
-Entries share what repeats, on both backends: a partial carry equal to the
-previous update's is the previous entry's object, each common carry is the
-object its entry's partials tuple holds for that value (its own, or for a
-carry the fold lowered, the one of the group member whose partial the fold
-took), and a common tuple equal to the partials is that tuple. A next-state
-component the update does not touch keeps its object; C's int64 loop, which
-computes every component, keeps it wherever its value is unchanged, and
-shares only exact ints, so an ``int`` subclass instance in its start stays in
-the start's entry. Every other value is a new int.
-
-On the compiled backend every tuple an entry holds is born untracked by the
-cyclic garbage collector when it holds only exact ``int`` objects: C builds
-its tuples that way, in int64 and in big integers alike. Such a tuple cannot
-be part of a reference cycle, and CPython would untrack it anyway at the
-first collection that walks it; on a wide state that walk cost more than
-the update. An entry whose three tuples are such tuples is born untracked
-too (see :class:`~caosim.model.TraceStep`). The pure backend runs no C, so
-its tuples stay tracked until a collection untracks them, and its entries,
-objects with slots, stay tracked. :func:`caosim.simulate.run` pauses the
-collector while it records, so for a run that collection comes after it
-returns.
+Every tuple C makes of exact ints, a row or an update's changes, is born
+untracked by the cyclic garbage collector; the pure backend's tuples stay
+tracked until a collection untracks them.
 """
 
 from __future__ import annotations
@@ -59,9 +42,10 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Sequence
 
-from .model import CaoSpec, TraceStep, entity_index, held, per_spec
+from .model import CaoSpec, Stretch, entity_index, per_spec
 
 try:
     from . import _stepcore  # type: ignore[attr-defined]
@@ -173,16 +157,15 @@ def bind(plan: StepPlan, backend: str | None = None):
 def advance(
     plan: StepPlan, compiled, state: Sequence[int], limit: int, k: int = 0, *, hold: bool = False
 ):
-    """Up to ``limit`` updates of ``state`` under ``plan``: ``(entries, last, stop)``.
+    """From 1 to ``limit`` updates of ``state`` under ``plan``: ``(stretch, last, stop)``.
 
-    ``compiled`` is what :func:`bind` returned for the plan. ``entries``
-    holds one ``TraceStep(k + i, state, partials, common)`` per update
-    taken; each entry's state is the previous update's next-state tuple,
-    the same object. ``last`` is the state after the last entry, and
-    ``stop`` is 0 when the last entry's common carries are all zero (a fixed
-    point) and 1 when ``limit`` entries were taken. With ``hold``, a fixed
-    point's entry repeats up to the limit, its tuples shared and ``k``
-    counting on, as a run under a schedule records a fixed state until the
+    ``compiled`` is what :func:`bind` returned for the plan. ``stretch`` is
+    the :class:`~caosim.model.Stretch` record of the updates taken,
+    numbered from ``k``. ``last`` is the state after the last update, and
+    ``stop`` is 0 when the last update's common carries are all zero (a
+    fixed point) and 1 when ``limit`` updates were taken. With ``hold``, a
+    fixed point repeats up to the limit, each repeat recorded as changing
+    nothing, as a run under a schedule records a fixed state until the
     parameters may change; ``stop`` is still 0.
 
     On the compiled backend the whole stretch is one ``PlanKernel.run``
@@ -191,19 +174,23 @@ def advance(
     component fits in int64 again. Each such big-integer stretch is logged
     as a DEBUG record on the ``caosim`` logger. The pure backend takes the
     whole stretch by :func:`_frontier`. A state whose length is not the
-    plan's raises ValueError on either backend.
+    plan's, or a limit below 1, raises ValueError on either backend.
     """
-    if len(state) != plan.m:
-        raise ValueError(f"state has {len(state)} components, plan has {plan.m}")
-    if limit <= 0:
-        return [], state, 1
+    start, partials, common, changes, last, stop = _run(plan, compiled, state, limit)
+    if hold and stop == 0:
+        changes += repeat((), limit - 1 - len(changes))
+    return Stretch(k, start, partials, common, changes), last, stop
+
+
+def _run(plan: StepPlan, compiled, state, limit: int):
+    """The stretch :func:`advance` records, as the kernel returns it:
+    ``(state, partials, common, changes, last, stop)``. Either kernel
+    refuses a state of the wrong length and a limit below 1 with the same
+    ValueError."""
     if compiled is None:
-        entries, last, stop = _frontier(plan, state, limit, k)
-        if hold and stop == 0:
-            entries += held(entries[-1], k + limit)
-        return entries, last, stop
+        return _frontier(plan, state, limit)
     stretches: list = []
-    entries, last, stop = compiled.run(TraceStep, k, state, limit, stretches, hold)
+    out = compiled.run(state, limit, stretches)
     if stretches and (log := _debug_log()) is not None:
         for wide, taken, end in stretches:
             log.debug(
@@ -213,7 +200,7 @@ def advance(
                 taken,
                 ("a fixed point", "the stretch's limit", "back into int64")[end],
             )
-    return entries, last, stop
+    return out
 
 
 def _debug_log():
@@ -230,65 +217,91 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _frontier(plan: StepPlan, state, limit: int, k: int):
+def _frontier(plan: StepPlan, state, limit: int):
     """The pure backend's stretch: up to ``limit`` (at least one) updates of
-    ``state`` in Python, numbered from ``k``, returned as :func:`advance`
-    returns them without ``hold``.
+    ``state`` in Python, returned as ``PlanKernel.run`` returns them:
+    ``(state, partials, common, changes, last, stop)``.
 
-    The state and the carries are kept as lists, starting from zero carries
-    with every entry to compute. An update changes only the firing entries
-    (common carry nonzero) and the entries they credit, so only those get
-    their partial carry computed again, and only the groups whose members'
-    partials changed are folded again, each straight into its members.
-    ``PlanKernel.run`` steps its big-integer stretches by the same rule.
+    The state and the carries are kept as lists. The first update computes
+    every carry and is kept in full. An update changes only the firing
+    entries (common carry nonzero) and the entries they credit, so only
+    those get their partial carry computed again, and only the groups whose
+    members' partials changed are folded again, each straight into its
+    members. Each later update logs the components the last one changed and
+    the carries that change with them. ``PlanKernel.run`` steps its
+    big-integer stretches by the same rule.
     """
     n, groups = plan.n, plan.groups
     out, group_of = plan._fanout
-    entries = []
-    head, s = tuple(state), list(state)
-    p, pc = [0] * len(s), [0] * len(s)
-    fire = set()
-    touched = range(len(s))
+    m = len(n)
+    partial_cell, common_cell = m, 2 * m  # the first cells of the carry rows
+    start = tuple(state)
+    if len(start) != m:
+        raise ValueError(f"state has {len(start)} components, plan has {m}")
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    s = list(start)
+    logged = list(start)  # each component's value as last recorded
+    # the first update: every carry, kept in full
+    p = [v // r if r else 0 for v, r in zip(s, n)]
+    pc = p.copy()
+    for members in groups:
+        low = min(map(p.__getitem__, members))
+        for x in members:
+            pc[x] = low
+    partials = tuple(p)
+    common = partials if pc == p else tuple(pc)
+    fire = set(compress(range(m), pc))
+    changes = []
     while True:
-        # carries of the entries the last update changed, then of their groups
-        dirty = set()
-        for j in touched:
-            r = n[j]
-            if r and (q := s[j] // r) != p[j]:
-                p[j] = q
-                if (g := group_of[j]) is not None:
-                    dirty.add(g)
-                else:
-                    pc[j] = q
-                    if q:
-                        fire.add(j)
-                    else:
-                        fire.discard(j)
-        for g in dirty:
-            members = groups[g]
-            low = min([p[x] for x in members])
-            for x in members:
-                pc[x] = low
-                if low:
-                    fire.add(x)
-                else:
-                    fire.discard(x)
-        pt = tuple(p)
-        entries.append(TraceStep(k, head, pt, pt if not groups or p == pc else tuple(pc)))
         if not fire:
-            return entries, head, 0
+            return start, partials, common, changes, tuple(s), 0
         touched = set()
+        touch = touched.add
         for i in fire:
             c = pc[i]
             s[i] -= c * n[i]
-            touched.add(i)
+            touch(i)
             for d, coeff in out[i]:
                 s[d] += c * coeff
-                touched.add(d)
-        head = tuple(s)
-        k += 1
-        if len(entries) == limit:
-            return entries, head, 1
+                touch(d)
+        if len(changes) + 1 == limit:
+            return start, partials, common, changes, tuple(s), 1
+        # the next update: the components this one changed, with their
+        # carries, then the groups whose partial carries changed
+        log = []
+        dirty = set()
+        for j in touched:
+            v = s[j]
+            if v != logged[j]:
+                logged[j] = v
+                r = n[j]
+                if r and (q := v // r) != p[j]:
+                    p[j] = q
+                    if (g := group_of[j]) is not None:
+                        log += (j, v, partial_cell + j, q)
+                        dirty.add(g)
+                    else:
+                        pc[j] = q
+                        log += (j, v, partial_cell + j, q, common_cell + j, q)
+                        if q:
+                            fire.add(j)
+                        else:
+                            fire.discard(j)
+                else:
+                    log += (j, v)
+        for g in dirty:
+            members = groups[g]
+            low = min(map(p.__getitem__, members))
+            for x in members:
+                if pc[x] != low:
+                    pc[x] = low
+                    log += (common_cell + x, low)
+                    if low:
+                        fire.add(x)
+                    else:
+                        fire.discard(x)
+        changes.append(tuple(log))
 
 
 def step(
@@ -298,7 +311,8 @@ def step(
 
     ``backend`` may be "pure", "compiled", or None (module default). The
     compiled backend takes any update it cannot represent in 64 bits in
-    exact Python ints, and logs it as :func:`advance` does.
+    exact Python ints, and logs it as :func:`advance` does. The rows are
+    read straight off the kernel's result; no record is built.
     """
-    (entry,), nxt, _ = advance(plan, bind(plan, backend), state, 1)
-    return nxt, entry.partials, entry.common
+    _, partials, common, _, nxt, _ = _run(plan, bind(plan, backend), state, 1)
+    return nxt, partials, common

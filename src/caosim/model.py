@@ -31,9 +31,9 @@ from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass, replace
 from enum import Enum
 from functools import cached_property, wraps
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, gt, is_, is_not, itemgetter, lt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT + r"\Z")
@@ -172,21 +172,12 @@ class TraceStep:
     next entry's state. In the last entry of a fixed-point trace they are all
     zero; after a step-limit stop they are computed but never applied.
 
-    A run records one entry per update, and the stepping routes build the
-    entries themselves (:mod:`caosim.kernel`, :mod:`caosim.operational`), so
-    the record lives here, where both import it. Its constructor is written
-    by hand, for the reason :class:`Entity` gives.
-
-    On the compiled backend C writes the entries, filling the same slots,
-    and each tuple an entry holds is untracked by the garbage collector when
-    it holds only exact ints, which cannot be part of a cycle (see
-    :mod:`caosim.kernel`). An entry whose three tuples are such untracked
-    tuples is untracked too: it is frozen and has no ``__dict__``, so it
-    refers to an int and those tuples alone, and nothing they reach can
-    refer back to it. Any other entry, one holding an ``int`` subclass say,
-    stays tracked. (Forcing a slot of an untracked entry with
-    ``object.__setattr__`` can make a cycle the collector never frees; it
-    cannot make one it frees wrongly.)
+    A run does not keep its entries: it records each stretch of updates as a
+    :class:`Stretch`, and ``CstTrace.steps`` builds an entry from it each
+    time one is read. Both classes live here, where both stepping routes
+    (:mod:`caosim.kernel`, :mod:`caosim.operational`) import the record.
+    The constructor is written by hand, for the reason :class:`Entity`
+    gives.
     """
 
     k: int
@@ -209,12 +200,69 @@ _set_partials = TraceStep.partials.__set__
 _set_common = TraceStep.common.__set__
 
 
-def held(entry: TraceStep, end: int) -> list[TraceStep]:
-    """The entries that repeat ``entry`` from step ``entry.k + 1`` up to
-    ``end`` (exclusive): a fixed point held while the parameters may still
-    change. Each shares ``entry``'s three tuples."""
-    state, partials, common = entry.state, entry.partials, entry.common
-    return [TraceStep(k, state, partials, common) for k in range(entry.k + 1, end)]
+class Stretch(NamedTuple):
+    """A stretch of updates as a run records it: the rows of its first
+    update in full, then for each later update only the cells whose value
+    differs from the update before.
+
+    ``k`` is the step number of the first update, and ``state``,
+    ``partials`` and ``common`` are its rows (one tuple when the carries
+    are equal). ``changes`` holds one tuple per later update, of
+    ``(cell, value)`` pairs laid end to end: cell ``row * m + i`` is entity
+    i's component of the state (row 0), its partial carry (row 1) or its
+    common carry (row 2). An update of a held fixed point changes nothing
+    and is recorded as ``()``. Both stepping routes write stretches, on the
+    compiled backend in C, and ``run(engine="both")`` checks one route's
+    changes against the other's.
+    """
+
+    k: int
+    state: tuple[int, ...]
+    partials: tuple[int, ...]
+    common: tuple[int, ...]
+    changes: list[tuple[int, ...]]
+
+    @property
+    def updates(self) -> int:
+        """The number of updates recorded."""
+        return 1 + len(self.changes)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """The ``(state, partials, common)`` rows of the updates from
+        ``start`` up to ``stop`` (default: the last), replayed from the
+        first update's rows. A row that no change touched is the previous
+        update's tuple."""
+        stop = self.updates if stop is None else min(stop, self.updates)
+        if start >= stop:
+            return
+        rows = [self.state, self.partials, self.common]
+        if not start:
+            yield self.state, self.partials, self.common
+        if stop == 1:
+            return
+        m = len(self.state)
+        cells = [*self.state, *self.partials, *self.common]
+        lo, hi = len(cells), -1  # the cells changed since the rows were built
+        for j, change in enumerate(islice(self.changes, stop - 1), 1):
+            if change:
+                touched = change[::2]
+                for c, v in zip(touched, change[1::2]):
+                    cells[c] = v
+                lo, hi = min(lo, min(touched)), max(hi, max(touched))
+            if j >= start:
+                if hi >= 0:
+                    for r in range(lo // m, hi // m + 1):
+                        rows[r] = tuple(cells[r * m : r * m + m])
+                    lo, hi = len(cells), -1
+                yield rows[0], rows[1], rows[2]
+
+    def since(self, j: int) -> Stretch:
+        """The record of this stretch's updates from update ``j`` on."""
+        if not j:
+            return self
+        ((state, partials, common),) = self.rows(j, j + 1)
+        return Stretch(self.k + j, state, partials, common, self.changes[j:])
+
 
 _NAME, _ROLE, _START = attrgetter("name"), attrgetter("role"), attrgetter("start")
 _INPUTS, _OUTPUTS, _FORM = attrgetter("inputs"), attrgetter("outputs"), attrgetter("form")

@@ -25,13 +25,14 @@ code with that route. It derives which operators read which entity from
 routes also work at different grains. Here a whole operator is enacted again
 or not at all. The matrix route recomputes single entries of a flattened
 plan (per-entity radices, carry groups and weighted edges). A slip in either
-one's bookkeeping shows as a difference in some trace entry, and
-``run(engine="both")`` compares every entry in full: it sends each matrix
-stretch of entries to the enactor, which compares its own updates with them
-as it takes them. The entries are the very objects the trace keeps; they
-reach this module only to be compared, and nothing here is computed from
-them. The record class, :class:`~caosim.model.TraceStep`, comes from
-:mod:`caosim.model`, as everything here does.
+one's bookkeeping shows as a difference in some update, and
+``run(engine="both")`` compares every update: it sends each matrix stretch
+record to the enactor, which compares its own updates with it as it takes
+them, the first in full and each later one by the cells it changed. The
+record is the very object the trace keeps; it reaches this module only to be
+compared, and nothing here is computed from it. The record class,
+:class:`~caosim.model.Stretch`, comes from :mod:`caosim.model`, as
+everything here does.
 
 On the compiled backend ``run`` makes that check with ``_stepcore.Enactor``,
 this module's enactor written again in C: built from :func:`resolve`'s
@@ -42,9 +43,10 @@ or rest of a stretch that the C enactor hands back past int64.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Generator, Sequence
 
-from .model import CaoSpec, TraceStep, check_state, entity_index, per_spec
+from .model import CaoSpec, Stretch, check_state, entity_index, per_spec
 
 StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 IndexPairs = tuple[tuple[int, int], ...]
@@ -75,8 +77,8 @@ def step_operational(spec: CaoSpec, state: Sequence[int]) -> StepResult:
     check_state(spec, state)
     updates = enactor(resolve(spec), state)
     next(updates)
-    (entry,), nxt, _ = updates.send((0, 1))
-    return nxt, entry.partials, entry.common
+    stretch, nxt, _ = updates.send((0, 1))
+    return nxt, stretch.partials, stretch.common
 
 
 def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
@@ -84,31 +86,34 @@ def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
     stretch per ``send`` once primed with ``next()``.
 
     ``send((k, limit))`` takes up to ``limit`` updates and returns
-    ``(entries, last, stop)`` as the matrix route's ``advance`` does: a
-    ``TraceStep(k + i, state, partials, common)`` per update, the state
-    after the last, and ``stop`` 0 at a fixed point (all common carries
-    zero) or 1 after ``limit`` entries.
+    ``(stretch, last, stop)`` as the matrix route's ``advance`` does: a
+    :class:`~caosim.model.Stretch` record numbered from ``k``, the state
+    after the last update, and ``stop`` 0 at a fixed point (all common
+    carries zero) or 1 after ``limit`` updates.
 
-    ``send((entries, last))`` checks such a stretch: it takes
-    ``len(entries)`` updates and compares each in full as it is taken, its
-    next state with the next entry's ``state`` (``last`` after the last
-    entry) and its carries with the entry's ``partials`` and ``common``. It
-    keeps none of its own. It returns None when all match, else ``(i,
-    (next, partials, common))`` for the first mismatch: its index in the
-    stretch and this route's result there. A mismatch ends the enactor's
-    use.
+    ``send((stretch, last))`` checks such a record: it takes one update per
+    update recorded and compares each as it is taken, the first in full
+    (the record's state with its own, and the carries) and each later one
+    by its changes, which must be the cells its own update changed, with
+    the values it gave them: the carries in the update's own changes, the
+    components of its next state in the next update's, and the state after
+    the last update is compared with ``last``. It keeps none of its own.
+    It returns None when all match, else ``(i, (next, partials, common))``
+    for the first mismatch: its index in the stretch and this route's
+    result there. A mismatch ends the enactor's use.
 
     The first update enacts every operator, each later one only those that
     read a component the last update changed; the others keep their
     carries. A single-input operator (L, D) takes its carry with one
     division, a multi-input one (F, M) records every input's partial carry
-    and takes their minimum. Carries are read from ``cur``, the snapshot the
-    update starts from, and removals and credits go into the list ``s``, so
-    no update sees its own effects. An operator that fires marks for the
-    next update every operator that reads one of its inputs or outputs.
-    Without multi-input operators the common carries are the partials, and
-    one tuple holds both. After a fixed point every update gives the same
-    values.
+    and takes their minimum. Carries are read from ``cur``, the state the
+    update starts from, and removals and credits go into ``s``, so no
+    update sees its own effects; the components they touched are copied
+    back after it. An operator that fires marks for the next update every
+    operator that reads one of its inputs or outputs, itself among them, so
+    an update that marks none is a fixed point. Without multi-input
+    operators the common carries are the partials, and one tuple holds both.
+    After a fixed point every update gives the same values.
     """
     readers = [[] for _ in state]
     for o, (inputs, _) in enumerate(operators):
@@ -119,68 +124,99 @@ def enactor(operators: Resolved, state: Sequence[int]) -> Generator:
         for inputs, outputs in operators
     ]
     grouped = any(len(inputs) > 1 for inputs, _ in operators)
+    m = len(state)
+    partial_cell, common_cell = m, 2 * m  # the first cells of the carry rows
+    cur = list(state)
     s = list(state)
-    p = [0] * len(s)
-    pc = [0] * len(s)
-    cur = tuple(s)
+    p = [0] * m
+    pc = [0] * m
     dirty = range(len(operators))
+    moved = {}  # the components the last update changed, by cell
     done = None
     while True:
         job = yield done
         if type(job[0]) is int:
-            (k, limit), want, entries = job, None, []
+            (k, limit), want = job, None
+            changes = []
         else:
             want, last = job
-            limit = len(want)
+            changes = want.changes
+            limit = 1 + len(changes)
         for j in range(limit):
-            before = cur
+            if not j:
+                head = tuple(cur)
+            before = moved
+            carries = {}  # the carries this update changed, by cell
             marked = set()
+            touched = set()
             for o in dirty:
                 inputs, outputs = operators[o]
                 if len(inputs) == 1:
                     i, n = inputs[0]
-                    common = p[i] = pc[i] = cur[i] // n
+                    common = cur[i] // n
+                    if common != p[i]:
+                        p[i] = pc[i] = carries[partial_cell + i] = carries[common_cell + i] = common
                     if not common:
                         continue
                     s[i] -= common * n
+                    touched.add(i)
                 else:
                     common = None
                     for i, n in inputs:
-                        carry = p[i] = cur[i] // n
+                        carry = cur[i] // n
+                        if carry != p[i]:
+                            p[i] = carries[partial_cell + i] = carry
                         if common is None or carry < common:
                             common = carry
                     for i, n in inputs:
-                        pc[i] = common
+                        if pc[i] != common:
+                            pc[i] = carries[common_cell + i] = common
                     if not common:
                         continue
                     for i, n in inputs:
                         s[i] -= common * n
+                        touched.add(i)
                 for t, coeff in outputs:
                     s[t] += common * coeff
+                    touched.add(t)
                 marked.update(marks[o])
-            if marked:
-                cur = tuple(s)
+            moved = {}
+            for t in touched:
+                if s[t] != cur[t]:
+                    cur[t] = moved[t] = s[t]
             dirty = marked
-            pt = tuple(p)
-            common = pt if not grouped or p == pc else tuple(pc)
+            if not j:
+                pt = tuple(p)
+                first = pt if not grouped or p == pc else tuple(pc)
             if want is None:
-                entries.append(TraceStep(k, before, pt, common))
-                k += 1
-                if not any(common):
-                    done = entries, cur, 0
+                if j:
+                    changes.append((*chain.from_iterable(before.items()), *chain.from_iterable(carries.items())))
+                if not marked:
+                    done = Stretch(k, head, pt, first, changes), tuple(cur), 0
                     break
+                continue
+            # the carries in the update's own changes, its next state in the
+            # next update's, or last
+            if j:
+                bad = {c: v for c, v in following.items() if c >= partial_cell} != carries
             else:
-                entry = want[j]
-                mp, mpc = entry.partials, entry.common
-                # common carries that are the partials' own tuple on both
-                # sides are equal when the partials are
-                if (
-                    cur != (want[j + 1].state if j + 1 < limit else last)
-                    or pt != mp
-                    or not (common is pt and mpc is mp)
-                    and common != mpc
-                ):
-                    done = j, (cur, pt, common)
-                    break
+                bad = head != want.state or pt != want.partials or first != want.common
+            if not bad and j + 1 < limit:
+                following = _pairs(changes[j])
+                bad = following is None or {c: v for c, v in following.items() if c < partial_cell} != moved
+            elif not bad:
+                bad = tuple(cur) != last
+            if bad:
+                pt = tuple(p)
+                done = j, (tuple(cur), pt, pt if not grouped or p == pc else tuple(pc))
+                break
         else:
-            done = (entries, cur, 1) if want is None else None
+            done = (Stretch(k, head, pt, first, changes), tuple(cur), 1) if want is None else None
+
+
+def _pairs(change: tuple) -> dict | None:
+    """The ``(cell, value)`` pairs of an update's changes, by cell, or None
+    when a cell is listed twice."""
+    pairs = iter(change)
+    found = dict(zip(pairs, pairs))
+    return found if 2 * len(found) == len(change) else None

@@ -13,15 +13,18 @@ operators and the state. Both routes step in stretches: each runs for up to
 ``_RUN_CHUNK`` updates and ends where the schedule says the parameters may
 next change (``ParameterSchedule.span``). The matrix route takes them with
 ``kernel.advance``, the operational route by sending the enactor a step
-number and a limit. Either returns the stretch as its :class:`TraceStep`
-entries, numbered by step, and ``run`` keeps them as they are: each update
-is recorded once, by the route that takes it. A fixed point reached while
-the schedule may still change the parameters is held: its entry repeats,
-the same tuples at each step, up to that change. In "both", the enactor is sent each matrix
-stretch's entries instead: it takes one update per entry and compares each
-in full as it goes, next state, partial carries and common carries, keeping
-none of its own, and names the first mismatch, from which ``run`` raises.
-So the check compares the very objects the trace keeps.
+number and a limit. Either returns the stretch as one
+:class:`~caosim.model.Stretch` record: the rows of its first update in
+full, then for each later update only the cells whose value differs from
+the update before. ``run`` keeps the records as they are, and
+:class:`Steps` builds a :class:`TraceStep` from them each time one is read.
+A fixed point reached while the schedule may still change the parameters is
+held: each update of it is recorded as changing nothing, up to that change.
+In "both", the enactor is sent each matrix record instead: it takes one
+update per update recorded and compares each as it goes, the first in full
+and each later one by the cells it changed, keeping none of its own, and
+names the first mismatch, from which ``run`` raises. So the check compares
+the very record the trace keeps.
 
 On the compiled backend that enactor is ``_stepcore.Enactor``: the same
 literal procedure and frontier rule as ``operational.enactor``, written in
@@ -32,15 +35,10 @@ enactor's state, checks it; the next stretch starts in C again. The pure
 backend runs no C, and a parameter set with a radix or coefficient outside
 int64 no C kernel; both check with ``operational.enactor`` throughout.
 
-On the compiled backend C writes the matrix route's entries, and leaves an
-entry untracked by the garbage collector when its tuples are untracked
-tuples of exact ints; on the pure backend, and on the operational route,
-Python builds them. Either way ``run`` pauses the cyclic collector from
-before it reads the start until its trace is built. Nothing a run
-allocates is part of a reference cycle, and all of it stays reachable from
-the trace, so a collection during the run would free none of it and only
-walk the trajectory again: on a 20,000-update run of the pure backend that
-walk was about a quarter of the run.
+``run`` pauses the cyclic garbage collector from before it reads the start
+until its trace is built. Nothing a run allocates is part of a reference
+cycle, and all of it stays reachable from the trace, so a collection during
+the run would free none of it and only walk the records again.
 
 Also here: exact conserved-weight extraction (integer row vectors w with
 w·state constant along every stationary trace), by one reverse-topological
@@ -54,10 +52,12 @@ from __future__ import annotations
 
 import gc
 import random
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from itertools import islice, repeat, starmap
 from math import gcd, lcm
-from operator import mul
-from typing import Mapping, Sequence
+from operator import attrgetter, eq, mul
+from typing import Iterator, Mapping, Sequence
 
 from . import kernel, operational, rational
 from .engine import ParameterSchedule, _same_topology, derive
@@ -68,10 +68,10 @@ from .model import (
     Form,
     Operator,
     Role,
+    Stretch,
     TraceStep,
     _is_integer,
     check_state,
-    held,
     validate,
 )
 
@@ -79,9 +79,81 @@ ENGINES = ("matrix", "operational", "both")
 FIXED_POINT, STEP_LIMIT = "fixed-point", "step-limit"
 TERMINATIONS = (FIXED_POINT, STEP_LIMIT)  # how a run ends
 
-# Updates per stretch: how many entries one kernel call writes before the
+# Updates per stretch: how many updates one kernel call records before the
 # lock-step check reads them.
 _RUN_CHUNK = 1024
+
+_CHANGES = attrgetter("changes")
+
+
+class Steps(SequenceABC):
+    """The entries of a run, read from its stretch records.
+
+    A read-only sequence of :class:`TraceStep`, built on access: ``steps[i]``
+    is a new object each time, whose tuples are replayed from the first
+    update of its stretch. It supports ``len``, negative indices, slices
+    (a tuple of entries), iteration, which replays each stretch once, and
+    ``==`` and ``!=`` by value, with another ``Steps`` or a tuple of
+    entries. ``rows()`` reads the entries' values without building them,
+    and ``stretches`` holds the records themselves.
+    """
+
+    __slots__ = ("stretches", "_len")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, stretches: Sequence[Stretch]):
+        self.stretches = tuple(stretches)
+        self._len = len(self.stretches) + sum(map(len, map(_CHANGES, self.stretches)))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """``(k, state, partials, common)`` of each entry from index
+        ``start`` up to ``stop`` (default: the last), without building the
+        entries: what an exporter reads."""
+        stop = self._len if stop is None else stop
+        at = 0
+        for stretch in self.stretches:
+            if at >= stop:
+                return
+            end = at + stretch.updates
+            if end > start:
+                skip = max(start - at, 0)
+                for k, row in enumerate(stretch.rows(skip, stop - at), stretch.k + skip):
+                    yield k, *row
+            at = end
+
+    def __iter__(self) -> Iterator[TraceStep]:
+        return starmap(TraceStep, self.rows())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            picked = range(*i.indices(self._len))
+            if not picked:
+                return ()
+            if picked.step > 0:
+                return tuple(islice(starmap(TraceStep, self.rows(picked[0], picked[-1] + 1)), 0, None, picked.step))
+            return tuple(starmap(TraceStep, list(self.rows(picked[-1], picked[0] + 1))[:: picked.step]))
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trace step index out of range")
+        return TraceStep(*next(self.rows(i, i + 1)))
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):  # entries read back, as parse_trace gives them
+            return len(other) == self._len and all(map(eq, self, other))
+        if not isinstance(other, Steps):
+            return NotImplemented
+        if self._len != other._len:
+            return False
+        # equal records are equal entries; records that differ may still
+        # replay to the same entries, so then each entry is compared
+        return self.stretches == other.stretches or all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<Steps: {self._len} entries in {len(self.stretches)} stretches>"
 
 
 @dataclass(frozen=True)
@@ -91,7 +163,7 @@ class CstTrace:
     spec: CaoSpec
     engine: str
     termination: str  # one of TERMINATIONS
-    steps: tuple[TraceStep, ...]
+    steps: Steps
     schedule: ParameterSchedule | None = None
 
     @property
@@ -192,7 +264,7 @@ def run(
         sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
         state = _initial_state(spec, initial)
         current = None
-        entries: list[TraceStep] = []
+        stretches: list[Stretch] = []
         k = 0
         while True:
             spec_k, until = sched.span(k)
@@ -212,29 +284,25 @@ def run(
                         updates = operational.enactor(operators, state)
                         next(updates)
             limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
-            # a fixed state stays fixed, entry and all, until the parameters may change
+            # a fixed state stays fixed, changing nothing, until the parameters may change
             hold = until is not None
             if engine == "operational":
                 stretch, last, stop = updates.send((k, limit))
                 if hold and stop == 0:
-                    stretch += held(stretch[-1], k + limit)
+                    stretch.changes.extend(repeat((), limit - stretch.updates))
             else:
                 stretch, last, stop = kernel.advance(plan, compiled, state, limit, k, hold=hold)
-                # the enactor takes one update per entry and compares it as it goes
+                # the enactor takes one update per update recorded and compares it as it goes
                 if engine == "both" and (mismatch := updates.send((stretch, last))) is not None:
                     if type(mismatch) is int:  # the C enactor handed the stretch back there
                         mismatch, updates = _hand_back(operators, updates, stretch, last, mismatch)
                     if mismatch is not None:
                         i, enacted = mismatch
-                        entry = stretch[i]
-                        stepped = (
-                            stretch[i + 1].state if i + 1 < len(stretch) else last,
-                            entry.partials,
-                            entry.common,
-                        )
-                        raise EngineDivergenceError(Divergence(k + i, entry.state, stepped, enacted))
-            entries += stretch
-            k += len(stretch)
+                        (at, partials, common), *after = stretch.rows(i, i + 2)
+                        stepped = (after[0][0] if after else last, partials, common)
+                        raise EngineDivergenceError(Divergence(k + i, at, stepped, enacted))
+            stretches.append(stretch)
+            k += stretch.updates
             if until is None and stop == 0 or k > max_steps:
                 break
             state = last
@@ -242,7 +310,7 @@ def run(
             spec=spec,
             engine=engine,
             termination=FIXED_POINT if until is None and stop == 0 else STEP_LIMIT,
-            steps=tuple(entries),
+            steps=Steps(stretches),
             schedule=schedule,
         )
     finally:
@@ -251,19 +319,19 @@ def run(
             gc.enable()
 
 
-def _hand_back(operators, fast, entries, last, at):
-    """The lock-step check of a stretch from entry ``at`` on, where the C
+def _hand_back(operators, fast, stretch, last, at):
+    """The lock-step check of a stretch from update ``at`` on, where the C
     enactor ``fast`` handed it back: ``(mismatch, enactor)``.
 
-    ``operational.enactor``, primed at ``fast``'s own state, takes the
-    entries left. On a mismatch it returns it, indexed in the whole stretch,
-    and no enactor. Else a new C enactor starts from ``last``, which the
+    ``operational.enactor``, primed at ``fast``'s own state, checks the
+    record of the updates left. On a mismatch it returns it, indexed in the
+    whole stretch, and no enactor. Else a new C enactor starts from ``last``, which the
     generator has just proved equal to its own state, to check the next
     stretch.
     """
     updates = operational.enactor(operators, fast.state)
     next(updates)
-    if (mismatch := updates.send((entries[at:], last))) is not None:
+    if (mismatch := updates.send((stretch.since(at), last))) is not None:
         i, enacted = mismatch
         return (at + i, enacted), None
     return None, _stepcore.Enactor(operators, last)
@@ -401,6 +469,10 @@ def check_conservation(
 ) -> ConservationReport:
     """Evaluate w·state along a trace for each weight row (exact integers).
 
+    The value is taken in full at the start of each stretch of the trace's
+    record, and after that moved by each update's changes alone, so a
+    check costs what the run changed, not its width times its length.
+
     Weights default to the full conserved basis of the trace's CAO, which
     holds only where every step used the CAO's own parameters: a trace run
     under any other schedule needs explicit ``weights`` (ValueError without).
@@ -422,15 +494,25 @@ def check_conservation(
                 raise ValueError(f"weight row has {len(w)} entries, CAO has {trace.spec.m} entities")
             if not all(map(_is_integer, w)):
                 raise ValueError(f"weight row {w} has an entry that is not an integer")
-    start = trace.steps[0].state
-    constants = tuple(sum(map(mul, w, start)) for w in rows)
+    stretches = trace.steps.stretches
+    m = trace.spec.m
+    constants = [sum(map(mul, w, stretches[0].state)) for w in rows]
     failures = []
-    for entry in trace.steps[1:]:
-        for r, w in enumerate(rows):
-            value = sum(map(mul, w, entry.state))
-            if value != constants[r]:
-                failures.append((r, entry.k, value))
-    return ConservationReport(rows, constants, tuple(failures))
+    # w·x(k+1) = w·x(k) + Σ wᵢ·Δxᵢ over the components the update changed;
+    # each stretch starts from its first state in full
+    for stretch in stretches:
+        state = list(stretch.state)
+        values = [sum(map(mul, w, state)) for w in rows]
+        for k, change in enumerate([(), *stretch.changes], stretch.k):
+            for i, v in zip(change[::2], change[1::2]):
+                if i < m:
+                    delta = v - state[i]
+                    state[i] = v
+                    for r, w in enumerate(rows):
+                        values[r] += w[i] * delta
+            if k and values != constants:
+                failures += ((r, k, v) for r, (v, c) in enumerate(zip(values, constants)) if v != c)
+    return ConservationReport(rows, tuple(constants), tuple(failures))
 
 
 def verify_conservation(

@@ -3,10 +3,10 @@
 ``matrix_step``, the paper's matrix update applied literally,
 ``check_oracle``, the structural check walked rule by rule,
 ``lockstep_oracle``, the lock-step check compared row by row,
-``recorded`` and ``untracked_as_recorded``, the recording the stepping
-routes replaced by writing their trace entries themselves, ``as_rows``,
-which reads a stretch of entries back as rows, and ``package_imports``,
-which reads what a ``caosim`` module imports.
+``recorded``, the full-row recording that the stretch records replaced,
+``record_of`` and ``with_row``, which write full rows as a stretch record,
+``as_rows``, which reads a stretch record back as rows, and
+``package_imports``, which reads what a ``caosim`` module imports.
 
 Before ``caosim`` is imported, the compiled step kernel is built in place
 from ``src/caosim/_stepcore.c`` when a C compiler is present, so the tests
@@ -16,7 +16,6 @@ exercise it as well as the pure kernel.
 from __future__ import annotations
 
 import ast
-import gc
 import importlib
 import math
 import os
@@ -92,6 +91,7 @@ from caosim.model import (  # noqa: E402
     Issue,
     Operator,
     Role,
+    Stretch,
     TraceStep,
     ValidationReport,
     _IDENT_RE,
@@ -338,35 +338,56 @@ def check_oracle(
     return ValidationReport(tuple(issues))
 
 
-# The oracle for the entries the stepping routes write: the recording they
-# replaced, which built one ``TraceStep`` per ``(state, partials, common)``
-# row after the stretch (a list comprehension on the pure backend, and
-# ``_stepcore.entries`` on the compiled one, which also untracked entries).
+# The oracle for the stretch records the stepping routes write: the
+# recording they replaced, which kept one ``TraceStep`` of full rows per
+# update.
 def recorded(rows, k=0) -> list[TraceStep]:
-    """One entry per row, numbered from ``k``, holding the row's objects."""
+    """One entry per ``(state, partials, common)`` row, numbered from ``k``."""
     return [TraceStep(i, s, p, pc) for i, (s, p, pc) in enumerate(rows, k)]
 
 
-def untracked_as_recorded(entry) -> bool:
-    """Whether ``_stepcore.entries`` left ``entry`` untracked by the garbage
-    collector: when its class gives instances no ``__dict__`` and its three
-    tuples are exact tuples that are themselves untracked."""
-    tuples = (entry.state, entry.partials, entry.common)
-    return not hasattr(entry, "__dict__") and all(
-        type(t) is tuple and not gc.is_tracked(t) for t in tuples
-    )
+FIELDS = ("state", "partials", "common")
+
+
+def record_of(rows, k=0) -> Stretch:
+    """The stretch record of full ``(state, partials, common)`` rows: the
+    first row in full, then for each later row the cells whose value
+    differs from the row before, in cell order."""
+    (state, partials, common), *rest = rows
+    before = [*state, *partials, *common]
+    changes = []
+    for row in rest:
+        cells = [v for r in row for v in r]
+        changes.append(tuple(x for c, (a, b) in enumerate(zip(before, cells)) if a != b for x in (c, b)))
+        before = cells
+    return Stretch(k, state, partials, common, changes)
+
+
+def with_row(stretch: Stretch, j: int, **fields) -> Stretch:
+    """``stretch`` with the named rows of its update ``j`` replaced."""
+    rows = [list(row) for row in stretch.rows()]
+    for name, value in fields.items():
+        rows[j][FIELDS.index(name)] = value
+    return record_of(rows, stretch.k)
 
 
 def as_rows(stretch, k=0):
-    """``(rows, last, stop)`` for a stretch ``(entries, last, stop)`` that a
-    stepping route returned: each entry as its ``(state, partials, common)``
-    row, holding the entry's own tuples, once the entries are checked to be
-    ``TraceStep``s numbered from ``k``."""
-    entries, last, stop = stretch
-    assert type(entries) is list
-    assert [type(e) for e in entries] == [TraceStep] * len(entries)
-    assert [e.k for e in entries] == list(range(k, k + len(entries)))
-    return [(e.state, e.partials, e.common) for e in entries], last, stop
+    """``(rows, last, stop)`` for a stretch ``(record, last, stop)`` that a
+    stepping route returned: each update as its ``(state, partials,
+    common)`` row, once the record is checked to be a ``Stretch`` numbered
+    from ``k`` whose changes name only cells whose value changed."""
+    record, last, stop = stretch
+    assert type(record) is Stretch and record.k == k
+    assert type(record.changes) is list and all(type(c) is tuple for c in record.changes)
+    rows = list(record.rows())
+    assert record_of(rows, k).changes == [tuple(sorted_pairs(c)) for c in record.changes]
+    return rows, last, stop
+
+
+def sorted_pairs(change):
+    """The ``(cell, value)`` pairs of a change tuple in cell order, laid end
+    to end again."""
+    return [x for pair in sorted(zip(change[::2], change[1::2]), key=lambda p: p[0]) for x in pair]
 
 
 # The oracle for the lock-step check of ``run(engine="both")``, which the

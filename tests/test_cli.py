@@ -14,7 +14,7 @@ import pytest
 import caosim.cli
 from caosim import build_linear_chain, serialize
 from caosim.cli import EXIT_ERROR, EXIT_OK, EXIT_STEP_LIMIT, main
-from conftest import SHOWCASE_TEXT
+from conftest import LOOP_TEXT, SHOWCASE_TEXT
 
 # Python's limit on the digits int() converts; 0 where it sets none
 INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -320,6 +320,17 @@ class TestWeights:
             " ".join(str(2**i) for i in range(2000)),
         ]
         assert elapsed < 10, f"caosim weights took {elapsed:.1f} s"
+
+    def test_a_cyclic_cao_needs_allow_cycles(self, tmp_path, capsys):
+        # without the flag the cycle is refused, as validate refuses it;
+        # with it the dense elimination gives the loop's one weight row
+        path = tmp_path / "loop.cao"
+        path.write_text(LOOP_TEXT)
+        assert main(["weights", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error[cycle-detected]" in captured.err
+        assert main(["weights", str(path), "--allow-cycles"]) == EXIT_OK
+        assert capsys.readouterr().out == "# i j d s g u h k\n1 1 1 1 2 0 1 1\n"
 
     def test_an_empty_basis_is_said_in_a_comment(self, tmp_path, capsys):
         # an acyclic CAO with entities has one that feeds nothing, so its

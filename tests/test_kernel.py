@@ -32,7 +32,7 @@ from caosim.kernel import (
     plan_for,
     step,
 )
-from caosim.model import TraceStep
+from caosim.model import Stretch, TraceStep
 from conftest import (
     GROWING_CYCLE_TEXT,
     KERNEL_SOURCE,
@@ -41,8 +41,9 @@ from conftest import (
     as_rows,
     kernel_compile_command,
     kernel_compiler,
+    record_of,
     recorded,
-    untracked_as_recorded,
+    sorted_pairs,
 )
 
 needs_extension = pytest.mark.skipif(
@@ -71,11 +72,18 @@ def pure_step(state: Sequence[int], plan: StepPlan) -> StepResult:
     return tuple(nxt), tuple(p), tuple(pc)
 
 
+def c_run(kernel, state, limit, stretches=None, k=0):
+    """``kernel.run(state, limit, stretches)`` as ``advance`` returns it:
+    ``(stretch, last, stop)``, the record numbered from ``k``."""
+    start, partials, common, changes, last, stop = kernel.run(state, limit, stretches)
+    return Stretch(k, start, partials, common, changes), last, stop
+
+
 def compiled_update(plan, state):
-    """One update by ``PlanKernel.run(TraceStep, 0, state, 1)``, as ``(next,
-    partials, common)``, and the big-integer stretches the run reported."""
+    """One update by ``PlanKernel.run(state, 1)``, as ``(next, partials,
+    common)``, and the big-integer stretches the run reported."""
     stretches = []
-    rows, last, _ = as_rows(bind(plan, "compiled").run(TraceStep, 0, state, 1, stretches))
+    rows, last, _ = as_rows(c_run(bind(plan, "compiled"), state, 1, stretches))
     return (last, *rows[0][1:]), stretches
 
 
@@ -246,7 +254,7 @@ class TestCompiledParity:
         for state in [(100, -1, 0, 0, 0, 0, 0), (100.0, 100, 0, 0, 0, 0, 0)]:
             got, stretches = compiled_update(plan, state)
             assert got == pure_step(state, plan) and stretches == [(1, 1, 1)]
-            assert advance(plan, bind(plan, "compiled"), state, 10) == advance(plan, None, state, 10)
+            assert as_rows(advance(plan, bind(plan, "compiled"), state, 10)) == as_rows(advance(plan, None, state, 10))
         # the float stays a float, as in Python
         assert type(compiled_update(plan, (100.0, 100, 0, 0, 0, 0, 0))[0][0][0]) is float
 
@@ -262,11 +270,11 @@ class TestCompiledParity:
         with pytest.raises(ValueError, match="entity 1 is in two carry groups"):
             _stepcore.PlanKernel((2, 2, 2), ((0, 1), (1, 2)), ())
         kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, 1),))
-        assert as_rows(kernel.run(TraceStep, 0, (5, 0), 1)) == ([((5, 0), (2, 0), (2, 0))], (1, 2), 1)
+        assert as_rows(c_run(kernel, (5, 0), 1)) == ([((5, 0), (2, 0), (2, 0))], (1, 2), 1)
         with pytest.raises(ValueError):
-            kernel.run(TraceStep, 0, (5,), 1)
+            kernel.run((5,), 1)
         with pytest.raises(TypeError):
-            kernel.run(TraceStep, 0, (5, 0), 1, ())
+            kernel.run((5, 0), 1, ())
 
     def test_result_crossing_int64_boundary_is_exact(self):
         # walk a value right across 2**63 - 1 and back through both kernels
@@ -283,61 +291,58 @@ class TestPlanKernelRun:
     # known number of updates
     GROW = StepPlan(n=(2,), groups=(), edges=((0, 0, 3),))
 
-    def test_zero_limit_takes_no_rows(self, showcase):
-        state = (100, 100, 0, 0, 0, 0, 0)
-        rows, last, stop = as_rows(bind(plan_for(showcase), "compiled").run(TraceStep, 0, state, 0))
-        assert rows == [] and last is state and stop == 1
-
     def test_fixed_point_on_the_first_row(self):
         kernel = bind(plan_for(build_linear_chain(2, 2)), "compiled")
-        assert as_rows(kernel.run(TraceStep, 0, (1, 5), 10)) == ([((1, 5), (0, 0), (0, 0))], (1, 5), 0)
+        assert as_rows(c_run(kernel, (1, 5), 10)) == ([((1, 5), (0, 0), (0, 0))], (1, 5), 0)
 
     def test_stops_at_the_limit(self, showcase):
-        rows, last, stop = as_rows(bind(plan_for(showcase), "compiled").run(TraceStep, 0, (100, 100, 0, 0, 0, 0, 0), 2))
+        rows, last, stop = as_rows(c_run(bind(plan_for(showcase), "compiled"), (100, 100, 0, 0, 0, 0, 0), 2))
         assert stop == 1 and len(rows) == 2
         assert last == (0, 20, 2, 0, 4, 6, 0)
 
     def test_a_run_goes_on_past_int64(self):
         kernel = bind(self.GROW, "compiled")
         state, stretches = (2**60,), []
-        rows, last, stop = as_rows(kernel.run(TraceStep, 0, state, 100, stretches))
+        rows, last, stop = as_rows(c_run(kernel, state, 100, stretches))
         assert (rows, last, stop) == repeated_pure_steps(self.GROW, state, 100)
-        assert rows[0][0] is state and all(a[0] is not b[0] for a, b in zip(rows, rows[1:]))
+        assert rows[0][0] is state
         # five updates in int64, then the sixth's credit leaves it for good
         assert stretches == [(0, 95, 1)] == expected_stretches(self.GROW, rows, stop)
         more = []
-        assert as_rows(kernel.run(TraceStep, 100, last, 1, more), 100) == repeated_pure_steps(self.GROW, last, 1)
+        assert as_rows(c_run(kernel, last, 1, more, 100), 100) == repeated_pure_steps(self.GROW, last, 1)
         assert more == [(1, 1, 1)]
 
     def test_negative_coefficient_goes_on_below_zero(self):
         kernel = _stepcore.PlanKernel((2, 0), (), ((0, 1, -1),))
         stretches = []
-        rows, last, stop = as_rows(kernel.run(TraceStep, 0, (4, 1), 10, stretches))
+        rows, last, stop = as_rows(c_run(kernel, (4, 1), 10, stretches))
         assert rows == [((4, 1), (2, 0), (2, 0)), ((0, -1), (0, 0), (0, 0))]
-        assert last == (0, -1) and last is rows[-1][0] and stop == 0
+        assert last == (0, -1) and stop == 0
         assert stretches == [(1, 1, 0)]
 
-    def test_rejects_a_wrong_length_state_and_a_negative_limit(self, showcase):
+    def test_rejects_a_wrong_length_state_and_a_limit_below_1(self, showcase):
         kernel = bind(plan_for(showcase), "compiled")
         with pytest.raises(ValueError):
-            kernel.run(TraceStep, 0, (1, 2), 5)
-        with pytest.raises(ValueError):
-            kernel.run(TraceStep, 0, (0,) * 7, -1)
+            kernel.run((1, 2), 5)
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit must be >= 1"):
+                kernel.run((0,) * 7, limit)
 
-    def test_entries_are_born_untracked(self, showcase):
+    def test_records_are_born_untracked(self, showcase):
         class Big(int):
             pass
 
         kernel = bind(plan_for(showcase), "compiled")
-        # with collection off, nothing but C can untrack a fresh object
+        # with collection off, nothing but C can untrack a fresh tuple
         gc.disable()
         try:
-            entries, _, _ = kernel.run(TraceStep, 0, (100, 100, 0, 0, 0, 0, 0), 3)
-            assert len(entries) == 3 and not any(map(gc.is_tracked, entries))
-            # an entry holding a start with an int subclass stays tracked
-            entries, _, _ = kernel.run(TraceStep, 0, (Big(100), 100, 0, 0, 0, 0, 0), 3)
-            assert [gc.is_tracked(e) for e in entries] == [True, False, False]
-            assert [untracked_as_recorded(e) for e in entries] == [False, True, True]
+            stretch, last, _ = c_run(kernel, (100, 100, 0, 0, 0, 0, 0), 3)
+            tuples = [stretch.state, stretch.partials, stretch.common, *stretch.changes, last]
+            assert len(stretch.changes) == 2 and not any(map(gc.is_tracked, tuples))
+            # a start with an int subclass stays tracked, and with it the
+            # last state, which keeps the components no update changed
+            stretch, last, _ = c_run(kernel, (Big(100), 100, 0, 0, 0, 0, 0), 3)
+            assert gc.is_tracked(stretch.state) and not any(map(gc.is_tracked, stretch.changes))
         finally:
             gc.enable()
 
@@ -345,10 +350,10 @@ class TestPlanKernelRun:
         plan = plan_for(showcase)
         kernel = bind(plan, "compiled")
         state = (100, 100, 0, 0, 0, 0, 0)
-        rows, last, _ = as_rows(kernel.run(TraceStep, 0, state, 2))
+        rows, last, _ = as_rows(c_run(kernel, state, 2))
         assert rows[0][0] is state
         assert rows[1][0] == pure_step(state, plan)[0]
-        more, _, _ = as_rows(kernel.run(TraceStep, 0, last, 1))
+        more, _, _ = as_rows(c_run(kernel, last, 1))
         assert more[0][0] is last
 
     @settings(max_examples=150, deadline=None)
@@ -359,33 +364,32 @@ class TestPlanKernelRun:
         state = straddling_state(rng, plan)
         kernel = bind(plan, "compiled")
         stretches = []
-        rows, last, stop = as_rows(kernel.run(TraceStep, 0, state, limit, stretches))
+        if not limit:
+            return
+        rows, last, stop = as_rows(c_run(kernel, state, limit, stretches))
         assert (rows, last, stop) == repeated_pure_steps(plan, state, limit)
         assert stretches == expected_stretches(plan, rows, stop)
-        if rows:
-            assert rows[0][0] is state
-        assert all(a[2] is a[1] for a in rows if a[1] == a[2])
+        assert rows[0][0] is state
 
 
 @needs_extension
 class TestBigIntegerRows:
-    """The entries ``PlanKernel.run`` writes in a big-integer stretch."""
+    """The records ``PlanKernel.run`` writes in a big-integer stretch."""
 
     CHAIN = plan_for(build_linear_chain(2, 70))
     # 2**69 + 5 halves down the chain: 7 updates in big integers
     START = (2**69 + 5,) + (0,) * 69
 
-    def test_entries_of_exact_ints_are_born_untracked(self):
+    def test_records_of_exact_ints_are_born_untracked(self):
         kernel = bind(self.CHAIN, "compiled")
         stretches = []
-        # with collection off, nothing but C can untrack a fresh object
+        # with collection off, nothing but C can untrack a fresh tuple
         gc.disable()
         try:
-            entries, last, _ = kernel.run(TraceStep, 0, self.START, 10, stretches)
+            stretch, last, _ = c_run(kernel, self.START, 10, stretches)
             assert stretches == [(1, 7, 2)]
-            rows, _, _ = as_rows((entries, last, 1))
-            tuples = [t for row in rows for t in row]
-            assert not any(map(gc.is_tracked, entries + tuples + [last]))
+            tuples = [stretch.state, stretch.partials, stretch.common, *stretch.changes, last]
+            assert not any(map(gc.is_tracked, tuples))
         finally:
             gc.enable()
 
@@ -398,17 +402,15 @@ class TestBigIntegerRows:
         try:
             # the last entity keeps its Big, the first its float, throughout
             for start in [self.START[:-1] + (Big(3),), (float(2**69),) + (0,) * 69]:
-                entries, _, _ = kernel.run(TraceStep, 0, start, 10)
-                rows, _, _ = as_rows((entries, None, 1))
+                stretch, _, _ = c_run(kernel, start, 10)
+                rows, _, _ = as_rows((stretch, None, 1))
                 assert rows == repeated_pure_steps(self.CHAIN, start, 10)[0]
-                for entry, row in zip(entries, rows):
-                    held = [any(type(v) is not int for v in t) for t in row]
-                    assert [gc.is_tracked(t) for t in row] == held
-                    assert gc.is_tracked(entry) == any(held) == (not untracked_as_recorded(entry))
+                for t in (stretch.state, stretch.partials, stretch.common, *stretch.changes):
+                    assert gc.is_tracked(t) == any(type(v) is not int for v in t)
         finally:
             gc.enable()
 
-    def test_an_int_subclass_entry_can_still_be_collected(self):
+    def test_an_int_subclass_record_can_still_be_collected(self):
         class Big(int):
             pass
 
@@ -416,22 +418,22 @@ class TestBigIntegerRows:
             pass
 
         value = Big(2**69)
-        entries, _, _ = bind(self.CHAIN, "compiled").run(TraceStep, 0, (value,) + (0,) * 69, 2)
-        value.entries = entries  # a cycle through an entry
+        stretch = c_run(bind(self.CHAIN, "compiled"), (value,) + (0,) * 69, 2)
+        value.stretch = stretch  # a cycle through a record
         value.marker = Marker()
         alive = weakref.ref(value.marker)
-        del value, entries
+        del value, stretch
         gc.collect()
         assert alive() is None
 
     def test_rejects_what_is_not_a_sequence_or_a_number(self):
         kernel = bind(self.CHAIN, "compiled")
         with pytest.raises(TypeError):
-            kernel.run(TraceStep, 0, 5, 1)
+            kernel.run(5, 1)
         for bad in ([2**69], "x"):
             state = (bad,) + (0,) * 69
             with pytest.raises(TypeError):
-                kernel.run(TraceStep, 0, state, 1)
+                kernel.run(state, 1)
             with pytest.raises(TypeError):
                 advance(self.CHAIN, None, state, 1)
 
@@ -444,25 +446,26 @@ class TestBigIntegerRows:
         loop = plan_for(parse(LOOP_TEXT, allow_cycles=True))
         grow = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
         runs = [
-            (bind(chain, "compiled"), (2**599 - 1,) + (0,) * 599, 1024, False),
-            (bind(loop, "compiled"), (2**70 + 1, 2**70) + (0,) * 6, 300, False),
-            # int64 throughout, every entry sharing objects with the last
-            (bind(loop, "compiled"), parse(LOOP_TEXT, allow_cycles=True).start_state(), 300, False),
-            # and every common tuple built of the partials' objects
-            (bind(loop, "compiled"), parse(LOWERING_LOOP_TEXT, allow_cycles=True).start_state(), 300, False),
-            # the int64 loop leaves mid-stretch, holding the last partials
-            (bind(grow, "compiled"), (2**60, 2**60, 0), 40, False),
+            (chain, (2**599 - 1,) + (0,) * 599, 1024, False),
+            (loop, (2**70 + 1, 2**70) + (0,) * 6, 300, False),
+            # int64 throughout
+            (loop, parse(LOOP_TEXT, allow_cycles=True).start_state(), 300, False),
+            # and common carries that are objects of other entities' partials
+            (loop, parse(LOWERING_LOOP_TEXT, allow_cycles=True).start_state(), 300, False),
+            # the int64 loop leaves mid-stretch, the last rows held as objects
+            (grow, (2**60, 2**60, 0), 40, False),
             # a fixed point held to the limit
-            (bind(chain, "compiled"), (2**70,) + (0,) * 599, 1024, True),
+            (chain, (2**70,) + (0,) * 599, 1024, True),
         ]
-        for kernel, start, limit, hold in runs:
-            kernel.run(TraceStep, 0, start, limit, [])  # makes the kernel's Python ints once
+        for plan, start, limit, hold in runs:
+            kernel = bind(plan, "compiled")
+            kernel.run(start, limit, [])  # makes the kernel's Python ints once
 
             def runs():
-                entries, last, stop = kernel.run(TraceStep, 7, start, limit, [], hold)
-                assert stop in (0, 1) and entries[0].k == 7
+                stretch, last, stop = advance(plan, kernel, start, limit, 7, hold=hold)
+                assert stop in (0, 1) and stretch.k == 7
 
-            assert_leaks_nothing(runs, (start, start[0], TraceStep))
+            assert_leaks_nothing(runs, (start, start[0], Stretch))
 
     def test_enactor_checks_leak_nothing(self):
         # the C enactor of the lock-step check, on each of its paths: a
@@ -475,16 +478,18 @@ class TestBigIntegerRows:
         def stretches(spec, state, limit, count=1):
             out = []
             for _ in range(count):
-                entries, state, _ = advance(plan_for(spec), None, state, limit)
-                out.append((entries, state))
+                stretch, state, _ = advance(plan_for(spec), None, state, limit)
+                out.append((stretch, state))
             return out
 
         start, wide, near = loop.start_state(), (2**70 + 1, 2**70) + (0,) * 6, (2**60, 2**60, 0)
-        entries, last = stretches(loop, start, 300)[0]
-        wrong = entries[:-1] + [replace(entries[-1], common=(1,) + entries[-1].common[1:])]
+        stretch, last = stretches(loop, start, 300)[0]
+        rows = list(stretch.rows())
+        rows[-1] = (*rows[-1][:2], (1,) + rows[-1][2][1:])
+        wrong = record_of(rows)
         lowering = parse(LOWERING_LOOP_TEXT, allow_cycles=True)
         cases = [
-            (loop, start, (entries, last), lambda done: done is None),
+            (loop, start, (stretch, last), lambda done: done is None),
             # common carries the fold lowers, on every update
             (lowering, lowering.start_state(), stretches(lowering, lowering.start_state(), 300)[0], lambda done: done is None),
             (loop, start, (wrong, last), lambda done: done[0] == 299),
@@ -496,7 +501,7 @@ class TestBigIntegerRows:
             def check():
                 fast = _stepcore.Enactor(resolve(spec), state)
                 assert expected(fast.send(job))
-                assert fast.state is state or fast.state in [e.state for e in job[0]]
+                assert fast.state is state or fast.state in [r[0] for r in job[0].rows()]
 
             assert_leaks_nothing(check, (state, state[0], job[0], job[1]))
 
@@ -527,79 +532,9 @@ def assert_leaks_nothing(action, held, repeat=200):
     assert list(map(sys.getrefcount, held)) == before
 
 
-def int_objects(trace) -> int:
-    """How many distinct int objects a trace's entries hold."""
-    return len({id(v) for entry in trace.steps for t in (entry.state, entry.partials, entry.common) for v in t})
-
-
 @needs_extension
-class TestSharedRows:
-    """The one sharing rule of the rows ``PlanKernel.run``'s int64 loop
-    records: a next-state item equal to the previous state's is that object,
-    a partial carry equal to the previous update's is its object, and each
-    common carry is the partials tuple's object of its value. The pure
-    backend's rows, which share by ``_frontier``'s lists, bound how many
-    objects a trace may hold."""
-
-    @staticmethod
-    def int64_runs(fuzz_corpus):
-        """(spec, start, max_steps) from int64 starts: the loop from its own
-        start and from one that lowers a carry on every update, and the
-        acyclic fuzz corpus."""
-        for text in (LOOP_TEXT, LOWERING_LOOP_TEXT):
-            loop = parse(text, allow_cycles=True)
-            yield loop, loop.start_state(), 3000
-        for spec, state in fuzz_corpus:
-            yield spec, state, 100
-
-    def test_rows_share_by_the_one_rule(self, fuzz_corpus):
-        lowered = 0
-        for spec, start, max_steps in self.int64_runs(fuzz_corpus):
-            plan = plan_for(spec)
-            _, group_of = plan._fanout
-            # with collection off, nothing but C can untrack a fresh tuple
-            gc.disable()
-            try:
-                trace = run(spec, start, max_steps=max_steps, engine="matrix", backend="compiled")
-            finally:
-                gc.enable()
-            tuples = [t for entry in trace.steps for t in (entry.state, entry.partials, entry.common)]
-            assert all(type(v) is int for t in tuples for v in t)
-            assert not any(map(gc.is_tracked, tuples + list(trace.steps)))
-            for entry in trace.steps:
-                for i, c in enumerate(entry.common):
-                    members = (i,) if group_of[i] is None else plan.groups[group_of[i]]
-                    assert any(c is entry.partials[x] for x in members)
-                lowered += entry.common is not entry.partials
-            for before, after in zip(trace.steps, trace.steps[1:]):
-                assert all(b is a for a, b in zip(before.state, after.state) if a == b)
-            pure = run(spec, start, max_steps=max_steps, engine="matrix", backend="pure")
-            assert trace == pure
-            assert int_objects(trace) <= int_objects(pure)
-        assert lowered > 3001 + 1000  # every row of the lowering loop, and the corpus's
-
-    def test_partials_equal_to_the_last_updates_are_its_objects(self, fuzz_corpus):
-        kept = 0
-        for spec, start, limit in self.int64_runs(fuzz_corpus):
-            rows, _, _ = as_rows(bind(plan_for(spec), "compiled").run(TraceStep, 0, start, limit))
-            for (_, before, _), (_, after, _) in zip(rows, rows[1:]):
-                assert all(b is a for a, b in zip(before, after) if a == b)
-                kept += sum(a == b > 256 for a, b in zip(before, after))
-        assert kept > 500  # partials that no small-int cache could share
-
-    def test_an_int_subclass_in_the_start_stays_in_row_0(self):
-        class Big(int):
-            pass
-
-        loop = parse(LOWERING_LOOP_TEXT, allow_cycles=True)
-        # every component a Big; those that keep their value on the first
-        # update must still be fresh ints in the next row
-        start = tuple(map(Big, loop.start_state()))
-        trace = run(loop, start, max_steps=50, engine="matrix", backend="compiled")
-        assert trace.steps[0].state is start
-        later = [v for entry in trace.steps[1:] for t in (entry.state, entry.partials, entry.common) for v in t]
-        assert all(type(v) is int for v in later)
-        assert trace == run(loop, start, max_steps=50, engine="matrix", backend="pure")
+class TestRecordMemory:
+    """What a kept trace costs: C's records against the pure backend's."""
 
     def test_a_trace_takes_no_more_memory_than_the_pure_backends(self):
         # 20,000 updates of the loop that lowers a carry on every update
@@ -621,91 +556,35 @@ class TestSharedRows:
 
 
 @needs_extension
-class TestWrittenEntries:
-    """The trace entries ``PlanKernel.run`` writes in C, one per update, in
-    place of the rows ``_stepcore.entries`` once copied into entries; that
-    recording (``recorded`` and ``untracked_as_recorded``) is its oracle."""
+class TestWrittenRecords:
+    """The stretch records ``PlanKernel.run`` writes in C: the first
+    update's rows, then each later update's changes. The full rows of
+    ``repeated_pure_steps``, written as a record by ``record_of``, are the
+    oracle."""
 
     SHOWCASE = (100, 100, 0, 0, 0, 0, 0)
 
-    @pytest.mark.parametrize("k", [0, 7, 300])
     @pytest.mark.parametrize("start", ["int64", "big"])
-    def test_matches_the_recording(self, showcase, k, start):
+    def test_matches_the_recording(self, showcase, start):
         plan = plan_for(showcase)
         state = self.SHOWCASE if start == "int64" else (2**70, 100, 0, 0, 0, 0, 0)
-        gc.disable()
-        try:
-            entries, last, stop = bind(plan, "compiled").run(TraceStep, k, state, 10)
-        finally:
-            gc.enable()
+        got, partials, common, changes, last, stop = bind(plan, "compiled").run(state, 10)
         rows, want_last, want_stop = repeated_pure_steps(plan, state, 10)
-        assert type(entries) is list and entries == recorded(rows, k)
+        want = record_of(rows)
+        assert got is state and (partials, common) == (want.partials, want.common)
+        assert type(changes) is list and [tuple(sorted_pairs(c)) for c in changes] == want.changes
         assert (last, stop) == (want_last, want_stop)
-        assert {type(e) for e in entries} == {TraceStep} and {type(e.k) for e in entries} == {int}
-        assert not any(map(gc.is_tracked, entries))
-        assert all(map(untracked_as_recorded, entries))
 
-    def test_untracked_only_over_untracked_exact_tuples(self, showcase):
-        class Big(int):
-            pass
-
-        kernel = bind(plan_for(showcase), "compiled")
-        gc.disable()
-        try:
-            # a Big stays in row 0 of an int64 stretch, a float in every
-            # entry of a big-integer one
-            for state, tracked in [
-                ((Big(100),) + self.SHOWCASE[1:], [True, False, False, False]),
-                ((100.0,) + self.SHOWCASE[1:], [True] * 4),
-            ]:
-                entries, _, _ = kernel.run(TraceStep, 0, state, 10)
-                assert [gc.is_tracked(e) for e in entries] == tracked
-                assert [not untracked_as_recorded(e) for e in entries] == tracked
-        finally:
-            gc.enable()
-
-    def test_a_class_with_a_dict_keeps_its_entries_tracked(self, showcase):
-        class Loose(TraceStep):
-            pass  # no __slots__, so its instances have a __dict__
-
-        entries, _, _ = bind(plan_for(showcase), "compiled").run(Loose, 3, self.SHOWCASE, 2)
-        assert {type(e) for e in entries} == {Loose} and all(map(gc.is_tracked, entries))
-        rows = repeated_pure_steps(plan_for(showcase), self.SHOWCASE, 2)[0]
-        assert [(e.k, e.state, e.partials, e.common) for e in entries] == [(3 + i, *row) for i, row in enumerate(rows)]
-
-    def test_a_class_without_the_four_slots_is_refused(self, showcase):
-        class Plain:
-            pass
-
-        @dataclass(frozen=True, slots=True)
-        class Three:
-            k: int
-            state: tuple
-            partials: tuple
-
-        class Props:
-            k = state = partials = common = property(lambda self: 0)
-
-        kernel = bind(plan_for(showcase), "compiled")
-        for cls in (Plain, Three, Props, int, 5, "TraceStep"):
-            with pytest.raises(TypeError):
-                kernel.run(cls, 0, self.SHOWCASE, 2)
-        # a refused class does not displace the one in use
-        entries, _, _ = kernel.run(TraceStep, 0, self.SHOWCASE, 2)
-        assert entries == recorded(repeated_pure_steps(plan_for(showcase), self.SHOWCASE, 2)[0])
-
-    def test_a_finalizer_calling_it_with_another_class_mid_call(self):
+    def test_a_finalizer_calling_it_mid_call(self):
         # under Python 3.11 and older a collection may run inside the call's
         # allocations, and with it a finalizer calling run() again
-        class Padded:
-            __slots__ = ("pad", "k", "state", "partials", "common")
-
         loop = parse(LOOP_TEXT, allow_cycles=True)
-        kernel, start = bind(plan_for(loop), "compiled"), loop.start_state()
+        plan = plan_for(loop)
+        kernel, start = bind(plan, "compiled"), loop.start_state()
 
         class Trigger:
             def __del__(self):
-                inner.extend(kernel.run(Padded, 0, start, 1)[0])
+                inner.append(c_run(kernel, start, 1))
 
         inner = []
         threshold = gc.get_threshold()
@@ -716,68 +595,54 @@ class TestWrittenEntries:
                 trigger.cycle = trigger
             del trigger
             gc.set_threshold(1)
-            entries, _, _ = kernel.run(TraceStep, 0, start, 50)
+            got = c_run(kernel, start, 50)
         finally:
             gc.set_threshold(*threshold)
         gc.collect()
-        rows = repeated_pure_steps(plan_for(loop), start, 50)[0]
-        assert entries == recorded(rows) and {type(e) for e in entries} == {TraceStep}
-        assert len(inner) == 3 and {type(e) for e in inner} == {Padded}
-        assert not hasattr(inner[0], "pad") and inner[0].state is start
+        assert as_rows(got) == repeated_pure_steps(plan, start, 50)
+        assert len(inner) == 3 and all(as_rows(i) == repeated_pure_steps(plan, start, 1) for i in inner)
 
     def test_bad_arguments_are_refused(self, showcase):
         kernel = bind(plan_for(showcase), "compiled")
-        for bad_k in (1.0, "0", None):
+        for bad_limit in (1.0, "2", None):
             with pytest.raises(TypeError):
-                kernel.run(TraceStep, bad_k, self.SHOWCASE, 2)
+                kernel.run(self.SHOWCASE, bad_limit)
         with pytest.raises(TypeError):
-            kernel.run(TraceStep, 0, self.SHOWCASE)
-        with pytest.raises(TypeError):
-            kernel.run(self.SHOWCASE, 2)
-        with pytest.raises(OverflowError):
-            kernel.run(TraceStep, sys.maxsize - 1, self.SHOWCASE, 2)
-        # the last step number that fits is written
-        [entry], _, _ = kernel.run(TraceStep, sys.maxsize - 1, self.SHOWCASE, 1)
-        assert entry.k == sys.maxsize - 1
+            kernel.run(self.SHOWCASE)
+        with pytest.raises(ValueError):
+            kernel.run(self.SHOWCASE, 0)
 
     def test_leaks_no_references(self, showcase):
         kernel = bind(plan_for(showcase), "compiled")
         state = (2**40, 2**40) + self.SHOWCASE[2:]
-        held = (state, state[0], TraceStep)
-        kernel.run(TraceStep, 0, state, 3)
-        gc.collect()  # a class run() held before may be left in a cycle
+        held = (state, state[0])
+        kernel.run(state, 3)
+        gc.collect()
         before = list(map(sys.getrefcount, held))
         for _ in range(10_000):
-            kernel.run(TraceStep, 5, state, 3)
-            with pytest.raises(TypeError):
-                kernel.run(int, 5, state, 3)
+            kernel.run(state, 3)
+            with pytest.raises(ValueError):
+                kernel.run(state, 0)
         gc.collect()
         assert list(map(sys.getrefcount, held)) == before
 
     @pytest.mark.parametrize("start", ["int64", "big"])
-    def test_a_held_fixed_point_repeats_its_entry(self, start):
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_a_held_fixed_point_changes_nothing(self, start, backend):
         # the chain from 2**10 settles after 10 updates; held to the limit,
-        # its fixed entry repeats with the same tuples and k counting on
+        # each update after it is recorded as changing nothing
         chain = plan_for(build_linear_chain(2, 40 if start == "int64" else 80))
         state = ((2**10 if start == "int64" else 2**70),) + (0,) * (chain.m - 1)
-        kernel = bind(chain, "compiled")
-        gc.disable()
-        try:
-            free, last, stop = kernel.run(TraceStep, 5, state, 100)
-            entries, held_last, held_stop = kernel.run(TraceStep, 5, state, 100, None, True)
-        finally:
-            gc.enable()
-        n = len(free)
+        kernel = bind(chain, backend)
+        free, last, stop = advance(chain, kernel, state, 100, 5)
+        held, held_last, held_stop = advance(chain, kernel, state, 100, 5, hold=True)
+        n = free.updates
         assert stop == held_stop == 0 and last == held_last and n < 100
-        assert entries[:n] == free and len(entries) == 100
-        assert [e.k for e in entries] == list(range(5, 105))
-        fixed = entries[n - 1]
-        for e in entries[n:]:
-            assert (e.state, e.partials, e.common) == (fixed.state, fixed.partials, fixed.common)
-            assert e.state is fixed.state and e.partials is fixed.partials and e.common is fixed.common
-        assert not any(map(gc.is_tracked, entries))
-        assert advance(chain, kernel, state, 100, 5, hold=True) == (entries, last, 0)
-        assert advance(chain, None, state, 100, 5, hold=True) == (entries, last, 0)
+        assert held.changes[: n - 1] == free.changes and held.changes[n - 1 :] == [()] * (100 - n)
+        assert held.k == 5 and held.updates == 100
+        rows = list(held.rows())
+        assert rows[n:] == [rows[n - 1]] * (100 - n)
+        assert all(row[0] is rows[n - 1][0] for row in rows[n:])
 
 
 GROWING_PLAN = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
@@ -786,11 +651,11 @@ LOOP_PLAN = plan_for(parse(LOOP_TEXT, allow_cycles=True))
 
 class TestAdvance:
     @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_extension)])
-    def test_zero_or_negative_limit_takes_no_rows(self, showcase, backend):
+    def test_a_limit_below_1_is_refused(self, showcase, backend):
         plan, state = plan_for(showcase), (100, 100, 0, 0, 0, 0, 0)
         for limit in (0, -1):
-            rows, last, stop = as_rows(advance(plan, bind(plan, backend), state, limit))
-            assert rows == [] and last is state and stop == 1
+            with pytest.raises(ValueError, match="limit must be >= 1"):
+                advance(plan, bind(plan, backend), state, limit)
 
     def test_fixed_point_and_limit(self, showcase):
         plan = plan_for(showcase)
@@ -832,7 +697,7 @@ class TestAdvance:
         plan = StepPlan(n=(2, 0), groups=(), edges=((0, 0, 2), (0, 1, 2**62), (0, 1, -(2**62))))
         kernel = bind(plan, "compiled")
         stretches = []
-        assert as_rows(kernel.run(TraceStep, 0, (4, 0), 1, stretches)) == ([((4, 0), (2, 0), (2, 0))], (4, 0), 1)
+        assert as_rows(c_run(kernel, (4, 0), 1, stretches)) == ([((4, 0), (2, 0), (2, 0))], (4, 0), 1)
         assert stretches == [(0, 1, 1)]
         with caplog.at_level(logging.DEBUG, logger="caosim"):
             rows, last, stop = as_rows(advance(plan, kernel, (4, 0), 50))
@@ -862,10 +727,7 @@ class TestAdvance:
         rows, last, stop = as_rows(advance(plan, kernel, state, 1024))
         assert (rows, last, stop) == repeated_pure_steps(plan, state, 1024)
         assert stop == 0 and len(rows) == 599
-        # as in C: each row's state is the previous update's next state, and
-        # common carries equal to the partials are the partials' tuple
         assert rows[0][0] is state
-        assert all(row[2] is row[1] for row in rows[1:])
         head, mid, _ = as_rows(advance(plan, kernel, state, 300))
         tail, end, _ = as_rows(advance(plan, kernel, mid, 1024, 300), 300)
         assert tail[0][0] is mid
@@ -937,34 +799,23 @@ class TestAdvance:
             for _ in plan.n
         )
         kernel = bind(plan, "compiled")
-        got = advance(plan, kernel, state, limit)
-        assert got == advance(plan, None, state, limit)
+        got = as_rows(advance(plan, kernel, state, limit))
+        assert got == as_rows(advance(plan, None, state, limit))
         stretches = []
-        assert kernel.run(TraceStep, 0, state, limit, stretches) == got
-        rows, _, stop = as_rows(got)
+        assert as_rows(c_run(kernel, state, limit, stretches)) == got
+        rows, _, stop = got
         assert stretches == expected_stretches(plan, rows, stop)
 
 
 LOWERING_PLAN = plan_for(parse(LOWERING_LOOP_TEXT, allow_cycles=True))
 
 
-def same_loop(plan, before, after) -> bool:
-    """Whether C computes the updates of the states ``before`` and
-    ``after``, one after the other, in one pass of one of its two loops:
-    the int64 loop takes both, or the big-integer stretch that takes
-    ``before`` goes on to ``after``, which int64 does not hold. A loop
-    entered afresh starts from fresh partial carries."""
-    if int64_takes(plan, before):
-        return int64_takes(plan, after)
-    return not all(map(fits_int64, after))
-
-
-class TestAdvanceWritesTheRecordedEntries:
-    """``advance`` returns its stretch as trace entries, written by the
-    kernel itself; the recording it replaced, ``recorded`` over the
-    stretch's rows, is the oracle for their values and step numbers, and
-    ``untracked_as_recorded`` for their tracking. Each stretch must also
-    share its objects by the one rule."""
+class TestAdvanceWritesTheRecord:
+    """``advance`` returns its stretch as a record written by the kernel
+    itself; the full-row recording it replaced, ``recorded`` over the
+    rows of ``repeated_pure_steps``, is the oracle for the entries the
+    record reads back as, and ``record_of`` over those rows for the record
+    itself: only changed cells, each once."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -975,7 +826,7 @@ class TestAdvanceWritesTheRecordedEntries:
         st.integers(0, 5000),
         st.integers(1, 80),
     )
-    def test_entries_are_the_recordings(self, seed, backend, kind, side, k, limit):
+    def test_records_are_the_recordings(self, seed, backend, kind, side, k, limit):
         if backend == "compiled" and not COMPILED_AVAILABLE:
             return  # the pure backend's examples still run
         rng = random.Random(seed)
@@ -989,36 +840,15 @@ class TestAdvanceWritesTheRecordedEntries:
         else:
             low, high = {"below": (0, 2**40), "above": (2**63, 2**70), "straddling": (2**62, 2**64)}[side]
             state = tuple(rng.randrange(low, high) for _ in plan.n)
-        gc.disable()
-        try:
-            entries, last, stop = advance(plan, bind(plan, backend), state, limit, k)
-        finally:
-            gc.enable()
+        stretch, last, stop = advance(plan, bind(plan, backend), state, limit, k)
         rows, want_last, want_stop = repeated_pure_steps(plan, state, limit)
-        # values and step numbers
-        assert entries == recorded(rows, k) and (last, stop) == (want_last, want_stop)
-        assert [type(e) for e in entries] == [TraceStep] * len(rows)
-        # tracking: C's entries as the recording left them, Python's all tracked
-        if backend == "compiled":
-            assert [gc.is_tracked(e) for e in entries] == [not untracked_as_recorded(e) for e in entries]
-        else:
-            assert all(map(gc.is_tracked, entries))
-        # sharing
-        assert entries[0].state is state or type(state) is not tuple
-        _, group_of = plan._fanout
-        for e in entries:
-            if e.common == e.partials:
-                assert e.common is e.partials
-            for i, c in enumerate(e.common):
-                members = (i,) if group_of[i] is None else plan.groups[group_of[i]]
-                assert any(c is e.partials[x] for x in members)
-        for before, after in zip(entries, entries[1:]):
-            credited = {d for src, d, _ in plan.edges if before.common[src]}
-            for i, (a, b) in enumerate(zip(before.state, after.state)):
-                if not before.common[i] and i not in credited:
-                    assert b is a  # a component the update does not touch
-            if backend == "pure" or same_loop(plan, before.state, after.state):
-                assert all(b is a for a, b in zip(before.partials, after.partials) if a == b)
+        assert (last, stop) == (want_last, want_stop)
+        assert type(stretch) is Stretch and stretch.k == k and stretch.state is state
+        want = record_of(rows, k)
+        assert stretch[:4] == want[:4]
+        assert [tuple(sorted_pairs(c)) for c in stretch.changes] == want.changes
+        # the entries the record reads back as
+        assert [TraceStep(i, *row) for i, row in enumerate(stretch.rows(), k)] == recorded(rows, k)
 
 
 @pytest.mark.skipif(kernel_compiler() is None, reason="no C compiler on PATH")
@@ -1060,14 +890,17 @@ def test_the_two_routes_in_c_use_nothing_of_each_other():
     # enactor's section names nothing the PlanKernel section defines (no
     # function, type or static), and the reverse.
     sections = kernel_sections()
-    assert list(sections) == ["Trace entries", MATRIX_SECTION, ENACTOR_SECTION, "The module"]
+    assert list(sections) == ["Trace records", MATRIX_SECTION, ENACTOR_SECTION, "The module"]
     matrix, enactor = sections[MATRIX_SECTION], sections[ENACTOR_SECTION]
-    # what both use: where an entry class keeps its slots, which the
-    # PlanKernel writes and the Enactor reads
-    assert defined_names(sections["Trace entries"]) == {"EntryClass", "last_class", "load_entry_class"}
-    assert "load_entry_class" in matrix and "load_entry_class" in enactor
-    assert {"run_int64", "update", "plan_int", "PlanKernel", "Frontier", "PlanKernelType"} <= defined_names(matrix)
-    assert {"enactor_update", "enactor_pair", "Enactor", "EnactorType"} <= defined_names(enactor)
+    # what both use: how a record numbers its cells, which the PlanKernel
+    # writes and the Enactor reads
+    assert defined_names(sections["Trace records"]) == {"Row"}
+    for name in ("ROW_STATE", "ROW_PARTIALS", "ROW_COMMON", "ROWS"):
+        assert name in matrix and name in enactor
+    assert {"run_int64", "update", "plan_int", "PlanKernel", "Frontier", "Record", "PlanKernelType"} <= defined_names(
+        matrix
+    )
+    assert {"enactor_update", "enactor_pair", "enactor_lookahead", "Enactor", "EnactorType"} <= defined_names(enactor)
     assert not defined_names(matrix) & set(re.findall(r"\w+", enactor))
     assert not defined_names(enactor) & set(re.findall(r"\w+", matrix))
 
@@ -1087,68 +920,25 @@ else:
     sys.exit("the mutant went unnoticed")
 """
 
-# TestSharedRows.test_an_int_subclass_in_the_start_stays_in_row_0, on its own
-CATCH_A_SHARED_SUBCLASS = """\
+# A fault injected into the matrix route's record of update 1: FAULT below,
+# a function of the record, changes it in place. The check must raise;
+# where it does not, prints the first step at which the trace is not the
+# pure backend's
+CATCH_A_WRONG_RECORD = """\
 import sys
-import caosim
-from caosim import parse, run
-from caosim.kernel import _stepcore
-
-assert caosim.__file__.startswith(sys.argv[1]) and _stepcore.__file__.startswith(sys.argv[1])
-
-class Big(int):
-    pass
-
-loop = parse(sys.stdin.read(), allow_cycles=True)
-start = tuple(map(Big, loop.start_state()))
-trace = run(loop, start, max_steps=50, engine="matrix", backend="compiled")
-assert trace == run(loop, start, max_steps=50, engine="matrix", backend="pure")
-held = [e.k for e in trace.steps if any(type(v) is not int for t in (e.state, e.partials, e.common) for v in t)]
-if held == [0]:
-    sys.exit("the mutant went unnoticed")
-print(held[1])
-"""
-
-
-# The compiled matrix route's trace against the pure one's, entry by entry:
-# prints the first entry at which they differ
-CATCH_A_WRONG_ENTRY = """\
-import sys
-import caosim
-from caosim import parse, run
-from caosim.kernel import _stepcore
-
-assert caosim.__file__.startswith(sys.argv[1]) and _stepcore.__file__.startswith(sys.argv[1])
-spec = parse(sys.stdin.read(), allow_cycles=True)
-compiled = run(spec, max_steps=3000, engine="matrix", backend="compiled").steps
-pure = run(spec, max_steps=3000, engine="matrix", backend="pure").steps
-wrong = [i for i, (a, b) in enumerate(zip(compiled, pure)) if a != b]
-if not wrong and len(compiled) == len(pure):
-    sys.exit("the mutant went unnoticed")
-print(wrong[0])
-"""
-
-# A small partial carry one too high in the matrix route's entry 1, where
-# the loop's first partial carry is 0: the wrong value and the right one
-# are both ints the interpreter caches. The check must raise; where it does
-# not, prints the first step at which the trace is not the pure backend's
-CATCH_A_SMALL_INT_SLIP = """\
-import sys
-from dataclasses import replace
 import caosim
 from caosim import EngineDivergenceError, kernel, parse, run
 from caosim.kernel import _stepcore
 
 assert caosim.__file__.startswith(sys.argv[1]) and _stepcore.__file__.startswith(sys.argv[1])
 real = kernel.advance
+FAULT
 
 def wrong(plan, compiled, state, limit, k=0, hold=False):
-    entries, last, stop = real(plan, compiled, state, limit, k, hold=hold)
-    if k == 0 and len(entries) > 1:
-        e = entries[1]
-        assert e.partials[0] == 0
-        entries[1] = replace(e, partials=(1, *e.partials[1:]))
-    return entries, last, stop
+    stretch, last, stop = real(plan, compiled, state, limit, k, hold=hold)
+    if k == 0 and stretch.updates > 1:
+        fault(stretch)
+    return stretch, last, stop
 
 kernel.advance = wrong
 spec = parse(sys.stdin.read(), allow_cycles=True)
@@ -1160,6 +950,30 @@ kernel.advance = real
 pure = run(spec, max_steps=3000, engine="matrix", backend="pure")
 print(next(i for i, (a, b) in enumerate(zip(trace.steps, pure.steps)) if a != b))
 """
+
+# The loop's first partial carry is 250000000 and 0 at update 1: a 1 there
+# is a cached small int where another is right
+CATCH_A_SMALL_INT_SLIP = CATCH_A_WRONG_RECORD.replace(
+    "FAULT",
+    """
+def fault(stretch):
+    change = list(stretch.changes[0])
+    at = next(i for i in range(0, len(change), 2) if change[i] == 8)  # i's partial carry
+    assert change[at + 1] == 0
+    change[at + 1] = 1
+    stretch.changes[0] = tuple(change)
+""",
+)
+
+# Update 1's record without its first change, a component update 0 moved
+CATCH_A_MISSING_CHANGE = CATCH_A_WRONG_RECORD.replace(
+    "FAULT",
+    """
+def fault(stretch):
+    assert stretch.changes[0][0] < 8
+    stretch.changes[0] = stretch.changes[0][2:]
+""",
+)
 
 
 @dataclass(frozen=True)
@@ -1177,16 +991,15 @@ class Mutant:
 
 # The committed mutants of the C kernel, by section. One credit dropped, in
 # the int64 loop's update and in the enactor's: each route's mutant must be
-# caught by the other. The int64 loop's sharing rule broken three ways: the
-# first two record wrong values, which the enactor must catch on the first
-# update, and the third lets an int subclass out of row 0. The entry writer
-# broken two ways: step numbers one too high, which the pure backend's trace
-# shows, and partials and common carries swapped where the fold lowers a
-# carry, which the enactor must catch on the first update. The enactor's
-# fold taking its first input's carry, not the least, which the int64 loop
-# must catch on the first update of a start that lowers a carry; and its
-# identity test taking any cached small int for any small value, which
-# lets a wrong small carry through.
+# caught by the other. The int64 loop's record broken three ways: a change
+# of the state omitted, a lowered common carry taken from the wrong member,
+# and the first update's partials taken from its common carries; the enactor
+# must catch each on the first update. The enactor's fold taking its first
+# input's carry, not the least, which the int64 loop must catch on the
+# first update of a start that lowers a carry; its identity test taking any
+# cached small int for any small value, which lets a wrong small carry
+# through; and its check of a record's changes skipping their count, which
+# lets a record that omits a change through.
 KERNEL_MUTANTS = {
     MATRIX_SECTION: [
         Mutant(
@@ -1195,36 +1008,22 @@ KERNEL_MUTANTS = {
             "    for (e = 1; e < self->nedges; e++) {\n",
         ),
         Mutant(
-            "a previous item reused unseen",
-            "        if (v && row[i] == old[i] && PyLong_CheckExact(v))\n",
-            "        if (v && PyLong_CheckExact(v))\n",
+            "a change of the state omitted",
+            "            if (nxt[i] != s[i]) {\n",
+            "            if (i && nxt[i] != s[i]) {\n",
         ),
         Mutant(
             "a lowered carry from the first member",
-            "        Py_ssize_t at = pc[i] == p[i] ? i : low[self->group_of[i]];\n",
-            "        Py_ssize_t at = pc[i] == p[i] ? i : self->grp_members[self->grp_off[self->group_of[i]]];\n",
+            "                Py_ssize_t at = pc[i] == p[i] ? i : low[self->group_of[i]];\n",
+            "                Py_ssize_t at = pc[i] == p[i] ? i : self->grp_members[self->grp_off[self->group_of[i]]];\n",
             # the loop from its own start never lowers a carry
             text=LOWERING_LOOP_TEXT,
         ),
         Mutant(
-            "an int subclass reused",
-            "        if (v && row[i] == old[i] && PyLong_CheckExact(v))\n",
-            "        if (v && row[i] == old[i])\n",
-            catch=CATCH_A_SHARED_SUBCLASS,
-            text=LOWERING_LOOP_TEXT,
-            caught="1\n",
-        ),
-        Mutant(
-            "the step number off by one",
-            "        if ((ENTRY_SLOT(*ec, entry, 0) = PyLong_FromSsize_t(k)))\n",
-            "        if ((ENTRY_SLOT(*ec, entry, 0) = PyLong_FromSsize_t(k + 1)))\n",
-            catch=CATCH_A_WRONG_ENTRY,
-        ),
-        Mutant(
-            "partials and common carries swapped",
-            "        if (append_entry(ec, out, k + PyList_GET_SIZE(out), head, Py_XNewRef(pt), pct) < 0\n",
-            "        if (append_entry(ec, out, k + PyList_GET_SIZE(out), head, pct, Py_XNewRef(pt)) < 0\n",
-            # equal, one tuple, wherever no carry is lowered
+            "the first update's partials taken from its common carries",
+            "        if (!(r->first[0] = copy_tuple(p, m)))\n",
+            "        if (!(r->first[0] = copy_tuple(pc, m)))\n",
+            # equal wherever no carry is lowered
             text=LOWERING_LOOP_TEXT,
         ),
     ],
@@ -1243,11 +1042,18 @@ KERNEL_MUTANTS = {
         ),
         Mutant(
             "any cached small int taken for any small value",
-            "        if ((uint64_t)values[i] <= ENACTOR_SMALL && v == enactor_small[values[i]])\n",
-            "        if ((uint64_t)values[i] <= ENACTOR_SMALL && PyLong_CheckExact(v)"
+            "    if ((uint64_t)value <= ENACTOR_SMALL && v == enactor_small[value])\n",
+            "    if ((uint64_t)value <= ENACTOR_SMALL && PyLong_CheckExact(v)"
             " && PyLong_AsUnsignedLongMask(v) <= ENACTOR_SMALL"
             " && v == enactor_small[PyLong_AsUnsignedLongMask(v)])\n",
             catch=CATCH_A_SMALL_INT_SLIP,
+            caught="1\n",
+        ),
+        Mutant(
+            "the count of a record's changes unchecked",
+            "    return moved == self->nflagged;\n",
+            "    return 1;\n",
+            catch=CATCH_A_MISSING_CHANGE,
             caught="1\n",
         ),
     ],

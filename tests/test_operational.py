@@ -22,7 +22,7 @@ from caosim import (
     step_operational,
 )
 from caosim.kernel import _stepcore
-from caosim.model import TraceStep
+from caosim.model import Stretch
 from caosim.operational import enactor
 from caosim.simulate import _hand_back
 from conftest import (
@@ -33,7 +33,7 @@ from conftest import (
     as_rows,
     package_imports,
     random_parameters,
-    recorded,
+    record_of,
 )
 
 
@@ -406,9 +406,9 @@ class TestEnactor:
 
 
 class TestLockStepCheck:
-    """``send((entries, last))`` checks a stretch of the matrix route as the
-    enactor takes it; the literal ``enact`` gives the rows its entries are
-    recorded from."""
+    """``send((stretch, last))`` checks a stretch of the matrix route as the
+    enactor takes it; the literal ``enact`` gives the rows its record is
+    written from."""
 
     @staticmethod
     def literal_stretch(spec, state, limit):
@@ -426,7 +426,7 @@ class TestLockStepCheck:
         next(updates)
         for limit in (1, 7, 300):
             rows, last = self.literal_stretch(LOOP, state, limit)
-            assert updates.send((recorded(rows), last)) is None
+            assert updates.send((record_of(rows), last)) is None
             state = last
         # and the enactor goes on from there
         assert one_update(updates) == enact(resolve(LOOP), state)
@@ -436,7 +436,7 @@ class TestLockStepCheck:
         rows, last = self.literal_stretch(showcase, state, 9)
         updates = enactor(resolve(showcase), state)
         next(updates)
-        assert updates.send((recorded(rows), last)) is None
+        assert updates.send((record_of(rows), last)) is None
 
     @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
     @pytest.mark.parametrize("at", [0, 3, 9])  # 9: the next state is ``last``
@@ -458,7 +458,7 @@ class TestLockStepCheck:
         rows[at + 2 :] = [(bump(s), p, pc) for s, p, pc in rows[at + 2 :]]  # later rows wrong too
         updates = enactor(resolve(LOOP), state)
         next(updates)
-        assert updates.send((recorded(rows), last)) == (at, right[at])
+        assert updates.send((record_of(rows), last)) == (at, right[at])
 
     def test_the_check_keeps_no_rows(self):
         # Taking a stretch builds its rows; checking one holds a row at a
@@ -466,7 +466,7 @@ class TestLockStepCheck:
         state = LOOP.start_state()
         rows, last = self.literal_stretch(LOOP, state, 1024)
         peaks = []
-        for job in ((0, 1024), (recorded(rows), last)):
+        for job in ((0, 1024), (record_of(rows), last)):
             updates = enactor(resolve(LOOP), state)
             next(updates)
             tracemalloc.start()
@@ -484,23 +484,24 @@ class Big(int):
 
 
 Z8 = (0,) * 8
-ENTRY = TraceStep(0, Z8, Z8, Z8)
+RECORD = Stretch(0, Z8, Z8, Z8, [])
+LOOP_FIRST = record_of([(LOOP.start_state(), *enact(resolve(LOOP), LOOP.start_state())[1:])])
 
 
 def generator_check(operators, state, rows, last):
     """What a freshly primed :func:`enactor` makes of the stretch."""
     updates = enactor(operators, state)
     next(updates)
-    return updates.send((recorded(rows), last))
+    return updates.send((record_of(rows), last))
 
 
 def c_check(operators, state, rows, last):
     """What ``run`` makes of the stretch on the compiled backend: the C
     enactor's check, with the rows it hands back checked by the generator."""
     fast = _stepcore.Enactor(operators, state)
-    done = fast.send((recorded(rows), last))
+    done = fast.send((record_of(rows), last))
     if type(done) is int:
-        done, _ = _hand_back(operators, fast, recorded(rows), last, done)
+        done, _ = _hand_back(operators, fast, record_of(rows), last, done)
     return done
 
 
@@ -534,20 +535,14 @@ class TestCEnactor:
         fast = _stepcore.Enactor(resolve(loop), state)
         for limit in (1, 7, 300, 1024):
             rows, last = stretch(resolve(loop), state, limit)
-            assert fast.send((recorded(rows), last)) is None
+            assert fast.send((record_of(rows), last)) is None
             assert fast.state == last
             state = last
-
-    def test_an_empty_stretch_checks_nothing(self):
-        fast = _stepcore.Enactor(resolve(LOOP), LOOP.start_state())
-        assert fast.send(([], LOOP.start_state())) is None
-        assert fast.send(((), (2**70,) * LOOP.m)) is None
-        assert fast.state == LOOP.start_state()
 
     def test_a_fixed_point_is_checked_like_any_row(self, showcase):
         state = showcase.start_state()
         rows, last = stretch(resolve(showcase), state, 9)
-        assert _stepcore.Enactor(resolve(showcase), state).send((recorded(rows), last)) is None
+        assert _stepcore.Enactor(resolve(showcase), state).send((record_of(rows), last)) is None
 
     @both_starts
     @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
@@ -563,7 +558,7 @@ class TestCEnactor:
         else:
             rows[at] = tuple(bump(v) if f == field else v for f, v in enumerate(rows[at]))
         rows[at + 2 :] = [(bump(s), p, pc) for s, p, pc in rows[at + 2 :]]  # later rows wrong too
-        done = _stepcore.Enactor(operators, state).send((recorded(rows), last))
+        done = _stepcore.Enactor(operators, state).send((record_of(rows), last))
         assert done == generator_check(operators, state, rows, last)
         assert done[0] == at
 
@@ -591,7 +586,7 @@ class TestCEnactor:
             elif row or field:
                 rows[row] = tuple(bump(v, entry, by) if f == field else v for f, v in enumerate(rows[row]))
             want = generator_check(operators, state, rows, last)
-            done = _stepcore.Enactor(operators, state).send((recorded(rows), last))
+            done = _stepcore.Enactor(operators, state).send((record_of(rows), last))
             assert done == want or type(done) is int and (want is None or done <= want[0])
             assert c_check(operators, state, rows, last) == want
 
@@ -599,7 +594,7 @@ class TestCEnactor:
         for state in [(2**63,) + (0,) * 7, LOOP.start_state()[:-1] + (Big(3),), (True,) + (0,) * 7]:
             fast = _stepcore.Enactor(resolve(LOOP), state)
             rows, last = stretch(resolve(LOOP), state, 20)
-            assert fast.send((recorded(rows), last)) == 0
+            assert fast.send((record_of(rows), last)) == 0
             assert fast.state is state
             assert c_check(resolve(LOOP), state, rows, last) is None
 
@@ -610,7 +605,7 @@ class TestCEnactor:
         operators, state = resolve(GROWING_CYCLE), (2**60, 2**60, 0)
         rows, last = stretch(operators, state, 40)
         fast = _stepcore.Enactor(operators, state)
-        at = fast.send((recorded(rows), last))
+        at = fast.send((record_of(rows), last))
         assert type(at) is int and 0 < at < 40
         assert fast.state == rows[at][0]
         assert c_check(operators, state, rows, last) is None
@@ -622,16 +617,21 @@ class TestCEnactor:
         # Python compares it by its own __eq__, so the generator decides
         operators, state = resolve(LOOP), LOOP.start_state()
         rows, last = stretch(operators, state, 10)
-        clean = list(rows)
-        s, p, pc = rows[4]
-        i = pc.index(0)
-        rows[4] = (s, p, (*pc[:i], kind(0), *pc[i + 1 :]))
+        record = record_of(rows)
+        change = list(record.changes[3])  # update 4's
+        i = next(i for i in range(0, len(change), 2) if change[i] >= 2 * LOOP.m)  # a common carry
+        change[i + 1] = kind(change[i + 1])
+        record.changes[3] = tuple(change)
         fast = _stepcore.Enactor(operators, state)
-        assert fast.send((recorded(rows), last)) == 4
+        assert fast.send((record, last)) == 4
         assert fast.state == rows[4][0]
-        assert c_check(operators, state, rows, last) == generator_check(operators, state, rows, last)
+        want = enactor(operators, state)
+        next(want)
+        want = want.send((record, last))
+        done, _ = _hand_back(operators, fast, record, last, 4)
+        assert done == want
         # after a hand-back it enacts every operator again, from that state
-        assert fast.send((recorded(clean[4:], 4), last)) is None
+        assert fast.send((record_of(rows[4:], 4), last)) is None
 
     def test_an_int_subclass_of_a_cached_value_is_handed_back(self, showcase):
         # Big(3) equals 3 but is not the interpreter's cached 3: the check's
@@ -643,7 +643,7 @@ class TestCEnactor:
         assert p[5] == 3 and pc[5] != 3
         rows[2] = (s, (*p[:5], Big(3), *p[6:]), pc)
         fast = _stepcore.Enactor(operators, state)
-        assert fast.send((recorded(rows), last)) == 2
+        assert fast.send((record_of(rows), last)) == 2
         assert fast.state == s
         assert c_check(operators, state, rows, last) is None
         assert generator_check(operators, state, rows, last) is None
@@ -657,10 +657,10 @@ class TestCEnactor:
         )
         for state in [(7, 0, 0, 0), (100, 3, 50, 9), (5, 40, 0, 11)]:
             rows, last = stretch(operators, state, 30)
-            assert _stepcore.Enactor(operators, state).send((recorded(rows), last)) is None
+            assert _stepcore.Enactor(operators, state).send((record_of(rows), last)) is None
             rows[5] = (rows[5][0], rows[5][1], bump(rows[5][2], 1))
             want = generator_check(operators, state, rows, last)
-            assert _stepcore.Enactor(operators, state).send((recorded(rows), last)) == want
+            assert _stepcore.Enactor(operators, state).send((record_of(rows), last)) == want
 
     @pytest.mark.parametrize("index", [8, -1, 2**70, 2**64 + 1])
     def test_an_index_outside_the_state_is_refused(self, index):
@@ -683,16 +683,20 @@ class TestCEnactor:
     @pytest.mark.parametrize(
         "job, error",
         [
-            ([], TypeError),  # not an (entries, last) pair
-            ((5, Z8), TypeError),  # entries that are not a sequence
-            (([(Z8, Z8, Z8)], Z8), TypeError),  # a row, not an entry
-            (([ENTRY, (Z8, Z8, Z8)], Z8), TypeError),  # entries not all of one class
-            (([TraceStep.__new__(TraceStep)], Z8), TypeError),  # an entry with empty slots
-            (([TraceStep(0, Z8, [0] * 8, Z8)], Z8), TypeError),  # carries not a tuple
-            (([TraceStep(0, Z8, (0,) * 7, Z8)], Z8), ValueError),  # carries too short
-            (([TraceStep(0, (0,) * 9, Z8, Z8)], Z8), ValueError),  # a state too long
-            (([ENTRY] * 3, (0,) * 7), ValueError),  # last too short
-            (([ENTRY] * 3, [0] * 8), TypeError),  # last not a tuple
+            ([], TypeError),  # not a (stretch, last) pair
+            ((5, Z8), TypeError),  # a record that is not a tuple
+            (((Z8, Z8, Z8), Z8), TypeError),  # rows, not a record
+            ((RECORD._replace(partials=[0] * 8), Z8), TypeError),  # carries not a tuple
+            ((RECORD._replace(partials=(0,) * 7), Z8), ValueError),  # carries too short
+            ((RECORD._replace(state=(0,) * 9), Z8), ValueError),  # a state too long
+            ((RECORD._replace(changes=()), Z8), TypeError),  # changes not a list
+            ((RECORD._replace(changes=[[0, 1]]), Z8), TypeError),  # a change not a tuple
+            # the loop's own first update, then changes of the wrong shape
+            ((LOOP_FIRST._replace(changes=[(0,)]), Z8), ValueError),  # not (cell, value) pairs
+            ((LOOP_FIRST._replace(changes=[(24, 1)]), Z8), ValueError),  # a cell past the rows
+            ((LOOP_FIRST._replace(changes=[("0", 1)]), Z8), TypeError),  # a cell that is not an int
+            ((RECORD, (0,) * 7), ValueError),  # last too short
+            ((RECORD, [0] * 8), TypeError),  # last not a tuple
         ],
     )
     def test_entries_of_the_wrong_shape_are_refused(self, job, error):
@@ -700,10 +704,10 @@ class TestCEnactor:
         fast = _stepcore.Enactor(operators, state)
         with pytest.raises(error):
             fast.send(job)
-        # nothing was enacted: the enactor still checks from its start
+        # nothing was taken: the enactor still checks from its start
         assert fast.state == state
         rows, last = stretch(operators, state, 5)
-        assert fast.send((recorded(rows), last)) is None
+        assert fast.send((record_of(rows), last)) is None
 
     def test_a_cycle_through_its_start_is_collected(self):
         class Marker:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+from operator import mul
 import pickle
 import weakref
 import random
@@ -37,14 +38,19 @@ from caosim import (
 )
 from caosim import kernel, rational
 from caosim.kernel import COMPILED_AVAILABLE, _stepcore
-from caosim.simulate import ENGINES, ConservationError, TraceStep, _sweep_weights
+from caosim.model import Stretch
+from caosim.simulate import ENGINES, ConservationError, Steps, TraceStep, _sweep_weights
 from conftest import (
+    FIELDS,
     GROWING_CYCLE_TEXT,
     LOOP_TEXT,
     LOWERING_LOOP_TEXT,
     SHOWCASE_TRAJECTORY,
     lockstep_oracle,
-    untracked_as_recorded,
+    matrix_step,
+    record_of,
+    recorded,
+    with_row,
 )
 
 
@@ -147,10 +153,6 @@ class TestRun:
             run(showcase, schedule=sched)
 
 
-# A trace entry's fields after k, in the order of a (state, partials, common) row.
-FIELDS = ("state", "partials", "common")
-
-
 class TestEngineComparison:
     def test_equal_on_the_showcase(self, showcase):
         report = compare_engines(showcase)
@@ -167,7 +169,7 @@ class TestEngineComparison:
         The enactor checks each stretch itself, so the real one is handed
         the matrix route's next state of update ``at`` one too low: its own
         check finds the mismatch there, and its result is passed on with
-        the next state one too high. The entries ``run`` holds are not changed.
+        the next state one too high. The records ``run`` holds are not changed.
         """
         import caosim.operational as operational
 
@@ -179,14 +181,15 @@ class TestEngineComparison:
 
             def wrong(job):
                 nonlocal taken
-                entries, last = job
-                j = at + 1 - taken  # the entry holding update at's next state
-                taken += len(entries)
-                if j == len(entries):
+                stretch, last = job
+                j = at + 1 - taken  # the update whose state is update at's next state
+                taken += stretch.updates
+                if j == stretch.updates:
                     last = lower(last)
-                elif 0 < j < len(entries):
-                    entries = [*entries[:j], replace(entries[j], state=lower(entries[j].state)), *entries[j + 1 :]]
-                done = send((entries, last))
+                elif 0 < j < stretch.updates:
+                    ((state, _, _),) = stretch.rows(j, j + 1)
+                    stretch = with_row(stretch, j, state=lower(state))
+                done = send((stretch, last))
                 if type(done) is tuple and done[0] == j - 1:
                     nxt, p, pc = done[1]
                     done = j - 1, ((nxt[0] + 1, *nxt[1:]), p, pc)
@@ -286,10 +289,9 @@ class TestEngineComparison:
         real = sim.kernel.advance
 
         def wrong(plan, compiled, start, limit, k=0, hold=False):
-            entries, last, stop = real(plan, compiled, start, limit, k, hold=hold)
-            name = FIELDS[field]
-            entries[row] = replace(entries[row], **{name: bump(getattr(entries[row], name))})
-            return entries, last, stop
+            stretch, last, stop = real(plan, compiled, start, limit, k, hold=hold)
+            ((value,),) = (r[field : field + 1] for r in stretch.rows(row, row + 1))
+            return with_row(stretch, row, **{FIELDS[field]: bump(value)}), last, stop
 
         monkeypatch.setattr(sim.kernel, "advance", wrong)
         # a row's state is the result of the update before it
@@ -352,21 +354,21 @@ class TestLockStepOracle:
         """Patch ``kernel.advance`` so that, from the next run on, update
         ``at`` has a first component one too high in its next state (field
         0), its partials (1) or its common carries (2). ``real`` is the
-        unpatched ``advance``. A next state is the next entry's state, or
-        ``last`` after a stretch's last entry."""
+        unpatched ``advance``. A next state is the next update's state, or
+        ``last`` after a stretch's last update."""
 
         def bump(values):
             return (values[0] + 1, *values[1:])
 
         def wrong(plan, compiled, state, limit, k=0, hold=False):
-            entries, last, stop = real(plan, compiled, state, limit, k, hold=hold)
-            j = at - k + (field == 0)  # the entry holding the value
-            if field == 0 and j == len(entries):
+            stretch, last, stop = real(plan, compiled, state, limit, k, hold=hold)
+            j = at - k + (field == 0)  # the update holding the value
+            if field == 0 and j == stretch.updates:
                 last = bump(last)
-            elif 0 <= j < len(entries):
-                name = FIELDS[field]
-                entries[j] = replace(entries[j], **{name: bump(getattr(entries[j], name))})
-            return entries, last, stop
+            elif 0 <= j < stretch.updates:
+                ((row,),) = (r[field : field + 1] for r in stretch.rows(j, j + 1))
+                stretch = with_row(stretch, j, **{FIELDS[field]: bump(row)})
+            return stretch, last, stop
 
         monkeypatch.setattr(kernel, "advance", wrong)
 
@@ -474,12 +476,12 @@ class TestLockStepOracle:
     @pytest.mark.parametrize("text", [LOOP_TEXT, LOWERING_LOOP_TEXT], ids=["loop", "lowering"])
     @pytest.mark.parametrize("field", [0, 1, 2])  # the next state, the partials, the common carries
     @pytest.mark.parametrize("at", [1, 6, 1030, 2000])  # 2000 is the step limit
-    def test_a_fault_in_the_written_entries_is_the_oracles(self, monkeypatch, text, field, at):
-        # The entries C writes are the trace's own objects, and the check
-        # reads those very objects: a value forced into one of them in place
-        # is found where the oracle finds it, with the same results. At
-        # update 1 the loop's first partial and common carries are 0, so a
-        # partial forced to 1 is a cached small int where another is right.
+    def test_a_fault_in_the_written_record_is_the_oracles(self, monkeypatch, text, field, at):
+        # The record C writes is the trace's own object, and the check reads
+        # that very object: changes forced into its list in place are found
+        # where the oracle finds them, with the same results. At update 1
+        # the loop's first partial and common carries are 0, so a partial
+        # forced to 1 is a cached small int where another is right.
         spec = parse(text, allow_cycles=True)
         real = kernel.advance
 
@@ -487,14 +489,14 @@ class TestLockStepOracle:
             return (values[0] + 1, *values[1:])
 
         def forced(plan, compiled, state, limit, k=0, hold=False):
-            entries, last, stop = real(plan, compiled, state, limit, k, hold=hold)
-            j = at - k + (field == 0)  # the entry holding the value
-            if field == 0 and j == len(entries):
+            stretch, last, stop = real(plan, compiled, state, limit, k, hold=hold)
+            j = at - k + (field == 0)  # the update holding the value
+            if field == 0 and j == stretch.updates:
                 last = bump(last)
-            elif 0 <= j < len(entries):
-                entry, name = entries[j], FIELDS[field]
-                object.__setattr__(entry, name, bump(getattr(entry, name)))
-            return entries, last, stop
+            elif 0 < j < stretch.updates:
+                ((row,),) = (r[field : field + 1] for r in stretch.rows(j, j + 1))
+                stretch.changes[:] = with_row(stretch, j, **{FIELDS[field]: bump(row)}).changes
+            return stretch, last, stop
 
         monkeypatch.setattr(kernel, "advance", forced)
         want = lockstep_oracle(spec, max_steps=2000, backend="compiled")
@@ -587,15 +589,12 @@ class TestConservedWeights:
 
     def test_drift_is_detected(self, showcase):
         good = run(showcase)
+        (stretch,) = good.steps.stretches
         bent = CstTrace(
             spec=good.spec,
             engine=good.engine,
             termination=good.termination,
-            steps=(
-                good.steps[0],
-                replace(good.steps[1], state=(1, *good.steps[1].state[1:])),
-                *good.steps[2:],
-            ),
+            steps=Steps([with_row(stretch, 1, state=(1, *good.steps[1].state[1:]))]),
         )
         report = check_conservation(bent)
         assert not report.ok
@@ -930,22 +929,24 @@ def untracked_runs():
     yield build_linear_chain(2, 70), (2**69 + 5,) + (0,) * 69, 100
 
 
-def row_tuples(trace):
-    for entry in trace.steps:
-        yield from (entry.state, entry.partials, entry.common)
+def record_tuples(trace):
+    """The tuples of a trace's records: each stretch's three rows and each
+    update's changes, but for the empty tuple of a change-free update."""
+    for stretch in trace.steps.stretches:
+        yield from (stretch.state, stretch.partials, stretch.common)
+        yield from filter(None, stretch.changes)
 
 
 @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
-class TestUntrackedRows:
+class TestUntrackedRecords:
     @pytest.mark.parametrize("engine", ["matrix", "both"])
-    def test_compiled_rows_are_untracked(self, engine):
+    def test_compiled_records_are_untracked(self, engine):
         for spec, start, max_steps in untracked_runs():
             trace = run(spec, start, max_steps=max_steps, engine=engine, backend="compiled")
             assert trace.step_count > 1
-            assert not any(map(gc.is_tracked, row_tuples(trace)))
-            assert not any(map(gc.is_tracked, trace.steps))
+            assert not any(map(gc.is_tracked, record_tuples(trace)))
 
-    def test_rows_holding_an_int_subclass_stay_tracked(self):
+    def test_records_holding_an_int_subclass_stay_tracked(self):
         loop = parse(LOOP_TEXT, allow_cycles=True)
         chain = build_linear_chain(2, 70)
         for spec, start in [
@@ -954,42 +955,19 @@ class TestUntrackedRows:
             (chain, (2**69 + 5,) + (0,) * 68 + (Big(3),)),
         ]:
             trace = run(spec, start, max_steps=100, engine="matrix", backend="compiled")
-            held = [any(type(v) is not int for v in t) for t in row_tuples(trace)]
+            held = [any(type(v) is not int for v in t) for t in record_tuples(trace)]
             assert held[0] and not all(held)
-            assert [gc.is_tracked(t) for t in row_tuples(trace)] == held
+            assert [gc.is_tracked(t) for t in record_tuples(trace)] == held
 
-    def test_the_pure_backend_builds_no_row_in_c(self):
+    def test_the_pure_backend_builds_no_record_in_c(self):
         # with collection off, nothing but C can untrack a fresh tuple
         gc.disable()
         try:
             for spec, start, max_steps in untracked_runs():
                 trace = run(spec, start, max_steps=max_steps, engine="matrix", backend="pure")
-                assert all(map(gc.is_tracked, row_tuples(trace)))
+                assert all(map(gc.is_tracked, record_tuples(trace)))
         finally:
             gc.enable()
-
-    @pytest.mark.parametrize(
-        "engine, backend",
-        [("matrix", "pure"), ("both", "pure"), ("operational", "pure"), ("operational", "compiled")],
-    )
-    def test_entries_over_python_rows_stay_tracked(self, engine, backend):
-        # the pure backend and the enactor build their rows in Python, so
-        # with collection off every row, and so every entry, stays tracked
-        gc.disable()
-        try:
-            for spec, start, max_steps in untracked_runs():
-                trace = run(spec, start, max_steps=max_steps, engine=engine, backend=backend)
-                assert all(map(gc.is_tracked, trace.steps))
-        finally:
-            gc.enable()
-
-    def test_an_entry_holding_an_int_subclass_stays_tracked(self):
-        start = (Big(100012346), 100012345) + (0,) * 6
-        for engine in ("matrix", "both"):
-            trace = run(LOOP, start, max_steps=100, engine=engine, backend="compiled")
-            held = [type(e.state[0]) is Big for e in trace.steps]
-            assert held[0] and not all(held)
-            assert [gc.is_tracked(e) for e in trace.steps] == held
 
     def test_a_cycle_through_an_entry_is_collected(self):
         class Marker:
@@ -1027,7 +1005,6 @@ class TestRecordedEntries:
         ]
         want = traces[0]
         assert [e.k for e in want.steps] == list(range(min(max_steps, 2601) + 1))
-        assert len({id(e) for e in want.steps}) == len(want.steps)
         states = [e.state for e in want.steps]
         assert set(states[1:1501]) == {(2, 2, 0)} and set(states[1501:]) <= {(0, 1, 1)}
         for got in traces[1:]:
@@ -1036,31 +1013,24 @@ class TestRecordedEntries:
 
     @pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiled)])
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_a_held_fixed_state_repeats_its_entry(self, engine, backend):
+    def test_a_held_fixed_state_changes_nothing(self, engine, backend):
         # 8 is 22 in base 3, fixed from step 1 until base 2 moves it at step
-        # 1500: each stretch up to there holds its fixed entry, the same
-        # three tuples at consecutive steps
+        # 1500: each stretch up to there records the fixed state's updates
+        # as changing nothing, and reads back the same three tuples at
+        # consecutive steps
         chain = build_linear_chain(2, 3)
         base3 = with_parameters(chain, [((3,), (1,)), ((3,), (1,))])
         sched = ParameterSchedule.from_mapping(chain, {1500: chain}, default=base3)
-        gc.disable()  # with collection off, nothing but C can untrack an entry
-        try:
-            steps = run(chain, (8, 0, 0), max_steps=1600, engine=engine, schedule=sched, backend=backend).steps
-        finally:
-            gc.enable()
+        steps = run(chain, (8, 0, 0), max_steps=1600, engine=engine, schedule=sched, backend=backend).steps
         # from step 1501 on base 3 holds for good, so the run settles
         assert len(steps) > 1501 and [e.k for e in steps] == list(range(len(steps)))
-        assert len(set(map(id, steps))) == len(steps)
-        for first, end in [(1, 1024), (1024, 1500)]:  # the two stretches that hold (2, 2, 0)
-            fixed = steps[first]
+        first, second, *_ = steps.stretches
+        assert first.changes[1:] == [()] * 1022 and second.changes == [()] * 475
+        for begin, end in [(1, 1024), (1024, 1500)]:  # the two stretches that hold (2, 2, 0)
+            fixed, *rest = steps[begin:end]
             assert fixed.state == (2, 2, 0) and not any(fixed.common)
-            for e in steps[first + 1 : end]:
+            for e in rest:
                 assert e.state is fixed.state and e.partials is fixed.partials and e.common is fixed.common
-        # C writes the matrix route's entries, held ones too, untracked
-        if backend == "compiled" and engine != "operational":
-            assert not any(map(gc.is_tracked, steps)) and all(map(untracked_as_recorded, steps))
-        else:
-            assert all(map(gc.is_tracked, steps))
 
 
 def recording_runs():
@@ -1176,3 +1146,194 @@ class TestCollectorPaused:
             with collector(False):
                 off = run(*args, engine=engine, backend=backend, **keywords)
             assert on == off
+
+
+def full_rows(spec, state, max_steps, schedule=None):
+    """The ``(state, partials, common)`` row of every step ``run`` records,
+    each by ``matrix_step``, the paper's update applied literally to the
+    matrices of the parameters in force: a fixed point ends the run only
+    once the schedule can no longer change them."""
+    sched = schedule if schedule is not None else ParameterSchedule.constant(spec)
+    rows = []
+    for k in range(max_steps + 1):
+        spec_k, until = sched.span(k)
+        nxt, p, pc = matrix_step(spec_k, state)
+        rows.append((state, p, pc))
+        if until is None and not any(pc):
+            break
+        state = nxt
+    return rows
+
+
+def oracle_conservation(trace, weights):
+    """``check_conservation``'s report as it was made from full rows: one
+    dot product per weight row and recorded state."""
+    rows = tuple(tuple(w) for w in weights)
+    start = trace.steps[0].state
+    constants = tuple(sum(map(mul, w, start)) for w in rows)
+    failures = []
+    for entry in trace.steps[1:]:
+        for r, w in enumerate(rows):
+            value = sum(map(mul, w, entry.state))
+            if value != constants[r]:
+                failures.append((r, entry.k, value))
+    return rows, constants, tuple(failures)
+
+
+BACKENDS_BUILT = ["pure", "compiled"] if COMPILED_AVAILABLE else ["pure"]
+
+
+class TestStepsReadBack:
+    """``CstTrace.steps`` replays each stretch record into entries: every
+    engine × backend run must read back as the full-row recording it
+    replaced (``recorded`` over ``full_rows``), by value, through
+    iteration, random access, slices and negative indices."""
+
+    @staticmethod
+    def case(rng, kind, side):
+        """``(spec, start, max_steps, schedule)`` of one kind of run."""
+        big = 2**63 if side == "above" else 0
+        if kind == "loop":
+            spec = parse(LOOP_TEXT, allow_cycles=True)
+            start = tuple(rng.randrange(10**6) + (big if i == 7 else 0) for i in range(spec.m))
+            return spec, start, rng.choice([3, 40, 1100]), None
+        if kind == "growing":
+            spec = parse(GROWING_CYCLE_TEXT, allow_cycles=True)
+            start = (big + rng.randrange(2**20), rng.randrange(2**20), 0)
+            return spec, start, rng.choice([3, 40, 300]), None
+        if kind == "held":
+            # base 3 until a schedule step: the fixed point is held until then
+            chain = build_linear_chain(2, 3)
+            base3 = with_parameters(chain, [((3,), (1,)), ((3,), (1,))])
+            sched = ParameterSchedule.from_mapping(chain, {rng.choice([5, 1030]): chain}, default=base3)
+            return chain, (big + rng.randrange(100), 0, 0), 1100, sched
+        spec = random_cao(rng, max_entities=8)
+        return spec, tuple(v + big for v in random_state(rng, spec)), 50, None
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["loop", "growing", "held", "acyclic"]),
+        st.sampled_from(["below", "above"]),
+    )
+    def test_every_run_reads_back_as_the_recording(self, seed, kind, side):
+        rng = random.Random(seed)
+        spec, start, max_steps, sched = self.case(rng, kind, side)
+        want = recorded(full_rows(spec, start, max_steps, sched))
+        n = len(want)
+        for engine in ENGINES:
+            for backend in BACKENDS_BUILT:
+                steps = run(spec, start, max_steps=max_steps, engine=engine, schedule=sched, backend=backend).steps
+                assert len(steps) == n and list(steps) == want and steps == tuple(want)
+                for _ in range(5):
+                    i = rng.randrange(-n, n)
+                    assert steps[i] == want[i]
+                    a, b = rng.randrange(-n - 2, n + 2), rng.randrange(-n - 2, n + 2)
+                    step = rng.choice([1, 2, 7, -1, -3])
+                    assert steps[a:b:step] == tuple(want[a:b:step])
+                with pytest.raises(IndexError):
+                    steps[n]
+                with pytest.raises(IndexError):
+                    steps[-n - 1]
+
+    def test_steps_compare_by_value(self):
+        loop = parse(LOOP_TEXT, allow_cycles=True)
+        compiled = run(loop, max_steps=1100, engine="matrix", backend=BACKENDS_BUILT[-1]).steps
+        pure = run(loop, max_steps=1100, engine="matrix", backend="pure").steps
+        operational = run(loop, max_steps=1100, engine="operational").steps
+        assert compiled == pure == operational and not compiled != pure
+        shorter = run(loop, max_steps=1099, engine="matrix").steps
+        assert compiled != shorter and shorter != tuple(compiled)
+        assert compiled[0] is not compiled[0] and compiled[0] == compiled[-len(compiled)]
+        with pytest.raises(TypeError):
+            hash(compiled)
+
+
+class TestConservationByChanges:
+    """``check_conservation`` moves w·x by each update's changes; the dot
+    products of full rows it replaced are its oracle."""
+
+    @pytest.mark.parametrize("backend", BACKENDS_BUILT)
+    def test_matches_the_full_row_dot_products(self, backend):
+        loop = parse(LOOP_TEXT, allow_cycles=True)
+        chain = build_linear_chain(2, 40)
+        base3 = with_parameters(build_linear_chain(2, 3), [((3,), (1,)), ((3,), (1,))])
+        sched = ParameterSchedule.from_mapping(build_linear_chain(2, 3), {1030: build_linear_chain(2, 3)}, default=base3)
+        runs = [
+            (run(loop, max_steps=2100, engine="matrix", backend=backend), [(1,) * 8, (1, 1, 1, 1, 2, 0, 1, 1)]),
+            (run(chain, (2**39 + 5,) + (0,) * 39, engine="both", backend=backend), [tuple(2**i for i in range(40))]),
+            # the base-2 weights drift under base 3, a failure at every step
+            (run(build_linear_chain(2, 3), (20, 0, 0), max_steps=1100, schedule=sched, backend=backend), [(1, 2, 4)]),
+        ]
+        for trace, weights in runs:
+            report = check_conservation(trace, weights)
+            assert (report.weights, report.constants, report.failures) == oracle_conservation(trace, weights)
+        assert runs[2][0].steps.stretches[1].changes[0] == ()  # held updates changed nothing
+        assert len(check_conservation(runs[2][0], [(1, 2, 4)]).failures) > 1000
+
+
+class TestStretchRecord:
+    """``Stretch`` replays its changes into rows, and ``Steps`` reads a run's
+    records as entries, across stretch boundaries."""
+
+    # m = 2: cells 0-1 the state, 2-3 the partials, 4-5 the common carries
+    RECORD = Stretch(5, (9, 0), (4, 0), (4, 0), [(0, 1, 1, 8, 2, 0, 3, 4, 4, 0, 5, 4), (), (1, 0, 3, 0, 5, 0)])
+    ROWS = [
+        ((9, 0), (4, 0), (4, 0)),
+        ((1, 8), (0, 4), (0, 4)),
+        ((1, 8), (0, 4), (0, 4)),
+        ((1, 0), (0, 0), (0, 0)),
+    ]
+
+    def test_rows_replay_the_changes(self):
+        record = self.RECORD
+        assert record.updates == 4 and list(record.rows()) == self.ROWS
+        for start in range(6):
+            for stop in range(6):
+                assert list(record.rows(start, stop)) == self.ROWS[start:stop]
+        # a change-free update reads back as the same tuples
+        second, third = record.rows(1, 3)
+        assert all(a is b for a, b in zip(second, third))
+
+    def test_since_starts_a_record_at_an_update(self):
+        assert self.RECORD.since(0) is self.RECORD
+        for j in range(1, 4):
+            later = self.RECORD.since(j)
+            assert later.k == 5 + j and later.updates == 4 - j
+            assert list(later.rows()) == self.ROWS[j:]
+            assert later.changes is not self.RECORD.changes
+
+    def test_steps_number_the_records_on(self):
+        steps = Steps([self.RECORD._replace(k=0), self.RECORD._replace(k=4)])
+        assert len(steps) == 8 and [e.k for e in steps] == list(range(8))
+        assert [tuple(row[1:]) for row in steps.rows()] == self.ROWS * 2
+        assert list(steps.rows(3, 6)) == [(k, *row) for k, row in zip(range(3, 6), (self.ROWS * 2)[3:6])]
+        assert repr(steps) == "<Steps: 8 entries in 2 stretches>"
+
+    def test_slices_cross_stretch_boundaries(self):
+        loop = parse(LOOP_TEXT, allow_cycles=True)
+        steps = run(loop, max_steps=3000, engine="matrix").steps
+        assert len(steps.stretches) == 3
+        entries = list(steps)
+        for cut in (slice(1020, 1030), slice(2040, None), slice(None, None, -500), slice(3000, 1000, -7)):
+            assert steps[cut] == tuple(entries[cut])
+        assert steps[1024] == entries[1024] and steps[-1977] == entries[1024]
+
+    def test_an_empty_slice_is_an_empty_tuple(self, showcase):
+        steps = run(showcase).steps
+        assert steps[2:2] == () and steps[5:] == () and steps[::-1] == tuple(reversed(list(steps)))
+
+    def test_steps_equal_only_steps_and_tuples(self, showcase):
+        steps = run(showcase).steps
+        assert steps == tuple(steps) and tuple(steps) == steps
+        assert steps != list(steps) and steps != None  # noqa: E711
+        assert (steps == list(steps)) is False
+
+    @pytest.mark.parametrize("engine", ["matrix", "operational"])
+    def test_equal_first_carries_are_one_tuple(self, engine):
+        chain, lowering = build_linear_chain(2, 5), parse(LOWERING_LOOP_TEXT, allow_cycles=True)
+        for backend in BACKENDS_BUILT:
+            (first,) = run(chain, (20, 0, 0, 0, 0), engine=engine, backend=backend).steps.stretches
+            assert first.common is first.partials
+            (first,) = run(lowering, max_steps=5, engine=engine, backend=backend).steps.stretches
+            assert first.common != first.partials
