@@ -35,25 +35,21 @@ from .engine import (
     step,
     with_parameters,
 )
-from .operational import resolve, step_operational
+from .operational import resolve
 from .sweep import fixed_point
 from .simulate import (
-    ConservationError,
     ConservationReport,
     CstTrace,
     Divergence,
-    EngineComparison,
     EngineDivergenceError,
     Steps,
     TraceStep,
     build_linear_chain,
     check_conservation,
-    compare_engines,
     conserved_weights,
     random_cao,
     random_state,
     run,
-    verify_conservation,
 )
 from .dsl import (
     Diagnostic,
@@ -94,24 +90,19 @@ __all__ = [
     "step",
     "with_parameters",
     "resolve",
-    "step_operational",
     "fixed_point",
-    "ConservationError",
     "ConservationReport",
     "CstTrace",
     "Divergence",
-    "EngineComparison",
     "EngineDivergenceError",
     "Steps",
     "TraceStep",
     "build_linear_chain",
     "check_conservation",
-    "compare_engines",
     "conserved_weights",
     "random_cao",
     "random_state",
     "run",
-    "verify_conservation",
     "Diagnostic",
     "DslError",
     "SourceSpan",

@@ -29,7 +29,8 @@ the entries they credit, so only those entries' partial carries and the
 carry groups they belong to are computed again (in a sandpile, only sites
 that just received grains can topple; Dhar, PRL 64, 1990). :func:`step`
 takes one update and reads its rows straight off the kernel's result, and
-:func:`caosim.simulate.run` drives whole runs with ``advance``.
+:func:`caosim.simulate.run` drives whole runs with ``advance``, and records
+a fixed point held under a schedule, where a stretch of ``advance`` ends.
 
 Every tuple C makes of exact ints, a row or an update's changes, is born
 untracked by the cyclic garbage collector; the pure backend's tuples stay
@@ -42,7 +43,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from typing import Sequence
 
 from .model import CaoSpec, Stretch, entity_index, per_spec
@@ -154,19 +155,16 @@ def bind(plan: StepPlan, backend: str | None = None):
     return plan._compiled
 
 
-def advance(
-    plan: StepPlan, compiled, state: Sequence[int], limit: int, k: int = 0, *, hold: bool = False
-):
+def advance(plan: StepPlan, compiled, state: Sequence[int], limit: int, k: int = 0):
     """From 1 to ``limit`` updates of ``state`` under ``plan``: ``(stretch, last, stop)``.
 
     ``compiled`` is what :func:`bind` returned for the plan. ``stretch`` is
     the :class:`~caosim.model.Stretch` record of the updates taken,
     numbered from ``k``. ``last`` is the state after the last update, and
     ``stop`` is 0 when the last update's common carries are all zero (a
-    fixed point) and 1 when ``limit`` updates were taken. With ``hold``, a
-    fixed point repeats up to the limit, each repeat recorded as changing
-    nothing, as a run under a schedule records a fixed state until the
-    parameters may change; ``stop`` is still 0.
+    fixed point) and 1 when ``limit`` updates were taken. A stretch ends at
+    its fixed point; :func:`caosim.simulate.run` records a fixed point held
+    under a schedule.
 
     On the compiled backend the whole stretch is one ``PlanKernel.run``
     call: in int64 while it holds the update, and in exact Python ints,
@@ -177,8 +175,6 @@ def advance(
     plan's, or a limit below 1, raises ValueError on either backend.
     """
     start, partials, common, changes, last, stop = _run(plan, compiled, state, limit)
-    if hold and stop == 0:
-        changes += repeat((), limit - 1 - len(changes))
     return Stretch(k, start, partials, common, changes), last, stop
 
 

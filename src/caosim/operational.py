@@ -32,7 +32,10 @@ them, the first in full and each later one by the cells it changed. The
 record is the very object the trace keeps; it reaches this module only to be
 compared, and nothing here is computed from it. The record class,
 :class:`~caosim.model.Stretch`, comes from :mod:`caosim.model`, as
-everything here does.
+everything here does. A stretch ends at its first fixed point; ``run``
+records a fixed point held under a schedule, for both routes, and sends the
+held updates here to be checked as any other. One update is a stretch of
+one, ``send((0, 1))``; :func:`caosim.step` is the public one-update call.
 
 On the compiled backend ``run`` makes that check with ``_stepcore.Enactor``,
 this module's enactor written again in C: built from :func:`resolve`'s
@@ -46,9 +49,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Generator, Sequence
 
-from .model import CaoSpec, Stretch, check_state, entity_index, per_spec
+from .model import CaoSpec, Stretch, entity_index, per_spec
 
-StepResult = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 IndexPairs = tuple[tuple[int, int], ...]
 Resolved = tuple[tuple[IndexPairs, IndexPairs], ...]
 
@@ -65,20 +67,6 @@ def resolve(spec: CaoSpec) -> Resolved:
         )
         for op in spec.operators
     )
-
-
-def step_operational(spec: CaoSpec, state: Sequence[int]) -> StepResult:
-    """One synchronous update; returns (next, partials, common carries).
-
-    Same contract as the matrix engine's ``step``: every carry is read from
-    the incoming snapshot, and all removals and credits land in a separate
-    next state.
-    """
-    check_state(spec, state)
-    updates = enactor(resolve(spec), state)
-    next(updates)
-    stretch, nxt, _ = updates.send((0, 1))
-    return nxt, stretch.partials, stretch.common
 
 
 def enactor(operators: Resolved, state: Sequence[int]) -> Generator:

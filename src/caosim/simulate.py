@@ -19,12 +19,13 @@ full, then for each later update only the cells whose value differs from
 the update before. ``run`` keeps the records as they are, and
 :class:`Steps` builds a :class:`TraceStep` from them each time one is read.
 A fixed point reached while the schedule may still change the parameters is
-held: each update of it is recorded as changing nothing, up to that change.
-In "both", the enactor is sent each matrix record instead: it takes one
-update per update recorded and compares each as it goes, the first in full
-and each later one by the cells it changed, keeping none of its own, and
-names the first mismatch, from which ``run`` raises. So the check compares
-the very record the trace keeps.
+held: ``run`` pads either route's stretch with updates that change nothing,
+up to that change, before the check below reads it. In "both", the enactor
+is sent each matrix record instead: it takes one update per update recorded
+and compares each as it goes, the first in full and each later one by the
+cells it changed, keeping none of its own, and names the first mismatch,
+from which ``run`` raises. So the check compares the very record the trace
+keeps.
 
 On the compiled backend that enactor is ``_stepcore.Enactor``: the same
 literal procedure and frontier rule as ``operational.enactor``, written in
@@ -56,7 +57,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import islice, repeat, starmap
 from math import gcd, lcm
-from operator import attrgetter, eq, mul
+from operator import attrgetter, eq, index, mul
 from typing import Iterator, Mapping, Sequence
 
 from . import kernel, operational, rational
@@ -135,6 +136,10 @@ class Steps(SequenceABC):
             if picked.step > 0:
                 return tuple(islice(starmap(TraceStep, self.rows(picked[0], picked[-1] + 1)), 0, None, picked.step))
             return tuple(starmap(TraceStep, list(self.rows(picked[-1], picked[0] + 1))[:: picked.step]))
+        try:
+            i = index(i)
+        except TypeError:
+            raise TypeError(f"trace step indices must be integers or slices, not {type(i).__name__}") from None
         if i < 0:
             i += self._len
         if not 0 <= i < self._len:
@@ -284,23 +289,22 @@ def run(
                         updates = operational.enactor(operators, state)
                         next(updates)
             limit = min(_RUN_CHUNK, max_steps + 1 - k, _RUN_CHUNK if until is None else until - k)
-            # a fixed state stays fixed, changing nothing, until the parameters may change
-            hold = until is not None
             if engine == "operational":
                 stretch, last, stop = updates.send((k, limit))
-                if hold and stop == 0:
-                    stretch.changes.extend(repeat((), limit - stretch.updates))
             else:
-                stretch, last, stop = kernel.advance(plan, compiled, state, limit, k, hold=hold)
-                # the enactor takes one update per update recorded and compares it as it goes
-                if engine == "both" and (mismatch := updates.send((stretch, last))) is not None:
-                    if type(mismatch) is int:  # the C enactor handed the stretch back there
-                        mismatch, updates = _hand_back(operators, updates, stretch, last, mismatch)
-                    if mismatch is not None:
-                        i, enacted = mismatch
-                        (at, partials, common), *after = stretch.rows(i, i + 2)
-                        stepped = (after[0][0] if after else last, partials, common)
-                        raise EngineDivergenceError(Divergence(k + i, at, stepped, enacted))
+                stretch, last, stop = kernel.advance(plan, compiled, state, limit, k)
+            # a fixed state stays fixed, changing nothing, until the parameters may change
+            if stop == 0 and until is not None:
+                stretch.changes.extend(repeat((), limit - stretch.updates))
+            # the enactor takes one update per update recorded and compares it as it goes
+            if engine == "both" and (mismatch := updates.send((stretch, last))) is not None:
+                if type(mismatch) is int:  # the C enactor handed the stretch back there
+                    mismatch, updates = _hand_back(operators, updates, stretch, last, mismatch)
+                if mismatch is not None:
+                    i, enacted = mismatch
+                    (at, partials, common), *after = stretch.rows(i, i + 2)
+                    stepped = (after[0][0] if after else last, partials, common)
+                    raise EngineDivergenceError(Divergence(k + i, at, stepped, enacted))
             stretches.append(stretch)
             k += stretch.updates
             if until is None and stop == 0 or k > max_steps:
@@ -337,37 +341,6 @@ def _hand_back(operators, fast, stretch, last, at):
     return None, _stepcore.Enactor(operators, last)
 
 
-@dataclass(frozen=True)
-class EngineComparison:
-    equal: bool
-    steps_compared: int
-    divergence: Divergence | None
-
-
-def compare_engines(
-    spec: CaoSpec,
-    initial: Mapping[str, int] | Sequence[int] | None = None,
-    *,
-    max_steps: int = 50,
-    schedule: ParameterSchedule | None = None,
-    backend: str | None = None,
-) -> EngineComparison:
-    """Drive both engines from the same states and report the first mismatch.
-
-    This is ``run(engine="both")`` returning what happened instead of raising
-    on divergence. Each route steps from its own state, and the two states
-    are equal up to the first divergence, whose ``state`` they share.
-    ``steps_compared`` counts every compared step, the diverging one included.
-    """
-    try:
-        trace = run(
-            spec, initial, max_steps=max_steps, engine="both", schedule=schedule, backend=backend
-        )
-    except EngineDivergenceError as e:
-        return EngineComparison(False, e.divergence.k + 1, e.divergence)
-    return EngineComparison(True, len(trace.steps), None)
-
-
 # --- Conserved weights -------------------------------------------------------
 
 
@@ -380,15 +353,6 @@ class ConservationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-class ConservationError(AssertionError):
-    def __init__(self, report: ConservationReport):
-        self.report = report
-        row, k, value = report.failures[0]
-        super().__init__(
-            f"weight row {row} drifts at step {k}: {value} != {report.constants[row]}"
-        )
 
 
 def conserved_weights(spec: CaoSpec) -> tuple[tuple[int, ...], ...]:
@@ -513,15 +477,6 @@ def check_conservation(
             if k and values != constants:
                 failures += ((r, k, v) for r, (v, c) in enumerate(zip(values, constants)) if v != c)
     return ConservationReport(rows, tuple(constants), tuple(failures))
-
-
-def verify_conservation(
-    trace: CstTrace, weights: Sequence[Sequence[int]] | None = None
-) -> ConservationReport:
-    report = check_conservation(trace, weights)
-    if not report.ok:
-        raise ConservationError(report)
-    return report
 
 
 # --- Constructions and fuzzing ----------------------------------------------

@@ -5,7 +5,8 @@
 ``lockstep_oracle``, the lock-step check compared row by row,
 ``recorded``, the full-row recording that the stretch records replaced,
 ``record_of`` and ``with_row``, which write full rows as a stretch record,
-``as_rows``, which reads a stretch record back as rows, and
+``as_rows``, which reads a stretch record back as rows,
+``operational_step``, one update on the operational route, and
 ``package_imports``, which reads what a ``caosim`` module imports.
 
 Before ``caosim`` is imported, the compiled step kernel is built in place
@@ -98,8 +99,10 @@ from caosim.model import (  # noqa: E402
     _find_cycle,
     _is_integer,
     _operator_edges,
+    check_state,
     infer_form,
 )
+from caosim.operational import enactor  # noqa: E402
 from caosim.simulate import _RUN_CHUNK, Divergence, _initial_state  # noqa: E402
 
 # One CAO exercising every operator form: an M fans (i, j) into (d, s),
@@ -382,6 +385,24 @@ def as_rows(stretch, k=0):
     rows = list(record.rows())
     assert record_of(rows, k).changes == [tuple(sorted_pairs(c)) for c in record.changes]
     return rows, last, stop
+
+
+def one_update(updates):
+    """The next update of a primed ``operational.enactor``, as ``(next,
+    partials, common)``: a stretch of one taken with ``send((0, 1))``."""
+    ((_, p, pc),), nxt, _ = as_rows(updates.send((0, 1)))
+    return nxt, p, pc
+
+
+def operational_step(spec, state):
+    """One update of ``state`` on the operational route, as ``(next,
+    partials, common)``, once ``check_state`` has accepted the state: the
+    one-update call of that route, which the package does not export
+    (``caosim.step`` is the public one, on the matrix route)."""
+    check_state(spec, state)
+    updates = enactor(resolve(spec), state)
+    next(updates)
+    return one_update(updates)
 
 
 def sorted_pairs(change):

@@ -15,11 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from caosim import (
     DslError,
+    EngineDivergenceError,
     ParameterSchedule,
     ScheduleGapError,
     build_linear_chain,
     check_conservation,
-    compare_engines,
     conserved_weights,
     derive,
     fixed_point,
@@ -29,7 +29,6 @@ from caosim import (
     run,
     serialize,
     step,
-    verify_conservation,
     with_parameters,
 )
 from caosim.kernel import COMPILED_AVAILABLE
@@ -71,9 +70,11 @@ def test_criterion_2_engine_equivalence(fuzz_corpus, backend):
     began = time.perf_counter()
     steps_total = 0
     for spec, state in fuzz_corpus:
-        report = compare_engines(spec, state, max_steps=50, backend=backend)
-        assert report.equal, f"{spec.name}: {report.divergence}"
-        steps_total += report.steps_compared
+        try:
+            trace = run(spec, state, max_steps=50, engine="both", backend=backend)
+        except EngineDivergenceError as e:
+            pytest.fail(f"{spec.name}: {e.divergence}")
+        steps_total += len(trace.steps)
     elapsed = time.perf_counter() - began
 
     assert elapsed < 60.0
@@ -148,8 +149,8 @@ def test_criterion_2_routes_agree_across_int64(seed, max_steps, cyclic, schedule
 def test_criterion_3_conservation(showcase, fuzz_corpus):
     # the showcase weight row is known in closed form and stays at 200
     assert conserved_weights(showcase) == ((1, 1, 10, 4, 40, 0, 160),)
-    report = verify_conservation(run(showcase))
-    assert report.constants == (200,)
+    report = check_conservation(run(showcase))
+    assert report.ok and report.constants == (200,)
 
     vectors_checked = 0
     for spec, state in fuzz_corpus:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import caosim
-from caosim import build_linear_chain, parse, random_cao, random_state, resolve, run
+from caosim import ParameterSchedule, build_linear_chain, parse, random_cao, random_state, resolve, run
 from caosim.kernel import (
     COMPILED_AVAILABLE,
     StepPlan,
@@ -446,26 +446,38 @@ class TestBigIntegerRows:
         loop = plan_for(parse(LOOP_TEXT, allow_cycles=True))
         grow = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
         runs = [
-            (chain, (2**599 - 1,) + (0,) * 599, 1024, False),
-            (loop, (2**70 + 1, 2**70) + (0,) * 6, 300, False),
+            (chain, (2**599 - 1,) + (0,) * 599, 1024),
+            (loop, (2**70 + 1, 2**70) + (0,) * 6, 300),
             # int64 throughout
-            (loop, parse(LOOP_TEXT, allow_cycles=True).start_state(), 300, False),
+            (loop, parse(LOOP_TEXT, allow_cycles=True).start_state(), 300),
             # and common carries that are objects of other entities' partials
-            (loop, parse(LOWERING_LOOP_TEXT, allow_cycles=True).start_state(), 300, False),
+            (loop, parse(LOWERING_LOOP_TEXT, allow_cycles=True).start_state(), 300),
             # the int64 loop leaves mid-stretch, the last rows held as objects
-            (grow, (2**60, 2**60, 0), 40, False),
-            # a fixed point held to the limit
-            (chain, (2**70,) + (0,) * 599, 1024, True),
+            (grow, (2**60, 2**60, 0), 40),
+            # a fixed point well before the limit
+            (chain, (2**70,) + (0,) * 599, 1024),
         ]
-        for plan, start, limit, hold in runs:
+        for plan, start, limit in runs:
             kernel = bind(plan, "compiled")
             kernel.run(start, limit, [])  # makes the kernel's Python ints once
 
             def runs():
-                stretch, last, stop = advance(plan, kernel, start, limit, 7, hold=hold)
+                stretch, last, stop = advance(plan, kernel, start, limit, 7)
                 assert stop in (0, 1) and stretch.k == 7
 
             assert_leaks_nothing(runs, (start, start[0], Stretch))
+        # a fixed point held to the schedule's next change, which run()
+        # records and the C enactor checks
+        spec = build_linear_chain(2, 40)
+        held = ParameterSchedule.from_mapping(spec, {1024: spec}, default=spec)
+        start = (2**30,) + (0,) * 39
+        run(spec, start, max_steps=1024, schedule=held, backend="compiled")
+
+        def held_run():
+            trace = run(spec, start, max_steps=1024, schedule=held, backend="compiled")
+            assert trace.steps.stretches[0].updates == 1024
+
+        assert_leaks_nothing(held_run, (start, start[0], Stretch), repeat=50)
 
     def test_enactor_checks_leak_nothing(self):
         # the C enactor of the lock-step check, on each of its paths: a
@@ -628,21 +640,17 @@ class TestWrittenRecords:
 
     @pytest.mark.parametrize("start", ["int64", "big"])
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
-    def test_a_held_fixed_point_changes_nothing(self, start, backend):
-        # the chain from 2**10 settles after 10 updates; held to the limit,
-        # each update after it is recorded as changing nothing
+    def test_a_stretch_ends_at_its_fixed_point(self, start, backend):
+        # the chain from 2**10 settles after 10 updates, from 2**70 after 70:
+        # the stretch ends there, below its limit; run() holds a fixed point
+        # under a schedule (test_simulate.py)
         chain = plan_for(build_linear_chain(2, 40 if start == "int64" else 80))
         state = ((2**10 if start == "int64" else 2**70),) + (0,) * (chain.m - 1)
-        kernel = bind(chain, backend)
-        free, last, stop = advance(chain, kernel, state, 100, 5)
-        held, held_last, held_stop = advance(chain, kernel, state, 100, 5, hold=True)
+        free, last, stop = advance(chain, bind(chain, backend), state, 100, 5)
         n = free.updates
-        assert stop == held_stop == 0 and last == held_last and n < 100
-        assert held.changes[: n - 1] == free.changes and held.changes[n - 1 :] == [()] * (100 - n)
-        assert held.k == 5 and held.updates == 100
-        rows = list(held.rows())
-        assert rows[n:] == [rows[n - 1]] * (100 - n)
-        assert all(row[0] is rows[n - 1][0] for row in rows[n:])
+        assert stop == 0 and free.k == 5 and n == (11 if start == "int64" else 71)
+        *_, (settled, _, common) = free.rows()
+        assert last == settled and not any(common)
 
 
 GROWING_PLAN = plan_for(parse(GROWING_CYCLE_TEXT, allow_cycles=True))
@@ -934,8 +942,8 @@ assert caosim.__file__.startswith(sys.argv[1]) and _stepcore.__file__.startswith
 real = kernel.advance
 FAULT
 
-def wrong(plan, compiled, state, limit, k=0, hold=False):
-    stretch, last, stop = real(plan, compiled, state, limit, k, hold=hold)
+def wrong(plan, compiled, state, limit, k=0):
+    stretch, last, stop = real(plan, compiled, state, limit, k)
     if k == 0 and stretch.updates > 1:
         fault(stretch)
     return stretch, last, stop

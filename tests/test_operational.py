@@ -19,7 +19,6 @@ from caosim import (
     random_state,
     resolve,
     run,
-    step_operational,
 )
 from caosim.kernel import _stepcore
 from caosim.model import Stretch
@@ -31,6 +30,8 @@ from conftest import (
     LOWERING_LOOP_TEXT,
     SHOWCASE_TRAJECTORY,
     as_rows,
+    one_update,
+    operational_step,
     package_imports,
     random_parameters,
     record_of,
@@ -94,13 +95,6 @@ def enact_every_operator(operators, state):
     return tuple(nxt), tuple(p), tuple(pc)
 
 
-def one_update(updates):
-    """The next update of a primed :func:`enactor`, as ``(next, partials,
-    common)``: a stretch of one taken with ``send((0, 1))``."""
-    ((_, p, pc),), nxt, _ = as_rows(updates.send((0, 1)))
-    return nxt, p, pc
-
-
 def test_the_two_routes_import_nothing_of_each_other():
     # The matrix route (engine, kernel) and the operational route check each
     # other only while they share no arithmetic.
@@ -128,30 +122,30 @@ class TestSingleOperatorProcedures:
 
     def test_L_divides_and_converts(self, showcase):
         # L (d:8) -> (g:2)
-        nxt, p, pc = step_operational(showcase, (0, 0, 17, 0, 0, 0, 0))
+        nxt, p, pc = operational_step(showcase, (0, 0, 17, 0, 0, 0, 0))
         assert p[2] == 2
         assert pc[2] == 2
         assert nxt == (0, 0, 17 - 16, 0, 4, 0, 0)
 
     def test_D_fans_one_carry_out(self, showcase):
         # D (s:10) -> (g:1, u:3)
-        nxt, _, pc = step_operational(showcase, (0, 0, 0, 25, 0, 0, 0))
+        nxt, _, pc = operational_step(showcase, (0, 0, 0, 25, 0, 0, 0))
         assert pc[3] == 2
         assert nxt == (0, 0, 0, 25 - 20, 2, 6, 0)
 
     def test_F_takes_the_group_minimum(self, showcase):
         # F (g:4, u:2) -> (h:1)
-        _, _, pc = step_operational(showcase, (0, 0, 0, 0, 14, 7, 0))
+        _, _, pc = operational_step(showcase, (0, 0, 0, 0, 14, 7, 0))
         # 14//4 = 3 and 7//2 = 3 agree here; try an uneven pair too
         assert pc[4] == pc[5] == 3
-        nxt, p, pc = step_operational(showcase, (0, 0, 0, 0, 14, 3, 0))
+        nxt, p, pc = operational_step(showcase, (0, 0, 0, 0, 14, 3, 0))
         assert (p[4], p[5]) == (3, 1)
         assert pc[4] == pc[5] == 1
         assert nxt == (0, 0, 0, 0, 14 - 4, 3 - 2, 1)
 
     def test_M_moves_many_to_many(self, showcase):
         # M (i:10, j:8) -> (d:1, s:2)
-        nxt, p, pc = step_operational(showcase, (100, 100, 0, 0, 0, 0, 0))
+        nxt, p, pc = operational_step(showcase, (100, 100, 0, 0, 0, 0, 0))
         assert (p[0], p[1]) == (10, 12)
         assert pc[0] == pc[1] == 10
         assert nxt == (100 - 100, 100 - 80, 10, 20, 0, 0, 0)
@@ -164,7 +158,7 @@ class TestIdleOperators:
     def test_idle_F_reports_its_partials(self, showcase):
         # F (g:4, u:2): 14//4 = 3, 1//2 = 0
         state = (0, 0, 0, 0, 14, 1, 0)
-        nxt, p, pc = step_operational(showcase, state)
+        nxt, p, pc = operational_step(showcase, state)
         assert (p[4], p[5]) == (3, 0)
         assert (pc[4], pc[5]) == (0, 0)
         assert nxt == state
@@ -172,11 +166,11 @@ class TestIdleOperators:
     def test_idle_L(self, showcase):
         # L (d:8) -> (g:2) with d = 7
         state = (0, 0, 7, 0, 0, 0, 0)
-        assert step_operational(showcase, state) == (state, (0,) * 7, (0,) * 7)
+        assert operational_step(showcase, state) == (state, (0,) * 7, (0,) * 7)
 
     def test_one_idle_input_stops_a_multi_input_operator(self, showcase):
         # M (i:10, j:8) with j = 7 is idle beside a firing L (d:8) -> (g:2)
-        nxt, p, pc = step_operational(showcase, (100, 7, 17, 0, 0, 0, 0))
+        nxt, p, pc = operational_step(showcase, (100, 7, 17, 0, 0, 0, 0))
         assert (p[0], p[1], p[2]) == (10, 0, 2)
         assert pc == (0, 0, 2, 0, 0, 0, 0)
         assert nxt == (100, 7, 1, 0, 4, 0, 0)
@@ -197,27 +191,27 @@ class TestIdleOperators:
             state = got[0]
 
 
-class TestStepOperational:
+class TestOneOperationalUpdate:
     def test_walks_the_showcase_trajectory(self, showcase):
         for (state, pc), (nxt_state, _) in zip(
             SHOWCASE_TRAJECTORY, SHOWCASE_TRAJECTORY[1:]
         ):
-            nxt, _, common = step_operational(showcase, state)
+            nxt, _, common = operational_step(showcase, state)
             assert nxt == nxt_state
             assert common == pc
 
     def test_rejects_negative_components(self, showcase):
         with pytest.raises(NegativeComponentError):
-            step_operational(showcase, (0, 0, 0, -5, 0, 0, 0))
+            operational_step(showcase, (0, 0, 0, -5, 0, 0, 0))
 
     def test_rejects_wrong_length(self, showcase):
         with pytest.raises(ValueError):
-            step_operational(showcase, (1,))
+            operational_step(showcase, (1,))
 
     @pytest.mark.parametrize("value", [9.7, 9.0, True, "9"])
     def test_rejects_components_that_are_not_integers(self, showcase, value):
         with pytest.raises(ValueError, match="not an integer"):
-            step_operational(showcase, (100, value, 0, 0, 0, 0, 0))
+            operational_step(showcase, (100, value, 0, 0, 0, 0, 0))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -228,7 +222,7 @@ class TestStepOperational:
         rng = random.Random(seed)
         spec = random_cao(rng)
         state = small_or_random_state(rng, spec)
-        nxt, p, pc = step_operational(spec, state)
+        nxt, p, pc = operational_step(spec, state)
         ledger = list(state)
         for inputs, outputs in resolve(spec):
             common = min(p[i] for i, _ in inputs)
@@ -248,7 +242,7 @@ class TestStepOperational:
         spec = random_cao(rng)
         state = random_state(rng, spec)
         for _ in range(10):
-            state, _, _ = step_operational(spec, state)
+            state, _, _ = operational_step(spec, state)
             assert all(v >= 0 for v in state)
 
 
@@ -396,12 +390,12 @@ class TestEnactor:
         assert limits == [(k, 1024) for k in range(0, 4096, 1024)] + [(4096, 5001 - 4096)]
         assert trace.steps == run(LOOP, max_steps=5000, engine="matrix").steps
 
-    def test_step_operational_is_the_literal_update_on_the_fuzz_corpus(self, fuzz_corpus):
+    def test_one_update_is_the_literal_update_on_the_fuzz_corpus(self, fuzz_corpus):
         for spec, state in fuzz_corpus:
             operators = resolve(spec)
             for _ in range(3):
                 want = enact(operators, state)
-                assert step_operational(spec, state) == want, f"{spec.name} from {state}"
+                assert operational_step(spec, state) == want, f"{spec.name} from {state}"
                 state = want[0]
 
 
